@@ -26,6 +26,7 @@ from .quantize import (
 from .decompose import (
     DecompReport,
     ErrorDecomposition,
+    InvariantViolation,
     decompose_tensor,
     orthogonality_check,
     scale_precision_sweep,
@@ -58,6 +59,7 @@ from .analysis import (
     effective_temperature_predict,
     gamma_stats,
     gemm_error_propagation,
+    mbs_error_matrices,
 )
 from .tensorstore import (
     SynthSpec,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
-from .decompose import decompose_tensor
+from .decompose import ErrorDecomposition, InvariantViolation, decompose_tensor
 from .quantize import BlockQuantConfig, block_view, qdq_views
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "GemmPropagation",
     "gamma_stats",
     "component_error_matrices",
+    "mbs_error_matrices",
     "cumulative_scale_bias",
     "effective_temperature_predict",
     "effective_temperature_fit",
@@ -398,12 +399,23 @@ def component_error_matrices(weights: np.ndarray, quant: BlockQuantConfig,
     d = decompose_tensor(weights, quant)
     if mbs is None:
         return d.e_scale, d.e_dz, d.e_grid, d.e_total
-    x_hat, _ = mbs_qdq(weights, mbs, quant, mbs_mode)
-    view = block_view(weights, quant)
-    _, qstar, _, _ = qdq_views(view, quant)
-    qstar_full = view.restore(qstar)
-    # prescaling cancels in the ideal quantizer, so dz/grid parts carry over
-    return x_hat - qstar_full, d.e_dz, d.e_grid, x_hat - weights
+    return mbs_error_matrices(weights, d, quant, mbs, mbs_mode)
+
+
+def mbs_error_matrices(weights: np.ndarray, d: ErrorDecomposition,
+                       quant: BlockQuantConfig, mbs: MbsConfig, mbs_mode: str):
+    """(e_scale, e_dz, e_grid, e_total) for the MBS quantizer, given the plain
+    decomposition d = decompose_tensor(weights, quant).
+
+    Prescaling cancels in the ideal quantizer, so the dz/grid parts carry
+    over and the scale part is measured against the unchanged Q*(x). Q*(x)
+    is within a factor of 2 of x wherever it is nonzero, so Q*(x) - x is
+    exact (Sterbenz) and x + (e_dz + e_grid) is Q*(x) bitwise.
+    """
+    x = np.asarray(weights, dtype=np.float64)
+    x_hat, _ = mbs_qdq(x, mbs, quant, mbs_mode)
+    qstar = x + (d.e_dz + d.e_grid)
+    return x_hat - qstar, d.e_dz, d.e_grid, x_hat - x
 
 
 def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
@@ -421,7 +433,8 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
 
     With isotropic covariance the two deadzone cross traces reduce to
     elementwise products that vanish identically (the scale component is
-    exactly zero on deadzone entries); this is asserted, not tested.
+    exactly zero on deadzone entries); a nonzero one raises
+    InvariantViolation.
     Passing mbs replaces the quantizer with its macro-prescaled variant;
     the scale component is then measured against the unchanged ideal
     quantization.
@@ -471,9 +484,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
 
     cross_sd = tr(e_s, e_d)
     cross_dg = tr(e_d, e_g)
-    if mode == "isotropic":
-        assert cross_sd == 0.0 and cross_dg == 0.0, \
-            "deadzone cross traces must vanish for isotropic covariance"
+    if mode == "isotropic" and (cross_sd != 0.0 or cross_dg != 0.0):
+        raise InvariantViolation(
+            "deadzone cross traces must vanish for isotropic covariance")
 
     rng = np.random.default_rng(seed)
     if mode == "isotropic":
@@ -568,25 +581,23 @@ def cross_term_vs_blocksize(distribution: str = "gaussian",
             n = min(step, blocks_per_b - done)
             arr = draw(rng, (n, int(b)))
             view = block_view(arr, cfg)
-            qdq, qstar, dead, _ = qdq_views(view, cfg)
-            e_s = qdq - qstar
-            resid = qstar - view.blocks
-            e_g = np.where(dead, 0.0, resid)
-            e_t = qdq - view.blocks
+            # one block per row, so the error arrays are already blocked;
+            # all-zero blocks carry no error and add nothing to the sums
+            d = decompose_tensor(arr, cfg)
             live = view.nonzero
             n_live += int(live.sum())
-            sum_sg += float((e_s * e_g)[live].sum())
-            sum_ss += float((e_s ** 2)[live].sum())
-            sum_gg += float((e_g ** 2)[live].sum())
-            sum_tt += float((e_t ** 2)[live].sum())
+            sum_sg += d.ip_scale_grid
+            sum_ss += d.n2_scale
+            sum_gg += d.n2_grid
+            sum_tt += d.n2_total
 
             # idealized grid error: uniform over the local cell, independent
             u = np.abs(view.blocks) / np.where(live, view.s_star, 1.0)[:, None]
             width = _CELL_WIDTHS[np.searchsorted(_CELL_EDGES, u)]
             tilde = (view.s_star[:, None] * width
                      * (rng.random(view.blocks.shape) - 0.5))
-            num = (e_s * tilde).sum(axis=1)
-            den = (np.sqrt((e_s ** 2).sum(axis=1))
+            num = (d.e_scale * tilde).sum(axis=1)
+            den = (np.sqrt((d.e_scale ** 2).sum(axis=1))
                    * np.sqrt((tilde ** 2).sum(axis=1)))
             ok = live & (den > 0)
             ideal_sq.append((num[ok] / den[ok]) ** 2)

@@ -23,14 +23,20 @@ import numpy as np
 from . import __version__
 from .analysis import (
     aqn_total_noise,
-    component_error_matrices,
     cumulative_scale_bias,
     effective_temperature_fit,
     gamma_stats,
     gemm_error_propagation,
+    mbs_error_matrices,
 )
 from .corrections import AqnSchedule, MbsConfig, OfConfig, dz_recovery_rate, mbs_qdq, of_qdq
-from .decompose import decompose_tensor, scale_precision_sweep, tensor_stats
+from .decompose import (
+    _IDENTITY_TOL,
+    InvariantViolation,
+    decompose_tensor,
+    scale_precision_sweep,
+    tensor_stats,
+)
 from .quantize import BlockQuantConfig
 from .tensorstore import (
     SynthSpec,
@@ -42,14 +48,12 @@ from .tensorstore import (
     synth,
 )
 
-_IDENTITY_TOL = 1e-9
-
-
-class InvariantViolation(AssertionError):
-    pass
-
 
 # --- deterministic serialization --------------------------------------------------
+
+
+class ReportError(ValueError):
+    """A result that a JSON or CSV report cannot carry (nan, inf)."""
 
 
 def _scalar_text(v) -> str:
@@ -60,6 +64,8 @@ def _scalar_text(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not np.isfinite(v):
+            raise ReportError(f"non-finite report value: {float(v)!r}")
         return "%.12g" % float(v)
     raise TypeError(f"not a scalar: {type(v)!r}")
 
@@ -143,7 +149,8 @@ def _quant_config(args) -> BlockQuantConfig:
 
 def _check_identity(records: list[dict]) -> None:
     for rec in records:
-        if rec["identity_residual"] > _IDENTITY_TOL:
+        # written so that a nan residual fails too
+        if not rec["identity_residual"] <= _IDENTITY_TOL:
             raise InvariantViolation(
                 f"identity residual {rec['identity_residual']:.3e} on {rec['name']}")
         if any(v != 0.0 for v in rec["dz_inner_products"]):
@@ -194,7 +201,7 @@ def cmd_mbs(args) -> dict:
     for name in sorted(tensors):
         x = np.asarray(tensors[name], dtype=np.float64)
         before = decompose_tensor(x, quant)
-        e_s, e_d, e_g, e_t = component_error_matrices(x, quant, mbs, args.mbs_mode)
+        e_s, e_d, e_g, e_t = mbs_error_matrices(x, before, quant, mbs, args.mbs_mode)
         n2_s_after = float((e_s ** 2).sum())
         n2_t_after = float((e_t ** 2).sum())
         cross_after = float((e_s * e_g).sum())
@@ -292,7 +299,7 @@ def cmd_gemm(args) -> dict:
     prop = gemm_error_propagation(tensors[name], _quant_config(args),
                                   cov=args.cov_var, samples=args.samples,
                                   seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
-    if prop.identity_residual > _IDENTITY_TOL:
+    if not prop.identity_residual <= _IDENTITY_TOL:
         raise InvariantViolation(
             f"GEMM trace identity residual {prop.identity_residual:.3e}")
     out = prop.summary_dict()
@@ -424,30 +431,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         results = args.func(args)
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "config": config,
+            "seed": args.seed,
+            "duration_seconds": time.perf_counter() - started,
+            "results": results,
+        }
+        text = _json_text(report) + "\n" if args.format == "json" else _csv_text(report)
+        if args.out:
+            atomic_write_bytes(args.out, text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
     except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (TensorStoreError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "config": config,
-        "seed": args.seed,
-        "duration_seconds": time.perf_counter() - started,
-        "results": results,
-    }
-    text = _json_text(report) + "\n" if args.format == "json" else _csv_text(report)
-    if args.out:
-        atomic_write_bytes(args.out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -105,61 +105,18 @@ class AqnSchedule:
 # --- macro-block scaling -------------------------------------------------------
 
 
-def _macro_view(x: np.ndarray, macro: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(macros, valid, shape): innermost-axis macro blocks, zero padded."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty tensor")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input")
-    shape = x.shape
-    n = shape[-1] if shape else 1
-    per_row = (n + macro - 1) // macro
-    pad = per_row * macro - n
-    rows = x.reshape(-1, n)
-    if pad:
-        rows = np.pad(rows, ((0, 0), (0, pad)))
-    macros = rows.reshape(-1, macro)
-    valid = np.ones_like(macros, dtype=bool)
-    if pad:
-        valid = valid.reshape(-1, per_row * macro)
-        valid[:, n:] = False
-        valid = valid.reshape(-1, macro)
-    return macros, valid, shape
+def _qdq(x: np.ndarray, quant: BlockQuantConfig) -> np.ndarray:
+    """Plain QDQ for every MBS trial, the final MBS pass and both OF passes.
+
+    quantize.qdq_tensor does the same; this copy calls qdq_views through
+    this module, where perfbench counts corrections.qdq_blocks_per_macro."""
+    view = block_view(x, quant)
+    qdq, _, _, _ = qdq_views(view, quant)
+    return view.restore(qdq)
 
 
-def _unmacro(macros: np.ndarray, shape: tuple, macro: int) -> np.ndarray:
-    n = shape[-1] if shape else 1
-    per_row = (n + macro - 1) // macro
-    return macros.reshape(-1, per_row * macro)[:, :n].reshape(shape)
-
-
-def _qdq_blocked(flat: np.ndarray, quant: BlockQuantConfig) -> np.ndarray:
-    """QDQ rows whose length is already a multiple of block_size."""
-    b = quant.block_size
-    blocks = flat.reshape(-1, b)
-    m_b = np.abs(blocks).max(axis=1)
-    view_like = _FastView(blocks, m_b)
-    qdq, _, _, _ = qdq_views(view_like, quant)
-    return qdq.reshape(flat.shape)
-
-
-class _FastView:
-    """Minimal stand-in for BlockView when padding is already handled."""
-
-    __slots__ = ("blocks", "m_b", "s_star", "nonzero", "valid")
-
-    def __init__(self, blocks: np.ndarray, m_b: np.ndarray) -> None:
-        self.blocks = blocks
-        self.m_b = m_b
-        self.s_star = m_b / 6.0
-        self.nonzero = m_b > 0
-        self.valid = np.ones_like(blocks, dtype=bool)
-
-
-def _closed_form_codes(macros: np.ndarray) -> np.ndarray:
-    """k = floor((2^delta_M - 1) * 256) per macro, 0 for all-zero macros."""
-    m_m = np.abs(macros).max(axis=1)
+def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
+    """k = floor((2^delta_M - 1) * 256) per macro max, 0 for all-zero macros."""
     f, _ = np.frexp(m_m / 6.0)
     gamma = np.where(f == 0.5, 1.0, 1.0 / np.where(f > 0, f, 1.0))
     k = np.floor((gamma - 1.0) * MBS_LEVELS).astype(np.int64)
@@ -178,35 +135,20 @@ def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
     codes = np.empty(n_macros, dtype=np.int64)
     step = max(1, chunk_elems // (MBS_LEVELS * macro))
     for lo in range(0, n_macros, step):
-        seg = macros[lo:lo + step]                       # (c, macro)
-        scaled = seg[:, None, :] * pres[None, :, None]   # (c, 256, macro)
-        flat = scaled.reshape(-1, macro)
-        y = _qdq_blocked(flat, quant).reshape(scaled.shape) / pres[None, :, None]
-        err = ((y - seg[:, None, :]) ** 2).sum(axis=2)
+        seg = macros[lo:lo + step, None, :]              # (c, 1, macro)
+        y = _qdq(seg * pres[:, None], quant) / pres[:, None]   # (c, 256, macro)
+        err = ((y - seg) ** 2).sum(axis=2)
         codes[lo:lo + step] = err.argmin(axis=1)
     return codes
 
 
 def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
                         quant: BlockQuantConfig, mode: str = "exhaustive") -> int:
-    """Mantissa code for one macro block."""
-    if mode not in _MBS_MODES:
-        raise ValueError(f"unknown MBS mode: {mode}")
+    """Mantissa code for one macro block: the one mbs_qdq picks for it."""
     macro_block = np.asarray(macro_block, dtype=np.float64)
     if macro_block.ndim != 1 or not 1 <= macro_block.size <= mbs.macro_block_size:
         raise ValueError("macro block must be 1-D with 1..macro_block_size elements")
-    if not np.isfinite(macro_block).all():
-        raise ValueError("non-finite input")
-    mbs.validate_against(quant)
-    if not macro_block.any():
-        return 0
-    padded = macro_block
-    b = quant.block_size
-    if padded.size % b:
-        padded = np.pad(padded, (0, b - padded.size % b))
-    if mode == "closed_form":
-        return int(_closed_form_codes(padded[None, :])[0])
-    return int(_exhaustive_codes(padded[None, :], quant)[0])
+    return int(mbs_qdq(macro_block, mbs, quant, mode)[1][0])
 
 
 def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
@@ -216,15 +158,13 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
     if mode not in _MBS_MODES:
         raise ValueError(f"unknown MBS mode: {mode}")
     mbs.validate_against(quant)
-    macros, valid, shape = _macro_view(x, mbs.macro_block_size)
+    view = block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size))
     if mode == "closed_form":
-        codes = _closed_form_codes(macros)
+        codes = _closed_form_codes(view.m_b)
     else:
-        codes = _exhaustive_codes(macros, quant)
+        codes = _exhaustive_codes(view.blocks, quant)
     pres = (1.0 + codes / MBS_LEVELS)[:, None]
-    y = _qdq_blocked(macros * pres, quant) / pres
-    y[~valid] = 0.0
-    return _unmacro(y, shape, mbs.macro_block_size), codes
+    return view.restore(_qdq(view.blocks * pres, quant) / pres), codes
 
 
 # --- outlier fallback ----------------------------------------------------------
@@ -247,9 +187,7 @@ def of_qdq(x: np.ndarray, of: OfConfig, quant: BlockQuantConfig,
     def q(t: np.ndarray) -> np.ndarray:
         if with_mbs:
             return mbs_qdq(t, mbs or MbsConfig(), quant, mbs_mode)[0]
-        view = block_view(t, quant)
-        qdq, _, _, _ = qdq_views(view, quant)
-        return view.restore(qdq)
+        return _qdq(t, quant)
 
     pass1 = q(x)
     pass2 = q(x - pass1)

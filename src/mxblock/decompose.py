@@ -26,6 +26,7 @@ from .quantize import BlockQuantConfig, block_view, qdq_views
 __all__ = [
     "ErrorDecomposition",
     "DecompReport",
+    "InvariantViolation",
     "decompose_tensor",
     "verify_identity",
     "orthogonality_check",
@@ -64,10 +65,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
-    # zero-vector cosine reported as 0 with defined=False, never NaN
+    # zero-vector cosine reported as 0 with defined=False, never NaN; the
+    # norms are rooted before multiplying, so far from unit scale the
+    # product neither overflows nor underflows
     if n2a <= 0.0 or n2b <= 0.0:
         return 0.0, False
-    return ip / np.sqrt(n2a * n2b), True
+    return ip / (np.sqrt(n2a) * np.sqrt(n2b)), True
 
 
 def decompose_tensor(x: np.ndarray, config: BlockQuantConfig) -> ErrorDecomposition:
@@ -106,6 +109,11 @@ def decompose_tensor(x: np.ndarray, config: BlockQuantConfig) -> ErrorDecomposit
         cos_scale_grid=cos_sg, cos_scale_dz=cos_sd, cos_dz_grid=cos_dg,
         cos_defined={"scale_grid": def_sg, "scale_dz": def_sd, "dz_grid": def_dg},
         dz_fraction=dz_fraction)
+
+
+class InvariantViolation(AssertionError):
+    """An exact identity of the decomposition did not hold. Raised
+    explicitly, so ``python -O`` cannot strip the check."""
 
 
 def verify_identity(d: ErrorDecomposition, eps: float = 1e-300) -> float:
@@ -220,7 +228,7 @@ def scale_precision_sweep(x: np.ndarray, m_list: Iterable[int] = range(9),
             ref_grid, ref_dz = d.e_grid, d.e_dz
         elif not (np.array_equal(ref_grid, d.e_grid)
                   and np.array_equal(ref_dz, d.e_dz)):
-            raise AssertionError("grid/deadzone error changed with scale precision")
+            raise InvariantViolation("grid/deadzone error changed with scale precision")
         out.append({"M": m,
                     "mse_total": d.n2_total / numel,
                     "mse_scale": d.n2_scale / numel,

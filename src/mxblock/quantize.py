@@ -10,7 +10,7 @@ a sentinel unit scale, and every error component on them is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,10 @@ from .formats import (
     ElementGrid,
     GRID_MAGNITUDES,
     Q_MAX,
-    Q_MIN,
     ScaleCode,
     ceil_scale_array,
     grid_index_array,
+    grid_round_array,
 )
 
 __all__ = [
@@ -177,14 +177,18 @@ def block_view(x: np.ndarray, config: BlockQuantConfig) -> BlockView:
 # --- core kernels (array in, array out) --------------------------------------
 
 
-def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray
-                  ) -> np.ndarray:
+def _scaled_round(view: BlockView, scale: np.ndarray) -> np.ndarray:
     """scale * grid_round(blocks / scale); all-zero blocks stay zero."""
-    safe = np.where(nonzero, scale, 1.0)[:, None]
-    u = blocks / safe
-    idx = grid_index_array(np.abs(u))
-    vals = np.copysign(GRID_MAGNITUDES[idx], u) * safe
-    return np.where(nonzero[:, None], vals, 0.0)
+    safe = np.where(view.nonzero, scale, 1.0)[:, None]
+    return np.where(view.nonzero[:, None],
+                    grid_round_array(view.blocks / safe) * safe, 0.0)
+
+
+def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
+    """int8 sign * grid index of blocks / scale; padding and all-zero blocks
+    round to code 0."""
+    u = view.blocks / np.where(view.nonzero, scale, 1.0)[:, None]
+    return (np.sign(u) * grid_index_array(np.abs(u))).astype(np.int8)
 
 
 def qdq_views(view: BlockView, config: BlockQuantConfig
@@ -195,8 +199,8 @@ def qdq_views(view: BlockView, config: BlockQuantConfig
     all-zero blocks. qstar uses s_star; qdq uses the ceiling-coded scale.
     """
     s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    qdq = _scaled_round(view.blocks, s_dec, view.nonzero)
-    qstar = _scaled_round(view.blocks, view.s_star, view.nonzero)
+    qdq = _scaled_round(view, s_dec)
+    qstar = _scaled_round(view, view.s_star)
     thr = (view.m_b / 24.0)[:, None]
     dead = (np.abs(view.blocks) < thr) & view.nonzero[:, None]
     return qdq, qstar, dead, s_dec
@@ -215,37 +219,23 @@ def ideal_scale(block: np.ndarray) -> float:
     return float(np.abs(block).max() / Q_MAX)
 
 
-def quantize_block(block: np.ndarray, config: BlockQuantConfig) -> BlockQuant:
+def _single_block(block: np.ndarray, config: BlockQuantConfig) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 1 or not 1 <= block.size <= config.block_size:
         raise ValueError("block must be 1-D with 1..block_size elements")
-    s_star = ideal_scale(block)
-    m_b = s_star * Q_MAX
-    if s_star == 0.0:
-        code = ScaleCode(0, 0, config.scale_mantissa_bits)
-        return BlockQuant(np.zeros(block.size, dtype=np.int8), code,
-                          code.decode(), 0.0, 0.0)
-    _, e, k = ceil_scale_array(np.array([s_star]), config.scale_mantissa_bits)
-    code = ScaleCode(int(e[0]), int(k[0]), config.scale_mantissa_bits)
-    s = code.decode()
-    u = block / s
-    idx = grid_index_array(np.abs(u))
-    codes = (np.sign(u) * idx).astype(np.int8)
-    return BlockQuant(codes, code, s, s_star, m_b)
+    return block
+
+
+def quantize_block(block: np.ndarray, config: BlockQuantConfig) -> BlockQuant:
+    return quantize_tensor(_single_block(block, config), config).block(0)
 
 
 def quantize_block_ideal(block: np.ndarray, config: BlockQuantConfig) -> BlockQuant:
     """Q*: same rounding, scale = s_star exactly (left uncoded)."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 1 or not 1 <= block.size <= config.block_size:
-        raise ValueError("block must be 1-D with 1..block_size elements")
-    s_star = ideal_scale(block)
-    if s_star == 0.0:
-        return BlockQuant(np.zeros(block.size, dtype=np.int8), None, 1.0, 0.0, 0.0)
-    u = block / s_star
-    idx = grid_index_array(np.abs(u))
-    codes = (np.sign(u) * idx).astype(np.int8)
-    return BlockQuant(codes, None, s_star, s_star, s_star * Q_MAX)
+    view = block_view(_single_block(block, config), config)
+    s_star = float(view.s_star[0])
+    codes = _element_codes(view, view.s_star)[0, :view.shape[0]]
+    return BlockQuant(codes, None, s_star or 1.0, s_star, float(view.m_b[0]))
 
 
 def deadzone_mask(block: np.ndarray) -> np.ndarray:
@@ -262,12 +252,7 @@ def deadzone_mask(block: np.ndarray) -> np.ndarray:
 def quantize_tensor(x: np.ndarray, config: BlockQuantConfig) -> QuantizedTensor:
     view = block_view(x, config)
     s_dec, e, k = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    safe = np.where(view.nonzero, s_dec, 1.0)[:, None]
-    u = view.blocks / safe
-    idx = grid_index_array(np.abs(u))
-    codes = (np.sign(u) * idx).astype(np.int8)
-    codes[~view.nonzero, :] = 0
-    codes[~view.valid] = 0
+    codes = _element_codes(view, s_dec)
     return QuantizedTensor(view.shape, config, codes, e, k, view.s_star, view.m_b)
 
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mxblock
+import mxblock.analysis as analysis
 from mxblock.analysis import (
     aqn_total_noise,
     cross_term_vs_blocksize,
@@ -15,7 +20,7 @@ from mxblock.analysis import (
     gemm_error_propagation,
 )
 from mxblock.corrections import AqnSchedule, MbsConfig
-from mxblock.decompose import decompose_tensor
+from mxblock.decompose import InvariantViolation, decompose_tensor
 from mxblock.formats import ceil_scale_array
 from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
 from mxblock.tensorstore import SynthSpec, synth
@@ -251,7 +256,35 @@ class TestAqnTotalNoise:
             aqn_total_noise(0.0, [-0.1], 0)
 
 
+# e_scale and e_dz overlap, which no quantizer can produce
+_OVERLAP_SCRIPT = """
+import numpy as np
+import mxblock.analysis as analysis
+e, z = np.ones((4, 8)), np.zeros((4, 8))
+analysis.component_error_matrices = lambda *a, **k: (e, e, z, e)
+try:
+    analysis.gemm_error_propagation(np.ones((4, 8)), samples=1)
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
 class TestGemmPropagation:
+    def test_overlapping_deadzone_raises(self, monkeypatch):
+        e, z = np.ones((4, 8)), np.zeros((4, 8))
+        monkeypatch.setattr(analysis, "component_error_matrices",
+                            lambda *a, **k: (e, e, z, e))
+        with pytest.raises(InvariantViolation):
+            gemm_error_propagation(np.ones((4, 8)), samples=1)
+
+    def test_overlapping_deadzone_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(mxblock.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-O", "-c", _OVERLAP_SCRIPT],
+                             env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "InvariantViolation"
+
     def test_isotropic_matches_decomposition_bitwise(self):
         rng = np.random.default_rng(94)
         w = rng.standard_normal((96, 128))

@@ -170,6 +170,19 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["decompose", "--synth", "gaussian:4x32"])
         assert code == 3 and "invariant violation" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "mbs"])
+    def test_overflowing_norms_give_no_report(self, capsys, tmp_path, command):
+        # at |x| ~ 1e200 the squared norms overflow: the identity residual
+        # is nan and the report would carry nan and inf
+        ts = TensorSet()
+        ts.add("huge", 1e200 * np.random.default_rng(9).standard_normal((4, 128)))
+        path = str(tmp_path / "huge.tensors")
+        save_container(ts, path)
+        with np.errstate(all="ignore"):
+            code, out, err = _run(capsys, [command, "--input", path])
+        assert code in (2, 3) and out == ""
+        assert err
+
     def test_zero_tensor_is_fine(self, capsys, tmp_path):
         ts = TensorSet()
         ts.add("z", np.zeros((2, 32)))

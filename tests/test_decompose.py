@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mxblock.decompose import (
     DecompReport,
@@ -9,7 +11,7 @@ from mxblock.decompose import (
     tensor_stats,
     verify_identity,
 )
-from mxblock.quantize import BlockQuantConfig
+from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
 WORKED_E_SCALE = np.array([0.0, 0.0, 1 / 6, -1 / 6, 0.0, 1 / 6, 0.0, 0.0])
@@ -100,6 +102,20 @@ class TestIdentityAndOrthogonality:
         assert np.array_equal(a.e_scale, -b.e_scale)
         assert a.n2_total == b.n2_total
         assert a.ip_scale_grid == b.ip_scale_grid
+
+    def test_cosines_exact_under_power_of_two_scale(self):
+        # a power-of-two scale is exact through the whole decomposition, so
+        # the cosines must not move; the product of the two squared norms
+        # would overflow at 2^300 and underflow at 2^-300
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((16, 96))
+        ref = decompose_tensor(x, BlockQuantConfig())
+        assert all(ref.cos_defined.values())
+        for e in (-300, 300):
+            d = decompose_tensor(x * 2.0 ** e, BlockQuantConfig())
+            assert (d.cos_scale_grid, d.cos_scale_dz, d.cos_dz_grid) == (
+                ref.cos_scale_grid, ref.cos_scale_dz, ref.cos_dz_grid)
+            assert d.cos_defined == ref.cos_defined
 
     def test_zero_tensor(self):
         d = decompose_tensor(np.zeros((4, 32)), BlockQuantConfig())
@@ -203,3 +219,45 @@ class TestScalePrecisionSweep:
     def test_empty_m_list_raises(self):
         with pytest.raises(ValueError, match="empty"):
             scale_precision_sweep(np.ones(32), m_list=[])
+
+
+# Scaled values that stress Q*: exact midpoints, grid points, and the deadzone
+# threshold 0.25 with its neighbours. Under a block max of 6, s_star = 1 and
+# these are exactly the scaled values.
+_EDGE_U = sorted({float(v) for m in (0.25, 0.5, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0, 6.0)
+                  for v in (m, np.nextafter(m, 0.0), np.nextafter(m, 7.0))})
+
+
+@st.composite
+def _qstar_cases(draw):
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=5))
+    shape = lead + (draw(st.integers(1, 200)),)
+    elements = st.one_of(
+        st.floats(-6.0, 6.0, allow_nan=False, allow_subnormal=False),
+        st.sampled_from(_EDGE_U + [-u for u in _EDGE_U]))
+    x = draw(hnp.arrays(np.float64, shape, elements=elements))
+    block_size = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        x.reshape(-1, shape[-1])[:, ::block_size] = 6.0   # every block max is 6
+    # 2^-1070 makes every value subnormal
+    x = x * 2.0 ** draw(st.sampled_from([0, -1000, 1000, -1070]))
+    return x, BlockQuantConfig(block_size=block_size,
+                               scale_mantissa_bits=draw(st.integers(0, 8)))
+
+
+class TestQstarFromDecomposition:
+    """x + (e_dz + e_grid) is Q*(x): Q*(x) - x is exact, because Q*(x) is
+    zero or within a factor of 2 of x. MBS reuses the plain decomposition
+    through this identity instead of running Q* again."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_qstar_cases())
+    def test_matches_qdq_views(self, case):
+        x, cfg = case
+        with np.errstate(all="ignore"):   # subnormal maxima, overflowing norms
+            d = decompose_tensor(x, cfg)
+            view = block_view(x, cfg)
+            want = view.restore(qdq_views(view, cfg)[1])
+        got = x + (d.e_dz + d.e_grid)
+        # equal as floats: the same bits, up to the sign of a zero
+        assert np.array_equal(got, want)
