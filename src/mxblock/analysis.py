@@ -21,7 +21,7 @@ import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
 from .decompose import ErrorDecomposition, InvariantViolation, decompose_tensor
-from .quantize import BlockQuantConfig, block_view, qdq_views
+from .quantize import BlockQuantConfig, _deadzone, block_view
 
 __all__ = [
     "GammaStats",
@@ -531,8 +531,7 @@ def deadzone_truncate(x, config: BlockQuantConfig | None = None) -> np.ndarray:
     """Zero every entry the ideal quantizer would drop."""
     config = config or BlockQuantConfig()
     view = block_view(x, config)
-    _, _, dead, _ = qdq_views(view, config)
-    return view.restore(np.where(dead, 0.0, view.blocks))
+    return view.restore(np.where(_deadzone(view), 0.0, view.blocks))
 
 
 # --- cross term vs block size -----------------------------------------------------

@@ -9,6 +9,13 @@ Conventions, fixed once here and relied on everywhere else:
   resolve to the even magnitude *index* (midpoints 0.25, 0.75, 1.25, 1.75,
   2.5, 3.5, 5 go to indices 0, 2, 2, 4, 4, 6, 6). The grid is non-uniform,
   so tie-to-even on values would be ill-defined; index parity is not.
+- That rule is IEEE round-half-even on a 1-bit mantissa, the roundTiesToEven
+  of the OCP MX v1.0 FP4 format. The grid is uniform within each binade:
+  step 0.5 below 2 (0.5 is the subnormal step), 1 in [2, 4), 2 in [4, 6].
+  So one kernel rounds everything: ``rint(|u| / step) * step`` with
+  ``step = 2^max(e - 2, -1)`` for the frexp exponent e of min(|u|, q_max).
+  The integer rint picks has the parity of the magnitude index, so rint's
+  ties-to-even is the even-index tie table.
 - Magnitudes above q_max saturate to q_max. Ceiling scales make overflow
   impossible in the plain quantizer, but prescaled intermediates may hit it.
 - Block scale: ``2^exponent * (1 + mantissa_code / 2^M)`` with M mantissa
@@ -54,8 +61,9 @@ GRID_MIDPOINTS = np.array([0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0])
 Q_MAX = 6.0
 Q_MIN = 0.5
 
-# Tie resolution per midpoint, frozen: indices 0, 2, 2, 4, 4, 6, 6.
-_TIE_BUMP_ODD = 1
+_MANTISSA_BITS = 52                     # float64 exponent field starts here
+# grid index by twice the magnitude: 0, 1, 2, 3, 4, 6, 8, 12 -> 0..7
+_INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7])
 
 
 @dataclass(frozen=True)
@@ -122,24 +130,46 @@ class ScaleCode:
 # --- vector kernels ----------------------------------------------------------
 
 
+def _grid_magnitude(u: np.ndarray) -> np.ndarray:
+    """Nearest grid magnitude to |u|, as a new float64 array.
+
+    a = min(|u|, q_max) lies in [2^(e-1), 2^e) with e <= 3, and the grid
+    step there is 2^max(e - 2, -1). a's biased exponent field is e + 1022,
+    so the step's field is max(field, 1023) - 1: integer ops on the bit
+    pattern, where frexp and ldexp would cost more than the rounding.
+    Exact: dividing by a power of two, rint and multiplying back lose no
+    bits. fmin, unlike minimum, also saturates nan to q_max."""
+    u = np.asarray(u, dtype=np.float64)
+    a = np.abs(u, out=np.empty(u.shape))    # an array also for 0-d input
+    np.fmin(a, Q_MAX, out=a)
+    field = np.right_shift(a.view(np.int64), _MANTISSA_BITS,
+                           out=np.empty(u.shape, dtype=np.int64))
+    np.maximum(field, 1023, out=field)
+    field -= 1
+    field <<= _MANTISSA_BITS
+    step = field.view(np.float64)
+    a /= step
+    np.rint(a, out=a)
+    a *= step
+    return a
+
+
 def grid_index_array(mag: np.ndarray) -> np.ndarray:
     """Magnitude -> grid index, vectorized. Saturates above q_max.
 
-    searchsorted against the midpoints lands exact midpoints on the lower
-    neighbour; the bump then moves odd-index ties up, giving the frozen
-    tie table."""
-    mag = np.asarray(mag, dtype=np.float64)
-    idx = np.searchsorted(GRID_MIDPOINTS, mag, side="left")
-    safe = np.minimum(idx, len(GRID_MIDPOINTS) - 1)
-    tie = (idx < len(GRID_MAGNITUDES) - 1) & (GRID_MIDPOINTS[safe] == mag) & (idx % 2 == 1)
-    return idx + tie * _TIE_BUMP_ODD
+    The index of the nearest grid magnitude from the rounding kernel, which
+    rounds half to even on a 1-bit mantissa; the integer it rounds to has
+    the parity of the index, so exact midpoints land on even indices, the
+    frozen tie table."""
+    return _INDEX_BY_HALVES[(2.0 * _grid_magnitude(mag)).astype(np.intp)]
 
 
 def grid_round_array(u: np.ndarray) -> np.ndarray:
-    """Round scaled values to the signed grid, vectorized."""
+    """Round scaled values to the signed grid, vectorized. A value that
+    rounds to zero keeps its sign, as copysign gives it."""
     u = np.asarray(u, dtype=np.float64)
-    mags = GRID_MAGNITUDES[grid_index_array(np.abs(u))]
-    return np.copysign(mags, u)
+    r = _grid_magnitude(u)
+    return np.copysign(r, u, out=r)
 
 
 def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int

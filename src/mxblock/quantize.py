@@ -177,11 +177,23 @@ def block_view(x: np.ndarray, config: BlockQuantConfig) -> BlockView:
 # --- core kernels (array in, array out) --------------------------------------
 
 
-def _scaled_round(view: BlockView, scale: np.ndarray) -> np.ndarray:
-    """scale * grid_round(blocks / scale); all-zero blocks stay zero."""
-    safe = np.where(view.nonzero, scale, 1.0)[:, None]
-    return np.where(view.nonzero[:, None],
-                    grid_round_array(view.blocks / safe) * safe, 0.0)
+def _scaled_round(blocks: np.ndarray, scale: np.ndarray,
+                  nonzero: np.ndarray) -> np.ndarray:
+    """scale * grid_round(blocks / scale), one scale per row; all-zero rows
+    stay zero. The one QDQ rounding step: qdq_views runs it for Q and Q*,
+    and the exhaustive MBS trials in corrections for Q alone."""
+    safe = np.where(nonzero, scale, 1.0)[:, None]
+    q = grid_round_array(blocks / safe)
+    q *= safe
+    q[~nonzero] = 0.0                  # +0.0, where a -0.0 input rounded to -0.0
+    return q
+
+
+def _deadzone(view: BlockView) -> np.ndarray:
+    """The ideal-scale deadzone |x| < m_b/24, strict, False on all-zero
+    blocks."""
+    thr = (view.m_b / 24.0)[:, None]
+    return (np.abs(view.blocks) < thr) & view.nonzero[:, None]
 
 
 def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
@@ -199,11 +211,9 @@ def qdq_views(view: BlockView, config: BlockQuantConfig
     all-zero blocks. qstar uses s_star; qdq uses the ceiling-coded scale.
     """
     s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    qdq = _scaled_round(view, s_dec)
-    qstar = _scaled_round(view, view.s_star)
-    thr = (view.m_b / 24.0)[:, None]
-    dead = (np.abs(view.blocks) < thr) & view.nonzero[:, None]
-    return qdq, qstar, dead, s_dec
+    qdq = _scaled_round(view.blocks, s_dec, view.nonzero)
+    qstar = _scaled_round(view.blocks, view.s_star, view.nonzero)
+    return qdq, qstar, _deadzone(view), s_dec
 
 
 # --- public operations -------------------------------------------------------

@@ -17,6 +17,7 @@ assumes finite inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -139,7 +140,7 @@ def load_container(path: str) -> TensorSet:
             raise TensorStoreError(f"unknown dtype: {dtype} (tensor {name})")
         if any(d < 0 for d in shape):
             raise TensorStoreError(f"negative dimension (tensor {name})")
-        numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        numel = math.prod(shape)        # exact: a fixed-width product can wrap
         if begin < 0 or end < begin or end > len(data):
             raise TensorStoreError(f"data_offsets out of bounds (tensor {name})")
         if end - begin != numel * _DTYPES[dtype]:

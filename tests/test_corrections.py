@@ -162,6 +162,51 @@ class TestMbsSelection:
             mbs_select_mantissa(np.array([np.nan] * 32), mbs, quant)
 
 
+def _brute_force_code(macro, quant):
+    """argmin over k of the macro's squared error, one plain QDQ per
+    prescale; the strict < keeps the smallest k on ties."""
+    best_k, best = 0, None
+    for k in range(MBS_LEVELS):
+        pre = 1.0 + k / MBS_LEVELS
+        err = float(((_plain_qdq(pre * macro, quant) / pre - macro) ** 2).sum())
+        if best is None or err < best:
+            best_k, best = k, err
+    return best_k
+
+
+class TestExhaustiveShortcut:
+    """Exhaustive MBS derives every trial's scales from the macro's own
+    sub-block maxima and rounds Q only; its codes must be those of running
+    the whole plain quantizer on each prescaled macro."""
+
+    @pytest.mark.parametrize("block_size", [16, 32])
+    @pytest.mark.parametrize("mantissa_bits", [0, 3, 8])
+    def test_codes_match_brute_force(self, block_size, mantissa_bits):
+        rng = np.random.default_rng(100 + 10 * block_size + mantissa_bits)
+        quant = BlockQuantConfig(block_size=block_size,
+                                 scale_mantissa_bits=mantissa_bits)
+        macro = 4 * block_size
+        # two full macros and a ragged tail per row, rows at different scales;
+        # more macros than one trial chunk holds
+        x = rng.standard_normal((4, 2 * macro + 40))
+        x *= 2.0 ** rng.integers(-20, 20, size=(4, 1))
+        x[0, :block_size] = 0.0                      # an all-zero sub-block
+        x[1, macro:2 * macro] = 0.0                  # an all-zero macro
+        _, codes = mbs_qdq(x, MbsConfig(macro_block_size=macro), quant, "exhaustive")
+        # mbs_qdq zero-pads the tail macro to the full macro size
+        padded = np.pad(x, ((0, 0), (0, 3 * macro - x.shape[1])))
+        want = [_brute_force_code(m, quant) for m in padded.reshape(-1, macro)]
+        assert codes.tolist() == want
+        assert len(set(want)) > 2                    # the selection is not trivial
+
+    def test_prescale_overflow_raises(self):
+        # 1.7e308 * (1 + k/256) overflows from k = 15 on
+        quant = BlockQuantConfig(scale_mantissa_bits=3)
+        x = np.full(128, 1.7e308)
+        with pytest.raises(ValueError, match="non-finite"):
+            mbs_qdq(x, MbsConfig(), quant, "exhaustive")
+
+
 class TestMbsQdq:
     def test_codes_shape_and_selection_agree(self):
         rng = np.random.default_rng(65)

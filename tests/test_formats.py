@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mxblock.formats import (
     E2M1,
@@ -84,6 +86,56 @@ class TestGridRounding:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 nearest_grid_code(bad)
+
+
+def reference_index(u: float) -> int:
+    """Index of the grid magnitude nearest |u|, by exact rational distance to
+    all eight; an exact tie goes to the even index. Anything above 6 is
+    nearest to 6, so saturation needs no rule of its own."""
+    dist = [abs(Fraction(abs(u)) - Fraction(g)) for g in GRID_MAGNITUDES.tolist()]
+    best = [i for i, d in enumerate(dist) if d == min(dist)]
+    return best[0] if len(best) == 1 else next(i for i in best if i % 2 == 0)
+
+
+# Midpoints, grid points and saturation cases, each with its one-ulp
+# neighbours, plus subnormals and far-out binades.
+_EDGE_MAGNITUDES = sorted(
+    {float(w) for v in [*GRID_MIDPOINTS.tolist(), *GRID_MAGNITUDES.tolist(),
+                        6.5, 7.0, 8.0, 100.0]
+     for w in (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf))}
+    | {5e-324, 2.0 ** -1050, 2.2250738585072014e-308, 2.0 ** -1000, 2.0 ** 1000,
+       1.7976931348623157e308})
+_ROUNDING_INPUTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-8.0, 8.0),
+    st.builds(math.copysign, st.sampled_from(_EDGE_MAGNITUDES), st.sampled_from([1.0, -1.0])))
+
+
+class TestRoundingProperty:
+    """The arithmetic kernel against the definition of the tie table, the
+    rule every error component rests on."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_ROUNDING_INPUTS, min_size=1, max_size=64))
+    def test_matches_brute_force(self, values):
+        u = np.array(values)
+        got = grid_round_array(u)
+        idx = grid_index_array(np.abs(u))
+        for v, g, i in zip(values, got.tolist(), idx.tolist()):
+            want = reference_index(v)
+            assert i == want, f"index({v!r}) = {i}, want {want}"
+            assert g == math.copysign(GRID_MAGNITUDES[want], v), f"round({v!r}) = {g}"
+            assert math.copysign(1.0, g) == math.copysign(1.0, v)
+        assert np.array_equal(GRID_MAGNITUDES[idx], np.abs(got))
+
+    def test_every_edge_value(self):
+        u = np.array(_EDGE_MAGNITUDES + [-v for v in _EDGE_MAGNITUDES] + [0.0, -0.0])
+        got = grid_round_array(u)
+        want = [math.copysign(GRID_MAGNITUDES[reference_index(v)], v) for v in u.tolist()]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(u))
+        assert np.array_equal(grid_index_array(np.abs(u)),
+                              [reference_index(v) for v in u.tolist()])
 
 
 def brute_force_ceiling(s_star: float, mantissa_bits: int) -> float:

@@ -158,6 +158,13 @@ class TestMalformed:
         with pytest.raises(TensorStoreError, match="size mismatch"):
             load_container(_write(tmp_path, blob))
 
+    def test_shape_product_overflow(self, tmp_path):
+        # 2^32 * 2^32 wraps to 0 in int64, which matched the empty span
+        meta = {"dtype": "BF16", "shape": [2 ** 32, 2 ** 32], "data_offsets": [0, 0]}
+        blob = _container_bytes({"t": meta}, b"")
+        with pytest.raises(TensorStoreError, match="size mismatch"):
+            load_container(_write(tmp_path, blob))
+
     def test_overlapping_offsets(self, tmp_path):
         data = np.array([1.0, 2.0]).astype("<f8").tobytes()
         header = {"a": {"dtype": "F64", "shape": [1], "data_offsets": [0, 8]},
