@@ -233,7 +233,7 @@ def cmd_of(args) -> dict:
     records = []
     for name in sorted(tensors):
         x = np.asarray(tensors[name], dtype=np.float64)
-        before = decompose_tensor(x, quant)
+        before = decompose_tensor(x, quant, keep_errors=False)
         result = of_qdq(x, of, quant, with_mbs=args.with_mbs, mbs=mbs,
                         mbs_mode=args.mbs_mode)
         rates = dz_recovery_rate(x, result, quant)

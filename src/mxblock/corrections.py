@@ -33,7 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formats import Q_MAX, ceil_scale_array
-from .quantize import BlockQuantConfig, _deadzone, _scaled_round, block_view, qdq_views
+from .quantize import (
+    _CHUNK_ELEMS,
+    BlockQuantConfig,
+    _deadzone,
+    _scaled_round,
+    block_view,
+    qdq_views,
+)
 
 __all__ = [
     "MbsConfig",
@@ -50,7 +57,6 @@ __all__ = [
 
 MBS_LEVELS = 256
 _MBS_MODES = ("exhaustive", "closed_form")
-_TRIAL_CHUNK_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,7 @@ def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
     return np.where(m_m > 0, k, 0)
 
 
-def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
-                      chunk_elems: int = _TRIAL_CHUNK_ELEMS) -> np.ndarray:
+def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig) -> np.ndarray:
     """argmin_k of per-macro reconstruction MSE over all 256 prescales.
 
     Each trial is Q(p x) / p, rounded by the same _scaled_round that
@@ -142,18 +147,14 @@ def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
     prescale that overflows makes its sub-block maximum infinite, so
     checking the maxima rejects exactly the trials block_view rejected.
 
-    Vectorized over (chunk, 256, macro) in chunks of about chunk_elems
-    trial elements. The trials make a dozen elementwise passes over several
-    live arrays of that size, so the chunk is sized for the cache, not for
-    numpy's per-call overhead: at 2^17 each array is 1 MiB and the working
-    set fits a 4 MiB L2. On a 2-core Xeon with 4 MiB L2 this loop took 1.0 s
-    on 512x512 at 2^16 or 2^17, 1.3-1.7 s at 2^18 and 2.0-2.3 s at 2^23.
+    Vectorized over (chunk, 256, macro) in cache-sized chunks of about
+    quantize._CHUNK_ELEMS trial elements, where the measurements are.
     argmin returns the first minimum, which is the smallest k."""
     n_macros, macro = macros.shape
     B = quant.block_size
     pres = 1.0 + np.arange(MBS_LEVELS) / MBS_LEVELS
     codes = np.empty(n_macros, dtype=np.int64)
-    step = max(1, chunk_elems // (MBS_LEVELS * macro))
+    step = max(1, _CHUNK_ELEMS // (MBS_LEVELS * macro))
     for lo in range(0, n_macros, step):
         seg = macros[lo:lo + step]                                   # (c, macro)
         sub_max = np.abs(seg).reshape(len(seg), 1, -1, B).max(axis=3)

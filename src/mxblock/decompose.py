@@ -12,6 +12,13 @@ structural zeros: the ceiling scale is >= s_star, so every element dead
 under s_star is also rounded to zero by Q, making every product term carry
 an exact 0.0 factor. The squared-norm identity then has exactly one cross
 term, 2<e_scale, e_grid>.
+
+The decomposition streams the tensor through the quantizer in cache-sized
+pieces of whole blocks (quantize._CHUNK_ELEMS elements) and adds up each
+piece's norms and inner products. Every error element is the one the
+whole-tensor computation gives; the sums differ from one-shot dot products
+only in summation order. Without the error arrays (tensor_stats), the working
+memory is the input plus one piece.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .quantize import BlockQuantConfig, block_view, qdq_views
+from .quantize import _CHUNK_ELEMS, BlockQuantConfig, block_view, qdq_views
 
 __all__ = [
     "ErrorDecomposition",
@@ -40,12 +47,16 @@ _IDENTITY_TOL = 1e-9
 
 @dataclass
 class ErrorDecomposition:
-    """Per-tensor error components and their derived statistics."""
+    """Per-tensor error components and their derived statistics.
 
-    e_scale: np.ndarray
-    e_dz: np.ndarray
-    e_grid: np.ndarray
-    e_total: np.ndarray
+    The four e_* arrays have the input's shape. The sums-only path
+    (decompose_tensor with keep_errors=False) leaves them None; its sums and
+    cosines are the same as with the arrays."""
+
+    e_scale: np.ndarray | None
+    e_dz: np.ndarray | None
+    e_grid: np.ndarray | None
+    e_total: np.ndarray | None
     n2_scale: float
     n2_dz: float
     n2_grid: float
@@ -73,34 +84,75 @@ def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
     return ip / (np.sqrt(n2a) * np.sqrt(n2b)), True
 
 
-def decompose_tensor(x: np.ndarray, config: BlockQuantConfig) -> ErrorDecomposition:
-    view = block_view(x, config)
+# (i, j) of each sum over the pieces' (e_scale, e_dz, e_grid, e_total):
+# n2_scale, n2_dz, n2_grid, n2_total, ip_scale_grid, ip_scale_dz, ip_dz_grid
+_SUM_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 1), (1, 2))
+
+
+def _pieces(n_rows: int, n: int, block_size: int):
+    """Index pairs cutting an (n_rows, n) row matrix into pieces of about
+    _CHUNK_ELEMS elements: whole rows, or, for a row longer than that, runs
+    of whole blocks. A block never crosses a row, so the pieces hold exactly
+    the blocks of the whole matrix."""
+    cols = n if n <= _CHUNK_ELEMS else max(1, _CHUNK_ELEMS // block_size) * block_size
+    step = max(1, _CHUNK_ELEMS // cols)
+    for r in range(0, n_rows, step):
+        for c in range(0, n, cols):
+            yield slice(r, r + step), slice(c, c + cols)
+
+
+def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
+                out: list[np.ndarray] | None) -> tuple[np.ndarray, int]:
+    """The _SUM_PAIRS sums and the deadzone count of one 2-D piece. Its
+    (e_scale, e_dz, e_grid, e_total) are written into out when given."""
+    view = block_view(piece, config)
     qdq, qstar, dead, _ = qdq_views(view, config)
 
-    resid = qstar - view.blocks
-    eb_scale = qdq - qstar
-    eb_dz = np.where(dead, resid, 0.0)
-    eb_grid = np.where(dead, 0.0, resid)
-    eb_grid[~view.valid] = 0.0          # padding carries no error
+    e_scale = qdq - qstar
+    resid = qstar
+    resid -= view.blocks                # Q*(x) - x
+    e_dz = np.where(dead, resid, 0.0)
+    e_grid = resid
+    e_grid[dead] = 0.0
+    e_total = qdq
+    e_total -= view.blocks
+    errors = [np.ascontiguousarray(view.restore(e))
+              for e in (e_scale, e_dz, e_grid, e_total)]
+    if out is not None:
+        for dst, e in zip(out, errors):
+            dst[...] = e
+    sums = np.array([_dot(errors[i], errors[j]) for i, j in _SUM_PAIRS])
+    return sums, int(np.count_nonzero(dead & view.valid))
 
-    e_scale = view.restore(eb_scale)
-    e_dz = view.restore(eb_dz)
-    e_grid = view.restore(eb_grid)
-    e_total = view.restore(qdq - view.blocks)
 
-    n2_scale = _dot(e_scale, e_scale)
-    n2_dz = _dot(e_dz, e_dz)
-    n2_grid = _dot(e_grid, e_grid)
-    n2_total = _dot(e_total, e_total)
-    ip_sg = _dot(e_scale, e_grid)
-    ip_sd = _dot(e_scale, e_dz)
-    ip_dg = _dot(e_dz, e_grid)
+def decompose_tensor(x: np.ndarray, config: BlockQuantConfig, *,
+                     keep_errors: bool = True) -> ErrorDecomposition:
+    """The three-way split of Q(x) - x, its norms, inner products and
+    cosines, and the deadzone fraction.
 
+    The sums accumulate piece by piece (see the module docstring). With
+    keep_errors=False the e_* fields are None and no full-size array is
+    allocated; tensor_stats and the outlier-fallback report need only the
+    sums."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("empty tensor")
+    n = x.shape[-1] if x.ndim else 1
+    rows = x.reshape(-1, n)
+    errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
+    sums = None
+    dead_count = 0
+    for piece in _pieces(rows.shape[0], n, config.block_size):
+        out = [e.reshape(-1, n)[piece] for e in errors] if keep_errors else None
+        piece_sums, dead = _piece_sums(rows[piece], config, out)
+        sums = piece_sums if sums is None else sums + piece_sums
+        dead_count += dead
+
+    n2_scale, n2_dz, n2_grid, n2_total, ip_sg, ip_sd, ip_dg = (float(v) for v in sums)
     cos_sg, def_sg = _cos(ip_sg, n2_scale, n2_grid)
     cos_sd, def_sd = _cos(ip_sd, n2_scale, n2_dz)
     cos_dg, def_dg = _cos(ip_dg, n2_dz, n2_grid)
-
-    dz_fraction = float(dead[view.valid].mean()) if x.size else 0.0
+    e_scale, e_dz, e_grid, e_total = errors if keep_errors else (None,) * 4
 
     return ErrorDecomposition(
         e_scale=e_scale, e_dz=e_dz, e_grid=e_grid, e_total=e_total,
@@ -108,7 +160,7 @@ def decompose_tensor(x: np.ndarray, config: BlockQuantConfig) -> ErrorDecomposit
         ip_scale_grid=ip_sg, ip_scale_dz=ip_sd, ip_dz_grid=ip_dg,
         cos_scale_grid=cos_sg, cos_scale_dz=cos_sd, cos_dz_grid=cos_dg,
         cos_defined={"scale_grid": def_sg, "scale_dz": def_sd, "dz_grid": def_dg},
-        dz_fraction=dz_fraction)
+        dz_fraction=dead_count / x.size)
 
 
 class InvariantViolation(AssertionError):
@@ -158,14 +210,16 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
 
     Shares divide component norms^2 by ||e||^2 per tensor, then aggregate
     across tensors; tensors quantizing exactly (mse 0) are flagged and
-    excluded from share aggregates.
+    excluded from share aggregates. The norms and inner products are
+    accumulated over cache-sized pieces and no error array is kept, so
+    the working memory is the input plus one piece.
     """
     if not tensors:
         raise ValueError("empty tensor set")
     records = []
     for name in sorted(tensors):
         x = np.asarray(tensors[name], dtype=np.float64)
-        d = decompose_tensor(x, config)
+        d = decompose_tensor(x, config, keep_errors=False)
         numel = x.size
         mse = d.n2_total / numel
         zero_error = d.n2_total == 0.0

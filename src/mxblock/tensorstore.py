@@ -75,16 +75,17 @@ class TensorSet:
 # --- dtype packing ------------------------------------------------------------
 
 
-def _widen(raw: bytes, dtype: str, count: int) -> np.ndarray:
+def _widen(raw: memoryview, dtype: str, count: int) -> np.ndarray:
     if dtype == "F64":
         return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
     if dtype == "F32":
         return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
     if dtype == "F16":
         return np.frombuffer(raw, dtype="<f2", count=count).astype(np.float64)
-    # BF16: high 16 bits of an F32
-    u16 = np.frombuffer(raw, dtype="<u2", count=count).astype(np.uint32)
-    return (u16 << 16).view(np.float32).astype(np.float64)
+    # BF16: high 16 bits of an F32, shifted in place
+    u32 = np.frombuffer(raw, dtype="<u2", count=count).astype(np.uint32)
+    u32 <<= 16
+    return u32.view(np.float32).astype(np.float64)
 
 
 def _narrow(data: np.ndarray, dtype: str) -> bytes:
@@ -104,9 +105,11 @@ def _narrow(data: np.ndarray, dtype: str) -> bytes:
 
 
 def load_container(path: str) -> TensorSet:
+    """Read a container and widen every tensor to float64. The file is read
+    once; the header and tensor data are sliced from it without copies."""
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            blob = memoryview(f.read())
     except OSError as exc:
         raise TensorStoreError(f"cannot read container: {exc}") from exc
 
@@ -116,7 +119,7 @@ def load_container(path: str) -> TensorSet:
     if 8 + n > len(blob):
         raise TensorStoreError("malformed header: header length exceeds file size")
     try:
-        header = json.loads(blob[8:8 + n].decode("utf-8"))
+        header = json.loads(str(blob[8:8 + n], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TensorStoreError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict):

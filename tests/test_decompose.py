@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mxblock import decompose
 from mxblock.decompose import (
     DecompReport,
     decompose_tensor,
@@ -261,3 +264,98 @@ class TestQstarFromDecomposition:
         got = x + (d.e_dz + d.e_grid)
         # equal as floats: the same bits, up to the sign of a zero
         assert np.array_equal(got, want)
+
+
+def _one_shot(x, cfg):
+    """(e_scale, e_dz, e_grid, e_total) and the deadzone count from a single
+    block_view/qdq_views pass over the whole tensor."""
+    view = block_view(x, cfg)
+    qdq, qstar, dead, _ = qdq_views(view, cfg)
+    resid = qstar - view.blocks
+    blocked = (qdq - qstar, np.where(dead, resid, 0.0),
+               np.where(dead | ~view.valid, 0.0, resid), qdq - view.blocks)
+    return [view.restore(e) for e in blocked], int(np.count_nonzero(dead & view.valid))
+
+
+def _chunk_cases():
+    rng = np.random.default_rng(44)
+    with_zero_row = rng.standard_normal((12, 20))
+    with_zero_row[3] = 0.0
+    return [
+        ("vector_ragged_tail", rng.standard_normal(1000), 32),
+        ("rows_longer_than_piece", rng.laplace(size=(3, 250)), 24),
+        ("tensor_3d", rng.standard_t(5.0, size=(4, 5, 24)), 8),
+        ("rows_per_piece", rng.standard_normal((40, 10)), 4),
+        ("zero_row", with_zero_row, 8),
+        ("block_larger_than_piece", rng.standard_normal((2, 350)), 100),
+    ]
+
+
+class TestChunkedDecomposition:
+    """decompose_tensor runs over pieces of about _CHUNK_ELEMS elements. With
+    the constant at 64, these small tensors span many pieces; the result must
+    be the one a single whole-tensor pass gives."""
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
+        calls = []
+
+        def counted(x, cfg):
+            calls.append(np.shape(x))
+            return block_view(x, cfg)
+
+        monkeypatch.setattr(decompose, "block_view", counted)
+        self.pieces = calls
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
+    def test_matches_one_shot(self, name, x, block_size, m):
+        cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
+        d = decompose_tensor(x, cfg)
+        assert len(self.pieces) > 1
+        assert all(np.prod(p) <= max(64, block_size) for p in self.pieces)
+
+        errors, dead = _one_shot(x, cfg)
+        got = (d.e_scale, d.e_dz, d.e_grid, d.e_total)
+        for g, want in zip(got, errors):
+            assert g.shape == x.shape
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
+        e_s, e_d, e_g, e_t = (e.ravel() for e in errors)
+        sums = {"n2_scale": (e_s, e_s), "n2_dz": (e_d, e_d), "n2_grid": (e_g, e_g),
+                "n2_total": (e_t, e_t), "ip_scale_grid": (e_s, e_g)}
+        for field, (a, b) in sums.items():
+            assert getattr(d, field) == pytest.approx(np.dot(a, b), rel=1e-12), field
+        assert d.ip_scale_dz == 0.0 and d.ip_dz_grid == 0.0
+        assert d.dz_fraction == dead / x.size
+
+    @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
+    def test_sums_only_path(self, name, x, block_size):
+        cfg = BlockQuantConfig(block_size=block_size)
+        full = decompose_tensor(x, cfg)
+        sums = decompose_tensor(x, cfg, keep_errors=False)
+        assert (sums.e_scale, sums.e_dz, sums.e_grid, sums.e_total) == (None,) * 4
+        for field in ("n2_scale", "n2_dz", "n2_grid", "n2_total", "ip_scale_grid",
+                      "ip_scale_dz", "ip_dz_grid", "cos_scale_grid", "dz_fraction"):
+            assert getattr(sums, field) == getattr(full, field), field
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation of fn() above what was live before it; numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_stats_memory_bounded():
+    # the working set is one cache-sized piece, not full-size error arrays
+    x = np.random.default_rng(45).standard_normal((1024, 1000))
+    peak = _peak_bytes(lambda: tensor_stats({"x": x}, BlockQuantConfig()))
+    assert peak < 2 * x.nbytes

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,26 @@ class TestRoundTrip:
         assert p.read_bytes() == b"new"
 
 
+def test_load_bf16_memory_bounded(tmp_path):
+    # the file is read once and sliced without copies; BF16 is widened
+    # through one uint32 array shifted in place
+    x = np.random.default_rng(53).standard_normal((1024, 1000))
+    ts = TensorSet()
+    ts.add("x", x, dtype="BF16")
+    path = str(tmp_path / "m.tensors")
+    save_container(ts, path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = load_container(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.arrays()["x"].nbytes == x.nbytes
+    assert peak < 2 * x.nbytes
+
+
 class TestTensorSet:
     def test_duplicate_name(self):
         ts = TensorSet()
@@ -111,6 +132,11 @@ class TestMalformed:
     def test_header_length_overruns(self, tmp_path):
         blob = (100).to_bytes(8, "little") + b"{}"
         with pytest.raises(TensorStoreError, match="exceeds file size"):
+            load_container(_write(tmp_path, blob))
+
+    def test_header_not_utf8(self, tmp_path):
+        blob = (4).to_bytes(8, "little") + b"\xff\xfe{}"
+        with pytest.raises(TensorStoreError, match="malformed header"):
             load_container(_write(tmp_path, blob))
 
     def test_header_not_json(self, tmp_path):
