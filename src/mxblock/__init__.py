@@ -59,7 +59,6 @@ from .analysis import (
     effective_temperature_predict,
     gamma_stats,
     gemm_error_propagation,
-    mbs_error_matrices,
 )
 from .tensorstore import (
     SynthSpec,

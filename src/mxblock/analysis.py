@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
-from .decompose import ErrorDecomposition, InvariantViolation, decompose_tensor
+from .decompose import InvariantViolation, decompose_tensor
 from .quantize import BlockQuantConfig, _deadzone, block_view
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "GemmPropagation",
     "gamma_stats",
     "component_error_matrices",
-    "mbs_error_matrices",
     "cumulative_scale_bias",
     "effective_temperature_predict",
     "effective_temperature_fit",
@@ -395,27 +394,11 @@ class GemmPropagation:
 def component_error_matrices(weights: np.ndarray, quant: BlockQuantConfig,
                              mbs: MbsConfig | None = None,
                              mbs_mode: str = "closed_form"):
-    """(e_scale, e_dz, e_grid, e_total) for the plain or MBS quantizer."""
-    d = decompose_tensor(weights, quant)
-    if mbs is None:
-        return d.e_scale, d.e_dz, d.e_grid, d.e_total
-    return mbs_error_matrices(weights, d, quant, mbs, mbs_mode)
-
-
-def mbs_error_matrices(weights: np.ndarray, d: ErrorDecomposition,
-                       quant: BlockQuantConfig, mbs: MbsConfig, mbs_mode: str):
-    """(e_scale, e_dz, e_grid, e_total) for the MBS quantizer, given the plain
-    decomposition d = decompose_tensor(weights, quant).
-
-    Prescaling cancels in the ideal quantizer, so the dz/grid parts carry
-    over and the scale part is measured against the unchanged Q*(x). Q*(x)
-    is within a factor of 2 of x wherever it is nonzero, so Q*(x) - x is
-    exact (Sterbenz) and x + (e_dz + e_grid) is Q*(x) bitwise.
-    """
-    x = np.asarray(weights, dtype=np.float64)
-    x_hat, _ = mbs_qdq(x, mbs, quant, mbs_mode)
-    qstar = x + (d.e_dz + d.e_grid)
-    return x_hat - qstar, d.e_dz, d.e_grid, x_hat - x
+    """(e_scale, e_dz, e_grid, e_total) for the plain or MBS quantizer; the
+    MBS output is measured against the plain Q*(x) (see decompose)."""
+    x_hat = None if mbs is None else mbs_qdq(weights, mbs, quant, mbs_mode)[0]
+    d = decompose_tensor(weights, quant, x_hat=x_hat)
+    return d.e_scale, d.e_dz, d.e_grid, d.e_total
 
 
 def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
@@ -474,7 +457,8 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
 
     e_s, e_d, e_g, e_t = component_error_matrices(w, quant, mbs, mbs_mode)
 
-    # isotropic reduction matches the decomposition norms bit for bit
+    # isotropic traces equal var times decompose_tensor's sums bit for bit only
+    # on a one-piece tensor; those sums add piece by piece (512x512: last bits)
     if mode == "isotropic":
         tr = lambda a, b: var * float(np.dot(a.ravel(), b.ravel()))
     elif mode == "diagonal":

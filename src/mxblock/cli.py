@@ -27,15 +27,16 @@ from .analysis import (
     effective_temperature_fit,
     gamma_stats,
     gemm_error_propagation,
-    mbs_error_matrices,
 )
 from .corrections import AqnSchedule, MbsConfig, OfConfig, dz_recovery_rate, mbs_qdq, of_qdq
 from .decompose import (
     _IDENTITY_TOL,
     InvariantViolation,
     decompose_tensor,
+    orthogonality_check,
     scale_precision_sweep,
     tensor_stats,
+    verify_identity,
 )
 from .quantize import BlockQuantConfig
 from .tensorstore import (
@@ -147,14 +148,12 @@ def _quant_config(args) -> BlockQuantConfig:
                             scale_mantissa_bits=args.scale_mantissa_bits)
 
 
-def _check_identity(records: list[dict]) -> None:
-    for rec in records:
-        # written so that a nan residual fails too
-        if not rec["identity_residual"] <= _IDENTITY_TOL:
-            raise InvariantViolation(
-                f"identity residual {rec['identity_residual']:.3e} on {rec['name']}")
-        if any(v != 0.0 for v in rec["dz_inner_products"]):
-            raise InvariantViolation(f"deadzone inner product nonzero on {rec['name']}")
+def _check_identity(name: str, residual: float, dz_inner_products) -> None:
+    # written so that a nan residual fails too
+    if not residual <= _IDENTITY_TOL:
+        raise InvariantViolation(f"identity residual {residual:.3e} on {name}")
+    if any(v != 0.0 for v in dz_inner_products):
+        raise InvariantViolation(f"deadzone inner product nonzero on {name}")
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -162,7 +161,8 @@ def _check_identity(records: list[dict]) -> None:
 
 def cmd_decompose(args) -> dict:
     report = tensor_stats(_load_tensors(args), _quant_config(args))
-    _check_identity(report.records)
+    for rec in report.records:
+        _check_identity(rec["name"], rec["identity_residual"], rec["dz_inner_products"])
     return report.to_json_dict()
 
 
@@ -200,26 +200,26 @@ def cmd_mbs(args) -> dict:
     records = []
     for name in sorted(tensors):
         x = np.asarray(tensors[name], dtype=np.float64)
-        before = decompose_tensor(x, quant)
-        e_s, e_d, e_g, e_t = mbs_error_matrices(x, before, quant, mbs, args.mbs_mode)
-        n2_s_after = float((e_s ** 2).sum())
-        n2_t_after = float((e_t ** 2).sum())
-        cross_after = float((e_s * e_g).sum())
+        before = decompose_tensor(x, quant, keep_errors=False)
+        after = decompose_tensor(x, quant, keep_errors=False,
+                                 x_hat=mbs_qdq(x, mbs, quant, args.mbs_mode)[0])
+        for d in (before, after):
+            _check_identity(name, verify_identity(d), orthogonality_check(d))
+        floor = before.n2_dz + before.n2_grid
         records.append({
             "name": name,
             "mse_before": before.n2_total / x.size,
-            "mse_after": n2_t_after / x.size,
+            "mse_after": after.n2_total / x.size,
             "n2_scale_before": before.n2_scale,
-            "n2_scale_after": n2_s_after,
-            "scale_reduction": before.n2_scale / n2_s_after
-                               if n2_s_after > 0 else float(before.n2_scale == 0.0) or 1.0,
-            "floor_mse": (before.n2_dz + before.n2_grid) / x.size,
-            "total_over_floor": n2_t_after / (before.n2_dz + before.n2_grid)
-                                if before.n2_dz + before.n2_grid > 0 else 1.0,
+            "n2_scale_after": after.n2_scale,
+            "scale_reduction": before.n2_scale / after.n2_scale
+                               if after.n2_scale > 0 else float(before.n2_scale == 0.0) or 1.0,
+            "floor_mse": floor / x.size,
+            "total_over_floor": after.n2_total / floor if floor > 0 else 1.0,
             "cross_share_before": 2.0 * before.ip_scale_grid / before.n2_total
                                   if before.n2_total > 0 else 0.0,
-            "cross_share_after": 2.0 * cross_after / n2_t_after
-                                 if n2_t_after > 0 else 0.0,
+            "cross_share_after": 2.0 * after.ip_scale_grid / after.n2_total
+                                 if after.n2_total > 0 else 0.0,
         })
     return {"mbs_mode": args.mbs_mode, "macro_block": args.macro_block,
             "records": records}
@@ -267,27 +267,29 @@ def cmd_temp(args) -> dict:
         raise ValueError("need at least 2 logits")
     rng = np.random.default_rng(args.seed)
     logits = rng.standard_normal(args.vocab)
-    i_idx, j_idx = np.triu_indices(args.vocab, k=1)
-    var_dl = float((logits[i_idx] - logits[j_idx]).var(ddof=0))
+
+    def fit(sigma):
+        return effective_temperature_fit(logits, float(sigma), draws=args.draws,
+                                         seed=args.seed)
+
     if args.sigma_eta:
-        sigmas = [float(s) for s in args.sigma_eta.split(",")]
+        fits = [fit(s) for s in args.sigma_eta.split(",")]
     else:
-        # sweep the noise-to-signal ratio 2 sigma^2 / Var(dl)
-        sigmas = [np.sqrt(r * var_dl / 2.0) for r in (0.0, 0.25, 0.5, 1.0)]
-    rows = []
-    for sigma in sigmas:
-        fit = effective_temperature_fit(logits, float(sigma), draws=args.draws,
-                                        seed=args.seed)
-        rows.append({
-            "sigma_eta": float(sigma),
-            "t_predicted": fit.t_predicted,
-            "t_hat": fit.t_hat,
-            "rel_gap": abs(fit.t_hat - fit.t_predicted) / fit.t_predicted,
-            "entropy_clean": fit.entropy_clean,
-            "entropy_noised": fit.entropy_noised,
-        })
-    return {"vocab": args.vocab, "draws": args.draws, "var_delta_ell": var_dl,
-            "rows": rows}
+        # sweep the noise-to-signal ratio 2 sigma^2 / Var(dl); the sigma-0
+        # point runs no Monte Carlo and measures Var(dl) on the fit's pairs
+        fits = [fit(0.0)]
+        fits += [fit(np.sqrt(r * fits[0].var_delta_ell / 2.0)) for r in (0.25, 0.5, 1.0)]
+    rows = [{
+        "sigma_eta": f.sigma_eta,
+        "t_predicted": f.t_predicted,
+        "t_hat": f.t_hat,
+        "rel_gap": abs(f.t_hat - f.t_predicted) / f.t_predicted,
+        "entropy_clean": f.entropy_clean,
+        "entropy_noised": f.entropy_noised,
+    } for f in fits]
+    # every fit of one seed draws the same pairs, so one Var(dl) serves all
+    return {"vocab": args.vocab, "draws": args.draws,
+            "var_delta_ell": fits[0].var_delta_ell, "rows": rows}
 
 
 def cmd_gemm(args) -> dict:

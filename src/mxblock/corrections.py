@@ -39,7 +39,7 @@ from .quantize import (
     _deadzone,
     _scaled_round,
     block_view,
-    qdq_views,
+    qdq_tensor,
 )
 
 __all__ = [
@@ -113,18 +113,6 @@ class AqnSchedule:
 # --- macro-block scaling -------------------------------------------------------
 
 
-def _qdq(x: np.ndarray, quant: BlockQuantConfig) -> np.ndarray:
-    """Plain QDQ for the final MBS pass and both OF passes.
-
-    quantize.qdq_tensor does the same; this copy calls qdq_views through
-    this module, where perfbench counts corrections.qdq_blocks_per_macro.
-    The exhaustive trials round through _scaled_round directly, so that
-    count is macro / block_size (4 at the defaults), one final pass."""
-    view = block_view(x, quant)
-    qdq, _, _, _ = qdq_views(view, quant)
-    return view.restore(qdq)
-
-
 def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
     """k = floor((2^delta_M - 1) * 256) per macro max, 0 for all-zero macros."""
     f, _ = np.frexp(m_m / 6.0)
@@ -138,8 +126,7 @@ def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig) -> np.ndarray
     """argmin_k of per-macro reconstruction MSE over all 256 prescales.
 
     Each trial is Q(p x) / p, rounded by the same _scaled_round that
-    qdq_views uses, but only for Q: the trials never need Q* or the
-    deadzone. Trial blocks are not built with block_view either. Their
+    qdq_tensor uses. Trial blocks are not built with block_view. Their
     maxima come from the macro's own sub-block maxima, exactly: rounding is
     monotone, so fl(p * max|x_i|) = max fl(p * |x_i|), the maximum
     block_view would find on the prescaled block. That gives s_star and the
@@ -194,7 +181,7 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
     else:
         codes = _exhaustive_codes(view.blocks, quant)
     pres = (1.0 + codes / MBS_LEVELS)[:, None]
-    return view.restore(_qdq(view.blocks * pres, quant) / pres), codes
+    return view.restore(qdq_tensor(view.blocks * pres, quant) / pres), codes
 
 
 # --- outlier fallback ----------------------------------------------------------
@@ -217,7 +204,7 @@ def of_qdq(x: np.ndarray, of: OfConfig, quant: BlockQuantConfig,
     def q(t: np.ndarray) -> np.ndarray:
         if with_mbs:
             return mbs_qdq(t, mbs or MbsConfig(), quant, mbs_mode)[0]
-        return _qdq(t, quant)
+        return qdq_tensor(t, quant)
 
     pass1 = q(x)
     pass2 = q(x - pass1)

@@ -1,17 +1,21 @@
 """Three-way error decomposition and its exact identities.
 
-For each block, with Q the coded-scale quantizer and Q* the ideal-scale
-quantizer:
+For each block, with x_hat the quantizer output being measured (by default
+Q(x), the coded-scale quantizer) and Q* the ideal-scale quantizer:
 
-    e_scale = Q(x) - Q*(x)
+    e_scale = x_hat - Q*(x)
     e_dz    = (Q*(x) - x) on deadzone elements, 0 elsewhere
     e_grid  = (Q*(x) - x) off the deadzone, 0 elsewhere
+    e_total = x_hat - x
 
 The two deadzone inner products <e_scale, e_dz> and <e_dz, e_grid> are
 structural zeros: the ceiling scale is >= s_star, so every element dead
 under s_star is also rounded to zero by Q, making every product term carry
 an exact 0.0 factor. The squared-norm identity then has exactly one cross
-term, 2<e_scale, e_grid>.
+term, 2<e_scale, e_grid>. Macro-block scaling (corrections.mbs_qdq) keeps
+both zeros: it runs Q on the prescaled block p*x, whose deadzone holds the
+same elements. Measured against the same Q*(x), its output changes only
+e_scale and e_total; Q*, e_dz and e_grid do not depend on the scale code.
 
 The decomposition streams the tensor through the quantizer in cache-sized
 pieces of whole blocks (quantize._CHUNK_ELEMS elements) and adds up each
@@ -28,7 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .quantize import _CHUNK_ELEMS, BlockQuantConfig, block_view, qdq_views
+from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _pad_rows, block_view, qdq_views
 
 __all__ = [
     "ErrorDecomposition",
@@ -102,20 +106,23 @@ def _pieces(n_rows: int, n: int, block_size: int):
 
 
 def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
-                out: list[np.ndarray] | None) -> tuple[np.ndarray, int]:
-    """The _SUM_PAIRS sums and the deadzone count of one 2-D piece. Its
-    (e_scale, e_dz, e_grid, e_total) are written into out when given."""
+                out: list[np.ndarray] | None, hat: np.ndarray | None
+                ) -> tuple[np.ndarray, int]:
+    """The _SUM_PAIRS sums and the deadzone count of one 2-D piece, measuring
+    hat (the matching piece of x_hat) or, when None, Q. Its (e_scale, e_dz,
+    e_grid, e_total) are written into out when given."""
     view = block_view(piece, config)
     qdq, qstar, dead, _ = qdq_views(view, config)
+    q = qdq if hat is None else _pad_rows(hat, config.block_size).reshape(qdq.shape)
 
-    e_scale = qdq - qstar
+    e_scale = q - qstar
+    # into qdq's own buffer, never into q, which may view the caller's x_hat
+    e_total = np.subtract(q, view.blocks, out=qdq)
     resid = qstar
     resid -= view.blocks                # Q*(x) - x
     e_dz = np.where(dead, resid, 0.0)
     e_grid = resid
     e_grid[dead] = 0.0
-    e_total = qdq
-    e_total -= view.blocks
     errors = [np.ascontiguousarray(view.restore(e))
               for e in (e_scale, e_dz, e_grid, e_total)]
     if out is not None:
@@ -126,25 +133,36 @@ def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
 
 
 def decompose_tensor(x: np.ndarray, config: BlockQuantConfig, *,
-                     keep_errors: bool = True) -> ErrorDecomposition:
-    """The three-way split of Q(x) - x, its norms, inner products and
+                     keep_errors: bool = True,
+                     x_hat: np.ndarray | None = None) -> ErrorDecomposition:
+    """The three-way split of x_hat - x, its norms, inner products and
     cosines, and the deadzone fraction.
+
+    x_hat, with x's shape, is the quantizer output to measure (default: the
+    plain coded-scale Q(x)); it is only read. Q*(x) and the deadzone always
+    come from x, so only e_scale and e_total depend on x_hat.
 
     The sums accumulate piece by piece (see the module docstring). With
     keep_errors=False the e_* fields are None and no full-size array is
-    allocated; tensor_stats and the outlier-fallback report need only the
-    sums."""
+    allocated; tensor_stats and the outlier-fallback and MBS reports need
+    only the sums."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty tensor")
     n = x.shape[-1] if x.ndim else 1
     rows = x.reshape(-1, n)
+    if x_hat is not None:
+        x_hat = np.asarray(x_hat, dtype=np.float64)
+        if x_hat.shape != x.shape:
+            raise ValueError(f"x_hat shape {x_hat.shape} does not match x shape {x.shape}")
+        x_hat = x_hat.reshape(-1, n)
     errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
     sums = None
     dead_count = 0
     for piece in _pieces(rows.shape[0], n, config.block_size):
         out = [e.reshape(-1, n)[piece] for e in errors] if keep_errors else None
-        piece_sums, dead = _piece_sums(rows[piece], config, out)
+        hat = None if x_hat is None else x_hat[piece]
+        piece_sums, dead = _piece_sums(rows[piece], config, out, hat)
         sums = piece_sums if sums is None else sums + piece_sums
         dead_count += dead
 

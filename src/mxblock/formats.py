@@ -68,8 +68,9 @@ _INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7])
 
 @dataclass(frozen=True)
 class ElementGrid:
-    """The element value set. Only the default E2M1 grid ships, but the
-    invariants are enforced so a different grid cannot sneak in silently."""
+    """The element value set, as the frozen constant E2M1 below. It is a
+    record of the grid the kernels implement, not a setting: no quantizer
+    reads it. The checks keep the record consistent with its own fields."""
 
     values: tuple[float, ...] = tuple(GRID_MAGNITUDES.tolist())
     q_max: float = Q_MAX

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import (
-    E2M1,
-    ElementGrid,
     GRID_MAGNITUDES,
     Q_MAX,
     ScaleCode,
@@ -42,11 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockQuantConfig:
-    """Quantizer settings shared by every call."""
+    """Quantizer settings shared by every call. The element grid is always
+    E2M1 (formats.E2M1)."""
 
     block_size: int = 32
     scale_mantissa_bits: int = 0
-    grid: ElementGrid = E2M1
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
@@ -132,6 +130,13 @@ def _row_block_length(shape: tuple[int, ...], B: int, i: int) -> int:
     return tail if (i % per_row) == per_row - 1 else B
 
 
+def _pad_rows(rows: np.ndarray, B: int) -> np.ndarray:
+    """(n_rows, n) rows zero-padded to whole blocks of B; rows itself when
+    n is a multiple of B. block_view and decompose's x_hat pieces use it."""
+    pad = -rows.shape[1] % B
+    return np.pad(rows, ((0, 0), (0, pad))) if pad else rows
+
+
 def _unblock(blocks: np.ndarray, shape: tuple[int, ...], B: int) -> np.ndarray:
     n = shape[-1] if shape else 1
     per_row = _blocks_per_row(n, B)
@@ -166,19 +171,9 @@ def block_view(x: np.ndarray, config: BlockQuantConfig) -> BlockView:
     B = config.block_size
     shape = x.shape
     n = shape[-1] if shape else 1
-    per_row = _blocks_per_row(n, B)
-    pad = per_row * B - n
-
     rows = x.reshape(-1, n)
-    if pad:
-        rows = np.pad(rows, ((0, 0), (0, pad)))
-    blocks = rows.reshape(-1, B)
-
-    valid = np.ones_like(blocks, dtype=bool)
-    if pad:
-        valid = valid.reshape(-1, per_row * B)
-        valid[:, n:] = False
-        valid = valid.reshape(-1, B)
+    blocks = _pad_rows(rows, B).reshape(-1, B)
+    valid = _pad_rows(np.ones(rows.shape, dtype=bool), B).reshape(-1, B)
 
     m_b = np.abs(blocks).max(axis=1)
     s_star = m_b / Q_MAX
@@ -192,7 +187,7 @@ def _scaled_round(blocks: np.ndarray, scale: np.ndarray,
                   nonzero: np.ndarray) -> np.ndarray:
     """scale * grid_round(blocks / scale), one scale per row; all-zero rows
     stay zero. The one QDQ rounding step: qdq_views runs it for Q and Q*,
-    and the exhaustive MBS trials in corrections for Q alone."""
+    qdq_tensor and the exhaustive MBS trials in corrections for Q alone."""
     safe = np.where(nonzero, scale, 1.0)[:, None]
     q = grid_round_array(blocks / safe)
     q *= safe
@@ -278,7 +273,8 @@ def quantize_tensor(x: np.ndarray, config: BlockQuantConfig) -> QuantizedTensor:
 
 
 def qdq_tensor(x: np.ndarray, config: BlockQuantConfig) -> np.ndarray:
-    """Quantize-dequantize emulation; deterministic and idempotent."""
+    """Quantize-dequantize emulation, Q(x) alone: the qdq of qdq_views
+    without Q* or the deadzone. Deterministic and idempotent."""
     view = block_view(x, config)
-    qdq, _, _, _ = qdq_views(view, config)
-    return view.restore(qdq)
+    s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
+    return view.restore(_scaled_round(view.blocks, s_dec, view.nonzero))

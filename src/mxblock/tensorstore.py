@@ -120,7 +120,7 @@ def load_container(path: str) -> TensorSet:
         raise TensorStoreError("malformed header: header length exceeds file size")
     try:
         header = json.loads(str(blob[8:8 + n], "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TensorStoreError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise TensorStoreError("malformed header: not a JSON object")
@@ -134,12 +134,16 @@ def load_container(path: str) -> TensorSet:
         if not isinstance(meta, dict):
             raise TensorStoreError(f"malformed entry for {name}")
         try:
-            dtype = meta["dtype"]
-            shape = tuple(int(d) for d in meta["shape"])
-            begin, end = (int(v) for v in meta["data_offsets"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TensorStoreError(f"malformed entry for {name}: {exc}") from exc
-        if dtype not in _DTYPES:
+            dtype, shape, offsets = meta["dtype"], meta["shape"], meta["data_offsets"]
+        except KeyError as exc:
+            raise TensorStoreError(f"malformed entry for {name}: missing {exc}") from exc
+        # lists of JSON integers only: no strings, floats or booleans
+        if not (isinstance(shape, list) and isinstance(offsets, list) and len(offsets) == 2
+                and all(type(v) is int for v in shape + offsets)):
+            raise TensorStoreError(f"malformed entry for {name}: shape and data_offsets "
+                                   "must be integer lists, data_offsets of length 2")
+        shape, (begin, end) = tuple(shape), offsets
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise TensorStoreError(f"unknown dtype: {dtype} (tensor {name})")
         if any(d < 0 for d in shape):
             raise TensorStoreError(f"negative dimension (tensor {name})")
@@ -150,7 +154,10 @@ def load_container(path: str) -> TensorSet:
             raise TensorStoreError(f"data size mismatch (tensor {name})")
         spans.append((begin, end, name))
 
-        values = _widen(data[begin:end], dtype, numel).reshape(shape)
+        try:
+            values = _widen(data[begin:end], dtype, numel).reshape(shape)
+        except ValueError as exc:       # e.g. [2**70, 0], or more than 64 dims
+            raise TensorStoreError(f"unsupported shape (tensor {name}): {exc}") from exc
         if not np.isfinite(values).all():
             raise TensorStoreError(f"non-finite values (tensor {name})")
         out.entries[name] = TensorEntry(dtype, shape, values)

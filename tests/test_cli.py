@@ -9,6 +9,7 @@ import pytest
 
 import mxblock.cli as cli
 from mxblock import __version__
+from mxblock.analysis import TempFit
 from mxblock.cli import main
 from mxblock.tensorstore import TensorSet, load_container, save_container
 
@@ -170,6 +171,15 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["decompose", "--synth", "gaussian:4x32"])
         assert code == 3 and "invariant violation" in err
 
+    def test_broken_mbs_split_is_3(self, capsys, monkeypatch):
+        # x_hat = x: e_total is 0 while e_scale = -(e_dz + e_grid) is not,
+        # and <e_scale, e_dz> is -||e_dz||^2, not the structural 0.0
+        monkeypatch.setattr(cli, "mbs_qdq",
+                            lambda x, *a, **k: (np.asarray(x, dtype=np.float64), None))
+        code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
+        assert code == 3 and out == ""
+        assert "invariant violation" in err
+
     @pytest.mark.parametrize("command", ["decompose", "mbs"])
     def test_overflowing_norms_give_no_report(self, capsys, tmp_path, command):
         # at |x| ~ 1e200 the squared norms overflow: the identity residual
@@ -240,6 +250,36 @@ class TestCommands:
         assert row["sigma_eta"] == 0.8
         assert row["t_hat"] > 1.0
         assert row["t_predicted"] > 1.0
+
+    def test_temp_var_delta_ell_is_the_fits(self, capsys):
+        # above vocab 1414 the fit samples 1e6 pairs; the report must carry
+        # the variance the fit used, not one over all pairs
+        code, out, _ = _run(capsys, ["temp", "--vocab", "1500", "--draws", "10000",
+                                     "--sigma-eta", "0", "--seed", "1"])
+        assert code == 0
+        reported = json.loads(out)["results"]["var_delta_ell"]
+        logits = np.random.default_rng(1).standard_normal(1500)
+        fit = cli.effective_temperature_fit(logits, 0.0, draws=10000, seed=1)
+        i, j = np.triu_indices(1500, k=1)
+        all_pairs = float((logits[i] - logits[j]).var())
+        assert _scalar(reported) == _scalar(fit.var_delta_ell) != _scalar(all_pairs)
+
+    def test_temp_default_sweep_uses_the_fits_variance(self, capsys, monkeypatch):
+        seen = []
+
+        def fake_fit(logits, sigma_eta, draws, seed):
+            seen.append(sigma_eta)
+            return TempFit(t_hat=1.0, t_predicted=1.0, var_delta_ell=8.0,
+                           sigma_eta=sigma_eta, n_pairs=1, draws=draws,
+                           entropy_clean=1.0, entropy_noised=1.0, kl_min=0.0)
+
+        monkeypatch.setattr(cli, "effective_temperature_fit", fake_fit)
+        code, out, _ = _run(capsys, ["temp", "--vocab", "12", "--draws", "10000"])
+        assert code == 0
+        assert seen == [0.0, 1.0, np.sqrt(2.0), 2.0]    # sqrt(r * 8 / 2)
+        res = json.loads(out)["results"]
+        assert res["var_delta_ell"] == 8.0
+        assert [row["sigma_eta"] for row in res["rows"]] == pytest.approx(seen)
 
     def test_gemm(self, capsys):
         code, out, _ = _run(capsys, ["gemm", "--synth", "gaussian:64x64",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mxblock import decompose
+from mxblock.corrections import MbsConfig, mbs_qdq
 from mxblock.decompose import (
     DecompReport,
     decompose_tensor,
@@ -14,7 +15,7 @@ from mxblock.decompose import (
     tensor_stats,
     verify_identity,
 )
-from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
+from mxblock.quantize import BlockQuantConfig, block_view, qdq_tensor, qdq_views
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
 WORKED_E_SCALE = np.array([0.0, 0.0, 1 / 6, -1 / 6, 0.0, 1 / 6, 0.0, 0.0])
@@ -250,8 +251,7 @@ def _qstar_cases(draw):
 
 class TestQstarFromDecomposition:
     """x + (e_dz + e_grid) is Q*(x): Q*(x) - x is exact, because Q*(x) is
-    zero or within a factor of 2 of x. MBS reuses the plain decomposition
-    through this identity instead of running Q* again."""
+    zero or within a factor of 2 of x."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_qstar_cases())
@@ -339,6 +339,122 @@ class TestChunkedDecomposition:
         for field in ("n2_scale", "n2_dz", "n2_grid", "n2_total", "ip_scale_grid",
                       "ip_scale_dz", "ip_dz_grid", "cos_scale_grid", "dz_fraction"):
             assert getattr(sums, field) == getattr(full, field), field
+
+
+def _one_shot_measured(x, x_hat, cfg):
+    """(e_scale, e_dz, e_grid, e_total) of x_hat against x from a single
+    block_view/qdq_views pass over the whole tensor."""
+    view = block_view(x, cfg)
+    _, qstar, dead, _ = qdq_views(view, cfg)
+    hat = block_view(x_hat, cfg).blocks
+    resid = qstar - view.blocks
+    blocked = (hat - qstar, np.where(dead, resid, 0.0),
+               np.where(dead | ~view.valid, 0.0, resid), hat - view.blocks)
+    return [view.restore(e) for e in blocked]
+
+
+_SUM_FIELDS = ("n2_scale", "n2_dz", "n2_grid", "n2_total", "ip_scale_grid",
+               "ip_scale_dz", "ip_dz_grid", "cos_scale_grid", "dz_fraction")
+
+
+class TestMeasuredQuantizer:
+    """decompose_tensor(x, cfg, x_hat=...) splits another quantizer's output
+    (here MBS) against the plain Q*(x), over the same pieces as the plain
+    path. With the piece size at 64 these tensors span many pieces."""
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
+        self.pieces = []
+
+        def counted(x, cfg):
+            self.pieces.append(np.shape(x))
+            return block_view(x, cfg)
+
+        monkeypatch.setattr(decompose, "block_view", counted)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
+    def test_matches_one_shot(self, name, x, block_size, m, mode):
+        cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
+        x_hat, _ = mbs_qdq(x, MbsConfig(macro_block_size=2 * block_size), cfg, mode)
+        kept = x_hat.copy()
+        x_hat.flags.writeable = False          # any write into it raises
+        d = decompose_tensor(x, cfg, x_hat=x_hat)
+        assert len(self.pieces) > 1
+        assert np.array_equal(x_hat.view(np.uint64), kept.view(np.uint64))
+
+        errors = _one_shot_measured(x, x_hat, cfg)
+        for g, want in zip((d.e_scale, d.e_dz, d.e_grid, d.e_total), errors):
+            assert g.shape == x.shape
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+        e_s, e_d, e_g, e_t = (e.ravel() for e in errors)
+        sums = {"n2_scale": (e_s, e_s), "n2_dz": (e_d, e_d), "n2_grid": (e_g, e_g),
+                "n2_total": (e_t, e_t), "ip_scale_grid": (e_s, e_g)}
+        for field, (a, b) in sums.items():
+            assert getattr(d, field) == pytest.approx(np.dot(a, b), rel=1e-12), field
+        assert d.ip_scale_dz == 0.0 and d.ip_dz_grid == 0.0
+        assert verify_identity(d) <= 1e-12
+
+        sums_only = decompose_tensor(x, cfg, keep_errors=False, x_hat=x_hat)
+        for field in _SUM_FIELDS:
+            assert getattr(sums_only, field) == getattr(d, field), field
+
+    @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
+    def test_q_as_x_hat_is_the_plain_split(self, name, x, block_size):
+        cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=2)
+        plain = decompose_tensor(x, cfg)
+        measured = decompose_tensor(x, cfg, x_hat=qdq_tensor(x, cfg))
+        for field in ("e_scale", "e_dz", "e_grid", "e_total"):
+            a, b = getattr(plain, field), getattr(measured, field)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field
+        for field in _SUM_FIELDS:
+            assert getattr(measured, field) == getattr(plain, field), field
+
+    def test_shape_mismatch(self):
+        x = np.random.default_rng(46).standard_normal((6, 40))
+        cfg = BlockQuantConfig(block_size=8)
+        for bad in (x[:, :-1], x.T, x.ravel(), x[None]):
+            with pytest.raises(ValueError, match="x_hat shape"):
+                decompose_tensor(x, cfg, x_hat=bad)
+
+
+@st.composite
+def _mbs_cases(draw):
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=4))
+    shape = lead + (draw(st.integers(1, 300)),)
+    elements = st.one_of(
+        st.floats(-6.0, 6.0, allow_nan=False, allow_subnormal=False),
+        st.sampled_from(_EDGE_U + [-u for u in _EDGE_U]))
+    x = draw(hnp.arrays(np.float64, shape, elements=elements))
+    block_size = draw(st.integers(1, 32))
+    if draw(st.booleans()):
+        x.reshape(-1, shape[-1])[:, ::block_size] = 6.0   # edge values exactly on ties
+    if draw(st.booleans()):                               # heavy tails
+        x = x * np.exp2(draw(hnp.arrays(np.int64, shape, elements=st.integers(-12, 12))))
+    if draw(st.booleans()):                               # BF16 values
+        x = (x.astype(np.float32).view(np.uint32) & np.uint32(0xFFFF0000)
+             ).view(np.float32).astype(np.float64)
+    quant = BlockQuantConfig(block_size=block_size,
+                             scale_mantissa_bits=draw(st.integers(0, 8)))
+    mbs = MbsConfig(macro_block_size=block_size * draw(st.integers(1, 8)))
+    return x, quant, mbs, draw(st.sampled_from(["exhaustive", "closed_form"]))
+
+
+class TestMbsSplitProperty:
+    """Under MBS the split stays exact: both deadzone inner products are
+    exactly 0.0 and the norms obey the identity. MBS runs Q on the prescaled
+    block, whose deadzone holds the same elements, so Q still zeroes them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mbs_cases())
+    def test_deadzone_zeros_and_identity(self, case):
+        x, quant, mbs, mode = case
+        x_hat, _ = mbs_qdq(x, mbs, quant, mode)
+        d = decompose_tensor(x, quant, keep_errors=False, x_hat=x_hat)
+        assert orthogonality_check(d) == (0.0, 0.0)
+        assert verify_identity(d) <= 1e-12
 
 
 def _peak_bytes(fn):

@@ -213,6 +213,25 @@ class TestScaleCeiling:
                 encode_scale_ceiling(bad, 0)
 
 
+class TestCeilingMinimalityProperty:
+    """The coded scale is the least E8Mk value >= s_star: the representable
+    value just below it is below s_star. Checked in exact rationals."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(2.0 ** -1000, 2.0 ** 1000), st.integers(0, 8))
+    def test_next_value_below_is_below_s_star(self, s_star, m):
+        decoded, e, k = ceil_scale_array(np.array([s_star]), m)
+        e, k, levels = int(e[0]), int(k[0]), 1 << m
+        assert 0 <= k < levels
+
+        def value(exp, code):
+            return Fraction(2) ** exp * (1 + Fraction(code, levels))
+
+        below = value(e, k - 1) if k else value(e - 1, levels - 1)
+        assert Fraction(float(decoded[0])) == value(e, k)
+        assert below < Fraction(s_star) <= value(e, k)
+
+
 class TestCodes:
     def test_grid_code_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mxblock.tensorstore import (
     SynthSpec,
@@ -213,6 +214,100 @@ class TestMalformed:
         ts = load_container(_write(tmp_path, _container_bytes(header, data)))
         assert list(ts.arrays()) == ["t"]
         assert ts.arrays()["t"][0] == 4.0
+
+
+class TestHostileHeaderTypes:
+    """Field types JSON allows but the format does not: each is a named
+    TensorStoreError, never a stray TypeError or a silent reinterpretation."""
+
+    @pytest.mark.parametrize("override", [
+        {"dtype": ["F64"]},                             # unhashable: was a TypeError
+        {"dtype": {"F64": 1}},
+        {"dtype": 64},
+        {"shape": "12"},                                # was loaded as shape (1, 2)
+        {"shape": [2.7]},                               # was (2,)
+        {"shape": [True, 2]},                           # was (1, 2)
+        {"shape": 2},
+        {"shape": [[2]]},
+        {"shape": [1], "data_offsets": "08"},           # was offsets (0, 8)
+        {"data_offsets": [0.0, 16.0]},
+        {"data_offsets": [False, 16]},
+        {"data_offsets": [0, 16, 16]},
+        {"data_offsets": None},
+    ])
+    def test_rejected(self, tmp_path, override):
+        # without the override the entry is valid: two F64 values
+        meta = {"dtype": "F64", "shape": [2], "data_offsets": [0, 16], **override}
+        blob = _container_bytes({"t": meta}, np.array([1.0, 2.0]).astype("<f8").tobytes())
+        with pytest.raises(TensorStoreError):
+            load_container(_write(tmp_path, blob))
+
+    def test_zero_size_shape_numpy_cannot_hold(self, tmp_path):
+        meta = {"dtype": "F64", "shape": [2 ** 70, 0], "data_offsets": [0, 0]}
+        with pytest.raises(TensorStoreError, match="unsupported shape"):
+            load_container(_write(tmp_path, _container_bytes({"t": meta}, b"")))
+
+    def test_deeply_nested_header(self, tmp_path):
+        hjson = b"[" * 100_000 + b"]" * 100_000
+        blob = len(hjson).to_bytes(8, "little") + hjson
+        with pytest.raises(TensorStoreError, match="malformed header"):
+            load_container(_write(tmp_path, blob))
+
+
+_VALID_HEADER = {
+    "a": {"dtype": "F32", "shape": [2, 3], "data_offsets": [0, 24]},
+    "b": {"dtype": "BF16", "shape": [4], "data_offsets": [24, 32]},
+}
+# finite under every dtype reading: with every byte 0x3f, an element of any
+# width is a normal number (4.8e-4 as F64, 0.75 as F32 or BF16, 1.8 as F16)
+_VALID_DATA = b"\x3f" * 32
+
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 40), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["F64", "F32", "F16", "BF16", "F13", "12", "08", ""]))
+_json_value = st.recursive(
+    _json_scalar,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=2),
+    max_leaves=6)
+_field_value = st.one_of(
+    _json_value,
+    st.lists(st.integers(0, 40), max_size=4),          # plausible shapes and offsets
+    st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 16, 24, 32, 2 ** 64]), max_size=3))
+
+
+@st.composite
+def _mutated_headers(draw):
+    header = json.loads(json.dumps(_VALID_HEADER))
+    for _ in range(draw(st.integers(1, 3))):
+        entry = header[draw(st.sampled_from(["a", "b"]))]
+        key = draw(st.sampled_from(["dtype", "shape", "data_offsets", "extra"]))
+        if draw(st.integers(0, 5)) == 0:
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(_field_value)
+    if draw(st.booleans()):
+        header[draw(st.sampled_from(["a", "c", "__metadata__"]))] = draw(_json_value)
+    return header
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_headers())
+def test_mutated_header_loads_or_names_its_error(tmp_path, header):
+    path = _write(tmp_path, _container_bytes(header, _VALID_DATA))
+    try:
+        ts = load_container(path)
+    except TensorStoreError:
+        return
+    declared = {k: v for k, v in header.items() if k != "__metadata__"}
+    assert sorted(ts.entries) == sorted(declared)
+    for name, meta in declared.items():
+        entry = ts.entries[name]
+        assert entry.dtype == meta["dtype"]
+        assert entry.shape == tuple(meta["shape"]) == entry.data.shape
+        assert entry.data.dtype == np.float64 and np.isfinite(entry.data).all()
 
 
 class TestSynth:
