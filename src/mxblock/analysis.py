@@ -2,7 +2,7 @@
 
 Covers the scale-ratio distribution (delta and gamma per block), the
 cumulative scale-bias sum across layers, noise-induced effective softmax
-temperature (closed form and Monte-Carlo fit), GEMM-level propagation of
+temperature (closed form and quadrature fit), GEMM-level propagation of
 the decomposed error, effective rank, and the block-size dependence of
 the scale/grid cross term.
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
 from .decompose import InvariantViolation, decompose_tensor
-from .quantize import BlockQuantConfig, _deadzone, block_view
+from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _deadzone, block_view
 
 __all__ = [
     "GammaStats",
@@ -192,6 +192,10 @@ def effective_temperature_predict(sigma_eta_sq: float, var_delta_ell: float) -> 
 
 @dataclass
 class TempFit:
+    """One temperature fit. ``draws`` is the Monte-Carlo sample count behind
+    ``entropy_noised``; the pairwise preferences that set ``t_hat`` come from
+    quadrature and do not depend on it."""
+
     t_hat: float
     t_predicted: float
     var_delta_ell: float
@@ -205,6 +209,43 @@ class TempFit:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+# Half-width of the trapezoid rule in _pair_preference: the N(0, 1) mass
+# beyond |z| = 9 is 2.3e-19.
+_Z_MAX = 9.0
+
+
+def _pair_nodes(sigma_eta: float) -> float:
+    """Node count 2 floor(z_max / h) + 1 of _pair_preference's rule, with
+    z_max / h = 2 z_max max(1, s) taken in floats: inf once s overflows, so a
+    caller can bound it before building the rule."""
+    return 2.0 * np.floor(2.0 * _Z_MAX * max(1.0, math.sqrt(2.0) * sigma_eta)) + 1.0
+
+
+def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
+    """E[sigmoid(dl + s Z)], Z ~ N(0, 1), s = sqrt(2) sigma_eta, per element
+    of dl: a pair's preference averaged over the N(0, 2 sigma_eta^2) noise on
+    its logit difference.
+
+    Trapezoid rule in z with step h = min(0.5, 0.5 / s) on |z| <= 9 and
+    weights h phi(z). The integrand is smooth and its Gaussian factor decays
+    fast, so the rule converges geometrically in 1/h. Against scipy's adaptive
+    quad the worst error was 3e-15 for sigma_eta from 0.05 to 100. It takes
+    37 nodes up to s = 1 and about 36 s above that."""
+    s = math.sqrt(2.0) * sigma_eta
+    h = 0.5 / max(1.0, s)
+    k = int(_pair_nodes(sigma_eta)) // 2
+    z = h * np.arange(-k, k + 1)
+    weights = (h / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+    shifts = s * z
+    p_bar = np.empty(dl.size)
+    rows = max(1, _CHUNK_ELEMS // shifts.size)
+    for lo in range(0, dl.size, rows):
+        p = _sigmoid(dl[lo:lo + rows, None] + shifts)
+        p *= weights
+        p_bar[lo:lo + rows] = p.sum(axis=1)
+    return p_bar
 
 
 def _bernoulli_kl_sum(p: np.ndarray, q: np.ndarray) -> float:
@@ -242,8 +283,11 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
     """Fit the temperature that matches noise-averaged token preferences.
 
     Perturbing logits with i.i.d. N(0, sigma_eta^2) noise shifts each
-    pairwise logit difference by N(0, 2 sigma_eta^2). The fit averages the
-    pairwise preference sigmoid over that noise by Monte Carlo, then
+    pairwise logit difference by N(0, 2 sigma_eta^2). A pair's averaged
+    preference depends only on that one-dimensional shift, so the fit takes
+    it by quadrature (_pair_preference: a trapezoid rule in the standardized
+    shift, step min(0.5, 0.5 / (sqrt(2) sigma_eta)) on |z| <= 9, within 3e-15
+    of adaptive quadrature for sigma_eta from 0.05 to 100). It then
     golden-section searches log T in [log 0.5, log 10] for the softmax
     temperature whose pairwise preferences minimize the summed forward
     Bernoulli KL against the averaged ones.
@@ -255,17 +299,26 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
 
     Pairs are all unordered logit pairs, subsampled uniformly (with
     replacement) to max_pairs when the vocabulary is large. Entropies of
-    the clean and the full noise-averaged policies are reported alongside.
+    the clean and the full noise-averaged policies are reported alongside;
+    `draws` is the Monte-Carlo sample count of the noise-averaged policy,
+    and it only drives `entropy_noised`. It also bounds the quadrature: a
+    sigma_eta whose rule needs more than `draws` nodes per pair is a
+    ValueError, so the fit never evaluates more sigmoids than a pairwise
+    Monte Carlo of the same draws would.
     """
     ell = np.asarray(logits, dtype=np.float64).ravel()
     if ell.size < 2:
         raise ValueError("need at least 2 logits")
     if not np.isfinite(ell).all():
         raise ValueError("non-finite logits")
-    if sigma_eta < 0:
-        raise ValueError("sigma_eta must be >= 0")
+    if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
+        raise ValueError(f"sigma_eta must be finite and >= 0, got {sigma_eta!r}")
     if draws < 10_000:
         raise ValueError("draws must be >= 10000")
+    nodes = _pair_nodes(sigma_eta)
+    if nodes > draws:
+        raise ValueError(f"sigma_eta={sigma_eta!r} needs {nodes:.6g} quadrature nodes "
+                         f"per pair, above the limit of draws={draws}")
     rng = np.random.default_rng(seed)
     vocab = ell.size
 
@@ -287,10 +340,12 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
         noised = clean.copy()
         p_bar = _sigmoid(dl)
     else:
-        # one noise sample per (draw, token); pairs see eta_i - eta_j, which
-        # keeps the cross-pair correlation of the joint perturbation
+        p_bar = _pair_preference(dl, sigma_eta)
+        # one noise sample per (draw, token). The chunk length fixes the
+        # order in which `noised` is summed, and so the last bits of
+        # entropy_noised: it stays 1e7 // max(n_pairs, vocab) draws so that
+        # reports keep their values from one version to the next.
         noised = np.zeros(vocab)
-        p_bar = np.zeros(n_pairs)
         step = max(1, int(1e7) // max(n_pairs, vocab))
         done = 0
         while done < draws:
@@ -300,10 +355,8 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
             z -= z.max(axis=1, keepdims=True)
             ez = np.exp(z)
             noised += (ez / ez.sum(axis=1, keepdims=True)).sum(axis=0)
-            p_bar += _sigmoid(dl[None, :] + eta[:, i_idx] - eta[:, j_idx]).sum(axis=0)
             done += n
         noised /= draws
-        p_bar /= draws
 
     def objective(log_t: float) -> float:
         return _bernoulli_kl_sum(p_bar, _sigmoid(dl / math.exp(log_t)))

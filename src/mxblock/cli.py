@@ -276,7 +276,8 @@ def cmd_temp(args) -> dict:
         fits = [fit(s) for s in args.sigma_eta.split(",")]
     else:
         # sweep the noise-to-signal ratio 2 sigma^2 / Var(dl); the sigma-0
-        # point runs no Monte Carlo and measures Var(dl) on the fit's pairs
+        # point needs neither the quadrature nor the entropy Monte Carlo and
+        # measures Var(dl) on the fit's pairs
         fits = [fit(0.0)]
         fits += [fit(np.sqrt(r * fits[0].var_delta_ell / 2.0)) for r in (0.25, 0.5, 1.0)]
     rows = [{

@@ -32,7 +32,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _pad_rows, block_view, qdq_views
+from .quantize import (
+    _CHUNK_ELEMS,
+    BlockQuantConfig,
+    _ideal_views,
+    _pad_rows,
+    block_view,
+    qdq_views,
+)
 
 __all__ = [
     "ErrorDecomposition",
@@ -112,12 +119,17 @@ def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
     hat (the matching piece of x_hat) or, when None, Q. Its (e_scale, e_dz,
     e_grid, e_total) are written into out when given."""
     view = block_view(piece, config)
-    qdq, qstar, dead, _ = qdq_views(view, config)
-    q = qdq if hat is None else _pad_rows(hat, config.block_size).reshape(qdq.shape)
+    if hat is None:
+        q, qstar, dead, _ = qdq_views(view, config)
+        total_buf = q                   # e_total overwrites Q
+    else:
+        # Q is not needed: only Q* and the deadzone are rounded
+        qstar, dead = _ideal_views(view)
+        q = _pad_rows(hat, config.block_size).reshape(qstar.shape)
+        total_buf = None                # q may view the caller's x_hat
 
     e_scale = q - qstar
-    # into qdq's own buffer, never into q, which may view the caller's x_hat
-    e_total = np.subtract(q, view.blocks, out=qdq)
+    e_total = np.subtract(q, view.blocks, out=total_buf)
     resid = qstar
     resid -= view.blocks                # Q*(x) - x
     e_dz = np.where(dead, resid, 0.0)

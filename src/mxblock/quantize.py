@@ -187,7 +187,8 @@ def _scaled_round(blocks: np.ndarray, scale: np.ndarray,
                   nonzero: np.ndarray) -> np.ndarray:
     """scale * grid_round(blocks / scale), one scale per row; all-zero rows
     stay zero. The one QDQ rounding step: qdq_views runs it for Q and Q*,
-    qdq_tensor and the exhaustive MBS trials in corrections for Q alone."""
+    _ideal_views for Q* alone, qdq_tensor and the exhaustive MBS trials in
+    corrections for Q alone."""
     safe = np.where(nonzero, scale, 1.0)[:, None]
     q = grid_round_array(blocks / safe)
     q *= safe
@@ -209,6 +210,13 @@ def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
     return (np.sign(u) * grid_index_array(np.abs(u))).astype(np.int8)
 
 
+def _ideal_views(view: BlockView) -> tuple[np.ndarray, np.ndarray]:
+    """(qstar, dead) on the blocked view: the half of qdq_views that does not
+    depend on the scale code. The decomposition of a given x_hat needs only
+    this half."""
+    return _scaled_round(view.blocks, view.s_star, view.nonzero), _deadzone(view)
+
+
 def qdq_views(view: BlockView, config: BlockQuantConfig
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(qdq, qstar, dead, s_decoded) on the blocked view.
@@ -218,8 +226,8 @@ def qdq_views(view: BlockView, config: BlockQuantConfig
     """
     s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
     qdq = _scaled_round(view.blocks, s_dec, view.nonzero)
-    qstar = _scaled_round(view.blocks, view.s_star, view.nonzero)
-    return qdq, qstar, _deadzone(view), s_dec
+    qstar, dead = _ideal_views(view)
+    return qdq, qstar, dead, s_dec
 
 
 # --- public operations -------------------------------------------------------

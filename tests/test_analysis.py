@@ -230,6 +230,114 @@ class TestEffectiveTemperature:
         with pytest.raises(ValueError, match="non-finite"):
             effective_temperature_fit([1.0, np.inf], 0.5)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 1e200, 1.5e308])
+    def test_fit_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma_eta"):
+            effective_temperature_fit([0.0, 1.0, -0.5], sigma, draws=10_000)
+
+    def test_fit_quadrature_never_outspends_the_draws(self):
+        # the rule's node count per pair is bounded by draws: a Monte Carlo
+        # over the same draws would evaluate n_pairs * draws sigmoids
+        ell = [0.0, 1.0, -0.5]
+        for sigma in (0.0, 0.3, 1.0, 30.0, 196.0):
+            assert analysis._pair_nodes(sigma) <= 10_000
+            effective_temperature_fit(ell, sigma, draws=10_000)
+        assert analysis._pair_nodes(197.0) > 10_000
+        with pytest.raises(ValueError, match="limit of draws=10000"):
+            effective_temperature_fit(ell, 197.0, draws=10_000)
+        effective_temperature_fit(ell, 197.0, draws=20_000)
+
+    # entropy_noised is Monte Carlo over the seed's noise draws; these values
+    # pin its draw order and its chunked summation to the last bit
+    def test_entropy_noised_golden_full_pairs(self):
+        ell = np.random.default_rng(61).standard_normal(100)
+        fit = effective_temperature_fit(ell, 0.6862875497722323, draws=20_000, seed=61)
+        assert fit.n_pairs == 4950
+        assert fit.entropy_noised == 4.137114717816148
+        assert fit.entropy_clean == 4.1247711036254895
+
+    def test_entropy_noised_golden_subsampled_pairs(self):
+        # 1500 logits have 1124250 pairs, above max_pairs: the pair
+        # subsample draws from the generator before the noise does
+        ell = np.random.default_rng(5).standard_normal(1500)
+        fit = effective_temperature_fit(ell, 0.5, draws=10_000, seed=5)
+        assert fit.n_pairs == 1_000_000
+        assert fit.entropy_noised == 6.861070718258464
+        assert fit.entropy_clean == 6.860625207426964
+
+    def test_fit_matches_independent_monte_carlo(self):
+        # the pairwise preferences by plain Monte Carlo over the joint noise,
+        # in ten independent batches; t from the pooled preferences must sit
+        # within the batches' Monte-Carlo error of the quadrature fit
+        ell = np.random.default_rng(94).standard_normal(8)
+        sigma = 0.8
+        i_idx, j_idx = np.triu_indices(8, k=1)
+        dl = ell[i_idx] - ell[j_idx]
+        log_t = np.linspace(math.log(0.5), math.log(10.0), 4001)
+
+        def t_of(p_bar):
+            q = 1.0 / (1.0 + np.exp(-dl[None, :] / np.exp(log_t)[:, None]))
+            kl = (p_bar * np.log(p_bar / q)
+                  + (1 - p_bar) * np.log((1 - p_bar) / (1 - q))).sum(axis=1)
+            k = int(np.argmin(kl))
+            a, b, c = kl[k - 1:k + 2]          # parabola through the minimum
+            h = log_t[1] - log_t[0]
+            return math.exp(log_t[k] + 0.5 * h * (a - c) / (a - 2 * b + c))
+
+        rng = np.random.default_rng(2024)
+        batches = []
+        for _ in range(10):
+            eta = sigma * rng.standard_normal((25_000, 8))
+            z = dl[None, :] + eta[:, i_idx] - eta[:, j_idx]
+            batches.append((1.0 / (1.0 + np.exp(-z))).mean(axis=0))
+        t_mc = t_of(np.mean(batches, axis=0))
+        t_err = np.std([t_of(p) for p in batches], ddof=1) / math.sqrt(len(batches))
+
+        fit = effective_temperature_fit(ell, sigma, draws=10_000, seed=0)
+        assert 0.0 < t_err < 5e-3
+        assert abs(fit.t_hat - t_mc) <= 4.0 * t_err
+
+
+def _logistic_density_reference(dl: float, sigma: float) -> float:
+    """E[sigmoid(dl + sqrt(2) sigma Z)] in its other form: with L standard
+    logistic, sigmoid(x) = P(L <= x), so the mean is E_L[Phi((dl - L) / s)].
+    Composite Simpson over L in [-45, 45] (logistic tail mass 3e-20) with
+    160000 intervals, Phi from math.erf."""
+    s = math.sqrt(2.0) * sigma
+    n = 160_000
+    grid = np.linspace(-45.0, 45.0, n + 1)
+    density = np.exp(-np.abs(grid)) / (1.0 + np.exp(-np.abs(grid))) ** 2
+    cdf = np.array([0.5 * (1.0 + math.erf((dl - v) / (s * math.sqrt(2.0))))
+                    for v in grid.tolist()])
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float((weights * density * cdf).sum() * (grid[1] - grid[0]) / 3.0)
+
+
+class TestPairPreference:
+    @pytest.mark.parametrize("sigma", [0.05, 0.7, 5.0, 20.0, 100.0])
+    def test_matches_logistic_density_reference(self, sigma):
+        dl = np.array([-5.0, -1.0, 0.0, 0.3, 2.0, 6.0])
+        got = analysis._pair_preference(dl, sigma)
+        want = [_logistic_density_reference(d, sigma) for d in dl]
+        assert np.abs(got - want).max() <= 1e-11
+
+    def test_node_counts(self):
+        # 37 nodes up to s = sqrt(2) sigma = 1, then 2 floor(18 s) + 1
+        assert analysis._pair_nodes(0.0) == 37
+        assert analysis._pair_nodes(1.0 / math.sqrt(2.0)) == 37
+        assert analysis._pair_nodes(5.0) == 2 * math.floor(18 * math.sqrt(2.0) * 5.0) + 1
+        assert analysis._pair_nodes(1.5e308) == math.inf
+
+    def test_symmetry_and_chunks(self, monkeypatch):
+        # p(-dl) = 1 - p(dl); the pair chunks change no bit of the result
+        dl = np.random.default_rng(95).standard_normal(1000) * 3.0
+        whole = analysis._pair_preference(dl, 2.0)
+        assert np.abs(whole + analysis._pair_preference(-dl, 2.0) - 1.0).max() <= 1e-15
+        monkeypatch.setattr(analysis, "_CHUNK_ELEMS", 1000)
+        assert np.array_equal(analysis._pair_preference(dl, 2.0), whole)
+
 
 class TestAqnTotalNoise:
     def test_quadrature(self):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["temp", "--vocab", "1",
                                      "--draws", "10000"])
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e200"])
+    def test_temp_bad_sigma_is_2(self, capsys, sigma):
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["temp", "--sigma-eta", sigma])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert "error: sigma_eta" in err
 
     def test_gemm_needs_2d(self, capsys):
         code, _, err = _run(capsys, ["gemm", "--synth", "gaussian:64"])

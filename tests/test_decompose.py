@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mxblock import decompose
+from mxblock import decompose, quantize
 from mxblock.corrections import MbsConfig, mbs_qdq
 from mxblock.decompose import (
     DecompReport,
@@ -411,6 +411,28 @@ class TestMeasuredQuantizer:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field
         for field in _SUM_FIELDS:
             assert getattr(measured, field) == getattr(plain, field), field
+
+    def test_x_hat_path_rounds_only_qstar(self, monkeypatch):
+        # per piece: Q and Q* on the plain path, Q* alone when x_hat is given
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return scaled_round(*args)
+
+        scaled_round = quantize._scaled_round
+        monkeypatch.setattr(quantize, "_scaled_round", counted)
+        x = np.random.default_rng(47).standard_normal((40, 24))
+        cfg = BlockQuantConfig(block_size=8)
+        x_hat = qdq_tensor(x, cfg)
+        calls.clear()
+        decompose_tensor(x, cfg)
+        assert len(calls) == 2 * len(self.pieces) and len(self.pieces) > 1
+        for keep_errors in (True, False):
+            calls.clear()
+            self.pieces.clear()
+            decompose_tensor(x, cfg, keep_errors=keep_errors, x_hat=x_hat)
+            assert len(calls) == len(self.pieces) > 1
 
     def test_shape_mismatch(self):
         x = np.random.default_rng(46).standard_normal((6, 40))
