@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 import time
 from collections.abc import Mapping, Sequence
@@ -28,10 +29,10 @@ from .analysis import (
     gamma_stats,
     gemm_error_propagation,
 )
-from .corrections import AqnSchedule, MbsConfig, OfConfig, dz_recovery_rate, mbs_qdq, of_qdq
+from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_qdq, of_qdq
 from .decompose import (
-    _IDENTITY_TOL,
     InvariantViolation,
+    _check_identity,
     decompose_tensor,
     orthogonality_check,
     scale_precision_sweep,
@@ -75,8 +76,7 @@ def _json_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
@@ -148,21 +148,13 @@ def _quant_config(args) -> BlockQuantConfig:
                             scale_mantissa_bits=args.scale_mantissa_bits)
 
 
-def _check_identity(name: str, residual: float, dz_inner_products) -> None:
-    # written so that a nan residual fails too
-    if not residual <= _IDENTITY_TOL:
-        raise InvariantViolation(f"identity residual {residual:.3e} on {name}")
-    if any(v != 0.0 for v in dz_inner_products):
-        raise InvariantViolation(f"deadzone inner product nonzero on {name}")
-
-
 # --- subcommands -------------------------------------------------------------------
 
 
 def cmd_decompose(args) -> dict:
     report = tensor_stats(_load_tensors(args), _quant_config(args))
     for rec in report.records:
-        _check_identity(rec["name"], rec["identity_residual"], rec["dz_inner_products"])
+        _check_identity(rec["name"], rec["identity_residual"], *rec["dz_inner_products"])
     return report.to_json_dict()
 
 
@@ -204,7 +196,7 @@ def cmd_mbs(args) -> dict:
         after = decompose_tensor(x, quant, keep_errors=False,
                                  x_hat=mbs_qdq(x, mbs, quant, args.mbs_mode)[0])
         for d in (before, after):
-            _check_identity(name, verify_identity(d), orthogonality_check(d))
+            _check_identity(name, verify_identity(d), *orthogonality_check(d))
         floor = before.n2_dz + before.n2_grid
         records.append({
             "name": name,
@@ -213,7 +205,7 @@ def cmd_mbs(args) -> dict:
             "n2_scale_before": before.n2_scale,
             "n2_scale_after": after.n2_scale,
             "scale_reduction": before.n2_scale / after.n2_scale
-                               if after.n2_scale > 0 else float(before.n2_scale == 0.0) or 1.0,
+                               if after.n2_scale > 0 else 1.0,
             "floor_mse": floor / x.size,
             "total_over_floor": after.n2_total / floor if floor > 0 else 1.0,
             "cross_share_before": 2.0 * before.ip_scale_grid / before.n2_total
@@ -234,19 +226,24 @@ def cmd_of(args) -> dict:
     for name in sorted(tensors):
         x = np.asarray(tensors[name], dtype=np.float64)
         before = decompose_tensor(x, quant, keep_errors=False)
-        result = of_qdq(x, of, quant, with_mbs=args.with_mbs, mbs=mbs,
-                        mbs_mode=args.mbs_mode)
-        rates = dz_recovery_rate(x, result, quant)
-        mse_after = float(((result.x_hat - x) ** 2).mean())
+        after = decompose_tensor(x, quant, keep_errors=False,
+                                 x_hat=of_qdq(x, of, quant, mbs, args.mbs_mode).x_hat)
+        _check_identity(name, verify_identity(before), *orthogonality_check(before))
+        _check_identity(name, verify_identity(after), *orthogonality_check(after),
+                        keeps_deadzone=False)
         records.append({
             "name": name,
             "alpha": of.alpha,
             "mse_before": before.n2_total / x.size,
-            "mse_after": mse_after,
-            "dz_rate_before": rates["dz_rate_before"],
-            "dz_rate_after": rates["dz_rate_after"],
-            "dz_recovery_ratio": rates["dz_rate_after"] / rates["dz_rate_before"]
-                                 if rates["dz_rate_before"] > 0 else 0.0,
+            "mse_after": after.n2_total / x.size,
+            "n2_scale_before": before.n2_scale,
+            "n2_scale_after": after.n2_scale,
+            "scale_dz_share_after": 2.0 * after.ip_scale_dz / after.n2_total
+                                    if after.n2_total > 0 else 0.0,
+            "dz_rate_before": after.dz_fraction,
+            "dz_rate_after": after.dz_zero_fraction,
+            "dz_recovery_ratio": after.dz_zero_fraction / after.dz_fraction
+                                 if after.dz_fraction > 0 else 0.0,
         })
     return {"with_mbs": args.with_mbs, "records": records}
 
@@ -302,9 +299,7 @@ def cmd_gemm(args) -> dict:
     prop = gemm_error_propagation(tensors[name], _quant_config(args),
                                   cov=args.cov_var, samples=args.samples,
                                   seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
-    if not prop.identity_residual <= _IDENTITY_TOL:
-        raise InvariantViolation(
-            f"GEMM trace identity residual {prop.identity_residual:.3e}")
+    _check_identity(f"GEMM traces of {name}", prop.identity_residual)
     out = prop.summary_dict()
     out["weight"] = name
     return out
@@ -326,7 +321,6 @@ def cmd_aqn(args) -> dict:
             raise ValueError("stage out of range")
         tensors = _load_tensors(args)
         tset = TensorSet()
-        from .corrections import aqn_apply
         for name in sorted(tensors):
             noised = aqn_apply(tensors[name], float(sigmas[args.stage]), args.seed,
                                multiplier=schedule.multiplier_for(name), name=name)

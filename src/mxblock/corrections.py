@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decompose import decompose_tensor
 from .formats import Q_MAX, ceil_scale_array
 from .quantize import (
     _CHUNK_ELEMS,
     BlockQuantConfig,
-    _deadzone,
     _scaled_round,
     block_view,
     qdq_tensor,
@@ -192,37 +192,29 @@ class OfResult:
     x_hat: np.ndarray
     pass1: np.ndarray
     pass2: np.ndarray
-    alpha: float
 
 
 def of_qdq(x: np.ndarray, of: OfConfig, quant: BlockQuantConfig,
-           with_mbs: bool = False, mbs: MbsConfig | None = None,
-           mbs_mode: str = "exhaustive") -> OfResult:
-    """Two-pass residual QDQ; the same quantizer runs on both passes."""
+           mbs: MbsConfig | None = None, mbs_mode: str = "exhaustive") -> OfResult:
+    """Two-pass residual QDQ; both passes run MBS when mbs is given, else Q."""
     x = np.asarray(x, dtype=np.float64)
 
     def q(t: np.ndarray) -> np.ndarray:
-        if with_mbs:
-            return mbs_qdq(t, mbs or MbsConfig(), quant, mbs_mode)[0]
+        if mbs is not None:
+            return mbs_qdq(t, mbs, quant, mbs_mode)[0]
         return qdq_tensor(t, quant)
 
     pass1 = q(x)
     pass2 = q(x - pass1)
-    return OfResult(pass1 + of.alpha * pass2, pass1, pass2, of.alpha)
+    return OfResult(pass1 + of.alpha * pass2, pass1, pass2)
 
 
 def dz_recovery_rate(x: np.ndarray, of_result: OfResult,
                      quant: BlockQuantConfig) -> dict[str, float]:
-    """Deadzone occupancy before and after OF, both as fractions of all
-    elements: before counts ideal-deadzone entries, after counts those of
-    them whose reconstruction is still exactly zero."""
-    view = block_view(x, quant)
-    dead_flat = view.restore(_deadzone(view))
-    recon = np.asarray(of_result.x_hat, dtype=np.float64)
-    n = dead_flat.size
-    before = float(dead_flat.sum()) / n
-    after = float((dead_flat & (recon == 0.0)).sum()) / n
-    return {"dz_rate_before": before, "dz_rate_after": after}
+    """Deadzone occupancy before and after OF, as fractions of all elements:
+    dz_fraction and dz_zero_fraction of the OF output's decomposition."""
+    d = decompose_tensor(x, quant, keep_errors=False, x_hat=of_result.x_hat)
+    return {"dz_rate_before": d.dz_fraction, "dz_rate_after": d.dz_zero_fraction}
 
 
 # --- adaptive quantization noise -------------------------------------------------

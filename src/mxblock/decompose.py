@@ -8,14 +8,14 @@ Q(x), the coded-scale quantizer) and Q* the ideal-scale quantizer:
     e_grid  = (Q*(x) - x) off the deadzone, 0 elsewhere
     e_total = x_hat - x
 
-The two deadzone inner products <e_scale, e_dz> and <e_dz, e_grid> are
-structural zeros: the ceiling scale is >= s_star, so every element dead
-under s_star is also rounded to zero by Q, making every product term carry
-an exact 0.0 factor. The squared-norm identity then has exactly one cross
-term, 2<e_scale, e_grid>. Macro-block scaling (corrections.mbs_qdq) keeps
-both zeros: it runs Q on the prescaled block p*x, whose deadzone holds the
-same elements. Measured against the same Q*(x), its output changes only
-e_scale and e_total; Q*, e_dz and e_grid do not depend on the scale code.
+<e_dz, e_grid> is exactly 0.0 for any x_hat: the supports are disjoint.
+<e_scale, e_dz> is exactly 0.0 for Q: the ceiling scale is >= s_star, so Q
+also rounds every element dead under s_star to zero. Macro-block scaling
+(corrections.mbs_qdq) keeps that zero: it runs Q on the prescaled block p*x,
+whose deadzone holds the same elements. Outlier fallback does not: its
+residual pass writes where Q* is zero, so e_scale = x_hat meets e_dz = -x.
+verify_identity checks the full expansion n2_scale + n2_dz + n2_grid +
+2(ip_scale_grid + ip_scale_dz), the one-cross-term identity when ip_scale_dz = 0.
 
 The decomposition streams the tensor through the quantizer in cache-sized
 pieces of whole blocks (quantize._CHUNK_ELEMS elements) and adds up each
@@ -79,7 +79,8 @@ class ErrorDecomposition:
     cos_scale_dz: float
     cos_dz_grid: float
     cos_defined: dict[str, bool]
-    dz_fraction: float
+    dz_fraction: float                 # ideal-deadzone elements / all elements
+    dz_zero_fraction: float            # those of them x_hat leaves at 0.0 / all
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -114,10 +115,10 @@ def _pieces(n_rows: int, n: int, block_size: int):
 
 def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
                 out: list[np.ndarray] | None, hat: np.ndarray | None
-                ) -> tuple[np.ndarray, int]:
-    """The _SUM_PAIRS sums and the deadzone count of one 2-D piece, measuring
-    hat (the matching piece of x_hat) or, when None, Q. Its (e_scale, e_dz,
-    e_grid, e_total) are written into out when given."""
+                ) -> tuple[np.ndarray, int, int]:
+    """The _SUM_PAIRS sums, the deadzone count and its count of zero outputs
+    of one 2-D piece, measuring hat (the matching piece of x_hat) or, when
+    None, Q. Its (e_scale, e_dz, e_grid, e_total) are written into out."""
     view = block_view(piece, config)
     if hat is None:
         q, qstar, dead, _ = qdq_views(view, config)
@@ -127,6 +128,8 @@ def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
         qstar, dead = _ideal_views(view)
         q = _pad_rows(hat, config.block_size).reshape(qstar.shape)
         total_buf = None                # q may view the caller's x_hat
+    dead &= view.valid                  # padding is not counted
+    zeros = int(np.count_nonzero(dead & (q == 0.0)))   # before e_total overwrites Q
 
     e_scale = q - qstar
     e_total = np.subtract(q, view.blocks, out=total_buf)
@@ -141,14 +144,14 @@ def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
         for dst, e in zip(out, errors):
             dst[...] = e
     sums = np.array([_dot(errors[i], errors[j]) for i, j in _SUM_PAIRS])
-    return sums, int(np.count_nonzero(dead & view.valid))
+    return sums, int(np.count_nonzero(dead)), zeros
 
 
 def decompose_tensor(x: np.ndarray, config: BlockQuantConfig, *,
                      keep_errors: bool = True,
                      x_hat: np.ndarray | None = None) -> ErrorDecomposition:
     """The three-way split of x_hat - x, its norms, inner products and
-    cosines, and the deadzone fraction.
+    cosines, and the deadzone fractions.
 
     x_hat, with x's shape, is the quantizer output to measure (default: the
     plain coded-scale Q(x)); it is only read. Q*(x) and the deadzone always
@@ -170,13 +173,14 @@ def decompose_tensor(x: np.ndarray, config: BlockQuantConfig, *,
         x_hat = x_hat.reshape(-1, n)
     errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
     sums = None
-    dead_count = 0
+    dead_count = zero_count = 0
     for piece in _pieces(rows.shape[0], n, config.block_size):
         out = [e.reshape(-1, n)[piece] for e in errors] if keep_errors else None
         hat = None if x_hat is None else x_hat[piece]
-        piece_sums, dead = _piece_sums(rows[piece], config, out, hat)
+        piece_sums, dead, zero = _piece_sums(rows[piece], config, out, hat)
         sums = piece_sums if sums is None else sums + piece_sums
         dead_count += dead
+        zero_count += zero
 
     n2_scale, n2_dz, n2_grid, n2_total, ip_sg, ip_sd, ip_dg = (float(v) for v in sums)
     cos_sg, def_sg = _cos(ip_sg, n2_scale, n2_grid)
@@ -190,7 +194,7 @@ def decompose_tensor(x: np.ndarray, config: BlockQuantConfig, *,
         ip_scale_grid=ip_sg, ip_scale_dz=ip_sd, ip_dz_grid=ip_dg,
         cos_scale_grid=cos_sg, cos_scale_dz=cos_sd, cos_dz_grid=cos_dg,
         cos_defined={"scale_grid": def_sg, "scale_dz": def_sd, "dz_grid": def_dg},
-        dz_fraction=dead_count / x.size)
+        dz_fraction=dead_count / x.size, dz_zero_fraction=zero_count / x.size)
 
 
 class InvariantViolation(AssertionError):
@@ -199,14 +203,25 @@ class InvariantViolation(AssertionError):
 
 
 def verify_identity(d: ErrorDecomposition, eps: float = 1e-300) -> float:
-    """Relative residual of ||e||^2 against the component expansion."""
-    expanded = d.n2_scale + d.n2_dz + d.n2_grid + 2.0 * d.ip_scale_grid
+    """Relative residual of ||e||^2 against the full expansion (module
+    docstring): ip_scale_dz is 0.0 for Q and MBS, not for outlier fallback."""
+    expanded = d.n2_scale + d.n2_dz + d.n2_grid + 2.0 * (d.ip_scale_grid + d.ip_scale_dz)
     return abs(d.n2_total - expanded) / max(d.n2_total, eps)
 
 
 def orthogonality_check(d: ErrorDecomposition) -> tuple[float, float]:
-    """The two deadzone inner products; both must be exactly 0.0."""
+    """The two deadzone inner products (ip_scale_dz, ip_dz_grid)."""
     return d.ip_scale_dz, d.ip_dz_grid
+
+
+def _check_identity(name: str, residual: float, ip_scale_dz: float = 0.0,
+                    ip_dz_grid: float = 0.0, keeps_deadzone: bool = True) -> None:
+    """The one split rule behind exit code 3: residual within _IDENTITY_TOL,
+    ip_dz_grid == 0.0, and ip_scale_dz == 0.0 unless keeps_deadzone is False (OF)."""
+    if not residual <= _IDENTITY_TOL:   # a nan residual fails too
+        raise InvariantViolation(f"identity residual {residual:.3e} on {name}")
+    if ip_dz_grid != 0.0 or (keeps_deadzone and ip_scale_dz != 0.0):
+        raise InvariantViolation(f"deadzone inner product nonzero on {name}")
 
 
 @dataclass
@@ -293,10 +308,11 @@ def scale_precision_sweep(x: np.ndarray, m_list: Iterable[int] = range(9),
     """Decomposition series over scale mantissa widths.
 
     e_grid and e_dz must be bitwise constant across M (they depend only on
-    s_star); a violation raises, because it can only be a kernel bug. Total
-    MSE is reported with a monotonicity flag rather than asserted: it is
-    non-increasing on every tensor family tested, but nothing forbids a
-    small tensor from trading a lucky rounding away as the scale tightens.
+    s_star) and each split must pass _check_identity; a violation raises,
+    because it can only be a kernel bug. Total MSE is reported with a
+    monotonicity flag rather than asserted: it is non-increasing on every
+    tensor family tested, but nothing forbids a small tensor from trading a
+    lucky rounding away as the scale tightens.
     """
     m_list = list(m_list)
     if not m_list:
@@ -308,6 +324,7 @@ def scale_precision_sweep(x: np.ndarray, m_list: Iterable[int] = range(9),
     for m in m_list:
         cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
         d = decompose_tensor(x, cfg)
+        _check_identity(f"M={m}", verify_identity(d), *orthogonality_check(d))
         if ref_grid is None:
             ref_grid, ref_dz = d.e_grid, d.e_dz
         elif not (np.array_equal(ref_grid, d.e_grid)

@@ -263,14 +263,10 @@ def quantize_block_ideal(block: np.ndarray, config: BlockQuantConfig) -> BlockQu
 
 
 def deadzone_mask(block: np.ndarray) -> np.ndarray:
-    """|x_i| < m_b / 24, strict; all False when the block is all zero."""
+    """|x_i| < m_b / 24, strict, the array taken as one block; all False if all zero."""
     block = np.asarray(block, dtype=np.float64)
-    if not np.isfinite(block).all():
-        raise ValueError("non-finite input")
-    m_b = np.abs(block).max()
-    if m_b == 0.0:
-        return np.zeros(block.shape, dtype=bool)
-    return np.abs(block) < m_b / 24.0
+    view = block_view(block.reshape(1, -1), BlockQuantConfig(max(1, block.size)))
+    return _deadzone(view).reshape(block.shape)
 
 
 def quantize_tensor(x: np.ndarray, config: BlockQuantConfig) -> QuantizedTensor:

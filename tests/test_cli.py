@@ -3,15 +3,20 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import mxblock
 import mxblock.cli as cli
-from mxblock import __version__
+from mxblock import __version__, decompose
 from mxblock.analysis import TempFit
 from mxblock.cli import main
+from mxblock.decompose import decompose_tensor, verify_identity
+from mxblock.quantize import BlockQuantConfig, _deadzone, block_view
 from mxblock.tensorstore import TensorSet, load_container, save_container
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
@@ -24,6 +29,22 @@ def worked_container(tmp_path):
     path = str(tmp_path / "worked.tensors")
     save_container(ts, path)
     return path
+
+
+# An outlier-fallback output with one nan: the split's norms turn nan, which
+# the identity check must reject. Run as a script, so that it can run under -O.
+_BROKEN_OF_SCRIPT = """
+import sys
+import numpy as np
+import mxblock.cli as cli
+real = cli.of_qdq
+def broken(*args, **kwargs):
+    res = real(*args, **kwargs)
+    res.x_hat.flat[0] = np.nan
+    return res
+cli.of_qdq = broken
+sys.exit(cli.main(["of", "--synth", "gaussian:8x128"]))
+"""
 
 
 def _run(capsys, argv):
@@ -188,6 +209,54 @@ class TestExitCodes:
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "invariant violation" in err
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_broken_of_split_is_3(self, flags):
+        src = os.path.dirname(os.path.dirname(mxblock.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, *flags, "-c", _BROKEN_OF_SCRIPT],
+                             env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True)
+        assert run.returncode == 3 and run.stdout == ""
+        assert "invariant violation: identity residual nan" in run.stderr
+
+    def test_mbs_with_one_live_deadzone_entry_is_3(self, capsys, monkeypatch):
+        # MBS output that keeps one ideal-deadzone element at its input value:
+        # the full expansion still closes, so only the rule that Q and MBS
+        # keep <e_scale, e_dz> at exactly 0.0 can catch it
+        real = cli.mbs_qdq
+        quant = BlockQuantConfig()
+        seen = {}
+
+        def leaky(x, *args, **kwargs):
+            x_hat, codes = real(x, *args, **kwargs)
+            view = block_view(x, quant)
+            i = np.flatnonzero(view.restore(_deadzone(view)))[0]
+            x_hat.flat[i] = x.flat[i]
+            seen.update(x=x, x_hat=x_hat)
+            return x_hat, codes
+
+        monkeypatch.setattr(cli, "mbs_qdq", leaky)
+        code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
+        assert code == 3 and out == ""
+        assert "deadzone inner product nonzero" in err
+        d = decompose_tensor(seen["x"], quant, keep_errors=False, x_hat=seen["x_hat"])
+        assert verify_identity(d) <= 1e-12 and d.ip_scale_dz < 0.0
+
+    @pytest.mark.parametrize("command", ["decompose", "mbs", "of", "sweep"])
+    def test_inflated_total_norm_is_3(self, capsys, monkeypatch, command):
+        piece_sums = decompose._piece_sums
+
+        def inflated(*args):
+            sums, dead, zeros = piece_sums(*args)
+            sums = sums.copy()
+            sums[3] *= 1.5                  # n2_total
+            return sums, dead, zeros
+
+        monkeypatch.setattr(decompose, "_piece_sums", inflated)
+        code, out, err = _run(capsys, [command, "--synth", "gaussian:8x128"])
+        assert code == 3 and out == ""
+        assert "invariant violation: identity residual" in err
 
     @pytest.mark.parametrize("command", ["decompose", "mbs"])
     def test_overflowing_norms_give_no_report(self, capsys, tmp_path, command):

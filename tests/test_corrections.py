@@ -294,8 +294,7 @@ class TestOutlierFallback:
         rng = np.random.default_rng(72)
         x = rng.standard_normal((4, 256))
         quant = BlockQuantConfig()
-        res = of_qdq(x, OfConfig(), quant, with_mbs=True,
-                     mbs=MbsConfig(macro_block_size=128),
+        res = of_qdq(x, OfConfig(), quant, mbs=MbsConfig(macro_block_size=128),
                      mbs_mode="closed_form")
         want, _ = mbs_qdq(x, MbsConfig(macro_block_size=128), quant,
                           "closed_form")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mxblock import decompose, quantize
-from mxblock.corrections import MbsConfig, mbs_qdq
+from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
 from mxblock.decompose import (
     DecompReport,
     decompose_tensor,
@@ -477,6 +477,68 @@ class TestMbsSplitProperty:
         d = decompose_tensor(x, quant, keep_errors=False, x_hat=x_hat)
         assert orthogonality_check(d) == (0.0, 0.0)
         assert verify_identity(d) <= 1e-12
+
+
+def _expansion_error(d):
+    """|n2_total - full expansion| relative to the norms the expansion adds
+    up. Its rounding scales with those norms, not with n2_total, which is far
+    smaller when x_hat nearly equals x but Q*(x) does not: at x = [1, 0.75 +
+    1e-15], B = 2, Q(x) is x to within 1e-15, n2_total is 1e-30 and
+    verify_identity's residual, relative to n2_total, reads 1.0."""
+    expanded = (d.n2_scale + d.n2_dz + d.n2_grid
+                + 2.0 * (d.ip_scale_grid + d.ip_scale_dz))
+    norms = d.n2_scale + d.n2_dz + d.n2_grid + d.n2_total
+    return abs(d.n2_total - expanded) / norms if norms > 0 else 0.0
+
+
+@st.composite
+def _of_cases(draw):
+    x, quant, mbs, mode = draw(_mbs_cases())
+    alpha = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    return x, quant, draw(st.sampled_from([None, mbs])), mode, alpha
+
+
+class TestOfSplitProperty:
+    """Outlier fallback writes values where Q* is zero, so <e_scale, e_dz> is
+    no longer a structural zero. The full expansion still holds, <e_dz, e_grid>
+    stays exactly 0.0, and OF can only take elements out of the deadzone. Its
+    first pass, plain Q or MBS, keeps both deadzone zeros."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_of_cases())
+    def test_full_expansion_and_recovery(self, case):
+        x, quant, mbs, mode, alpha = case
+        res = of_qdq(x, OfConfig(alpha=alpha), quant, mbs, mode)
+        d = decompose_tensor(x, quant, keep_errors=False, x_hat=res.x_hat)
+        assert d.ip_dz_grid == 0.0
+        assert _expansion_error(d) <= 1e-12
+        assert d.dz_zero_fraction <= d.dz_fraction
+        kept = [None, res.pass1] + ([res.x_hat] if alpha == 0.0 else [])
+        for x_hat in kept:              # None: the plain path, which measures Q
+            k = decompose_tensor(x, quant, keep_errors=False, x_hat=x_hat)
+            assert k.dz_zero_fraction == k.dz_fraction
+            assert k.ip_scale_dz == 0.0 and k.ip_dz_grid == 0.0
+            assert _expansion_error(k) <= 1e-12
+
+
+class TestOfSplit:
+    def test_of_breaks_only_the_scale_dz_zero(self):
+        # the residual pass writes where Q* is zero: <e_scale, e_dz> is
+        # negative, so the one-cross-term expansion no longer closes
+        x = np.random.default_rng(48).standard_t(5.0, size=(128, 256))
+        quant = BlockQuantConfig()
+        q = decompose_tensor(x, quant, keep_errors=False)
+        res = of_qdq(x, OfConfig(alpha=0.5), quant)
+        d = decompose_tensor(x, quant, keep_errors=False, x_hat=res.x_hat)
+        assert d.ip_dz_grid == 0.0 and d.ip_scale_dz < 0.0
+        assert verify_identity(d) <= 1e-12
+        one_cross = d.n2_scale + d.n2_dz + d.n2_grid + 2.0 * d.ip_scale_grid
+        assert abs(d.n2_total - one_cross) / d.n2_total > 1e-3
+        assert d.n2_scale < q.n2_scale
+        assert 0.0 < d.dz_zero_fraction < d.dz_fraction == q.dz_fraction
+        assert q.dz_zero_fraction == q.dz_fraction
+        assert d.n2_total / x.size == pytest.approx(((res.x_hat - x) ** 2).mean(),
+                                                    rel=1e-13)
 
 
 def _peak_bytes(fn):
