@@ -61,6 +61,8 @@ from .analysis import (
     gemm_error_propagation,
 )
 from .tensorstore import (
+    ContainerReader,
+    StoredTensor,
     SynthSpec,
     TensorEntry,
     TensorSet,

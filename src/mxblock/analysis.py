@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
-from .decompose import InvariantViolation, decompose_tensor
+from .decompose import InvariantViolation, _as_tensor, _row_pieces, decompose_tensor
 from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _deadzone, block_view
 
 __all__ = [
@@ -72,12 +72,12 @@ class GammaStats:
         }
 
 
-def _as_arrays(tensors) -> list[np.ndarray]:
+def _as_tensors(tensors) -> list:
     if isinstance(tensors, np.ndarray):
-        return [tensors]
+        return [_as_tensor(tensors)]
     if isinstance(tensors, Mapping):
-        return [np.asarray(tensors[k], dtype=np.float64) for k in sorted(tensors)]
-    return [np.asarray(t, dtype=np.float64) for t in tensors]
+        return [_as_tensor(tensors[k]) for k in sorted(tensors)]
+    return [_as_tensor(t) for t in tensors]
 
 
 def gamma_stats(tensors, config: BlockQuantConfig | None = None,
@@ -85,20 +85,23 @@ def gamma_stats(tensors, config: BlockQuantConfig | None = None,
     """Distribution of the ceiling-scale overshoot across blocks.
 
     Accepts one array, a sequence of arrays, or a name-to-array mapping
-    (mappings are walked in sorted-name order). All-zero blocks carry no
-    scale and are skipped; the count is reported. Requires at least
-    min_blocks live blocks.
+    (mappings are walked in sorted-name order); tensorstore.StoredTensors
+    may stand in for arrays. Each tensor is read in the decomposition's
+    pieces, which hold whole blocks, so the per-block deltas are those of
+    the whole tensor, in its order. All-zero blocks carry no scale and are
+    skipped; the count is reported. Requires at least min_blocks live blocks.
     """
     config = config or BlockQuantConfig()
     deltas = []
     skipped = 0
-    for arr in _as_arrays(tensors):
-        view = block_view(arr, config)
-        s_star = view.s_star[view.nonzero]
-        skipped += int((~view.nonzero).sum())
-        if s_star.size:
-            log2s = np.log2(s_star)
-            deltas.append(np.ceil(log2s) - log2s)
+    for x in _as_tensors(tensors):
+        for _, _, piece in _row_pieces(x, config.block_size):
+            view = block_view(piece, config)
+            s_star = view.s_star[view.nonzero]
+            skipped += int((~view.nonzero).sum())
+            if s_star.size:
+                log2s = np.log2(s_star)
+                deltas.append(np.ceil(log2s) - log2s)
     delta = np.concatenate(deltas) if deltas else np.empty(0)
     if delta.size < min_blocks:
         raise ValueError(f"need at least {min_blocks} live blocks, got {delta.size}")

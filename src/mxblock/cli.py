@@ -12,6 +12,7 @@ invariant violation. An identity failure is a bug, never a warning.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -41,6 +42,7 @@ from .decompose import (
 )
 from .quantize import BlockQuantConfig
 from .tensorstore import (
+    ContainerReader,
     SynthSpec,
     TensorSet,
     TensorStoreError,
@@ -143,6 +145,17 @@ def _load_tensors(args) -> dict[str, np.ndarray]:
     raise ValueError("need --input or --synth")
 
 
+@contextlib.contextmanager
+def _streamed_tensors(args):
+    """The input tensors for a command that reads them piece by piece: a
+    container is opened, not loaded, and its tensors are StoredTensors."""
+    if args.input and not args.synth:
+        with ContainerReader(args.input) as reader:
+            yield reader.tensors
+    else:
+        yield _load_tensors(args)
+
+
 def _quant_config(args) -> BlockQuantConfig:
     return BlockQuantConfig(block_size=args.block_size,
                             scale_mantissa_bits=args.scale_mantissa_bits)
@@ -152,7 +165,8 @@ def _quant_config(args) -> BlockQuantConfig:
 
 
 def cmd_decompose(args) -> dict:
-    report = tensor_stats(_load_tensors(args), _quant_config(args))
+    with _streamed_tensors(args) as tensors:
+        report = tensor_stats(tensors, _quant_config(args))
     for rec in report.records:
         _check_identity(rec["name"], rec["identity_residual"], *rec["dz_inner_products"])
     return report.to_json_dict()
@@ -167,7 +181,7 @@ def cmd_sweep(args) -> dict:
     total_elems = 0
     for name in sorted(tensors):
         x = np.asarray(tensors[name], dtype=np.float64)
-        series = scale_precision_sweep(x, m_list, args.block_size)
+        series = scale_precision_sweep(x, m_list, args.block_size, name)
         per_tensor[name] = series
         for i, row in enumerate(series):
             pooled_n2[i] += np.array([row["mse_total"], row["mse_scale"],
@@ -249,7 +263,8 @@ def cmd_of(args) -> dict:
 
 
 def cmd_gamma(args) -> dict:
-    stats = gamma_stats(_load_tensors(args), _quant_config(args))
+    with _streamed_tensors(args) as tensors:
+        stats = gamma_stats(tensors, _quant_config(args))
     return stats.summary_dict()
 
 

@@ -15,14 +15,19 @@ also rounds every element dead under s_star to zero. Macro-block scaling
 whose deadzone holds the same elements. Outlier fallback does not: its
 residual pass writes where Q* is zero, so e_scale = x_hat meets e_dz = -x.
 verify_identity checks the full expansion n2_scale + n2_dz + n2_grid +
-2(ip_scale_grid + ip_scale_dz), the one-cross-term identity when ip_scale_dz = 0.
+2(ip_scale_grid + ip_scale_dz), the one-cross-term identity when ip_scale_dz = 0,
+relative to the norms the expansion adds up.
 
 The decomposition streams the tensor through the quantizer in cache-sized
 pieces of whole blocks (quantize._CHUNK_ELEMS elements) and adds up each
 piece's norms and inner products. Every error element is the one the
 whole-tensor computation gives; the sums differ from one-shot dot products
-only in summation order. Without the error arrays (tensor_stats), the working
-memory is the input plus one piece.
+only in summation order. The pieces are slices of an in-memory array, or,
+for a tensorstore.StoredTensor, read from its container file one at a time;
+the same pieces in the same order either way, so the sums are the same bits.
+Every piece-sized temporary lives in one workspace for the whole call.
+Without the error arrays (tensor_stats), the working memory is the input plus
+one piece for an array, and one piece for a stored tensor.
 """
 
 from __future__ import annotations
@@ -35,11 +40,14 @@ import numpy as np
 from .quantize import (
     _CHUNK_ELEMS,
     BlockQuantConfig,
+    BlockView,
     _ideal_views,
     _pad_rows,
+    _Workspace,
     block_view,
     qdq_views,
 )
+from .tensorstore import StoredTensor
 
 __all__ = [
     "ErrorDecomposition",
@@ -113,33 +121,77 @@ def _pieces(n_rows: int, n: int, block_size: int):
             yield slice(r, r + step), slice(c, c + cols)
 
 
+def _as_tensor(x) -> np.ndarray | StoredTensor:
+    """x as a float64 array, or a StoredTensor as it is; never empty."""
+    if not isinstance(x, StoredTensor):
+        x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("empty tensor")
+    return x
+
+
+def _row_pieces(x: np.ndarray | StoredTensor, block_size: int):
+    """(rows, cols, piece) for each of _pieces' pieces of x's (n_rows, n)
+    row matrix: a slice of an array, or read from a stored tensor's file
+    into its reader's one reused buffer, valid until the next piece. A piece
+    is whole rows or part of one row, so it is one contiguous run of x."""
+    n = x.shape[-1] if x.ndim else 1
+    n_rows = x.size // n
+    matrix = None if isinstance(x, StoredTensor) else x.reshape(n_rows, n)
+    for r, c in _pieces(n_rows, n, block_size):
+        if matrix is None:
+            height = min(r.stop, n_rows) - r.start
+            width = min(c.stop, n) - c.start
+            flat = x.read(r.start * n + c.start, height * width)
+            yield r, c, flat.reshape(height, width)
+        else:
+            yield r, c, matrix[r, c]
+
+
+def _unpadded(view: BlockView, blocked: np.ndarray, work: _Workspace, name: str) -> np.ndarray:
+    """blocked without its padding, as a contiguous array for the dot
+    products: a view when the piece has no padding, else a copy into work."""
+    e = view.restore(blocked)
+    if e.flags.c_contiguous:
+        return e
+    dst = work.take(name, e.shape)
+    dst[...] = e
+    return dst
+
+
 def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
-                out: list[np.ndarray] | None, hat: np.ndarray | None
-                ) -> tuple[np.ndarray, int, int]:
+                out: list[np.ndarray] | None, hat: np.ndarray | None,
+                work: _Workspace) -> tuple[np.ndarray, int, int]:
     """The _SUM_PAIRS sums, the deadzone count and its count of zero outputs
     of one 2-D piece, measuring hat (the matching piece of x_hat) or, when
-    None, Q. Its (e_scale, e_dz, e_grid, e_total) are written into out."""
+    None, Q. Its (e_scale, e_dz, e_grid, e_total) are written into out.
+    Every piece-sized array is one of work's."""
     view = block_view(piece, config)
+    shape = view.blocks.shape
     if hat is None:
-        q, qstar, dead, _ = qdq_views(view, config)
+        q, qstar, dead, _ = qdq_views(view, config, work)
         total_buf = q                   # e_total overwrites Q
     else:
         # Q is not needed: only Q* and the deadzone are rounded
-        qstar, dead = _ideal_views(view)
-        q = _pad_rows(hat, config.block_size).reshape(qstar.shape)
-        total_buf = None                # q may view the caller's x_hat
+        qstar, dead = _ideal_views(view, work)
+        q = _pad_rows(hat, config.block_size).reshape(shape)
+        total_buf = work.take("q", shape)   # q may view the caller's x_hat
     dead &= view.valid                  # padding is not counted
-    zeros = int(np.count_nonzero(dead & (q == 0.0)))   # before e_total overwrites Q
+    zero = np.equal(q, 0.0, out=work.take("zero", shape, bool))
+    zero &= dead
+    zeros = int(np.count_nonzero(zero))         # before e_total overwrites Q
 
-    e_scale = q - qstar
+    e_scale = np.subtract(q, qstar, out=work.take("e_scale", shape))
     e_total = np.subtract(q, view.blocks, out=total_buf)
     resid = qstar
     resid -= view.blocks                # Q*(x) - x
-    e_dz = np.where(dead, resid, 0.0)
+    e_dz = work.take("e_dz", shape)
+    e_dz.fill(0.0)
+    np.copyto(e_dz, resid, where=dead)
     e_grid = resid
-    e_grid[dead] = 0.0
-    errors = [np.ascontiguousarray(view.restore(e))
-              for e in (e_scale, e_dz, e_grid, e_total)]
+    np.copyto(e_grid, 0.0, where=dead)
+    errors = [_unpadded(view, e, work, f"unpadded_{i}")
+              for i, e in enumerate((e_scale, e_dz, e_grid, e_total))]
     if out is not None:
         for dst, e in zip(out, errors):
             dst[...] = e
@@ -147,37 +199,36 @@ def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
     return sums, int(np.count_nonzero(dead)), zeros
 
 
-def decompose_tensor(x: np.ndarray, config: BlockQuantConfig, *,
+def decompose_tensor(x: np.ndarray | StoredTensor, config: BlockQuantConfig, *,
                      keep_errors: bool = True,
                      x_hat: np.ndarray | None = None) -> ErrorDecomposition:
     """The three-way split of x_hat - x, its norms, inner products and
     cosines, and the deadzone fractions.
 
-    x_hat, with x's shape, is the quantizer output to measure (default: the
-    plain coded-scale Q(x)); it is only read. Q*(x) and the deadzone always
-    come from x, so only e_scale and e_total depend on x_hat.
+    x is an array or a tensorstore.StoredTensor, whose pieces are read from
+    its file. x_hat, with x's shape, is the quantizer output to measure
+    (default: the plain coded-scale Q(x)); it is only read. Q*(x) and the
+    deadzone always come from x, so only e_scale and e_total depend on x_hat.
 
     The sums accumulate piece by piece (see the module docstring). With
     keep_errors=False the e_* fields are None and no full-size array is
     allocated; tensor_stats and the outlier-fallback and MBS reports need
     only the sums."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty tensor")
+    x = _as_tensor(x)
     n = x.shape[-1] if x.ndim else 1
-    rows = x.reshape(-1, n)
     if x_hat is not None:
         x_hat = np.asarray(x_hat, dtype=np.float64)
         if x_hat.shape != x.shape:
             raise ValueError(f"x_hat shape {x_hat.shape} does not match x shape {x.shape}")
         x_hat = x_hat.reshape(-1, n)
     errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
+    work = _Workspace()
     sums = None
     dead_count = zero_count = 0
-    for piece in _pieces(rows.shape[0], n, config.block_size):
-        out = [e.reshape(-1, n)[piece] for e in errors] if keep_errors else None
-        hat = None if x_hat is None else x_hat[piece]
-        piece_sums, dead, zero = _piece_sums(rows[piece], config, out, hat)
+    for r, c, piece in _row_pieces(x, config.block_size):
+        out = [e.reshape(-1, n)[r, c] for e in errors] if keep_errors else None
+        hat = None if x_hat is None else x_hat[r, c]
+        piece_sums, dead, zero = _piece_sums(piece, config, out, hat, work)
         sums = piece_sums if sums is None else sums + piece_sums
         dead_count += dead
         zero_count += zero
@@ -203,10 +254,15 @@ class InvariantViolation(AssertionError):
 
 
 def verify_identity(d: ErrorDecomposition, eps: float = 1e-300) -> float:
-    """Relative residual of ||e||^2 against the full expansion (module
-    docstring): ip_scale_dz is 0.0 for Q and MBS, not for outlier fallback."""
+    """Residual of ||e||^2 against the full expansion (module docstring),
+    relative to n2_scale + n2_dz + n2_grid + n2_total: ip_scale_dz is 0.0 for
+    Q and MBS, not for outlier fallback. The rounding of the expansion scales
+    with the norms it adds up, not with n2_total, which is far smaller when
+    x_hat is within rounding of x but Q*(x) is not: at x = [1, 0.75 + 1e-15],
+    B = 2, n2_total is 1e-30 against n2_scale 6.9e-3."""
     expanded = d.n2_scale + d.n2_dz + d.n2_grid + 2.0 * (d.ip_scale_grid + d.ip_scale_dz)
-    return abs(d.n2_total - expanded) / max(d.n2_total, eps)
+    norms = d.n2_scale + d.n2_dz + d.n2_grid + d.n2_total
+    return abs(d.n2_total - expanded) / max(norms, eps)
 
 
 def orthogonality_check(d: ErrorDecomposition) -> tuple[float, float]:
@@ -256,14 +312,15 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     Shares divide component norms^2 by ||e||^2 per tensor, then aggregate
     across tensors; tensors quantizing exactly (mse 0) are flagged and
     excluded from share aggregates. The norms and inner products are
-    accumulated over cache-sized pieces and no error array is kept, so
-    the working memory is the input plus one piece.
+    accumulated over cache-sized pieces and no error array is kept, so the
+    working memory is the input plus one piece, or one piece when the
+    tensors are tensorstore.StoredTensors streamed from their file.
     """
     if not tensors:
         raise ValueError("empty tensor set")
     records = []
     for name in sorted(tensors):
-        x = np.asarray(tensors[name], dtype=np.float64)
+        x = _as_tensor(tensors[name])
         d = decompose_tensor(x, config, keep_errors=False)
         numel = x.size
         mse = d.n2_total / numel
@@ -304,12 +361,13 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
 
 
 def scale_precision_sweep(x: np.ndarray, m_list: Iterable[int] = range(9),
-                          block_size: int = 32) -> list[dict]:
+                          block_size: int = 32, name: str = "tensor") -> list[dict]:
     """Decomposition series over scale mantissa widths.
 
     e_grid and e_dz must be bitwise constant across M (they depend only on
     s_star) and each split must pass _check_identity; a violation raises,
-    because it can only be a kernel bug. Total MSE is reported with a
+    naming the tensor and M, because it can only be a kernel bug. Total MSE
+    is reported with a
     monotonicity flag rather than asserted: it is non-increasing on every
     tensor family tested, but nothing forbids a small tensor from trading a
     lucky rounding away as the scale tightens.
@@ -324,12 +382,13 @@ def scale_precision_sweep(x: np.ndarray, m_list: Iterable[int] = range(9),
     for m in m_list:
         cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
         d = decompose_tensor(x, cfg)
-        _check_identity(f"M={m}", verify_identity(d), *orthogonality_check(d))
+        _check_identity(f"{name}, M={m}", verify_identity(d), *orthogonality_check(d))
         if ref_grid is None:
             ref_grid, ref_dz = d.e_grid, d.e_dz
         elif not (np.array_equal(ref_grid, d.e_grid)
                   and np.array_equal(ref_dz, d.e_dz)):
-            raise InvariantViolation("grid/deadzone error changed with scale precision")
+            raise InvariantViolation(f"grid/deadzone error changed with scale "
+                                     f"precision on {name}, M={m}")
         out.append({"M": m,
                     "mse_total": d.n2_total / numel,
                     "mse_scale": d.n2_scale / numel,

@@ -131,8 +131,11 @@ class ScaleCode:
 # --- vector kernels ----------------------------------------------------------
 
 
-def _grid_magnitude(u: np.ndarray) -> np.ndarray:
-    """Nearest grid magnitude to |u|, as a new float64 array.
+def _grid_magnitude(u: np.ndarray, out: np.ndarray | None = None,
+                    field: np.ndarray | None = None) -> np.ndarray:
+    """Nearest grid magnitude to |u|, into out (u itself may be out) or a
+    new float64 array. field, if given, is an int64 scratch array of u's
+    shape.
 
     a = min(|u|, q_max) lies in [2^(e-1), 2^e) with e <= 3, and the grid
     step there is 2^max(e - 2, -1). a's biased exponent field is e + 1022,
@@ -141,10 +144,13 @@ def _grid_magnitude(u: np.ndarray) -> np.ndarray:
     Exact: dividing by a power of two, rint and multiplying back lose no
     bits. fmin, unlike minimum, also saturates nan to q_max."""
     u = np.asarray(u, dtype=np.float64)
-    a = np.abs(u, out=np.empty(u.shape))    # an array also for 0-d input
+    if out is None:
+        out = np.empty(u.shape)             # an array also for 0-d input
+    a = np.abs(u, out=out)
     np.fmin(a, Q_MAX, out=a)
-    field = np.right_shift(a.view(np.int64), _MANTISSA_BITS,
-                           out=np.empty(u.shape, dtype=np.int64))
+    if field is None:
+        field = np.empty(u.shape, dtype=np.int64)
+    np.right_shift(a.view(np.int64), _MANTISSA_BITS, out=field)
     np.maximum(field, 1023, out=field)
     field -= 1
     field <<= _MANTISSA_BITS

@@ -10,6 +10,7 @@ a sentinel unit scale, and every error component on them is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,9 @@ from .formats import (
     GRID_MAGNITUDES,
     Q_MAX,
     ScaleCode,
+    _grid_magnitude,
     ceil_scale_array,
     grid_index_array,
-    grid_round_array,
 )
 
 __all__ = [
@@ -119,6 +120,33 @@ class QuantizedTensor:
 _CHUNK_ELEMS = 1 << 17
 
 
+class _Workspace:
+    """Named scratch arrays that a loop over pieces reuses for its whole run.
+    A kernel given one writes into take(name, shape, dtype) rather than into
+    a new array. Each name keeps the largest byte buffer it has handed out,
+    in any dtype, so one name holds one live array at a time. Fresh
+    piece-sized temporaries on every piece cost page faults: the allocator
+    hands the freed pages back to the system and faults them in again on
+    the next piece."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _take(work: _Workspace | None, name: str, shape: tuple[int, ...],
+          dtype=np.float64) -> np.ndarray:
+    """work's scratch array for name, or a new array without a workspace."""
+    return np.empty(shape, dtype) if work is None else work.take(name, shape, dtype)
+
+
 def _blocks_per_row(n: int, B: int) -> int:
     return (n + B - 1) // B
 
@@ -183,24 +211,30 @@ def block_view(x: np.ndarray, config: BlockQuantConfig) -> BlockView:
 # --- core kernels (array in, array out) --------------------------------------
 
 
-def _scaled_round(blocks: np.ndarray, scale: np.ndarray,
-                  nonzero: np.ndarray) -> np.ndarray:
-    """scale * grid_round(blocks / scale), one scale per row; all-zero rows
-    stay zero. The one QDQ rounding step: qdq_views runs it for Q and Q*,
-    _ideal_views for Q* alone, qdq_tensor and the exhaustive MBS trials in
-    corrections for Q alone."""
+def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray,
+                  out: np.ndarray | None = None,
+                  work: _Workspace | None = None) -> np.ndarray:
+    """scale * grid_round(blocks / scale), one scale per row, into out or a
+    new array; all-zero rows stay zero. The one QDQ rounding step: qdq_views
+    runs it for Q and Q*, _ideal_views for Q* alone, qdq_tensor and the
+    exhaustive MBS trials in corrections for Q alone."""
     safe = np.where(nonzero, scale, 1.0)[:, None]
-    q = grid_round_array(blocks / safe)
+    q = np.divide(blocks, safe, out=out)
+    _grid_magnitude(q, q, _take(work, "scratch", q.shape, np.int64))
+    np.copysign(q, blocks, out=q)      # the sign of blocks / safe: safe > 0
     q *= safe
     q[~nonzero] = 0.0                  # +0.0, where a -0.0 input rounded to -0.0
     return q
 
 
-def _deadzone(view: BlockView) -> np.ndarray:
+def _deadzone(view: BlockView, work: _Workspace | None = None) -> np.ndarray:
     """The ideal-scale deadzone |x| < m_b/24, strict, False on all-zero
     blocks."""
     thr = (view.m_b / 24.0)[:, None]
-    return (np.abs(view.blocks) < thr) & view.nonzero[:, None]
+    mag = np.abs(view.blocks, out=_take(work, "scratch", view.blocks.shape))
+    dead = np.less(mag, thr, out=_take(work, "dead", mag.shape, bool))
+    dead &= view.nonzero[:, None]
+    return dead
 
 
 def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
@@ -210,23 +244,29 @@ def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
     return (np.sign(u) * grid_index_array(np.abs(u))).astype(np.int8)
 
 
-def _ideal_views(view: BlockView) -> tuple[np.ndarray, np.ndarray]:
+def _ideal_views(view: BlockView, work: _Workspace | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """(qstar, dead) on the blocked view: the half of qdq_views that does not
     depend on the scale code. The decomposition of a given x_hat needs only
     this half."""
-    return _scaled_round(view.blocks, view.s_star, view.nonzero), _deadzone(view)
+    qstar = _take(work, "qstar", view.blocks.shape)
+    return (_scaled_round(view.blocks, view.s_star, view.nonzero, qstar, work),
+            _deadzone(view, work))
 
 
-def qdq_views(view: BlockView, config: BlockQuantConfig
+def qdq_views(view: BlockView, config: BlockQuantConfig,
+              work: _Workspace | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(qdq, qstar, dead, s_decoded) on the blocked view.
 
     dead is the ideal-scale deadzone |x| < m_b/24, strict, False on
     all-zero blocks. qstar uses s_star; qdq uses the ceiling-coded scale.
+    With a workspace the three arrays are its "q", "qstar" and "dead".
     """
     s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    qdq = _scaled_round(view.blocks, s_dec, view.nonzero)
-    qstar, dead = _ideal_views(view)
+    qdq = _scaled_round(view.blocks, s_dec, view.nonzero,
+                        _take(work, "q", view.blocks.shape), work)
+    qstar, dead = _ideal_views(view, work)
     return qdq, qstar, dead, s_dec
 
 

@@ -8,10 +8,19 @@ Container layout (little-endian throughout):
                    byte 8+N; a "__metadata__" key is ignored
     bytes 8+N..  : raw tensor data
 
-Supported dtypes: F64, F32, F16, BF16. Values are widened to float64 on
-load (exactly); the source dtype is kept so save restores the original
-byte layout. Non-finite values abort a load: every downstream identity
-assumes finite inputs.
+Supported dtypes: F64, F32, F16, BF16. Values are widened to float64
+(exactly); the source dtype is kept so save restores the original byte
+layout.
+
+ContainerReader opens a file and runs every header check (field types,
+dtype, shape, span bounds and sizes, overlaps) before any tensor data is
+read. Its StoredTensors read any run of elements: readinto one reused byte
+buffer, widened into one reused float64 buffer, so a caller that walks a
+tensor in pieces (decompose_tensor, gamma_stats) holds one piece, not the
+file. load_container is the same reader filling one preallocated float64
+array per tensor. The non-finite check runs on every read, on the piece
+just widened: a non-finite value is a TensorStoreError naming the tensor,
+because every downstream identity assumes finite inputs.
 """
 
 from __future__ import annotations
@@ -24,11 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quantize import _CHUNK_ELEMS, _Workspace
+
 __all__ = [
     "TensorStoreError",
     "TensorEntry",
     "TensorSet",
     "SynthSpec",
+    "StoredTensor",
+    "ContainerReader",
     "load_container",
     "save_container",
     "synth",
@@ -74,27 +87,12 @@ class TensorSet:
 
 # --- dtype packing ------------------------------------------------------------
 
-
-def _widen(raw: memoryview, dtype: str, count: int) -> np.ndarray:
-    if dtype == "F64":
-        return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
-    if dtype == "F32":
-        return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
-    if dtype == "F16":
-        return np.frombuffer(raw, dtype="<f2", count=count).astype(np.float64)
-    # BF16: high 16 bits of an F32, shifted in place
-    u32 = np.frombuffer(raw, dtype="<u2", count=count).astype(np.uint32)
-    u32 <<= 16
-    return u32.view(np.float32).astype(np.float64)
+_NARROW = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
 
 
 def _narrow(data: np.ndarray, dtype: str) -> bytes:
-    if dtype == "F64":
-        return data.astype("<f8").tobytes()
-    if dtype == "F32":
-        return data.astype("<f4").tobytes()
-    if dtype == "F16":
-        return data.astype("<f2").tobytes()
+    if dtype in _NARROW:
+        return data.astype(_NARROW[dtype]).tobytes()
     u32 = data.astype(np.float32).view(np.uint32)
     # round to nearest even in the low 16 bits
     rounded = (u32 + 0x7FFF + ((u32 >> 16) & 1)) >> 16
@@ -103,31 +101,74 @@ def _narrow(data: np.ndarray, dtype: str) -> bytes:
 
 # --- container I/O ------------------------------------------------------------
 
+_MAX_DIMS = 64              # numpy's limit on ndim
+_MAX_BYTES = 2 ** 63 - 1    # numpy's limit on itemsize * the nonzero dimensions
 
-def load_container(path: str) -> TensorSet:
-    """Read a container and widen every tensor to float64. The file is read
-    once; the header and tensor data are sliced from it without copies."""
-    try:
-        with open(path, "rb") as f:
-            blob = memoryview(f.read())
-    except OSError as exc:
-        raise TensorStoreError(f"cannot read container: {exc}") from exc
 
-    if len(blob) < 8:
+@dataclass(frozen=True)
+class StoredTensor:
+    """One tensor of an open container, read piece by piece: the header's
+    dtype and shape, and the file offset of its first byte."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+    reader: ContainerReader = field(repr=False, compare=False)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def read(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Elements [start, start + count) in row-major order, widened
+        exactly to float64 into out or into the reader's reused buffer, which
+        the next read overwrites. A non-finite value is a TensorStoreError
+        naming the tensor: every downstream identity assumes finite input."""
+        work, f, width = self.reader.work, self.reader.file, _DTYPES[self.dtype]
+        raw = work.take("raw", (count * width,), np.uint8)
+        f.seek(self.offset + start * width)
+        if f.readinto(raw) != raw.size:
+            raise TensorStoreError(f"short read (tensor {self.name}): the file "
+                                   "is shorter than its header says")
+        if self.dtype == "BF16":          # the high 16 bits of an F32
+            wide = work.take("bf16", (count,), np.uint32)
+            np.left_shift(raw.view("<u2"), 16, out=wide, dtype=np.uint32)
+            src = wide.view(np.float32)
+        else:
+            src = raw.view(_NARROW[self.dtype])
+        values = work.take("values", (count,)) if out is None else out
+        np.copyto(values, src)
+        if not np.isfinite(values).all():
+            raise TensorStoreError(f"non-finite values (tensor {self.name})")
+        return values
+
+
+def _parse_header(reader: ContainerReader) -> dict[str, StoredTensor]:
+    """Every entry of the container's header, in header order, checked
+    before any tensor data is read: field types, dtype, a shape numpy can
+    hold, the span's size and bounds, and no two spans overlapping."""
+    f = reader.file
+    size = os.fstat(f.fileno()).st_size
+    if size < 8:
         raise TensorStoreError("malformed header: file shorter than 8 bytes")
-    n = int.from_bytes(blob[:8], "little")
-    if 8 + n > len(blob):
+    n = int.from_bytes(f.read(8), "little")
+    if 8 + n > size:
         raise TensorStoreError("malformed header: header length exceeds file size")
     try:
-        header = json.loads(str(blob[8:8 + n], "utf-8"))
+        header = json.loads(str(f.read(n), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TensorStoreError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise TensorStoreError("malformed header: not a JSON object")
 
-    data = blob[8 + n:]
+    data_size = size - 8 - n
     spans = []
-    out = TensorSet()
+    tensors = {}
     for name, meta in header.items():
         if name == "__metadata__":
             continue
@@ -148,24 +189,64 @@ def load_container(path: str) -> TensorSet:
         if any(d < 0 for d in shape):
             raise TensorStoreError(f"negative dimension (tensor {name})")
         numel = math.prod(shape)        # exact: a fixed-width product can wrap
-        if begin < 0 or end < begin or end > len(data):
+        if begin < 0 or end < begin or end > data_size:
             raise TensorStoreError(f"data_offsets out of bounds (tensor {name})")
         if end - begin != numel * _DTYPES[dtype]:
             raise TensorStoreError(f"data size mismatch (tensor {name})")
+        # e.g. [2**70, 0]: no data, but no float64 array of that shape exists
+        if len(shape) > _MAX_DIMS or 8 * math.prod(d for d in shape if d) > _MAX_BYTES:
+            raise TensorStoreError(f"unsupported shape (tensor {name}): numpy "
+                                   f"cannot hold a float64 array of shape {list(shape)}")
         spans.append((begin, end, name))
-
-        try:
-            values = _widen(data[begin:end], dtype, numel).reshape(shape)
-        except ValueError as exc:       # e.g. [2**70, 0], or more than 64 dims
-            raise TensorStoreError(f"unsupported shape (tensor {name}): {exc}") from exc
-        if not np.isfinite(values).all():
-            raise TensorStoreError(f"non-finite values (tensor {name})")
-        out.entries[name] = TensorEntry(dtype, shape, values)
+        tensors[name] = StoredTensor(name, dtype, shape, 8 + n + begin, reader)
 
     spans.sort()
     for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
         if b1 < e0:
             raise TensorStoreError(f"overlapping data_offsets ({n0} / {n1})")
+    return tensors
+
+
+class ContainerReader:
+    """An open container: ``tensors`` maps each name to a StoredTensor,
+    whose reads share one set of reused buffers. Use as a context manager,
+    or close() it."""
+
+    def __init__(self, path: str) -> None:
+        try:
+            self.file = open(path, "rb")
+        except OSError as exc:
+            raise TensorStoreError(f"cannot read container: {exc}") from exc
+        self.work = _Workspace()
+        try:
+            self.tensors = _parse_header(self)
+        except BaseException:
+            self.file.close()
+            raise
+
+    def close(self) -> None:
+        self.file.close()
+
+    def __enter__(self) -> ContainerReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def load_container(path: str) -> TensorSet:
+    """Read a container and widen every tensor to float64. Each tensor is
+    read piece by piece into its own preallocated array, so the only other
+    memory is one piece's buffers."""
+    out = TensorSet()
+    with ContainerReader(path) as reader:
+        for name, t in reader.tensors.items():
+            data = np.empty(t.shape)
+            flat = data.reshape(-1)
+            for start in range(0, t.size, _CHUNK_ELEMS):
+                count = min(_CHUNK_ELEMS, t.size - start)
+                t.read(start, count, flat[start:start + count])
+            out.entries[name] = TensorEntry(t.dtype, t.shape, data)
     return out
 
 

@@ -271,6 +271,62 @@ class TestExitCodes:
         assert code in (2, 3) and out == ""
         assert err
 
+    def test_sweep_names_the_broken_tensor(self, capsys, monkeypatch):
+        # n2_total inflated 1.5x from the second tensor's split on
+        piece_sums = decompose._piece_sums
+        calls = []
+
+        def inflated(*args):
+            sums, dead, zeros = piece_sums(*args)
+            calls.append(1)
+            if len(calls) > 1:
+                sums = sums.copy()
+                sums[3] *= 1.5
+            return sums, dead, zeros
+
+        monkeypatch.setattr(decompose, "_piece_sums", inflated)
+        code, out, err = _run(capsys, ["sweep", "--synth", "gaussian:8x128", "--count", "2",
+                                       "--max-mantissa-bits", "0"])
+        assert code == 3 and out == ""
+        assert "identity residual" in err and "on gaussian_0001, M=0" in err
+
+    def test_near_exact_output_is_fine(self, capsys, tmp_path):
+        # Q(x) is x to within 1e-15 while Q*(x) is not: n2_total is 1e-30
+        # against n2_scale 6.9e-3, and a residual taken relative to n2_total
+        # read 1.0 and exited 3 on a correct split
+        ts = TensorSet()
+        ts.add("near", np.array([1.0, 0.75 + 1e-15]))
+        path = str(tmp_path / "near.tensors")
+        save_container(ts, path)
+        code, out, err = _run(capsys, ["decompose", "--input", path, "--block-size", "2"])
+        assert code == 0, err
+        rec = json.loads(out)["results"]["records"][0]
+        assert 0.0 < rec["mse_total"] < 1e-30
+        assert rec["identity_residual"] <= 1e-15
+
+    def test_non_finite_in_a_later_piece_is_2(self, capsys, tmp_path, monkeypatch):
+        # with pieces of 64 elements, tensor b (8 rows of 40) is read one row
+        # at a time; its last row holds an inf, found when that row is read
+        monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
+        seen = []
+
+        def counted(x, cfg):
+            seen.append(np.shape(x))
+            return block_view(x, cfg)
+
+        monkeypatch.setattr(decompose, "block_view", counted)
+        b = np.ones((8, 40))
+        b[-1, -1] = np.inf
+        ts = TensorSet()
+        ts.add("a", np.ones((2, 8)), "F32")
+        ts.add("b", b, "F32")
+        path = str(tmp_path / "inf.tensors")
+        save_container(ts, path)
+        code, out, err = _run(capsys, ["decompose", "--input", path])
+        assert code == 2 and out == ""
+        assert "non-finite values (tensor b)" in err
+        assert seen == [(2, 8)] + [(1, 40)] * 7
+
     def test_zero_tensor_is_fine(self, capsys, tmp_path):
         ts = TensorSet()
         ts.add("z", np.zeros((2, 32)))

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mxblock import decompose
+from mxblock.analysis import gamma_stats
+from mxblock.cli import main
+from mxblock.decompose import tensor_stats
+from mxblock.quantize import BlockQuantConfig
 from mxblock.tensorstore import (
+    ContainerReader,
+    StoredTensor,
     SynthSpec,
     TensorSet,
     TensorStoreError,
@@ -87,8 +94,7 @@ class TestRoundTrip:
 
 
 def test_load_bf16_memory_bounded(tmp_path):
-    # the file is read once and sliced without copies; BF16 is widened
-    # through one uint32 array shifted in place
+    # each tensor is widened piece by piece into its own preallocated array
     x = np.random.default_rng(53).standard_normal((1024, 1000))
     ts = TensorSet()
     ts.add("x", x, dtype="BF16")
@@ -308,6 +314,145 @@ def test_mutated_header_loads_or_names_its_error(tmp_path, header):
         assert entry.dtype == meta["dtype"]
         assert entry.shape == tuple(meta["shape"]) == entry.data.shape
         assert entry.data.dtype == np.float64 and np.isfinite(entry.data).all()
+
+
+class TestReader:
+    def test_header_checked_before_any_data(self, tmp_path):
+        # the first tensor holds an inf, the second overlaps it: the header
+        # error comes first, and opening reads no tensor data
+        data = np.array([np.inf, 2.0]).astype("<f8").tobytes()
+        header = {"a": {"dtype": "F64", "shape": [1], "data_offsets": [0, 8]},
+                  "b": {"dtype": "F64", "shape": [1], "data_offsets": [4, 12]}}
+        with pytest.raises(TensorStoreError, match="overlapping"):
+            ContainerReader(_write(tmp_path, _container_bytes(header, data + b"\0" * 4)))
+
+    def test_tensors_and_pieces(self, tmp_path):
+        x = np.random.default_rng(54).standard_normal((3, 5, 7))
+        ts = TensorSet()
+        ts.add("x", x, dtype="F32")
+        path = str(tmp_path / "p.tensors")
+        save_container(ts, path)
+        with ContainerReader(path) as reader:
+            t = reader.tensors["x"]
+            assert isinstance(t, StoredTensor)
+            assert (t.dtype, t.shape, t.size, t.ndim) == ("F32", (3, 5, 7), 105, 3)
+            want = x.astype(np.float32).astype(np.float64).ravel()
+            assert np.array_equal(t.read(17, 40), want[17:57])
+            out = np.empty(5)
+            assert t.read(100, 5, out) is out and np.array_equal(out, want[100:])
+
+    def test_file_truncated_after_open(self, tmp_path):
+        ts = TensorSet()
+        ts.add("x", np.ones(8192))
+        path = str(tmp_path / "t.tensors")
+        save_container(ts, path)
+        with ContainerReader(path) as reader:
+            os.truncate(path, os.path.getsize(path) - 8)
+            assert np.array_equal(reader.tensors["x"].read(0, 8191), np.ones(8191))
+            with pytest.raises(TensorStoreError, match="short read.*tensor x"):
+                reader.tensors["x"].read(8000, 192)
+
+    def test_non_finite_found_in_its_piece(self, tmp_path):
+        x = np.ones(100)
+        x[90] = np.nan
+        ts = TensorSet()
+        ts.add("bad", x, dtype="F16")
+        path = str(tmp_path / "n.tensors")
+        save_container(ts, path)
+        with ContainerReader(path) as reader:
+            assert np.array_equal(reader.tensors["bad"].read(0, 90), np.ones(90))
+            with pytest.raises(TensorStoreError, match=r"non-finite.*bad"):
+                reader.tensors["bad"].read(80, 20)
+
+
+def _stream_cases(tmp_path):
+    """A container of every dtype, 0-d, 1-D and 3-D shapes, short tail
+    blocks, an all-zero tensor and a row longer than one piece, with a
+    __metadata__ entry; its path."""
+    rng = np.random.default_rng(55)
+    ts = TensorSet()
+    ts.add("vec_f64", rng.standard_normal(1000), "F64")
+    ts.add("cube_f32", rng.standard_t(5.0, size=(3, 5, 40)), "F32")
+    ts.add("rows_f16", rng.laplace(size=(7, 100)), "F16")
+    ts.add("long_bf16", rng.standard_normal((2, 2 ** 17 + 1003)), "BF16")
+    ts.add("scalar_bf16", np.array(-3.3), "BF16")
+    ts.add("zeros_f32", np.zeros((4, 32)), "F32")
+    path = str(tmp_path / "s.tensors")
+    save_container(ts, path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    n = int.from_bytes(blob[:8], "little")
+    header = {"__metadata__": {"origin": "test"}, **json.loads(blob[8:8 + n])}
+    return _write(tmp_path, _container_bytes(header, blob[8 + n:]))
+
+
+@pytest.mark.parametrize("block_size,m", [(32, 0), (7, 3), (1000, 0)])
+def test_streamed_stats_match_loaded_bitwise(tmp_path, block_size, m):
+    # the pieces, and their order, are those of the in-memory path, so every
+    # record is the same bits (json.dumps writes each float's shortest repr)
+    path = _stream_cases(tmp_path)
+    cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
+    loaded = tensor_stats(load_container(path).arrays(), cfg)
+    with ContainerReader(path) as reader:
+        assert "__metadata__" not in reader.tensors
+        streamed = tensor_stats(reader.tensors, cfg)
+    assert len(streamed.records) == 6
+    assert json.dumps(streamed.to_json_dict()) == json.dumps(loaded.to_json_dict())
+
+
+def test_streamed_gamma_matches_loaded(tmp_path):
+    path = _stream_cases(tmp_path)
+    loaded = gamma_stats(load_container(path).arrays(), min_blocks=1)
+    with ContainerReader(path) as reader:
+        streamed = gamma_stats(reader.tensors, min_blocks=1)
+    assert np.array_equal(streamed.delta, loaded.delta)
+    assert json.dumps(streamed.summary_dict()) == json.dumps(loaded.summary_dict())
+
+
+def test_stream_takes_the_column_split(tmp_path, monkeypatch):
+    # the long row is cut into runs of whole blocks, each read on its own
+    path = _stream_cases(tmp_path)
+    reads = []
+    real = StoredTensor.read
+
+    def counted(self, start, count, out=None):
+        reads.append((self.name, start, count))
+        return real(self, start, count, out)
+
+    monkeypatch.setattr(StoredTensor, "read", counted)
+    with ContainerReader(path) as reader:
+        tensor_stats({"long": reader.tensors["long_bf16"]}, BlockQuantConfig())
+    n = 2 ** 17 + 1003
+    assert reads == [("long_bf16", 0, 2 ** 17), ("long_bf16", 2 ** 17, 1003),
+                     ("long_bf16", n, 2 ** 17), ("long_bf16", n + 2 ** 17, 1003)]
+
+
+def _decompose_peak(capsys, path) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["decompose", "--input", path]) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
+
+
+def test_decompose_input_memory_independent_of_file_size(tmp_path, capsys):
+    # one piece's buffers, whatever the tensor's size: a container 4x larger
+    # peaks no higher, and neither holds its tensor as float64
+    rng = np.random.default_rng(56)
+    peaks = []
+    for rows in (1024, 4096):
+        ts = TensorSet()
+        ts.add("w", rng.standard_normal((rows, 1024)), "BF16")
+        path = str(tmp_path / f"w{rows}.tensors")
+        save_container(ts, path)
+        peaks.append(_decompose_peak(capsys, path))
+    small, large = peaks
+    assert large <= small + 64 * 1024
+    assert large < 16 * 1024 * 1024        # half the large tensor as float64
 
 
 class TestSynth:
