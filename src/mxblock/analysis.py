@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
-from .decompose import InvariantViolation, _as_tensor, _row_pieces, decompose_tensor
+from .decompose import (
+    InvariantViolation,
+    _as_tensor,
+    _expansion_residual,
+    _row_pieces,
+    decompose_tensor,
+)
 from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _deadzone, block_view
 
 __all__ = [
@@ -424,11 +430,10 @@ class GemmPropagation:
 
     @property
     def identity_residual(self) -> float:
-        parts = (self.var_scale + self.var_dz + self.var_grid
-                 + 2.0 * (self.cross_scale_grid + self.cross_scale_dz
-                          + self.cross_dz_grid))
-        scale = max(abs(self.var_total), 1e-300)
-        return abs(self.var_total - parts) / scale
+        # the decomposition's own residual (decompose.verify_identity), on traces
+        return _expansion_residual(self.var_total, self.var_scale, self.var_dz,
+                                   self.var_grid, self.cross_scale_grid,
+                                   self.cross_scale_dz, self.cross_dz_grid)
 
     def summary_dict(self) -> dict:
         return {

@@ -47,7 +47,6 @@ from .tensorstore import (
     TensorSet,
     TensorStoreError,
     atomic_write_bytes,
-    load_container,
     save_container,
     synth,
 )
@@ -134,26 +133,22 @@ def _parse_synth(text: str, seed: int, count: int) -> SynthSpec:
     return SynthSpec(distribution=dist, shape=shape, seed=seed, count=count)
 
 
-def _load_tensors(args) -> dict[str, np.ndarray]:
+@contextlib.contextmanager
+def _tensors(args):
+    """The one way a command gets its input: name -> tensor, either the
+    StoredTensors of the open --input container, each read only when the
+    command asks (np.asarray for the whole tensor, or piece by piece), or the
+    --synth arrays. A command that works one name at a time holds one tensor."""
     if args.input and args.synth:
         raise ValueError("--input and --synth are mutually exclusive")
     if args.input:
-        return load_container(args.input).arrays()
-    if args.synth:
-        spec = _parse_synth(args.synth, args.seed, getattr(args, "count", 1))
-        return synth(spec).arrays()
-    raise ValueError("need --input or --synth")
-
-
-@contextlib.contextmanager
-def _streamed_tensors(args):
-    """The input tensors for a command that reads them piece by piece: a
-    container is opened, not loaded, and its tensors are StoredTensors."""
-    if args.input and not args.synth:
         with ContainerReader(args.input) as reader:
             yield reader.tensors
+    elif args.synth:
+        spec = _parse_synth(args.synth, args.seed, getattr(args, "count", 1))
+        yield synth(spec).arrays()
     else:
-        yield _load_tensors(args)
+        raise ValueError("need --input or --synth")
 
 
 def _quant_config(args) -> BlockQuantConfig:
@@ -165,7 +160,7 @@ def _quant_config(args) -> BlockQuantConfig:
 
 
 def cmd_decompose(args) -> dict:
-    with _streamed_tensors(args) as tensors:
+    with _tensors(args) as tensors:
         report = tensor_stats(tensors, _quant_config(args))
     for rec in report.records:
         _check_identity(rec["name"], rec["identity_residual"], *rec["dz_inner_products"])
@@ -173,21 +168,22 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    tensors = _load_tensors(args)
     m_list = list(range(args.max_mantissa_bits + 1))
     per_tensor = {}
     pooled_n2 = np.zeros((len(m_list), 4))  # total, scale, dz, grid
     pooled_cross = np.zeros(len(m_list))
     total_elems = 0
-    for name in sorted(tensors):
-        x = np.asarray(tensors[name], dtype=np.float64)
-        series = scale_precision_sweep(x, m_list, args.block_size, name)
-        per_tensor[name] = series
-        for i, row in enumerate(series):
-            pooled_n2[i] += np.array([row["mse_total"], row["mse_scale"],
-                                      row["mse_dz"], row["mse_grid"]]) * x.size
-            pooled_cross[i] += row["cross"] * x.size
-        total_elems += x.size
+    with _tensors(args) as tensors:
+        for name in sorted(tensors):
+            # the sweep reads the tensor itself and holds it until it returns
+            series = scale_precision_sweep(tensors[name], m_list, args.block_size, name)
+            size = tensors[name].size
+            per_tensor[name] = series
+            for i, row in enumerate(series):
+                pooled_n2[i] += np.array([row["mse_total"], row["mse_scale"],
+                                          row["mse_dz"], row["mse_grid"]]) * size
+                pooled_cross[i] += row["cross"] * size
+            total_elems += size
     pooled = []
     for i, m in enumerate(m_list):
         tot, sc, dz, gr = pooled_n2[i] / total_elems
@@ -200,19 +196,18 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_mbs(args) -> dict:
-    tensors = _load_tensors(args)
     quant = _quant_config(args)
     mbs = MbsConfig(macro_block_size=args.macro_block)
-    records = []
-    for name in sorted(tensors):
-        x = np.asarray(tensors[name], dtype=np.float64)
+
+    def record(name, x) -> dict:
+        x = np.asarray(x, dtype=np.float64)     # freed when the record is done
         before = decompose_tensor(x, quant, keep_errors=False)
         after = decompose_tensor(x, quant, keep_errors=False,
                                  x_hat=mbs_qdq(x, mbs, quant, args.mbs_mode)[0])
         for d in (before, after):
             _check_identity(name, verify_identity(d), *orthogonality_check(d))
         floor = before.n2_dz + before.n2_grid
-        records.append({
+        return {
             "name": name,
             "mse_before": before.n2_total / x.size,
             "mse_after": after.n2_total / x.size,
@@ -226,26 +221,28 @@ def cmd_mbs(args) -> dict:
                                   if before.n2_total > 0 else 0.0,
             "cross_share_after": 2.0 * after.ip_scale_grid / after.n2_total
                                  if after.n2_total > 0 else 0.0,
-        })
+        }
+
+    with _tensors(args) as tensors:
+        records = [record(name, tensors[name]) for name in sorted(tensors)]
     return {"mbs_mode": args.mbs_mode, "macro_block": args.macro_block,
             "records": records}
 
 
 def cmd_of(args) -> dict:
-    tensors = _load_tensors(args)
     quant = _quant_config(args)
     of = OfConfig(alpha=args.of_alpha)
     mbs = MbsConfig(macro_block_size=args.macro_block) if args.with_mbs else None
-    records = []
-    for name in sorted(tensors):
-        x = np.asarray(tensors[name], dtype=np.float64)
+
+    def record(name, x) -> dict:
+        x = np.asarray(x, dtype=np.float64)     # freed when the record is done
         before = decompose_tensor(x, quant, keep_errors=False)
         after = decompose_tensor(x, quant, keep_errors=False,
                                  x_hat=of_qdq(x, of, quant, mbs, args.mbs_mode).x_hat)
         _check_identity(name, verify_identity(before), *orthogonality_check(before))
         _check_identity(name, verify_identity(after), *orthogonality_check(after),
                         keeps_deadzone=False)
-        records.append({
+        return {
             "name": name,
             "alpha": of.alpha,
             "mse_before": before.n2_total / x.size,
@@ -258,12 +255,15 @@ def cmd_of(args) -> dict:
             "dz_rate_after": after.dz_zero_fraction,
             "dz_recovery_ratio": after.dz_zero_fraction / after.dz_fraction
                                  if after.dz_fraction > 0 else 0.0,
-        })
+        }
+
+    with _tensors(args) as tensors:
+        records = [record(name, tensors[name]) for name in sorted(tensors)]
     return {"with_mbs": args.with_mbs, "records": records}
 
 
 def cmd_gamma(args) -> dict:
-    with _streamed_tensors(args) as tensors:
+    with _tensors(args) as tensors:
         stats = gamma_stats(tensors, _quant_config(args))
     return stats.summary_dict()
 
@@ -306,14 +306,15 @@ def cmd_temp(args) -> dict:
 
 
 def cmd_gemm(args) -> dict:
-    tensors = _load_tensors(args)
-    name = next((n for n in sorted(tensors) if tensors[n].ndim == 2), None)
-    if name is None:
-        raise ValueError("need a 2-D weight tensor")
     mbs = MbsConfig(macro_block_size=args.macro_block) if args.with_mbs else None
-    prop = gemm_error_propagation(tensors[name], _quant_config(args),
-                                  cov=args.cov_var, samples=args.samples,
-                                  seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
+    with _tensors(args) as tensors:
+        name = next((n for n in sorted(tensors) if tensors[n].ndim == 2), None)
+        if name is None:
+            raise ValueError("need a 2-D weight tensor")
+        # only the picked weight is read
+        prop = gemm_error_propagation(tensors[name], _quant_config(args),
+                                      cov=args.cov_var, samples=args.samples,
+                                      seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
     _check_identity(f"GEMM traces of {name}", prop.identity_residual)
     out = prop.summary_dict()
     out["weight"] = name
@@ -334,12 +335,12 @@ def cmd_aqn(args) -> dict:
     if args.noised_out:
         if not 0 <= args.stage < args.stages:
             raise ValueError("stage out of range")
-        tensors = _load_tensors(args)
         tset = TensorSet()
-        for name in sorted(tensors):
-            noised = aqn_apply(tensors[name], float(sigmas[args.stage]), args.seed,
-                               multiplier=schedule.multiplier_for(name), name=name)
-            tset.add(name, noised)
+        with _tensors(args) as tensors:
+            for name in sorted(tensors):
+                noised = aqn_apply(tensors[name], float(sigmas[args.stage]), args.seed,
+                                   multiplier=schedule.multiplier_for(name), name=name)
+                tset.add(name, noised)
         save_container(tset, args.noised_out)
         results["noised_out"] = args.noised_out
         results["stage"] = args.stage

@@ -253,16 +253,24 @@ class InvariantViolation(AssertionError):
     explicitly, so ``python -O`` cannot strip the check."""
 
 
-def verify_identity(d: ErrorDecomposition, eps: float = 1e-300) -> float:
+def _expansion_residual(total: float, n2_scale: float, n2_dz: float,
+                        n2_grid: float, ip_scale_grid: float, ip_scale_dz: float,
+                        ip_dz_grid: float) -> float:
+    """|total - full expansion| relative to the norms the expansion adds up:
+    verify_identity's residual, and the GEMM traces' (analysis)."""
+    expanded = n2_scale + n2_dz + n2_grid + 2.0 * (ip_scale_grid + ip_scale_dz + ip_dz_grid)
+    return abs(total - expanded) / max(n2_scale + n2_dz + n2_grid + total, 1e-300)
+
+
+def verify_identity(d: ErrorDecomposition) -> float:
     """Residual of ||e||^2 against the full expansion (module docstring),
     relative to n2_scale + n2_dz + n2_grid + n2_total: ip_scale_dz is 0.0 for
     Q and MBS, not for outlier fallback. The rounding of the expansion scales
     with the norms it adds up, not with n2_total, which is far smaller when
     x_hat is within rounding of x but Q*(x) is not: at x = [1, 0.75 + 1e-15],
     B = 2, n2_total is 1e-30 against n2_scale 6.9e-3."""
-    expanded = d.n2_scale + d.n2_dz + d.n2_grid + 2.0 * (d.ip_scale_grid + d.ip_scale_dz)
-    norms = d.n2_scale + d.n2_dz + d.n2_grid + d.n2_total
-    return abs(d.n2_total - expanded) / max(norms, eps)
+    return _expansion_residual(d.n2_total, d.n2_scale, d.n2_dz, d.n2_grid,
+                               d.ip_scale_grid, d.ip_scale_dz, d.ip_dz_grid)
 
 
 def orthogonality_check(d: ErrorDecomposition) -> tuple[float, float]:
@@ -310,11 +318,14 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     """Per-tensor shares/cosines plus aggregates, sorted by tensor name.
 
     Shares divide component norms^2 by ||e||^2 per tensor, then aggregate
-    across tensors; tensors quantizing exactly (mse 0) are flagged and
-    excluded from share aggregates. The norms and inner products are
-    accumulated over cache-sized pieces and no error array is kept, so the
-    working memory is the input plus one piece, or one piece when the
-    tensors are tensorstore.StoredTensors streamed from their file.
+    across tensors. A tensor whose ||e||^2 is below the split's resolution
+    (_IDENTITY_TOL of the summed norms; 0 if it quantizes exactly) is flagged
+    zero_error, with shares of 0, and left out of the aggregates and the
+    histogram: its shares would be noise over a total near 0. The norms and
+    inner products are accumulated over cache-sized pieces and no error
+    array is kept, so the working memory is the input plus one piece, or one
+    piece when the tensors are tensorstore.StoredTensors streamed from their
+    file.
     """
     if not tensors:
         raise ValueError("empty tensor set")
@@ -324,7 +335,8 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
         d = decompose_tensor(x, config, keep_errors=False)
         numel = x.size
         mse = d.n2_total / numel
-        zero_error = d.n2_total == 0.0
+        norms = d.n2_scale + d.n2_dz + d.n2_grid + d.n2_total
+        zero_error = d.n2_total <= _IDENTITY_TOL * norms
         if zero_error:
             shares = dict.fromkeys(("share_scale", "share_dz", "share_grid",
                                     "cross_share"), 0.0)

@@ -83,7 +83,6 @@ class QuantizedTensor:
     scale_mantissas: np.ndarray        # int64, (n_blocks,)
     s_star: np.ndarray                 # float64, (n_blocks,)
     m_b: np.ndarray                    # float64, (n_blocks,)
-    mbs_mantissas: np.ndarray | None = None   # int64, (n_macros,), optional
 
     @property
     def n_blocks(self) -> int:

@@ -14,13 +14,15 @@ layout.
 
 ContainerReader opens a file and runs every header check (field types,
 dtype, shape, span bounds and sizes, overlaps) before any tensor data is
-read. Its StoredTensors read any run of elements: readinto one reused byte
-buffer, widened into one reused float64 buffer, so a caller that walks a
-tensor in pieces (decompose_tensor, gamma_stats) holds one piece, not the
-file. load_container is the same reader filling one preallocated float64
-array per tensor. The non-finite check runs on every read, on the piece
-just widened: a non-finite value is a TensorStoreError naming the tensor,
-because every downstream identity assumes finite inputs.
+read. Its StoredTensors are the one way data leaves a file. read() gives any
+run of elements, readinto one reused byte buffer and widened into one reused
+float64 buffer, so a caller that walks a tensor in pieces (decompose_tensor,
+gamma_stats) holds one piece, not the file. np.asarray(stored) is the same
+reads filling one preallocated float64 array, so a caller that needs whole
+tensors holds the one it asked for; load_container is that for every
+tensor. The non-finite check runs on every read, on the piece just widened:
+a non-finite value is a TensorStoreError naming the tensor, because every
+downstream identity assumes finite inputs.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ _MAX_BYTES = 2 ** 63 - 1    # numpy's limit on itemsize * the nonzero dimensions
 
 @dataclass(frozen=True)
 class StoredTensor:
-    """One tensor of an open container, read piece by piece: the header's
-    dtype and shape, and the file offset of its first byte."""
+    """One tensor of an open container, read piece by piece (read) or whole
+    (np.asarray): the header's dtype and shape, and the file offset of its
+    first byte."""
 
     name: str
     dtype: str
@@ -146,6 +149,20 @@ class StoredTensor:
         if not np.isfinite(values).all():
             raise TensorStoreError(f"non-finite values (tensor {self.name})")
         return values
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The whole tensor as a new float64 array (np.asarray(stored)),
+        filled piece by piece through read(), so the only other memory is one
+        piece's buffers. Nothing in memory can be viewed: copy=False raises."""
+        if copy is False:
+            raise ValueError(f"tensor {self.name} is read from its file: "
+                             "it cannot be an array without a copy")
+        data = np.empty(self.shape)
+        flat = data.reshape(-1)
+        for start in range(0, self.size, _CHUNK_ELEMS):
+            count = min(_CHUNK_ELEMS, self.size - start)
+            self.read(start, count, flat[start:start + count])
+        return data if dtype is None else data.astype(dtype, copy=False)
 
 
 def _parse_header(reader: ContainerReader) -> dict[str, StoredTensor]:
@@ -235,18 +252,12 @@ class ContainerReader:
 
 
 def load_container(path: str) -> TensorSet:
-    """Read a container and widen every tensor to float64. Each tensor is
-    read piece by piece into its own preallocated array, so the only other
-    memory is one piece's buffers."""
+    """Read a container and widen every tensor to float64: np.asarray of
+    each StoredTensor, so the only other memory is one piece's buffers."""
     out = TensorSet()
     with ContainerReader(path) as reader:
         for name, t in reader.tensors.items():
-            data = np.empty(t.shape)
-            flat = data.reshape(-1)
-            for start in range(0, t.size, _CHUNK_ELEMS):
-                count = min(_CHUNK_ELEMS, t.size - start)
-                t.read(start, count, flat[start:start + count])
-            out.entries[name] = TensorEntry(t.dtype, t.shape, data)
+            out.entries[name] = TensorEntry(t.dtype, t.shape, np.asarray(t))
     return out
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,15 +152,32 @@ class TestFormats:
         assert top == sorted(top)
 
 
-class TestExitCodes:
-    def test_missing_source(self, capsys):
-        code, _, err = _run(capsys, ["decompose"])
-        assert code == 2 and "error:" in err
+def _source_argv(command, tmp_path):
+    # aqn reads tensors only to write a noised container
+    if command == "aqn":
+        return [command, "--noised-out", str(tmp_path / "noised.tensors")]
+    return [command]
 
-    def test_both_sources(self, capsys, worked_container):
-        code, _, err = _run(capsys, ["decompose", "--input", worked_container,
-                                     "--synth", "gaussian:4x32"])
-        assert code == 2 and "mutually exclusive" in err
+
+# every command that reads tensors, all through one input path
+_TENSOR_COMMANDS = ["decompose", "sweep", "mbs", "of", "gamma", "gemm", "aqn"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", _TENSOR_COMMANDS)
+    def test_missing_source(self, capsys, tmp_path, command):
+        code, out, err = _run(capsys, _source_argv(command, tmp_path))
+        assert code == 2 and out == ""
+        assert err == "error: need --input or --synth\n"
+        assert not (tmp_path / "noised.tensors").exists()
+
+    @pytest.mark.parametrize("command", _TENSOR_COMMANDS)
+    def test_both_sources(self, capsys, tmp_path, worked_container, command):
+        code, out, err = _run(capsys, _source_argv(command, tmp_path)
+                              + ["--input", worked_container, "--synth", "gaussian:4x32"])
+        assert code == 2 and out == ""
+        assert err == "error: --input and --synth are mutually exclusive\n"
+        assert not (tmp_path / "noised.tensors").exists()
 
     def test_bad_synth_specs(self, capsys):
         for spec in ("gaussian", "gaussian:4xq", "cauchy:4x32"):
@@ -300,9 +318,45 @@ class TestExitCodes:
         save_container(ts, path)
         code, out, err = _run(capsys, ["decompose", "--input", path, "--block-size", "2"])
         assert code == 0, err
-        rec = json.loads(out)["results"]["records"][0]
+        results = json.loads(out)["results"]
+        rec = results["records"][0]
         assert 0.0 < rec["mse_total"] < 1e-30
         assert rec["identity_residual"] <= 1e-15
+        # a total within the split's resolution is flagged, not divided by:
+        # its shares read 1e27 and swamped the aggregates
+        assert rec["zero_error"] is True
+        assert [rec[k] for k in ("share_scale", "share_dz", "share_grid",
+                                 "cross_share")] == [0.0] * 4
+        assert results["aggregates"]["share_scale"] == {"mean": 0.0, "std": 0.0}
+        assert sum(results["cos_histogram"]["counts"]) == 0
+
+    def test_gemm_near_exact_weight_is_fine(self, capsys, tmp_path):
+        # the GEMM traces take the decomposition's residual: relative to
+        # var_total (1e-30 here) it read 1.0 and exited 3 on a correct split
+        ts = TensorSet()
+        ts.add("near", np.array([[1.0, 0.75 + 1e-15]]))
+        path = str(tmp_path / "near.tensors")
+        save_container(ts, path)
+        code, out, err = _run(capsys, ["gemm", "--input", path, "--block-size", "2",
+                                       "--samples", "10"])
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert 0.0 < res["var_total"] < 1e-29
+        assert res["identity_residual"] <= 1e-15
+
+    @pytest.mark.parametrize("command", ["mbs", "sweep"])
+    def test_non_finite_in_a_later_tensor_is_2(self, capsys, tmp_path, command):
+        # the first tensor is reported on before the second is read
+        b = np.ones((4, 32))
+        b[2, 5] = np.inf
+        ts = TensorSet()
+        ts.add("a", np.ones((4, 32)), "BF16")
+        ts.add("b", b, "BF16")
+        path = str(tmp_path / "inf.tensors")
+        save_container(ts, path)
+        code, out, err = _run(capsys, [command, "--input", path])
+        assert code == 2 and out == ""
+        assert "non-finite values (tensor b)" in err
 
     def test_non_finite_in_a_later_piece_is_2(self, capsys, tmp_path, monkeypatch):
         # with pieces of 64 elements, tensor b (8 rows of 40) is read one row
@@ -455,3 +509,40 @@ class TestCommands:
         records = json.loads(out)["results"]["records"]
         assert [r["name"] for r in records] == [
             "laplace_0000", "laplace_0001", "laplace_0002"]
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation of fn() above what was live before it; numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--max-mantissa-bits", "1"],
+    ["mbs", "--mbs-mode", "closed_form"],
+    ["of"],
+    ["gemm", "--samples", "100"],
+])
+def test_commands_hold_one_tensor(capsys, tmp_path, argv):
+    # a command reads one tensor when it gets to it and drops it before the
+    # next, so four tensors cost what one does
+    x = np.random.default_rng(62).standard_normal((256, 1024))
+    paths = {}
+    for count in (1, 4):
+        ts = TensorSet()
+        for i in range(count):
+            ts.add(f"w{i}", x, "F32")
+        paths[count] = str(tmp_path / f"{count}.tensors")
+        save_container(ts, paths[count])
+    peaks = {}
+    for count, path in paths.items():
+        peaks[count] = _peak_bytes(lambda: main([*argv, "--input", path]))
+        assert capsys.readouterr().out
+    assert peaks[4] <= 1.1 * peaks[1], peaks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mxblock import decompose
+from mxblock import decompose, tensorstore
 from mxblock.analysis import gamma_stats
 from mxblock.cli import main
 from mxblock.decompose import tensor_stats
@@ -65,6 +65,27 @@ class TestRoundTrip:
             back = load_container(path)
             assert np.array_equal(back.arrays()["x"], vals), dtype
             assert back.entries["x"].dtype == dtype
+
+    @pytest.mark.parametrize("dtype", ["F64", "F32", "F16", "BF16"])
+    def test_asarray_is_the_loaded_array(self, tmp_path, monkeypatch, dtype):
+        # np.asarray(stored) is the whole tensor, bit for bit what
+        # load_container gives; small pieces so a tensor takes several reads
+        monkeypatch.setattr(tensorstore, "_CHUNK_ELEMS", 16)
+        rng = np.random.default_rng(63)
+        ts = TensorSet()
+        for shape in [(), (37,), (3, 5, 7)]:
+            ts.add(f"x{len(shape)}", rng.standard_normal(shape), dtype=dtype)
+        path = str(tmp_path / "a.tensors")
+        save_container(ts, path)
+        loaded = load_container(path).arrays()
+        with ContainerReader(path) as reader:
+            for name, t in reader.tensors.items():
+                arr = np.asarray(t)
+                assert arr.dtype == np.float64 and arr.shape == t.shape
+                assert arr.tobytes() == loaded[name].tobytes(), name
+                assert np.asarray(t, dtype=np.float32).dtype == np.float32
+                with pytest.raises(ValueError, match="without a copy"):
+                    np.asarray(t, copy=False)
 
     def test_save_is_sorted_and_gapless(self, tmp_path):
         ts = TensorSet()
