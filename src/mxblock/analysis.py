@@ -257,11 +257,18 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     return p_bar
 
 
-def _bernoulli_kl_sum(p: np.ndarray, q: np.ndarray) -> float:
+def _bernoulli_kl(p: np.ndarray):
+    """q -> sum KL(Bernoulli(p) || Bernoulli(q)), p and q clipped to [eps,
+    1 - eps]. p's clip and 1 - p are taken once, for every q a search tries."""
     eps = 1e-15
     p = np.clip(p, eps, 1.0 - eps)
-    q = np.clip(q, eps, 1.0 - eps)
-    return float((p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))).sum())
+    p_c = 1.0 - p
+
+    def kl(q: np.ndarray) -> float:
+        q = np.clip(q, eps, 1.0 - eps)
+        return float((p * np.log(p / q) + p_c * np.log(p_c / (1.0 - q))).sum())
+
+    return kl
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -367,8 +374,10 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
             done += n
         noised /= draws
 
+    kl = _bernoulli_kl(p_bar)
+
     def objective(log_t: float) -> float:
-        return _bernoulli_kl_sum(p_bar, _sigmoid(dl / math.exp(log_t)))
+        return kl(_sigmoid(dl / math.exp(log_t)))
 
     log_t_hat = _golden_min(objective, math.log(0.5), math.log(10.0))
     t_hat = math.exp(log_t_hat)

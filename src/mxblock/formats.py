@@ -139,8 +139,9 @@ def _grid_magnitude(u: np.ndarray, out: np.ndarray | None = None,
 
     a = min(|u|, q_max) lies in [2^(e-1), 2^e) with e <= 3, and the grid
     step there is 2^max(e - 2, -1). a's biased exponent field is e + 1022,
-    so the step's field is max(field, 1023) - 1: integer ops on the bit
-    pattern, where frexp and ldexp would cost more than the rounding.
+    so the step's field is max(field, 1023) - 1: three integer ops on the
+    bit pattern with the field kept in place (mask, max, subtract), where
+    frexp and ldexp would cost more than the rounding.
     Exact: dividing by a power of two, rint and multiplying back lose no
     bits. fmin, unlike minimum, also saturates nan to q_max."""
     u = np.asarray(u, dtype=np.float64)
@@ -150,10 +151,9 @@ def _grid_magnitude(u: np.ndarray, out: np.ndarray | None = None,
     np.fmin(a, Q_MAX, out=a)
     if field is None:
         field = np.empty(u.shape, dtype=np.int64)
-    np.right_shift(a.view(np.int64), _MANTISSA_BITS, out=field)
-    np.maximum(field, 1023, out=field)
-    field -= 1
-    field <<= _MANTISSA_BITS
+    np.bitwise_and(a.view(np.int64), 0x7FF << _MANTISSA_BITS, out=field)
+    np.maximum(field, 1023 << _MANTISSA_BITS, out=field)
+    field -= 1 << _MANTISSA_BITS
     step = field.view(np.float64)
     a /= step
     np.rint(a, out=a)

@@ -263,12 +263,16 @@ def load_container(path: str) -> TensorSet:
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+    half-written file. The file gets the mode open(path, "wb") would give,
+    0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
+        umask = os.umask(0)             # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mxblock import corrections
 from mxblock.corrections import (
     MBS_LEVELS,
     AqnSchedule,
@@ -13,8 +16,13 @@ from mxblock.corrections import (
     mbs_select_mantissa,
     of_qdq,
 )
-from mxblock.formats import ceil_scale_array, grid_index_array
-from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
+from mxblock.formats import (
+    GRID_MIDPOINTS,
+    ceil_scale_array,
+    grid_index_array,
+    grid_round_array,
+)
+from mxblock.quantize import BlockQuantConfig, _Workspace, block_view, qdq_views
 
 
 def _plain_qdq(x, quant):
@@ -205,6 +213,217 @@ class TestExhaustiveShortcut:
         x = np.full(128, 1.7e308)
         with pytest.raises(ValueError, match="non-finite"):
             mbs_qdq(x, MbsConfig(), quant, "exhaustive")
+
+
+def _sweep_errors(macros, quant):
+    """(n, 256) errors of every trial of every macro, each from the direct
+    evaluator: the sweep whose argmin the exhaustive codes must be."""
+    n = len(macros)
+    subs = np.abs(macros).reshape(n, -1, quant.block_size)
+    rows = np.repeat(np.arange(n), MBS_LEVELS)
+    ks = np.tile(np.arange(MBS_LEVELS), n)
+    err = corrections._trial_errors(macros, subs.max(axis=2), rows, ks, quant,
+                                    _Workspace())
+    return err.reshape(n, MBS_LEVELS)
+
+
+def _macros(x, mbs):
+    return block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size)).blocks
+
+
+_EDGE_U = sorted({float(v) for m in (*GRID_MIDPOINTS, 0.5, 1.0, 6.0)
+                  for v in (m, np.nextafter(m, 0.0), np.nextafter(m, 7.0))})
+
+
+@st.composite
+def _exhaustive_cases(draw, mantissa_bits=(0, 3, 8)):
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    shape = lead + (draw(st.integers(1, 200)),)
+    elements = st.one_of(
+        st.floats(-6.0, 6.0, allow_nan=False, allow_subnormal=False),
+        st.sampled_from(_EDGE_U + [-u for u in _EDGE_U]))
+    x = draw(hnp.arrays(np.float64, shape, elements=elements))
+    block_size = draw(st.integers(1, 32))
+    if draw(st.booleans()):
+        x.reshape(-1, shape[-1])[:, ::block_size] = 6.0   # sub-block maxima on ties
+    if draw(st.booleans()):                               # heavy tails
+        x = x * np.exp2(draw(hnp.arrays(np.int64, shape, elements=st.integers(-12, 12))))
+    if draw(st.booleans()):                               # BF16 values
+        x = (x.astype(np.float32).view(np.uint32) & np.uint32(0xFFFF0000)
+             ).view(np.float32).astype(np.float64)
+    quant = BlockQuantConfig(block_size=block_size,
+                             scale_mantissa_bits=draw(st.sampled_from(mantissa_bits)))
+    return x, quant, MbsConfig(macro_block_size=block_size * draw(st.integers(1, 8)))
+
+
+class TestExhaustiveExactPath:
+    """At M = 0 the exhaustive codes come from a closed form over all 256
+    codes, settled by evaluating only the few codes near its minimum. They
+    must be the codes of evaluating every trial, on the inputs where the
+    closed form is hardest to get right."""
+
+    @staticmethod
+    def _check(x, block_size, macro):
+        quant = BlockQuantConfig(block_size=block_size)
+        _, codes = mbs_qdq(x, MbsConfig(macro_block_size=macro), quant, "exhaustive")
+        rows = x.reshape(-1, x.shape[-1])
+        padded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % macro)))
+        want = [_brute_force_code(m, quant) for m in padded.reshape(-1, macro)]
+        assert codes.tolist() == want
+        return want
+
+    def test_bf16_midpoint_ties(self):
+        # multiples of 1/16 with at most 7 significant bits: BF16 values whose
+        # prescaled quotients land exactly on grid midpoints at many codes
+        rng = np.random.default_rng(81)
+        x = rng.integers(-96, 97, size=(4, 128)) / 16.0
+        x *= 2.0 ** rng.integers(-2, 3, size=(4, 1))
+        bf16 = (x.astype(np.float32).view(np.uint32) & np.uint32(0xFFFF0000)
+                ).view(np.float32).astype(np.float64)
+        assert np.array_equal(bf16, x)
+        quant = BlockQuantConfig(block_size=32)
+        macros = x.reshape(-1, 64)
+        pres = 1.0 + np.arange(MBS_LEVELS) / MBS_LEVELS
+        u = pres[:, None] * np.abs(macros[0]) / ceil_scale_array(
+            np.abs(macros[0, :32]).max() * pres / 6.0, 0)[0][:, None]
+        assert np.isin(u[:, :32], GRID_MIDPOINTS).any()   # exact ties do occur
+        assert len(set(self._check(x, quant.block_size, 64))) > 2
+
+    def test_crossings_at_codes(self):
+        # Each sub-block max is 3.015625: its scale is 1 up to code 254. The
+        # other elements are c_j / p_k and their neighbours, so u = p_k x
+        # meets midpoint c_j at code k exactly or within one rounding. There
+        # the real-arithmetic crossing is off by one unless checked with the
+        # float expression, and the tie table decides the crossing code.
+        rng = np.random.default_rng(89)
+        k = rng.integers(1, 250, size=(64, 7))
+        x = np.nextafter(GRID_MIDPOINTS / (1.0 + k / MBS_LEVELS),
+                         np.where(rng.random(k.shape) < 0.5, 0.0, 7.0))
+        x = np.where(rng.random(k.shape) < 0.4, GRID_MIDPOINTS / (1.0 + k / MBS_LEVELS), x)
+        x = np.where(x < 3.015625, x, 0.1)
+        x = np.concatenate([np.full((64, 1), 3.015625), x], axis=1)
+        # one sub-block per macro: S2 = sum (s g)^2 is exact, so it must equal
+        # the sum over the sweep's own grid magnitudes at every code
+        pres = 1.0 + np.arange(MBS_LEVELS) / MBS_LEVELS
+        t = pres[:, None, None] * x                          # (256, 64, 8)
+        s, _, _ = ceil_scale_array(t.max(axis=2) / 6.0, 0)
+        g = grid_round_array(t / s[:, :, None])
+        want = ((s[:, :, None] * g) ** 2).sum(axis=2).T
+        s2, _ = corrections._grid_sums(x, 8)
+        assert np.array_equal(s2, want)
+        assert np.isin(t / s[:, :, None], GRID_MIDPOINTS).any()
+        self._check(x[:16], 8, 8)
+
+    def test_subnormal_edge(self):
+        # rows from subnormal through the closed form's lower range limit
+        # (2^-500); the last row is normal but holds one subnormal element
+        rng = np.random.default_rng(82)
+        x = rng.standard_normal((5, 96))
+        x *= 2.0 ** np.array([-1070, -1060, -540, -480, 0])[:, None]
+        x[4, 5] = 3 * 2.0 ** -1074
+        self._check(x, 16, 48)
+
+    def test_near_overflow(self):
+        # every prescale of the largest row stays finite (p_255 max < 2^1024);
+        # its squared errors overflow, so every trial there ties at inf
+        rng = np.random.default_rng(83)
+        x = rng.standard_normal((3, 64))
+        x *= 2.0 ** np.array([490, 505, 0])[:, None]
+        x[2] *= 1.7e308 / (2.0 * np.abs(x[2]).max())
+        with np.errstate(over="ignore"):
+            want = self._check(x, 32, 64)
+        assert want[2] == 0
+
+    @pytest.mark.parametrize("block_size", [1, 8, 32])
+    def test_macro_is_one_block(self, block_size):
+        rng = np.random.default_rng(84 + block_size)
+        x = rng.standard_t(3, size=(6, 4 * block_size))
+        self._check(x, block_size, block_size)
+
+    def test_sparse_with_zero_sub_blocks_and_macros(self):
+        rng = np.random.default_rng(85)
+        x = np.where(rng.random((6, 128)) < 0.05, rng.standard_normal((6, 128)), 0.0)
+        x[0, :32] = 0.0                              # all-zero sub-blocks
+        x[1, 64:] = 0.0                              # an all-zero macro
+        x[2, 7] = 1.0                                # one-hot macros
+        x[2, 64:] = 0.0
+        x[2, 100] = -0.375
+        want = self._check(x, 16, 64)
+        assert want[3] == 0                          # the all-zero macro
+
+    def test_ragged_tail_macros(self):
+        rng = np.random.default_rng(86)
+        x = rng.laplace(size=(3, 200))               # tails of 8 elements at macro 64
+        self._check(x, 8, 64)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_exhaustive_cases())
+    def test_codes_equal_sweep(self, case):
+        x, quant, mbs = case
+        _, codes = mbs_qdq(x, mbs, quant, "exhaustive")
+        assert np.array_equal(codes, _sweep_errors(_macros(x, mbs), quant).argmin(axis=1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_exhaustive_cases(mantissa_bits=(0,)))
+    def test_closed_form_within_its_bound(self, case):
+        # |A - E| <= D at every code: a misplaced breakpoint moves A by a
+        # whole grid step, far beyond D
+        x, quant, mbs = case
+        macros = _macros(x, mbs)
+        macros = macros[np.abs(macros).max(axis=1) > 0]
+        if not len(macros):
+            return
+        approx, bound = corrections._approx_errors(macros, quant.block_size)
+        assert (np.abs(approx - _sweep_errors(macros, quant)) <= bound).all()
+
+    def test_trial_counts(self, monkeypatch):
+        # dense macros at M = 0 evaluate one or two codes, all-zero macros
+        # none, and M > 0 evaluates all 256 codes of every other macro
+        seen = []
+        real = corrections._trial_errors
+
+        def counting(macros, sub_max, rows, k, quant, work):
+            seen.append(np.bincount(rows, minlength=len(macros)))
+            return real(macros, sub_max, rows, k, quant, work)
+
+        monkeypatch.setattr(corrections, "_trial_errors", counting)
+        x = np.random.default_rng(87).standard_normal((16, 512))
+        x[3] = 0.0                                   # four all-zero macros
+        for bits, low, high in ((0, 1, 2), (3, MBS_LEVELS, MBS_LEVELS)):
+            seen.clear()
+            mbs_qdq(x, MbsConfig(), BlockQuantConfig(scale_mantissa_bits=bits))
+            per_macro = np.concatenate(seen)
+            assert len(per_macro) == 60
+            assert low <= per_macro.min() and per_macro.max() <= high
+
+    def test_arbiter_recovers_from_perturbed_closed_form(self, monkeypatch):
+        # The closed form is moved by up to the bound it reports: up at the
+        # sweep's argmin, down at every other code, with the bound widened
+        # past the gap to the runner-up. Its own argmin is then always wrong,
+        # and only the exact evaluation of the candidates gives the codes.
+        real = corrections._approx_errors
+        flipped = []
+
+        def adversarial(macros, B):
+            approx, bound = real(macros, B)
+            best = _sweep_errors(macros, BlockQuantConfig(block_size=B)).argmin(axis=1)
+            ranked = np.sort(approx, axis=1)
+            shift = (ranked[:, 1] - ranked[:, 0] + bound.max(axis=1))[:, None]
+            sign = np.full(approx.shape, -1.0)
+            sign[np.arange(len(macros)), best] = 1.0
+            approx = approx + sign * shift
+            flipped.append(approx.argmin(axis=1) != best)
+            return approx, bound + 2.0 * shift
+
+        monkeypatch.setattr(corrections, "_approx_errors", adversarial)
+        rng = np.random.default_rng(88)
+        x = rng.standard_normal((8, 256))
+        x[4:] = rng.integers(-12, 13, size=(4, 256)) / 4.0
+        quant = BlockQuantConfig(block_size=32)
+        mbs = MbsConfig(macro_block_size=64)
+        _, codes = mbs_qdq(x, mbs, quant, "exhaustive")
+        assert np.concatenate(flipped).all()
+        assert np.array_equal(codes, _sweep_errors(_macros(x, mbs), quant).argmin(axis=1))
 
 
 class TestMbsQdq:

@@ -113,6 +113,20 @@ class TestRoundTrip:
         atomic_write_bytes(str(p), b"new")
         assert p.read_bytes() == b"new"
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_atomic_write_mode_follows_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "wb") gives, not the temp file's 0o600
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(str(tmp_path / "f.bin"), b"new")
+            with open(tmp_path / "plain.bin", "wb") as f:
+                f.write(b"new")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "f.bin").st_mode & 0o777 == mode
+        assert os.stat(tmp_path / "plain.bin").st_mode & 0o777 == mode
+
 
 def test_load_bf16_memory_bounded(tmp_path):
     # each tensor is widened piece by piece into its own preallocated array
