@@ -27,7 +27,7 @@ from .decompose import (
     _row_pieces,
     decompose_tensor,
 )
-from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _deadzone, block_view
+from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _deadzone, _Workspace, block_view
 
 __all__ = [
     "GammaStats",
@@ -94,15 +94,17 @@ def gamma_stats(tensors, config: BlockQuantConfig | None = None,
     (mappings are walked in sorted-name order); tensorstore.StoredTensors
     may stand in for arrays. Each tensor is read in the decomposition's
     pieces, which hold whole blocks, so the per-block deltas are those of
-    the whole tensor, in its order. All-zero blocks carry no scale and are
+    the whole tensor, in its order; one workspace holds every piece's
+    |blocks|, as in decompose_tensor. All-zero blocks carry no scale and are
     skipped; the count is reported. Requires at least min_blocks live blocks.
     """
     config = config or BlockQuantConfig()
     deltas = []
     skipped = 0
+    work = _Workspace()
     for x in _as_tensors(tensors):
         for _, _, piece in _row_pieces(x, config.block_size):
-            view = block_view(piece, config)
+            view = block_view(piece, config, work)
             s_star = view.s_star[view.nonzero]
             skipped += int((~view.nonzero).sum())
             if s_star.size:

@@ -28,6 +28,13 @@ the same pieces in the same order either way, so the sums are the same bits.
 Every piece-sized temporary lives in one workspace for the whole call.
 Without the error arrays (tensor_stats), the working memory is the input plus
 one piece for an array, and one piece for a stored tensor.
+
+Each piece is rounded by quantize.qdq_views, once for Q* and once for Q,
+both on |x|. With s the sign of x, each error is s times the same expression
+on the magnitudes, so the sums are taken on magnitudes and no sign is
+applied. Only the error arrays and a given x_hat need the signs, which are
+applied once per rounding; a piece without padding writes its errors
+straight into the arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .quantize import (
     _CHUNK_ELEMS,
     BlockQuantConfig,
     BlockView,
-    _ideal_views,
     _pad_rows,
     _Workspace,
     block_view,
@@ -164,37 +170,54 @@ def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
                 work: _Workspace) -> tuple[np.ndarray, int, int]:
     """The _SUM_PAIRS sums, the deadzone count and its count of zero outputs
     of one 2-D piece, measuring hat (the matching piece of x_hat) or, when
-    None, Q. Its (e_scale, e_dz, e_grid, e_total) are written into out.
-    Every piece-sized array is one of work's."""
-    view = block_view(piece, config)
+    None, Q. Its (e_scale, e_dz, e_grid, e_total) are written into out,
+    directly when the piece has no padding. Every other piece-sized array
+    is one of work's.
+
+    Without out or hat, the errors stay magnitudes: with s the sign of x,
+    each e_* is s times the same expression on |x|, so every product in
+    the sums is the same. Only the sign of a zero product can differ, and
+    np.dot starts from +0.0 from two elements on; a one-element piece keeps
+    the signs, since np.dot of one element is the product itself."""
+    view = block_view(piece, config, work)
     shape = view.blocks.shape
+    signs = out is not None or hat is not None or piece.size == 1
     if hat is None:
-        q, qstar, dead, _ = qdq_views(view, config, work)
+        q, qstar, dead, _ = qdq_views(view, config, work, signed=signs)
         total_buf = q                   # e_total overwrites Q
     else:
-        # Q is not needed: only Q* and the deadzone are rounded
-        qstar, dead = _ideal_views(view, work)
+        _, qstar, dead, _ = qdq_views(view, None, work)
         q = _pad_rows(hat, config.block_size).reshape(shape)
         total_buf = work.take("q", shape)   # q may view the caller's x_hat
-    dead &= view.valid                  # padding is not counted
-    zero = np.equal(q, 0.0, out=work.take("zero", shape, bool))
+    x = view.blocks if signs else view.mag
+    if view.padded:
+        dead &= view.valid              # padding is not counted
+    zero = np.equal(q, 0.0, out=work.take("scratch", shape, bool))
     zero &= dead
     zeros = int(np.count_nonzero(zero))         # before e_total overwrites Q
 
-    e_scale = np.subtract(q, qstar, out=work.take("e_scale", shape))
-    e_total = np.subtract(q, view.blocks, out=total_buf)
-    resid = qstar
-    resid -= view.blocks                # Q*(x) - x
-    e_dz = work.take("e_dz", shape)
-    e_dz.fill(0.0)
-    np.copyto(e_dz, resid, where=dead)
-    e_grid = resid
-    np.copyto(e_grid, 0.0, where=dead)
-    errors = [_unpadded(view, e, work, f"unpadded_{i}")
-              for i, e in enumerate((e_scale, e_dz, e_grid, e_total))]
-    if out is not None:
-        for dst, e in zip(out, errors):
-            dst[...] = e
+    direct = out is not None and not view.padded
+    if direct:
+        e_scale, e_dz, e_grid, e_total = (e.reshape(shape) for e in out)
+    else:
+        # |x| is not read past e_total and Q* - x: its buffer takes e_dz
+        e_scale, e_dz, e_grid, e_total = (work.take("e_scale", shape), view.mag,
+                                          qstar, total_buf)
+    np.subtract(q, qstar, out=e_scale)
+    np.subtract(q, x, out=e_total)
+    resid = np.subtract(qstar, x, out=qstar)    # Q*(x) - x
+    np.multiply(resid, dead, out=e_dz)  # -0.0 off the deadzone where resid < 0,
+    if signs:
+        e_dz += 0.0                     # which is +0.0 with signs
+    np.subtract(resid, e_dz, out=e_grid)    # +0.0 on the deadzone, resid off it
+    if direct:
+        errors = out
+    else:
+        errors = [_unpadded(view, e, work, f"unpadded_{i}")
+                  for i, e in enumerate((e_scale, e_dz, e_grid, e_total))]
+        if out is not None:
+            for dst, e in zip(out, errors):
+                dst[...] = e
     sums = np.array([_dot(errors[i], errors[j]) for i, j in _SUM_PAIRS])
     return sums, int(np.count_nonzero(dead)), zeros
 

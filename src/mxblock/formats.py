@@ -62,6 +62,7 @@ Q_MAX = 6.0
 Q_MIN = 0.5
 
 _MANTISSA_BITS = 52                     # float64 exponent field starts here
+_EXPONENT_MASK = 0x7FF << _MANTISSA_BITS
 # grid index by twice the magnitude: 0, 1, 2, 3, 4, 6, 8, 12 -> 0..7
 _INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7])
 
@@ -135,23 +136,28 @@ def _grid_magnitude(u: np.ndarray, out: np.ndarray | None = None,
                     field: np.ndarray | None = None) -> np.ndarray:
     """Nearest grid magnitude to |u|, into out (u itself may be out) or a
     new float64 array. field, if given, is an int64 scratch array of u's
-    shape.
-
-    a = min(|u|, q_max) lies in [2^(e-1), 2^e) with e <= 3, and the grid
-    step there is 2^max(e - 2, -1). a's biased exponent field is e + 1022,
-    so the step's field is max(field, 1023) - 1: three integer ops on the
-    bit pattern with the field kept in place (mask, max, subtract), where
-    frexp and ldexp would cost more than the rounding.
-    Exact: dividing by a power of two, rint and multiplying back lose no
-    bits. fmin, unlike minimum, also saturates nan to q_max."""
+    shape."""
     u = np.asarray(u, dtype=np.float64)
     if out is None:
         out = np.empty(u.shape)             # an array also for 0-d input
-    a = np.abs(u, out=out)
+    return _round_magnitude(np.abs(u, out=out), field)
+
+
+def _round_magnitude(a: np.ndarray, field: np.ndarray | None = None) -> np.ndarray:
+    """Round the magnitudes a >= 0 to the grid in place and return a. field,
+    if given, is an int64 scratch array of a's shape.
+
+    min(a, q_max) lies in [2^(e-1), 2^e) with e <= 3, and the grid step
+    there is 2^max(e - 2, -1). Its biased exponent field is e + 1022, so the
+    step's field is max(field, 1023) - 1: three integer ops on the bit
+    pattern with the field kept in place (mask, max, subtract), where frexp
+    and ldexp would cost more than the rounding.
+    Exact: dividing by a power of two, rint and multiplying back lose no
+    bits. fmin, unlike minimum, also saturates nan to q_max."""
     np.fmin(a, Q_MAX, out=a)
     if field is None:
-        field = np.empty(u.shape, dtype=np.int64)
-    np.bitwise_and(a.view(np.int64), 0x7FF << _MANTISSA_BITS, out=field)
+        field = np.empty(a.shape, dtype=np.int64)
+    np.bitwise_and(a.view(np.int64), _EXPONENT_MASK, out=field)
     np.maximum(field, 1023 << _MANTISSA_BITS, out=field)
     field -= 1 << _MANTISSA_BITS
     step = field.view(np.float64)
@@ -183,8 +189,9 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smallest representable E8Mk scale >= s_star, elementwise.
 
-    Returns (decoded, exponent, mantissa_code). Entries with s_star <= 0
-    are passed through as decoded 1.0 with code (0, 0); callers mask them.
+    Returns (decoded, exponent, mantissa_code), the codes int64. Entries
+    with s_star <= 0 are passed through as decoded 1.0 with code (0, 0);
+    callers mask them.
 
     Exact by construction: with s* = f * 2^p (frexp, f in [0.5, 1)) write
     s* = 2^(p-1) * t, t = 2f in [1, 2). The mantissa step is 2^-M, so
@@ -212,7 +219,7 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
 
     decoded = np.ldexp(1.0 + k / levels, e)
     decoded = np.where(ok, decoded, 1.0)
-    e = np.where(ok, e, 0)
+    e = np.where(ok, e, 0).astype(np.int64)    # frexp's exponents are int32
     k = np.where(ok, k, 0)
     return decoded, e, k
 

@@ -10,16 +10,19 @@ a sentinel unit scale, and every error component on them is zero.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .formats import (
+    _EXPONENT_MASK,
+    _MANTISSA_BITS,
     GRID_MAGNITUDES,
     Q_MAX,
     ScaleCode,
-    _grid_magnitude,
+    _round_magnitude,
     ceil_scale_array,
     grid_index_array,
 )
@@ -109,13 +112,15 @@ class QuantizedTensor:
 
 # Elements per working piece of the loops that stream a large tensor through
 # the kernels: the exhaustive MBS trials in corrections and the decomposition
-# in decompose. Each piece goes through a dozen elementwise passes over
-# several live arrays, so it is sized for the cache, not for numpy's per-call
-# overhead: at 2^17 one float64 array is 1 MiB and the working set fits a
-# 4 MiB L2. On a 2-core Xeon with 4 MiB L2, the MBS trials on 512x512 took
+# in decompose. Each piece goes through two dozen elementwise passes, the dot
+# products included, over half a dozen live arrays, so it is sized for the
+# cache, not for numpy's per-call overhead: at 2^17 one float64 array is
+# 1 MiB. On a 2-core Xeon with 4 MiB L2, the MBS trials on 512x512 took
 # 0.9-1.0 s at 2^16-2^17 against 2.0-2.3 s at 2^23, and tensor_stats on a
 # 4096x4096 Student-t tensor took 0.93-1.14 s at 2^14-2^20 against 1.64 s
-# at 2^22 and 1.47 s in one piece.
+# at 2^22 and 1.47 s in one piece. With the magnitude kernel (qdq_views) it
+# takes 0.41-0.45 s at 2^14-2^18 and 0.56 s at 2^13. The decomposition's
+# sums are added piece by piece, so this constant also fixes their bits.
 _CHUNK_ELEMS = 1 << 17
 
 
@@ -179,61 +184,132 @@ class BlockView:
     shape: tuple[int, ...]
     block_size: int
     blocks: np.ndarray                 # float64, (n_blocks, B)
-    valid: np.ndarray                  # bool, (n_blocks, B)
     m_b: np.ndarray                    # (n_blocks,)
     s_star: np.ndarray                 # (n_blocks,), 0 on all-zero blocks
     nonzero: np.ndarray                # bool, (n_blocks,)
+    _mag: np.ndarray | None = dataclasses.field(default=None, repr=False)
+
+    @property
+    def mag(self) -> np.ndarray:
+        """|blocks|: block_view's workspace array, or made on first use. A
+        view made without a workspace does not hold it until then."""
+        if self._mag is None:
+            self._mag = np.abs(self.blocks)
+        return self._mag
+
+    @property
+    def padded(self) -> bool:
+        return (self.shape[-1] if self.shape else 1) % self.block_size != 0
+
+    @property
+    def valid(self) -> np.ndarray:
+        """bool (n_blocks, B): False on padding. Built on each access."""
+        n = self.shape[-1] if self.shape else 1
+        rows = np.ones((self.blocks.size // _blocks_per_row(n, self.block_size)
+                        // self.block_size, n), dtype=bool)
+        return _pad_rows(rows, self.block_size).reshape(self.blocks.shape)
 
     def restore(self, blocked: np.ndarray) -> np.ndarray:
         return _unblock(blocked, self.shape, self.block_size)
 
+    def signed(self, mag: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Magnitudes given the signs of blocks, into out (mag itself may be
+        out): a zero keeps the sign of its element, as copysign gives it,
+        except on all-zero blocks, which are +0.0 throughout. These are the
+        bits of rounding the signed blocks directly."""
+        out = np.copysign(mag, self.blocks, out=out)
+        if not self.nonzero.all():
+            out[~self.nonzero] = 0.0
+        return out
 
-def block_view(x: np.ndarray, config: BlockQuantConfig) -> BlockView:
-    """Split along the innermost axis, zero-padding short tail blocks."""
+
+def block_view(x: np.ndarray, config: BlockQuantConfig,
+               work: _Workspace | None = None) -> BlockView:
+    """Split along the innermost axis, zero-padding short tail blocks. With
+    a workspace, |blocks| is formed once, into its "mag", and kept as the
+    view's mag."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty tensor")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input")
     B = config.block_size
     shape = x.shape
     n = shape[-1] if shape else 1
-    rows = x.reshape(-1, n)
-    blocks = _pad_rows(rows, B).reshape(-1, B)
-    valid = _pad_rows(np.ones(rows.shape, dtype=bool), B).reshape(-1, B)
-
-    m_b = np.abs(blocks).max(axis=1)
+    blocks = _pad_rows(x.reshape(-1, n), B).reshape(-1, B)
+    mag = np.abs(blocks, out=_take(work, "mag", blocks.shape))
+    # On |x|, the int64 order of the bit patterns is the float order, and
+    # inf and nan have the largest patterns: a block holding either has a
+    # non-finite maximum. The integer reduction is the faster one.
+    m_b = mag.view(np.int64).max(axis=1).view(np.float64)
+    if not np.isfinite(m_b).all():
+        raise ValueError("non-finite input")
     s_star = m_b / Q_MAX
-    return BlockView(shape, B, blocks, valid, m_b, s_star, m_b > 0)
+    return BlockView(shape, B, blocks, m_b, s_star, m_b > 0,
+                     None if work is None else mag)
 
 
 # --- core kernels (array in, array out) --------------------------------------
+
+# Scale exponents e for which _mag_round_pow2 folds 2^e into the grid step.
+# With |x| <= 6 * 2^e (1 + 2^-52), the step 2^e * 2^max(k - 2, -1) of an element
+# in [2^(e + k - 1), 2^(e + k)) has k <= 3, so its biased exponent lies in
+# [1022 + e, 1024 + e]. That is a normal power of two for e in [-1021, 1022],
+# and 6 * 2^e is finite for e <= 1021.
+_FOLD_EXPONENTS = (-1021, 1021)
+
+
+def _mag_round(mag: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None,
+               work: _Workspace | None = None) -> np.ndarray:
+    """scale * grid_magnitude(mag / scale) for magnitudes mag >= 0, one scale
+    > 0 per row, into out or a new array."""
+    s = scale[:, None]
+    q = np.divide(mag, s, out=out)
+    _round_magnitude(q, _take(work, "scratch", q.shape, np.int64))
+    q *= s
+    return q
+
+
+def _mag_round_pow2(mag: np.ndarray, exponent: np.ndarray,
+                    out: np.ndarray | None = None,
+                    work: _Workspace | None = None) -> np.ndarray:
+    """_mag_round at the scale 2^exponent of each row, int64 exponents
+    within _FOLD_EXPONENTS, with the scale folded into the grid step.
+
+    The step of u = |x| / 2^e is 2^max(k - 2, -1) for u in [2^(k-1), 2^k)
+    (formats._round_magnitude); times 2^e, its biased exponent field is
+    max(field(|x|), 1023 + e) - 1. So the rounding is one divide by that
+    step, rint and one multiply, with no divide or multiply by the scale.
+    The same bits as _mag_round: every step is normal in the range, so
+    |x| / step is exact unless it is below 2^-1022, where both round to 0."""
+    field = np.bitwise_and(mag.view(np.int64), _EXPONENT_MASK,
+                           out=_take(work, "scratch", mag.shape, np.int64))
+    np.maximum(field, ((1023 + exponent) << _MANTISSA_BITS)[:, None], out=field)
+    field -= 1 << _MANTISSA_BITS
+    step = field.view(np.float64)
+    q = np.divide(mag, step, out=out)
+    np.rint(q, out=q)
+    q *= step
+    return q
 
 
 def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray,
                   out: np.ndarray | None = None,
                   work: _Workspace | None = None) -> np.ndarray:
     """scale * grid_round(blocks / scale), one scale per row, into out or a
-    new array; all-zero rows stay zero. The one QDQ rounding step: qdq_views
-    runs it for Q and Q*, _ideal_views for Q* alone, qdq_tensor and the
-    exhaustive MBS trials in corrections for Q alone."""
-    safe = np.where(nonzero, scale, 1.0)[:, None]
-    q = np.divide(blocks, safe, out=out)
-    _grid_magnitude(q, q, _take(work, "scratch", q.shape, np.int64))
-    np.copysign(q, blocks, out=q)      # the sign of blocks / safe: safe > 0
-    q *= safe
+    new array; all-zero rows stay zero. The signed rounding of a whole
+    tensor, _mag_round on |blocks|: qdq_tensor and the exhaustive MBS trials
+    in corrections run it for Q alone."""
+    q = np.abs(blocks, out=out)
+    _mag_round(q, np.where(nonzero, scale, 1.0), q, work)
+    np.copysign(q, blocks, out=q)
     q[~nonzero] = 0.0                  # +0.0, where a -0.0 input rounded to -0.0
     return q
 
 
 def _deadzone(view: BlockView, work: _Workspace | None = None) -> np.ndarray:
-    """The ideal-scale deadzone |x| < m_b/24, strict, False on all-zero
-    blocks."""
+    """The ideal-scale deadzone |x| < m_b/24, strict. False on all-zero
+    blocks, whose threshold is 0; True on the padding of the others."""
     thr = (view.m_b / 24.0)[:, None]
-    mag = np.abs(view.blocks, out=_take(work, "scratch", view.blocks.shape))
-    dead = np.less(mag, thr, out=_take(work, "dead", mag.shape, bool))
-    dead &= view.nonzero[:, None]
-    return dead
+    return np.less(view.mag, thr, out=_take(work, "dead", view.blocks.shape, bool))
 
 
 def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
@@ -243,29 +319,41 @@ def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
     return (np.sign(u) * grid_index_array(np.abs(u))).astype(np.int8)
 
 
-def _ideal_views(view: BlockView, work: _Workspace | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(qstar, dead) on the blocked view: the half of qdq_views that does not
-    depend on the scale code. The decomposition of a given x_hat needs only
-    this half."""
-    qstar = _take(work, "qstar", view.blocks.shape)
-    return (_scaled_round(view.blocks, view.s_star, view.nonzero, qstar, work),
-            _deadzone(view, work))
+def qdq_views(view: BlockView, config: BlockQuantConfig | None,
+              work: _Workspace | None = None, *, signed: bool = True
+              ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(qdq, qstar, dead, s_decoded) on the blocked view: the one rounding
+    kernel of the decomposition.
 
+    dead is the ideal-scale deadzone (_deadzone). qstar uses s_star, and
+    qdq the ceiling-coded scale of config; config None skips Q, so qdq and
+    s_decoded are None (the decomposition of a given x_hat needs only Q*).
+    With signed=False, qdq and qstar are magnitudes, the roundings of
+    view.mag: the decomposition's sums need no signs. With a workspace the
+    three arrays are its "q", "qstar" and "dead".
 
-def qdq_views(view: BlockView, config: BlockQuantConfig,
-              work: _Workspace | None = None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(qdq, qstar, dead, s_decoded) on the blocked view.
-
-    dead is the ideal-scale deadzone |x| < m_b/24, strict, False on
-    all-zero blocks. qstar uses s_star; qdq uses the ceiling-coded scale.
-    With a workspace the three arrays are its "q", "qstar" and "dead".
+    Both roundings work on |x|. Q* divides it by s_star (1 on blocks whose
+    s_star is 0: all-zero ones and those whose maximum is at most 3
+    subnormal units). At M = 0, Q folds its power-of-two scale into the
+    grid step (_mag_round_pow2) when every block's exponent allows it.
     """
-    s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    qdq = _scaled_round(view.blocks, s_dec, view.nonzero,
-                        _take(work, "q", view.blocks.shape), work)
-    qstar, dead = _ideal_views(view, work)
+    shape = view.blocks.shape
+    qstar = _mag_round(view.mag, np.where(view.s_star > 0, view.s_star, 1.0),
+                       _take(work, "qstar", shape), work)
+    dead = _deadzone(view, work)
+    qdq = s_dec = None
+    if config is not None:
+        s_dec, e, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
+        q = _take(work, "q", shape)
+        lo, hi = _FOLD_EXPONENTS
+        if config.scale_mantissa_bits == 0 and ((e >= lo) & (e <= hi)).all():
+            qdq = _mag_round_pow2(view.mag, e, q, work)
+        else:
+            qdq = _mag_round(view.mag, s_dec, q, work)
+    if signed:
+        view.signed(qstar, qstar)
+        if qdq is not None:
+            view.signed(qdq, qdq)
     return qdq, qstar, dead, s_dec
 
 

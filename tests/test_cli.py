@@ -364,9 +364,9 @@ class TestExitCodes:
         monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
         seen = []
 
-        def counted(x, cfg):
+        def counted(x, cfg, work=None):
             seen.append(np.shape(x))
-            return block_view(x, cfg)
+            return block_view(x, cfg, work)
 
         monkeypatch.setattr(decompose, "block_view", counted)
         b = np.ones((8, 40))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from mxblock import decompose, quantize
 from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
+from mxblock.formats import ceil_scale_array
 from mxblock.decompose import (
     DecompReport,
     decompose_tensor,
@@ -266,6 +268,168 @@ class TestQstarFromDecomposition:
         assert np.array_equal(got, want)
 
 
+# --- the kernel against brute force ---------------------------------------------
+
+_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+
+
+def _brute_round(b, scale):
+    """copysign(g * scale, b) for the grid value g nearest |b| / scale, found
+    by trying all eight; a tie has two nearest values and goes to the even
+    index. As in perfbench's reference_stats, and +0.0 on all-zero rows."""
+    u = np.abs(b) / scale[:, None]
+    dist = np.abs(u[:, :, None] - _GRID)
+    best = dist == dist.min(axis=2, keepdims=True)
+    even = best & (np.arange(_GRID.size) % 2 == 0)
+    idx = np.where(best.sum(axis=2) > 1, even.argmax(axis=2), best.argmax(axis=2))
+    q = np.copysign(_GRID[idx] * scale[:, None], b)
+    q[~b.any(axis=1)] = 0.0         # all-zero blocks are +0.0, -0.0 inputs too
+    return q
+
+
+def _brute_ceil_scale(s_star, m):
+    """The coded scale: at M = 0 the power of two from math.frexp; else
+    formats' codec, which test_formats checks against a scan of all codes."""
+    if m:
+        return ceil_scale_array(s_star, m)[0]
+    return np.array([s if math.frexp(s)[0] == 0.5 else math.ldexp(1.0, math.frexp(s)[1])
+                     for s in s_star.tolist()])
+
+
+def _brute_split(x, cfg, x_hat=None):
+    """(e_scale, e_dz, e_grid, e_total), the seven sums, the deadzone count
+    and its zero outputs, straight from the definitions on one padded copy.
+    A block whose s_star is 0 (all zero, or a maximum of at most 3 subnormal
+    units) is rounded at scale 1."""
+    B = cfg.block_size
+    n = x.shape[-1] if x.ndim else 1
+    rows = x.reshape(-1, n)
+    pad = ((0, 0), (0, -n % B))
+    b = np.pad(rows, pad).reshape(-1, B)
+    valid = np.pad(np.ones(rows.shape, dtype=bool), pad).reshape(-1, B)
+    m = np.abs(b).max(axis=1)
+    s_star = np.where(m / 6.0 > 0, m / 6.0, 1.0)
+    qstar = _brute_round(b, s_star)
+    hat = (_brute_round(b, _brute_ceil_scale(s_star, cfg.scale_mantissa_bits))
+           if x_hat is None else np.pad(x_hat.reshape(rows.shape), pad).reshape(-1, B))
+    dead = (np.abs(b) < (m / 24.0)[:, None]) & valid
+    resid = qstar - b
+    blocked = (hat - qstar, np.where(dead, resid, 0.0), np.where(dead, 0.0, resid),
+               hat - b)
+    errors = [e.reshape(len(rows), -1)[:, :n].reshape(x.shape) for e in blocked]
+    sums = {f: np.dot(errors[i].ravel(), errors[j].ravel())
+            for f, (i, j) in zip(_SPLIT_SUMS, decompose._SUM_PAIRS)}
+    return errors, sums, np.count_nonzero(dead), np.count_nonzero(dead & (hat == 0.0))
+
+
+_SPLIT_SUMS = ("n2_scale", "n2_dz", "n2_grid", "n2_total", "ip_scale_grid",
+               "ip_scale_dz", "ip_dz_grid")
+
+
+@st.composite
+def _kernel_cases(draw):
+    """One-piece tensors: ragged tails, exact midpoint ties under a block
+    maximum of 6, -0.0, all-zero blocks, subnormal and near-overflow scales;
+    every M the kernel treats apart; with and without an x_hat."""
+    n = draw(st.integers(1, 150))
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 4)), n), ()]))
+    elements = st.one_of(
+        st.floats(-6.0, 6.0, allow_nan=False, allow_subnormal=False),
+        st.sampled_from(_EDGE_U + [-u for u in _EDGE_U] + [0.0, -0.0]))
+    x = draw(hnp.arrays(np.float64, shape, elements=elements))
+    block_size = draw(st.integers(1, 40))
+    rows = x.reshape(-1, x.shape[-1] if x.ndim else 1)
+    if draw(st.booleans()):
+        rows[:, ::block_size] = draw(st.sampled_from([6.0, -6.0]))
+    if draw(st.booleans()):
+        rows[:, :block_size] = draw(st.sampled_from([0.0, -0.0]))   # a zero block
+    # 2^1000 gives 1e300-scale blocks; 2^-1070 makes every value subnormal
+    x = x * 2.0 ** draw(st.sampled_from([0, -1000, 1000, -1070]))
+    x_hat = None
+    if draw(st.booleans()):
+        x_hat = np.round(x * draw(st.sampled_from([1.0, 4.0, -2.0]))) / 4.0
+    cfg = BlockQuantConfig(block_size=block_size,
+                           scale_mantissa_bits=draw(st.sampled_from([0, 1, 3, 8])))
+    return x, cfg, x_hat, draw(st.booleans())
+
+
+def _same_sum(a, b):
+    # the same bits, the sign of a zero included; or both nan, from inf - inf
+    # in the products of 1e300-scale errors
+    a, b = np.float64(a), np.float64(b)
+    return a.view(np.uint64) == b.view(np.uint64) or (np.isnan(a) and np.isnan(b))
+
+
+def _check_against_brute_force(x, cfg, x_hat, keep_errors):
+    with np.errstate(over="ignore", invalid="ignore"):     # 1e300-scale norms
+        d = decompose_tensor(x, cfg, keep_errors=keep_errors, x_hat=x_hat)
+        errors, sums, dead, zeros = _brute_split(x, cfg, x_hat)
+    if keep_errors:
+        for field, want in zip(("e_scale", "e_dz", "e_grid", "e_total"), errors):
+            got = getattr(d, field)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), field
+    for field, want in sums.items():
+        assert _same_sum(getattr(d, field), want), field
+    assert d.dz_fraction == dead / x.size
+    assert d.dz_zero_fraction == zeros / x.size
+
+
+class TestKernelAgainstBruteForce:
+    """decompose_tensor, and qdq_views under it, against _brute_split: the
+    error arrays bit for bit, the sums and deadzone counts exactly."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_kernel_cases())
+    def test_split(self, case):
+        _check_against_brute_force(*case)
+
+    # (block maximum, whether Q at M = 0 folds its scale 2^e into the grid
+    # step): 1 and 3 subnormal units (s_star 0, scale 1), 7 units (s_star one
+    # unit, e = -1074), a subnormal block, the two ends of _FOLD_EXPONENTS
+    # (e = -1021 at 2e-307, e = 1021 at 1.2e308) and one past each
+    _EXTREMES = [(5e-324, True), (1.5e-323, True), (3.5e-323, False), (1e-310, False),
+                 (1e-307, False), (2e-307, True), (1e300, True), (1.2e308, True),
+                 (1.5e308, False)]
+
+    @pytest.mark.parametrize("top,folded", _EXTREMES)
+    @pytest.mark.parametrize("m", [0, 1, 3, 8])
+    def test_extreme_blocks(self, top, folded, m, monkeypatch):
+        folds = []
+        fold = quantize._mag_round_pow2
+        monkeypatch.setattr(quantize, "_mag_round_pow2",
+                            lambda *args: folds.append(1) or fold(*args))
+        rng = np.random.default_rng(48)
+        x = rng.uniform(-1.0, 1.0, size=(3, 70)) * top
+        x[:, ::9] = top
+        x[:, -1] = -top                 # the 6-element tail block too
+        x[1, :32] = -0.0
+        cfg = BlockQuantConfig(block_size=32, scale_mantissa_bits=m)
+        for x_hat in (None, np.round(x / top * 4.0) * (top / 4.0)):
+            for keep_errors in (True, False):
+                _check_against_brute_force(x, cfg, x_hat, keep_errors)
+        # Q is rounded only without x_hat, once per keep_errors
+        assert len(folds) == (2 if folded and m == 0 else 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_kernel_cases())
+    def test_qdq_views(self, case):
+        x, cfg, _, _ = case
+        view = block_view(x, cfg)
+        with np.errstate(over="ignore"):
+            qdq, qstar, dead, _ = qdq_views(view, cfg)
+            q_mag, qstar_mag, _, _ = qdq_views(view, cfg, signed=False)
+        m = view.m_b
+        s_star = np.where(m / 6.0 > 0, m / 6.0, 1.0)
+        want_q = _brute_round(view.blocks,
+                              _brute_ceil_scale(s_star, cfg.scale_mantissa_bits))
+        want_qstar = _brute_round(view.blocks, s_star)
+        for got, want in ((qdq, want_q), (qstar, want_qstar)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for got, want in ((q_mag, want_q), (qstar_mag, want_qstar)):
+            assert np.array_equal(got.view(np.uint64), np.abs(want).view(np.uint64))
+        assert np.array_equal(dead, np.abs(view.blocks) < (m / 24.0)[:, None])
+
+
 def _one_shot(x, cfg):
     """(e_scale, e_dz, e_grid, e_total) and the deadzone count from a single
     block_view/qdq_views pass over the whole tensor."""
@@ -301,9 +465,9 @@ class TestChunkedDecomposition:
         monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
         calls = []
 
-        def counted(x, cfg):
+        def counted(x, cfg, work=None):
             calls.append(np.shape(x))
-            return block_view(x, cfg)
+            return block_view(x, cfg, work)
 
         monkeypatch.setattr(decompose, "block_view", counted)
         self.pieces = calls
@@ -367,9 +531,9 @@ class TestMeasuredQuantizer:
         monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
         self.pieces = []
 
-        def counted(x, cfg):
+        def counted(x, cfg, work=None):
             self.pieces.append(np.shape(x))
-            return block_view(x, cfg)
+            return block_view(x, cfg, work)
 
         monkeypatch.setattr(decompose, "block_view", counted)
 
@@ -413,26 +577,32 @@ class TestMeasuredQuantizer:
             assert getattr(measured, field) == getattr(plain, field), field
 
     def test_x_hat_path_rounds_only_qstar(self, monkeypatch):
-        # per piece: Q and Q* on the plain path, Q* alone when x_hat is given
+        # per piece: Q and Q* on the plain path, Q* alone when x_hat is given;
+        # qdq_views rounds Q* by _mag_round and, at M = 0, Q by _mag_round_pow2
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return scaled_round(*args)
+        def counting(name):
+            real = getattr(quantize, name)
 
-        scaled_round = quantize._scaled_round
-        monkeypatch.setattr(quantize, "_scaled_round", counted)
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("_mag_round", "_mag_round_pow2"):
+            monkeypatch.setattr(quantize, name, counting(name))
         x = np.random.default_rng(47).standard_normal((40, 24))
         cfg = BlockQuantConfig(block_size=8)
         x_hat = qdq_tensor(x, cfg)
         calls.clear()
         decompose_tensor(x, cfg)
-        assert len(calls) == 2 * len(self.pieces) and len(self.pieces) > 1
+        assert len(self.pieces) > 1
+        assert calls == ["_mag_round", "_mag_round_pow2"] * len(self.pieces)
         for keep_errors in (True, False):
             calls.clear()
             self.pieces.clear()
             decompose_tensor(x, cfg, keep_errors=keep_errors, x_hat=x_hat)
-            assert len(calls) == len(self.pieces) > 1
+            assert calls == ["_mag_round"] * len(self.pieces) and len(self.pieces) > 1
 
     def test_shape_mismatch(self):
         x = np.random.default_rng(46).standard_normal((6, 40))

@@ -193,6 +193,16 @@ class TestScaleCeiling:
         decoded, _, _ = ceil_scale_array(s, 0)
         assert np.array_equal(decoded, np.exp2(np.ceil(np.log2(s))))
 
+    def test_codes_are_int64(self):
+        # frexp gives int32 exponents; shifted into a float64 exponent field
+        # (quantize._round_pow2) an int32 would wrap
+        for m in (0, 3, 8):
+            _, exps, mants = ceil_scale_array(np.array([0.0, 1e-300, 3.0, 1e300]), m)
+            assert exps.dtype == np.int64 and mants.dtype == np.int64
+            assert ((1023 + exps) << 52).dtype == np.int64
+        _, exps, _ = ceil_scale_array(np.array([2.0 ** 1000]), 0)
+        assert (1023 + exps[0]) << 52 == (1023 + 1000) << 52
+
     def test_carry_wraps_to_next_exponent(self):
         # just above a power of two with M=0 the ceiling doubles
         decoded, exps, mants = ceil_scale_array(np.array([1.0 + 1e-12]), 0)
