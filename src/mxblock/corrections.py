@@ -12,14 +12,20 @@ Two selection modes for k:
 - "exhaustive": argmin over all 256 codes of the macro reconstruction MSE,
   ties to the smallest k. Minimizes total error; does not specifically
   drive the scale ratio to 1. At M = 0 a closed form ranks all 256 codes
-  in O(macro + 256 sub-blocks) per macro, and only the codes it cannot
-  tell from the minimum, almost always one, are quantized as trials. At
-  M > 0 every code is a trial, O(256 macro) per macro. Either way the
-  code is the one that quantizing all 256 trials picks, bit for bit.
+  in O(macro + 256) per macro: each element's grid value changes only at
+  its grid crossings (at most four) and at its sub-block's one scale
+  switch, and only those changes are placed at their codes. Only the
+  codes it cannot tell from the minimum, almost always one, are quantized
+  as trials. At M > 0 every code is a trial, O(256 macro) per macro.
+  Either way the code is the one that quantizing all 256 trials picks,
+  bit for bit.
 - "closed_form": k = floor((2^delta_M - 1) * 256) from the macro max.
   Floor, not nearest: rounding up would push the prescaled macro max past
   the next power of two and double the ceiling scale. This mode pins the
   macro-max block's scale ratio to within one mantissa step of 1.
+
+mbs_qdq runs in pieces of whole macros: it picks a piece's codes, then
+writes its x_hat into the output, so its working memory is one piece.
 
 Outlier fallback (OF) runs the quantizer twice and blends the residual
 pass: x_hat = Q(x) + alpha * Q(x - Q(x)). Deadzone values killed by pass 1
@@ -32,17 +38,19 @@ decaying sigma exponentially over stages.
 from __future__ import annotations
 
 import hashlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import decompose_tensor
+from .decompose import _pieces, decompose_tensor
 from .formats import (
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
     Q_MAX,
+    _INDEX_BY_HALVES,
+    _round_magnitude,
     ceil_scale_array,
-    grid_index_array,
 )
 from .quantize import (
     _CHUNK_ELEMS,
@@ -134,57 +142,134 @@ def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
 
 
 # p_k = 1 + k/256 for k = 0..256. p_256 = 2 is never a code: it caps the
-# search ranges of _grid_sums.
+# search for the scale switch in _grid_sums.
 _PRESCALES = 1.0 + np.arange(MBS_LEVELS + 1) / MBS_LEVELS
+_CODE_STEP = 1.0 / MBS_LEVELS                        # p_{k+1} - p_k, exact
 _GRID_STEPS = np.diff(GRID_MAGNITUDES)               # 0.5 ... 2: powers of two
 _GRID_SQ_STEPS = np.diff(GRID_MAGNITUDES ** 2)
+_GRID_INDEX = _INDEX_BY_HALVES.astype(np.int8)      # grid index by 2 g
 # u rounds above midpoint j exactly when u > _PASSED[j]: the midpoint where
 # its tie stays at the even index j, the float just below it where the tie
 # rounds up to the even index j + 1.
 _PASSED = np.where(np.arange(len(GRID_MIDPOINTS)) % 2 == 1,
                    np.nextafter(GRID_MIDPOINTS, 0.0), GRID_MIDPOINTS)
+# Crossings by jj = j + 7r, midpoint j in scale regime r (scale 2^r s0), in
+# units of the sub-block's s0: the threshold on fl(p |x|) / s0, and the
+# steps of s g / s0 and (s g / s0)^2. Doubling is exact.
+_N_MIDPOINTS = len(GRID_MIDPOINTS)
+_CROSS_THRESHOLDS = np.concatenate([_PASSED, 2.0 * _PASSED])
+_CROSS_STEPS = np.concatenate([_GRID_STEPS, 2.0 * _GRID_STEPS])
+_CROSS_SQ_STEPS = np.concatenate([_GRID_SQ_STEPS, 4.0 * _GRID_SQ_STEPS])
+# fl(1 / p^2) and fl(2 / p) of every code, for _approx_errors
+_INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
+_TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
+# Elements per step of the exhaustive search and per piece of mbs_qdq. A
+# step of the closed form holds about 25 arrays the size of the step or of
+# its crossings (1.4 per Gaussian element), 3.5 MiB at 2^14 elements. On
+# 512x512 a 2^15 step was no faster and raised the mbs command's peak RSS
+# from 46 to 52 MB.
+_STEP_ELEMS = _CHUNK_ELEMS // 8
 # Macros whose nonzero magnitudes lie in this range take the closed form:
 # every product, square and quotient that it and the sweep form is a normal
 # float, the premise of the rounding bound in _approx_errors. Other macros
 # are swept.
 _CLOSED_FORM_RANGE = (2.0 ** -500, 2.0 ** 500)
+# The workspace of the running _exhaustive_codes call, which _grid_sums and
+# _approx_errors take their arrays from: those are then made once per call,
+# not faulted in afresh on every step. It is not an argument because
+# _approx_errors keeps the (macros, B) form by which tests substitute it.
+# Outside a call they use a fresh workspace.
+_closed_form_work: ContextVar[_Workspace | None] = ContextVar("_closed_form_work",
+                                                              default=None)
+
+
+def _sub_maxima(mag: np.ndarray, B: int) -> np.ndarray:
+    """(n, macro / B) sub-block maxima of the (n, macro) magnitudes mag, by
+    an int64 reduction on their bits: on |x| the integer order of the bit
+    patterns is the float order, and the integer reduction is the faster."""
+    n = mag.shape[0]
+    return mag.reshape(-1, B).view(np.int64).max(axis=1).view(np.float64).reshape(n, -1)
+
+
+def _prescaled_qdq(macros: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
+                   quant: BlockQuantConfig, out: np.ndarray,
+                   work: _Workspace) -> np.ndarray:
+    """Q(p x) / p of each row of macros at its prescale (pres, shape (n, 1)),
+    into out: the one evaluation of a prescaled macro, for the trials and
+    for mbs_qdq's output alike.
+
+    Q is the _scaled_round of qdq_tensor, so each row holds the bits of
+    qdq_tensor(p x) / p, and at M = 0 it folds the power-of-two scale into
+    the grid step, as qdq_views does. The blocks are not built with
+    block_view: their maxima come from the macro's own sub-block maxima
+    sub_max, exactly, since rounding is monotone and fl(p * max|x_i|) = max
+    fl(p * |x_i|), the maximum block_view would find on the prescaled
+    block. That gives s_star and the ceiling scale at 1/B of the cost, for
+    any M."""
+    B = quant.block_size
+    m_b = sub_max * pres                                        # (n, macro / B)
+    s_dec, e, _ = ceil_scale_array(m_b / Q_MAX, quant.scale_mantissa_bits)
+    trials = np.multiply(macros, pres, out=work.take("trials", macros.shape))
+    y = _scaled_round(trials.reshape(-1, B), s_dec.ravel(), m_b.ravel() > 0,
+                      out.reshape(-1, B), work,
+                      exponent=e.ravel() if quant.scale_mantissa_bits == 0 else None)
+    y = y.reshape(macros.shape)
+    y /= pres
+    return y
 
 
 def _trial_errors(macros: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
                   k: np.ndarray, quant: BlockQuantConfig,
                   work: _Workspace) -> np.ndarray:
     """Squared error sum(Q(p x) / p - x)^2 of trial i: macro macros[rows[i]]
-    (sub-block maxima sub_max[rows[i]]) at code k[i]. The one evaluation of
-    a trial, so its float64 value is that of every other caller.
-
-    Q is the same _scaled_round that qdq_tensor uses. Trial blocks are not
-    built with block_view. Their maxima come from the macro's own sub-block
-    maxima, exactly: rounding is monotone, so fl(p * max|x_i|) = max fl(p *
-    |x_i|), the maximum block_view would find on the prescaled block. That
-    gives s_star and the ceiling scale of a trial at 1/B of the cost, for any
-    M. Each trial is one row of macro elements and is summed along that row,
-    so its pairwise summation does not depend on which other trials share
-    the call. Runs in pieces of about quantize._CHUNK_ELEMS elements."""
+    (sub-block maxima sub_max[rows[i]]) at code k[i], by _prescaled_qdq.
+    The one evaluation of a trial error, so its float64 value is that of
+    every other caller. Each trial is one row of macro elements and is
+    summed along that row, so its pairwise summation does not depend on
+    which other trials share the call. Runs in pieces of about
+    quantize._CHUNK_ELEMS elements."""
     macro = macros.shape[1]
-    B = quant.block_size
     errors = np.empty(len(rows))
     step = max(1, _CHUNK_ELEMS // macro)
     for lo in range(0, len(rows), step):
         r = rows[lo:lo + step]
         n = len(r)
-        pres = _PRESCALES[k[lo:lo + step]][:, None]
         # mode="clip": with "raise", take buffers its out= through a copy
         x = np.take(macros, r, axis=0, out=work.take("x", (n, macro)), mode="clip")
-        m_b = sub_max[r] * pres                                      # (n, macro / B)
-        s_dec, _, _ = ceil_scale_array(m_b / Q_MAX, quant.scale_mantissa_bits)
-        trials = np.multiply(x, pres, out=work.take("trials", (n, macro)))
-        y = _scaled_round(trials.reshape(-1, B), s_dec.ravel(), m_b.ravel() > 0,
-                          work.take("y", (n * macro // B, B)), work).reshape(n, macro)
-        y /= pres
+        y = _prescaled_qdq(x, sub_max[r], _PRESCALES[k[lo:lo + step]][:, None],
+                           quant, work.take("y", (n, macro)), work)
         y -= x
         np.square(y, out=y)
         errors[lo:lo + step] = y.sum(axis=1)
     return errors
+
+
+def _first_past(a: np.ndarray, thr: np.ndarray | float, out: np.ndarray,
+                work: _Workspace) -> np.ndarray:
+    """First code k with fl(p_k a) > thr, elementwise, as float64 into out,
+    for a > 0 whose first such code lies in [1, 256].
+
+    The real crossing is r = (thr / a - 1) * 256, and the computed r is
+    within 2^-44 of it: thr / a rounds once and lies in [1, 2], so taking 1
+    away and scaling by 256 are exact. fl(p_k a) differs from p_k a by less
+    than a relative 2^-52, which moves the crossing by less than 2^-42. So
+    the first code is the estimate floor(r) + 1 or a neighbour, and the
+    sweep's own product fl(p_k a) at the estimate and at the code below it
+    settles which. Each p_k is formed exactly, as (f + 257) / 256 for the
+    integer f = floor(r), so no code is looked up or clipped."""
+    f = np.divide(thr, a, out=out)
+    f *= MBS_LEVELS
+    f -= MBS_LEVELS
+    np.floor(f, out=f)
+    p = np.multiply(f, _CODE_STEP, out=work.take("p", a.shape))
+    p += 1.0 + _CODE_STEP                              # p at the estimate f + 1
+    pa = work.take("pa", a.shape)
+    past = work.take("past", a.shape, bool)
+    f += 2.0
+    f -= np.greater(np.multiply(p, a, out=pa), thr, out=past)
+    p -= _CODE_STEP
+    f -= np.greater(np.multiply(p, a, out=pa), thr, out=past)
+    return f
 
 
 def _grid_sums(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,121 +277,184 @@ def _grid_sums(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
     macro at every code at M = 0, where s is the element's sub-block scale
     and g_i its grid magnitude in the trial at that code.
 
-    Scale regimes. A sub-block with maximum m has the ceiling scale s(k) =
-    ceil_pow2(fl(fl(p_k m) / 6)). It starts at s0 = s(0) and, as fl(p_k m)
-    <= 2m, can only double, once, at the first k where fl(fl(p_k m) / 6) >
-    s0. That k, ksw, is found by bisection on the same expression.
+    Units. A sub-block with maximum m starts at the scale s0 =
+    ceil_pow2(fl(m / 6)). Dividing by a power of two is exact and commutes
+    with rounding, so each sub-block is worked in units of its s0: v_i =
+    |x_i| / s0, and fl(p_k |x_i|) / s0 = fl(p_k v_i).
 
-    Breakpoints. Within a regime u_i(k) = fl(p_k |x_i|) / s is exact (s is a
-    power of two) and monotone in k, and so is its grid index. u grows by
-    less than a factor of 2 there, and midpoints two apart differ by a
-    factor of at least 2, so an element crosses at most two midpoints per
-    regime. It crosses midpoint c_j at the first k with u > _PASSED[j],
-    which applies the tie table. The real crossing (c s / |x_i| - 1) * 256
-    is within 1e-12 of the float one, so the first k is the estimate or a
-    neighbour; u at estimate - 1 and at the estimate, evaluated as the sweep
-    does, settles which. Every g_i(k) is therefore the sweep's.
+    Scale regimes. The scale at code k is ceil_pow2(fl(fl(p_k m) / 6)). As
+    fl(p_k m) <= 2m, it can only double, once, at the first k where
+    fl(fl(p_k m) / 6) > s0, which is where fl(p_k m / s0) > 6: 6 s0 divides
+    to s0 and the float after it to above s0. _first_past finds that k,
+    ksw.
 
-    Sums. Each element's s g_i(k) is a sum of weights placed at codes: s0 g_i
-    at k = 0, s0 (g_{j+1} - g_j) at each crossing, minus its last regime-0
-    value at ksw, then 2 s0 g_i at ksw and the regime-1 crossings: at most 7
-    weights. One bincount per sum over (macro, k) bins and a cumsum over k
-    give all 256 codes. The weights of one sub-block are multiples of s^2/4
-    in S2, so S2 is exact for a macro of one sub-block."""
+    Breakpoints. In regime r (scale 2^r s0) g_i(k) rounds u = fl(p_k v_i) /
+    2^r, which is exact and monotone in k. formats._round_magnitude rounds
+    it at the regime's first and last codes (u <= 6, so nothing
+    saturates). u grows by less than a factor of 2 in a regime, and
+    midpoints two apart differ by a factor of at least 2, so an element
+    crosses at most two midpoints per regime, the ones between its grid
+    indices at the two ends. It crosses midpoint c_j at the first k with
+    fl(p_k v_i) > 2^r _PASSED[j], which applies the tie table; _first_past
+    finds it. Every g_i(k) is therefore the sweep's.
+
+    Sums. Each element's s g_i(k) is its k = 0 value s0 g_i, plus s (g_{j+1}
+    - g_j) at each crossing, plus, at ksw, the jump from its last regime-0
+    value to its first regime-1 value. The k = 0 values and the jumps are
+    summed once per sub-block. Those sums and the crossings are placed at
+    their codes by one scatter-add for both sums, from workspace buffers
+    that hold S2's weights in even slots and SX's in odd ones: the result
+    is the complex array S2 + i SX, and one cumsum over k gives all 256
+    codes. Every weight of one sub-block is a multiple of s^2/4 in S2, so
+    S2 is exact for a macro of one sub-block."""
+    work = _closed_form_work.get() or _Workspace()
     n, macro = macros.shape
     S = macro // B
-    a = np.abs(macros).reshape(n * S, B)
-    m = a.max(axis=1)
+    n_sub = n * S
+    v = np.abs(macros, out=work.take("v", macros.shape)).reshape(n_sub, B)
+    m = v.view(np.int64).max(axis=1).view(np.float64)   # |x| bits order as floats
     s0, _, _ = ceil_scale_array(m / Q_MAX, 0)          # 1.0 on all-zero sub-blocks
-    below, ksw = np.zeros_like(m, dtype=np.int64), np.full(m.shape, MBS_LEVELS)
-    while (ksw - below > 1).any():                     # bisect: s(below) = s0 < s(ksw)
-        mid = (below + ksw) // 2
-        doubled = (_PRESCALES[mid] * m) / Q_MAX > s0
-        ksw = np.where(doubled, mid, ksw)
-        below = np.where(doubled, below, mid)
-    nbins = MBS_LEVELS + 1                 # bin 256 takes ksw = 256's weights, unread
-    first_bin = (np.arange(n * S) // S * nbins)[:, None]
-    s2 = np.zeros(n * nbins)
-    sx = np.zeros(n * nbins)
+    v *= (1.0 / s0)[:, None]                           # exact: s0 is a power of two
+    m /= s0
+    live = m > 0
+    ksw = _first_past(np.where(live, m, Q_MAX), Q_MAX, np.empty(n_sub), work)
+    ksw = np.where(live, ksw, MBS_LEVELS).astype(np.intp)   # nothing to switch
+    scratch = work.take("scratch", v.shape, np.int64)
 
-    def place(bins, sq, gx):
-        s2[:] += np.bincount(bins.ravel(), sq.ravel(), minlength=n * nbins)
-        sx[:] += np.bincount(bins.ravel(), gx.ravel(), minlength=n * nbins)
+    def grid_value(name, p, regime):                   # s g / s0 at prescales p
+        u = np.multiply(v, p * 0.5 ** regime, out=work.take(name, v.shape))
+        _round_magnitude(u, scratch)
+        u *= 2.0 ** regime
+        return u
 
-    for regime, (lo, hi, s) in enumerate(((np.zeros_like(ksw), ksw, s0),
-                                          (ksw, np.full_like(ksw, MBS_LEVELS), 2.0 * s0))):
-        s_col = s[:, None]
-        start = grid_index_array((_PRESCALES[lo][:, None] * a) / s_col)
-        end = grid_index_array((_PRESCALES[hi - 1][:, None] * a) / s_col)
-        sg = GRID_MAGNITUDES[start] * s_col
-        place(np.broadcast_to(first_bin + lo[:, None], a.shape), sg * sg, sg * a)
-        if regime == 0:                                # its values end at ksw
-            sg = GRID_MAGNITUDES[end] * s_col
-            place(np.broadcast_to(first_bin + ksw[:, None], a.shape), -(sg * sg), -(sg * a))
-        crossed = (end - start).ravel()
-        for t in range(int(crossed.max(initial=0))):
-            idx = np.flatnonzero(crossed > t)
-            sub = idx // B
-            j = start.ravel()[idx] + t
-            aj, sj, thr = a.ravel()[idx], s[sub], _PASSED[j]
+    def grid_index(name, value, regime):               # index of g from s g / s0
+        halves = np.multiply(value, 2.0 ** (1 - regime), casting="unsafe",
+                             out=work.take("halves", v.shape, np.intp))
+        return np.take(_GRID_INDEX, halves, out=work.take(name, v.shape, np.int8),
+                       mode="clip").ravel()
 
-            def past(k):
-                return (_PRESCALES[k] * aj) / sj > thr
+    # s g / s0 at the first and last code of each regime: k = 0, ksw - 1, ksw, 255
+    start0 = grid_value("start0", 1.0, 0)
+    end0 = grid_value("end0", _PRESCALES[ksw - 1][:, None], 0)
+    start1 = grid_value("start1", _PRESCALES[ksw][:, None], 1)
+    end1 = grid_value("end1", _PRESCALES[MBS_LEVELS - 1], 1)
+    first0 = grid_index("first0", start0, 0)
+    crossed0 = grid_index("crossed0", end0, 0)
+    crossed0 -= first0
+    first1 = grid_index("first1", start1, 1)
+    crossed1 = grid_index("crossed1", end1, 1)
+    crossed1 -= first1                                 # < 0 where ksw = 256
 
-            k = np.floor((thr * sj / aj - 1.0) * MBS_LEVELS).astype(np.int64) + 1
-            k = np.clip(k, lo[sub] + 1, hi[sub] - 1)
-            k = np.where(past(k - 1), k - 1, np.where(past(k), k, k + 1))
-            place(first_bin[sub, 0] + k, _GRID_SQ_STEPS[j] * (sj * sj),
-                  (_GRID_STEPS[j] * sj) * aj)
-    return tuple(np.cumsum(h.reshape(n, nbins)[:, :MBS_LEVELS], axis=1) for h in (s2, sx))
+    # crossing c: element pos[c] crosses midpoint jj[c] = j + 7r of regime r
+    lists = [(np.flatnonzero(crossed > t), first, regime * _N_MIDPOINTS + t)
+             for regime, (crossed, first) in enumerate(((crossed0, first0),
+                                                        (crossed1, first1)))
+             for t in (0, 1)]
+    n_cross = sum(len(p) for p, _, _ in lists)
+    pos = work.take("pos", (n_cross,), np.intp)
+    jj = work.take("jj", (n_cross,), np.intp)
+    at = 0
+    for p, first, offset in lists:
+        pos[at:at + len(p)] = p
+        np.add(np.take(first, p), offset, out=jj[at:at + len(p)])
+        at += len(p)
+    v_c = np.take(v, pos, out=work.take("v_c", (n_cross,)), mode="clip")
+    thr = np.take(_CROSS_THRESHOLDS, jj, out=work.take("thr", (n_cross,)), mode="clip")
+    k = _first_past(v_c, thr, work.take("k", (n_cross,)), work)
+
+    # The weights, and their bins 2 (macro * 257 + code) for S2 and the next
+    # one for SX: first the crossings, then each sub-block's k = 0 sums and
+    # its jumps at ksw. Bin 256 takes the jumps at ksw = 256 and is not read.
+    nbins = MBS_LEVELS + 1
+    bins = work.take("bins", (2, n_cross + 2 * n_sub), np.intp)
+    w = work.take("w", (2, n_cross + 2 * n_sub))
+    sub = np.floor_divide(pos, B, out=bins[0, :n_cross])
+    sq_scale = np.take(s0 * s0, sub, out=work.take("sq_scale", (n_cross,)), mode="clip")
+    code_bin = bins[0]
+    code_bin[:n_cross] //= S                           # sub-block -> macro
+    code_bin[:n_cross] *= nbins
+    np.add(code_bin[:n_cross], k, out=code_bin[:n_cross], casting="unsafe")
+    sub_bin = code_bin[n_cross:].reshape(2, n_sub)     # [k = 0 or jump, sub-block]
+    sub_bin[:] = np.arange(n_sub) // S * nbins
+    sub_bin[1] += ksw
+    code_bin *= 2
+    np.add(code_bin, 1, out=bins[1])
+    w2 = np.take(_CROSS_SQ_STEPS, jj, out=w[0, :n_cross], mode="clip")
+    w2 *= sq_scale
+    wx = np.take(_CROSS_STEPS, jj, out=w[1, :n_cross], mode="clip")
+    wx *= v_c
+    wx *= sq_scale
+    jump = np.subtract(start1, end0, out=end1)         # exact: multiples of 1/2
+    np.add(start1, end0, out=start1)
+    sub_w = w[:, n_cross:].reshape(2, 2, n_sub)        # [S2 or SX, k = 0 or jump, sub-block]
+    np.einsum("ij,ij->i", start0, start0, out=sub_w[0, 0])
+    np.einsum("ij,ij->i", start0, v, out=sub_w[1, 0])
+    np.einsum("ij,ij->i", jump, start1, out=sub_w[0, 1])     # start1^2 - end0^2
+    np.einsum("ij,ij->i", jump, v, out=sub_w[1, 1])
+    sub_w *= s0 * s0
+    sums = work.take("sums", (n, nbins), np.complex128)
+    sums.fill(0.0)
+    np.add.at(sums.reshape(-1).view(np.float64), bins.ravel(), w.ravel())
+    np.cumsum(sums, axis=1, out=sums)
+    return sums.real[:, :MBS_LEVELS], sums.imag[:, :MBS_LEVELS]
 
 
 def _approx_errors(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, D), each (n, 256): every trial's macro error at M = 0 in closed
-    form, and a bound D >= |A - E| + 2u(|A| + D) on its distance from the
-    value E that _trial_errors computes. Needs nonzero magnitudes within
-    _CLOSED_FORM_RANGE.
+    """(A, D): A, (n, 256), every trial's macro error at M = 0 in closed
+    form, and D, (n, 1), one bound per macro on |A(k) - E(k)|, the distance
+    from the value E that _trial_errors computes. Needs nonzero magnitudes
+    within _CLOSED_FORM_RANGE.
 
     With S2 and SX from _grid_sums, a_i = s g_i / p and X2 = sum x^2, the
-    real error and its scale are
+    real error is
 
         e = sum (a_i - |x_i|)^2 = S2 / p^2 - 2 SX / p + X2,
-        W = sum (a_i + |x_i|)^2 = S2 / p^2 + 2 SX / p + X2,
 
     which costs O(macro + 256 sub-blocks) per macro instead of 256 trials.
-    Bound, with u = 2^-53 and gamma_j = j u / (1 - j u), counting rounded
-    operations (n = macro elements):
+    A = fl(fl(S2 fl(1/p^2)) - fl(SX fl(2/p))) + X2.
 
-    - _trial_errors rounds y = q / p, y - x and the square (q = s g is
-      exact), which moves each element's square by at most gamma_5 (a_i +
-      |x_i|)^2, then sums n terms along a tree of depth at most n - 1:
-      |E - e| <= gamma_{n+4} W.
-    - S2 and SX each sum at most 7 weights per element, at most one rounded
-      product each, so they are off by gamma_{7n} times the sum of the
-      weights' magnitudes. The negative weights remove regime-0 values:
-      g <= 2u for every grid value and fl(p |x|) <= 2|x|, so s0 g <= 4|x|
-      and they total at most 4 X2 in SX and 16 X2 in S2. The divisions by
-      p^2 (exact) and p, t1 - t2 and + X2 add one rounding each; X2 itself
-      rounds n squares and n - 1 sums. So |A - e| <= gamma_{7n+3} V, with
-      V = S2 / p^2 + 2 SX / p + 49 X2 >= W.
-    - Rounding V and c u V moves D by less than u V (1 in c); rounding A - D
-      and A + D needs 2u(|A| + D) <= 3u V (3 in c); underflow in the sweep's
-      squares adds below 2^-1074 per element, less than u V given the range
-      (1 in c).
+    Bound, with u = 2^-53, gamma_j = j u / (1 - j u), n = macro elements,
+    and q_i = s g_i: g <= 2 fl(p |x|) / s for every grid value, so q_i / p
+    <= 2(1 + u)|x_i|.
 
-    So D = c u V with c = 8n + 12. The constant is derived, not tuned: a
-    larger D would only widen the candidate set."""
+    - _trial_errors rounds q / p, the difference and the square, which
+      moves each element's square by at most gamma_5 (q_i / p + |x_i|)^2,
+      then sums n terms, in any order: |E - e| <= gamma_{n+4} 9(1 + u)^2
+      X2. Underflow in its squares adds at most n 2^-1075, which the range
+      puts below 2^-21 n u X2.
+    - S2(k) and SX(k) are float sums of at most 6 weights per element (the
+      k = 0 value, a jump, up to four crossings), in whatever order the
+      sub-block sums, the scatter-add and the cumsum take them: an error of
+      at most gamma_{6n} times the sum of the weights' magnitudes. The S2
+      weights are exact, and an SX weight rounds at most once (fused
+      products round less). The weights of an element telescope: their
+      magnitudes add up to at most q_i(k)^2 + 2 q_i(ksw - 1)^2 <= 12 p^2
+      (1 + u)^2 x_i^2 in S2 and 6 p (1 + u) x_i^2 in SX. Through 1/p^2 and
+      2/p both errors are below gamma_{6n} 12 (1 + u)^4 X2.
+    - fl(1/p^2), fl(2/p) and the two products add two roundings to each of
+      S2 / p^2 and 2 SX / p, each at most 4(1 + u)^2 X2; the difference and
+      the sum with X2 round once each, on at most 4(1 + u)^2 X2 and (1 +
+      2u)^2 X2; X2 itself rounds n squares and n - 1 sums.
+
+    To first order |A - E| <= (154 n + 57) u X2. D = c u X2 with c = 160 n +
+    64: the slack covers the higher-order terms, the underflow and the
+    rounding of D itself. The constant is derived, not tuned: a larger D
+    would only widen the candidate set. A is an array of the workspace of
+    the running _exhaustive_codes call, valid until its next step."""
+    work = _closed_form_work.get() or _Workspace()
     macro = macros.shape[1]
-    s2, sx = _grid_sums(macros, B)
-    pres = _PRESCALES[:MBS_LEVELS]
-    t1 = s2 / (pres * pres)
-    t2 = 2.0 * sx / pres
-    x2 = np.square(macros).sum(axis=1)[:, None]
-    c = 8 * macro + 12
-    return (t1 - t2) + x2, (c * 2.0 ** -53) * ((t1 + t2) + 49.0 * x2)
+    s2, sx = _grid_sums(macros, B)                   # views of work's arrays
+    s2 *= _INV_SQ_PRESCALES
+    sx *= _TWO_INV_PRESCALES
+    approx = np.subtract(s2, sx, out=work.take("approx", s2.shape))
+    x2 = np.einsum("ij,ij->i", macros, macros)[:, None]
+    approx += x2
+    c = 160 * macro + 64
+    return approx, (c * 2.0 ** -53) * x2
 
 
-def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig) -> np.ndarray:
+def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
+                      work: _Workspace | None = None) -> np.ndarray:
     """argmin_k of per-macro reconstruction MSE over all 256 prescales, ties
     to the smallest k: the code of the trial with the smallest
     _trial_errors value.
@@ -314,49 +462,81 @@ def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig) -> np.ndarray
     Not every trial is evaluated. At M = 0 (a power-of-two scale) and for
     macros within _CLOSED_FORM_RANGE, _approx_errors gives every code's
     error A(k) in closed form, in O(macro + 256 sub-blocks) per macro, with
-    a rigorous bound D(k) on |A(k) - E(k)|, where E is the float value
-    _trial_errors computes. The codes k with A(k) - D(k) <= min(A + D)
-    include the argmin of E, since E(k*) <= E(k') for the k' minimizing A +
-    D. Those candidates, almost always one per macro, are then evaluated
-    with _trial_errors, and the argmin of their E is taken with ties to the
-    smallest k. The code is therefore that of evaluating all 256 trials,
-    bit for bit.
+    a rigorous bound D on |A(k) - E(k)|, where E is the float value
+    _trial_errors computes. E(k*) <= E(k') for the k' minimizing A, so the
+    code k* has A(k*) <= min A + 2D, and the float sum min A + 3D cannot
+    round below that, as D exceeds its rounding. The codes at or below it,
+    almost always argmin A alone, are then evaluated with _trial_errors,
+    and the argmin of their E is taken with ties to the smallest k. The
+    code is therefore that of evaluating all 256 trials, bit for bit.
 
     At M > 0 the scale takes many values over k and s is no longer a power
     of two, so u = fl(p x) / s is rounded. There, and for macros outside the
     range, the candidates are all 256 codes: the sweep. All-zero macros get
     k = 0 unevaluated; every trial error on them is exactly 0.0.
 
-    Works in chunks of quantize._CHUNK_ELEMS / (8 macro) macros: the closed
-    form places up to 7 weights per element, so each chunk's arrays stay
-    cache-sized, as the trials' pieces do."""
-    n_macros, macro = macros.shape
-    B = quant.block_size
-    subs = macros.reshape(n_macros, -1, B)
-    sub_max = np.maximum(subs.max(axis=2), -subs.min(axis=2))
+    Works in steps of _STEP_ELEMS elements, whose arrays, those of the
+    closed form included, all live in work (a fresh workspace without
+    one)."""
+    work = _Workspace() if work is None else work
+    codes = np.empty(len(macros), dtype=np.int64)
+    step = max(1, _STEP_ELEMS // macros.shape[1])
+    token = _closed_form_work.set(work)
+    try:
+        for lo in range(0, len(macros), step):
+            codes[lo:lo + step] = _exhaustive_step(macros[lo:lo + step], quant, work)
+    finally:
+        _closed_form_work.reset(token)
+    return codes
+
+
+def _exhaustive_step(seg: np.ndarray, quant: BlockQuantConfig,
+                     work: _Workspace) -> np.ndarray:
+    """_exhaustive_codes of the macros seg, one step."""
+    codes = np.zeros(len(seg), dtype=np.int64)
+    mag = np.abs(seg, out=work.take("abs", seg.shape))
+    sub_max = _sub_maxima(mag, quant.block_size)
     with np.errstate(over="ignore"):                 # overflow is rejected just below
         if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
             raise ValueError("non-finite input")
-    codes = np.zeros(n_macros, dtype=np.int64)
-    live = np.flatnonzero(sub_max.max(axis=1) > 0)
-    closed = quant.scale_mantissa_bits == 0
-    step = max(1, _CHUNK_ELEMS // (8 * macro))
-    work = _Workspace()
-    for lo in range(0, len(live), step):
-        idx = live[lo:lo + step]
-        seg = macros[idx]
-        cand = np.ones((len(seg), MBS_LEVELS), dtype=bool)
-        if closed:
-            mag = np.abs(seg)
-            ok = ((sub_max[idx].max(axis=1) <= _CLOSED_FORM_RANGE[1])
-                  & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
-            if ok.any():
-                approx, bound = _approx_errors(seg[ok], B)
-                cand[ok] = approx - bound <= (approx + bound).min(axis=1, keepdims=True)
-        rows, k = np.nonzero(cand)
-        err = np.full(cand.shape, np.inf)
-        err[rows, k] = _trial_errors(seg, sub_max[idx], rows, k, quant, work)
-        codes[idx] = err.argmin(axis=1)
+    macro_max = sub_max.max(axis=1)
+    live = np.flatnonzero(macro_max > 0)
+    if len(live) < len(seg):
+        seg, mag, sub_max, macro_max = seg[live], mag[live], sub_max[live], macro_max[live]
+    ok = np.zeros(len(seg), dtype=bool)
+    if quant.scale_mantissa_bits == 0:
+        ok = ((macro_max <= _CLOSED_FORM_RANGE[1])
+              & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
+    swept = np.flatnonzero(~ok)
+    ranked = np.flatnonzero(ok)
+    rows = [np.repeat(swept, MBS_LEVELS), ranked]
+    ks = [np.tile(np.arange(MBS_LEVELS), len(swept))]
+    more = np.empty(0, dtype=np.intp)
+    if len(ranked):
+        approx, bound = _approx_errors(seg if len(ranked) == len(seg) else seg[ranked],
+                                       quant.block_size)
+        at = np.arange(len(ranked))
+        k_min = approx.argmin(axis=1)
+        cand = approx <= approx[at, k_min][:, None] + 3.0 * bound
+        cand[at, k_min] = False
+        more = np.flatnonzero(cand.any(axis=1))      # macros with other candidates
+        more_r, more_k = np.nonzero(cand[more])
+        rows.append(ranked[more[more_r]])
+        ks += [k_min, more_k]
+    rows = np.concatenate(rows)
+    ks = np.concatenate(ks)
+    err = _trial_errors(seg, sub_max, rows, ks, quant, work)
+    best = np.empty(len(seg), dtype=np.int64)
+    n_swept = len(swept) * MBS_LEVELS
+    best[swept] = err[:n_swept].reshape(-1, MBS_LEVELS).argmin(axis=1)
+    if len(ranked):
+        best[ranked] = k_min
+    if len(more):                                    # argmin E, ties to the smallest k
+        e = np.full((len(more), MBS_LEVELS), np.inf)
+        e[np.arange(len(more)), k_min[more]] = err[n_swept + more]
+        e[more_r, more_k] = err[n_swept + len(ranked):]
+        best[ranked[more]] = e.argmin(axis=1)
+    codes[live] = best
     return codes
 
 
@@ -372,17 +552,41 @@ def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
 def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
             mode: str = "exhaustive") -> tuple[np.ndarray, np.ndarray]:
     """MBS-corrected QDQ. Returns (x_hat, mantissa_codes); code count is
-    ceil(n / macro) per innermost row."""
+    ceil(n / macro) per innermost row.
+
+    Works in pieces of whole macros, about _STEP_ELEMS elements with their
+    padding, in one workspace: each piece's codes are chosen, then its
+    x_hat = Q(p x) / p is written into the output by _prescaled_qdq, the
+    trials' own evaluation. Besides the input, the output and the codes,
+    the working memory is that of one piece."""
     if mode not in _MBS_MODES:
         raise ValueError(f"unknown MBS mode: {mode}")
     mbs.validate_against(quant)
-    view = block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size))
-    if mode == "closed_form":
-        codes = _closed_form_codes(view.m_b)
-    else:
-        codes = _exhaustive_codes(view.blocks, quant)
-    pres = (1.0 + codes / MBS_LEVELS)[:, None]
-    return view.restore(qdq_tensor(view.blocks * pres, quant) / pres), codes
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("empty tensor")
+    macro = mbs.macro_block_size
+    n = x.shape[-1] if x.ndim else 1
+    rows = x.reshape(-1, n)
+    per_row = -(-n // macro)
+    x_hat = np.empty(x.shape)
+    out = x_hat.reshape(-1, n)
+    codes = np.empty(len(rows) * per_row, dtype=np.int64)
+    macro_config = BlockQuantConfig(block_size=macro)
+    work = _Workspace()
+    for r, c in _pieces(len(rows), per_row * macro, macro, _STEP_ELEMS):
+        view = block_view(rows[r, c], macro_config, work)
+        if mode == "closed_form":
+            k = _closed_form_codes(view.m_b)
+        else:
+            k = _exhaustive_codes(view.blocks, quant, work)
+        first = r.start * per_row + c.start // macro
+        codes[first:first + len(k)] = k
+        y = _prescaled_qdq(view.blocks, _sub_maxima(view.mag, quant.block_size),
+                           _PRESCALES[k][:, None], quant,
+                           work.take("x_hat", view.blocks.shape), work)
+        out[r, c] = view.restore(y)
+    return x_hat, codes
 
 
 # --- outlier fallback ----------------------------------------------------------

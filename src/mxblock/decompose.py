@@ -115,13 +115,14 @@ def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
 _SUM_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 1), (1, 2))
 
 
-def _pieces(n_rows: int, n: int, block_size: int):
+def _pieces(n_rows: int, n: int, block_size: int, elems: int | None = None):
     """Index pairs cutting an (n_rows, n) row matrix into pieces of about
-    _CHUNK_ELEMS elements: whole rows, or, for a row longer than that, runs
-    of whole blocks. A block never crosses a row, so the pieces hold exactly
-    the blocks of the whole matrix."""
-    cols = n if n <= _CHUNK_ELEMS else max(1, _CHUNK_ELEMS // block_size) * block_size
-    step = max(1, _CHUNK_ELEMS // cols)
+    elems elements (default _CHUNK_ELEMS): whole rows, or, for a row longer
+    than that, runs of whole blocks. A block never crosses a row, so the
+    pieces hold exactly the blocks of the whole matrix."""
+    elems = _CHUNK_ELEMS if elems is None else elems
+    cols = n if n <= elems else max(1, elems // block_size) * block_size
+    step = max(1, elems // cols)
     for r in range(0, n_rows, step):
         for c in range(0, n, cols):
             yield slice(r, r + step), slice(c, c + cols)

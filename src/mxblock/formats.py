@@ -204,9 +204,15 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
         raise ValueError("mantissa_bits must be in [0, 8]")
     s_star = np.asarray(s_star, dtype=np.float64)
     levels = 1 << mantissa_bits
+    ok = s_star > 0
+    if mantissa_bits == 0:
+        # the power of two 2^p above s* = f 2^p, or s* itself when f = 0.5:
+        # the codes below with k = 0, and 1.0 standing in where s* <= 0
+        f, p = np.frexp(np.where(ok, s_star, 1.0))
+        e = p.astype(np.int64) - (f == 0.5)
+        return np.ldexp(1.0, e), e, np.zeros_like(e)
 
     f, p = np.frexp(s_star)
-    ok = s_star > 0
     f = np.where(ok, f, 0.5)
     p = np.where(ok, p, 1)
 

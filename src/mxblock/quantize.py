@@ -291,15 +291,28 @@ def _mag_round_pow2(mag: np.ndarray, exponent: np.ndarray,
     return q
 
 
+def _coded_round(mag: np.ndarray, scale: np.ndarray, exponent: np.ndarray | None,
+                 out: np.ndarray | None = None,
+                 work: _Workspace | None = None) -> np.ndarray:
+    """_mag_round at coded scales. A power-of-two scale (M = 0) comes with
+    its int64 exponents and is folded into the grid step (_mag_round_pow2)
+    when every exponent allows it: the same bits."""
+    lo, hi = _FOLD_EXPONENTS
+    if exponent is not None and ((exponent >= lo) & (exponent <= hi)).all():
+        return _mag_round_pow2(mag, exponent, out, work)
+    return _mag_round(mag, scale, out, work)
+
+
 def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray,
                   out: np.ndarray | None = None,
-                  work: _Workspace | None = None) -> np.ndarray:
+                  work: _Workspace | None = None, *,
+                  exponent: np.ndarray | None = None) -> np.ndarray:
     """scale * grid_round(blocks / scale), one scale per row, into out or a
     new array; all-zero rows stay zero. The signed rounding of a whole
-    tensor, _mag_round on |blocks|: qdq_tensor and the exhaustive MBS trials
-    in corrections run it for Q alone."""
+    tensor, _coded_round on |blocks| (exponent as there): qdq_tensor and
+    the exhaustive MBS trials in corrections run it for Q alone."""
     q = np.abs(blocks, out=out)
-    _mag_round(q, np.where(nonzero, scale, 1.0), q, work)
+    _coded_round(q, np.where(nonzero, scale, 1.0), exponent, q, work)
     np.copysign(q, blocks, out=q)
     q[~nonzero] = 0.0                  # +0.0, where a -0.0 input rounded to -0.0
     return q
@@ -314,8 +327,9 @@ def _deadzone(view: BlockView, work: _Workspace | None = None) -> np.ndarray:
 
 def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
     """int8 sign * grid index of blocks / scale; padding and all-zero blocks
-    round to code 0."""
-    u = view.blocks / np.where(view.nonzero, scale, 1.0)[:, None]
+    round to code 0. A scale of 0 (s_star of a block whose maximum is at
+    most 3 subnormal units) is the sentinel 1, as in qdq_views."""
+    u = view.blocks / np.where(scale > 0, scale, 1.0)[:, None]
     return (np.sign(u) * grid_index_array(np.abs(u))).astype(np.int8)
 
 
@@ -344,12 +358,8 @@ def qdq_views(view: BlockView, config: BlockQuantConfig | None,
     qdq = s_dec = None
     if config is not None:
         s_dec, e, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-        q = _take(work, "q", shape)
-        lo, hi = _FOLD_EXPONENTS
-        if config.scale_mantissa_bits == 0 and ((e >= lo) & (e <= hi)).all():
-            qdq = _mag_round_pow2(view.mag, e, q, work)
-        else:
-            qdq = _mag_round(view.mag, s_dec, q, work)
+        qdq = _coded_round(view.mag, s_dec, e if config.scale_mantissa_bits == 0 else None,
+                           _take(work, "q", shape), work)
     if signed:
         view.signed(qstar, qstar)
         if qdq is not None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,13 @@ from mxblock.formats import (
     grid_index_array,
     grid_round_array,
 )
-from mxblock.quantize import BlockQuantConfig, _Workspace, block_view, qdq_views
+from mxblock.quantize import (
+    BlockQuantConfig,
+    _Workspace,
+    block_view,
+    qdq_tensor,
+    qdq_views,
+)
 
 
 def _plain_qdq(x, quant):
@@ -426,6 +434,19 @@ class TestExhaustiveExactPath:
         assert np.array_equal(codes, _sweep_errors(_macros(x, mbs), quant).argmin(axis=1))
 
 
+def _peak_bytes(fn):
+    """Peak traced allocation of fn() above what was live before it; numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestMbsQdq:
     def test_codes_shape_and_selection_agree(self):
         rng = np.random.default_rng(65)
@@ -463,6 +484,45 @@ class TestMbsQdq:
         quant = BlockQuantConfig()
         x_hat, codes = mbs_qdq(np.zeros((2, 128)), MbsConfig(), quant)
         assert not x_hat.any() and not codes.any()
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
+    def test_working_memory_does_not_grow_with_the_tensor(self, mode):
+        # x_hat is written piece by piece: past its output, the peak is one
+        # piece's working set at 4x the elements (ragged tail macros too)
+        quant = BlockQuantConfig()
+        rng = np.random.default_rng(90)
+        over = []
+        for rows in (256, 1024):
+            x = rng.standard_normal((rows, 1000))
+            result = []
+            peak = _peak_bytes(lambda: result.append(mbs_qdq(x, MbsConfig(), quant, mode)))
+            x_hat, codes = result[0]
+            over.append(peak - x_hat.nbytes - codes.nbytes)
+        assert over[1] <= over[0] + (256 << 10)
+        assert over[1] < 16 << 20
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_exhaustive_cases(), st.sampled_from(("exhaustive", "closed_form")),
+           st.data())
+    def test_output_is_the_prescaled_qdq_at_its_codes(self, case, mode, data):
+        # x_hat is Q(p x) / p at the returned codes, bit for bit, as the
+        # whole-tensor expression gives it; -0.0 in all-zero blocks is +0.0
+        x, quant, mbs = case
+        rows = x.reshape(-1, x.shape[-1])
+        zeros = data.draw(st.lists(st.integers(0, rows.size - 1), max_size=4))
+        for start in zeros:                      # all-zero spans of -0.0
+            r, c = divmod(start, rows.shape[1])
+            rows[r, c:c + data.draw(st.integers(1, 2 * mbs.macro_block_size))] = -0.0
+        x_hat, codes = mbs_qdq(x, mbs, quant, mode)
+        view = block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size))
+        pres = (1.0 + codes / MBS_LEVELS)[:, None]
+        want = view.restore(qdq_tensor(view.blocks * pres, quant) / pres)
+        assert x_hat.shape == want.shape == x.shape
+        assert np.array_equal(x_hat, want)
+        assert np.array_equal(np.signbit(x_hat), np.signbit(want))
+        blocks = block_view(x, quant).blocks
+        dead = ~blocks.any(axis=1)
+        assert not np.signbit(block_view(x_hat, quant).blocks[dead]).any()
 
 
 class TestOutlierFallback:

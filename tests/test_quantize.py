@@ -128,6 +128,22 @@ class TestQuantizeBlock:
         assert qi.scale_value == 1.0  # sentinel, output still exact zeros
         assert np.array_equal(qi.dequantize(), np.zeros(4))
 
+    @pytest.mark.parametrize("units", [1, 2, 3])
+    def test_ideal_on_subnormal_blocks(self, units):
+        # a maximum of at most 3 subnormal units gives s_star = m_b / 6 = 0,
+        # though the block is not zero; Q* rounds it at the sentinel scale 1
+        tiny = 5e-324
+        for block in (np.array([units * tiny, 0.0]), np.array([-units * tiny, tiny]),
+                      np.array([tiny, -units * tiny, 0.0, -0.0])):
+            cfg = BlockQuantConfig(block_size=len(block))
+            view = block_view(block, cfg)
+            assert view.s_star[0] == 0.0 and view.nonzero[0]
+            _, qstar, _, _ = qdq_views(view, None)
+            q = quantize_block_ideal(block, cfg)
+            assert q.s_star == 0.0 and q.scale_value == 1.0
+            assert np.array_equal(q.dequantize(), view.restore(qstar))
+            assert not q.dequantize().any()
+
     def test_deadzone_strict_boundary(self):
         # block max 6 puts the threshold at exactly 0.25
         cfg = BlockQuantConfig(block_size=4)
