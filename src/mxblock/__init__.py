@@ -27,6 +27,7 @@ from .decompose import (
     DecompReport,
     ErrorDecomposition,
     InvariantViolation,
+    decompose_quantizers,
     decompose_tensor,
     orthogonality_check,
     scale_precision_sweep,
@@ -41,6 +42,7 @@ from .corrections import (
     aqn_apply,
     aqn_schedule,
     dz_recovery_rate,
+    mbs_pieces,
     mbs_qdq,
     mbs_select_mantissa,
     of_qdq,

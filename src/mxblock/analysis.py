@@ -492,7 +492,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     InvariantViolation.
     Passing mbs replaces the quantizer with its macro-prescaled variant;
     the scale component is then measured against the unchanged ideal
-    quantization.
+    quantization. The Monte-Carlo inputs are drawn in chunks of about
+    quantize._CHUNK_ELEMS elements, so past the four error matrices the
+    memory is one chunk and one value per sample.
     """
     quant = quant or BlockQuantConfig()
     w = np.asarray(weights, dtype=np.float64)
@@ -544,14 +546,21 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
         raise InvariantViolation(
             "deadzone cross traces must vanish for isotropic covariance")
 
+    # drawn in chunks from one generator, the inputs are the whole matrix's
+    # draws; the mean is taken once, over every sample's squared error
     rng = np.random.default_rng(seed)
-    if mode == "isotropic":
-        x = math.sqrt(var) * rng.standard_normal((samples, n_in))
-    elif mode == "diagonal":
-        x = np.sqrt(cov)[None, :] * rng.standard_normal((samples, n_in))
-    else:
-        x = cov[rng.integers(0, cov.shape[0], size=samples)]
-    mc = float(((e_t @ x.T) ** 2).sum(axis=0).mean())
+    per_sample = np.empty(samples)
+    step = max(1, _CHUNK_ELEMS // max(w.shape))
+    for lo in range(0, samples, step):
+        m = min(step, samples - lo)
+        if mode == "isotropic":
+            x = math.sqrt(var) * rng.standard_normal((m, n_in))
+        elif mode == "diagonal":
+            x = np.sqrt(cov)[None, :] * rng.standard_normal((m, n_in))
+        else:
+            x = cov[rng.integers(0, cov.shape[0], size=m)]
+        per_sample[lo:lo + m] = ((e_t @ x.T) ** 2).sum(axis=0)
+    mc = float(per_sample.mean())
 
     return GemmPropagation(
         var_scale=tr(e_s, e_s),

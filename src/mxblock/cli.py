@@ -30,11 +30,11 @@ from .analysis import (
     gamma_stats,
     gemm_error_propagation,
 )
-from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_qdq, of_qdq
+from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_pieces, of_qdq
 from .decompose import (
     InvariantViolation,
     _check_identity,
-    decompose_tensor,
+    decompose_quantizers,
     orthogonality_check,
     scale_precision_sweep,
     tensor_stats,
@@ -137,8 +137,9 @@ def _parse_synth(text: str, seed: int, count: int) -> SynthSpec:
 def _tensors(args):
     """The one way a command gets its input: name -> tensor, either the
     StoredTensors of the open --input container, each read only when the
-    command asks (np.asarray for the whole tensor, or piece by piece), or the
-    --synth arrays. A command that works one name at a time holds one tensor."""
+    command asks (piece by piece, or np.asarray for the whole tensor), or
+    the --synth arrays. decompose, sweep, mbs, of and gamma read their
+    tensors piece by piece; gemm and aqn hold one whole tensor at a time."""
     if args.input and args.synth:
         raise ValueError("--input and --synth are mutually exclusive")
     if args.input:
@@ -175,7 +176,6 @@ def cmd_sweep(args) -> dict:
     total_elems = 0
     with _tensors(args) as tensors:
         for name in sorted(tensors):
-            # the sweep reads the tensor itself and holds it until it returns
             series = scale_precision_sweep(tensors[name], m_list, args.block_size, name)
             size = tensors[name].size
             per_tensor[name] = series
@@ -200,10 +200,8 @@ def cmd_mbs(args) -> dict:
     mbs = MbsConfig(macro_block_size=args.macro_block)
 
     def record(name, x) -> dict:
-        x = np.asarray(x, dtype=np.float64)     # freed when the record is done
-        before = decompose_tensor(x, quant, keep_errors=False)
-        after = decompose_tensor(x, quant, keep_errors=False,
-                                 x_hat=mbs_qdq(x, mbs, quant, args.mbs_mode)[0])
+        before, after = decompose_quantizers(
+            x, quant.block_size, [quant, mbs_pieces(x, mbs, quant, args.mbs_mode)])
         for d in (before, after):
             _check_identity(name, verify_identity(d), *orthogonality_check(d))
         floor = before.n2_dz + before.n2_grid
@@ -234,11 +232,14 @@ def cmd_of(args) -> dict:
     of = OfConfig(alpha=args.of_alpha)
     mbs = MbsConfig(macro_block_size=args.macro_block) if args.with_mbs else None
 
+    def of_x_hat(rows, cols, piece):
+        # both passes are local to a block, or to a macro under MBS
+        return of_qdq(piece, of, quant, mbs, args.mbs_mode).x_hat
+
     def record(name, x) -> dict:
-        x = np.asarray(x, dtype=np.float64)     # freed when the record is done
-        before = decompose_tensor(x, quant, keep_errors=False)
-        after = decompose_tensor(x, quant, keep_errors=False,
-                                 x_hat=of_qdq(x, of, quant, mbs, args.mbs_mode).x_hat)
+        before, after = decompose_quantizers(
+            x, quant.block_size, [quant, of_x_hat],
+            align=1 if mbs is None else mbs.macro_block_size)
         _check_identity(name, verify_identity(before), *orthogonality_check(before))
         _check_identity(name, verify_identity(after), *orthogonality_check(after),
                         keeps_deadzone=False)

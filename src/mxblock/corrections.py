@@ -24,8 +24,11 @@ Two selection modes for k:
   the next power of two and double the ceiling scale. This mode pins the
   macro-max block's scale ratio to within one mantissa step of 1.
 
-mbs_qdq runs in pieces of whole macros: it picks a piece's codes, then
-writes its x_hat into the output, so its working memory is one piece.
+The codes are picked in one pass over pieces of whole macros, one byte per
+macro. Given its macro's code, a block's x_hat depends on that block alone,
+so x_hat is then formed piece by piece, each block at its macro's prescale:
+into mbs_qdq's output, or, through mbs_pieces, for the decomposition to
+measure one piece at a time without a full-size x_hat.
 
 Outlier fallback (OF) runs the quantizer twice and blends the residual
 pass: x_hat = Q(x) + alpha * Q(x - Q(x)). Deadzone values killed by pass 1
@@ -38,12 +41,11 @@ decaying sigma exponentially over stages.
 from __future__ import annotations
 
 import hashlib
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import _pieces, decompose_tensor
+from .decompose import _row_pieces, decompose_tensor
 from .formats import (
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
@@ -60,6 +62,7 @@ from .quantize import (
     block_view,
     qdq_tensor,
 )
+from .tensorstore import StoredTensor
 
 __all__ = [
     "MbsConfig",
@@ -68,6 +71,7 @@ __all__ = [
     "OfResult",
     "mbs_select_mantissa",
     "mbs_qdq",
+    "mbs_pieces",
     "of_qdq",
     "dz_recovery_rate",
     "aqn_schedule",
@@ -174,13 +178,6 @@ _STEP_ELEMS = _CHUNK_ELEMS // 8
 # float, the premise of the rounding bound in _approx_errors. Other macros
 # are swept.
 _CLOSED_FORM_RANGE = (2.0 ** -500, 2.0 ** 500)
-# The workspace of the running _exhaustive_codes call, which _grid_sums and
-# _approx_errors take their arrays from: those are then made once per call,
-# not faulted in afresh on every step. It is not an argument because
-# _approx_errors keeps the (macros, B) form by which tests substitute it.
-# Outside a call they use a fresh workspace.
-_closed_form_work: ContextVar[_Workspace | None] = ContextVar("_closed_form_work",
-                                                              default=None)
 
 
 def _sub_maxima(mag: np.ndarray, B: int) -> np.ndarray:
@@ -272,7 +269,8 @@ def _first_past(a: np.ndarray, thr: np.ndarray | float, out: np.ndarray,
     return f
 
 
-def _grid_sums(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_sums(macros: np.ndarray, B: int,
+               work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(S2, SX), each (n, 256): sum (s g_i)^2 and sum s g_i |x_i| over each
     macro at every code at M = 0, where s is the element's sub-block scale
     and g_i its grid magnitude in the trial at that code.
@@ -306,8 +304,12 @@ def _grid_sums(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
     that hold S2's weights in even slots and SX's in odd ones: the result
     is the complex array S2 + i SX, and one cumsum over k gives all 256
     codes. Every weight of one sub-block is a multiple of s^2/4 in S2, so
-    S2 is exact for a macro of one sub-block."""
-    work = _closed_form_work.get() or _Workspace()
+    S2 is exact for a macro of one sub-block.
+
+    Every array is taken from work (a fresh workspace without one), so that
+    the steps of one _exhaustive_codes call make them once, rather than
+    faulting them in afresh on every step; S2 and SX view its "sums"."""
+    work = _Workspace() if work is None else work
     n, macro = macros.shape
     S = macro // B
     n_sub = n * S
@@ -399,7 +401,8 @@ def _grid_sums(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
     return sums.real[:, :MBS_LEVELS], sums.imag[:, :MBS_LEVELS]
 
 
-def _approx_errors(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
+def _approx_errors(macros: np.ndarray, B: int,
+                   work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(A, D): A, (n, 256), every trial's macro error at M = 0 in closed
     form, and D, (n, 1), one bound per macro on |A(k) - E(k)|, the distance
     from the value E that _trial_errors computes. Needs nonzero magnitudes
@@ -439,11 +442,12 @@ def _approx_errors(macros: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
     To first order |A - E| <= (154 n + 57) u X2. D = c u X2 with c = 160 n +
     64: the slack covers the higher-order terms, the underflow and the
     rounding of D itself. The constant is derived, not tuned: a larger D
-    would only widen the candidate set. A is an array of the workspace of
-    the running _exhaustive_codes call, valid until its next step."""
-    work = _closed_form_work.get() or _Workspace()
+    would only widen the candidate set. A is an array of work (a fresh
+    workspace without one), as are _grid_sums' arrays: with the workspace of
+    an _exhaustive_codes call, it is valid until that call's next step."""
+    work = _Workspace() if work is None else work
     macro = macros.shape[1]
-    s2, sx = _grid_sums(macros, B)                   # views of work's arrays
+    s2, sx = _grid_sums(macros, B, work)             # views of work's arrays
     s2 *= _INV_SQ_PRESCALES
     sx *= _TWO_INV_PRESCALES
     approx = np.subtract(s2, sx, out=work.take("approx", s2.shape))
@@ -481,12 +485,8 @@ def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
     work = _Workspace() if work is None else work
     codes = np.empty(len(macros), dtype=np.int64)
     step = max(1, _STEP_ELEMS // macros.shape[1])
-    token = _closed_form_work.set(work)
-    try:
-        for lo in range(0, len(macros), step):
-            codes[lo:lo + step] = _exhaustive_step(macros[lo:lo + step], quant, work)
-    finally:
-        _closed_form_work.reset(token)
+    for lo in range(0, len(macros), step):
+        codes[lo:lo + step] = _exhaustive_step(macros[lo:lo + step], quant, work)
     return codes
 
 
@@ -514,7 +514,7 @@ def _exhaustive_step(seg: np.ndarray, quant: BlockQuantConfig,
     more = np.empty(0, dtype=np.intp)
     if len(ranked):
         approx, bound = _approx_errors(seg if len(ranked) == len(seg) else seg[ranked],
-                                       quant.block_size)
+                                       quant.block_size, work)
         at = np.arange(len(ranked))
         k_min = approx.argmin(axis=1)
         cand = approx <= approx[at, k_min][:, None] + 3.0 * bound
@@ -549,44 +549,85 @@ def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
     return int(mbs_qdq(macro_block, mbs, quant, mode)[1][0])
 
 
-def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
-            mode: str = "exhaustive") -> tuple[np.ndarray, np.ndarray]:
-    """MBS-corrected QDQ. Returns (x_hat, mantissa_codes); code count is
-    ceil(n / macro) per innermost row.
-
-    Works in pieces of whole macros, about _STEP_ELEMS elements with their
-    padding, in one workspace: each piece's codes are chosen, then its
-    x_hat = Q(p x) / p is written into the output by _prescaled_qdq, the
-    trials' own evaluation. Besides the input, the output and the codes,
-    the working memory is that of one piece."""
+def _mbs_codes(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantConfig,
+               mode: str) -> np.ndarray:
+    """The (rows, ceil(n / macro)) uint8 codes of x's row matrix, picked
+    in one pass over pieces of whole macros, about _STEP_ELEMS elements
+    each, in one workspace; x is an array or a StoredTensor, read piece by
+    piece. A macro's code depends on that macro alone."""
     if mode not in _MBS_MODES:
         raise ValueError(f"unknown MBS mode: {mode}")
     mbs.validate_against(quant)
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty tensor")
     macro = mbs.macro_block_size
     n = x.shape[-1] if x.ndim else 1
-    rows = x.reshape(-1, n)
-    per_row = -(-n // macro)
-    x_hat = np.empty(x.shape)
-    out = x_hat.reshape(-1, n)
-    codes = np.empty(len(rows) * per_row, dtype=np.int64)
+    codes = np.empty((x.size // n, -(-n // macro)), dtype=np.uint8)
     macro_config = BlockQuantConfig(block_size=macro)
     work = _Workspace()
-    for r, c in _pieces(len(rows), per_row * macro, macro, _STEP_ELEMS):
-        view = block_view(rows[r, c], macro_config, work)
+    for r, c, piece in _row_pieces(x, macro, _STEP_ELEMS):
+        view = block_view(piece, macro_config, work)
         if mode == "closed_form":
             k = _closed_form_codes(view.m_b)
         else:
             k = _exhaustive_codes(view.blocks, quant, work)
-        first = r.start * per_row + c.start // macro
-        codes[first:first + len(k)] = k
-        y = _prescaled_qdq(view.blocks, _sub_maxima(view.mag, quant.block_size),
-                           _PRESCALES[k][:, None], quant,
+        k = k.reshape(len(piece), -1)
+        codes[r, c.start // macro:c.start // macro + k.shape[1]] = k
+    return codes
+
+
+def _mbs_x_hat(rows: np.ndarray, start: int, codes: np.ndarray, macro: int,
+               quant: BlockQuantConfig, out: np.ndarray, work: _Workspace) -> np.ndarray:
+    """x_hat = Q(p x) / p of rows, an (h, w) piece of a row matrix from
+    column start (a multiple of the block size), whose rows have the codes
+    codes (h, macros per row), into out, by _prescaled_qdq, the trials' own
+    evaluation. Given its macro's code, a block's x_hat depends on that
+    block alone, so each block is taken at its macro's prescale and rows
+    need not hold whole macros. Works in steps of _STEP_ELEMS elements."""
+    B = quant.block_size
+    for r, c, step in _row_pieces(rows, B, _STEP_ELEMS):
+        view = block_view(step, quant, work)
+        per_row = view.blocks.shape[0] // len(step)
+        macro_of_block = (start + c.start + B * np.arange(per_row)) // macro
+        pres = _PRESCALES[codes[r][:, macro_of_block]].reshape(-1, 1)
+        y = _prescaled_qdq(view.blocks, view.m_b[:, None], pres, quant,
                            work.take("x_hat", view.blocks.shape), work)
         out[r, c] = view.restore(y)
-    return x_hat, codes
+    return out
+
+
+def mbs_pieces(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantConfig,
+               mode: str = "exhaustive"):
+    """MBS as a piece function for decompose.decompose_quantizers: the
+    codes of x (an array or a StoredTensor) are picked in one pass, and
+    each piece's x_hat rows are then formed from its rows at those codes,
+    bit for bit mbs_qdq's. The working memory is one piece's x_hat and one
+    step's arrays, plus one byte per macro."""
+    codes = _mbs_codes(x, mbs, quant, mode)
+    work = _Workspace()
+
+    def piece_x_hat(rows: slice, cols: slice, piece: np.ndarray) -> np.ndarray:
+        return _mbs_x_hat(piece, cols.start, codes[rows], mbs.macro_block_size, quant,
+                          work.take("piece", piece.shape), work)
+
+    return piece_x_hat
+
+
+def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
+            mode: str = "exhaustive") -> tuple[np.ndarray, np.ndarray]:
+    """MBS-corrected QDQ. Returns (x_hat, mantissa_codes); code count is
+    ceil(n / macro) per innermost row, one uint8 each.
+
+    The codes are picked in one pass over pieces of whole macros; x_hat is
+    then written in steps, each block at its macro's code (_mbs_x_hat).
+    Besides the input, the output and the codes, the working memory is
+    that of one step."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("empty tensor")
+    codes = _mbs_codes(x, mbs, quant, mode)
+    x_hat = np.empty(x.shape)
+    _mbs_x_hat(x.reshape(len(codes), -1), 0, codes, mbs.macro_block_size, quant,
+               x_hat.reshape(len(codes), -1), _Workspace())
+    return x_hat, codes.ravel()
 
 
 # --- outlier fallback ----------------------------------------------------------

@@ -18,29 +18,39 @@ verify_identity checks the full expansion n2_scale + n2_dz + n2_grid +
 2(ip_scale_grid + ip_scale_dz), the one-cross-term identity when ip_scale_dz = 0,
 relative to the norms the expansion adds up.
 
-The decomposition streams the tensor through the quantizer in cache-sized
-pieces of whole blocks (quantize._CHUNK_ELEMS elements) and adds up each
-piece's norms and inner products. Every error element is the one the
-whole-tensor computation gives; the sums differ from one-shot dot products
-only in summation order. The pieces are slices of an in-memory array, or,
-for a tensorstore.StoredTensor, read from its container file one at a time;
-the same pieces in the same order either way, so the sums are the same bits.
-Every piece-sized temporary lives in one workspace for the whole call.
-Without the error arrays (tensor_stats), the working memory is the input plus
-one piece for an array, and one piece for a stored tensor.
+One pass measures any number of quantizers against the one Q*(x)
+(decompose_quantizers): the sweep over scale precisions, MBS and outlier
+fallback against plain Q. A quantizer is a BlockQuantConfig, the plain Q at
+its scale precision, or a piece function, which takes a piece's rows and
+returns that piece's x_hat rows. decompose_tensor is the one-quantizer case.
 
-Each piece is rounded by quantize.qdq_views, once for Q* and once for Q,
-both on |x|. With s the sign of x, each error is s times the same expression
-on the magnitudes, so the sums are taken on magnitudes and no sign is
-applied. Only the error arrays and a given x_hat need the signs, which are
-applied once per rounding; a piece without padding writes its errors
-straight into the arrays.
+The decomposition streams the tensor in cache-sized pieces of whole blocks
+(quantize._CHUNK_ELEMS elements), or of whole macro blocks for a piece
+function that needs them, and adds up each piece's norms and inner products.
+Each piece is blocked, rounded to Q*(x) and its deadzone once, and e_dz and
+e_grid are formed once; only e_scale and e_total are formed per quantizer.
+Every error element is the one the whole-tensor computation gives; the sums
+differ from one-shot dot products only in summation order. The pieces are
+slices of an in-memory array, or, for a tensorstore.StoredTensor, read from
+its container file one at a time; the same pieces in the same order either
+way, so the sums are the same bits. Every piece-sized temporary lives in one
+workspace for the whole call. Without the error arrays, the working memory
+is the input plus one piece for an array, and one piece for a stored tensor.
+
+Each piece is rounded to Q* by quantize.qdq_views and to each plain Q by
+quantize._coded_qdq, both on |x|. With s the sign of x, each error is s
+times the same expression on the magnitudes, so the sums are taken on
+magnitudes and no sign is applied: a piece function's x_hat is multiplied
+by s instead. Only the error arrays need the signs, which are applied once
+per rounding; a piece without padding writes its errors straight into the
+arrays.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -48,7 +58,7 @@ from .quantize import (
     _CHUNK_ELEMS,
     BlockQuantConfig,
     BlockView,
-    _pad_rows,
+    _coded_qdq,
     _Workspace,
     block_view,
     qdq_views,
@@ -60,6 +70,7 @@ __all__ = [
     "DecompReport",
     "InvariantViolation",
     "decompose_tensor",
+    "decompose_quantizers",
     "verify_identity",
     "orthogonality_check",
     "tensor_stats",
@@ -115,13 +126,14 @@ def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
 _SUM_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 1), (1, 2))
 
 
-def _pieces(n_rows: int, n: int, block_size: int, elems: int | None = None):
+def _pieces(n_rows: int, n: int, unit: int, elems: int | None = None):
     """Index pairs cutting an (n_rows, n) row matrix into pieces of about
     elems elements (default _CHUNK_ELEMS): whole rows, or, for a row longer
-    than that, runs of whole blocks. A block never crosses a row, so the
-    pieces hold exactly the blocks of the whole matrix."""
+    than that, runs of whole units (blocks or macro blocks). A unit never
+    crosses a row, so the pieces hold exactly the units of the whole
+    matrix."""
     elems = _CHUNK_ELEMS if elems is None else elems
-    cols = n if n <= elems else max(1, elems // block_size) * block_size
+    cols = n if n <= elems else max(1, elems // unit) * unit
     step = max(1, elems // cols)
     for r in range(0, n_rows, step):
         for c in range(0, n, cols):
@@ -137,7 +149,7 @@ def _as_tensor(x) -> np.ndarray | StoredTensor:
     return x
 
 
-def _row_pieces(x: np.ndarray | StoredTensor, block_size: int):
+def _row_pieces(x: np.ndarray | StoredTensor, unit: int, elems: int | None = None):
     """(rows, cols, piece) for each of _pieces' pieces of x's (n_rows, n)
     row matrix: a slice of an array, or read from a stored tensor's file
     into its reader's one reused buffer, valid until the next piece. A piece
@@ -145,7 +157,7 @@ def _row_pieces(x: np.ndarray | StoredTensor, block_size: int):
     n = x.shape[-1] if x.ndim else 1
     n_rows = x.size // n
     matrix = None if isinstance(x, StoredTensor) else x.reshape(n_rows, n)
-    for r, c in _pieces(n_rows, n, block_size):
+    for r, c in _pieces(n_rows, n, unit, elems):
         if matrix is None:
             height = min(r.stop, n_rows) - r.start
             width = min(c.stop, n) - c.start
@@ -166,61 +178,134 @@ def _unpadded(view: BlockView, blocked: np.ndarray, work: _Workspace, name: str)
     return dst
 
 
-def _piece_sums(piece: np.ndarray, config: BlockQuantConfig,
-                out: list[np.ndarray] | None, hat: np.ndarray | None,
-                work: _Workspace) -> tuple[np.ndarray, int, int]:
-    """The _SUM_PAIRS sums, the deadzone count and its count of zero outputs
-    of one 2-D piece, measuring hat (the matching piece of x_hat) or, when
-    None, Q. Its (e_scale, e_dz, e_grid, e_total) are written into out,
-    directly when the piece has no padding. Every other piece-sized array
-    is one of work's.
+# A quantizer measured by the decomposition: the plain Q of a config, or a
+# piece function fn(rows, cols, piece) -> x_hat of the piece, where piece is
+# x's row matrix at [rows, cols]; the result, of the piece's shape, is only
+# read, and only until the next call.
+Quantizer = BlockQuantConfig | Callable[[slice, slice, np.ndarray], np.ndarray]
 
-    Without out or hat, the errors stay magnitudes: with s the sign of x,
-    each e_* is s times the same expression on |x|, so every product in
-    the sums is the same. Only the sign of a zero product can differ, and
-    np.dot starts from +0.0 from two elements on; a one-element piece keeps
-    the signs, since np.dot of one element is the product itself."""
+
+def _measured(hat: np.ndarray, view: BlockView, signs: bool, work: _Workspace) -> np.ndarray:
+    """A piece function's x_hat rows, blocked as view.blocks with zero
+    padding, in work's "q". Without signs, each element is multiplied by
+    the sign of x (its sign bit flipped where x's is set), so that x_hat -
+    Q*(x) and x_hat - x are s times the same expressions on |x|."""
+    shape = view.blocks.shape
+    q = work.take("q", shape)
+    rows = q.reshape(hat.shape[0], -1)
+    rows[:, :hat.shape[1]] = hat
+    rows[:, hat.shape[1]:] = 0.0
+    if not signs:                       # x ^ |x| is the sign bit of x
+        bits = q.view(np.int64)
+        bits ^= view.blocks.view(np.int64)
+        bits ^= view.mag.view(np.int64)
+    return q
+
+
+def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantConfig,
+                quantizers: list[Quantizer], out: list[np.ndarray] | None,
+                work: _Workspace) -> tuple[np.ndarray, int, np.ndarray]:
+    """The _SUM_PAIRS sums of each quantizer (one row each), the deadzone
+    count, and each quantizer's count of zero outputs on it, of the 2-D
+    piece of x at [rows, cols]. With one quantizer, its (e_scale, e_dz,
+    e_grid, e_total) are written into out, directly when the piece has no
+    padding. Every other piece-sized array is one of work's: e_total takes
+    the rounding's scratch buffer and e_scale overwrites the quantizer's
+    output; e_dz and e_grid take the buffers of |x| and Q* when no later
+    quantizer reads them.
+
+    Without out, the errors stay magnitudes: with s the sign of x, each e_*
+    is s times the same expression on |x|, so every product in the sums is
+    the same. Only the sign of a zero product can differ, and np.dot starts
+    from +0.0 from two elements on; a one-element piece keeps the signs,
+    since np.dot of one element is the product itself."""
     view = block_view(piece, config, work)
     shape = view.blocks.shape
-    signs = out is not None or hat is not None or piece.size == 1
-    if hat is None:
-        q, qstar, dead, _ = qdq_views(view, config, work, signed=signs)
-        total_buf = q                   # e_total overwrites Q
-    else:
-        _, qstar, dead, _ = qdq_views(view, None, work)
-        q = _pad_rows(hat, config.block_size).reshape(shape)
-        total_buf = work.take("q", shape)   # q may view the caller's x_hat
+    signs = out is not None or piece.size == 1
+    _, qstar, dead, _ = qdq_views(view, None, work, signed=signs)
     x = view.blocks if signs else view.mag
     if view.padded:
         dead &= view.valid              # padding is not counted
-    zero = np.equal(q, 0.0, out=work.take("scratch", shape, bool))
-    zero &= dead
-    zeros = int(np.count_nonzero(zero))         # before e_total overwrites Q
-
     direct = out is not None and not view.padded
-    if direct:
-        e_scale, e_dz, e_grid, e_total = (e.reshape(shape) for e in out)
-    else:
-        # |x| is not read past e_total and Q* - x: its buffer takes e_dz
-        e_scale, e_dz, e_grid, e_total = (work.take("e_scale", shape), view.mag,
-                                          qstar, total_buf)
-    np.subtract(q, qstar, out=e_scale)
-    np.subtract(q, x, out=e_total)
-    resid = np.subtract(qstar, x, out=qstar)    # Q*(x) - x
-    np.multiply(resid, dead, out=e_dz)  # -0.0 off the deadzone where resid < 0,
-    if signs:
-        e_dz += 0.0                     # which is +0.0 with signs
-    np.subtract(resid, e_dz, out=e_grid)    # +0.0 on the deadzone, resid off it
-    if direct:
-        errors = out
-    else:
-        errors = [_unpadded(view, e, work, f"unpadded_{i}")
-                  for i, e in enumerate((e_scale, e_dz, e_grid, e_total))]
-        if out is not None:
+    sums = np.empty((len(quantizers), len(_SUM_PAIRS)))
+    zeros = np.empty(len(quantizers), dtype=np.int64)
+    shared = None
+    for i, quantizer in enumerate(quantizers):
+        if isinstance(quantizer, BlockQuantConfig):
+            q, _ = _coded_qdq(view, quantizer, work.take("q", shape), work)
+            if signs:
+                view.signed(q, q)
+        else:
+            hat = np.asarray(quantizer(rows, cols, piece), dtype=np.float64)
+            if hat.shape != piece.shape:
+                raise ValueError(f"piece x_hat shape {hat.shape} does not match "
+                                 f"piece shape {piece.shape}")
+            q = _measured(hat, view, signs, work)
+        zero = np.equal(q, 0.0, out=work.take("zero", shape, bool))
+        zero &= dead
+        zeros[i] = np.count_nonzero(zero)
+        e_total = np.subtract(q, x, out=out[3].reshape(shape) if direct
+                              else work.take("scratch", shape))
+        e_scale = np.subtract(q, qstar, out=out[0].reshape(shape) if direct else q)
+        if shared is None:
+            if direct:
+                e_dz, e_grid = out[1].reshape(shape), out[2].reshape(shape)
+            elif len(quantizers) == 1:
+                e_dz, e_grid = view.mag, qstar
+            else:
+                e_dz, e_grid = work.take("e_dz", shape), work.take("e_grid", shape)
+            resid = np.subtract(qstar, x, out=e_grid)   # Q*(x) - x
+            np.multiply(resid, dead, out=e_dz)  # -0.0 off the deadzone where resid < 0,
+            if signs:
+                e_dz += 0.0                     # which is +0.0 with signs
+            np.subtract(resid, e_dz, out=e_grid)    # +0.0 on the deadzone, resid off it
+            shared = [_unpadded(view, e, work, f"unpadded_{j}")
+                      for j, e in ((1, e_dz), (2, e_grid))]
+        errors = [_unpadded(view, e_scale, work, "unpadded_0"), *shared,
+                  _unpadded(view, e_total, work, "unpadded_3")]
+        if out is not None and not direct:
             for dst, e in zip(out, errors):
                 dst[...] = e
-    sums = np.array([_dot(errors[i], errors[j]) for i, j in _SUM_PAIRS])
+        for p, (a, b) in enumerate(_SUM_PAIRS):
+            # the sums of e_dz and e_grid alone are the first quantizer's
+            shared_sum = i and {a, b} <= {1, 2}
+            sums[i, p] = sums[0, p] if shared_sum else _dot(errors[a], errors[b])
     return sums, int(np.count_nonzero(dead)), zeros
+
+
+def _decompose(x: np.ndarray | StoredTensor, config: BlockQuantConfig,
+               quantizers: list[Quantizer], errors: list[np.ndarray] | None = None,
+               align: int = 1) -> list[ErrorDecomposition]:
+    """Each quantizer's ErrorDecomposition over the pieces of x, cut at
+    multiples of lcm(block size, align) columns. errors, for one quantizer,
+    are the four e_* arrays to fill."""
+    n = x.shape[-1] if x.ndim else 1
+    work = _Workspace()
+    sums = None
+    dead_count = 0
+    zero_count = np.zeros(len(quantizers), dtype=np.int64)
+    for r, c, piece in _row_pieces(x, math.lcm(config.block_size, align)):
+        out = None if errors is None else [e.reshape(-1, n)[r, c] for e in errors]
+        piece_sums, dead, zeros = _piece_sums(r, c, piece, config, quantizers, out, work)
+        sums = piece_sums if sums is None else sums + piece_sums
+        dead_count += dead
+        zero_count += zeros
+
+    result = []
+    for row, zero in zip(sums, zero_count):
+        n2_scale, n2_dz, n2_grid, n2_total, ip_sg, ip_sd, ip_dg = (float(v) for v in row)
+        cos_sg, def_sg = _cos(ip_sg, n2_scale, n2_grid)
+        cos_sd, def_sd = _cos(ip_sd, n2_scale, n2_dz)
+        cos_dg, def_dg = _cos(ip_dg, n2_dz, n2_grid)
+        e_scale, e_dz, e_grid, e_total = errors if errors is not None else (None,) * 4
+        result.append(ErrorDecomposition(
+            e_scale=e_scale, e_dz=e_dz, e_grid=e_grid, e_total=e_total,
+            n2_scale=n2_scale, n2_dz=n2_dz, n2_grid=n2_grid, n2_total=n2_total,
+            ip_scale_grid=ip_sg, ip_scale_dz=ip_sd, ip_dz_grid=ip_dg,
+            cos_scale_grid=cos_sg, cos_scale_dz=cos_sd, cos_dz_grid=cos_dg,
+            cos_defined={"scale_grid": def_sg, "scale_dz": def_sd, "dz_grid": def_dg},
+            dz_fraction=dead_count / x.size, dz_zero_fraction=int(zero) / x.size))
+    return result
 
 
 def decompose_tensor(x: np.ndarray | StoredTensor, config: BlockQuantConfig, *,
@@ -236,40 +321,38 @@ def decompose_tensor(x: np.ndarray | StoredTensor, config: BlockQuantConfig, *,
 
     The sums accumulate piece by piece (see the module docstring). With
     keep_errors=False the e_* fields are None and no full-size array is
-    allocated; tensor_stats and the outlier-fallback and MBS reports need
-    only the sums."""
+    allocated; tensor_stats needs only the sums."""
     x = _as_tensor(x)
-    n = x.shape[-1] if x.ndim else 1
+    quantizers: list[Quantizer] = [config]
     if x_hat is not None:
         x_hat = np.asarray(x_hat, dtype=np.float64)
         if x_hat.shape != x.shape:
             raise ValueError(f"x_hat shape {x_hat.shape} does not match x shape {x.shape}")
-        x_hat = x_hat.reshape(-1, n)
+        hat_rows = x_hat.reshape(-1, x.shape[-1] if x.ndim else 1)
+        quantizers = [lambda rows, cols, piece: hat_rows[rows, cols]]
     errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
-    work = _Workspace()
-    sums = None
-    dead_count = zero_count = 0
-    for r, c, piece in _row_pieces(x, config.block_size):
-        out = [e.reshape(-1, n)[r, c] for e in errors] if keep_errors else None
-        hat = None if x_hat is None else x_hat[r, c]
-        piece_sums, dead, zero = _piece_sums(piece, config, out, hat, work)
-        sums = piece_sums if sums is None else sums + piece_sums
-        dead_count += dead
-        zero_count += zero
+    return _decompose(x, config, quantizers, errors)[0]
 
-    n2_scale, n2_dz, n2_grid, n2_total, ip_sg, ip_sd, ip_dg = (float(v) for v in sums)
-    cos_sg, def_sg = _cos(ip_sg, n2_scale, n2_grid)
-    cos_sd, def_sd = _cos(ip_sd, n2_scale, n2_dz)
-    cos_dg, def_dg = _cos(ip_dg, n2_dz, n2_grid)
-    e_scale, e_dz, e_grid, e_total = errors if keep_errors else (None,) * 4
 
-    return ErrorDecomposition(
-        e_scale=e_scale, e_dz=e_dz, e_grid=e_grid, e_total=e_total,
-        n2_scale=n2_scale, n2_dz=n2_dz, n2_grid=n2_grid, n2_total=n2_total,
-        ip_scale_grid=ip_sg, ip_scale_dz=ip_sd, ip_dz_grid=ip_dg,
-        cos_scale_grid=cos_sg, cos_scale_dz=cos_sd, cos_dz_grid=cos_dg,
-        cos_defined={"scale_grid": def_sg, "scale_dz": def_sd, "dz_grid": def_dg},
-        dz_fraction=dead_count / x.size, dz_zero_fraction=zero_count / x.size)
+def decompose_quantizers(x: np.ndarray | StoredTensor, block_size: int,
+                         quantizers: Sequence[Quantizer], *,
+                         align: int = 1) -> list[ErrorDecomposition]:
+    """decompose_tensor's sums for each quantizer, in one pass over x: each
+    x_hat is split against the one Q*(x) of blocks of block_size, which is
+    rounded once per piece, and no error array is kept.
+
+    A quantizer is a BlockQuantConfig of that block size, measuring its
+    plain Q, or a piece function (Quantizer). The pieces are cut at
+    multiples of align columns (and of block_size): a quantizer that is
+    local to a macro block needs the whole macro in one piece."""
+    x = _as_tensor(x)
+    quantizers = list(quantizers)
+    if not quantizers:
+        raise ValueError("no quantizer to measure")
+    for q in quantizers:
+        if isinstance(q, BlockQuantConfig) and q.block_size != block_size:
+            raise ValueError(f"quantizer block size {q.block_size} is not {block_size}")
+    return _decompose(x, BlockQuantConfig(block_size=block_size), quantizers, align=align)
 
 
 class InvariantViolation(AssertionError):
@@ -396,35 +479,28 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     return DecompReport(records, aggregates, hist, cfg)
 
 
-def scale_precision_sweep(x: np.ndarray, m_list: Iterable[int] = range(9),
+def scale_precision_sweep(x: np.ndarray | StoredTensor, m_list: Iterable[int] = range(9),
                           block_size: int = 32, name: str = "tensor") -> list[dict]:
-    """Decomposition series over scale mantissa widths.
-
-    e_grid and e_dz must be bitwise constant across M (they depend only on
-    s_star) and each split must pass _check_identity; a violation raises,
-    naming the tensor and M, because it can only be a kernel bug. Total MSE
-    is reported with a
-    monotonicity flag rather than asserted: it is non-increasing on every
-    tensor family tested, but nothing forbids a small tensor from trading a
-    lucky rounding away as the scale tightens.
+    """Decomposition series over scale mantissa widths, in one pass over x
+    (an array or a StoredTensor) that measures Q at every M against the one
+    Q*(x): e_grid and e_dz, which depend only on s_star, are the same at
+    every M by construction. Each split must pass _check_identity; a
+    violation raises, naming the tensor and M, because it can only be a
+    kernel bug. Total MSE is reported with a monotonicity flag rather than
+    asserted: it is non-increasing on every tensor family tested, but
+    nothing forbids a small tensor from trading a lucky rounding away as the
+    scale tightens.
     """
     m_list = list(m_list)
     if not m_list:
         raise ValueError("empty M list")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_tensor(x)
     numel = x.size
+    configs = [BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
+               for m in m_list]
     out = []
-    ref_grid = ref_dz = None
-    for m in m_list:
-        cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
-        d = decompose_tensor(x, cfg)
+    for m, d in zip(m_list, decompose_quantizers(x, block_size, configs)):
         _check_identity(f"{name}, M={m}", verify_identity(d), *orthogonality_check(d))
-        if ref_grid is None:
-            ref_grid, ref_dz = d.e_grid, d.e_dz
-        elif not (np.array_equal(ref_grid, d.e_grid)
-                  and np.array_equal(ref_dz, d.e_dz)):
-            raise InvariantViolation(f"grid/deadzone error changed with scale "
-                                     f"precision on {name}, M={m}")
         out.append({"M": m,
                     "mse_total": d.n2_total / numel,
                     "mse_scale": d.n2_scale / numel,

@@ -333,6 +333,16 @@ def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
     return (np.sign(u) * grid_index_array(np.abs(u))).astype(np.int8)
 
 
+def _coded_qdq(view: BlockView, config: BlockQuantConfig, out: np.ndarray,
+               work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Q magnitudes, decoded scales): view.mag rounded at config's
+    ceiling-coded scales into out, the qdq of qdq_views before its signs."""
+    s_dec, e, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
+    q = _coded_round(view.mag, s_dec, e if config.scale_mantissa_bits == 0 else None,
+                     out, work)
+    return q, s_dec
+
+
 def qdq_views(view: BlockView, config: BlockQuantConfig | None,
               work: _Workspace | None = None, *, signed: bool = True
               ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -357,9 +367,7 @@ def qdq_views(view: BlockView, config: BlockQuantConfig | None,
     dead = _deadzone(view, work)
     qdq = s_dec = None
     if config is not None:
-        s_dec, e, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-        qdq = _coded_round(view.mag, s_dec, e if config.scale_mantissa_bits == 0 else None,
-                           _take(work, "q", shape), work)
+        qdq, s_dec = _coded_qdq(view, config, _take(work, "q", shape), work)
     if signed:
         view.signed(qstar, qstar)
         if qdq is not None:

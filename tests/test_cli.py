@@ -222,8 +222,8 @@ class TestExitCodes:
     def test_broken_mbs_split_is_3(self, capsys, monkeypatch):
         # x_hat = x: e_total is 0 while e_scale = -(e_dz + e_grid) is not,
         # and <e_scale, e_dz> is -||e_dz||^2, not the structural 0.0
-        monkeypatch.setattr(cli, "mbs_qdq",
-                            lambda x, *a, **k: (np.asarray(x, dtype=np.float64), None))
+        monkeypatch.setattr(cli, "mbs_pieces",
+                            lambda x, *a, **k: lambda rows, cols, piece: piece)
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "invariant violation" in err
@@ -242,19 +242,23 @@ class TestExitCodes:
         # MBS output that keeps one ideal-deadzone element at its input value:
         # the full expansion still closes, so only the rule that Q and MBS
         # keep <e_scale, e_dz> at exactly 0.0 can catch it
-        real = cli.mbs_qdq
+        real = cli.mbs_pieces
         quant = BlockQuantConfig()
         seen = {}
 
         def leaky(x, *args, **kwargs):
-            x_hat, codes = real(x, *args, **kwargs)
-            view = block_view(x, quant)
-            i = np.flatnonzero(view.restore(_deadzone(view)))[0]
-            x_hat.flat[i] = x.flat[i]
-            seen.update(x=x, x_hat=x_hat)
-            return x_hat, codes
+            piece_x_hat = real(x, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "mbs_qdq", leaky)
+            def leaky_piece(rows, cols, piece):     # 8x128 is one piece
+                x_hat = piece_x_hat(rows, cols, piece).copy()
+                view = block_view(piece, quant)
+                i = np.flatnonzero(view.restore(_deadzone(view)))[0]
+                x_hat.flat[i] = piece.flat[i]
+                seen.update(x=piece.copy(), x_hat=x_hat)
+                return x_hat
+            return leaky_piece
+
+        monkeypatch.setattr(cli, "mbs_pieces", leaky)
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "deadzone inner product nonzero" in err
@@ -268,7 +272,7 @@ class TestExitCodes:
         def inflated(*args):
             sums, dead, zeros = piece_sums(*args)
             sums = sums.copy()
-            sums[3] *= 1.5                  # n2_total
+            sums[:, 3] *= 1.5               # n2_total of every quantizer
             return sums, dead, zeros
 
         monkeypatch.setattr(decompose, "_piece_sums", inflated)
@@ -290,7 +294,8 @@ class TestExitCodes:
         assert err
 
     def test_sweep_names_the_broken_tensor(self, capsys, monkeypatch):
-        # n2_total inflated 1.5x from the second tensor's split on
+        # n2_total inflated 1.5x from the second tensor's split on (one
+        # piece per tensor, every M in one call)
         piece_sums = decompose._piece_sums
         calls = []
 
@@ -299,7 +304,7 @@ class TestExitCodes:
             calls.append(1)
             if len(calls) > 1:
                 sums = sums.copy()
-                sums[3] *= 1.5
+                sums[:, 3] *= 1.5
             return sums, dead, zeros
 
         monkeypatch.setattr(decompose, "_piece_sums", inflated)

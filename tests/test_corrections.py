@@ -412,8 +412,8 @@ class TestExhaustiveExactPath:
         real = corrections._approx_errors
         flipped = []
 
-        def adversarial(macros, B):
-            approx, bound = real(macros, B)
+        def adversarial(macros, B, work):
+            approx, bound = real(macros, B, work)
             best = _sweep_errors(macros, BlockQuantConfig(block_size=B)).argmin(axis=1)
             ranked = np.sort(approx, axis=1)
             shift = (ranked[:, 1] - ranked[:, 0] + bound.max(axis=1))[:, None]

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mxblock import decompose, quantize
-from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
+from mxblock.corrections import MbsConfig, OfConfig, mbs_pieces, mbs_qdq, of_qdq
 from mxblock.formats import ceil_scale_array
 from mxblock.decompose import (
     DecompReport,
+    decompose_quantizers,
     decompose_tensor,
     orthogonality_check,
     scale_precision_sweep,
@@ -193,15 +194,36 @@ class TestTensorStats:
             tensor_stats({}, BlockQuantConfig())
 
 
+def _sweep_input(name):
+    """The sweep's test tensors: plain rows, rows with a padded tail block
+    (4100 = 128 blocks of 32 plus 4), and rows longer than a piece, which
+    the decomposition cuts into runs of blocks."""
+    if name == "gaussian_32x128":
+        return np.random.default_rng(41).standard_normal((32, 128))
+    if name == "padded_tail_7x4100":
+        return np.random.default_rng(49).standard_t(5.0, size=(7, 4100))
+    return np.random.default_rng(50).standard_normal((3, 300_000))
+
+
 class TestScalePrecisionSweep:
-    def test_grid_and_dz_bitwise_constant(self):
-        rng = np.random.default_rng(41)
-        x = rng.standard_normal((32, 128))
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("name", ["gaussian_32x128", "padded_tail_7x4100",
+                                      "long_rows_3x300000"])
+    def test_grid_and_dz_bitwise_constant(self, name, m):
+        # The sweep measures every M against one Q*(x), so its e_grid and
+        # e_dz are the same at every M by construction. Decomposed on its
+        # own, each M must give them bit for bit as M = 0 does, and the
+        # sweep's floor must be those sums.
+        x = _sweep_input(name)
         d0 = decompose_tensor(x, BlockQuantConfig(scale_mantissa_bits=0))
-        d8 = decompose_tensor(x, BlockQuantConfig(scale_mantissa_bits=8))
-        assert np.array_equal(d0.e_grid, d8.e_grid)
-        assert np.array_equal(d0.e_dz, d8.e_dz)
-        assert d0.n2_grid == d8.n2_grid
+        dm = decompose_tensor(x, BlockQuantConfig(scale_mantissa_bits=m))
+        assert np.array_equal(d0.e_grid.view(np.uint64), dm.e_grid.view(np.uint64))
+        assert np.array_equal(d0.e_dz.view(np.uint64), dm.e_dz.view(np.uint64))
+        assert (d0.n2_grid, d0.n2_dz) == (dm.n2_grid, dm.n2_dz)
+        rows = scale_precision_sweep(x, [0, m])
+        for row, d in zip(rows, (d0, dm)):
+            assert (row["mse_grid"], row["mse_dz"]) == (d.n2_grid / x.size,
+                                                        d.n2_dz / x.size)
 
     def test_rows_and_flag(self):
         rng = np.random.default_rng(42)
@@ -612,6 +634,89 @@ class TestMeasuredQuantizer:
                 decompose_tensor(x, cfg, x_hat=bad)
 
 
+class TestDecomposeQuantizers:
+    """decompose_quantizers splits several quantizers against one Q*(x), in
+    one pass over pieces of 64 elements here. Each split must be the one
+    decompose_tensor gives for that quantizer alone, sum for sum."""
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
+        self.pieces = []
+
+        def counted(x, cfg, work=None):
+            self.pieces.append(np.shape(x))
+            return block_view(x, cfg, work)
+
+        monkeypatch.setattr(decompose, "block_view", counted)
+
+    @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
+    def test_each_split_is_its_own(self, name, x, block_size):
+        # the MBS macro is 3 blocks, so pieces cut at blocks split macros
+        cfg = BlockQuantConfig(block_size=block_size)
+        m3 = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=3)
+        mbs = MbsConfig(macro_block_size=3 * block_size)
+        x_of = of_qdq(x, OfConfig(alpha=0.5), cfg).x_hat
+        of_rows = x_of.reshape(-1, x.shape[-1])
+        got = decompose_quantizers(x, block_size, [
+            cfg, m3, mbs_pieces(x, mbs, cfg), lambda rows, cols, piece: of_rows[rows, cols]])
+        assert len(self.pieces) > 1
+        # with the error arrays, the reference takes the signed path
+        want = [decompose_tensor(x, cfg), decompose_tensor(x, m3),
+                decompose_tensor(x, cfg, x_hat=mbs_qdq(x, mbs, cfg)[0]),
+                decompose_tensor(x, cfg, x_hat=x_of)]
+        for g, w in zip(got, want):
+            assert g.e_scale is None
+            for field in _SUM_FIELDS + ("dz_zero_fraction",):
+                assert getattr(g, field) == getattr(w, field), field
+
+    def test_qstar_rounded_once_per_piece(self, monkeypatch):
+        # per piece: Q* and the first Q in qdq_views, then each further Q;
+        # a piece function's x_hat is not rounded here
+        calls = []
+
+        def counting(name):
+            real = getattr(quantize, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("_mag_round", "_mag_round_pow2"):
+            monkeypatch.setattr(quantize, name, counting(name))
+        x = np.random.default_rng(51).standard_normal((40, 24))
+        cfg = BlockQuantConfig(block_size=8)
+        x_hat = qdq_tensor(x, cfg)
+        calls.clear()
+        decompose_quantizers(x, 8, [cfg, BlockQuantConfig(block_size=8, scale_mantissa_bits=3),
+                                    lambda rows, cols, piece: x_hat[rows, cols]])
+        assert len(self.pieces) > 1
+        assert calls == ["_mag_round", "_mag_round_pow2", "_mag_round"] * len(self.pieces)
+
+    def test_align_cuts_whole_macros(self):
+        seen = []
+
+        def identity(rows, cols, piece):
+            seen.append((cols.start, piece.shape[1]))
+            return piece
+
+        x = np.random.default_rng(52).standard_normal((2, 500))
+        decompose_quantizers(x, 8, [identity], align=24)
+        assert len(seen) > 2
+        assert all(start % 24 == 0 for start, _ in seen)
+        assert all(width % 24 == 0 or start + width == 500 for start, width in seen)
+
+    def test_validation(self):
+        x = np.random.default_rng(53).standard_normal((4, 40))
+        with pytest.raises(ValueError, match="no quantizer"):
+            decompose_quantizers(x, 8, [])
+        with pytest.raises(ValueError, match="block size 16"):
+            decompose_quantizers(x, 8, [BlockQuantConfig(block_size=16)])
+        with pytest.raises(ValueError, match="piece x_hat shape"):
+            decompose_quantizers(x, 8, [lambda rows, cols, piece: piece[:, :-1]])
+
+
 @st.composite
 def _mbs_cases(draw):
     lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=4))
@@ -647,6 +752,27 @@ class TestMbsSplitProperty:
         d = decompose_tensor(x, quant, keep_errors=False, x_hat=x_hat)
         assert orthogonality_check(d) == (0.0, 0.0)
         assert verify_identity(d) <= 1e-12
+
+
+class TestMbsPiecesProperty:
+    """The mbs command's split, MBS as a piece function on pieces cut at
+    blocks, not macros, equals the split of mbs_qdq's whole output, sum for
+    sum: its x_hat is formed block by block at the macro's code, and its
+    sign is folded into the magnitudes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_mbs_cases())
+    def test_split_is_mbs_qdq_split(self, case):
+        x, quant, mbs, mode = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "_CHUNK_ELEMS", 64)
+            before, after = decompose_quantizers(
+                x, quant.block_size, [quant, mbs_pieces(x, mbs, quant, mode)])
+            want = [decompose_tensor(x, quant),          # the signed path
+                    decompose_tensor(x, quant, x_hat=mbs_qdq(x, mbs, quant, mode)[0])]
+        for g, w in zip((before, after), want):
+            for field in _SUM_FIELDS + ("dz_zero_fraction",):
+                assert getattr(g, field) == getattr(w, field), field
 
 
 def _expansion_error(d):

@@ -462,12 +462,12 @@ def test_stream_takes_the_column_split(tmp_path, monkeypatch):
                      ("long_bf16", n, 2 ** 17), ("long_bf16", n + 2 ** 17, 1003)]
 
 
-def _decompose_peak(capsys, path) -> int:
+def _command_peak(capsys, argv) -> int:
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        assert main(["decompose", "--input", path]) == 0
+        assert main(argv) == 0
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -484,10 +484,28 @@ def test_decompose_input_memory_independent_of_file_size(tmp_path, capsys):
         ts.add("w", rng.standard_normal((rows, 1024)), "BF16")
         path = str(tmp_path / f"w{rows}.tensors")
         save_container(ts, path)
-        peaks.append(_decompose_peak(capsys, path))
+        peaks.append(_command_peak(capsys, ["decompose", "--input", path]))
     small, large = peaks
     assert large <= small + 64 * 1024
     assert large < 16 * 1024 * 1024        # half the large tensor as float64
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--max-mantissa-bits", "1"], ["mbs"], ["of"]])
+def test_measuring_commands_memory_independent_of_file_size(tmp_path, capsys, argv):
+    # sweep, mbs and of measure their quantizers against one Q*(x), piece by
+    # piece: a container 4x larger peaks no higher (mbs keeps one byte per
+    # macro, 24 KiB more here), and neither holds its tensor as float64
+    rng = np.random.default_rng(57)
+    peaks = []
+    for rows in (1024, 4096):
+        ts = TensorSet()
+        ts.add("w", rng.standard_normal((rows, 1024)), "BF16")
+        path = str(tmp_path / f"w{rows}.tensors")
+        save_container(ts, path)
+        peaks.append(_command_peak(capsys, [*argv, "--input", path]))
+    small, large = peaks
+    assert large <= small + 64 * 1024, peaks
+    assert large < 16 * 1024 * 1024, peaks
 
 
 class TestSynth:
