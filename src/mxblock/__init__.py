@@ -64,6 +64,7 @@ from .analysis import (
 )
 from .tensorstore import (
     ContainerReader,
+    ContainerWriter,
     StoredTensor,
     SynthSpec,
     TensorEntry,

@@ -494,7 +494,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     the scale component is then measured against the unchanged ideal
     quantization. The Monte-Carlo inputs are drawn in chunks of about
     quantize._CHUNK_ELEMS elements, so past the four error matrices the
-    memory is one chunk and one value per sample.
+    memory is one chunk and one value per sample. A sample set's traces are
+    taken over chunks of its rows the same way, never forming the
+    n_in x n_in Sigma.
     """
     quant = quant or BlockQuantConfig()
     w = np.asarray(weights, dtype=np.float64)
@@ -510,7 +512,7 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
         var = float(cov)
         if var <= 0:
             raise ValueError("isotropic variance must be > 0")
-        mode, sigma = "isotropic", None
+        mode = "isotropic"
     else:
         cov = np.asarray(cov, dtype=np.float64)
         if cov.ndim == 1:
@@ -525,11 +527,11 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
             if not np.isfinite(cov).all():
                 raise ValueError("non-finite samples")
             mode = "samples"
-            sigma = cov.T @ cov / cov.shape[0]
         else:
             raise ValueError("cov must be scalar, 1-D, or 2-D")
 
     e_s, e_d, e_g, e_t = component_error_matrices(w, quant, mbs, mbs_mode)
+    step = max(1, _CHUNK_ELEMS // max(w.shape))     # samples per chunk
 
     # isotropic traces equal var times decompose_tensor's sums bit for bit only
     # on a one-piece tensor; those sums add piece by piece (512x512: last bits)
@@ -538,7 +540,14 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     elif mode == "diagonal":
         tr = lambda a, b: float(((a * b).sum(axis=0) * cov).sum())
     else:
-        tr = lambda a, b: float((b * (a @ sigma)).sum())
+        # tr(A Sigma B^T) with Sigma = X^T X / n is (1/n) sum_s <A x_s, B x_s>:
+        # one (n_out, chunk) product per matrix, never the n_in x n_in Sigma
+        def tr(a, b):
+            total = 0.0
+            for lo in range(0, cov.shape[0], step):
+                xs = cov[lo:lo + step].T
+                total += float(np.vdot(a @ xs, b @ xs))
+            return total / cov.shape[0]
 
     cross_sd = tr(e_s, e_d)
     cross_dg = tr(e_d, e_g)
@@ -550,7 +559,6 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     # draws; the mean is taken once, over every sample's squared error
     rng = np.random.default_rng(seed)
     per_sample = np.empty(samples)
-    step = max(1, _CHUNK_ELEMS // max(w.shape))
     for lo in range(0, samples, step):
         m = min(step, samples - lo)
         if mode == "isotropic":

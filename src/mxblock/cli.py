@@ -43,11 +43,10 @@ from .decompose import (
 from .quantize import BlockQuantConfig
 from .tensorstore import (
     ContainerReader,
+    ContainerWriter,
     SynthSpec,
-    TensorSet,
     TensorStoreError,
     atomic_write_bytes,
-    save_container,
     synth,
 )
 
@@ -336,13 +335,15 @@ def cmd_aqn(args) -> dict:
     if args.noised_out:
         if not 0 <= args.stage < args.stages:
             raise ValueError("stage out of range")
-        tset = TensorSet()
+        # each tensor is noised whole (its draws do not change) and written
+        # as soon as it is made, so one tensor and its noise are in memory
         with _tensors(args) as tensors:
-            for name in sorted(tensors):
-                noised = aqn_apply(tensors[name], float(sigmas[args.stage]), args.seed,
-                                   multiplier=schedule.multiplier_for(name), name=name)
-                tset.add(name, noised)
-        save_container(tset, args.noised_out)
+            entries = [(name, "F64", tensors[name].shape) for name in tensors]
+            with ContainerWriter(args.noised_out, entries) as out:
+                for name in out.names:
+                    out.write(name, aqn_apply(
+                        tensors[name], float(sigmas[args.stage]), args.seed,
+                        multiplier=schedule.multiplier_for(name), name=name))
         results["noised_out"] = args.noised_out
         results["stage"] = args.stage
     return results

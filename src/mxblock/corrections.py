@@ -696,4 +696,5 @@ def aqn_apply(x: np.ndarray, sigma: float, seed: int,
         return x.copy()
     rms = float(np.sqrt(np.mean(x * x)))
     noise = _noise_rng(seed, name).standard_normal(x.shape)
-    return x + (sigma * multiplier * rms) * noise
+    noise *= sigma * multiplier * rms       # in place: the bits of x + c * noise
+    return np.add(x, noise, out=noise)

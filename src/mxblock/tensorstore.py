@@ -23,6 +23,19 @@ tensors holds the one it asked for; load_container is that for every
 tensor. The non-finite check runs on every read, on the piece just widened:
 a non-finite value is a TensorStoreError naming the tensor, because every
 downstream identity assumes finite inputs.
+
+ContainerWriter is the inverse: it writes the header from the declared
+(name, dtype, shape) entries first, then takes each tensor in header order
+and narrows it one piece at a time into one set of reused buffers, so a
+caller that makes its tensors one at a time (aqn) holds one tensor, and
+save_container holds one piece past its TensorSet. Each narrowed piece gets
+the reader's check: a value that is not finite in its dtype, including a
+finite one past the dtype's range (1e6 as F16, or a float32 whose BF16
+rounding carries into inf), is a TensorStoreError naming the tensor and its
+dtype, not a numpy overflow warning and a file the reader refuses. The file
+is written under a temp name and renamed over the target only when the
+writer closes cleanly; after any error neither it nor the temp file exists.
+atomic_write_bytes (reports) uses the same temp-file path.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ __all__ = [
     "SynthSpec",
     "StoredTensor",
     "ContainerReader",
+    "ContainerWriter",
     "load_container",
     "save_container",
     "synth",
@@ -90,15 +104,6 @@ class TensorSet:
 # --- dtype packing ------------------------------------------------------------
 
 _NARROW = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
-
-
-def _narrow(data: np.ndarray, dtype: str) -> bytes:
-    if dtype in _NARROW:
-        return data.astype(_NARROW[dtype]).tobytes()
-    u32 = data.astype(np.float32).view(np.uint32)
-    # round to nearest even in the low 16 bits
-    rounded = (u32 + 0x7FFF + ((u32 >> 16) & 1)) >> 16
-    return rounded.astype("<u2").tobytes()
 
 
 # --- container I/O ------------------------------------------------------------
@@ -261,41 +266,152 @@ def load_container(path: str) -> TensorSet:
     return out
 
 
+class _AtomicFile:
+    """A file written under a sibling temp name (``.tmp-*``) that is renamed
+    over path when its with-block ends cleanly, so readers never see a
+    half-written file; on any exception the temp file is removed instead.
+    head is written on entry. The file gets the mode open(path, "wb") would
+    give, 0o666 less the umask, not mkstemp's 0o600."""
+
+    def __init__(self, path: str, head: bytes = b"") -> None:
+        self.path, self._head = path, head
+
+    def __enter__(self):
+        directory = os.path.dirname(os.path.abspath(self.path))
+        fd, self._tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        self.file = os.fdopen(fd, "wb")
+        try:
+            self.file.write(self._head)
+        except BaseException:
+            self._finish(False)
+            raise
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._finish(kind is None)
+
+    def _complete(self) -> None:
+        """Raise if the content is not whole; runs before the rename."""
+
+    def _finish(self, ok: bool) -> None:
+        renamed = False
+        try:
+            with self.file:
+                if ok:
+                    self._complete()
+            if ok:
+                umask = os.umask(0)     # reading the umask means setting it
+                os.umask(umask)
+                os.chmod(self._tmp, 0o666 & ~umask)
+                os.replace(self._tmp, self.path)
+                renamed = True
+        finally:
+            if not renamed:
+                os.unlink(self._tmp)
+
+
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    half-written file. The file gets the mode open(path, "wb") would give,
-    0o666 less the umask, not mkstemp's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        umask = os.umask(0)             # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write payload to path through a temp file and a rename."""
+    with _AtomicFile(path) as out:
+        out.file.write(payload)
+
+
+# float32 magnitudes from this one up round to a BF16 inf: 0x7F7F8000, the
+# tie above the largest BF16, 0x7F7F, rounds to the even 0x7F80
+_BF16_LIMIT = float.fromhex("0x1.ffp+127")
+
+
+class ContainerWriter(_AtomicFile):
+    """A container written one tensor at a time: the inverse of
+    ContainerReader. The header is built from the declared (name, dtype,
+    shape) entries, sorted by name with the data packed in that order and no
+    gaps, and is written first. write() then takes each tensor in header
+    order and narrows it one piece (_CHUNK_ELEMS elements) at a time into
+    one set of reused buffers, writing each piece as it is made, so past
+    the caller's float64 tensor the memory is one piece. A value that is
+    not finite once narrowed (an inf or a nan, or a finite value beyond the
+    dtype's range) is a TensorStoreError naming the tensor and its dtype,
+    because the reader would refuse it. Use as a context manager: the file
+    appears at path, whole, when the block ends cleanly, and not at all
+    otherwise."""
+
+    def __init__(self, path: str, entries) -> None:
+        header: dict[str, dict] = {}
+        offset = 0
+        for name, dtype, shape in sorted(entries, key=lambda e: e[0]):
+            if name in header or name == "__metadata__":
+                raise TensorStoreError(f"duplicate or reserved tensor name: {name}")
+            if dtype not in _DTYPES:
+                raise TensorStoreError(f"unknown dtype: {dtype} (tensor {name})")
+            shape = [int(d) for d in shape]
+            nbytes = math.prod(shape) * _DTYPES[dtype]
+            header[name] = {"dtype": dtype, "shape": shape,
+                            "data_offsets": [offset, offset + nbytes]}
+            offset += nbytes
+        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        super().__init__(path, len(hjson).to_bytes(8, "little") + hjson)
+        self.names = list(header)
+        self._header = header
+        self._written = 0
+        self.work = _Workspace()
+
+    def write(self, name: str, data) -> None:
+        """Append tensor name, the next in header order, narrowed to its
+        declared dtype piece by piece."""
+        if self._written == len(self.names) or name != self.names[self._written]:
+            raise TensorStoreError(f"tensor {name} written out of header order")
+        meta = self._header[name]
+        x = np.asarray(data, dtype=np.float64)
+        if list(x.shape) != meta["shape"]:
+            raise TensorStoreError(f"shape mismatch (tensor {name}): declared "
+                                   f"{meta['shape']}, given {list(x.shape)}")
+        flat = x.reshape(-1)
+        for start in range(0, flat.size, _CHUNK_ELEMS):
+            piece = flat[start:start + _CHUNK_ELEMS]
+            self.file.write(self._narrow(piece, name, meta["dtype"]))
+        self._written += 1
+
+    def _narrow(self, piece: np.ndarray, name: str, dtype: str) -> np.ndarray:
+        """piece as dtype's little-endian values, in a reused buffer. BF16
+        keeps the high half of each float32, rounded to nearest even on the
+        low 16 bits, in place on the float32 bits."""
+        count = piece.size
+        if dtype == "BF16":         # checked as the float32 it is rounded from
+            values = self.work.take("f32", (count,), np.float32)
+            limit = _BF16_LIMIT
+        else:
+            values = self.work.take("out", (count,), _NARROW[dtype])
+            limit = math.inf
+        with np.errstate(over="ignore"):      # an overflow is the error below
+            np.copyto(values, piece, casting="same_kind")
+        # a nan fails both comparisons
+        if not (values.max() < limit and values.min() > -limit):
+            raise TensorStoreError(f"non-finite values as {dtype} (tensor {name})")
+        if dtype != "BF16":
+            return values
+        u32 = values.view(np.uint32)
+        odd = self.work.take("odd", (count,), np.uint32)
+        np.right_shift(u32, 16, out=odd)
+        np.bitwise_and(odd, 1, out=odd)
+        np.add(u32, odd, out=u32)
+        np.add(u32, 0x7FFF, out=u32)
+        np.right_shift(u32, 16, out=u32)
+        out = self.work.take("out", (count,), "<u2")
+        np.copyto(out, u32, casting="unsafe")
+        return out
+
+    def _complete(self) -> None:
+        if self._written < len(self.names):
+            raise TensorStoreError(f"tensor {self.names[self._written]} declared "
+                                   "but not written")
 
 
 def save_container(tset: TensorSet, path: str) -> None:
-    """Inverse of load. Header keys sorted by name; data packed in the
-    same order with no gaps."""
-    header: dict[str, dict] = {}
-    chunks: list[bytes] = []
-    offset = 0
-    for name in sorted(tset.entries):
-        e = tset.entries[name]
-        raw = _narrow(e.data, e.dtype)
-        header[name] = {"dtype": e.dtype, "shape": list(e.shape),
-                        "data_offsets": [offset, offset + len(raw)]}
-        chunks.append(raw)
-        offset += len(raw)
-    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = len(hjson).to_bytes(8, "little") + hjson + b"".join(chunks)
-    atomic_write_bytes(path, payload)
+    """Inverse of load: every tensor of tset through one ContainerWriter."""
+    entries = tset.entries
+    with ContainerWriter(path, [(n, e.dtype, e.shape) for n, e in entries.items()]) as out:
+        for name in out.names:
+            out.write(name, entries[name].data)
 
 
 # --- synthetic tensors ---------------------------------------------------------

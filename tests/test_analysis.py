@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import mxblock
 import mxblock.analysis as analysis
 from mxblock.analysis import (
     aqn_total_noise,
+    component_error_matrices,
     cross_term_vs_blocksize,
     cumulative_scale_bias,
     deadzone_truncate,
@@ -442,6 +444,40 @@ class TestGemmPropagation:
         assert prop.cov_mode == "samples"
         # resampling rows reproduces the analytic trace
         assert prop.mc_estimate == pytest.approx(want, rel=0.1)
+
+    def test_sample_set_traces_match_sigma_formula(self, monkeypatch):
+        # each trace is taken over chunks of samples (16 here, so five); the
+        # formula through the n_in x n_in Sigma = X^T X / n gives the same
+        monkeypatch.setattr(analysis, "_CHUNK_ELEMS", 16 * 96)
+        rng = np.random.default_rng(101)
+        w = rng.standard_normal((24, 96))
+        xs = rng.standard_normal((70, 96)) * np.linspace(0.5, 2.0, 96)
+        prop = gemm_error_propagation(w, cov=xs, samples=10)
+        sigma = xs.T @ xs / xs.shape[0]
+        e_s, e_d, e_g, e_t = component_error_matrices(w, BlockQuantConfig())
+        pairs = {"var_scale": (e_s, e_s), "var_dz": (e_d, e_d), "var_grid": (e_g, e_g),
+                 "var_total": (e_t, e_t), "cross_scale_grid": (e_s, e_g),
+                 "cross_scale_dz": (e_s, e_d), "cross_dz_grid": (e_d, e_g)}
+        for field, (a, b) in pairs.items():
+            want = float((b * (a @ sigma)).sum())
+            assert getattr(prop, field) == pytest.approx(want, rel=1e-12, abs=0), field
+
+    def test_sample_set_memory_is_not_n_in_squared(self):
+        # Sigma for a 30000-wide input is 7.2 GB; the chunked traces hold
+        # one (n_out, chunk) product per matrix
+        rng = np.random.default_rng(102)
+        w = rng.standard_normal((3, 30000))
+        xs = rng.standard_normal((50, 30000))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            prop = gemm_error_propagation(w, cov=xs, samples=20)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert prop.cov_mode == "samples" and prop.var_total > 0
+        assert peak < 64 * 1024 * 1024, peak
 
     def test_mbs_variant(self):
         rng = np.random.default_rng(99)

@@ -16,6 +16,7 @@ import mxblock.cli as cli
 from mxblock import __version__, decompose
 from mxblock.analysis import TempFit
 from mxblock.cli import main
+from mxblock.corrections import AqnSchedule, aqn_apply
 from mxblock.decompose import decompose_tensor, verify_identity
 from mxblock.quantize import BlockQuantConfig, _deadzone, block_view
 from mxblock.tensorstore import TensorSet, load_container, save_container
@@ -350,20 +351,20 @@ class TestExitCodes:
         assert res["identity_residual"] <= 1e-15
 
     @pytest.mark.parametrize("command", ["mbs", "sweep"])
-    def test_non_finite_in_a_later_tensor_is_2(self, capsys, tmp_path, command):
+    def test_non_finite_in_a_later_tensor_is_2(self, capsys, tmp_path, command,
+                                               reference_container):
         # the first tensor is reported on before the second is read
         b = np.ones((4, 32))
         b[2, 5] = np.inf
-        ts = TensorSet()
-        ts.add("a", np.ones((4, 32)), "BF16")
-        ts.add("b", b, "BF16")
-        path = str(tmp_path / "inf.tensors")
-        save_container(ts, path)
-        code, out, err = _run(capsys, [command, "--input", path])
+        path = tmp_path / "inf.tensors"
+        path.write_bytes(reference_container({"a": (np.ones((4, 32)), "BF16"),
+                                              "b": (b, "BF16")}))
+        code, out, err = _run(capsys, [command, "--input", str(path)])
         assert code == 2 and out == ""
         assert "non-finite values (tensor b)" in err
 
-    def test_non_finite_in_a_later_piece_is_2(self, capsys, tmp_path, monkeypatch):
+    def test_non_finite_in_a_later_piece_is_2(self, capsys, tmp_path, monkeypatch,
+                                              reference_container):
         # with pieces of 64 elements, tensor b (8 rows of 40) is read one row
         # at a time; its last row holds an inf, found when that row is read
         monkeypatch.setattr(decompose, "_CHUNK_ELEMS", 64)
@@ -376,12 +377,10 @@ class TestExitCodes:
         monkeypatch.setattr(decompose, "block_view", counted)
         b = np.ones((8, 40))
         b[-1, -1] = np.inf
-        ts = TensorSet()
-        ts.add("a", np.ones((2, 8)), "F32")
-        ts.add("b", b, "F32")
-        path = str(tmp_path / "inf.tensors")
-        save_container(ts, path)
-        code, out, err = _run(capsys, ["decompose", "--input", path])
+        path = tmp_path / "inf.tensors"
+        path.write_bytes(reference_container({"a": (np.ones((2, 8)), "F32"),
+                                              "b": (b, "F32")}))
+        code, out, err = _run(capsys, ["decompose", "--input", str(path)])
         assert code == 2 and out == ""
         assert "non-finite values (tensor b)" in err
         assert seen == [(2, 8)] + [(1, 40)] * 7
@@ -551,3 +550,57 @@ def test_commands_hold_one_tensor(capsys, tmp_path, argv):
         peaks[count] = _peak_bytes(lambda: main([*argv, "--input", path]))
         assert capsys.readouterr().out
     assert peaks[4] <= 1.1 * peaks[1], peaks
+
+
+def test_aqn_writes_one_tensor_at_a_time(capsys, tmp_path):
+    # each noised tensor is written as soon as it is made and dropped before
+    # the next: four tensors cost at most one tensor more than one does
+    x = np.random.default_rng(64).standard_normal((256, 1024))
+    peaks = {}
+    for count in (1, 4):
+        ts = TensorSet()
+        for i in range(count):
+            ts.add(f"w{i}", x, "F32")
+        path = str(tmp_path / f"{count}.tensors")
+        save_container(ts, path)
+        argv = ["aqn", "--input", path, "--noised-out", str(tmp_path / f"{count}.noised")]
+        peaks[count] = _peak_bytes(lambda: main(argv))
+        assert capsys.readouterr().out
+    assert peaks[4] <= peaks[1] + x.nbytes, peaks
+
+
+def test_aqn_noised_out_is_the_whole_array_encoding(capsys, tmp_path, reference_container):
+    # the streamed output is the bytes of each noised tensor encoded whole
+    rng = np.random.default_rng(65)
+    ts = TensorSet()
+    for name, shape in [("wq", (64, 96)), ("post_attention_layernorm", (96,)),
+                        ("scalar", ())]:
+        ts.add(name, rng.standard_normal(shape), "BF16")
+    path = str(tmp_path / "in.tensors")
+    save_container(ts, path)
+    out = tmp_path / "noised.tensors"
+    code, _, err = _run(capsys, ["aqn", "--input", path, "--noised-out", str(out),
+                                 "--stage", "2", "--seed", "4"])
+    assert code == 0, err
+    schedule = AqnSchedule()
+    sigma = float(schedule.stage_sigmas()[2])
+    loaded = load_container(path).arrays()
+    want = {name: (aqn_apply(x, sigma, 4, multiplier=schedule.multiplier_for(name),
+                             name=name), "F64")
+            for name, x in loaded.items()}
+    assert out.read_bytes() == reference_container(want)
+
+
+def test_aqn_non_finite_in_last_tensor_leaves_no_file(capsys, tmp_path, reference_container):
+    # the tensors before it are already written to the temp file when the
+    # last one is read: exit 2, and neither the output nor a temp file stays
+    bad = np.ones((4, 32))
+    bad[3, 31] = np.nan
+    path = tmp_path / "in.tensors"
+    path.write_bytes(reference_container({"a": (np.ones((4, 32)), "BF16"),
+                                          "z": (bad, "BF16")}))
+    code, out, err = _run(capsys, ["aqn", "--input", str(path), "--noised-out",
+                                   str(tmp_path / "noised.tensors")])
+    assert code == 2 and out == ""
+    assert "non-finite values (tensor z)" in err
+    assert os.listdir(tmp_path) == ["in.tensors"]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 
@@ -13,6 +14,7 @@ from mxblock.decompose import tensor_stats
 from mxblock.quantize import BlockQuantConfig
 from mxblock.tensorstore import (
     ContainerReader,
+    ContainerWriter,
     StoredTensor,
     SynthSpec,
     TensorSet,
@@ -112,6 +114,13 @@ class TestRoundTrip:
         p.write_bytes(b"old")
         atomic_write_bytes(str(p), b"new")
         assert p.read_bytes() == b"new"
+
+    def test_atomic_write_failure_leaves_no_temp(self, tmp_path):
+        # the rename onto a directory fails: the temp file is removed
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(str(tmp_path / "d"), b"new")
+        assert os.listdir(tmp_path) == ["d"]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
@@ -387,17 +396,148 @@ class TestReader:
             with pytest.raises(TensorStoreError, match="short read.*tensor x"):
                 reader.tensors["x"].read(8000, 192)
 
-    def test_non_finite_found_in_its_piece(self, tmp_path):
+    def test_non_finite_found_in_its_piece(self, tmp_path, reference_container):
         x = np.ones(100)
         x[90] = np.nan
-        ts = TensorSet()
-        ts.add("bad", x, dtype="F16")
-        path = str(tmp_path / "n.tensors")
-        save_container(ts, path)
+        path = _write(tmp_path, reference_container({"bad": (x, "F16")}))
         with ContainerReader(path) as reader:
             assert np.array_equal(reader.tensors["bad"].read(0, 90), np.ones(90))
             with pytest.raises(TensorStoreError, match=r"non-finite.*bad"):
                 reader.tensors["bad"].read(80, 20)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("dtype, value", [
+        ("F16", 1e6),
+        ("F32", 1e39),
+        ("BF16", 1e39),
+        ("F64", np.inf),
+        ("F32", -np.inf),
+        ("BF16", np.nan),
+        # FLT_MAX is finite as a float32; its BF16 rounding carries into inf
+        ("BF16", float(np.finfo(np.float32).max)),
+        # the BF16 tie above the largest BF16 rounds to the even inf
+        ("BF16", -float.fromhex("0x1.ffp+127")),
+    ], ids=["f16-1e6", "f32-1e39", "bf16-1e39", "f64-inf", "f32-minus-inf", "bf16-nan",
+            "bf16-flt-max", "bf16-tie-to-inf"])
+    def test_refuses_what_the_reader_refuses(self, tmp_path, dtype, value):
+        # a named error, not a numpy overflow warning (an error under the
+        # test suite's filters), and no file and no temp file left behind
+        bad = np.ones(40)
+        bad[33] = value
+        ts = TensorSet()
+        ts.add("a", np.ones(8), dtype)
+        ts.add("bad", bad, dtype)
+        with pytest.raises(TensorStoreError, match=rf"non-finite values as {dtype} \(tensor bad\)"):
+            save_container(ts, str(tmp_path / "o.tensors"))
+        assert os.listdir(tmp_path) == []
+
+    def test_largest_finite_values_are_written(self, tmp_path):
+        # just below each limit the value narrows to the dtype's largest
+        # finite number
+        below_tie = float(np.nextafter(np.float32(float.fromhex("0x1.ffp+127")), np.float32(0)))
+        cases = {"F16": (65519.0, 65504.0), "F32": (float(np.finfo(np.float32).max),) * 2,
+                 "BF16": (below_tie, float.fromhex("0x1.fep+127"))}
+        ts = TensorSet()
+        for dtype, (value, _) in cases.items():
+            ts.add(dtype, np.array([value, -value]), dtype)
+        path = str(tmp_path / "m.tensors")
+        save_container(ts, path)
+        back = load_container(path).arrays()
+        for dtype, (_, want) in cases.items():
+            assert back[dtype].tolist() == [want, -want], dtype
+
+    def test_misuse_is_named_and_leaves_nothing(self, tmp_path):
+        path = str(tmp_path / "o.tensors")
+        entries = [("b", "F32", (2,)), ("a", "F64", (3,))]
+        with pytest.raises(TensorStoreError, match="duplicate"):
+            ContainerWriter(path, entries + [("a", "F16", (1,))])
+        with pytest.raises(TensorStoreError, match="reserved"):
+            ContainerWriter(path, [("__metadata__", "F64", (1,))])
+        with pytest.raises(TensorStoreError, match="unknown dtype"):
+            ContainerWriter(path, [("a", "F8", (1,))])
+        with pytest.raises(TensorStoreError, match="out of header order"):
+            with ContainerWriter(path, entries) as out:
+                assert out.names == ["a", "b"]
+                out.write("b", np.ones(2))
+        with pytest.raises(TensorStoreError, match=r"shape mismatch \(tensor a\)"):
+            with ContainerWriter(path, entries) as out:
+                out.write("a", np.ones(4))
+        with pytest.raises(TensorStoreError, match="tensor b declared but not written"):
+            with ContainerWriter(path, entries) as out:
+                out.write("a", np.ones(3))
+        with pytest.raises(KeyboardInterrupt):
+            with ContainerWriter(path, entries) as out:
+                out.write("a", np.ones(3))
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == []
+
+
+def _f32_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint32).view(np.float32))
+
+
+# float32 values whose low half is exactly 0x8000, a BF16 tie: with an odd or
+# an even high half, so the rounding goes up or stays
+_bf16_ties = st.integers(0, 0xFFFF).map(lambda hi: _f32_bits(hi << 16 | 0x8000))
+# float64 values that float32 rounding puts on a BF16 tie: within half a
+# float32 ulp of one, off the tie itself (a direct rounding would not tie)
+_double_rounded = st.tuples(
+    st.integers(0, 0xFFFF), st.sampled_from([-0.49, -0.25, -2.0 ** -20, 2.0 ** -20, 0.25, 0.49]),
+).map(lambda p: _f32_bits(p[0] << 16 | 0x8000)
+      + p[1] * float(np.spacing(abs(np.float32(_f32_bits(p[0] << 16 | 0x8000))))))
+_edge_values = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.0 ** -149, -2.0 ** -149, 2.0 ** -126, 2.0 ** -24,
+    -2.0 ** -25, 65504.0, 65519.0, 65520.0, float(np.finfo(np.float32).max),
+    float.fromhex("0x1.ffp+127"), float.fromhex("0x1.fefffep+127"),
+    float.fromhex("0x1.fep+127"), 1e39, 1e300,
+    np.inf, -np.inf, np.nan])
+_f32_subnormals = st.integers(1, 0x7FFFFF).map(_f32_bits) | st.integers(1, 0x7FFFFF).map(
+    lambda b: -_f32_bits(b))
+_values = st.one_of(_bf16_ties, _double_rounded, _edge_values, _f32_subnormals,
+                    st.floats(-70000.0, 70000.0), st.floats(width=64))
+_shapes = st.sampled_from([(), (1,), (15,), (16,), (17,), (3, 11), (2, 40), (0,), (2, 0, 3)])
+
+
+@st.composite
+def _tensor_sets(draw):
+    tensors = {}
+    for name in draw(st.sets(st.sampled_from(["a", "b", "c"]), min_size=1)):
+        shape = draw(_shapes)
+        values = draw(st.lists(_values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        dtype = draw(st.sampled_from(["F64", "F32", "F16", "BF16"]))
+        tensors[name] = (np.array(values, dtype=np.float64).reshape(shape), dtype)
+    return tensors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_tensor_sets())
+def test_streamed_writer_bytes_equal_whole_array_encoder(tmp_path, monkeypatch,
+                                                         reference_container, tensors):
+    # pieces of 16 elements, so tensors cross pieces; where the reader
+    # accepts the reference encoder's file, the writer's file is the same
+    # bytes, and where it refuses it, the writer refuses too and leaves nothing
+    monkeypatch.setattr(tensorstore, "_CHUNK_ELEMS", 16)
+    ref = tmp_path / "ref.tensors"
+    out = tmp_path / "out" / "o.tensors"
+    out.parent.mkdir(exist_ok=True)
+    for leftover in out.parent.iterdir():
+        leftover.unlink()
+    ref.write_bytes(reference_container(tensors))
+    ts = TensorSet()
+    for name, (data, dtype) in tensors.items():
+        ts.add(name, data, dtype)
+    try:
+        load_container(str(ref))
+    except TensorStoreError:
+        with pytest.raises(TensorStoreError, match="non-finite values as"):
+            save_container(ts, str(out))
+        assert os.listdir(out.parent) == []
+    else:
+        save_container(ts, str(out))
+        assert out.read_bytes() == ref.read_bytes()
+        assert os.listdir(out.parent) == ["o.tensors"]
 
 
 def _stream_cases(tmp_path):
@@ -506,6 +646,28 @@ def test_measuring_commands_memory_independent_of_file_size(tmp_path, capsys, ar
     small, large = peaks
     assert large <= small + 64 * 1024, peaks
     assert large < 16 * 1024 * 1024, peaks
+
+
+def test_save_memory_independent_of_tensor_size(tmp_path):
+    # the writer narrows one piece at a time into reused buffers: a tensor 4x
+    # larger peaks no higher above its input, and neither peak comes near
+    # one whole-tensor temporary
+    rng = np.random.default_rng(58)
+    peaks = []
+    for rows in (1024, 4096):
+        ts = TensorSet()
+        ts.add("w", rng.standard_normal((rows, 1024)), "BF16")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            save_container(ts, str(tmp_path / f"w{rows}.tensors"))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    small, large = peaks
+    assert large <= small + 64 * 1024, peaks
+    assert large < 4 * 1024 * 1024, peaks     # an eighth of the large tensor
 
 
 class TestSynth:
