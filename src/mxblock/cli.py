@@ -3,7 +3,8 @@
 One subcommand per analysis, one report per run. Reports embed the
 resolved configuration, seed, package version, and wall-clock duration;
 everything except the duration is byte-stable for a fixed configuration
-(sorted keys, floats at 12 significant digits).
+on one numpy/BLAS build and BLAS thread count (sorted keys, floats at 12
+significant digits; the sums' last bits depend on the thread count).
 
 Exit codes: 0 success, 2 input or configuration error, 3 internal
 invariant violation. An identity failure is a bug, never a warning.

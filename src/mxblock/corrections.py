@@ -197,7 +197,7 @@ def _prescaled_qdq(macros: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
 
     Q is the _scaled_round of qdq_tensor, so each row holds the bits of
     qdq_tensor(p x) / p, and at M = 0 it folds the power-of-two scale into
-    the grid step, as qdq_views does. The blocks are not built with
+    the rounding constant, as qdq_views does. The blocks are not built with
     block_view: their maxima come from the macro's own sub-block maxima
     sub_max, exactly, since rounding is monotone and fl(p * max|x_i|) = max
     fl(p * |x_i|), the maximum block_view would find on the prescaled
@@ -205,11 +205,10 @@ def _prescaled_qdq(macros: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
     any M."""
     B = quant.block_size
     m_b = sub_max * pres                                        # (n, macro / B)
-    s_dec, e, _ = ceil_scale_array(m_b / Q_MAX, quant.scale_mantissa_bits)
+    s_dec, _, _ = ceil_scale_array(m_b / Q_MAX, quant.scale_mantissa_bits)
     trials = np.multiply(macros, pres, out=work.take("trials", macros.shape))
     y = _scaled_round(trials.reshape(-1, B), s_dec.ravel(), m_b.ravel() > 0,
-                      out.reshape(-1, B), work,
-                      exponent=e.ravel() if quant.scale_mantissa_bits == 0 else None)
+                      out.reshape(-1, B), work, pow2=quant.scale_mantissa_bits == 0)
     y = y.reshape(macros.shape)
     y /= pres
     return y
@@ -288,13 +287,13 @@ def _grid_sums(macros: np.ndarray, B: int,
 
     Breakpoints. In regime r (scale 2^r s0) g_i(k) rounds u = fl(p_k v_i) /
     2^r, which is exact and monotone in k. formats._round_magnitude rounds
-    it at the regime's first and last codes (u <= 6, so nothing
-    saturates). u grows by less than a factor of 2 in a regime, and
-    midpoints two apart differ by a factor of at least 2, so an element
-    crosses at most two midpoints per regime, the ones between its grid
-    indices at the two ends. It crosses midpoint c_j at the first k with
-    fl(p_k v_i) > 2^r _PASSED[j], which applies the tie table; _first_past
-    finds it. Every g_i(k) is therefore the sweep's.
+    it at the regime's first and last codes, without saturating: u <= 6. u
+    grows by less than a factor of 2 in a regime, and midpoints two apart
+    differ by a factor of at least 2, so an element crosses at most two
+    midpoints per regime, the ones between its grid indices at the two
+    ends. It crosses midpoint c_j at the first k with fl(p_k v_i) > 2^r
+    _PASSED[j], which applies the tie table; _first_past finds it. Every
+    g_i(k) is therefore the sweep's.
 
     Sums. Each element's s g_i(k) is its k = 0 value s0 g_i, plus s (g_{j+1}
     - g_j) at each crossing, plus, at ksw, the jump from its last regime-0
@@ -325,7 +324,7 @@ def _grid_sums(macros: np.ndarray, B: int,
 
     def grid_value(name, p, regime):                   # s g / s0 at prescales p
         u = np.multiply(v, p * 0.5 ** regime, out=work.take(name, v.shape))
-        _round_magnitude(u, scratch)
+        _round_magnitude(u, scratch, saturate=False)
         u *= 2.0 ** regime
         return u
 

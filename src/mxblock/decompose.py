@@ -33,9 +33,13 @@ Every error element is the one the whole-tensor computation gives; the sums
 differ from one-shot dot products only in summation order. The pieces are
 slices of an in-memory array, or, for a tensorstore.StoredTensor, read from
 its container file one at a time; the same pieces in the same order either
-way, so the sums are the same bits. Every piece-sized temporary lives in one
-workspace for the whole call. Without the error arrays, the working memory
-is the input plus one piece for an array, and one piece for a stored tensor.
+way, so on one numpy/BLAS build and thread count the sums are the same bits.
+Across thread counts their last bits move: OpenBLAS splits the np.dot of a
+piece between its threads, which reorders the additions (a student_t
+512x512 report differs in identity_residual between 1 and 2 threads). Every
+piece-sized temporary lives in one workspace for the whole call. Without
+the error arrays, the working memory is the input plus one piece for an
+array, and one piece for a stored tensor.
 
 Each piece is rounded to Q* by quantize.qdq_views and to each plain Q by
 quantize._coded_qdq, both on |x|. With s the sign of x, each error is s

@@ -12,10 +12,13 @@ Conventions, fixed once here and relied on everywhere else:
 - That rule is IEEE round-half-even on a 1-bit mantissa, the roundTiesToEven
   of the OCP MX v1.0 FP4 format. The grid is uniform within each binade:
   step 0.5 below 2 (0.5 is the subnormal step), 1 in [2, 4), 2 in [4, 6].
-  So one kernel rounds everything: ``rint(|u| / step) * step`` with
-  ``step = 2^max(e - 2, -1)`` for the frexp exponent e of min(|u|, q_max).
-  The integer rint picks has the parity of the magnitude index, so rint's
-  ties-to-even is the even-index tie table.
+  So one kernel rounds everything, by addition: ``(|u| + C) - C`` with
+  ``C = 1.5 * 2^52 * step`` and ``step = 2^max(e - 2, -1)`` for the frexp
+  exponent e of min(|u|, q_max). C lies in [2^52 step, 2^53 step), the
+  binade whose ulp is step, and |u| is far below it, so the sum rounds
+  |u| to a multiple of step, ties to an even multiple; taking C away is
+  exact. C / step = 1.5 * 2^52 is even, so the even multiple is the even
+  grid index: the tie table.
 - Magnitudes above q_max saturate to q_max. Ceiling scales make overflow
   impossible in the plain quantizer, but prescaled intermediates may hit it.
 - Block scale: ``2^exponent * (1 + mantissa_code / 2^M)`` with M mantissa
@@ -26,8 +29,8 @@ Conventions, fixed once here and relied on everywhere else:
   hardware backend, not to this emulation.
 
 All kernels are exact in float64: the grid values and every representable
-scale are dyadic rationals, and frexp/ldexp manipulate exponents without
-rounding.
+scale are dyadic rationals, and the exponents are worked on the bit
+patterns (or by frexp/ldexp) without rounding.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ Q_MIN = 0.5
 
 _MANTISSA_BITS = 52                     # float64 exponent field starts here
 _EXPONENT_MASK = 0x7FF << _MANTISSA_BITS
+_ONE_FIELD = 1023 << _MANTISSA_BITS        # the exponent field of 1.0
+# The bits of the rounding constant C = 1.5 * 2^52 * step, added to the
+# exponent field of 2 step: 51 binades up, and the top mantissa bit for 1.5
+_ROUNDER_BITS = (51 << _MANTISSA_BITS) + (1 << (_MANTISSA_BITS - 1))
+_MIN_NORMAL = 2.0 ** -1022
+_MAX_FINITE = float(np.finfo(np.float64).max)
 # grid index by twice the magnitude: 0, 1, 2, 3, 4, 6, 8, 12 -> 0..7
 _INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7])
 
@@ -143,28 +152,43 @@ def _grid_magnitude(u: np.ndarray, out: np.ndarray | None = None,
     return _round_magnitude(np.abs(u, out=out), field)
 
 
-def _round_magnitude(a: np.ndarray, field: np.ndarray | None = None) -> np.ndarray:
+def _round_magnitude(a: np.ndarray, field: np.ndarray | None = None, *,
+                     saturate: bool = True) -> np.ndarray:
     """Round the magnitudes a >= 0 to the grid in place and return a. field,
     if given, is an int64 scratch array of a's shape.
 
     min(a, q_max) lies in [2^(e-1), 2^e) with e <= 3, and the grid step
-    there is 2^max(e - 2, -1). Its biased exponent field is e + 1022, so the
-    step's field is max(field, 1023) - 1: three integer ops on the bit
-    pattern with the field kept in place (mask, max, subtract), where frexp
-    and ldexp would cost more than the rounding.
-    Exact: dividing by a power of two, rint and multiplying back lose no
-    bits. fmin, unlike minimum, also saturates nan to q_max."""
-    np.fmin(a, Q_MAX, out=a)
+    there is 2^max(e - 2, -1): the field of 2 step is max(field(a), field(1)),
+    two integer ops on the bit pattern (mask, max), and _round_at turns it
+    into the rounding constant C and rounds by adding it. fmin, unlike
+    minimum, also saturates nan to q_max. saturate=False skips it, for
+    callers whose magnitudes are below 7: the step there is 2, and every
+    value in [6, 7) rounds to 6 unsaturated."""
+    if saturate:
+        np.fmin(a, Q_MAX, out=a)
     if field is None:
         field = np.empty(a.shape, dtype=np.int64)
     np.bitwise_and(a.view(np.int64), _EXPONENT_MASK, out=field)
-    np.maximum(field, 1023 << _MANTISSA_BITS, out=field)
-    field -= 1 << _MANTISSA_BITS
-    step = field.view(np.float64)
-    a /= step
-    np.rint(a, out=a)
-    a *= step
-    return a
+    np.maximum(field, _ONE_FIELD, out=field)
+    return _round_at(a, field, a)
+
+
+def _round_at(a: np.ndarray, field: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """a >= 0 rounded to the nearest multiple of its step, ties to the even
+    multiple, into out (a itself may be out). field holds the biased
+    exponent field of 2 step per element, and is turned into the bits of C.
+
+    Exact while C = 1.5 * 2^52 * step is a finite normal float: C lies in
+    [2^52 step, 2^53 step), whose ulp is step, and a < 2^52 step keeps a + C
+    in that binade. So fl(a + C) is the multiple of step nearest a + C, an
+    exact tie going to the even multiple, and since C / step is even that
+    is the even multiple of step nearest a; subtracting C is then exact."""
+    field += _ROUNDER_BITS
+    c = field.view(np.float64)
+    out = np.add(a, c, out=out)
+    out -= c
+    return out
 
 
 def grid_index_array(mag: np.ndarray) -> np.ndarray:
@@ -203,15 +227,27 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
     if not 0 <= mantissa_bits <= 8:
         raise ValueError("mantissa_bits must be in [0, 8]")
     s_star = np.asarray(s_star, dtype=np.float64)
+    if mantissa_bits == 0:
+        # the power of two at or above a normal s*, from its bits: adding
+        # 2^52 - 1 carries into the exponent field unless the mantissa is 0
+        # (s* a power of two), and the mask drops the mantissa
+        s = s_star.ravel()
+        field = np.add(s.view(np.int64), (1 << _MANTISSA_BITS) - 1)
+        field &= _EXPONENT_MASK
+        e = (field >> _MANTISSA_BITS) - 1023
+        decoded = field.view(np.float64)
+        odd = ~((s >= _MIN_NORMAL) & (s <= _MAX_FINITE))
+        if odd.any():
+            # subnormal s*, from frexp: the power of two 2^p above s* = f 2^p,
+            # or s* itself when f = 0.5; 1.0 where s* <= 0, nan or inf
+            f, p = np.frexp(np.where(s[odd] > 0, s[odd], 1.0))
+            e[odd] = p - (f == 0.5)
+            decoded[odd] = np.ldexp(1.0, e[odd])
+        shape = s_star.shape
+        return decoded.reshape(shape), e.reshape(shape), np.zeros(shape, np.int64)
+
     levels = 1 << mantissa_bits
     ok = s_star > 0
-    if mantissa_bits == 0:
-        # the power of two 2^p above s* = f 2^p, or s* itself when f = 0.5:
-        # the codes below with k = 0, and 1.0 standing in where s* <= 0
-        f, p = np.frexp(np.where(ok, s_star, 1.0))
-        e = p.astype(np.int64) - (f == 0.5)
-        return np.ldexp(1.0, e), e, np.zeros_like(e)
-
     f, p = np.frexp(s_star)
     f = np.where(ok, f, 0.5)
     p = np.where(ok, p, 1)

@@ -18,10 +18,10 @@ import numpy as np
 
 from .formats import (
     _EXPONENT_MASK,
-    _MANTISSA_BITS,
     GRID_MAGNITUDES,
     Q_MAX,
     ScaleCode,
+    _round_at,
     _round_magnitude,
     ceil_scale_array,
     grid_index_array,
@@ -249,70 +249,88 @@ def block_view(x: np.ndarray, config: BlockQuantConfig,
 
 # --- core kernels (array in, array out) --------------------------------------
 
-# Scale exponents e for which _mag_round_pow2 folds 2^e into the grid step.
-# With |x| <= 6 * 2^e (1 + 2^-52), the step 2^e * 2^max(k - 2, -1) of an element
-# in [2^(e + k - 1), 2^(e + k)) has k <= 3, so its biased exponent lies in
-# [1022 + e, 1024 + e]. That is a normal power of two for e in [-1021, 1022],
-# and 6 * 2^e is finite for e <= 1021.
-_FOLD_EXPONENTS = (-1021, 1021)
+# Scale exponents e for which _mag_round_pow2 folds 2^e into the rounding
+# constant. An element |x| <= m_b of a block at scale 2^e >= s_star = fl(m_b
+# / 6) is below 8 * 2^e (m_b / 6 rounds by at most 2^-1075 below 2^-1022),
+# so u = |x| / 2^e lies in [2^(k-1), 2^k) with k <= 3, and u's grid step
+# 2^max(k - 2, -1), times 2^e, is 2^max(E - 1, e - 1) for E the exponent of
+# |x|. In biased fields, 2 step has the field max(F, 1023 + e) for F the
+# field of |x| (a subnormal |x| has F = 0 and E < e). The fold reads 1023 +
+# e from the bits of the scale, which hold it for a normal scale: e >=
+# -1022. The constant C = 1.5 * 2^52 * step has the field max(F, 1023 + e)
+# + 51, at most 1076 + e (F <= 1025 + e): C is normal, and finite while
+# 1076 + e <= 2046, e <= 970.
+_FOLD_EXPONENTS = (-1022, 970)
+_FOLD_SCALES = tuple(2.0 ** e for e in _FOLD_EXPONENTS)
+# s_star from which on s_star / 4, the deadzone threshold fl(m_b / 24), is
+# a normal float
+_QUARTER_NORMAL = 2.0 ** -1020
 
 
 def _mag_round(mag: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None,
-               work: _Workspace | None = None) -> np.ndarray:
+               work: _Workspace | None = None,
+               dead: np.ndarray | None = None) -> np.ndarray:
     """scale * grid_magnitude(mag / scale) for magnitudes mag >= 0, one scale
-    > 0 per row, into out or a new array."""
+    > 0 per row, into out or a new array.
+
+    With dead, a bool array of mag's shape, this is Q* (scale s_star): dead
+    receives the deadzone as fl(mag / scale) < 1/4, before the quotient is
+    rounded, and the quotient is not saturated. Both are exact on rows whose
+    s_star / 4 is a normal float (_ideal_round): fl(mag / s_star) < 1/4
+    exactly when mag < (s_star / 4)(1 - 2^-54), which on floats is mag <
+    s_star / 4 = fl(m_b / 24); and the quotient is at most 6 (1 + 2^-52),
+    which rounds to 6."""
     s = scale[:, None]
     q = np.divide(mag, s, out=out)
-    _round_magnitude(q, _take(work, "scratch", q.shape, np.int64))
+    if dead is not None:
+        np.less(q, 0.25, out=dead)
+    _round_magnitude(q, _take(work, "scratch", q.shape, np.int64),
+                     saturate=dead is None)
     q *= s
     return q
 
 
-def _mag_round_pow2(mag: np.ndarray, exponent: np.ndarray,
+def _mag_round_pow2(mag: np.ndarray, scale: np.ndarray,
                     out: np.ndarray | None = None,
                     work: _Workspace | None = None) -> np.ndarray:
-    """_mag_round at the scale 2^exponent of each row, int64 exponents
-    within _FOLD_EXPONENTS, with the scale folded into the grid step.
+    """_mag_round at power-of-two scales 2^e, one per row, e within
+    _FOLD_EXPONENTS, with the scale folded into the rounding constant.
 
-    The step of u = |x| / 2^e is 2^max(k - 2, -1) for u in [2^(k-1), 2^k)
-    (formats._round_magnitude); times 2^e, its biased exponent field is
-    max(field(|x|), 1023 + e) - 1. So the rounding is one divide by that
-    step, rint and one multiply, with no divide or multiply by the scale.
-    The same bits as _mag_round: every step is normal in the range, so
-    |x| / step is exact unless it is below 2^-1022, where both round to 0."""
+    The field of 2 step (the step of |x| / 2^e, times 2^e) is max(field(|x|),
+    field(2^e)), and the scale's bits are its field: one mask and one max on
+    the bit patterns, then formats._round_at adds C = 1.5 * 2^52 * step and
+    takes it away. No division or multiply by the scale, and the same bits
+    as _mag_round: the fold rounds |x| / 2^e exactly, and in the range
+    _mag_round's quotient and product are exact unless the quotient is below
+    2^-1022, where both round to 0."""
     field = np.bitwise_and(mag.view(np.int64), _EXPONENT_MASK,
                            out=_take(work, "scratch", mag.shape, np.int64))
-    np.maximum(field, ((1023 + exponent) << _MANTISSA_BITS)[:, None], out=field)
-    field -= 1 << _MANTISSA_BITS
-    step = field.view(np.float64)
-    q = np.divide(mag, step, out=out)
-    np.rint(q, out=q)
-    q *= step
-    return q
+    np.maximum(field, scale.view(np.int64)[:, None], out=field)
+    return _round_at(mag, field, out)
 
 
-def _coded_round(mag: np.ndarray, scale: np.ndarray, exponent: np.ndarray | None,
+def _coded_round(mag: np.ndarray, scale: np.ndarray, pow2: bool,
                  out: np.ndarray | None = None,
                  work: _Workspace | None = None) -> np.ndarray:
-    """_mag_round at coded scales. A power-of-two scale (M = 0) comes with
-    its int64 exponents and is folded into the grid step (_mag_round_pow2)
-    when every exponent allows it: the same bits."""
-    lo, hi = _FOLD_EXPONENTS
-    if exponent is not None and ((exponent >= lo) & (exponent <= hi)).all():
-        return _mag_round_pow2(mag, exponent, out, work)
+    """_mag_round at coded scales. Power-of-two scales (pow2, M = 0) are
+    folded into the rounding constant (_mag_round_pow2) when every one lies
+    in _FOLD_EXPONENTS: the same bits."""
+    lo, hi = _FOLD_SCALES
+    if pow2 and ((scale >= lo) & (scale <= hi)).all():
+        return _mag_round_pow2(mag, scale, out, work)
     return _mag_round(mag, scale, out, work)
 
 
 def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray,
                   out: np.ndarray | None = None,
                   work: _Workspace | None = None, *,
-                  exponent: np.ndarray | None = None) -> np.ndarray:
+                  pow2: bool = False) -> np.ndarray:
     """scale * grid_round(blocks / scale), one scale per row, into out or a
     new array; all-zero rows stay zero. The signed rounding of a whole
-    tensor, _coded_round on |blocks| (exponent as there): qdq_tensor and
-    the exhaustive MBS trials in corrections run it for Q alone."""
+    tensor, _coded_round on |blocks| (pow2 as there): qdq_tensor and the
+    exhaustive MBS trials in corrections run it for Q alone."""
     q = np.abs(blocks, out=out)
-    _coded_round(q, np.where(nonzero, scale, 1.0), exponent, q, work)
+    _coded_round(q, np.where(nonzero, scale, 1.0), pow2, q, work)
     np.copysign(q, blocks, out=q)
     q[~nonzero] = 0.0                  # +0.0, where a -0.0 input rounded to -0.0
     return q
@@ -321,8 +339,35 @@ def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray,
 def _deadzone(view: BlockView, work: _Workspace | None = None) -> np.ndarray:
     """The ideal-scale deadzone |x| < m_b/24, strict. False on all-zero
     blocks, whose threshold is 0; True on the padding of the others."""
-    thr = (view.m_b / 24.0)[:, None]
-    return np.less(view.mag, thr, out=_take(work, "dead", view.blocks.shape, bool))
+    return _below_threshold(view.mag, view.m_b,
+                            _take(work, "dead", view.blocks.shape, bool))
+
+
+def _below_threshold(mag: np.ndarray, m_b: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """mag < m_b/24 per row: the deadzone by its definition."""
+    return np.less(mag, (m_b / 24.0)[:, None], out=out)
+
+
+def _ideal_round(view: BlockView, work: _Workspace | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(Q* magnitudes, deadzone) of the view: _mag_round at s_star, which
+    takes the deadzone from its quotient, into work's "qstar" and "dead".
+
+    Rows whose s_star / 4 is not a normal float (subnormal scales, and the
+    blocks rounded at the sentinel scale 1 because s_star is 0: all-zero
+    ones and those whose maximum is at most 3 subnormal units) are redone
+    by the definitions: the saturating _mag_round and |x| < m_b/24."""
+    shape = view.blocks.shape
+    s = np.where(view.s_star > 0, view.s_star, 1.0)
+    dead = _take(work, "dead", shape, bool)
+    qstar = _mag_round(view.mag, s, _take(work, "qstar", shape), work, dead)
+    odd = np.flatnonzero(view.s_star < _QUARTER_NORMAL)
+    if odd.size:
+        mag = view.mag[odd]
+        qstar[odd] = _mag_round(mag, s[odd])
+        dead[odd] = _below_threshold(mag, view.m_b[odd])
+    return qstar, dead
 
 
 def _element_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
@@ -337,9 +382,8 @@ def _coded_qdq(view: BlockView, config: BlockQuantConfig, out: np.ndarray,
                work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(Q magnitudes, decoded scales): view.mag rounded at config's
     ceiling-coded scales into out, the qdq of qdq_views before its signs."""
-    s_dec, e, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    q = _coded_round(view.mag, s_dec, e if config.scale_mantissa_bits == 0 else None,
-                     out, work)
+    s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
+    q = _coded_round(view.mag, s_dec, config.scale_mantissa_bits == 0, out, work)
     return q, s_dec
 
 
@@ -358,13 +402,12 @@ def qdq_views(view: BlockView, config: BlockQuantConfig | None,
 
     Both roundings work on |x|. Q* divides it by s_star (1 on blocks whose
     s_star is 0: all-zero ones and those whose maximum is at most 3
-    subnormal units). At M = 0, Q folds its power-of-two scale into the
-    grid step (_mag_round_pow2) when every block's exponent allows it.
+    subnormal units) and takes the deadzone from that quotient
+    (_ideal_round). At M = 0, Q folds its power-of-two scale into the
+    rounding constant (_mag_round_pow2) when every block's scale allows it.
     """
     shape = view.blocks.shape
-    qstar = _mag_round(view.mag, np.where(view.s_star > 0, view.s_star, 1.0),
-                       _take(work, "qstar", shape), work)
-    dead = _deadzone(view, work)
+    qstar, dead = _ideal_round(view, work)
     qdq = s_dec = None
     if config is not None:
         qdq, s_dec = _coded_qdq(view, config, _take(work, "q", shape), work)
@@ -426,4 +469,5 @@ def qdq_tensor(x: np.ndarray, config: BlockQuantConfig) -> np.ndarray:
     without Q* or the deadzone. Deterministic and idempotent."""
     view = block_view(x, config)
     s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    return view.restore(_scaled_round(view.blocks, s_dec, view.nonzero))
+    return view.restore(_scaled_round(view.blocks, s_dec, view.nonzero,
+                                      pow2=config.scale_mantissa_bits == 0))

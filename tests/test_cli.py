@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestEnvelope:
         capsys.readouterr()
         # the out path and the wall time are the only fields allowed to move
         norm = lambda t: re.sub(r'"(duration_seconds|out)": [^\n]+', "D", t)
-        t1, t2 = open(p1).read(), open(p2).read()
+        t1, t2 = Path(p1).read_text(), Path(p2).read_text()
         assert t1 != t2
         assert norm(t1) == norm(t2)
 
@@ -118,8 +119,27 @@ class TestEnvelope:
                                    "--out", out_path])
         assert code == 0
         assert sorted(os.listdir(tmp_path)) == ["r.json"]
-        report = json.loads(open(out_path).read())
+        report = json.loads(Path(out_path).read_text())
         assert 1.0 < report["results"]["mean_gamma"] < 2.0
+
+    def test_blas_threads_move_only_last_bits(self):
+        # OpenBLAS threads np.dot over a piece's 2^17 elements, so the last
+        # bits of the sums depend on the thread count; the report agrees far
+        # below its 12 printed digits
+        src = os.path.dirname(os.path.dirname(mxblock.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        records = []
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "mxblock.cli", "decompose", "--synth",
+                 "student_t:512x512", "--seed", "3"],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            records.append(json.loads(run.stdout)["results"]["records"][0])
+        one, two = records
+        for field in ("mse_total", "share_scale", "share_dz", "share_grid"):
+            assert two[field] == pytest.approx(one[field], rel=1e-12, abs=0.0), field
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

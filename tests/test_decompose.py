@@ -405,12 +405,17 @@ class TestKernelAgainstBruteForce:
     def test_split(self, case):
         _check_against_brute_force(*case)
 
-    # (block maximum, whether Q at M = 0 folds its scale 2^e into the grid
-    # step): 1 and 3 subnormal units (s_star 0, scale 1), 7 units (s_star one
-    # unit, e = -1074), a subnormal block, the two ends of _FOLD_EXPONENTS
-    # (e = -1021 at 2e-307, e = 1021 at 1.2e308) and one past each
+    # (block maximum, whether Q at M = 0 folds its scale 2^e into the
+    # rounding constant): 1 and 3 subnormal units (s_star 0, scale 1), 7 units
+    # (s_star one unit, e = -1074), a subnormal block, the two ends of
+    # _FOLD_EXPONENTS (e = -1022 at 1e-307, e = 970 at 5e292) and one past
+    # each, 6 * 2^-1020 (s_star / 4 = 2^-1022, the least normal) and the
+    # float below it, whose rows _ideal_round redoes by the definitions,
+    # 2e-307 inside the range and 1e300, 1.2e308 and 1.5e308 above it
     _EXTREMES = [(5e-324, True), (1.5e-323, True), (3.5e-323, False), (1e-310, False),
-                 (1e-307, False), (2e-307, True), (1e300, True), (1.2e308, True),
+                 (5e-308, False), (1e-307, True), (2e-307, True),
+                 (np.nextafter(6 * 2.0 ** -1020, 0.0), True), (6 * 2.0 ** -1020, True),
+                 (5e292, True), (1e293, False), (1e300, False), (1.2e308, False),
                  (1.5e308, False)]
 
     @pytest.mark.parametrize("top,folded", _EXTREMES)
@@ -423,6 +428,10 @@ class TestKernelAgainstBruteForce:
         rng = np.random.default_rng(48)
         x = rng.uniform(-1.0, 1.0, size=(3, 70)) * top
         x[:, ::9] = top
+        # the deadzone threshold fl(top / 24) and its neighbours
+        x[:, 2::9] = top / 24.0
+        x[:, 3::9] = -np.nextafter(top / 24.0, 0.0)
+        x[:, 4::9] = np.nextafter(top / 24.0, np.inf)
         x[:, -1] = -top                 # the 6-element tail block too
         x[1, :32] = -0.0
         cfg = BlockQuantConfig(block_size=32, scale_mantissa_bits=m)

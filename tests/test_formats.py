@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mxblock import quantize
 from mxblock.formats import (
     E2M1,
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
     GridCode,
     ScaleCode,
+    _round_magnitude,
     ceil_scale_array,
     decode_grid,
     encode_scale_ceiling,
@@ -263,3 +265,81 @@ class TestCodes:
 
     def test_element_grid_frozen(self):
         assert E2M1.q_max == 6.0 and E2M1.q_min == 0.5
+
+
+# --- rounding by addition -------------------------------------------------------
+
+_ABOVE_SIX = float(np.nextafter(6.0, np.inf))     # 6 + 2^-50 <= 6 (1 + 2^-52)
+# every midpoint and grid point with its one-ulp neighbours, and subnormals
+_ADDITION_EDGES = sorted(
+    {float(w) for v in [*GRID_MIDPOINTS.tolist(), *GRID_MAGNITUDES[1:].tolist()]
+     for w in (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf))}
+    | {0.0, 5e-324, 1.5e-323, 2.0 ** -1050, float(np.nextafter(2.0 ** -1022, 0.0)),
+       2.0 ** -1022, _ABOVE_SIX})
+_ADDITION_INPUTS = st.one_of(st.floats(0.0, _ABOVE_SIX),
+                             st.sampled_from(_ADDITION_EDGES))
+
+
+def _rational_index(r: Fraction) -> int:
+    """Index of the grid magnitude nearest the rational r >= 0; an exact tie
+    goes to the even index."""
+    dist = [abs(r - Fraction(g)) for g in GRID_MAGNITUDES.tolist()]
+    best = [i for i, d in enumerate(dist) if d == min(dist)]
+    return best[0] if len(best) == 1 else next(i for i in best if i % 2 == 0)
+
+
+class TestRoundingByAddition:
+    """(a + C) - C with C = 1.5 * 2^52 * step, the one rounding kernel,
+    against the nearest grid value with index-parity ties, in exact
+    rationals, on the magnitudes the quantizers give it: up to 6 (1 +
+    2^-52), midpoints and grid points to one ulp, and subnormals."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_ADDITION_INPUTS, min_size=1, max_size=64), st.booleans())
+    def test_round_magnitude(self, values, saturate):
+        got = _round_magnitude(np.array(values), saturate=saturate)
+        for v, g in zip(values, got.tolist()):
+            assert g == GRID_MAGNITUDES[_rational_index(Fraction(v))], v
+        assert not np.signbit(got).any()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_ADDITION_INPUTS, min_size=1, max_size=64),
+           st.sampled_from([*quantize._FOLD_EXPONENTS, -1000, -1, 0, 1, 500]))
+    def test_folded_scale(self, values, e):
+        # at scale 2^e the fold rounds |x| / 2^e, whatever bits |x| = u 2^e
+        # lost to the subnormal range, and gives the grid value times 2^e
+        mag = np.array(values) * 2.0 ** e
+        got = quantize._mag_round_pow2(mag[None, :], np.array([2.0 ** e]))[0]
+        for x, g in zip(mag.tolist(), got.tolist()):
+            want = GRID_MAGNITUDES[_rational_index(Fraction(x) / Fraction(2) ** e)]
+            assert Fraction(g) == Fraction(want) * Fraction(2) ** e, x
+
+
+_DBL_MAX = float(np.finfo(np.float64).max)
+_CEIL_INPUTS = st.one_of(
+    st.floats(2.0 ** -1022, _DBL_MAX),
+    st.floats(5e-324, 2.0 ** -1022, exclude_max=True),
+    st.builds(math.ldexp, st.just(1.0), st.integers(-1074, 1023)),
+    st.sampled_from([_DBL_MAX / 6.0, 2.0 ** -1022, float(np.nextafter(2.0 ** -1022, 0.0)),
+                     5e-324, 1.0, float(np.nextafter(1.0, np.inf)), 0.0, -0.0, -1.0]))
+
+
+class TestPowerOfTwoCeilingProperty:
+    """ceil_scale_array(s, 0), from the bits of a normal s and by frexp for
+    the rest, against the frexp rule entry by entry: 2^p above s = f 2^p, or
+    s itself when f = 0.5; 1.0 with code 0 where s <= 0."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_CEIL_INPUTS, min_size=1, max_size=32))
+    def test_matches_frexp_rule(self, values):
+        decoded, e, k = ceil_scale_array(np.array(values), 0)
+        assert e.dtype == np.int64 and not k.any()
+        for s, d, ei in zip(values, decoded.tolist(), e.tolist()):
+            if s > 0:
+                f, p = math.frexp(s)
+                want = p - (f == 0.5)
+            else:
+                want = 0
+            assert ei == want, s
+            # above 2^1023 the ceiling 2^1024 is inf
+            assert d == (math.inf if want == 1024 else math.ldexp(1.0, want)), s

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mxblock.formats import ceil_scale_array, grid_round_array
 from mxblock.quantize import (
@@ -234,3 +235,51 @@ class TestScaledRoundDefinition:
         _, qstar, _, _ = qdq_views(view, cfg)
         hit = np.abs(qstar) / np.where(view.nonzero, view.s_star, 1.0)[:, None]
         assert hit.max() <= 6.0 + 1e-12
+
+
+# Block maxima: unit, large, 6 * 2^-1020 (s_star / 4 the least normal) and
+# the float below it, subnormal blocks and ones whose s_star is 0
+_ROW_SCALES = [1.0, 2.0 ** 900, 6 * 2.0 ** -1020, float(np.nextafter(6 * 2.0 ** -1020, 0.0)),
+               2.0 ** -1019, 2.0 ** -1021, 2.0 ** -1030, 2.0 ** -1066, 2.0 ** -1073]
+
+
+@st.composite
+def _mixed_pieces(draw):
+    """Pieces whose rows sit at different scales, the deadzone threshold
+    fl(m_b / 24) and its neighbours among the elements, all-zero rows and
+    ragged tails."""
+    n_rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 70))
+    block_size = draw(st.sampled_from([1, 4, 8, 32]))
+    rows = []
+    for _ in range(n_rows):
+        row = np.array(draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                                     min_size=n, max_size=n)))
+        top = draw(st.sampled_from(_ROW_SCALES))
+        row = row * top
+        row[::block_size] = draw(st.sampled_from([top, -top]))
+        thr = top / 24.0
+        for j, v in enumerate((thr, np.nextafter(thr, 0.0), np.nextafter(thr, np.inf))):
+            row[j + 1::block_size] = draw(st.sampled_from([v, -v]))
+        if draw(st.integers(0, 4)) == 0:
+            row[:] = draw(st.sampled_from([0.0, -0.0]))
+        rows.append(row)
+    return np.array(rows), BlockQuantConfig(block_size=block_size)
+
+
+class TestQuotientDeadzoneProperty:
+    """qdq_views takes the deadzone as fl(|x| / s_star) < 1/4 and rounds Q*
+    unsaturated, redoing the rows whose s_star / 4 is not normal. Both must
+    be the definitions: |x| < m_b / 24, and the saturating grid rounding."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mixed_pieces())
+    def test_matches_definitions(self, case):
+        x, cfg = case
+        view = block_view(x, cfg)
+        _, qstar, dead, _ = qdq_views(view, None)
+        assert np.array_equal(dead, np.abs(view.blocks) < (view.m_b / 24.0)[:, None])
+        s = np.where(view.s_star > 0, view.s_star, 1.0)[:, None]
+        want = np.copysign(grid_round_array(view.blocks / s) * s, view.blocks)
+        want[~view.nonzero] = 0.0
+        assert np.array_equal(qstar.view(np.uint64), want.view(np.uint64))

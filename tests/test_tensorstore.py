@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestRoundTrip:
         ts.add("a", np.zeros(3))
         path = str(tmp_path / "s.tensors")
         save_container(ts, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         n = int.from_bytes(blob[:8], "little")
         header = json.loads(blob[8:8 + n])
         assert list(header) == ["a", "b"]
