@@ -23,11 +23,12 @@ from .corrections import AqnSchedule, MbsConfig, mbs_qdq
 from .decompose import (
     InvariantViolation,
     _as_tensor,
+    _dot,
     _expansion_residual,
     _row_pieces,
     decompose_tensor,
 )
-from .quantize import _CHUNK_ELEMS, BlockQuantConfig, _deadzone, _Workspace, block_view
+from .quantize import _STREAM_ELEMS, BlockQuantConfig, _deadzone, _Workspace, block_view
 
 __all__ = [
     "GammaStats",
@@ -251,7 +252,7 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     weights = (h / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
     shifts = s * z
     p_bar = np.empty(dl.size)
-    rows = max(1, _CHUNK_ELEMS // shifts.size)
+    rows = max(1, _STREAM_ELEMS // shifts.size)
     for lo in range(0, dl.size, rows):
         p = _sigmoid(dl[lo:lo + rows, None] + shifts)
         p *= weights
@@ -493,7 +494,7 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     Passing mbs replaces the quantizer with its macro-prescaled variant;
     the scale component is then measured against the unchanged ideal
     quantization. The Monte-Carlo inputs are drawn in chunks of about
-    quantize._CHUNK_ELEMS elements, so past the four error matrices the
+    quantize._STREAM_ELEMS elements, so past the four error matrices the
     memory is one chunk and one value per sample. A sample set's traces are
     taken over chunks of its rows the same way, never forming the
     n_in x n_in Sigma.
@@ -531,12 +532,13 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
             raise ValueError("cov must be scalar, 1-D, or 2-D")
 
     e_s, e_d, e_g, e_t = component_error_matrices(w, quant, mbs, mbs_mode)
-    step = max(1, _CHUNK_ELEMS // max(w.shape))     # samples per chunk
+    step = max(1, _STREAM_ELEMS // max(w.shape))     # samples per chunk
 
-    # isotropic traces equal var times decompose_tensor's sums bit for bit only
-    # on a one-piece tensor; those sums add piece by piece (512x512: last bits)
+    # isotropic traces take decompose_tensor's _dot, so they are var times its
+    # sums bit for bit on a one-piece tensor; a larger tensor's sums add
+    # piece by piece, which moves their last bits
     if mode == "isotropic":
-        tr = lambda a, b: var * float(np.dot(a.ravel(), b.ravel()))
+        tr = lambda a, b: var * _dot(a, b)
     elif mode == "diagonal":
         tr = lambda a, b: float(((a * b).sum(axis=0) * cov).sum())
     else:

@@ -3,8 +3,9 @@
 One subcommand per analysis, one report per run. Reports embed the
 resolved configuration, seed, package version, and wall-clock duration;
 everything except the duration is byte-stable for a fixed configuration
-on one numpy/BLAS build and BLAS thread count (sorted keys, floats at 12
-significant digits; the sums' last bits depend on the thread count).
+on one numpy/BLAS build, at any BLAS thread count (sorted keys, floats at
+12 significant digits; the sums are fixed-order sums of sub-dots that
+OpenBLAS does not thread).
 
 Exit codes: 0 success, 2 input or configuration error, 3 internal
 invariant violation. An identity failure is a bug, never a warning.
@@ -41,7 +42,7 @@ from .decompose import (
     tensor_stats,
     verify_identity,
 )
-from .quantize import BlockQuantConfig
+from .quantize import BlockQuantConfig, _Workspace
 from .tensorstore import (
     ContainerReader,
     ContainerWriter,
@@ -231,10 +232,11 @@ def cmd_of(args) -> dict:
     quant = _quant_config(args)
     of = OfConfig(alpha=args.of_alpha)
     mbs = MbsConfig(macro_block_size=args.macro_block) if args.with_mbs else None
+    work = _Workspace()
 
     def of_x_hat(rows, cols, piece):
         # both passes are local to a block, or to a macro under MBS
-        return of_qdq(piece, of, quant, mbs, args.mbs_mode).x_hat
+        return of_qdq(piece, of, quant, mbs, args.mbs_mode, work).x_hat
 
     def record(name, x) -> dict:
         before, after = decompose_quantizers(

@@ -55,7 +55,7 @@ from .formats import (
     ceil_scale_array,
 )
 from .quantize import (
-    _CHUNK_ELEMS,
+    _STREAM_ELEMS,
     BlockQuantConfig,
     _scaled_round,
     _Workspace,
@@ -172,7 +172,7 @@ _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
 # its crossings (1.4 per Gaussian element), 3.5 MiB at 2^14 elements. On
 # 512x512 a 2^15 step was no faster and raised the mbs command's peak RSS
 # from 46 to 52 MB.
-_STEP_ELEMS = _CHUNK_ELEMS // 8
+_STEP_ELEMS = 1 << 14
 # Macros whose nonzero magnitudes lie in this range take the closed form:
 # every product, square and quotient that it and the sweep form is a normal
 # float, the premise of the rounding bound in _approx_errors. Other macros
@@ -223,10 +223,10 @@ def _trial_errors(macros: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
     every other caller. Each trial is one row of macro elements and is
     summed along that row, so its pairwise summation does not depend on
     which other trials share the call. Runs in pieces of about
-    quantize._CHUNK_ELEMS elements."""
+    quantize._STREAM_ELEMS elements."""
     macro = macros.shape[1]
     errors = np.empty(len(rows))
-    step = max(1, _CHUNK_ELEMS // macro)
+    step = max(1, _STREAM_ELEMS // macro)
     for lo in range(0, len(rows), step):
         r = rows[lo:lo + step]
         n = len(r)
@@ -549,11 +549,11 @@ def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
 
 
 def _mbs_codes(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantConfig,
-               mode: str) -> np.ndarray:
+               mode: str, work: _Workspace) -> np.ndarray:
     """The (rows, ceil(n / macro)) uint8 codes of x's row matrix, picked
     in one pass over pieces of whole macros, about _STEP_ELEMS elements
-    each, in one workspace; x is an array or a StoredTensor, read piece by
-    piece. A macro's code depends on that macro alone."""
+    each, in work; x is an array or a StoredTensor, read piece by piece.
+    A macro's code depends on that macro alone."""
     if mode not in _MBS_MODES:
         raise ValueError(f"unknown MBS mode: {mode}")
     mbs.validate_against(quant)
@@ -561,7 +561,6 @@ def _mbs_codes(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantCo
     n = x.shape[-1] if x.ndim else 1
     codes = np.empty((x.size // n, -(-n // macro)), dtype=np.uint8)
     macro_config = BlockQuantConfig(block_size=macro)
-    work = _Workspace()
     for r, c, piece in _row_pieces(x, macro, _STEP_ELEMS):
         view = block_view(piece, macro_config, work)
         if mode == "closed_form":
@@ -600,8 +599,8 @@ def mbs_pieces(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantCo
     each piece's x_hat rows are then formed from its rows at those codes,
     bit for bit mbs_qdq's. The working memory is one piece's x_hat and one
     step's arrays, plus one byte per macro."""
-    codes = _mbs_codes(x, mbs, quant, mode)
     work = _Workspace()
+    codes = _mbs_codes(x, mbs, quant, mode, work)
 
     def piece_x_hat(rows: slice, cols: slice, piece: np.ndarray) -> np.ndarray:
         return _mbs_x_hat(piece, cols.start, codes[rows], mbs.macro_block_size, quant,
@@ -611,21 +610,24 @@ def mbs_pieces(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantCo
 
 
 def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
-            mode: str = "exhaustive") -> tuple[np.ndarray, np.ndarray]:
+            mode: str = "exhaustive",
+            work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """MBS-corrected QDQ. Returns (x_hat, mantissa_codes); code count is
     ceil(n / macro) per innermost row, one uint8 each.
 
     The codes are picked in one pass over pieces of whole macros; x_hat is
     then written in steps, each block at its macro's code (_mbs_x_hat).
     Besides the input, the output and the codes, the working memory is
-    that of one step."""
+    that of one step, in work, which a caller running many small tensors
+    can pass to every call: fresh step-sized buffers cost page faults."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty tensor")
-    codes = _mbs_codes(x, mbs, quant, mode)
+    work = _Workspace() if work is None else work
+    codes = _mbs_codes(x, mbs, quant, mode, work)
     x_hat = np.empty(x.shape)
     _mbs_x_hat(x.reshape(len(codes), -1), 0, codes, mbs.macro_block_size, quant,
-               x_hat.reshape(len(codes), -1), _Workspace())
+               x_hat.reshape(len(codes), -1), work)
     return x_hat, codes.ravel()
 
 
@@ -640,13 +642,16 @@ class OfResult:
 
 
 def of_qdq(x: np.ndarray, of: OfConfig, quant: BlockQuantConfig,
-           mbs: MbsConfig | None = None, mbs_mode: str = "exhaustive") -> OfResult:
-    """Two-pass residual QDQ; both passes run MBS when mbs is given, else Q."""
+           mbs: MbsConfig | None = None, mbs_mode: str = "exhaustive",
+           work: _Workspace | None = None) -> OfResult:
+    """Two-pass residual QDQ; both passes run MBS when mbs is given, else Q.
+    The MBS passes share work (see mbs_qdq)."""
     x = np.asarray(x, dtype=np.float64)
+    work = _Workspace() if work is None else work
 
     def q(t: np.ndarray) -> np.ndarray:
         if mbs is not None:
-            return mbs_qdq(t, mbs, quant, mbs_mode)[0]
+            return mbs_qdq(t, mbs, quant, mbs_mode, work)[0]
         return qdq_tensor(t, quant)
 
     pass1 = q(x)

@@ -33,11 +33,10 @@ Every error element is the one the whole-tensor computation gives; the sums
 differ from one-shot dot products only in summation order. The pieces are
 slices of an in-memory array, or, for a tensorstore.StoredTensor, read from
 its container file one at a time; the same pieces in the same order either
-way, so on one numpy/BLAS build and thread count the sums are the same bits.
-Across thread counts their last bits move: OpenBLAS splits the np.dot of a
-piece between its threads, which reorders the additions (a student_t
-512x512 report differs in identity_residual between 1 and 2 threads). Every
-piece-sized temporary lives in one workspace for the whole call. Without
+way. Each piece's sum is a fixed-order sum of sub-dots too short for
+OpenBLAS to split between threads (_dot), so on one numpy/BLAS build the
+sums are the same bits at any BLAS thread count. Every piece-sized
+temporary lives in one workspace for the whole call. Without
 the error arrays, the working memory is the input plus one piece for an
 array, and one piece for a stored tensor.
 
@@ -112,8 +111,28 @@ class ErrorDecomposition:
     dz_zero_fraction: float            # those of them x_hat leaves at 0.0 / all
 
 
+# Elements per sub-dot of a sum. OpenBLAS on x86-64 threads ddot only above
+# 10,000 elements, so a sub-dot's bits do not depend on the thread count.
+_SUB_DOT = 1 << 13
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(a.ravel(), b.ravel()))
+    """<a, b> as a fixed-order sum of sub-dots of at most _SUB_DOT elements:
+    one batched matmul over the whole rows of _SUB_DOT, one np.dot of the
+    rest, added left to right from the first partial. Its bits are the same at
+    any BLAS thread count, and a one-element dot is the product itself,
+    signed zero included."""
+    a, b = a.ravel(), b.ravel()
+    full = a.size - a.size % _SUB_DOT
+    rows = full // _SUB_DOT
+    parts = np.matmul(a[:full].reshape(rows, 1, _SUB_DOT),
+                      b[:full].reshape(rows, _SUB_DOT, 1)).ravel().tolist()
+    if full < a.size:
+        parts.append(float(np.dot(a[full:], b[full:])))
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
@@ -220,9 +239,11 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
 
     Without out, the errors stay magnitudes: with s the sign of x, each e_*
     is s times the same expression on |x|, so every product in the sums is
-    the same. Only the sign of a zero product can differ, and np.dot starts
-    from +0.0 from two elements on; a one-element piece keeps the signs,
-    since np.dot of one element is the product itself."""
+    the same. Only the sign of a zero product can differ. _dot's sub-dots of
+    two elements or more start from +0.0, and its running sum starts from
+    the first partial: a zero sum of a piece of two elements or more is
+    +0.0 either way. A one-element piece keeps the signs, since its _dot is
+    the product itself."""
     view = block_view(piece, config, work)
     shape = view.blocks.shape
     signs = out is not None or piece.size == 1

@@ -110,18 +110,23 @@ class QuantizedTensor:
 
 # --- block layout ------------------------------------------------------------
 
-# Elements per working piece of the loops that stream a large tensor through
-# the kernels: the exhaustive MBS trials in corrections and the decomposition
-# in decompose. Each piece goes through two dozen elementwise passes, the dot
-# products included, over half a dozen live arrays, so it is sized for the
-# cache, not for numpy's per-call overhead: at 2^17 one float64 array is
-# 1 MiB. On a 2-core Xeon with 4 MiB L2, the MBS trials on 512x512 took
-# 0.9-1.0 s at 2^16-2^17 against 2.0-2.3 s at 2^23, and tensor_stats on a
-# 4096x4096 Student-t tensor took 0.93-1.14 s at 2^14-2^20 against 1.64 s
-# at 2^22 and 1.47 s in one piece. With the magnitude kernel (qdq_views) it
-# takes 0.41-0.45 s at 2^14-2^18 and 0.56 s at 2^13. The decomposition's
-# sums are added piece by piece, so this constant also fixes their bits.
-_CHUNK_ELEMS = 1 << 17
+# Elements per piece of the decomposition (decompose), whose sums are added
+# piece by piece. A piece goes through about 30 elementwise passes over half
+# a dozen live float64 arrays, so it is sized for the 2 MiB of L2 each core
+# has on a 2-core Xeon: at 2^15 one array is 256 KiB and the working set
+# about 1.5 MiB, while at 2^17 (6 MiB) every pass streams from L3. There,
+# tensor_stats on a BF16 container of a 4096x4096 Student-t tensor, a
+# 2048x2048 Gaussian one and 64 vectors of 4100 elements took a median
+# 0.53 s at 2^15, against 0.62 s at 2^16, 0.72 s at 2^17, 0.68 s at 2^14
+# and 1.0 s at 2^13, where numpy's per-call cost over the pieces dominates.
+_CHUNK_ELEMS = 1 << 15
+# Elements per piece of the other streaming loops, at the size each was
+# measured at: the container reader's and writer's pieces (tensorstore), the
+# MBS trial errors (corrections) and the Monte Carlo chunks of gemm and of
+# the temperature fit (analysis). The MBS trials on 512x512 took 0.9-1.0 s
+# at 2^16-2^17 against 2.0-2.3 s at 2^23; gemm on 2048x2048 took 4.1-4.6 s
+# with chunks of 2^15 against 2.6-2.9 s at 2^17.
+_STREAM_ELEMS = 1 << 17
 
 
 class _Workspace:

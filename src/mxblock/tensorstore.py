@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import _CHUNK_ELEMS, _Workspace
+from .quantize import _STREAM_ELEMS, _Workspace
 
 __all__ = [
     "TensorStoreError",
@@ -164,8 +164,8 @@ class StoredTensor:
                              "it cannot be an array without a copy")
         data = np.empty(self.shape)
         flat = data.reshape(-1)
-        for start in range(0, self.size, _CHUNK_ELEMS):
-            count = min(_CHUNK_ELEMS, self.size - start)
+        for start in range(0, self.size, _STREAM_ELEMS):
+            count = min(_STREAM_ELEMS, self.size - start)
             self.read(start, count, flat[start:start + count])
         return data if dtype is None else data.astype(dtype, copy=False)
 
@@ -326,7 +326,7 @@ class ContainerWriter(_AtomicFile):
     ContainerReader. The header is built from the declared (name, dtype,
     shape) entries, sorted by name with the data packed in that order and no
     gaps, and is written first. write() then takes each tensor in header
-    order and narrows it one piece (_CHUNK_ELEMS elements) at a time into
+    order and narrows it one piece (_STREAM_ELEMS elements) at a time into
     one set of reused buffers, writing each piece as it is made, so past
     the caller's float64 tensor the memory is one piece. A value that is
     not finite once narrowed (an inf or a nan, or a finite value beyond the
@@ -366,8 +366,8 @@ class ContainerWriter(_AtomicFile):
             raise TensorStoreError(f"shape mismatch (tensor {name}): declared "
                                    f"{meta['shape']}, given {list(x.shape)}")
         flat = x.reshape(-1)
-        for start in range(0, flat.size, _CHUNK_ELEMS):
-            piece = flat[start:start + _CHUNK_ELEMS]
+        for start in range(0, flat.size, _STREAM_ELEMS):
+            piece = flat[start:start + _STREAM_ELEMS]
             self.file.write(self._narrow(piece, name, meta["dtype"]))
         self._written += 1
 

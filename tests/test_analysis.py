@@ -337,7 +337,7 @@ class TestPairPreference:
         dl = np.random.default_rng(95).standard_normal(1000) * 3.0
         whole = analysis._pair_preference(dl, 2.0)
         assert np.abs(whole + analysis._pair_preference(-dl, 2.0) - 1.0).max() <= 1e-15
-        monkeypatch.setattr(analysis, "_CHUNK_ELEMS", 1000)
+        monkeypatch.setattr(analysis, "_STREAM_ELEMS", 1000)
         assert np.array_equal(analysis._pair_preference(dl, 2.0), whole)
 
 
@@ -448,7 +448,7 @@ class TestGemmPropagation:
     def test_sample_set_traces_match_sigma_formula(self, monkeypatch):
         # each trace is taken over chunks of samples (16 here, so five); the
         # formula through the n_in x n_in Sigma = X^T X / n gives the same
-        monkeypatch.setattr(analysis, "_CHUNK_ELEMS", 16 * 96)
+        monkeypatch.setattr(analysis, "_STREAM_ELEMS", 16 * 96)
         rng = np.random.default_rng(101)
         w = rng.standard_normal((24, 96))
         xs = rng.standard_normal((70, 96)) * np.linspace(0.5, 2.0, 96)

@@ -14,7 +14,7 @@ import pytest
 
 import mxblock
 import mxblock.cli as cli
-from mxblock import __version__, decompose
+from mxblock import __version__, decompose, quantize
 from mxblock.analysis import TempFit
 from mxblock.cli import main
 from mxblock.corrections import AqnSchedule, aqn_apply
@@ -122,24 +122,34 @@ class TestEnvelope:
         report = json.loads(Path(out_path).read_text())
         assert 1.0 < report["results"]["mean_gamma"] < 2.0
 
-    def test_blas_threads_move_only_last_bits(self):
-        # OpenBLAS threads np.dot over a piece's 2^17 elements, so the last
-        # bits of the sums depend on the thread count; the report agrees far
-        # below its 12 printed digits
+    @pytest.mark.parametrize("source", ["synth", "container"])
+    def test_blas_threads_keep_results_bytes(self, tmp_path, source):
+        # each sum is a fixed-order sum of sub-dots that OpenBLAS does not
+        # split between threads, so the thread count moves no printed byte,
+        # identity_residual included; each input spans several pieces
+        if source == "synth":
+            argv = ["decompose", "--synth", "student_t:512x512", "--seed", "3"]
+        else:
+            rng = np.random.default_rng(1)
+            ts = TensorSet()
+            ts.add("w", rng.standard_t(5.0, size=(512, 512)), "BF16")
+            # rows of three whole pieces and a tail
+            ts.add("v", rng.standard_normal((2, 3 * quantize._CHUNK_ELEMS + 1003)), "BF16")
+            path = str(tmp_path / "c.tensors")
+            save_container(ts, path)
+            argv = ["decompose", "--input", path]
         src = os.path.dirname(os.path.dirname(mxblock.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        records = []
+        reports = []
         for threads in ("1", "2"):
             run = subprocess.run(
-                [sys.executable, "-m", "mxblock.cli", "decompose", "--synth",
-                 "student_t:512x512", "--seed", "3"],
+                [sys.executable, "-m", "mxblock.cli", *argv],
                 env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
                 capture_output=True, text=True)
             assert run.returncode == 0, run.stderr
-            records.append(json.loads(run.stdout)["results"]["records"][0])
-        one, two = records
-        for field in ("mse_total", "share_scale", "share_dz", "share_grid"):
-            assert two[field] == pytest.approx(one[field], rel=1e-12, abs=0.0), field
+            reports.append(re.sub(r'"duration_seconds": [^\n]+', "D", run.stdout))
+        assert '"results"' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -579,6 +579,22 @@ class TestOutlierFallback:
                           "closed_form")
         assert np.array_equal(res.pass1, want)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
+    def test_shared_workspace_keeps_bits(self, mode):
+        # one workspace through tensors of different sizes, as the of
+        # command passes it from piece to piece: every result is a fresh call's
+        rng = np.random.default_rng(74)
+        quant = BlockQuantConfig()
+        mbs = MbsConfig(macro_block_size=128)
+        work = _Workspace()
+        for shape in [(64, 512), (3, 256), (2, 128), (40, 384)]:
+            x = rng.standard_t(4.0, size=shape)
+            res = of_qdq(x, OfConfig(), quant, mbs, mode, work)
+            want = of_qdq(x, OfConfig(), quant, mbs, mode)
+            for got, ref in zip((res.x_hat, res.pass1, res.pass2),
+                                (want.x_hat, want.pass1, want.pass2)):
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
 
 class TestAqn:
     def test_deterministic_and_name_keyed(self):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -534,6 +537,54 @@ class TestChunkedDecomposition:
         for field in ("n2_scale", "n2_dz", "n2_grid", "n2_total", "ip_scale_grid",
                       "ip_scale_dz", "ip_dz_grid", "cos_scale_grid", "dz_fraction"):
             assert getattr(sums, field) == getattr(full, field), field
+
+
+# around the sub-dot length 2^13 and OpenBLAS's ddot threading threshold
+# (above 10,000 elements), and three whole sub-dots with a remainder
+_DOT_SIZES = (1, 2, 8191, 8192, 8193, 10001, 3 * 2 ** 13 + 5)
+
+_DOT_SCRIPT = f"""
+import numpy as np
+from mxblock.decompose import _dot
+for n in {_DOT_SIZES}:
+    a, b = np.random.default_rng(n).standard_normal((2, n))
+    print(_dot(a, b).hex())
+"""
+
+
+class TestDot:
+    """decompose._dot, every sum of the split: a fixed-order sum of sub-dots
+    of at most 2^13 elements."""
+
+    def test_same_bits_at_one_and_two_threads(self):
+        src = os.path.dirname(os.path.dirname(decompose.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", _DOT_SCRIPT],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.split())
+        assert len(outputs[0]) == len(_DOT_SIZES)
+        assert outputs[0] == outputs[1]
+
+    def test_signed_zero(self):
+        # a one-element dot is the product itself; from two elements on,
+        # zero products add up to +0.0, as a whole np.dot gives
+        one = decompose._dot(np.array([-0.0]), np.array([1.0]))
+        assert one == 0.0 and math.copysign(1.0, one) == -1.0
+        for n in _DOT_SIZES[1:]:
+            zero = decompose._dot(np.full(n, -0.0), np.ones(n))
+            assert zero == 0.0 and math.copysign(1.0, zero) == 1.0, n
+
+    @pytest.mark.parametrize("n", _DOT_SIZES)
+    def test_within_n_eps_of_fsum(self, n):
+        a, b = np.random.default_rng(n).standard_normal((2, n))
+        got = decompose._dot(a.reshape(1, n), b)
+        exact = math.fsum(a * b)
+        assert abs(got - exact) <= n * np.finfo(np.float64).eps * math.fsum(np.abs(a * b))
 
 
 def _one_shot_measured(x, x_hat, cfg):

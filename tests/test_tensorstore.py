@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mxblock import decompose, tensorstore
+from mxblock import decompose, quantize, tensorstore
 from mxblock.analysis import gamma_stats
 from mxblock.cli import main
 from mxblock.decompose import tensor_stats
@@ -73,7 +73,7 @@ class TestRoundTrip:
     def test_asarray_is_the_loaded_array(self, tmp_path, monkeypatch, dtype):
         # np.asarray(stored) is the whole tensor, bit for bit what
         # load_container gives; small pieces so a tensor takes several reads
-        monkeypatch.setattr(tensorstore, "_CHUNK_ELEMS", 16)
+        monkeypatch.setattr(tensorstore, "_STREAM_ELEMS", 16)
         rng = np.random.default_rng(63)
         ts = TensorSet()
         for shape in [(), (37,), (3, 5, 7)]:
@@ -519,7 +519,7 @@ def test_streamed_writer_bytes_equal_whole_array_encoder(tmp_path, monkeypatch,
     # pieces of 16 elements, so tensors cross pieces; where the reader
     # accepts the reference encoder's file, the writer's file is the same
     # bytes, and where it refuses it, the writer refuses too and leaves nothing
-    monkeypatch.setattr(tensorstore, "_CHUNK_ELEMS", 16)
+    monkeypatch.setattr(tensorstore, "_STREAM_ELEMS", 16)
     ref = tmp_path / "ref.tensors"
     out = tmp_path / "out" / "o.tensors"
     out.parent.mkdir(exist_ok=True)
@@ -550,7 +550,7 @@ def _stream_cases(tmp_path):
     ts.add("vec_f64", rng.standard_normal(1000), "F64")
     ts.add("cube_f32", rng.standard_t(5.0, size=(3, 5, 40)), "F32")
     ts.add("rows_f16", rng.laplace(size=(7, 100)), "F16")
-    ts.add("long_bf16", rng.standard_normal((2, 2 ** 17 + 1003)), "BF16")
+    ts.add("long_bf16", rng.standard_normal((2, quantize._CHUNK_ELEMS + 1003)), "BF16")
     ts.add("scalar_bf16", np.array(-3.3), "BF16")
     ts.add("zeros_f32", np.zeros((4, 32)), "F32")
     path = str(tmp_path / "s.tensors")
@@ -598,9 +598,10 @@ def test_stream_takes_the_column_split(tmp_path, monkeypatch):
     monkeypatch.setattr(StoredTensor, "read", counted)
     with ContainerReader(path) as reader:
         tensor_stats({"long": reader.tensors["long_bf16"]}, BlockQuantConfig())
-    n = 2 ** 17 + 1003
-    assert reads == [("long_bf16", 0, 2 ** 17), ("long_bf16", 2 ** 17, 1003),
-                     ("long_bf16", n, 2 ** 17), ("long_bf16", n + 2 ** 17, 1003)]
+    piece = quantize._CHUNK_ELEMS
+    n = piece + 1003
+    assert reads == [("long_bf16", 0, piece), ("long_bf16", piece, 1003),
+                     ("long_bf16", n, piece), ("long_bf16", n + piece, 1003)]
 
 
 def _command_peak(capsys, argv) -> int:
