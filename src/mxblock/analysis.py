@@ -206,7 +206,9 @@ def effective_temperature_predict(sigma_eta_sq: float, var_delta_ell: float) -> 
 class TempFit:
     """One temperature fit. ``draws`` is the Monte-Carlo sample count behind
     ``entropy_noised``; the pairwise preferences that set ``t_hat`` come from
-    quadrature and do not depend on it."""
+    quadrature and do not depend on it. ``t_hat_at_bound`` is true when the
+    search stopped within its tolerance of an end of its bracket [0.5, 10]:
+    ``t_hat`` is then that end, not a minimum of the KL."""
 
     t_hat: float
     t_predicted: float
@@ -217,10 +219,16 @@ class TempFit:
     entropy_clean: float
     entropy_noised: float
     kl_min: float
+    t_hat_at_bound: bool = False
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 (1 + tanh(x / 2)), written into out when given; out may be x."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 # Half-width of the trapezoid rule in _pair_preference: the N(0, 1) mass
@@ -244,7 +252,8 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     weights h phi(z). The integrand is smooth and its Gaussian factor decays
     fast, so the rule converges geometrically in 1/h. Against scipy's adaptive
     quad the worst error was 3e-15 for sigma_eta from 0.05 to 100. It takes
-    37 nodes up to s = 1 and about 36 s above that."""
+    37 nodes up to s = 1 and about 36 s above that. Pairs go through one
+    reused (pairs, nodes) buffer of about _STREAM_ELEMS elements."""
     s = math.sqrt(2.0) * sigma_eta
     h = 0.5 / max(1.0, s)
     k = int(_pair_nodes(sigma_eta)) // 2
@@ -253,28 +262,46 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     shifts = s * z
     p_bar = np.empty(dl.size)
     rows = max(1, _STREAM_ELEMS // shifts.size)
+    buf = np.empty((min(rows, dl.size), shifts.size))
     for lo in range(0, dl.size, rows):
-        p = _sigmoid(dl[lo:lo + rows, None] + shifts)
+        p = buf[:min(rows, dl.size - lo)]
+        np.add(dl[lo:lo + rows, None], shifts, out=p)
+        _sigmoid(p, out=p)
         p *= weights
-        p_bar[lo:lo + rows] = p.sum(axis=1)
+        p.sum(axis=1, out=p_bar[lo:lo + rows])
     return p_bar
 
 
 def _bernoulli_kl(p: np.ndarray):
     """q -> sum KL(Bernoulli(p) || Bernoulli(q)), p and q clipped to [eps,
-    1 - eps]. p's clip and 1 - p are taken once, for every q a search tries."""
+    1 - eps]. p is clipped in place, once, and 1 - p is taken once, for
+    every q a search tries. kl(q) overwrites q and writes the terms into one
+    scratch array of p's size, so a call makes no pair-sized temporary."""
     eps = 1e-15
-    p = np.clip(p, eps, 1.0 - eps)
+    np.clip(p, eps, 1.0 - eps, out=p)
     p_c = 1.0 - p
+    terms = np.empty_like(p)
 
     def kl(q: np.ndarray) -> float:
-        q = np.clip(q, eps, 1.0 - eps)
-        return float((p * np.log(p / q) + p_c * np.log(p_c / (1.0 - q))).sum())
+        # p log(p / q) + p_c log(p_c / (1 - q)), in that operation order
+        np.clip(q, eps, 1.0 - eps, out=q)
+        np.divide(p, q, out=terms)
+        np.log(terms, out=terms)
+        np.multiply(terms, p, out=terms)
+        np.subtract(1.0, q, out=q)
+        np.divide(p_c, q, out=q)
+        np.log(q, out=q)
+        np.multiply(q, p_c, out=q)
+        np.add(terms, q, out=terms)
+        return float(terms.sum())
 
     return kl
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+_GOLDEN_TOL = 1e-10
+
+
+def _golden_min(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -324,6 +351,12 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
     sigma_eta whose rule needs more than `draws` nodes per pair is a
     ValueError, so the fit never evaluates more sigmoids than a pairwise
     Monte Carlo of the same draws would.
+
+    Memory: besides the pairs' index arrays, which are dropped once the
+    logit differences are formed, the fit holds about five float64 arrays
+    of the pair count (the differences, the preferences, their complements
+    and the search's two buffers), one quadrature buffer of _STREAM_ELEMS
+    elements and one Monte-Carlo chunk of at most 1e7 elements.
     """
     ell = np.asarray(logits, dtype=np.float64).ravel()
     if ell.size < 2:
@@ -348,7 +381,10 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
         i_idx = rng.integers(0, vocab, size=max_pairs)
         j_idx = rng.integers(0, vocab - 1, size=max_pairs)
         j_idx += j_idx >= i_idx  # j != i without rejection
-    dl = ell[i_idx] - ell[j_idx]
+    dl = ell[i_idx]
+    del i_idx
+    dl -= ell[j_idx]
+    del j_idx
     n_pairs = dl.size
     var_dl = float(dl.var(ddof=0))
 
@@ -360,29 +396,41 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
         p_bar = _sigmoid(dl)
     else:
         p_bar = _pair_preference(dl, sigma_eta)
-        # one noise sample per (draw, token). The chunk length fixes the
-        # order in which `noised` is summed, and so the last bits of
-        # entropy_noised: it stays 1e7 // max(n_pairs, vocab) draws so that
-        # reports keep their values from one version to the next.
+        # one noise sample per (draw, token), a chunk of draws at a time in
+        # one reused buffer. The chunk length fixes the order in which
+        # `noised` is summed, and so the last bits of entropy_noised: it
+        # stays 1e7 // max(n_pairs, vocab) draws so that reports keep their
+        # values from one version to the next.
         noised = np.zeros(vocab)
         step = max(1, int(1e7) // max(n_pairs, vocab))
+        buf = np.empty((min(step, draws), vocab))
+        row = np.empty((buf.shape[0], 1))
+        col = np.empty(vocab)
         done = 0
         while done < draws:
             n = min(step, draws - done)
-            eta = sigma_eta * rng.standard_normal((n, vocab))
-            z = ell[None, :] + eta
-            z -= z.max(axis=1, keepdims=True)
-            ez = np.exp(z)
-            noised += (ez / ez.sum(axis=1, keepdims=True)).sum(axis=0)
+            z, z_row = buf[:n], row[:n]
+            rng.standard_normal(out=z)
+            z *= sigma_eta
+            z += ell
+            np.max(z, axis=1, keepdims=True, out=z_row)
+            z -= z_row
+            np.exp(z, out=z)
+            np.sum(z, axis=1, keepdims=True, out=z_row)
+            z /= z_row
+            noised += np.sum(z, axis=0, out=col)
             done += n
         noised /= draws
 
     kl = _bernoulli_kl(p_bar)
+    q = np.empty_like(dl)
 
     def objective(log_t: float) -> float:
-        return kl(_sigmoid(dl / math.exp(log_t)))
+        np.divide(dl, math.exp(log_t), out=q)
+        return kl(_sigmoid(q, out=q))
 
-    log_t_hat = _golden_min(objective, math.log(0.5), math.log(10.0))
+    lo, hi = math.log(0.5), math.log(10.0)
+    log_t_hat = _golden_min(objective, lo, hi)
     t_hat = math.exp(log_t_hat)
     t_pred = effective_temperature_predict(sigma_eta ** 2, var_dl) if var_dl > 0 else 1.0
     return TempFit(
@@ -395,6 +443,7 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
         entropy_clean=_entropy(clean),
         entropy_noised=_entropy(noised),
         kl_min=objective(log_t_hat),
+        t_hat_at_bound=min(log_t_hat - lo, hi - log_t_hat) <= _GOLDEN_TOL,
     )
 
 

@@ -277,6 +277,16 @@ def cmd_cltsum(args) -> dict:
                                  blocks_per_layer=args.blocks_per_layer)
 
 
+def _sigma_list(text: str) -> list[float]:
+    sigmas = []
+    for entry in text.split(","):
+        try:
+            sigmas.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--sigma-eta: {entry!r} is not a number") from None
+    return sigmas
+
+
 def cmd_temp(args) -> dict:
     if args.vocab < 2:
         raise ValueError("need at least 2 logits")
@@ -288,7 +298,7 @@ def cmd_temp(args) -> dict:
                                          seed=args.seed)
 
     if args.sigma_eta:
-        fits = [fit(s) for s in args.sigma_eta.split(",")]
+        fits = [fit(s) for s in _sigma_list(args.sigma_eta)]
     else:
         # sweep the noise-to-signal ratio 2 sigma^2 / Var(dl); the sigma-0
         # point needs neither the quadrature nor the entropy Monte Carlo and
@@ -299,6 +309,7 @@ def cmd_temp(args) -> dict:
         "sigma_eta": f.sigma_eta,
         "t_predicted": f.t_predicted,
         "t_hat": f.t_hat,
+        "t_hat_at_bound": f.t_hat_at_bound,
         "rel_gap": abs(f.t_hat - f.t_predicted) / f.t_predicted,
         "entropy_clean": f.entropy_clean,
         "entropy_noised": f.entropy_noised,

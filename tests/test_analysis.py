@@ -250,22 +250,57 @@ class TestEffectiveTemperature:
         effective_temperature_fit(ell, 197.0, draws=20_000)
 
     # entropy_noised is Monte Carlo over the seed's noise draws; these values
-    # pin its draw order and its chunked summation to the last bit
+    # pin its draw order and its chunked summation to the last bit, and t_hat
+    # and kl_min pin the quadrature and the search's KL sum. The traced peak
+    # bounds the fit's memory: the Monte Carlo chunks and the search's
+    # objective reuse their buffers rather than make temporaries
+    @staticmethod
+    def _traced_fit(ell, sigma, draws, seed):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fit = effective_temperature_fit(ell, sigma, draws=draws, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return fit, peak
+
     def test_entropy_noised_golden_full_pairs(self):
         ell = np.random.default_rng(61).standard_normal(100)
-        fit = effective_temperature_fit(ell, 0.6862875497722323, draws=20_000, seed=61)
+        fit, peak = self._traced_fit(ell, 0.6862875497722323, 20_000, 61)
         assert fit.n_pairs == 4950
         assert fit.entropy_noised == 4.137114717816148
         assert fit.entropy_clean == 4.1247711036254895
+        assert fit.t_hat == 1.175105956691707
+        assert fit.kl_min == 0.09257189882545346
+        assert not fit.t_hat_at_bound
+        # one 2020 x 100 Monte Carlo chunk (1.5 MiB) and a few pair arrays
+        assert peak < 2.5 * 2 ** 20, peak
 
     def test_entropy_noised_golden_subsampled_pairs(self):
         # 1500 logits have 1124250 pairs, above max_pairs: the pair
         # subsample draws from the generator before the noise does
         ell = np.random.default_rng(5).standard_normal(1500)
-        fit = effective_temperature_fit(ell, 0.5, draws=10_000, seed=5)
+        fit, peak = self._traced_fit(ell, 0.5, 10_000, 5)
         assert fit.n_pairs == 1_000_000
         assert fit.entropy_noised == 6.861070718258464
         assert fit.entropy_clean == 6.860625207426964
+        assert fit.t_hat == 1.0965474596653866
+        assert fit.kl_min == 9.196435398085493
+        assert peak <= 6 * 8 * fit.n_pairs, peak / (8 * fit.n_pairs)
+
+    def test_fit_flags_a_search_stopped_at_the_bracket(self):
+        # at sigma_eta 50 on 3 logits the KL still falls at T = 10, the top
+        # of the search bracket, far below the closed form's 161.5
+        ell = np.random.default_rng(0).standard_normal(3)
+        fit = effective_temperature_fit(ell, 50.0, draws=10_000, seed=0)
+        assert fit.t_hat_at_bound
+        assert 10.0 - 1e-9 < fit.t_hat <= 10.0
+        assert fit.t_predicted > 100.0
+        inside = effective_temperature_fit(ell, 0.5, draws=10_000, seed=0)
+        assert not inside.t_hat_at_bound
+        assert 1.0 < inside.t_hat < 10.0
 
     def test_fit_matches_independent_monte_carlo(self):
         # the pairwise preferences by plain Monte Carlo over the joint noise,

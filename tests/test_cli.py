@@ -234,6 +234,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "error: sigma_eta" in err
 
+    @pytest.mark.parametrize("sigma, entry", [("abc", "'abc'"), ("0.5,", "''"),
+                                              ("0.5,x,1", "'x'")])
+    def test_temp_unparsable_sigma_is_2(self, capsys, sigma, entry):
+        code, out, err = _run(capsys, ["temp", "--sigma-eta", sigma])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sigma-eta") and entry in err, err
+
     def test_gemm_needs_2d(self, capsys):
         code, _, err = _run(capsys, ["gemm", "--synth", "gaussian:64"])
         assert code == 2 and "2-D" in err
@@ -472,6 +479,7 @@ class TestCommands:
         assert row["sigma_eta"] == 0.8
         assert row["t_hat"] > 1.0
         assert row["t_predicted"] > 1.0
+        assert row["t_hat_at_bound"] is False
 
     def test_temp_var_delta_ell_is_the_fits(self, capsys):
         # above vocab 1414 the fit samples 1e6 pairs; the report must carry
