@@ -207,8 +207,8 @@ class TempFit:
     """One temperature fit. ``draws`` is the Monte-Carlo sample count behind
     ``entropy_noised``; the pairwise preferences that set ``t_hat`` come from
     quadrature and do not depend on it. ``t_hat_at_bound`` is true when the
-    search stopped within its tolerance of an end of its bracket [0.5, 10]:
-    ``t_hat`` is then that end, not a minimum of the KL."""
+    search stopped within its tolerance of an end of its last bracket, T =
+    0.5 or 1e6: ``t_hat`` is then that end, not a minimum of the KL."""
 
     t_hat: float
     t_predicted: float
@@ -299,6 +299,9 @@ def _bernoulli_kl(p: np.ndarray):
 
 
 _GOLDEN_TOL = 1e-10
+# upper ends of the fit's search in log T, in turn: a search that stops at
+# one is run again up to the next
+_LOG_T_HIGHS = tuple(math.log(10.0 ** k) for k in range(1, 7))
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
@@ -336,7 +339,8 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
     of adaptive quadrature for sigma_eta from 0.05 to 100). It then
     golden-section searches log T in [log 0.5, log 10] for the softmax
     temperature whose pairwise preferences minimize the summed forward
-    Bernoulli KL against the averaged ones.
+    Bernoulli KL against the averaged ones, and again with the upper end
+    10 times higher while the search stops there, up to T = 1e6.
 
     The fit deliberately matches pairwise marginals, not the full
     noise-averaged categorical distribution: averaging the softmax over
@@ -429,8 +433,11 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
         np.divide(dl, math.exp(log_t), out=q)
         return kl(_sigmoid(q, out=q))
 
-    lo, hi = math.log(0.5), math.log(10.0)
-    log_t_hat = _golden_min(objective, lo, hi)
+    lo = math.log(0.5)
+    for hi in _LOG_T_HIGHS:
+        log_t_hat = _golden_min(objective, lo, hi)
+        if hi - log_t_hat > _GOLDEN_TOL:
+            break
     t_hat = math.exp(log_t_hat)
     t_pred = effective_temperature_predict(sigma_eta ** 2, var_dl) if var_dl > 0 else 1.0
     return TempFit(
@@ -587,7 +594,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     # sums bit for bit on a one-piece tensor; a larger tensor's sums add
     # piece by piece, which moves their last bits
     if mode == "isotropic":
-        tr = lambda a, b: var * _dot(a, b)
+        def tr(a, b):
+            with np.errstate(over="ignore", invalid="ignore"):   # inf past |w| ~ 1e150
+                return var * _dot(a, b)
     elif mode == "diagonal":
         tr = lambda a, b: float(((a * b).sum(axis=0) * cov).sum())
     else:
@@ -618,8 +627,10 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
             x = np.sqrt(cov)[None, :] * rng.standard_normal((m, n_in))
         else:
             x = cov[rng.integers(0, cov.shape[0], size=m)]
-        per_sample[lo:lo + m] = ((e_t @ x.T) ** 2).sum(axis=0)
-    mc = float(per_sample.mean())
+        with np.errstate(over="ignore"):                # as the traces
+            per_sample[lo:lo + m] = ((e_t @ x.T) ** 2).sum(axis=0)
+    with np.errstate(over="ignore"):
+        mc = float(per_sample.mean())
 
     return GemmPropagation(
         var_scale=tr(e_s, e_s),

@@ -36,11 +36,11 @@ from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_pieces
 from .decompose import (
     InvariantViolation,
     _check_identity,
+    _check_norms,
+    _check_split,
     decompose_quantizers,
-    orthogonality_check,
     scale_precision_sweep,
     tensor_stats,
-    verify_identity,
 )
 from .quantize import BlockQuantConfig, _Workspace
 from .tensorstore import (
@@ -204,7 +204,7 @@ def cmd_mbs(args) -> dict:
         before, after = decompose_quantizers(
             x, quant.block_size, [quant, mbs_pieces(x, mbs, quant, args.mbs_mode)])
         for d in (before, after):
-            _check_identity(name, verify_identity(d), *orthogonality_check(d))
+            _check_split(name, d)
         floor = before.n2_dz + before.n2_grid
         return {
             "name": name,
@@ -242,9 +242,8 @@ def cmd_of(args) -> dict:
         before, after = decompose_quantizers(
             x, quant.block_size, [quant, of_x_hat],
             align=1 if mbs is None else mbs.macro_block_size)
-        _check_identity(name, verify_identity(before), *orthogonality_check(before))
-        _check_identity(name, verify_identity(after), *orthogonality_check(after),
-                        keeps_deadzone=False)
+        _check_split(name, before)
+        _check_split(name, after, keeps_deadzone=False)
         return {
             "name": name,
             "alpha": of.alpha,
@@ -329,6 +328,8 @@ def cmd_gemm(args) -> dict:
         prop = gemm_error_propagation(tensors[name], _quant_config(args),
                                       cov=args.cov_var, samples=args.samples,
                                       seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
+    _check_norms(f"GEMM traces of {name}", prop.var_scale, prop.var_dz, prop.var_grid,
+                 prop.var_total)
     _check_identity(f"GEMM traces of {name}", prop.identity_residual)
     out = prop.summary_dict()
     out["weight"] = name

@@ -57,7 +57,7 @@ from .formats import (
 from .quantize import (
     _STREAM_ELEMS,
     BlockQuantConfig,
-    _scaled_round,
+    _coded_round,
     _Workspace,
     block_view,
     qdq_tensor,
@@ -137,12 +137,12 @@ class AqnSchedule:
 
 
 def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
-    """k = floor((2^delta_M - 1) * 256) per macro max, 0 for all-zero macros."""
-    f, _ = np.frexp(m_m / 6.0)
-    gamma = np.where(f == 0.5, 1.0, 1.0 / np.where(f > 0, f, 1.0))
-    k = np.floor((gamma - 1.0) * MBS_LEVELS).astype(np.int64)
-    k = np.clip(k, 0, MBS_LEVELS - 1)
-    return np.where(m_m > 0, k, 0)
+    """k = floor((2^delta_M - 1) * 256) per macro max, 0 where s = m_m / 6 is
+    0: 2^delta_M is the power-of-two ceiling of s over s, rounded once."""
+    s = m_m / Q_MAX
+    live = s > 0
+    k = np.floor((ceil_scale_array(s, 0)[0] / np.where(live, s, 1.0) - 1.0) * MBS_LEVELS)
+    return np.where(live, np.clip(k, 0, MBS_LEVELS - 1), 0).astype(np.int64)
 
 
 # p_k = 1 + k/256 for k = 0..256. p_256 = 2 is never a code: it caps the
@@ -180,23 +180,15 @@ _STEP_ELEMS = 1 << 14
 _CLOSED_FORM_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 
-def _sub_maxima(mag: np.ndarray, B: int) -> np.ndarray:
-    """(n, macro / B) sub-block maxima of the (n, macro) magnitudes mag, by
-    an int64 reduction on their bits: on |x| the integer order of the bit
-    patterns is the float order, and the integer reduction is the faster."""
-    n = mag.shape[0]
-    return mag.reshape(-1, B).view(np.int64).max(axis=1).view(np.float64).reshape(n, -1)
-
-
-def _prescaled_qdq(macros: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
+def _prescaled_qdq(mag: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
                    quant: BlockQuantConfig, out: np.ndarray,
                    work: _Workspace) -> np.ndarray:
-    """Q(p x) / p of each row of macros at its prescale (pres, shape (n, 1)),
-    into out: the one evaluation of a prescaled macro, for the trials and
-    for mbs_qdq's output alike.
+    """|Q(p x) / p| of each row of the magnitudes mag = |x| at its prescale
+    (pres, shape (n, 1)), into out: the one evaluation of a prescaled macro,
+    for the trials and for mbs_qdq's output alike.
 
-    Q is the _scaled_round of qdq_tensor, so each row holds the bits of
-    qdq_tensor(p x) / p, and at M = 0 it folds the power-of-two scale into
+    Q is quantize._coded_round, so each row holds the bits of
+    |qdq_tensor(p x) / p|, and at M = 0 it folds the power-of-two scale into
     the rounding constant, as qdq_views does. The blocks are not built with
     block_view: their maxima come from the macro's own sub-block maxima
     sub_max, exactly, since rounding is monotone and fl(p * max|x_i|) = max
@@ -206,37 +198,39 @@ def _prescaled_qdq(macros: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
     B = quant.block_size
     m_b = sub_max * pres                                        # (n, macro / B)
     s_dec, _, _ = ceil_scale_array(m_b / Q_MAX, quant.scale_mantissa_bits)
-    trials = np.multiply(macros, pres, out=work.take("trials", macros.shape))
-    y = _scaled_round(trials.reshape(-1, B), s_dec.ravel(), m_b.ravel() > 0,
-                      out.reshape(-1, B), work, pow2=quant.scale_mantissa_bits == 0)
-    y = y.reshape(macros.shape)
+    y = np.multiply(mag, pres, out=out)
+    _coded_round(y.reshape(-1, B), s_dec.ravel(), quant.scale_mantissa_bits == 0,
+                 y.reshape(-1, B), work)
     y /= pres
     return y
 
 
-def _trial_errors(macros: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
+def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
                   k: np.ndarray, quant: BlockQuantConfig,
                   work: _Workspace) -> np.ndarray:
-    """Squared error sum(Q(p x) / p - x)^2 of trial i: macro macros[rows[i]]
+    """Squared error sum(Q(p x) / p - x)^2 of trial i, taken as sum(|Q(p x)
+    / p| - |x|)^2, the same bits: the macro of magnitudes mag[rows[i]]
     (sub-block maxima sub_max[rows[i]]) at code k[i], by _prescaled_qdq.
     The one evaluation of a trial error, so its float64 value is that of
     every other caller. Each trial is one row of macro elements and is
     summed along that row, so its pairwise summation does not depend on
-    which other trials share the call. Runs in pieces of about
-    quantize._STREAM_ELEMS elements."""
-    macro = macros.shape[1]
+    which other trials share the call. An error that overflows is +inf,
+    without a warning. Runs in pieces of about quantize._STREAM_ELEMS
+    elements."""
+    macro = mag.shape[1]
     errors = np.empty(len(rows))
     step = max(1, _STREAM_ELEMS // macro)
     for lo in range(0, len(rows), step):
         r = rows[lo:lo + step]
         n = len(r)
         # mode="clip": with "raise", take buffers its out= through a copy
-        x = np.take(macros, r, axis=0, out=work.take("x", (n, macro)), mode="clip")
+        x = np.take(mag, r, axis=0, out=work.take("x", (n, macro)), mode="clip")
         y = _prescaled_qdq(x, sub_max[r], _PRESCALES[k[lo:lo + step]][:, None],
                            quant, work.take("y", (n, macro)), work)
         y -= x
-        np.square(y, out=y)
-        errors[lo:lo + step] = y.sum(axis=1)
+        with np.errstate(over="ignore"):
+            np.square(y, out=y)
+            errors[lo:lo + step] = y.sum(axis=1)
     return errors
 
 
@@ -268,11 +262,12 @@ def _first_past(a: np.ndarray, thr: np.ndarray | float, out: np.ndarray,
     return f
 
 
-def _grid_sums(macros: np.ndarray, B: int,
+def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
                work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(S2, SX), each (n, 256): sum (s g_i)^2 and sum s g_i |x_i| over each
-    macro at every code at M = 0, where s is the element's sub-block scale
-    and g_i its grid magnitude in the trial at that code.
+    macro of magnitudes mag, with sub-block maxima sub_max, at every code at
+    M = 0, where s is the element's sub-block scale and g_i its grid
+    magnitude in the trial at that code.
 
     Units. A sub-block with maximum m starts at the scale s0 =
     ceil_pow2(fl(m / 6)). Dividing by a power of two is exact and commutes
@@ -309,14 +304,14 @@ def _grid_sums(macros: np.ndarray, B: int,
     the steps of one _exhaustive_codes call make them once, rather than
     faulting them in afresh on every step; S2 and SX view its "sums"."""
     work = _Workspace() if work is None else work
-    n, macro = macros.shape
-    S = macro // B
+    n, S = sub_max.shape
     n_sub = n * S
-    v = np.abs(macros, out=work.take("v", macros.shape)).reshape(n_sub, B)
-    m = v.view(np.int64).max(axis=1).view(np.float64)   # |x| bits order as floats
+    B = mag.shape[1] // S
+    m = sub_max.ravel()
     s0, _, _ = ceil_scale_array(m / Q_MAX, 0)          # 1.0 on all-zero sub-blocks
-    v *= (1.0 / s0)[:, None]                           # exact: s0 is a power of two
-    m /= s0
+    # |x| / s0, exact: s0 is a power of two
+    v = np.multiply(mag.reshape(n_sub, B), (1.0 / s0)[:, None], out=work.take("v", (n_sub, B)))
+    m = m / s0
     live = m > 0
     ksw = _first_past(np.where(live, m, Q_MAX), Q_MAX, np.empty(n_sub), work)
     ksw = np.where(live, ksw, MBS_LEVELS).astype(np.intp)   # nothing to switch
@@ -400,12 +395,12 @@ def _grid_sums(macros: np.ndarray, B: int,
     return sums.real[:, :MBS_LEVELS], sums.imag[:, :MBS_LEVELS]
 
 
-def _approx_errors(macros: np.ndarray, B: int,
+def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
                    work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(A, D): A, (n, 256), every trial's macro error at M = 0 in closed
     form, and D, (n, 1), one bound per macro on |A(k) - E(k)|, the distance
-    from the value E that _trial_errors computes. Needs nonzero magnitudes
-    within _CLOSED_FORM_RANGE.
+    from the value E that _trial_errors computes, for macros of magnitudes
+    mag within _CLOSED_FORM_RANGE and their sub-block maxima sub_max.
 
     With S2 and SX from _grid_sums, a_i = s g_i / p and X2 = sum x^2, the
     real error is
@@ -445,22 +440,22 @@ def _approx_errors(macros: np.ndarray, B: int,
     workspace without one), as are _grid_sums' arrays: with the workspace of
     an _exhaustive_codes call, it is valid until that call's next step."""
     work = _Workspace() if work is None else work
-    macro = macros.shape[1]
-    s2, sx = _grid_sums(macros, B, work)             # views of work's arrays
+    macro = mag.shape[1]
+    s2, sx = _grid_sums(mag, sub_max, work)          # views of work's arrays
     s2 *= _INV_SQ_PRESCALES
     sx *= _TWO_INV_PRESCALES
     approx = np.subtract(s2, sx, out=work.take("approx", s2.shape))
-    x2 = np.einsum("ij,ij->i", macros, macros)[:, None]
+    x2 = np.einsum("ij,ij->i", mag, mag)[:, None]
     approx += x2
     c = 160 * macro + 64
     return approx, (c * 2.0 ** -53) * x2
 
 
-def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
+def _exhaustive_codes(mag: np.ndarray, quant: BlockQuantConfig,
                       work: _Workspace | None = None) -> np.ndarray:
     """argmin_k of per-macro reconstruction MSE over all 256 prescales, ties
-    to the smallest k: the code of the trial with the smallest
-    _trial_errors value.
+    to the smallest k, for the macros of magnitudes mag = |x|: the code of
+    the trial with the smallest _trial_errors value.
 
     Not every trial is evaluated. At M = 0 (a power-of-two scale) and for
     macros within _CLOSED_FORM_RANGE, _approx_errors gives every code's
@@ -482,27 +477,29 @@ def _exhaustive_codes(macros: np.ndarray, quant: BlockQuantConfig,
     closed form included, all live in work (a fresh workspace without
     one)."""
     work = _Workspace() if work is None else work
-    codes = np.empty(len(macros), dtype=np.int64)
-    step = max(1, _STEP_ELEMS // macros.shape[1])
-    for lo in range(0, len(macros), step):
-        codes[lo:lo + step] = _exhaustive_step(macros[lo:lo + step], quant, work)
+    codes = np.empty(len(mag), dtype=np.int64)
+    step = max(1, _STEP_ELEMS // mag.shape[1])
+    for lo in range(0, len(mag), step):
+        codes[lo:lo + step] = _exhaustive_step(mag[lo:lo + step], quant, work)
     return codes
 
 
-def _exhaustive_step(seg: np.ndarray, quant: BlockQuantConfig,
+def _exhaustive_step(mag: np.ndarray, quant: BlockQuantConfig,
                      work: _Workspace) -> np.ndarray:
-    """_exhaustive_codes of the macros seg, one step."""
-    codes = np.zeros(len(seg), dtype=np.int64)
-    mag = np.abs(seg, out=work.take("abs", seg.shape))
-    sub_max = _sub_maxima(mag, quant.block_size)
+    """_exhaustive_codes of the macro magnitudes mag, one step."""
+    codes = np.zeros(len(mag), dtype=np.int64)
+    # sub-block maxima: on |x| the int64 order of the bits is the float
+    # order, and the integer reduction is the faster
+    bits = mag.reshape(len(mag), -1, quant.block_size).view(np.int64)
+    sub_max = bits.max(axis=2).view(np.float64)
     with np.errstate(over="ignore"):                 # overflow is rejected just below
         if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
             raise ValueError("non-finite input")
     macro_max = sub_max.max(axis=1)
     live = np.flatnonzero(macro_max > 0)
-    if len(live) < len(seg):
-        seg, mag, sub_max, macro_max = seg[live], mag[live], sub_max[live], macro_max[live]
-    ok = np.zeros(len(seg), dtype=bool)
+    if len(live) < len(mag):
+        mag, sub_max, macro_max = mag[live], sub_max[live], macro_max[live]
+    ok = np.zeros(len(mag), dtype=bool)
     if quant.scale_mantissa_bits == 0:
         ok = ((macro_max <= _CLOSED_FORM_RANGE[1])
               & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
@@ -512,8 +509,8 @@ def _exhaustive_step(seg: np.ndarray, quant: BlockQuantConfig,
     ks = [np.tile(np.arange(MBS_LEVELS), len(swept))]
     more = np.empty(0, dtype=np.intp)
     if len(ranked):
-        approx, bound = _approx_errors(seg if len(ranked) == len(seg) else seg[ranked],
-                                       quant.block_size, work)
+        sel = slice(None) if len(ranked) == len(mag) else ranked
+        approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
         at = np.arange(len(ranked))
         k_min = approx.argmin(axis=1)
         cand = approx <= approx[at, k_min][:, None] + 3.0 * bound
@@ -524,8 +521,8 @@ def _exhaustive_step(seg: np.ndarray, quant: BlockQuantConfig,
         ks += [k_min, more_k]
     rows = np.concatenate(rows)
     ks = np.concatenate(ks)
-    err = _trial_errors(seg, sub_max, rows, ks, quant, work)
-    best = np.empty(len(seg), dtype=np.int64)
+    err = _trial_errors(mag, sub_max, rows, ks, quant, work)
+    best = np.empty(len(mag), dtype=np.int64)
     n_swept = len(swept) * MBS_LEVELS
     best[swept] = err[:n_swept].reshape(-1, MBS_LEVELS).argmin(axis=1)
     if len(ranked):
@@ -566,7 +563,7 @@ def _mbs_codes(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantCo
         if mode == "closed_form":
             k = _closed_form_codes(view.m_b)
         else:
-            k = _exhaustive_codes(view.blocks, quant, work)
+            k = _exhaustive_codes(view.mag, quant, work)
         k = k.reshape(len(piece), -1)
         codes[r, c.start // macro:c.start // macro + k.shape[1]] = k
     return codes
@@ -576,19 +573,20 @@ def _mbs_x_hat(rows: np.ndarray, start: int, codes: np.ndarray, macro: int,
                quant: BlockQuantConfig, out: np.ndarray, work: _Workspace) -> np.ndarray:
     """x_hat = Q(p x) / p of rows, an (h, w) piece of a row matrix from
     column start (a multiple of the block size), whose rows have the codes
-    codes (h, macros per row), into out, by _prescaled_qdq, the trials' own
-    evaluation. Given its macro's code, a block's x_hat depends on that
-    block alone, so each block is taken at its macro's prescale and rows
-    need not hold whole macros. Works in steps of _STEP_ELEMS elements."""
+    codes (h, macros per row), into out, by _prescaled_qdq on |x|, the
+    trials' own evaluation, then signed. Given its macro's code, a block's
+    x_hat depends on that block alone, so each block is taken at its
+    macro's prescale and rows need not hold whole macros. Works in steps of
+    _STEP_ELEMS elements."""
     B = quant.block_size
     for r, c, step in _row_pieces(rows, B, _STEP_ELEMS):
         view = block_view(step, quant, work)
         per_row = view.blocks.shape[0] // len(step)
         macro_of_block = (start + c.start + B * np.arange(per_row)) // macro
         pres = _PRESCALES[codes[r][:, macro_of_block]].reshape(-1, 1)
-        y = _prescaled_qdq(view.blocks, view.m_b[:, None], pres, quant,
+        y = _prescaled_qdq(view.mag, view.m_b[:, None], pres, quant,
                            work.take("x_hat", view.blocks.shape), work)
-        out[r, c] = view.restore(y)
+        out[r, c] = view.restore(view.signed(y, y))
     return out
 
 
@@ -692,13 +690,16 @@ def _noise_rng(seed: int, name: str) -> np.random.Generator:
 def aqn_apply(x: np.ndarray, sigma: float, seed: int,
               multiplier: float = 1.0, name: str = "") -> np.ndarray:
     """x + N(0, (sigma * multiplier * rms(x))^2), elementwise, reproducible
-    per (seed, name)."""
+    per (seed, name). A ValueError names x when x^2 overflows float64."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if sigma == 0.0:
         return x.copy()
-    rms = float(np.sqrt(np.mean(x * x)))
+    with np.errstate(over="ignore"):        # checked just below
+        rms = float(np.sqrt(np.mean(x * x)))
+    if not np.isfinite(rms):
+        raise ValueError(f"squared norms overflow float64 on {name}")
     noise = _noise_rng(seed, name).standard_normal(x.shape)
     noise *= sigma * multiplier * rms       # in place: the bits of x + c * noise
     return np.add(x, noise, out=noise)

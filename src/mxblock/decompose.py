@@ -141,7 +141,7 @@ def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
     # product neither overflows nor underflows
     if n2a <= 0.0 or n2b <= 0.0:
         return 0.0, False
-    return ip / (np.sqrt(n2a) * np.sqrt(n2b)), True
+    return ip / (math.sqrt(n2a) * math.sqrt(n2b)), True
 
 
 # (i, j) of each sum over the pieces' (e_scale, e_dz, e_grid, e_total):
@@ -291,10 +291,13 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
         if out is not None and not direct:
             for dst, e in zip(out, errors):
                 dst[...] = e
-        for p, (a, b) in enumerate(_SUM_PAIRS):
-            # the sums of e_dz and e_grid alone are the first quantizer's
-            shared_sum = i and {a, b} <= {1, 2}
-            sums[i, p] = sums[0, p] if shared_sum else _dot(errors[a], errors[b])
+        # a sum past 1.8e308 (|x| ~ 1e160) is inf or nan, without a warning:
+        # whoever reports the sums checks them (_check_norms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, (a, b) in enumerate(_SUM_PAIRS):
+                # the sums of e_dz and e_grid alone are the first quantizer's
+                shared_sum = i and {a, b} <= {1, 2}
+                sums[i, p] = sums[0, p] if shared_sum else _dot(errors[a], errors[b])
     return sums, int(np.count_nonzero(dead)), zeros
 
 
@@ -312,7 +315,8 @@ def _decompose(x: np.ndarray | StoredTensor, config: BlockQuantConfig,
     for r, c, piece in _row_pieces(x, math.lcm(config.block_size, align)):
         out = None if errors is None else [e.reshape(-1, n)[r, c] for e in errors]
         piece_sums, dead, zeros = _piece_sums(r, c, piece, config, quantizers, out, work)
-        sums = piece_sums if sums is None else sums + piece_sums
+        with np.errstate(over="ignore", invalid="ignore"):     # as in _piece_sums
+            sums = piece_sums if sums is None else sums + piece_sums
         dead_count += dead
         zero_count += zeros
 
@@ -410,6 +414,20 @@ def orthogonality_check(d: ErrorDecomposition) -> tuple[float, float]:
     return d.ip_scale_dz, d.ip_dz_grid
 
 
+def _check_norms(name: str, *norms: float) -> None:
+    """A squared norm of +inf, an input too large for float64, is a
+    ValueError; a nan norm, which no overflow makes, is left to _check_identity."""
+    if math.inf in norms:
+        raise ValueError(f"squared norms overflow float64 on {name}")
+
+
+def _check_split(name: str, d: ErrorDecomposition, keeps_deadzone: bool = True) -> None:
+    """_check_norms, then _check_identity, on the split d of a tensor."""
+    _check_norms(name, d.n2_scale, d.n2_dz, d.n2_grid, d.n2_total)
+    _check_identity(name, verify_identity(d), *orthogonality_check(d),
+                    keeps_deadzone=keeps_deadzone)
+
+
 def _check_identity(name: str, residual: float, ip_scale_dz: float = 0.0,
                     ip_dz_grid: float = 0.0, keeps_deadzone: bool = True) -> None:
     """The one split rule behind exit code 3: residual within _IDENTITY_TOL,
@@ -457,7 +475,7 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     inner products are accumulated over cache-sized pieces and no error
     array is kept, so the working memory is the input plus one piece, or one
     piece when the tensors are tensorstore.StoredTensors streamed from their
-    file.
+    file. A tensor whose squared norms overflow float64 is a ValueError.
     """
     if not tensors:
         raise ValueError("empty tensor set")
@@ -465,6 +483,7 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     for name in sorted(tensors):
         x = _as_tensor(tensors[name])
         d = decompose_tensor(x, config, keep_errors=False)
+        _check_norms(name, d.n2_scale, d.n2_dz, d.n2_grid, d.n2_total)
         numel = x.size
         mse = d.n2_total / numel
         norms = d.n2_scale + d.n2_dz + d.n2_grid + d.n2_total
@@ -525,7 +544,7 @@ def scale_precision_sweep(x: np.ndarray | StoredTensor, m_list: Iterable[int] = 
                for m in m_list]
     out = []
     for m, d in zip(m_list, decompose_quantizers(x, block_size, configs)):
-        _check_identity(f"{name}, M={m}", verify_identity(d), *orthogonality_check(d))
+        _check_split(f"{name}, M={m}", d)
         out.append({"M": m,
                     "mse_total": d.n2_total / numel,
                     "mse_scale": d.n2_scale / numel,

@@ -30,7 +30,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 All kernels are exact in float64: the grid values and every representable
 scale are dyadic rationals, and the exponents are worked on the bit
-patterns (or by frexp/ldexp) without rounding.
+patterns without rounding (by frexp/ldexp for subnormal scales).
 """
 
 from __future__ import annotations
@@ -214,56 +214,38 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
     """Smallest representable E8Mk scale >= s_star, elementwise.
 
     Returns (decoded, exponent, mantissa_code), the codes int64. Entries
-    with s_star <= 0 are passed through as decoded 1.0 with code (0, 0);
-    callers mask them.
+    with s_star <= 0, nan or +inf are passed through as decoded 1.0 with
+    code (0, 0); callers mask them.
 
-    Exact by construction: with s* = f * 2^p (frexp, f in [0.5, 1)) write
-    s* = 2^(p-1) * t, t = 2f in [1, 2). The mantissa step is 2^-M, so
-    k = ceil((t - 1) * 2^M) is the ceiling code; k = 2^M carries into the
-    next exponent. (t - 1) is exact in binary64, and the k comparison
-    against (t - 1) * 2^M involves only scaled dyadics, so no double
-    rounding can understate the ceiling.
+    Exact, from the bits of a normal s*: adding 2^(52-M) - 1 carries into
+    the top M mantissa bits, or past them into the exponent, unless the
+    low 52 - M bits are all 0, and masking those off leaves the ceiling. A
+    subnormal s* = f 2^p (frexp) has the code k = ceil((2f - 1) 2^M), exact,
+    at exponent p - 1; k = 2^M carries into the next exponent.
     """
     if not 0 <= mantissa_bits <= 8:
         raise ValueError("mantissa_bits must be in [0, 8]")
     s_star = np.asarray(s_star, dtype=np.float64)
-    if mantissa_bits == 0:
-        # the power of two at or above a normal s*, from its bits: adding
-        # 2^52 - 1 carries into the exponent field unless the mantissa is 0
-        # (s* a power of two), and the mask drops the mantissa
-        s = s_star.ravel()
-        field = np.add(s.view(np.int64), (1 << _MANTISSA_BITS) - 1)
-        field &= _EXPONENT_MASK
-        e = (field >> _MANTISSA_BITS) - 1023
-        decoded = field.view(np.float64)
-        odd = ~((s >= _MIN_NORMAL) & (s <= _MAX_FINITE))
-        if odd.any():
-            # subnormal s*, from frexp: the power of two 2^p above s* = f 2^p,
-            # or s* itself when f = 0.5; 1.0 where s* <= 0, nan or inf
-            f, p = np.frexp(np.where(s[odd] > 0, s[odd], 1.0))
-            e[odd] = p - (f == 0.5)
-            decoded[odd] = np.ldexp(1.0, e[odd])
-        shape = s_star.shape
-        return decoded.reshape(shape), e.reshape(shape), np.zeros(shape, np.int64)
-
+    s = s_star.ravel()
+    dropped = _MANTISSA_BITS - mantissa_bits
+    bits = np.add(s.view(np.int64), (1 << dropped) - 1)
+    bits &= -1 << dropped
+    e = (bits >> _MANTISSA_BITS) - 1023
     levels = 1 << mantissa_bits
-    ok = s_star > 0
-    f, p = np.frexp(s_star)
-    f = np.where(ok, f, 0.5)
-    p = np.where(ok, p, 1)
-
-    t = 2.0 * f                      # exact: doubling a binary64
-    e = p - 1
-    k = np.ceil((t - 1.0) * levels).astype(np.int64)
-    carry = k == levels
-    e = np.where(carry, e + 1, e)
-    k = np.where(carry, 0, k)
-
-    decoded = np.ldexp(1.0 + k / levels, e)
-    decoded = np.where(ok, decoded, 1.0)
-    e = np.where(ok, e, 0).astype(np.int64)    # frexp's exponents are int32
-    k = np.where(ok, k, 0)
-    return decoded, e, k
+    k = (bits >> dropped) & (levels - 1) if mantissa_bits else np.zeros(s.size, np.int64)
+    decoded = bits.view(np.float64)
+    odd = ~((s >= _MIN_NORMAL) & (s <= _MAX_FINITE))
+    if odd.any():
+        # 1.0, its own ceiling with code (0, 0), stands in for s* <= 0, nan, inf
+        t = s[odd]
+        f, p = np.frexp(np.where((t > 0) & (t <= _MAX_FINITE), t, 1.0))
+        k_odd = np.ceil((2.0 * f - 1.0) * levels).astype(np.int64)
+        e[odd] = p - 1 + (k_odd == levels)          # k = 2^M carries
+        k_odd %= levels
+        k[odd] = k_odd
+        decoded[odd] = np.ldexp(1.0 + k_odd / levels, e[odd])
+    shape = s_star.shape
+    return decoded.reshape(shape), e.reshape(shape), k.reshape(shape)
 
 
 # --- scalar operations -------------------------------------------------------

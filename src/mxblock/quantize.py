@@ -326,21 +326,6 @@ def _coded_round(mag: np.ndarray, scale: np.ndarray, pow2: bool,
     return _mag_round(mag, scale, out, work)
 
 
-def _scaled_round(blocks: np.ndarray, scale: np.ndarray, nonzero: np.ndarray,
-                  out: np.ndarray | None = None,
-                  work: _Workspace | None = None, *,
-                  pow2: bool = False) -> np.ndarray:
-    """scale * grid_round(blocks / scale), one scale per row, into out or a
-    new array; all-zero rows stay zero. The signed rounding of a whole
-    tensor, _coded_round on |blocks| (pow2 as there): qdq_tensor and the
-    exhaustive MBS trials in corrections run it for Q alone."""
-    q = np.abs(blocks, out=out)
-    _coded_round(q, np.where(nonzero, scale, 1.0), pow2, q, work)
-    np.copysign(q, blocks, out=q)
-    q[~nonzero] = 0.0                  # +0.0, where a -0.0 input rounded to -0.0
-    return q
-
-
 def _deadzone(view: BlockView, work: _Workspace | None = None) -> np.ndarray:
     """The ideal-scale deadzone |x| < m_b/24, strict. False on all-zero
     blocks, whose threshold is 0; True on the padding of the others."""
@@ -473,6 +458,5 @@ def qdq_tensor(x: np.ndarray, config: BlockQuantConfig) -> np.ndarray:
     """Quantize-dequantize emulation, Q(x) alone: the qdq of qdq_views
     without Q* or the deadzone. Deterministic and idempotent."""
     view = block_view(x, config)
-    s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    return view.restore(_scaled_round(view.blocks, s_dec, view.nonzero,
-                                      pow2=config.scale_mantissa_bits == 0))
+    q, _ = _coded_qdq(view, config, view.mag)     # rounds |x| in place
+    return view.restore(view.signed(q, q))

@@ -290,10 +290,11 @@ class TestEffectiveTemperature:
         assert fit.kl_min == 9.196435398085493
         assert peak <= 6 * 8 * fit.n_pairs, peak / (8 * fit.n_pairs)
 
-    def test_fit_flags_a_search_stopped_at_the_bracket(self):
-        # at sigma_eta 50 on 3 logits the KL still falls at T = 10, the top
-        # of the search bracket, far below the closed form's 161.5
+    def test_fit_flags_a_search_stopped_at_the_bracket(self, monkeypatch):
+        # at sigma_eta 50 on 3 logits the KL still falls at T = 10; with 10
+        # as the last upper end, the search stops there and says so
         ell = np.random.default_rng(0).standard_normal(3)
+        monkeypatch.setattr(analysis, "_LOG_T_HIGHS", (math.log(10.0),))
         fit = effective_temperature_fit(ell, 50.0, draws=10_000, seed=0)
         assert fit.t_hat_at_bound
         assert 10.0 - 1e-9 < fit.t_hat <= 10.0
@@ -301,6 +302,16 @@ class TestEffectiveTemperature:
         inside = effective_temperature_fit(ell, 0.5, draws=10_000, seed=0)
         assert not inside.t_hat_at_bound
         assert 1.0 < inside.t_hat < 10.0
+
+    @pytest.mark.parametrize("vocab,sigma,t_hat", [(3, 50.0, 44.32571869038076),
+                                                   (100, 20.0, 17.7558639034765)])
+    def test_search_widens_past_ten(self, vocab, sigma, t_hat):
+        # the search stops at T = 10 and is run again on [0.5, 100], where
+        # it ends inside: the temp command's fits at these settings
+        ell = np.random.default_rng(0).standard_normal(vocab)
+        fit = effective_temperature_fit(ell, sigma, draws=10_000, seed=0)
+        assert not fit.t_hat_at_bound
+        assert fit.t_hat == t_hat
 
     def test_fit_matches_independent_monte_carlo(self):
         # the pairwise preferences by plain Monte Carlo over the joint noise,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,18 +319,19 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "invariant violation: identity residual" in err
 
-    @pytest.mark.parametrize("command", ["decompose", "mbs"])
+    @pytest.mark.parametrize("command", ["decompose", "sweep", "mbs", "of", "gemm", "aqn"])
     def test_overflowing_norms_give_no_report(self, capsys, tmp_path, command):
-        # at |x| ~ 1e200 the squared norms overflow: the identity residual
-        # is nan and the report would carry nan and inf
+        # at |x| ~ 1e200 the squared norms overflow: an input error naming
+        # the tensor, not a violated identity, and no numpy warning on the way
         ts = TensorSet()
         ts.add("huge", 1e200 * np.random.default_rng(9).standard_normal((4, 128)))
         path = str(tmp_path / "huge.tensors")
         save_container(ts, path)
-        with np.errstate(all="ignore"):
-            code, out, err = _run(capsys, [command, "--input", path])
-        assert code in (2, 3) and out == ""
-        assert err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, [*_source_argv(command, tmp_path), "--input", path])
+        assert code == 2 and out == ""
+        assert re.search(r"squared norms overflow float64 on (GEMM traces of )?huge\b", err)
 
     def test_sweep_names_the_broken_tensor(self, capsys, monkeypatch):
         # n2_total inflated 1.5x from the second tensor's split on (one
@@ -642,3 +644,78 @@ def test_aqn_non_finite_in_last_tensor_leaves_no_file(capsys, tmp_path, referenc
     assert code == 2 and out == ""
     assert "non-finite values (tensor z)" in err
     assert os.listdir(tmp_path) == ["in.tensors"]
+
+
+# Runs cli.main on each argv of the JSON list in sys.argv[1] and prints, per
+# run, [exit code, sha256 of the report's results, stderr]; an exception that
+# escapes main counts as exit 1, as it does for the installed command.
+_FLAG_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+import mxblock.cli as cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = 1
+            print(repr(exc), file=err)
+    results = json.loads(out.getvalue())["results"] if code == 0 else None
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    runs.append([code, digest, err.getvalue()])
+print(json.dumps(runs))
+"""
+
+_FLAG_COMMANDS = {
+    "decompose": ["decompose"],
+    "sweep": ["sweep"],
+    "mbs-M0": ["mbs"],
+    "mbs-M3": ["mbs", "--scale-mantissa-bits", "3"],
+    "of-with-mbs": ["of", "--with-mbs"],
+    "gamma": ["gamma"],
+    "gemm": ["gemm", "--samples", "1000"],
+}
+_INTERPRETER_FLAGS = {"plain": [], "O": ["-O"], "W-error": ["-W", "error"]}
+
+
+@pytest.fixture(scope="module")
+def flag_runs(tmp_path_factory):
+    """{flag: {command: (synth run, 1e160 run)}}, each run as _FLAG_SCRIPT
+    reports it: every command on two 64x256 Gaussians and on a container of
+    one 4x256 Gaussian times 1e160, whose squared norms overflow float64.
+    One interpreter per flag runs them all."""
+    path = str(tmp_path_factory.mktemp("flags") / "huge.tensors")
+    ts = TensorSet()
+    ts.add("w", 1e160 * np.random.default_rng(0).standard_normal((4, 256)))
+    save_container(ts, path)
+    sources = (["--synth", "gaussian:64x256", "--count", "2", "--seed", "5"], ["--input", path])
+    argvs = [[*argv, *source] for argv in _FLAG_COMMANDS.values() for source in sources]
+    src = os.path.dirname(os.path.dirname(mxblock.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = {}
+    for flag, flags in _INTERPRETER_FLAGS.items():
+        run = subprocess.run([sys.executable, *flags, "-c", _FLAG_SCRIPT, json.dumps(argvs)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        done = iter(json.loads(run.stdout))
+        runs[flag] = {name: (next(done), next(done)) for name in _FLAG_COMMANDS}
+    return runs
+
+
+@pytest.mark.parametrize("command", list(_FLAG_COMMANDS))
+def test_interpreter_flags_keep_results(flag_runs, command):
+    # no interpreter flag changes a report: every result is the same bits
+    # with -O (no assert can carry a check) and with -W error (no numpy
+    # warning is raised on the way); the overflowing container is an input
+    # error, exit 2, that names the tensor, under every flag
+    synth = [flag_runs[flag][command][0] for flag in _INTERPRETER_FLAGS]
+    huge = [flag_runs[flag][command][1] for flag in _INTERPRETER_FLAGS]
+    for code, _, err in synth:
+        assert code == 0, err
+    assert len({digest for _, digest, _ in synth}) == 1
+    for code, _, err in huge:
+        assert code == 2, err
+        if command != "gamma":          # 32 blocks: below gamma's minimum
+            assert re.search(r"squared norms overflow float64 on (GEMM traces of )?w\b", err)

@@ -227,16 +227,20 @@ def _sweep_errors(macros, quant):
     """(n, 256) errors of every trial of every macro, each from the direct
     evaluator: the sweep whose argmin the exhaustive codes must be."""
     n = len(macros)
-    subs = np.abs(macros).reshape(n, -1, quant.block_size)
     rows = np.repeat(np.arange(n), MBS_LEVELS)
     ks = np.tile(np.arange(MBS_LEVELS), n)
-    err = corrections._trial_errors(macros, subs.max(axis=2), rows, ks, quant,
-                                    _Workspace())
+    err = corrections._trial_errors(np.abs(macros), _sub_max(macros, quant.block_size),
+                                    rows, ks, quant, _Workspace())
     return err.reshape(n, MBS_LEVELS)
 
 
 def _macros(x, mbs):
     return block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size)).blocks
+
+
+def _sub_max(macros, B):
+    """(n, macro / B) maxima of |x| over the sub-blocks of each macro."""
+    return np.abs(macros).reshape(len(macros), -1, B).max(axis=2)
 
 
 _EDGE_U = sorted({float(v) for m in (*GRID_MIDPOINTS, 0.5, 1.0, 6.0)
@@ -317,7 +321,7 @@ class TestExhaustiveExactPath:
         s, _, _ = ceil_scale_array(t.max(axis=2) / 6.0, 0)
         g = grid_round_array(t / s[:, :, None])
         want = ((s[:, :, None] * g) ** 2).sum(axis=2).T
-        s2, _ = corrections._grid_sums(x, 8)
+        s2, _ = corrections._grid_sums(x, _sub_max(x, 8))
         assert np.array_equal(s2, want)
         assert np.isin(t / s[:, :, None], GRID_MIDPOINTS).any()
         self._check(x[:16], 8, 8)
@@ -381,7 +385,8 @@ class TestExhaustiveExactPath:
         macros = macros[np.abs(macros).max(axis=1) > 0]
         if not len(macros):
             return
-        approx, bound = corrections._approx_errors(macros, quant.block_size)
+        approx, bound = corrections._approx_errors(np.abs(macros),
+                                                   _sub_max(macros, quant.block_size))
         assert (np.abs(approx - _sweep_errors(macros, quant)) <= bound).all()
 
     def test_trial_counts(self, monkeypatch):
@@ -412,13 +417,14 @@ class TestExhaustiveExactPath:
         real = corrections._approx_errors
         flipped = []
 
-        def adversarial(macros, B, work):
-            approx, bound = real(macros, B, work)
-            best = _sweep_errors(macros, BlockQuantConfig(block_size=B)).argmin(axis=1)
+        def adversarial(mag, sub_max, work):
+            approx, bound = real(mag, sub_max, work)
+            B = mag.shape[1] // sub_max.shape[1]
+            best = _sweep_errors(mag, BlockQuantConfig(block_size=B)).argmin(axis=1)
             ranked = np.sort(approx, axis=1)
             shift = (ranked[:, 1] - ranked[:, 0] + bound.max(axis=1))[:, None]
             sign = np.full(approx.shape, -1.0)
-            sign[np.arange(len(macros)), best] = 1.0
+            sign[np.arange(len(mag)), best] = 1.0
             approx = approx + sign * shift
             flipped.append(approx.argmin(axis=1) != best)
             return approx, bound + 2.0 * shift

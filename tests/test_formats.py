@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -320,26 +321,54 @@ _CEIL_INPUTS = st.one_of(
     st.floats(2.0 ** -1022, _DBL_MAX),
     st.floats(5e-324, 2.0 ** -1022, exclude_max=True),
     st.builds(math.ldexp, st.just(1.0), st.integers(-1074, 1023)),
-    st.sampled_from([_DBL_MAX / 6.0, 2.0 ** -1022, float(np.nextafter(2.0 ** -1022, 0.0)),
-                     5e-324, 1.0, float(np.nextafter(1.0, np.inf)), 0.0, -0.0, -1.0]))
+    # just above the largest code 2 - 2^-m of a binade: a carry at M <= m
+    st.builds(lambda m, e: math.nextafter(math.ldexp(2.0 - 2.0 ** -m, e), math.inf),
+              st.integers(0, 8), st.integers(-1074, 1022)),
+    st.sampled_from([_DBL_MAX / 6.0, _DBL_MAX, 2.0 ** -1022,
+                     float(np.nextafter(2.0 ** -1022, 0.0)), 5e-324, 1.0,
+                     float(np.nextafter(1.0, np.inf)), 0.0, -0.0, -1.0]))
+
+
+def _frexp_ceiling(s, m):
+    """(decoded, e, k) of the least (1 + k / 2^m) 2^e >= s for s > 0 finite,
+    by frexp: s = f 2^p, t = 2f in [1, 2), k = ceil((t - 1) 2^m), which is
+    exact in floats, at exponent p - 1; k = 2^m carries to the next one."""
+    f, p = math.frexp(s)
+    levels = 1 << m
+    k = math.ceil((2.0 * f - 1.0) * levels)
+    e = p - 1
+    if k == levels:
+        k, e = 0, e + 1
+    # above the largest finite float the ceiling 2^1024 is inf
+    return (math.inf if e == 1024 else math.ldexp(1.0 + k / levels, e)), e, k
 
 
 class TestPowerOfTwoCeilingProperty:
-    """ceil_scale_array(s, 0), from the bits of a normal s and by frexp for
-    the rest, against the frexp rule entry by entry: 2^p above s = f 2^p, or
-    s itself when f = 0.5; 1.0 with code 0 where s <= 0."""
+    """ceil_scale_array(s, m), from the bits of a normal s and by frexp for
+    the rest, against the frexp rule entry by entry at every m: normal and
+    subnormal scales, powers of two and mantissa carries. M = 0 is the power
+    of two at or above s."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(_CEIL_INPUTS, min_size=1, max_size=32))
-    def test_matches_frexp_rule(self, values):
-        decoded, e, k = ceil_scale_array(np.array(values), 0)
-        assert e.dtype == np.int64 and not k.any()
-        for s, d, ei in zip(values, decoded.tolist(), e.tolist()):
-            if s > 0:
-                f, p = math.frexp(s)
-                want = p - (f == 0.5)
-            else:
-                want = 0
-            assert ei == want, s
-            # above 2^1023 the ceiling 2^1024 is inf
-            assert d == (math.inf if want == 1024 else math.ldexp(1.0, want)), s
+    @given(st.lists(_CEIL_INPUTS, min_size=1, max_size=32), st.integers(0, 8))
+    def test_matches_frexp_rule(self, values, m):
+        decoded, e, k = ceil_scale_array(np.array(values), m)
+        assert e.dtype == np.int64 and k.dtype == np.int64
+        for s, got in zip(values, zip(decoded.tolist(), e.tolist(), k.tolist())):
+            assert got == (_frexp_ceiling(s, m) if s > 0 else (1.0, 0, 0)), s
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_unscalable_entries_pass_through(self, m):
+        # s* <= 0, nan and +inf are decoded 1.0 with code (0, 0), without a
+        # numpy warning, beside a normal and a subnormal entry
+        bad = [0.0, -0.0, -1.0, -math.inf, -5e-324, math.nan, math.inf]
+        values = np.array(bad + [3.0, 1e-310])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded, e, k = ceil_scale_array(values, m)
+        n = len(bad)
+        assert decoded[:n].tolist() == [1.0] * n
+        assert e[:n].tolist() == [0] * n and k[:n].tolist() == [0] * n
+        for s, got in zip(values[n:].tolist(), zip(decoded[n:].tolist(), e[n:].tolist(),
+                                                  k[n:].tolist())):
+            assert got == _frexp_ceiling(s, m)
