@@ -42,7 +42,6 @@ from .corrections import (
     aqn_apply,
     aqn_schedule,
     dz_recovery_rate,
-    mbs_pieces,
     mbs_qdq,
     mbs_select_mantissa,
     of_qdq,

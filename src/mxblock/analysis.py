@@ -592,21 +592,26 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
 
     # isotropic traces take decompose_tensor's _dot, so they are var times its
     # sums bit for bit on a one-piece tensor; a larger tensor's sums add
-    # piece by piece, which moves their last bits
+    # piece by piece, which moves their last bits. In every mode a trace
+    # past 1.8e308 (|w| ~ 1e150) is inf or nan without a warning:
+    # cmd_gemm checks them (_check_norms)
     if mode == "isotropic":
         def tr(a, b):
-            with np.errstate(over="ignore", invalid="ignore"):   # inf past |w| ~ 1e150
+            with np.errstate(over="ignore", invalid="ignore"):
                 return var * _dot(a, b)
     elif mode == "diagonal":
-        tr = lambda a, b: float(((a * b).sum(axis=0) * cov).sum())
+        def tr(a, b):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(((a * b).sum(axis=0) * cov).sum())
     else:
         # tr(A Sigma B^T) with Sigma = X^T X / n is (1/n) sum_s <A x_s, B x_s>:
         # one (n_out, chunk) product per matrix, never the n_in x n_in Sigma
         def tr(a, b):
             total = 0.0
-            for lo in range(0, cov.shape[0], step):
-                xs = cov[lo:lo + step].T
-                total += float(np.vdot(a @ xs, b @ xs))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, cov.shape[0], step):
+                    xs = cov[lo:lo + step].T
+                    total += float(np.vdot(a @ xs, b @ xs))
             return total / cov.shape[0]
 
     cross_sd = tr(e_s, e_d)
@@ -627,9 +632,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
             x = np.sqrt(cov)[None, :] * rng.standard_normal((m, n_in))
         else:
             x = cov[rng.integers(0, cov.shape[0], size=m)]
-        with np.errstate(over="ignore"):                # as the traces
+        with np.errstate(over="ignore", invalid="ignore"):      # as the traces
             per_sample[lo:lo + m] = ((e_t @ x.T) ** 2).sum(axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mc = float(per_sample.mean())
 
     return GemmPropagation(

@@ -32,7 +32,7 @@ from .analysis import (
     gamma_stats,
     gemm_error_propagation,
 )
-from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_pieces, of_qdq
+from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_qdq, of_qdq
 from .decompose import (
     InvariantViolation,
     _check_identity,
@@ -199,10 +199,15 @@ def cmd_sweep(args) -> dict:
 def cmd_mbs(args) -> dict:
     quant = _quant_config(args)
     mbs = MbsConfig(macro_block_size=args.macro_block)
+    work = _Workspace()
+
+    def mbs_x_hat(rows, cols, piece):
+        # MBS is local to a macro, and the pieces hold whole macros
+        return mbs_qdq(piece, mbs, quant, args.mbs_mode, work)[0]
 
     def record(name, x) -> dict:
         before, after = decompose_quantizers(
-            x, quant.block_size, [quant, mbs_pieces(x, mbs, quant, args.mbs_mode)])
+            x, quant.block_size, [quant, mbs_x_hat], align=mbs.macro_block_size)
         for d in (before, after):
             _check_split(name, d)
         floor = before.n2_dz + before.n2_grid

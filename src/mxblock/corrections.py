@@ -24,11 +24,11 @@ Two selection modes for k:
   the next power of two and double the ceiling scale. This mode pins the
   macro-max block's scale ratio to within one mantissa step of 1.
 
-The codes are picked in one pass over pieces of whole macros, one byte per
-macro. Given its macro's code, a block's x_hat depends on that block alone,
-so x_hat is then formed piece by piece, each block at its macro's prescale:
-into mbs_qdq's output, or, through mbs_pieces, for the decomposition to
-measure one piece at a time without a full-size x_hat.
+mbs_qdq runs in one pass over steps of whole macros. Each step is blocked
+once, at the macro size: its sub-block maxima are taken once, its codes
+picked, and its x_hat written from that same view. A macro's code and x_hat
+depend on that macro alone, so the decomposition can measure mbs_qdq piece
+by piece, on pieces cut at whole macros, as it measures of_qdq.
 
 Outlier fallback (OF) runs the quantizer twice and blends the residual
 pass: x_hat = Q(x) + alpha * Q(x - Q(x)). Deadzone values killed by pass 1
@@ -62,7 +62,6 @@ from .quantize import (
     block_view,
     qdq_tensor,
 )
-from .tensorstore import StoredTensor
 
 __all__ = [
     "MbsConfig",
@@ -71,7 +70,6 @@ __all__ = [
     "OfResult",
     "mbs_select_mantissa",
     "mbs_qdq",
-    "mbs_pieces",
     "of_qdq",
     "dz_recovery_rate",
     "aqn_schedule",
@@ -167,7 +165,7 @@ _CROSS_SQ_STEPS = np.concatenate([_GRID_SQ_STEPS, 4.0 * _GRID_SQ_STEPS])
 # fl(1 / p^2) and fl(2 / p) of every code, for _approx_errors
 _INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
 _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
-# Elements per step of the exhaustive search and per piece of mbs_qdq. A
+# Elements per step of mbs_qdq: code selection and x_hat alike. A
 # step of the closed form holds about 25 arrays the size of the step or of
 # its crossings (1.4 per Gaussian element), 3.5 MiB at 2^14 elements. On
 # 512x512 a 2^15 step was no faster and raised the mbs command's peak RSS
@@ -215,8 +213,9 @@ def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
     every other caller. Each trial is one row of macro elements and is
     summed along that row, so its pairwise summation does not depend on
     which other trials share the call. An error that overflows is +inf,
-    without a warning. Runs in pieces of about quantize._STREAM_ELEMS
-    elements."""
+    without a warning, as is that of a trial whose Q(p x) rounds past the
+    largest float (Q can round up by up to a factor of 6/5). Runs in pieces
+    of about quantize._STREAM_ELEMS elements."""
     macro = mag.shape[1]
     errors = np.empty(len(rows))
     step = max(1, _STREAM_ELEMS // macro)
@@ -225,10 +224,10 @@ def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
         n = len(r)
         # mode="clip": with "raise", take buffers its out= through a copy
         x = np.take(mag, r, axis=0, out=work.take("x", (n, macro)), mode="clip")
-        y = _prescaled_qdq(x, sub_max[r], _PRESCALES[k[lo:lo + step]][:, None],
-                           quant, work.take("y", (n, macro)), work)
-        y -= x
         with np.errstate(over="ignore"):
+            y = _prescaled_qdq(x, sub_max[r], _PRESCALES[k[lo:lo + step]][:, None],
+                               quant, work.take("y", (n, macro)), work)
+            y -= x
             np.square(y, out=y)
             errors[lo:lo + step] = y.sum(axis=1)
     return errors
@@ -301,8 +300,8 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
     S2 is exact for a macro of one sub-block.
 
     Every array is taken from work (a fresh workspace without one), so that
-    the steps of one _exhaustive_codes call make them once, rather than
-    faulting them in afresh on every step; S2 and SX view its "sums"."""
+    the steps of one mbs_qdq call make them once, rather than faulting them
+    in afresh on every step; S2 and SX view its "sums"."""
     work = _Workspace() if work is None else work
     n, S = sub_max.shape
     n_sub = n * S
@@ -438,7 +437,7 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
     rounding of D itself. The constant is derived, not tuned: a larger D
     would only widen the candidate set. A is an array of work (a fresh
     workspace without one), as are _grid_sums' arrays: with the workspace of
-    an _exhaustive_codes call, it is valid until that call's next step."""
+    an mbs_qdq call, it is valid until that call's next step."""
     work = _Workspace() if work is None else work
     macro = mag.shape[1]
     s2, sx = _grid_sums(mag, sub_max, work)          # views of work's arrays
@@ -451,11 +450,12 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
     return approx, (c * 2.0 ** -53) * x2
 
 
-def _exhaustive_codes(mag: np.ndarray, quant: BlockQuantConfig,
-                      work: _Workspace | None = None) -> np.ndarray:
+def _exhaustive_codes(mag: np.ndarray, sub_max: np.ndarray, quant: BlockQuantConfig,
+                      work: _Workspace) -> np.ndarray:
     """argmin_k of per-macro reconstruction MSE over all 256 prescales, ties
-    to the smallest k, for the macros of magnitudes mag = |x|: the code of
-    the trial with the smallest _trial_errors value.
+    to the smallest k, for the macros of magnitudes mag = |x| with sub-block
+    maxima sub_max: the code of the trial with the smallest _trial_errors
+    value.
 
     Not every trial is evaluated. At M = 0 (a power-of-two scale) and for
     macros within _CLOSED_FORM_RANGE, _approx_errors gives every code's
@@ -464,75 +464,38 @@ def _exhaustive_codes(mag: np.ndarray, quant: BlockQuantConfig,
     _trial_errors computes. E(k*) <= E(k') for the k' minimizing A, so the
     code k* has A(k*) <= min A + 2D, and the float sum min A + 3D cannot
     round below that, as D exceeds its rounding. The codes at or below it,
-    almost always argmin A alone, are then evaluated with _trial_errors,
-    and the argmin of their E is taken with ties to the smallest k. The
-    code is therefore that of evaluating all 256 trials, bit for bit.
+    almost always argmin A alone, are its candidates.
 
     At M > 0 the scale takes many values over k and s is no longer a power
     of two, so u = fl(p x) / s is rounded. There, and for macros outside the
-    range, the candidates are all 256 codes: the sweep. All-zero macros get
-    k = 0 unevaluated; every trial error on them is exactly 0.0.
-
-    Works in steps of _STEP_ELEMS elements, whose arrays, those of the
-    closed form included, all live in work (a fresh workspace without
-    one)."""
-    work = _Workspace() if work is None else work
-    codes = np.empty(len(mag), dtype=np.int64)
-    step = max(1, _STEP_ELEMS // mag.shape[1])
-    for lo in range(0, len(mag), step):
-        codes[lo:lo + step] = _exhaustive_step(mag[lo:lo + step], quant, work)
-    return codes
-
-
-def _exhaustive_step(mag: np.ndarray, quant: BlockQuantConfig,
-                     work: _Workspace) -> np.ndarray:
-    """_exhaustive_codes of the macro magnitudes mag, one step."""
+    range, the candidates are all 256 codes: the sweep. The candidates of
+    all macros form one (macros, 256) mask, evaluated by one _trial_errors
+    call into an inf-filled error matrix, whose argmin takes ties to the
+    smallest k. The code is therefore that of evaluating all 256 trials,
+    bit for bit. All-zero macros get k = 0 unevaluated; every trial error
+    on them is exactly 0.0. Every array, those of the closed form included,
+    lives in work."""
     codes = np.zeros(len(mag), dtype=np.int64)
-    # sub-block maxima: on |x| the int64 order of the bits is the float
-    # order, and the integer reduction is the faster
-    bits = mag.reshape(len(mag), -1, quant.block_size).view(np.int64)
-    sub_max = bits.max(axis=2).view(np.float64)
-    with np.errstate(over="ignore"):                 # overflow is rejected just below
-        if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
-            raise ValueError("non-finite input")
     macro_max = sub_max.max(axis=1)
     live = np.flatnonzero(macro_max > 0)
     if len(live) < len(mag):
         mag, sub_max, macro_max = mag[live], sub_max[live], macro_max[live]
-    ok = np.zeros(len(mag), dtype=bool)
+    cand = work.take("cand", (len(mag), MBS_LEVELS), bool)
+    cand.fill(True)
     if quant.scale_mantissa_bits == 0:
-        ok = ((macro_max <= _CLOSED_FORM_RANGE[1])
-              & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
-    swept = np.flatnonzero(~ok)
-    ranked = np.flatnonzero(ok)
-    rows = [np.repeat(swept, MBS_LEVELS), ranked]
-    ks = [np.tile(np.arange(MBS_LEVELS), len(swept))]
-    more = np.empty(0, dtype=np.intp)
-    if len(ranked):
-        sel = slice(None) if len(ranked) == len(mag) else ranked
-        approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
-        at = np.arange(len(ranked))
-        k_min = approx.argmin(axis=1)
-        cand = approx <= approx[at, k_min][:, None] + 3.0 * bound
-        cand[at, k_min] = False
-        more = np.flatnonzero(cand.any(axis=1))      # macros with other candidates
-        more_r, more_k = np.nonzero(cand[more])
-        rows.append(ranked[more[more_r]])
-        ks += [k_min, more_k]
-    rows = np.concatenate(rows)
-    ks = np.concatenate(ks)
-    err = _trial_errors(mag, sub_max, rows, ks, quant, work)
-    best = np.empty(len(mag), dtype=np.int64)
-    n_swept = len(swept) * MBS_LEVELS
-    best[swept] = err[:n_swept].reshape(-1, MBS_LEVELS).argmin(axis=1)
-    if len(ranked):
-        best[ranked] = k_min
-    if len(more):                                    # argmin E, ties to the smallest k
-        e = np.full((len(more), MBS_LEVELS), np.inf)
-        e[np.arange(len(more)), k_min[more]] = err[n_swept + more]
-        e[more_r, more_k] = err[n_swept + len(ranked):]
-        best[ranked[more]] = e.argmin(axis=1)
-    codes[live] = best
+        ranked = np.flatnonzero(
+            (macro_max <= _CLOSED_FORM_RANGE[1])
+            & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
+        if len(ranked):
+            sel = slice(None) if len(ranked) == len(mag) else ranked
+            approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
+            cand[ranked] = approx <= approx.min(axis=1, keepdims=True) + 3.0 * bound
+    # flatnonzero: np.nonzero on the 2-D mask takes 10x as long
+    rows, ks = np.divmod(np.flatnonzero(cand), MBS_LEVELS)
+    err = work.take("err", cand.shape)
+    err.fill(np.inf)
+    err[rows, ks] = _trial_errors(mag, sub_max, rows, ks, quant, work)
+    codes[live] = err.argmin(axis=1)
     return codes
 
 
@@ -545,87 +508,62 @@ def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
     return int(mbs_qdq(macro_block, mbs, quant, mode)[1][0])
 
 
-def _mbs_codes(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantConfig,
-               mode: str, work: _Workspace) -> np.ndarray:
-    """The (rows, ceil(n / macro)) uint8 codes of x's row matrix, picked
-    in one pass over pieces of whole macros, about _STEP_ELEMS elements
-    each, in work; x is an array or a StoredTensor, read piece by piece.
-    A macro's code depends on that macro alone."""
-    if mode not in _MBS_MODES:
-        raise ValueError(f"unknown MBS mode: {mode}")
-    mbs.validate_against(quant)
-    macro = mbs.macro_block_size
-    n = x.shape[-1] if x.ndim else 1
-    codes = np.empty((x.size // n, -(-n // macro)), dtype=np.uint8)
-    macro_config = BlockQuantConfig(block_size=macro)
-    for r, c, piece in _row_pieces(x, macro, _STEP_ELEMS):
-        view = block_view(piece, macro_config, work)
-        if mode == "closed_form":
-            k = _closed_form_codes(view.m_b)
-        else:
-            k = _exhaustive_codes(view.mag, quant, work)
-        k = k.reshape(len(piece), -1)
-        codes[r, c.start // macro:c.start // macro + k.shape[1]] = k
-    return codes
-
-
-def _mbs_x_hat(rows: np.ndarray, start: int, codes: np.ndarray, macro: int,
-               quant: BlockQuantConfig, out: np.ndarray, work: _Workspace) -> np.ndarray:
-    """x_hat = Q(p x) / p of rows, an (h, w) piece of a row matrix from
-    column start (a multiple of the block size), whose rows have the codes
-    codes (h, macros per row), into out, by _prescaled_qdq on |x|, the
-    trials' own evaluation, then signed. Given its macro's code, a block's
-    x_hat depends on that block alone, so each block is taken at its
-    macro's prescale and rows need not hold whole macros. Works in steps of
-    _STEP_ELEMS elements."""
-    B = quant.block_size
-    for r, c, step in _row_pieces(rows, B, _STEP_ELEMS):
-        view = block_view(step, quant, work)
-        per_row = view.blocks.shape[0] // len(step)
-        macro_of_block = (start + c.start + B * np.arange(per_row)) // macro
-        pres = _PRESCALES[codes[r][:, macro_of_block]].reshape(-1, 1)
-        y = _prescaled_qdq(view.mag, view.m_b[:, None], pres, quant,
-                           work.take("x_hat", view.blocks.shape), work)
-        out[r, c] = view.restore(view.signed(y, y))
-    return out
-
-
-def mbs_pieces(x: np.ndarray | StoredTensor, mbs: MbsConfig, quant: BlockQuantConfig,
-               mode: str = "exhaustive"):
-    """MBS as a piece function for decompose.decompose_quantizers: the
-    codes of x (an array or a StoredTensor) are picked in one pass, and
-    each piece's x_hat rows are then formed from its rows at those codes,
-    bit for bit mbs_qdq's. The working memory is one piece's x_hat and one
-    step's arrays, plus one byte per macro."""
-    work = _Workspace()
-    codes = _mbs_codes(x, mbs, quant, mode, work)
-
-    def piece_x_hat(rows: slice, cols: slice, piece: np.ndarray) -> np.ndarray:
-        return _mbs_x_hat(piece, cols.start, codes[rows], mbs.macro_block_size, quant,
-                          work.take("piece", piece.shape), work)
-
-    return piece_x_hat
-
-
 def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
             mode: str = "exhaustive",
             work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """MBS-corrected QDQ. Returns (x_hat, mantissa_codes); code count is
     ceil(n / macro) per innermost row, one uint8 each.
 
-    The codes are picked in one pass over pieces of whole macros; x_hat is
-    then written in steps, each block at its macro's code (_mbs_x_hat).
+    One pass over steps of whole macros, about _STEP_ELEMS elements each.
+    A step is blocked once, at the macro size; it takes its sub-block
+    maxima, picks its codes and writes its x_hat by _prescaled_qdq on |x|,
+    the trials' own evaluation, then signed: a zero keeps the sign of its
+    element, except in all-zero blocks, which are +0.0 throughout.
+
+    The domain is one for both modes: every macro maximum times the
+    largest prescale 511/256 is finite. Past it a ValueError is raised.
+
     Besides the input, the output and the codes, the working memory is
     that of one step, in work, which a caller running many small tensors
-    can pass to every call: fresh step-sized buffers cost page faults."""
+    or pieces can pass to every call: fresh step-sized buffers cost page
+    faults."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty tensor")
+    if mode not in _MBS_MODES:
+        raise ValueError(f"unknown MBS mode: {mode}")
+    mbs.validate_against(quant)
     work = _Workspace() if work is None else work
-    codes = _mbs_codes(x, mbs, quant, mode, work)
+    macro, B = mbs.macro_block_size, quant.block_size
+    n = x.shape[-1] if x.ndim else 1
+    rows = x.reshape(-1, n)
+    codes = np.empty((len(rows), -(-n // macro)), dtype=np.uint8)
     x_hat = np.empty(x.shape)
-    _mbs_x_hat(x.reshape(len(codes), -1), 0, codes, mbs.macro_block_size, quant,
-               x_hat.reshape(len(codes), -1), work)
+    hat_rows = x_hat.reshape(-1, n)
+    macro_config = BlockQuantConfig(block_size=macro)
+    for r, c, step in _row_pieces(rows, macro, _STEP_ELEMS):
+        view = block_view(step, macro_config, work)
+        mag = view.mag
+        # sub-block maxima: on |x| the int64 order of the bits is the float
+        # order, and the integer reduction is the faster
+        sub_max = mag.reshape(len(mag), -1, B).view(np.int64).max(axis=2).view(np.float64)
+        with np.errstate(over="ignore"):             # overflow is rejected just below
+            if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
+                raise ValueError("MBS prescale overflows float64: a macro maximum "
+                                 "times 511/256 must be finite")
+        if mode == "closed_form":
+            k = _closed_form_codes(view.m_b)
+        else:
+            k = _exhaustive_codes(mag, sub_max, quant, work)
+        y = _prescaled_qdq(mag, sub_max, _PRESCALES[k][:, None], quant,
+                           work.take("x_hat", mag.shape), work)
+        np.copysign(y, view.blocks, out=y)
+        zero = sub_max.ravel() == 0                  # all-zero blocks are +0.0
+        if zero.any():
+            y.reshape(-1, B)[zero] = 0.0
+        hat_rows[r, c] = view.restore(y)
+        k = k.reshape(len(step), -1)
+        codes[r, c.start // macro:c.start // macro + k.shape[1]] = k
     return x_hat, codes.ravel()
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -490,6 +491,20 @@ class TestGemmPropagation:
         assert prop.cov_mode == "samples"
         # resampling rows reproduces the analytic trace
         assert prop.mc_estimate == pytest.approx(want, rel=0.1)
+
+    @pytest.mark.parametrize("mode", ["diagonal", "samples"])
+    def test_overflowing_traces_are_inf_without_warning(self, mode):
+        # squared errors of |w| ~ 1e160 pass 1.8e308: the traces and the Monte
+        # Carlo term are inf (or nan for a cross trace), as the isotropic
+        # ones, and no numpy warning is raised
+        rng = np.random.default_rng(103)
+        w = 1e160 * rng.standard_normal((4, 256))
+        cov = np.ones(256) if mode == "diagonal" else rng.standard_normal((8, 256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prop = gemm_error_propagation(w, cov=cov, samples=50)
+        assert prop.cov_mode == mode
+        assert prop.var_total == math.inf and prop.mc_estimate == math.inf
 
     def test_sample_set_traces_match_sigma_formula(self, monkeypatch):
         # each trace is taken over chunks of samples (16 here, so five); the

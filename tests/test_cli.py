@@ -21,7 +21,7 @@ from mxblock.cli import main
 from mxblock.corrections import AqnSchedule, aqn_apply
 from mxblock.decompose import decompose_tensor, verify_identity
 from mxblock.quantize import BlockQuantConfig, _deadzone, block_view
-from mxblock.tensorstore import TensorSet, load_container, save_container
+from mxblock.tensorstore import StoredTensor, TensorSet, load_container, save_container
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
 
@@ -261,8 +261,7 @@ class TestExitCodes:
     def test_broken_mbs_split_is_3(self, capsys, monkeypatch):
         # x_hat = x: e_total is 0 while e_scale = -(e_dz + e_grid) is not,
         # and <e_scale, e_dz> is -||e_dz||^2, not the structural 0.0
-        monkeypatch.setattr(cli, "mbs_pieces",
-                            lambda x, *a, **k: lambda rows, cols, piece: piece)
+        monkeypatch.setattr(cli, "mbs_qdq", lambda x, *a, **k: (x, None))
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "invariant violation" in err
@@ -281,23 +280,19 @@ class TestExitCodes:
         # MBS output that keeps one ideal-deadzone element at its input value:
         # the full expansion still closes, so only the rule that Q and MBS
         # keep <e_scale, e_dz> at exactly 0.0 can catch it
-        real = cli.mbs_pieces
+        real = cli.mbs_qdq
         quant = BlockQuantConfig()
         seen = {}
 
-        def leaky(x, *args, **kwargs):
-            piece_x_hat = real(x, *args, **kwargs)
+        def leaky(piece, *args, **kwargs):          # 8x128 is one piece
+            x_hat, codes = real(piece, *args, **kwargs)
+            view = block_view(piece, quant)
+            i = np.flatnonzero(view.restore(_deadzone(view)))[0]
+            x_hat.flat[i] = piece.flat[i]
+            seen.update(x=piece.copy(), x_hat=x_hat.copy())
+            return x_hat, codes
 
-            def leaky_piece(rows, cols, piece):     # 8x128 is one piece
-                x_hat = piece_x_hat(rows, cols, piece).copy()
-                view = block_view(piece, quant)
-                i = np.flatnonzero(view.restore(_deadzone(view)))[0]
-                x_hat.flat[i] = piece.flat[i]
-                seen.update(x=piece.copy(), x_hat=x_hat)
-                return x_hat
-            return leaky_piece
-
-        monkeypatch.setattr(cli, "mbs_pieces", leaky)
+        monkeypatch.setattr(cli, "mbs_qdq", leaky)
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "deadzone inner product nonzero" in err
@@ -590,6 +585,30 @@ def test_commands_hold_one_tensor(capsys, tmp_path, argv):
         peaks[count] = _peak_bytes(lambda: main([*argv, "--input", path]))
         assert capsys.readouterr().out
     assert peaks[4] <= 1.1 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("extra", [[], ["--macro-block", "96"],
+                                   ["--mbs-mode", "closed_form"]])
+def test_mbs_reads_each_tensor_once(capsys, tmp_path, monkeypatch, extra):
+    # MBS picks its codes and writes its x_hat on the piece the split reads,
+    # so every stored element is read once
+    rng = np.random.default_rng(66)
+    ts = TensorSet()
+    ts.add("rows", rng.standard_normal((48, 1000)), "F32")
+    ts.add("long", rng.standard_normal(70000), "BF16")
+    path = str(tmp_path / "in.tensors")
+    save_container(ts, path)
+    counts = {}
+    real = StoredTensor.read
+
+    def counted(self, start, count, out=None):
+        counts[self.name] = counts.get(self.name, 0) + count
+        return real(self, start, count, out)
+
+    monkeypatch.setattr(StoredTensor, "read", counted)
+    code, out, err = _run(capsys, ["mbs", "--input", path, *extra])
+    assert code == 0, err
+    assert counts == {"rows": 48000, "long": 70000}
 
 
 def test_aqn_writes_one_tensor_at_a_time(capsys, tmp_path):

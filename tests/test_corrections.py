@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,8 +220,22 @@ class TestExhaustiveShortcut:
         # 1.7e308 * (1 + k/256) overflows from k = 15 on
         quant = BlockQuantConfig(scale_mantissa_bits=3)
         x = np.full(128, 1.7e308)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="prescale overflows float64"):
             mbs_qdq(x, MbsConfig(), quant, "exhaustive")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
+    @pytest.mark.parametrize("bits", [0, 3])
+    def test_one_prescale_domain_for_both_modes(self, mode, bits):
+        # the domain is a macro maximum times 511/256 finite (up to about
+        # 9.0e307), in either mode; past it the closed form used to warn on
+        # overflow and return inf
+        quant = BlockQuantConfig(scale_mantissa_bits=bits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="prescale overflows float64"):
+                mbs_qdq(np.full(128, 1.5e308), MbsConfig(), quant, mode)
+            x_hat, _ = mbs_qdq(np.full(128, 9.0e307), MbsConfig(), quant, mode)
+        assert np.isfinite(x_hat).all()
 
 
 def _sweep_errors(macros, quant):

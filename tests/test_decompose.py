@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mxblock import decompose, quantize
-from mxblock.corrections import MbsConfig, OfConfig, mbs_pieces, mbs_qdq, of_qdq
+from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
 from mxblock.formats import ceil_scale_array
 from mxblock.decompose import (
     DecompReport,
@@ -694,6 +694,16 @@ class TestMeasuredQuantizer:
                 decompose_tensor(x, cfg, x_hat=bad)
 
 
+def _signed_split(x, cfg, x_hat, align):
+    """decompose_tensor(x, cfg, x_hat=x_hat) on pieces cut at multiples of
+    align columns: the signed path, summed in the order of a split whose
+    pieces are cut there too. x_hat None measures cfg's plain Q."""
+    quantizer = cfg if x_hat is None else (
+        lambda rows, cols, piece: x_hat.reshape(-1, x.shape[-1])[rows, cols])
+    errors = [np.empty(x.shape) for _ in range(4)]
+    return decompose._decompose(x, cfg, [quantizer], errors, align=align)[0]
+
+
 class TestDecomposeQuantizers:
     """decompose_quantizers splits several quantizers against one Q*(x), in
     one pass over pieces of 64 elements here. Each split must be the one
@@ -712,19 +722,24 @@ class TestDecomposeQuantizers:
 
     @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
     def test_each_split_is_its_own(self, name, x, block_size):
-        # the MBS macro is 3 blocks, so pieces cut at blocks split macros
         cfg = BlockQuantConfig(block_size=block_size)
         m3 = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=3)
         mbs = MbsConfig(macro_block_size=3 * block_size)
         x_of = of_qdq(x, OfConfig(alpha=0.5), cfg).x_hat
         of_rows = x_of.reshape(-1, x.shape[-1])
         got = decompose_quantizers(x, block_size, [
-            cfg, m3, mbs_pieces(x, mbs, cfg), lambda rows, cols, piece: of_rows[rows, cols]])
+            cfg, m3, lambda rows, cols, piece: of_rows[rows, cols]])
         assert len(self.pieces) > 1
         # with the error arrays, the reference takes the signed path
         want = [decompose_tensor(x, cfg), decompose_tensor(x, m3),
-                decompose_tensor(x, cfg, x_hat=mbs_qdq(x, mbs, cfg)[0]),
                 decompose_tensor(x, cfg, x_hat=x_of)]
+        # the mbs command's split: pieces of whole macros (3 blocks), each
+        # measured by mbs_qdq, against references cut at the same columns
+        got += decompose_quantizers(
+            x, block_size, [cfg, lambda rows, cols, piece: mbs_qdq(piece, mbs, cfg)[0]],
+            align=mbs.macro_block_size)
+        want += [_signed_split(x, cfg, None, mbs.macro_block_size),
+                 _signed_split(x, cfg, mbs_qdq(x, mbs, cfg)[0], mbs.macro_block_size)]
         for g, w in zip(got, want):
             assert g.e_scale is None
             for field in _SUM_FIELDS + ("dz_zero_fraction",):
@@ -815,21 +830,25 @@ class TestMbsSplitProperty:
 
 
 class TestMbsPiecesProperty:
-    """The mbs command's split, MBS as a piece function on pieces cut at
-    blocks, not macros, equals the split of mbs_qdq's whole output, sum for
-    sum: its x_hat is formed block by block at the macro's code, and its
-    sign is folded into the magnitudes."""
+    """The mbs command's split, mbs_qdq as a piece function on pieces of
+    whole macros, equals the signed split of mbs_qdq's whole output on
+    pieces cut at the same columns, sum for sum: a macro's code and x_hat
+    depend on that macro alone, and the sign is folded into the
+    magnitudes."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_mbs_cases())
     def test_split_is_mbs_qdq_split(self, case):
         x, quant, mbs, mode = case
+        macro = mbs.macro_block_size
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose, "_CHUNK_ELEMS", 64)
             before, after = decompose_quantizers(
-                x, quant.block_size, [quant, mbs_pieces(x, mbs, quant, mode)])
-            want = [decompose_tensor(x, quant),          # the signed path
-                    decompose_tensor(x, quant, x_hat=mbs_qdq(x, mbs, quant, mode)[0])]
+                x, quant.block_size,
+                [quant, lambda rows, cols, piece: mbs_qdq(piece, mbs, quant, mode)[0]],
+                align=macro)
+            want = [_signed_split(x, quant, None, macro),
+                    _signed_split(x, quant, mbs_qdq(x, mbs, quant, mode)[0], macro)]
         for g, w in zip((before, after), want):
             for field in _SUM_FIELDS + ("dz_zero_fraction",):
                 assert getattr(g, field) == getattr(w, field), field
