@@ -344,6 +344,8 @@ def cmd_gemm(args) -> dict:
 def cmd_aqn(args) -> dict:
     schedule = AqnSchedule(sigma_start=args.sigma_start, sigma_end=args.sigma_end,
                            num_stages=args.stages)
+    if not 0 <= args.stage < args.stages:
+        raise ValueError("stage out of range")
     sigmas = schedule.stage_sigmas()
     results = {
         "stage_sigmas": sigmas,
@@ -353,8 +355,6 @@ def cmd_aqn(args) -> dict:
         "multipliers": dict(schedule.multipliers),
     }
     if args.noised_out:
-        if not 0 <= args.stage < args.stages:
-            raise ValueError("stage out of range")
         # each tensor is noised whole (its draws do not change) and written
         # as soon as it is made, so one tensor and its noise are in memory
         with _tensors(args) as tensors:

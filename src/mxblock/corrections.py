@@ -26,7 +26,9 @@ Two selection modes for k:
 
 mbs_qdq runs in one pass over steps of whole macros. Each step is blocked
 once, at the macro size: its sub-block maxima are taken once, its codes
-picked, and its x_hat written from that same view. A macro's code and x_hat
+picked, and its x_hat written from that same view. A macro's x_hat is the
+row of its winning trial, kept as the trials are evaluated, in either
+mode: no macro is quantized again for the output. A macro's code and x_hat
 depend on that macro alone, so the decomposition can measure mbs_qdq piece
 by piece, on pieces cut at whole macros, as it measures of_qdq.
 
@@ -165,11 +167,12 @@ _CROSS_SQ_STEPS = np.concatenate([_GRID_SQ_STEPS, 4.0 * _GRID_SQ_STEPS])
 # fl(1 / p^2) and fl(2 / p) of every code, for _approx_errors
 _INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
 _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
-# Elements per step of mbs_qdq: code selection and x_hat alike. A
-# step of the closed form holds about 25 arrays the size of the step or of
-# its crossings (1.4 per Gaussian element), 3.5 MiB at 2^14 elements. On
-# 512x512 a 2^15 step was no faster and raised the mbs command's peak RSS
-# from 46 to 52 MB.
+# Elements per step of mbs_qdq: code selection and x_hat alike. The
+# workspace of an exhaustive step at M = 0 (macro 128, a Gaussian: 1.4
+# crossings per element) measured 3.43 MiB at 2^14 elements, its largest
+# arrays the complex sums (514 KiB) and the crossings' weights (378 KiB).
+# On 512x512 a 2^15 step was no faster and raised the mbs command's peak
+# RSS from 46 to 52 MB.
 _STEP_ELEMS = 1 << 14
 # Macros whose nonzero magnitudes lie in this range take the closed form:
 # every product, square and quotient that it and the sweep form is a normal
@@ -183,7 +186,7 @@ def _prescaled_qdq(mag: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
                    work: _Workspace) -> np.ndarray:
     """|Q(p x) / p| of each row of the magnitudes mag = |x| at its prescale
     (pres, shape (n, 1)), into out: the one evaluation of a prescaled macro,
-    for the trials and for mbs_qdq's output alike.
+    a trial's, whose row is mbs_qdq's output when the trial wins.
 
     Q is quantize._coded_round, so each row holds the bits of
     |qdq_tensor(p x) / p|, and at M = 0 it folds the power-of-two scale into
@@ -203,34 +206,45 @@ def _prescaled_qdq(mag: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
     return y
 
 
-def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, rows: np.ndarray,
-                  k: np.ndarray, quant: BlockQuantConfig,
-                  work: _Workspace) -> np.ndarray:
-    """Squared error sum(Q(p x) / p - x)^2 of trial i, taken as sum(|Q(p x)
-    / p| - |x|)^2, the same bits: the macro of magnitudes mag[rows[i]]
-    (sub-block maxima sub_max[rows[i]]) at code k[i], by _prescaled_qdq.
-    The one evaluation of a trial error, so its float64 value is that of
-    every other caller. Each trial is one row of macro elements and is
+def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, cand: np.ndarray,
+                  quant: BlockQuantConfig, work: _Workspace):
+    """The trials are the True entries of cand, (n, 256): the macro of
+    magnitudes mag[i] (sub-block maxima sub_max[i]) at code k where
+    cand[i, k], taken by macro, then by k. Yields them in chunks of about
+    quantize._STREAM_ELEMS elements, as (rows, k, errors, y): trial j of a
+    chunk is macro rows[j] at code k[j], y[j] is its |Q(p x) / p| by
+    _prescaled_qdq, and errors[j] its squared error sum(Q(p x) / p - x)^2,
+    taken as sum(|Q(p x) / p| - |x|)^2, the same bits. y is an array of
+    work, valid until the next chunk.
+
+    The one evaluation of a trial, so its float64 error and row are those
+    of every other caller. Each trial is one row of macro elements and is
     summed along that row, so its pairwise summation does not depend on
-    which other trials share the call. An error that overflows is +inf,
+    which other trials share the chunk. An error that overflows is +inf,
     without a warning, as is that of a trial whose Q(p x) rounds past the
-    largest float (Q can round up by up to a factor of 6/5). Runs in pieces
-    of about quantize._STREAM_ELEMS elements."""
+    largest float (Q can round up by up to a factor of 6/5). Only a chunk's
+    trials are listed at a time: at M > 0 a step has 256 per macro."""
     macro = mag.shape[1]
-    errors = np.empty(len(rows))
     step = max(1, _STREAM_ELEMS // macro)
-    for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step]
-        n = len(r)
+    ends = np.cumsum(cand.sum(axis=1))                 # trials through each macro
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        skip = lo - (int(ends[first - 1]) if first else 0)
+        # flatnonzero: np.nonzero on the 2-D mask takes 10x as long
+        at = np.flatnonzero(cand[first:last + 1])[skip:skip + hi - lo]
+        rows, k = np.divmod(at, MBS_LEVELS)
+        rows += first
         # mode="clip": with "raise", take buffers its out= through a copy
-        x = np.take(mag, r, axis=0, out=work.take("x", (n, macro)), mode="clip")
+        x = np.take(mag, rows, axis=0, out=work.take("x", (len(rows), macro)), mode="clip")
         with np.errstate(over="ignore"):
-            y = _prescaled_qdq(x, sub_max[r], _PRESCALES[k[lo:lo + step]][:, None],
-                               quant, work.take("y", (n, macro)), work)
-            y -= x
-            np.square(y, out=y)
-            errors[lo:lo + step] = y.sum(axis=1)
-    return errors
+            y = _prescaled_qdq(x, sub_max[rows], _PRESCALES[k][:, None], quant,
+                               work.take("y", x.shape), work)
+            np.subtract(y, x, out=x)
+            np.square(x, out=x)
+            errors = x.sum(axis=1)
+        yield rows, k, errors, y
 
 
 def _first_past(a: np.ndarray, thr: np.ndarray | float, out: np.ndarray,
@@ -324,7 +338,7 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
 
     def grid_index(name, value, regime):               # index of g from s g / s0
         halves = np.multiply(value, 2.0 ** (1 - regime), casting="unsafe",
-                             out=work.take("halves", v.shape, np.intp))
+                             out=work.take("halves", v.shape, np.int8))   # 2 g <= 12
         return np.take(_GRID_INDEX, halves, out=work.take(name, v.shape, np.int8),
                        mode="clip").ravel()
 
@@ -346,8 +360,10 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
                                                         (crossed1, first1)))
              for t in (0, 1)]
     n_cross = sum(len(p) for p, _, _ in lists)
-    pos = work.take("pos", (n_cross,), np.intp)
-    jj = work.take("jj", (n_cross,), np.intp)
+    # int32: a step of mbs_qdq holds at most 2^14 macros, its positions and
+    # its bins (below 2 * 257 * 2^14) stay far below 2^31
+    pos = work.take("pos", (n_cross,), np.int32)
+    jj = work.take("jj", (n_cross,), np.int8)
     at = 0
     for p, first, offset in lists:
         pos[at:at + len(p)] = p
@@ -360,11 +376,18 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
     # The weights, and their bins 2 (macro * 257 + code) for S2 and the next
     # one for SX: first the crossings, then each sub-block's k = 0 sums and
     # its jumps at ksw. Bin 256 takes the jumps at ksw = 256 and is not read.
+    # A crossing's weights are s0^2 times its steps and, for SX, v_c: s0^2
+    # and the steps of s g / s0 are powers of two, so the order of the
+    # products does not change their bits.
     nbins = MBS_LEVELS + 1
-    bins = work.take("bins", (2, n_cross + 2 * n_sub), np.intp)
+    bins = work.take("bins", (2, n_cross + 2 * n_sub), np.int32)
     w = work.take("w", (2, n_cross + 2 * n_sub))
     sub = np.floor_divide(pos, B, out=bins[0, :n_cross])
-    sq_scale = np.take(s0 * s0, sub, out=work.take("sq_scale", (n_cross,)), mode="clip")
+    w2 = np.take(s0 * s0, sub, out=w[0, :n_cross], mode="clip")
+    wx = np.multiply(w2, v_c, out=w[1, :n_cross])
+    steps = thr                                        # free since k is found
+    wx *= np.take(_CROSS_STEPS, jj, out=steps, mode="clip")
+    w2 *= np.take(_CROSS_SQ_STEPS, jj, out=steps, mode="clip")
     code_bin = bins[0]
     code_bin[:n_cross] //= S                           # sub-block -> macro
     code_bin[:n_cross] *= nbins
@@ -374,11 +397,6 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
     sub_bin[1] += ksw
     code_bin *= 2
     np.add(code_bin, 1, out=bins[1])
-    w2 = np.take(_CROSS_SQ_STEPS, jj, out=w[0, :n_cross], mode="clip")
-    w2 *= sq_scale
-    wx = np.take(_CROSS_STEPS, jj, out=w[1, :n_cross], mode="clip")
-    wx *= v_c
-    wx *= sq_scale
     jump = np.subtract(start1, end0, out=end1)         # exact: multiples of 1/2
     np.add(start1, end0, out=start1)
     sub_w = w[:, n_cross:].reshape(2, 2, n_sub)        # [S2 or SX, k = 0 or jump, sub-block]
@@ -435,48 +453,61 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
     To first order |A - E| <= (154 n + 57) u X2. D = c u X2 with c = 160 n +
     64: the slack covers the higher-order terms, the underflow and the
     rounding of D itself. The constant is derived, not tuned: a larger D
-    would only widen the candidate set. A is an array of work (a fresh
-    workspace without one), as are _grid_sums' arrays: with the workspace of
-    an mbs_qdq call, it is valid until that call's next step."""
+    would only widen the candidate set. A is formed in place of S2, in a
+    view of work's "sums" (a fresh workspace without one): with the
+    workspace of an mbs_qdq call, it is valid until that call's next step."""
     work = _Workspace() if work is None else work
     macro = mag.shape[1]
     s2, sx = _grid_sums(mag, sub_max, work)          # views of work's arrays
     s2 *= _INV_SQ_PRESCALES
     sx *= _TWO_INV_PRESCALES
-    approx = np.subtract(s2, sx, out=work.take("approx", s2.shape))
+    approx = np.subtract(s2, sx, out=s2)
     x2 = np.einsum("ij,ij->i", mag, mag)[:, None]
     approx += x2
     c = 160 * macro + 64
     return approx, (c * 2.0 ** -53) * x2
 
 
-def _exhaustive_codes(mag: np.ndarray, sub_max: np.ndarray, quant: BlockQuantConfig,
-                      work: _Workspace) -> np.ndarray:
-    """argmin_k of per-macro reconstruction MSE over all 256 prescales, ties
-    to the smallest k, for the macros of magnitudes mag = |x| with sub-block
-    maxima sub_max: the code of the trial with the smallest _trial_errors
-    value.
+def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
+                mode: str, quant: BlockQuantConfig, work: _Workspace,
+                out: np.ndarray) -> np.ndarray:
+    """Codes of the macros of magnitudes mag = |x| with sub-block maxima
+    sub_max and maxima macro_max, one step of mbs_qdq, and their |Q(p x) /
+    p| rows into out: each macro's x_hat is the row of its chosen trial, as
+    _prescaled_qdq evaluated it. All-zero macros get k = 0: every trial of
+    theirs is 0.0 and errs by exactly 0.0.
 
-    Not every trial is evaluated. At M = 0 (a power-of-two scale) and for
+    "closed_form" evaluates one trial per macro, at _closed_form_codes,
+    straight into out. In "exhaustive" the code is the argmin_k of the
+    macro's _trial_errors value over all 256 prescales, ties to the
+    smallest k, but not every trial is evaluated, and all-zero macros none,
+    their rows of out untouched. At M = 0 (a power-of-two scale) and for
     macros within _CLOSED_FORM_RANGE, _approx_errors gives every code's
     error A(k) in closed form, in O(macro + 256 sub-blocks) per macro, with
     a rigorous bound D on |A(k) - E(k)|, where E is the float value
     _trial_errors computes. E(k*) <= E(k') for the k' minimizing A, so the
     code k* has A(k*) <= min A + 2D, and the float sum min A + 3D cannot
     round below that, as D exceeds its rounding. The codes at or below it,
-    almost always argmin A alone, are its candidates.
+    almost always argmin A alone, are its candidates. At M > 0 the scale
+    takes many values over k and s is no longer a power of two, so u =
+    fl(p x) / s is rounded. There, and for macros outside the range, the
+    candidates are all 256 codes: the sweep.
 
-    At M > 0 the scale takes many values over k and s is no longer a power
-    of two, so u = fl(p x) / s is rounded. There, and for macros outside the
-    range, the candidates are all 256 codes: the sweep. The candidates of
-    all macros form one (macros, 256) mask, evaluated by one _trial_errors
-    call into an inf-filled error matrix, whose argmin takes ties to the
-    smallest k. The code is therefore that of evaluating all 256 trials,
-    bit for bit. All-zero macros get k = 0 unevaluated; every trial error
-    on them is exactly 0.0. Every array, those of the closed form included,
-    lives in work."""
-    codes = np.zeros(len(mag), dtype=np.int64)
-    macro_max = sub_max.max(axis=1)
+    The candidates of all live macros form one (macros, 256) bool mask,
+    which _trial_errors evaluates chunk by chunk, by macro, then by k.
+    Every live macro has a candidate: argmin A is set as one, so a NaN in A
+    or D cannot leave a macro without. Each macro keeps its first least
+    error: in a chunk, the first trial at the macro's least, and a macro
+    continued from the last chunk takes a later trial only at a strictly
+    smaller error. So ties go to the smallest k, as an argmin over all 256
+    trials takes them, bit for bit, and the winner's row is copied out
+    before the next chunk reuses its buffer: no error matrix or per-trial
+    array outlives its chunk. Every array, those of _approx_errors
+    included, lives in work."""
+    if mode == "closed_form":
+        k = _closed_form_codes(macro_max)
+        _prescaled_qdq(mag, sub_max, _PRESCALES[k][:, None], quant, out, work)
+        return k
     live = np.flatnonzero(macro_max > 0)
     if len(live) < len(mag):
         mag, sub_max, macro_max = mag[live], sub_max[live], macro_max[live]
@@ -489,13 +520,31 @@ def _exhaustive_codes(mag: np.ndarray, sub_max: np.ndarray, quant: BlockQuantCon
         if len(ranked):
             sel = slice(None) if len(ranked) == len(mag) else ranked
             approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
-            cand[ranked] = approx <= approx.min(axis=1, keepdims=True) + 3.0 * bound
-    # flatnonzero: np.nonzero on the 2-D mask takes 10x as long
-    rows, ks = np.divmod(np.flatnonzero(cand), MBS_LEVELS)
-    err = work.take("err", cand.shape)
-    err.fill(np.inf)
-    err[rows, ks] = _trial_errors(mag, sub_max, rows, ks, quant, work)
-    codes[live] = err.argmin(axis=1)
+            best = approx.argmin(axis=1)
+            top = approx[np.arange(len(best)), best][:, None] + 3.0 * bound
+            cand[ranked] = approx <= top
+            cand[ranked, best] = True                  # a candidate even if A is NaN
+    k_best = np.zeros(len(mag), dtype=np.int64)
+    hat = out if len(mag) == len(out) else work.take("hat", mag.shape)
+    carry, least = -1, np.inf         # the last chunk's last macro and its least error
+    for rows, k, errors, y in _trial_errors(mag, sub_max, cand, quant, work):
+        # the chunk holds trials of the macros m0..m1 - 1, each at least one;
+        # win is each one's first least
+        m0, m1 = rows[0], rows[-1] + 1
+        starts = np.searchsorted(rows, np.arange(m0, m1))
+        low = np.minimum.reduceat(errors, starts)
+        hits = np.flatnonzero(errors == low[rows - m0])
+        win = hits[np.searchsorted(hits, starts)]
+        if m0 == carry and not errors[win[0]] < least:  # the earlier k stands
+            m0, win = m0 + 1, win[1:]
+        np.take(k, win, out=k_best[m0:m1])
+        np.take(y, win, axis=0, out=hat[m0:m1])
+        if len(win):
+            carry, least = m1 - 1, errors[win[-1]]
+    if hat is not out:
+        out[live] = hat
+    codes = np.zeros(len(out), dtype=np.int64)
+    codes[live] = k_best
     return codes
 
 
@@ -516,9 +565,10 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
 
     One pass over steps of whole macros, about _STEP_ELEMS elements each.
     A step is blocked once, at the macro size; it takes its sub-block
-    maxima, picks its codes and writes its x_hat by _prescaled_qdq on |x|,
-    the trials' own evaluation, then signed: a zero keeps the sign of its
-    element, except in all-zero blocks, which are +0.0 throughout.
+    maxima and picks its codes, and its x_hat is the |Q(p x) / p| row of
+    each macro's chosen trial (_step_codes), then signed: a zero keeps the
+    sign of its element, except in all-zero blocks, which are +0.0
+    throughout.
 
     The domain is one for both modes: every macro maximum times the
     largest prescale 511/256 is finite. Past it a ValueError is raised.
@@ -551,12 +601,8 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
             if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
                 raise ValueError("MBS prescale overflows float64: a macro maximum "
                                  "times 511/256 must be finite")
-        if mode == "closed_form":
-            k = _closed_form_codes(view.m_b)
-        else:
-            k = _exhaustive_codes(mag, sub_max, quant, work)
-        y = _prescaled_qdq(mag, sub_max, _PRESCALES[k][:, None], quant,
-                           work.take("x_hat", mag.shape), work)
+        y = work.take("x_hat", mag.shape)
+        k = _step_codes(mag, sub_max, view.m_b, mode, quant, work, y)
         np.copysign(y, view.blocks, out=y)
         zero = sub_max.ravel() == 0                  # all-zero blocks are +0.0
         if zero.any():

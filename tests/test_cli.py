@@ -123,13 +123,17 @@ class TestEnvelope:
         report = json.loads(Path(out_path).read_text())
         assert 1.0 < report["results"]["mean_gamma"] < 2.0
 
-    @pytest.mark.parametrize("source", ["synth", "container"])
+    @pytest.mark.parametrize("source", ["synth", "container", "mbs"])
     def test_blas_threads_keep_results_bytes(self, tmp_path, source):
         # each sum is a fixed-order sum of sub-dots that OpenBLAS does not
         # split between threads, so the thread count moves no printed byte,
-        # identity_residual included; each input spans several pieces
+        # identity_residual included; each input spans several pieces, and
+        # the mbs one several MBS steps too
         if source == "synth":
             argv = ["decompose", "--synth", "student_t:512x512", "--seed", "3"]
+        elif source == "mbs":
+            argv = ["mbs", "--synth", "student_t:512x512", "--seed", "3",
+                    "--mbs-mode", "exhaustive"]
         else:
             rng = np.random.default_rng(1)
             ts = TensorSet()
@@ -540,6 +544,14 @@ class TestCommands:
                                      "--noised-out",
                                      str(tmp_path / "x.tensors")])
         assert code == 2 and "stage out of range" in err
+
+    @pytest.mark.parametrize("stage", ["3", "20", "-1"])
+    def test_aqn_stage_out_of_range_without_output(self, capsys, stage):
+        # the stage is checked whether or not a noised container is written
+        code, out, err = _run(capsys, ["aqn", "--stages", "3", "--stage", stage])
+        assert code == 2 and "stage out of range" in err and out == ""
+        code, _, _ = _run(capsys, ["aqn", "--stages", "3", "--stage", "2"])
+        assert code == 0
 
     def test_count_synthesizes_several(self, capsys):
         code, out, _ = _run(capsys, ["decompose", "--synth", "laplace:4x64",

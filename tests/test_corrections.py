@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -241,12 +242,10 @@ class TestExhaustiveShortcut:
 def _sweep_errors(macros, quant):
     """(n, 256) errors of every trial of every macro, each from the direct
     evaluator: the sweep whose argmin the exhaustive codes must be."""
-    n = len(macros)
-    rows = np.repeat(np.arange(n), MBS_LEVELS)
-    ks = np.tile(np.arange(MBS_LEVELS), n)
-    err = corrections._trial_errors(np.abs(macros), _sub_max(macros, quant.block_size),
-                                    rows, ks, quant, _Workspace())
-    return err.reshape(n, MBS_LEVELS)
+    cand = np.ones((len(macros), MBS_LEVELS), dtype=bool)
+    chunks = corrections._trial_errors(np.abs(macros), _sub_max(macros, quant.block_size),
+                                       cand, quant, _Workspace())
+    return np.concatenate([errors for _, _, errors, _ in chunks]).reshape(cand.shape)
 
 
 def _macros(x, mbs):
@@ -410,9 +409,12 @@ class TestExhaustiveExactPath:
         seen = []
         real = corrections._trial_errors
 
-        def counting(macros, sub_max, rows, k, quant, work):
-            seen.append(np.bincount(rows, minlength=len(macros)))
-            return real(macros, sub_max, rows, k, quant, work)
+        def counting(macros, sub_max, cand, quant, work):
+            per_macro = np.zeros(len(macros), dtype=np.int64)
+            for chunk in real(macros, sub_max, cand, quant, work):
+                per_macro += np.bincount(chunk[0], minlength=len(macros))
+                yield chunk
+            seen.append(per_macro)
 
         monkeypatch.setattr(corrections, "_trial_errors", counting)
         x = np.random.default_rng(87).standard_normal((16, 512))
@@ -453,6 +455,61 @@ class TestExhaustiveExactPath:
         _, codes = mbs_qdq(x, mbs, quant, "exhaustive")
         assert np.concatenate(flipped).all()
         assert np.array_equal(codes, _sweep_errors(_macros(x, mbs), quant).argmin(axis=1))
+
+    def test_nan_closed_form_keeps_a_candidate(self, monkeypatch):
+        # A closed form of NaN at every code compares false everywhere; its
+        # argmin, code 0, stays a candidate, so each such macro's x_hat is
+        # still its own trial's row, not a row left in the step buffer
+        real = corrections._approx_errors
+
+        def nan_rows(mag, sub_max, work):
+            approx, bound = real(mag, sub_max, work)
+            approx[1::2] = np.nan
+            bound[3::4] = np.nan
+            return approx, bound
+
+        monkeypatch.setattr(corrections, "_approx_errors", nan_rows)
+        x = np.random.default_rng(89).standard_normal((8, 512))
+        mbs, quant = MbsConfig(), BlockQuantConfig()
+        x_hat, codes = mbs_qdq(x, mbs, quant, "exhaustive")
+        assert not codes[1::2].any()
+        view = block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size))
+        pres = (1.0 + codes / MBS_LEVELS)[:, None]
+        assert np.array_equal(x_hat, view.restore(qdq_tensor(view.blocks * pres, quant) / pres))
+
+
+def _golden_input(kind):
+    """Seeded inputs of the golden digests: 16x512 Gaussian, 8x1000
+    Student-t (each row 7 macros and a 104-element tail), and a 4x512
+    Gaussian with all-zero spans of +0.0 and -0.0: a macro of each, one
+    32-element block in a live macro, and a whole row of -0.0."""
+    rng = np.random.default_rng(2020)
+    if kind == "gaussian":
+        return rng.standard_normal((16, 512))
+    if kind == "student_t":
+        return rng.standard_t(3.0, size=(8, 1000))
+    x = rng.standard_normal((4, 512))
+    x[0, :128] = 0.0
+    x[1, 128:256] = -0.0
+    x[2, 32:64] = -0.0
+    x[3] = -0.0
+    return x
+
+
+_GOLDEN_DIGESTS = {
+    ("gaussian", 0, "exhaustive"): "72e619d515fc220edb6c4374a725860ce82ecc7601a6938ec526a236f63bf319",
+    ("gaussian", 0, "closed_form"): "729e2c701c8bfa2c069c5c6ff63cc1de4214353835d25276936c17c2d0287902",
+    ("gaussian", 3, "exhaustive"): "9ceeef47f15c46ef1df4dcb5207d1b4000e80bdc00f57e1a9ead982120c3719d",
+    ("gaussian", 3, "closed_form"): "863a1fb42ade2c414adef89860a43bf09113f98b567fd9a5ae4bb76668807d97",
+    ("student_t", 0, "exhaustive"): "a7b195bd65b5a6a90da54f4fde059b3a4fdd023d62fd8e512f41d008833be758",
+    ("student_t", 0, "closed_form"): "6851aebe368f489e5ba0c8ff3912dd240773f0d45ed5bc65345577ce78df077b",
+    ("student_t", 3, "exhaustive"): "7084ce3c499fd3c1003b6a26dcbfc4cdf87fc2016337474e832031f0a4dafdb0",
+    ("student_t", 3, "closed_form"): "4bae74c13ae12e4ff88861fa721b0b4d24ac9a201ffe812e366d567641041d25",
+    ("zeros", 0, "exhaustive"): "57e10a8d653513ea3d610ab82705669bd516cce80cf70b6caffc8efd1ca2f582",
+    ("zeros", 0, "closed_form"): "a4c269b2bc67b91c70567d304959d15b491b7e9e8591b71d5e1805340716aed5",
+    ("zeros", 3, "exhaustive"): "6c2f4a49a1aa21d8a36ea3484d3ae15af523d465d837c88e5b3990e52455e593",
+    ("zeros", 3, "closed_form"): "d851dec6b44e3380984589a04d7b819b09a855c82b1ee985f7b6befa181b9fbf",
+}
 
 
 def _peak_bytes(fn):
@@ -505,6 +562,56 @@ class TestMbsQdq:
         quant = BlockQuantConfig()
         x_hat, codes = mbs_qdq(np.zeros((2, 128)), MbsConfig(), quant)
         assert not x_hat.any() and not codes.any()
+
+    @pytest.mark.parametrize("kind,bits,mode", sorted(_GOLDEN_DIGESTS))
+    def test_golden_digests(self, kind, bits, mode):
+        # sha256 of x_hat's bytes (sign bits included) and of the codes, as
+        # recorded before each macro's x_hat became its winning trial's row
+        x_hat, codes = mbs_qdq(_golden_input(kind), MbsConfig(),
+                               BlockQuantConfig(scale_mantissa_bits=bits), mode)
+        digest = hashlib.sha256(x_hat.tobytes() + codes.tobytes()).hexdigest()
+        assert digest == _GOLDEN_DIGESTS[kind, bits, mode]
+
+    @pytest.mark.parametrize("bits", [0, 3])
+    @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
+    def test_x_hat_is_the_trial_rows(self, monkeypatch, bits, mode):
+        # every row _prescaled_qdq evaluates is a trial: no x_hat pass
+        # follows the selection; the closed form evaluates one row per
+        # macro, straight into x_hat, and lists no trials
+        trial_rows, qdq_rows = [], []
+        real_trials, real_qdq = corrections._trial_errors, corrections._prescaled_qdq
+
+        def trials(*args):
+            for chunk in real_trials(*args):
+                trial_rows.append(len(chunk[0]))
+                yield chunk
+
+        def qdq(mag, *args):
+            qdq_rows.append(len(mag))
+            return real_qdq(mag, *args)
+
+        monkeypatch.setattr(corrections, "_trial_errors", trials)
+        monkeypatch.setattr(corrections, "_prescaled_qdq", qdq)
+        x = _golden_input("zeros")                   # 10 live macros of 16
+        mbs_qdq(x, MbsConfig(), BlockQuantConfig(scale_mantissa_bits=bits), mode)
+        if mode == "closed_form":
+            assert qdq_rows == [16] and trial_rows == []
+        else:
+            assert sum(qdq_rows) == sum(trial_rows) > 0
+
+    @pytest.mark.parametrize("bits,bound_mib", [(0, 4.125), (3, 3.75)])
+    def test_exhaustive_peak_holds_no_error_matrix(self, bits, bound_mib):
+        # Past its output, mbs_qdq on 512x512 peaks at one step's workspace
+        # and one chunk of trials: 4.02 MiB at M = 0 and 3.58 MiB at M = 3.
+        # Either bound is less than 256 KiB above its peak, so a (macros,
+        # 256) float64 matrix, or one step's trial errors at M = 3, would
+        # cross it.
+        x = np.random.default_rng(91).standard_normal((512, 512))
+        quant = BlockQuantConfig(scale_mantissa_bits=bits)
+        result = []
+        peak = _peak_bytes(lambda: result.append(mbs_qdq(x, MbsConfig(), quant)))
+        x_hat, codes = result[0]
+        assert peak - x_hat.nbytes - codes.nbytes < bound_mib * 2 ** 20
 
     @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
     def test_working_memory_does_not_grow_with_the_tensor(self, mode):
