@@ -40,6 +40,7 @@ from .corrections import (
     OfConfig,
     OfResult,
     aqn_apply,
+    aqn_pieces,
     aqn_schedule,
     dz_recovery_rate,
     mbs_qdq,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corrections import AqnSchedule, MbsConfig, mbs_qdq
 from .decompose import (
+    _SUM_PAIRS,
     InvariantViolation,
     _as_tensor,
     _dot,
@@ -553,7 +554,7 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     quantize._STREAM_ELEMS elements, so past the four error matrices the
     memory is one chunk and one value per sample. A sample set's traces are
     taken over chunks of its rows the same way, never forming the
-    n_in x n_in Sigma.
+    n_in x n_in Sigma, and keep their bits at any BLAS thread count.
     """
     quant = quant or BlockQuantConfig()
     w = np.asarray(weights, dtype=np.float64)
@@ -590,32 +591,35 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     e_s, e_d, e_g, e_t = component_error_matrices(w, quant, mbs, mbs_mode)
     step = max(1, _STREAM_ELEMS // max(w.shape))     # samples per chunk
 
-    # isotropic traces take decompose_tensor's _dot, so they are var times its
-    # sums bit for bit on a one-piece tensor; a larger tensor's sums add
-    # piece by piece, which moves their last bits. In every mode a trace
-    # past 1.8e308 (|w| ~ 1e150) is inf or nan without a warning:
-    # cmd_gemm checks them (_check_norms)
-    if mode == "isotropic":
-        def tr(a, b):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return var * _dot(a, b)
-    elif mode == "diagonal":
-        def tr(a, b):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float(((a * b).sum(axis=0) * cov).sum())
-    else:
-        # tr(A Sigma B^T) with Sigma = X^T X / n is (1/n) sum_s <A x_s, B x_s>:
-        # one (n_out, chunk) product per matrix, never the n_in x n_in Sigma
-        def tr(a, b):
-            total = 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for lo in range(0, cov.shape[0], step):
-                    xs = cov[lo:lo + step].T
-                    total += float(np.vdot(a @ xs, b @ xs))
-            return total / cov.shape[0]
-
-    cross_sd = tr(e_s, e_d)
-    cross_dg = tr(e_d, e_g)
+    # the seven traces tr(E_a Sigma E_b^T) in decompose's _SUM_PAIRS order:
+    # var_scale, var_dz, var_grid, var_total, then the scale-grid, scale-dz
+    # and dz-grid cross traces. Isotropic traces take decompose_tensor's _dot,
+    # so they are var times its sums bit for bit on a one-piece tensor; a
+    # larger tensor's sums add piece by piece, which moves their last bits.
+    # In every mode a trace past 1.8e308 (|w| ~ 1e150) is inf or nan without
+    # a warning: cmd_gemm checks them (_check_norms)
+    mats = (e_s, e_d, e_g, e_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "isotropic":
+            traces = [var * _dot(mats[a], mats[b]) for a, b in _SUM_PAIRS]
+        elif mode == "diagonal":
+            traces = [float(((mats[a] * mats[b]).sum(axis=0) * cov).sum())
+                      for a, b in _SUM_PAIRS]
+        else:
+            # tr(A Sigma B^T) with Sigma = X^T X / n is (1/n) sum_s <A x_s,
+            # B x_s>: per chunk of samples, one (n_out, chunk) product per
+            # matrix, never the n_in x n_in Sigma. The products are einsum's
+            # own loops, not a BLAS gemm, whose bits change with its thread
+            # count at some shapes, and the inner products are _dot sums, so
+            # every trace keeps its bits at any BLAS thread count
+            traces = [0.0] * len(_SUM_PAIRS)
+            for lo in range(0, cov.shape[0], step):
+                xs = cov[lo:lo + step]
+                prods = [np.einsum("ij,kj->ik", m, xs) for m in mats]
+                for t, (a, b) in enumerate(_SUM_PAIRS):
+                    traces[t] += _dot(prods[a], prods[b])
+            traces = [t / cov.shape[0] for t in traces]
+    var_scale, var_dz, var_grid, var_total, cross_sg, cross_sd, cross_dg = traces
     if mode == "isotropic" and (cross_sd != 0.0 or cross_dg != 0.0):
         raise InvariantViolation(
             "deadzone cross traces must vanish for isotropic covariance")
@@ -638,11 +642,11 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
         mc = float(per_sample.mean())
 
     return GemmPropagation(
-        var_scale=tr(e_s, e_s),
-        var_dz=tr(e_d, e_d),
-        var_grid=tr(e_g, e_g),
-        var_total=tr(e_t, e_t),
-        cross_scale_grid=tr(e_s, e_g),
+        var_scale=var_scale,
+        var_dz=var_dz,
+        var_grid=var_grid,
+        var_total=var_total,
+        cross_scale_grid=cross_sg,
         cross_scale_dz=cross_sd,
         cross_dz_grid=cross_dg,
         mc_estimate=mc,

@@ -32,7 +32,7 @@ from .analysis import (
     gamma_stats,
     gemm_error_propagation,
 )
-from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_apply, mbs_qdq, of_qdq
+from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_pieces, mbs_qdq, of_qdq
 from .decompose import (
     InvariantViolation,
     _check_identity,
@@ -139,8 +139,8 @@ def _tensors(args):
     """The one way a command gets its input: name -> tensor, either the
     StoredTensors of the open --input container, each read only when the
     command asks (piece by piece, or np.asarray for the whole tensor), or
-    the --synth arrays. decompose, sweep, mbs, of and gamma read their
-    tensors piece by piece; gemm and aqn hold one whole tensor at a time."""
+    the --synth arrays. decompose, sweep, mbs, of, gamma and aqn read their
+    tensors piece by piece; gemm holds one whole tensor at a time."""
     if args.input and args.synth:
         raise ValueError("--input and --synth are mutually exclusive")
     if args.input:
@@ -355,13 +355,13 @@ def cmd_aqn(args) -> dict:
         "multipliers": dict(schedule.multipliers),
     }
     if args.noised_out:
-        # each tensor is noised whole (its draws do not change) and written
-        # as soon as it is made, so one tensor and its noise are in memory
+        # each tensor is read twice, piece by piece (its rms, then its noise),
+        # and each noised piece is written as soon as it is made
         with _tensors(args) as tensors:
             entries = [(name, "F64", tensors[name].shape) for name in tensors]
             with ContainerWriter(args.noised_out, entries) as out:
                 for name in out.names:
-                    out.write(name, aqn_apply(
+                    out.write_pieces(name, aqn_pieces(
                         tensors[name], float(sigmas[args.stage]), args.seed,
                         multiplier=schedule.multiplier_for(name), name=name))
         results["noised_out"] = args.noised_out

@@ -37,17 +37,19 @@ pass: x_hat = Q(x) + alpha * Q(x - Q(x)). Deadzone values killed by pass 1
 are usually representable in pass 2's finer scale.
 
 AQN adds seeded Gaussian weight noise at sigma * multiplier * rms(tensor),
-decaying sigma exponentially over stages.
+decaying sigma exponentially over stages. It runs in two passes over pieces
+of the tensor, the rms and then the noise, so the aqn command never holds a
+whole tensor; only its noise stream, keyed by sha256, loads hashlib.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import _row_pieces, decompose_tensor
+from .decompose import _as_tensor, _dot, _row_pieces, decompose_tensor
 from .formats import (
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
@@ -75,6 +77,7 @@ __all__ = [
     "of_qdq",
     "dz_recovery_rate",
     "aqn_schedule",
+    "aqn_pieces",
     "aqn_apply",
 ]
 
@@ -169,11 +172,15 @@ _INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
 _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
 # Elements per step of mbs_qdq: code selection and x_hat alike. The
 # workspace of an exhaustive step at M = 0 (macro 128, a Gaussian: 1.4
-# crossings per element) measured 3.43 MiB at 2^14 elements, its largest
-# arrays the complex sums (514 KiB) and the crossings' weights (378 KiB).
-# On 512x512 a 2^15 step was no faster and raised the mbs command's peak
-# RSS from 46 to 52 MB.
-_STEP_ELEMS = 1 << 14
+# crossings per element) is 27 arrays, its largest the complex sums and the
+# crossings' weights: 1.72 MiB at 2^13 elements, under a 2 MiB L2 per core,
+# against 3.43 MiB at 2^14. Each macro's code and x_hat do not depend on its
+# step, so the step size moves no output bit. On 512x512 (a 2-core Xeon)
+# the smaller step lowered the mbs command's peak RSS from 46.9 to 44.5 MB
+# and cost twice the steps' fixed overhead: mbs_qdq took 46.3 ms against
+# 40.4 ms (median of 40 interleaved calls). A 2^15 step was no faster than 2^14 and raised
+# that peak from 46 to 52 MB.
+_STEP_ELEMS = 1 << 13
 # Macros whose nonzero magnitudes lie in this range take the closed form:
 # every product, square and quotient that it and the sweep form is a normal
 # float, the premise of the rounding bound in _approx_errors. Other macros
@@ -360,8 +367,8 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
                                                         (crossed1, first1)))
              for t in (0, 1)]
     n_cross = sum(len(p) for p, _, _ in lists)
-    # int32: a step of mbs_qdq holds at most 2^14 macros, its positions and
-    # its bins (below 2 * 257 * 2^14) stay far below 2^31
+    # int32: a step of mbs_qdq holds at most 2^13 macros, its positions and
+    # its bins (below 2 * 257 * 2^13) stay far below 2^31
     pos = work.take("pos", (n_cross,), np.int32)
     jj = work.take("jj", (n_cross,), np.int8)
     at = 0
@@ -665,25 +672,63 @@ def aqn_schedule(sigma_start: float, sigma_end: float, num_stages: int) -> np.nd
 
 
 def _noise_rng(seed: int, name: str) -> np.random.Generator:
-    # keyed counter-based stream: independent of call order and worker split
+    # keyed counter-based stream: independent of call order and worker split.
+    # hashlib loads OpenSSL's libcrypto (about 3.6 MiB resident), so it is
+    # imported here, where noise is keyed, not with the package: the other
+    # commands never load it
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
     key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def aqn_apply(x: np.ndarray, sigma: float, seed: int,
-              multiplier: float = 1.0, name: str = "") -> np.ndarray:
+def aqn_pieces(x, sigma: float, seed: int, multiplier: float = 1.0, name: str = ""):
     """x + N(0, (sigma * multiplier * rms(x))^2), elementwise, reproducible
-    per (seed, name). A ValueError names x when x^2 overflows float64."""
+    per (seed, name), as consecutive pieces of about quantize._STREAM_ELEMS
+    elements: x's row-major elements, one piece after another, each in a
+    buffer valid until the next. x is an array or a StoredTensor, which is
+    read piece by piece.
+
+    Two passes over the pieces, so past x the memory is one piece. The first
+    takes rms(x) = sqrt(sum x^2 / n), the sum a left-to-right sum of each
+    piece's decompose._dot, whose bits do not depend on the BLAS thread
+    count. A ValueError names x when sum x^2 overflows float64. The second
+    draws each piece's noise from the keyed Philox stream into one buffer,
+    in order: the draws are those of the whole tensor at once, bit for bit.
+    sigma = 0 adds nothing and draws nothing."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_tensor(x)
     if sigma == 0.0:
-        return x.copy()
+        for _, _, piece in _row_pieces(x, 1, _STREAM_ELEMS):
+            yield piece
+        return
+    n2 = 0.0
     with np.errstate(over="ignore"):        # checked just below
-        rms = float(np.sqrt(np.mean(x * x)))
-    if not np.isfinite(rms):
+        for _, _, piece in _row_pieces(x, 1, _STREAM_ELEMS):
+            n2 += _dot(piece, piece)
+    rms = math.sqrt(n2 / x.size)
+    if not math.isfinite(rms):
         raise ValueError(f"squared norms overflow float64 on {name}")
-    noise = _noise_rng(seed, name).standard_normal(x.shape)
-    noise *= sigma * multiplier * rms       # in place: the bits of x + c * noise
-    return np.add(x, noise, out=noise)
+    scale = sigma * multiplier * rms
+    rng = _noise_rng(seed, name)
+    work = _Workspace()
+    for _, _, piece in _row_pieces(x, 1, _STREAM_ELEMS):
+        noise = rng.standard_normal(out=work.take("noise", piece.shape))
+        noise *= scale                      # in place: the bits of x + scale * noise
+        yield np.add(piece, noise, out=noise)
+
+
+def aqn_apply(x, sigma: float, seed: int, multiplier: float = 1.0,
+              name: str = "") -> np.ndarray:
+    """x + N(0, (sigma * multiplier * rms(x))^2) as one new array: the pieces
+    of aqn_pieces, the same bits as the aqn command writes."""
+    x = _as_tensor(x)
+    out = np.empty(x.shape)
+    flat = out.reshape(-1)
+    at = 0
+    for piece in aqn_pieces(x, sigma, seed, multiplier, name):
+        flat[at:at + piece.size] = piece.ravel()
+        at += piece.size
+    return out

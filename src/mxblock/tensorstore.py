@@ -328,10 +328,11 @@ class ContainerWriter(_AtomicFile):
     gaps, and is written first. write() then takes each tensor in header
     order and narrows it one piece (_STREAM_ELEMS elements) at a time into
     one set of reused buffers, writing each piece as it is made, so past
-    the caller's float64 tensor the memory is one piece. A value that is
-    not finite once narrowed (an inf or a nan, or a finite value beyond the
-    dtype's range) is a TensorStoreError naming the tensor and its dtype,
-    because the reader would refuse it. Use as a context manager: the file
+    the caller's float64 tensor the memory is one piece. write_pieces()
+    takes a tensor as consecutive pieces instead, so that it is never whole
+    in memory. A value that is not finite once narrowed (an inf or a nan,
+    or a finite value beyond the dtype's range) is a TensorStoreError
+    naming the tensor and its dtype, because the reader would refuse it. Use as a context manager: the file
     appears at path, whole, when the block ends cleanly, and not at all
     otherwise."""
 
@@ -358,18 +359,41 @@ class ContainerWriter(_AtomicFile):
     def write(self, name: str, data) -> None:
         """Append tensor name, the next in header order, narrowed to its
         declared dtype piece by piece."""
-        if self._written == len(self.names) or name != self.names[self._written]:
-            raise TensorStoreError(f"tensor {name} written out of header order")
-        meta = self._header[name]
+        meta = self._next(name)
         x = np.asarray(data, dtype=np.float64)
         if list(x.shape) != meta["shape"]:
             raise TensorStoreError(f"shape mismatch (tensor {name}): declared "
                                    f"{meta['shape']}, given {list(x.shape)}")
-        flat = x.reshape(-1)
-        for start in range(0, flat.size, _STREAM_ELEMS):
-            piece = flat[start:start + _STREAM_ELEMS]
-            self.file.write(self._narrow(piece, name, meta["dtype"]))
+        self.write_pieces(name, (x,))
+
+    def write_pieces(self, name: str, pieces) -> None:
+        """Append tensor name, the next in header order, from pieces: arrays
+        whose row-major elements, one piece after another, are the tensor's.
+        Each piece is narrowed and written before the next is taken, so the
+        pieces can be made one at a time in one reused buffer. Elements past
+        the declared size, or fewer than it, are a TensorStoreError."""
+        meta = self._next(name)
+        size = math.prod(meta["shape"])
+        done = 0
+        for piece in pieces:
+            flat = np.asarray(piece, dtype=np.float64).reshape(-1)
+            if done + flat.size > size:
+                raise TensorStoreError(f"more than the declared {size} elements "
+                                       f"(tensor {name})")
+            for start in range(0, flat.size, _STREAM_ELEMS):
+                part = flat[start:start + _STREAM_ELEMS]
+                self.file.write(self._narrow(part, name, meta["dtype"]))
+            done += flat.size
+        if done < size:
+            raise TensorStoreError(f"{done} of the declared {size} elements "
+                                   f"(tensor {name})")
         self._written += 1
+
+    def _next(self, name: str) -> dict:
+        """The header entry of name, the next tensor to write."""
+        if self._written == len(self.names) or name != self.names[self._written]:
+            raise TensorStoreError(f"tensor {name} written out of header order")
+        return self._header[name]
 
     def _narrow(self, piece: np.ndarray, name: str, dtype: str) -> np.ndarray:
         """piece as dtype's little-endian values, in a reused buffer. BF16

@@ -426,6 +426,21 @@ except Exception as exc:
 """
 
 
+# every field of a sample-set GEMM propagation as float hex: a 256x256
+# Student-t weight and 300 samples, one chunk of 256x300 products, a shape
+# where a BLAS gemm takes other bits at 2 threads than at 1
+_SAMPLE_SET_SCRIPT = """
+import numpy as np
+from mxblock.analysis import gemm_error_propagation
+rng = np.random.default_rng(5)
+w = rng.standard_t(5.0, (256, 256))
+prop = gemm_error_propagation(w, cov=rng.standard_normal((300, 256)), samples=200, seed=1)
+for field in ("var_scale", "var_dz", "var_grid", "var_total", "cross_scale_grid",
+              "cross_scale_dz", "cross_dz_grid", "mc_estimate"):
+    print(field, getattr(prop, field).hex())
+"""
+
+
 class TestGemmPropagation:
     def test_overlapping_deadzone_raises(self, monkeypatch):
         e, z = np.ones((4, 8)), np.zeros((4, 8))
@@ -539,6 +554,20 @@ class TestGemmPropagation:
             tracemalloc.stop()
         assert prop.cov_mode == "samples" and prop.var_total > 0
         assert peak < 64 * 1024 * 1024, peak
+
+    def test_sample_set_same_bits_at_one_and_two_threads(self):
+        src = os.path.dirname(os.path.dirname(mxblock.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", _SAMPLE_SET_SCRIPT],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.split("\n"))
+        assert len(outputs[0]) == 9                    # eight fields and the last newline
+        assert outputs[0] == outputs[1]
 
     def test_mbs_variant(self):
         rng = np.random.default_rng(99)

@@ -640,12 +640,32 @@ def test_aqn_writes_one_tensor_at_a_time(capsys, tmp_path):
     assert peaks[4] <= peaks[1] + x.nbytes, peaks
 
 
+def test_aqn_noised_out_is_flat_in_the_tensor_size(capsys, tmp_path):
+    # each tensor is read, noised and written piece by piece: a tensor 4x as
+    # large peaks no higher, and below one 1024x1024 float64 tensor (8 MiB)
+    rng = np.random.default_rng(67)
+    peaks = {}
+    for rows in (1024, 4096):
+        ts = TensorSet()
+        ts.add("w", rng.standard_normal((rows, 1024)), "BF16")
+        path = str(tmp_path / f"{rows}.tensors")
+        save_container(ts, path)
+        argv = ["aqn", "--input", path, "--noised-out", str(tmp_path / f"{rows}.noised")]
+        peaks[rows] = _peak_bytes(lambda: main(argv))
+        assert capsys.readouterr().out
+    assert peaks[4096] <= peaks[1024] + (64 << 10), peaks
+    assert peaks[4096] < 8 << 20, peaks
+
+
 def test_aqn_noised_out_is_the_whole_array_encoding(capsys, tmp_path, reference_container):
-    # the streamed output is the bytes of each noised tensor encoded whole
+    # the streamed output is the bytes of each noised tensor encoded whole,
+    # for tensors of one piece and of several (rows of 1000, and one row
+    # longer than a piece)
     rng = np.random.default_rng(65)
     ts = TensorSet()
     for name, shape in [("wq", (64, 96)), ("post_attention_layernorm", (96,)),
-                        ("scalar", ())]:
+                        ("scalar", ()), ("rows", (300, 1000)),
+                        ("long", (quantize._STREAM_ELEMS + 1003,))]:
         ts.add(name, rng.standard_normal(shape), "BF16")
     path = str(tmp_path / "in.tensors")
     save_container(ts, path)
@@ -675,6 +695,34 @@ def test_aqn_non_finite_in_last_tensor_leaves_no_file(capsys, tmp_path, referenc
     assert code == 2 and out == ""
     assert "non-finite values (tensor z)" in err
     assert os.listdir(tmp_path) == ["in.tensors"]
+
+
+# Writes a small container to sys.argv[1], runs decompose and mbs on it, and
+# prints whether OpenSSL's hashlib backend was loaded on the way.
+_HASHLIB_SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+import mxblock.cli as cli
+from mxblock.tensorstore import TensorSet, save_container
+ts = TensorSet()
+ts.add("w", np.linspace(-1.0, 1.0, 4 * 256).reshape(4, 256), "BF16")
+save_container(ts, sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([command, "--input", sys.argv[1]]) for command in ("decompose", "mbs")]
+print(codes, "_hashlib" in sys.modules)
+"""
+
+
+def test_decompose_and_mbs_do_not_load_openssl(tmp_path):
+    # only aqn keys noise by sha256; decompose and mbs on --input never touch
+    # numpy.random (which loads hashlib itself), so they never load libcrypto
+    src = os.path.dirname(os.path.dirname(mxblock.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _HASHLIB_SCRIPT, str(tmp_path / "w.tensors")],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[0,", "0]", "False"]
 
 
 # Runs cli.main on each argv of the JSON list in sys.argv[1] and prints, per

@@ -599,13 +599,13 @@ class TestMbsQdq:
         else:
             assert sum(qdq_rows) == sum(trial_rows) > 0
 
-    @pytest.mark.parametrize("bits,bound_mib", [(0, 4.125), (3, 3.75)])
+    @pytest.mark.parametrize("bits,bound_mib", [(0, 2.125), (3, 3.5)])
     def test_exhaustive_peak_holds_no_error_matrix(self, bits, bound_mib):
         # Past its output, mbs_qdq on 512x512 peaks at one step's workspace
-        # and one chunk of trials: 4.02 MiB at M = 0 and 3.58 MiB at M = 3.
-        # Either bound is less than 256 KiB above its peak, so a (macros,
-        # 256) float64 matrix, or one step's trial errors at M = 3, would
-        # cross it.
+        # (2^13 elements, 64 macros) and one chunk of trials: 2.03 MiB at
+        # M = 0 and 3.43 MiB at M = 3. Either bound is less than 128 KiB
+        # above its peak, so a step's (64, 256) float64 error matrix, or its
+        # 64 x 256 trial errors at M = 3, 128 KiB each, would cross it.
         x = np.random.default_rng(91).standard_normal((512, 512))
         quant = BlockQuantConfig(scale_mantissa_bits=bits)
         result = []
@@ -761,6 +761,21 @@ class TestAqn:
     def test_negative_sigma_raises(self):
         with pytest.raises(ValueError):
             aqn_apply(np.ones(4), -0.1, seed=0)
+
+    @pytest.mark.parametrize("size", [1, 7, 1022, 4099, 2 ** 17 + 5, 3 * 2 ** 17 + 2])
+    def test_noise_drawn_in_pieces_is_the_whole_draw(self, size):
+        # aqn_pieces draws each piece's noise in turn from one keyed Philox
+        # stream: consecutive slices of any lengths (odd, not a multiple of
+        # 4, across 2^17) hold the bits of one whole draw
+        cuts = [c for c in (1, 4, 11, 1000, 2 ** 17, 2 ** 17 + 1, 2 ** 18 + 3) if c < size]
+        bounds = [0, *cuts, size]
+        for seed, name in ((0, ""), (7, "layer"), (2 ** 40, "model.post_attention_layernorm.w")):
+            whole = corrections._noise_rng(seed, name).standard_normal(size)
+            rng = corrections._noise_rng(seed, name)
+            pieces = np.empty(size)
+            for lo, hi in zip(bounds, bounds[1:]):
+                rng.standard_normal(out=pieces[lo:hi])
+            assert np.array_equal(pieces.view(np.uint64), whole.view(np.uint64)), (seed, name)
 
     def test_frozen_regression(self):
         # stream identity: any change to the keying or rng breaks this

@@ -467,11 +467,36 @@ class TestWriter:
         with pytest.raises(TensorStoreError, match="tensor b declared but not written"):
             with ContainerWriter(path, entries) as out:
                 out.write("a", np.ones(3))
+        with pytest.raises(TensorStoreError, match=r"more than the declared 3 elements \(tensor a\)"):
+            with ContainerWriter(path, entries) as out:
+                out.write_pieces("a", [np.ones(2), np.ones(2)])
+        with pytest.raises(TensorStoreError, match=r"2 of the declared 3 elements \(tensor a\)"):
+            with ContainerWriter(path, entries) as out:
+                out.write_pieces("a", [np.ones((1, 2))])
+        with pytest.raises(TensorStoreError, match="out of header order"):
+            with ContainerWriter(path, entries) as out:
+                out.write_pieces("b", [np.ones(2)])
         with pytest.raises(KeyboardInterrupt):
             with ContainerWriter(path, entries) as out:
                 out.write("a", np.ones(3))
                 raise KeyboardInterrupt
         assert os.listdir(tmp_path) == []
+
+
+    @pytest.mark.parametrize("dtype", ["F64", "F32", "F16", "BF16"])
+    def test_pieces_are_the_bytes_of_the_whole(self, tmp_path, monkeypatch, dtype):
+        # consecutive pieces of any shapes and lengths, across the writer's
+        # own 16-element pieces, write the bytes of the whole tensor
+        monkeypatch.setattr(tensorstore, "_STREAM_ELEMS", 16)
+        x = np.random.default_rng(56).standard_normal((3, 50))
+        whole, pieces = tmp_path / "whole.tensors", tmp_path / "pieces.tensors"
+        with ContainerWriter(str(whole), [("x", dtype, x.shape)]) as out:
+            out.write("x", x)
+        flat = x.ravel()
+        with ContainerWriter(str(pieces), [("x", dtype, x.shape)]) as out:
+            out.write_pieces("x", [flat[:1], flat[1:8].reshape(7, 1), flat[8:8],
+                                   flat[8:40].reshape(4, 8), flat[40:]])
+        assert pieces.read_bytes() == whole.read_bytes()
 
 
 def _f32_bits(bits: int) -> float:
