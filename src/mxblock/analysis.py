@@ -29,7 +29,14 @@ from .decompose import (
     _row_pieces,
     decompose_tensor,
 )
-from .quantize import _STREAM_ELEMS, BlockQuantConfig, _deadzone, _Workspace, block_view
+from .quantize import (
+    _CHUNK_ELEMS,
+    _STREAM_ELEMS,
+    BlockQuantConfig,
+    _deadzone,
+    _Workspace,
+    block_view,
+)
 
 __all__ = [
     "GammaStats",
@@ -254,7 +261,9 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     fast, so the rule converges geometrically in 1/h. Against scipy's adaptive
     quad the worst error was 3e-15 for sigma_eta from 0.05 to 100. It takes
     37 nodes up to s = 1 and about 36 s above that. Pairs go through one
-    reused (pairs, nodes) buffer of about _STREAM_ELEMS elements."""
+    reused (pairs, nodes) buffer of about quantize._CHUNK_ELEMS elements, the
+    split's L2-sized piece; each pair's nodes are summed in one row of it, so
+    the tile changes no bit."""
     s = math.sqrt(2.0) * sigma_eta
     h = 0.5 / max(1.0, s)
     k = int(_pair_nodes(sigma_eta)) // 2
@@ -262,7 +271,7 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     weights = (h / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
     shifts = s * z
     p_bar = np.empty(dl.size)
-    rows = max(1, _STREAM_ELEMS // shifts.size)
+    rows = max(1, _CHUNK_ELEMS // shifts.size)
     buf = np.empty((min(rows, dl.size), shifts.size))
     for lo in range(0, dl.size, rows):
         p = buf[:min(rows, dl.size - lo)]
@@ -273,30 +282,40 @@ def _pair_preference(dl: np.ndarray, sigma_eta: float) -> np.ndarray:
     return p_bar
 
 
-def _bernoulli_kl(p: np.ndarray):
-    """q -> sum KL(Bernoulli(p) || Bernoulli(q)), p and q clipped to [eps,
-    1 - eps]. p is clipped in place, once, and 1 - p is taken once, for
-    every q a search tries. kl(q) overwrites q and writes the terms into one
-    scratch array of p's size, so a call makes no pair-sized temporary."""
+def _kl_objective(p: np.ndarray, dl: np.ndarray):
+    """log T -> sum KL(Bernoulli(p) || Bernoulli(q)) with q = sigmoid(dl / T),
+    p and q clipped to [eps, 1 - eps]; p is clipped in place, once. A call
+    forms q and 1 - p in tiles of quantize._CHUNK_ELEMS pairs, in two tile
+    buffers, and writes each tile's terms into one scratch array of p's
+    size, which it sums once: the tile changes no bit of the value, and a
+    call makes no pair-sized temporary."""
     eps = 1e-15
     np.clip(p, eps, 1.0 - eps, out=p)
-    p_c = 1.0 - p
     terms = np.empty_like(p)
+    tile = min(_CHUNK_ELEMS, p.size)
+    q_buf, c_buf = np.empty(tile), np.empty(tile)
 
-    def kl(q: np.ndarray) -> float:
-        # p log(p / q) + p_c log(p_c / (1 - q)), in that operation order
-        np.clip(q, eps, 1.0 - eps, out=q)
-        np.divide(p, q, out=terms)
-        np.log(terms, out=terms)
-        np.multiply(terms, p, out=terms)
-        np.subtract(1.0, q, out=q)
-        np.divide(p_c, q, out=q)
-        np.log(q, out=q)
-        np.multiply(q, p_c, out=q)
-        np.add(terms, q, out=terms)
+    def objective(log_t: float) -> float:
+        t = math.exp(log_t)
+        for lo in range(0, p.size, tile):
+            p_t, term = p[lo:lo + tile], terms[lo:lo + tile]
+            q, p_c = q_buf[:p_t.size], c_buf[:p_t.size]
+            np.divide(dl[lo:lo + tile], t, out=q)
+            _sigmoid(q, out=q)
+            # p log(p / q) + p_c log(p_c / (1 - q)), in that operation order
+            np.clip(q, eps, 1.0 - eps, out=q)
+            np.divide(p_t, q, out=term)
+            np.log(term, out=term)
+            np.multiply(term, p_t, out=term)
+            np.subtract(1.0, p_t, out=p_c)
+            np.subtract(1.0, q, out=q)
+            np.divide(p_c, q, out=q)
+            np.log(q, out=q)
+            np.multiply(q, p_c, out=q)
+            np.add(term, q, out=term)
         return float(terms.sum())
 
-    return kl
+    return objective
 
 
 _GOLDEN_TOL = 1e-10
@@ -358,10 +377,12 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
     Monte Carlo of the same draws would.
 
     Memory: besides the pairs' index arrays, which are dropped once the
-    logit differences are formed, the fit holds about five float64 arrays
-    of the pair count (the differences, the preferences, their complements
-    and the search's two buffers), one quadrature buffer of _STREAM_ELEMS
-    elements and one Monte-Carlo chunk of at most 1e7 elements.
+    logit differences are formed, the fit holds three float64 arrays of the
+    pair count (the differences, the preferences and the search's terms)
+    and tile buffers of about quantize._CHUNK_ELEMS elements: the
+    quadrature's, the Monte Carlo's (one row longer) and the search's two.
+    The tracemalloc peak was 0.46 MiB at vocab 100 and 3.09 pair arrays at
+    1e6 pairs, and it does not grow with the draws.
     """
     ell = np.asarray(logits, dtype=np.float64).ravel()
     if ell.size < 2:
@@ -401,39 +422,44 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
         p_bar = _sigmoid(dl)
     else:
         p_bar = _pair_preference(dl, sigma_eta)
-        # one noise sample per (draw, token), a chunk of draws at a time in
-        # one reused buffer. The chunk length fixes the order in which
-        # `noised` is summed, and so the last bits of entropy_noised: it
+        # one noise sample per (draw, token), summed over the draws of a
+        # chunk and then added to `noised`. The chunk length fixes that
+        # order of summation, and so the last bits of entropy_noised: it
         # stays 1e7 // max(n_pairs, vocab) draws so that reports keep their
-        # values from one version to the next.
+        # values from one version to the next. A chunk is drawn, softmaxed
+        # and summed in tiles of rows of quantize._CHUNK_ELEMS elements; row
+        # 0 of the tile buffer carries the chunk's running column sum. numpy
+        # sums a C-ordered array down axis 0 one row at a time, so a tile's
+        # sum continues the chunk's and the tile changes no bit
         noised = np.zeros(vocab)
         step = max(1, int(1e7) // max(n_pairs, vocab))
-        buf = np.empty((min(step, draws), vocab))
-        row = np.empty((buf.shape[0], 1))
+        rows = max(1, min(step, draws, _CHUNK_ELEMS // vocab))
+        buf = np.empty((rows + 1, vocab))
+        row = np.empty((rows, 1))
+        starts = np.arange(0, rows * vocab, vocab)
         col = np.empty(vocab)
         done = 0
         while done < draws:
             n = min(step, draws - done)
-            z, z_row = buf[:n], row[:n]
-            rng.standard_normal(out=z)
-            z *= sigma_eta
-            z += ell
-            np.max(z, axis=1, keepdims=True, out=z_row)
-            z -= z_row
-            np.exp(z, out=z)
-            np.sum(z, axis=1, keepdims=True, out=z_row)
-            z /= z_row
-            noised += np.sum(z, axis=0, out=col)
+            col.fill(0.0)
+            for first in range(0, n, rows):
+                m = min(rows, n - first)
+                z, z_row = buf[1:m + 1], row[:m]
+                rng.standard_normal(out=z)
+                z *= sigma_eta
+                z += ell
+                np.maximum.reduceat(z.reshape(-1), starts[:m], out=z_row[:, 0])
+                z -= z_row
+                np.exp(z, out=z)
+                np.sum(z, axis=1, keepdims=True, out=z_row)
+                z /= z_row
+                buf[0] = col
+                np.sum(buf[:m + 1], axis=0, out=col)
+            noised += col
             done += n
         noised /= draws
 
-    kl = _bernoulli_kl(p_bar)
-    q = np.empty_like(dl)
-
-    def objective(log_t: float) -> float:
-        np.divide(dl, math.exp(log_t), out=q)
-        return kl(_sigmoid(q, out=q))
-
+    objective = _kl_objective(p_bar, dl)
     lo = math.log(0.5)
     for hi in _LOG_T_HIGHS:
         log_t_hat = _golden_min(objective, lo, hi)

@@ -61,6 +61,7 @@ from .formats import (
 from .quantize import (
     _STREAM_ELEMS,
     BlockQuantConfig,
+    _block_maxima,
     _coded_round,
     _Workspace,
     block_view,
@@ -601,9 +602,7 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
     for r, c, step in _row_pieces(rows, macro, _STEP_ELEMS):
         view = block_view(step, macro_config, work)
         mag = view.mag
-        # sub-block maxima: on |x| the int64 order of the bits is the float
-        # order, and the integer reduction is the faster
-        sub_max = mag.reshape(len(mag), -1, B).view(np.int64).max(axis=2).view(np.float64)
+        sub_max = _block_maxima(mag, B).reshape(len(mag), -1)
         with np.errstate(over="ignore"):             # overflow is rejected just below
             if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
                 raise ValueError("MBS prescale overflows float64: a macro maximum "

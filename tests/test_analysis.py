@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -276,8 +277,17 @@ class TestEffectiveTemperature:
         assert fit.t_hat == 1.175105956691707
         assert fit.kl_min == 0.09257189882545346
         assert not fit.t_hat_at_bound
-        # one 2020 x 100 Monte Carlo chunk (1.5 MiB) and a few pair arrays
-        assert peak < 2.5 * 2 ** 20, peak
+        # one 328 x 100 Monte Carlo tile and a few 4950-pair arrays: 0.46 MiB
+        # measured, bounded with 0.14 MiB of slack
+        assert peak < 0.6 * 2 ** 20, peak
+
+    def test_entropy_noised_memory_does_not_grow_with_draws(self):
+        # ten times the draws make ten times the Monte Carlo chunks, each
+        # summed through the same tile buffer
+        ell = np.random.default_rng(61).standard_normal(100)
+        _, peak_20k = self._traced_fit(ell, 0.6862875497722323, 20_000, 61)
+        _, peak_200k = self._traced_fit(ell, 0.6862875497722323, 200_000, 61)
+        assert abs(peak_200k - peak_20k) <= 8 * analysis._CHUNK_ELEMS, (peak_20k, peak_200k)
 
     def test_entropy_noised_golden_subsampled_pairs(self):
         # 1500 logits have 1124250 pairs, above max_pairs: the pair
@@ -289,7 +299,35 @@ class TestEffectiveTemperature:
         assert fit.entropy_clean == 6.860625207426964
         assert fit.t_hat == 1.0965474596653866
         assert fit.kl_min == 9.196435398085493
-        assert peak <= 6 * 8 * fit.n_pairs, peak / (8 * fit.n_pairs)
+        # the differences, the preferences and the search's terms: 3.09 pair
+        # arrays measured, bounded with 0.16 arrays (1.3 MB) of slack
+        assert peak <= 3.25 * 8 * fit.n_pairs, peak / (8 * fit.n_pairs)
+
+    @staticmethod
+    def _bits(fit):
+        return [v.hex() if isinstance(v, float) else v
+                for v in dataclasses.astuple(fit)]
+
+    # (vocab, max_pairs, draws, tile that cuts every loop mid-way): 4950 full
+    # pairs in Monte Carlo chunks of 2020 draws, and 20000 subsampled pairs
+    # in chunks of 500 draws
+    @pytest.mark.parametrize("vocab,max_pairs,draws,cut", [(100, 1_000_000, 20_000, 1250),
+                                                           (300, 20_000, 10_000, 2150)])
+    def test_fit_bits_do_not_depend_on_the_tile(self, monkeypatch, vocab, max_pairs,
+                                                draws, cut):
+        ell = np.random.default_rng(vocab).standard_normal(vocab)
+
+        def fit():
+            return effective_temperature_fit(ell, 0.6, draws=draws, seed=vocab,
+                                              max_pairs=max_pairs)
+
+        want = fit()
+        assert want.n_pairs == min(max_pairs, vocab * (vocab - 1) // 2)
+        # one Monte Carlo row per tile, then tiles that end inside a chunk,
+        # inside the quadrature's pairs and inside the search's pairs
+        for tile in (vocab, cut):
+            monkeypatch.setattr(analysis, "_CHUNK_ELEMS", tile)
+            assert self._bits(fit()) == self._bits(want), tile
 
     def test_fit_flags_a_search_stopped_at_the_bracket(self, monkeypatch):
         # at sigma_eta 50 on 3 logits the KL still falls at T = 10; with 10
@@ -384,7 +422,7 @@ class TestPairPreference:
         dl = np.random.default_rng(95).standard_normal(1000) * 3.0
         whole = analysis._pair_preference(dl, 2.0)
         assert np.abs(whole + analysis._pair_preference(-dl, 2.0) - 1.0).max() <= 1e-15
-        monkeypatch.setattr(analysis, "_STREAM_ELEMS", 1000)
+        monkeypatch.setattr(analysis, "_CHUNK_ELEMS", 1000)
         assert np.array_equal(analysis._pair_preference(dl, 2.0), whole)
 
 

@@ -257,6 +257,49 @@ def _sub_max(macros, B):
     return np.abs(macros).reshape(len(macros), -1, B).max(axis=2)
 
 
+# Magnitudes in the MBS domain (times 511/256 finite): subnormals, the least
+# normal and the float below it, and the largest such floats
+_MBS_EDGE_MAGNITUDES = [0.0, 5e-324, 2.0 ** -1060, float(np.nextafter(2.0 ** -1022, 0.0)),
+                        2.0 ** -1022, 1.0, 8e307, 2.0 ** 1023]
+
+
+@st.composite
+def _sub_max_cases(draw):
+    """(x, B, macro): (rows, n) inputs ragged against the macro, with -0.0,
+    subnormals and magnitudes up to 2^1023, picked from a drawn pool."""
+    B = draw(st.integers(1, 64))
+    macro = B * draw(st.integers(1, 4))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 300)))
+    values = st.one_of(st.floats(-8e307, 8e307),
+                       st.sampled_from([v for m in _MBS_EDGE_MAGNITUDES for v in (m, -m)]))
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return pool[rng.integers(0, pool.size, size=shape)], B, macro
+
+
+class TestSubBlockMaxima:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_sub_max_cases())
+    def test_steps_take_reference_maxima(self, case):
+        # every step's sub-block maxima, as _step_codes receives them, are
+        # _sub_max of that step's magnitudes, bit for bit
+        x, B, macro = case
+        seen = []
+        real = corrections._step_codes
+
+        def spy(mag, sub_max, *args):
+            seen.append((mag.copy(), sub_max.copy()))
+            return real(mag, sub_max, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corrections, "_step_codes", spy)
+            mbs_qdq(x, MbsConfig(macro_block_size=macro), BlockQuantConfig(block_size=B),
+                    "closed_form")
+        assert sum(mag.size for mag, _ in seen) == len(x) * -(-x.shape[1] // macro) * macro
+        for mag, sub_max in seen:
+            assert np.array_equal(sub_max.view(np.uint64), _sub_max(mag, B).view(np.uint64))
+
+
 _EDGE_U = sorted({float(v) for m in (*GRID_MIDPOINTS, 0.5, 1.0, 6.0)
                   for v in (m, np.nextafter(m, 0.0), np.nextafter(m, 7.0))})
 

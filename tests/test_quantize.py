@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mxblock.formats import ceil_scale_array, grid_round_array
 from mxblock.quantize import (
     BlockQuantConfig,
+    _Workspace,
     block_view,
     deadzone_mask,
     ideal_scale,
@@ -74,6 +75,61 @@ class TestBlockView:
             block_view(np.empty(0), BlockQuantConfig())
         with pytest.raises(ValueError, match="non-finite"):
             block_view(np.array([1.0, np.nan]), BlockQuantConfig())
+
+
+# Magnitudes at the ends of the float range: subnormals, the least normal and
+# the float below it, and the largest floats
+_EDGE_MAGNITUDES = [0.0, 5e-324, 2.0 ** -1060, float(np.nextafter(2.0 ** -1022, 0.0)),
+                    2.0 ** -1022, 1.0, 1e308, float(np.nextafter(np.inf, 0.0))]
+
+
+@st.composite
+def _maxima_cases(draw):
+    """(x, B): 0-d, one-element and (rows, n) inputs of finite floats, with
+    -0.0, subnormals and |x| near 1e308 among them, and n ragged against B.
+    The elements are a seeded pick from a drawn pool of values, which keeps
+    a 900-element case as cheap to draw as a short one."""
+    B = draw(st.integers(1, 128))
+    shape = draw(st.one_of(st.just(()), st.just((1,)),
+                           st.tuples(st.integers(1, 3), st.integers(1, 300))))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([v for m in _EDGE_MAGNITUDES for v in (m, -m)]))
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array(pool[rng.integers(0, pool.size, size=shape)]), B
+
+
+def _reference_maxima(x, B):
+    """max |x| over each run of B elements of each innermost row, in Python."""
+    n = x.shape[-1] if x.ndim else 1
+    return np.array([max(abs(float(v)) for v in row[lo:lo + B])
+                     for row in x.reshape(-1, n) for lo in range(0, n, B)])
+
+
+class TestBlockMaximaProperty:
+    """block_view takes every block maximum in one flat reduceat over the
+    int64 view of |x|; the maxima must be the per-block ones, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_maxima_cases())
+    def test_maxima_match_reference(self, case):
+        x, B = case
+        cfg = BlockQuantConfig(block_size=B)
+        want = _reference_maxima(x, B).view(np.uint64)
+        work = _Workspace()
+        work.take("mag", (x.size + B,)).fill(np.nan)     # stale contents never leak
+        for view in (block_view(x, cfg), block_view(x, cfg, work)):
+            assert np.array_equal(view.m_b.view(np.uint64), want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_maxima_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_nonfinite_raises(self, case, bad, data):
+        x, B = case
+        x = x.copy()
+        x.reshape(-1)[data.draw(st.integers(0, x.size - 1))] = bad
+        for work in (None, _Workspace()):
+            with pytest.raises(ValueError, match="non-finite"):
+                block_view(x, BlockQuantConfig(block_size=B), work)
 
 
 class TestWorkedBlock:
