@@ -14,8 +14,9 @@ Two selection modes for k:
   drive the scale ratio to 1. At M = 0 a closed form ranks all 256 codes
   in O(macro + 256) per macro: each element's grid value changes only at
   its grid crossings (at most four) and at its sub-block's one scale
-  switch, and only those changes are placed at their codes. Only the
-  codes it cannot tell from the minimum, almost always one, are quantized
+  switch, and only those changes are placed at their codes. A macro for
+  which it leaves one code near the minimum, almost every macro, takes
+  that code untried; only the codes of a macro left in doubt are quantized
   as trials. At M > 0 every code is a trial, O(256 macro) per macro.
   Either way the code is the one that quantizing all 256 trials picks,
   bit for bit.
@@ -26,11 +27,13 @@ Two selection modes for k:
 
 mbs_qdq runs in one pass over steps of whole macros. Each step is blocked
 once, at the macro size: its sub-block maxima are taken once, its codes
-picked, and its x_hat written from that same view. A macro's x_hat is the
-row of its winning trial, kept as the trials are evaluated, in either
-mode: no macro is quantized again for the output. A macro's code and x_hat
-depend on that macro alone, so the decomposition can measure mbs_qdq piece
-by piece, on pieces cut at whole macros, as it measures of_qdq.
+picked, and its x_hat written from that same view. A macro decided
+without a trial, in either mode, has its x_hat row evaluated once at its
+code, with the step's other such macros; a tried macro's x_hat is the row
+of its winning trial, kept as the trials are evaluated. No macro is
+quantized again for the output. A macro's code and x_hat depend on that
+macro alone, so the decomposition can measure mbs_qdq piece by piece, on
+pieces cut at whole macros, as it measures of_qdq.
 
 Outlier fallback (OF) runs the quantizer twice and blends the residual
 pass: x_hat = Q(x) + alpha * Q(x - Q(x)). Deadzone values killed by pass 1
@@ -173,14 +176,14 @@ _INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
 _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
 # Elements per step of mbs_qdq: code selection and x_hat alike. The
 # workspace of an exhaustive step at M = 0 (macro 128, a Gaussian: 1.4
-# crossings per element) is 27 arrays, its largest the complex sums and the
-# crossings' weights: 1.72 MiB at 2^13 elements, under a 2 MiB L2 per core,
-# against 3.43 MiB at 2^14. Each macro's code and x_hat do not depend on its
-# step, so the step size moves no output bit. On 512x512 (a 2-core Xeon)
-# the smaller step lowered the mbs command's peak RSS from 46.9 to 44.5 MB
-# and cost twice the steps' fixed overhead: mbs_qdq took 46.3 ms against
-# 40.4 ms (median of 40 interleaved calls). A 2^15 step was no faster than 2^14 and raised
-# that peak from 46 to 52 MB.
+# crossings per element, every macro decided without a trial) is 25
+# arrays, its largest the complex sums and the crossings' weights: 1.60 MiB
+# at 2^13 elements, under a 2 MiB L2 per core, against 3.18 MiB at 2^14.
+# Each macro's code and x_hat do not depend on its step, so the step size
+# moves no output bit. On 512x512 (a 2-core Xeon) the smaller step lowered
+# the mbs command's peak RSS from 46.9 to 44.5 MB, and mbs_qdq took 38.9 ms
+# against 38.2 ms at 2^14 (first quartile of 80 interleaved calls each). A
+# 2^15 step was no faster than 2^14 and raised that peak from 46 to 52 MB.
 _STEP_ELEMS = 1 << 13
 # Macros whose nonzero magnitudes lie in this range take the closed form:
 # every product, square and quotient that it and the sweep form is a normal
@@ -481,11 +484,11 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
     """Codes of the macros of magnitudes mag = |x| with sub-block maxima
     sub_max and maxima macro_max, one step of mbs_qdq, and their |Q(p x) /
-    p| rows into out: each macro's x_hat is the row of its chosen trial, as
-    _prescaled_qdq evaluated it. All-zero macros get k = 0: every trial of
-    theirs is 0.0 and errs by exactly 0.0.
+    p| rows into out: each live macro's x_hat is the row of its code, as
+    _prescaled_qdq evaluated it, and no row is evaluated twice. All-zero
+    macros get k = 0: every trial of theirs is 0.0 and errs by exactly 0.0.
 
-    "closed_form" evaluates one trial per macro, at _closed_form_codes,
+    "closed_form" evaluates one row per macro, at _closed_form_codes,
     straight into out. In "exhaustive" the code is the argmin_k of the
     macro's _trial_errors value over all 256 prescales, ties to the
     smallest k, but not every trial is evaluated, and all-zero macros none,
@@ -495,43 +498,69 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
     a rigorous bound D on |A(k) - E(k)|, where E is the float value
     _trial_errors computes. E(k*) <= E(k') for the k' minimizing A, so the
     code k* has A(k*) <= min A + 2D, and the float sum min A + 3D cannot
-    round below that, as D exceeds its rounding. The codes at or below it,
-    almost always argmin A alone, are its candidates. At M > 0 the scale
-    takes many values over k and s is no longer a power of two, so u =
-    fl(p x) / s is rounded. There, and for macros outside the range, the
+    round below that, as D exceeds its rounding. The codes at or below it
+    are its candidates, argmin A among them; where a NaN in A or D leaves
+    none, argmin A is the one candidate, so no macro is left without. A
+    macro with one candidate, almost every macro, takes it without a trial:
+    it is the 256-trial argmin. The rows
+    of all such macros come from one _prescaled_qdq call, as in the closed
+    form, straight into out when they are the whole step. At M > 0 the
+    scale takes many values over k and s is no longer a power of two, so u
+    = fl(p x) / s is rounded. There, and for macros outside the range, the
     candidates are all 256 codes: the sweep.
 
-    The candidates of all live macros form one (macros, 256) bool mask,
-    which _trial_errors evaluates chunk by chunk, by macro, then by k.
-    Every live macro has a candidate: argmin A is set as one, so a NaN in A
-    or D cannot leave a macro without. Each macro keeps its first least
-    error: in a chunk, the first trial at the macro's least, and a macro
-    continued from the last chunk takes a later trial only at a strictly
-    smaller error. So ties go to the smallest k, as an argmin over all 256
-    trials takes them, bit for bit, and the winner's row is copied out
-    before the next chunk reuses its buffer: no error matrix or per-trial
-    array outlives its chunk. Every array, those of _approx_errors
-    included, lives in work."""
+    Only the macros left in doubt, with two or more candidates, and the
+    swept ones form a (macros, 256) bool mask, which _trial_errors
+    evaluates chunk by chunk, by macro, then by k. Each macro keeps its
+    first least error: in a chunk, the first trial at the macro's least,
+    and a macro continued from the last chunk takes a later trial only at a
+    strictly smaller error. So ties go to the smallest k, as an argmin over
+    all 256 trials takes them, bit for bit, and the winner's row is copied
+    out before the next chunk reuses its buffer: no error matrix or
+    per-trial array outlives its chunk, and a step without such macros
+    makes neither the mask nor the trials' buffers. Every array, those of
+    _approx_errors included, lives in work."""
     if mode == "closed_form":
         k = _closed_form_codes(macro_max)
         _prescaled_qdq(mag, sub_max, _PRESCALES[k][:, None], quant, out, work)
         return k
-    live = np.flatnonzero(macro_max > 0)
-    if len(live) < len(mag):
-        mag, sub_max, macro_max = mag[live], sub_max[live], macro_max[live]
-    cand = work.take("cand", (len(mag), MBS_LEVELS), bool)
-    cand.fill(True)
+    codes = np.zeros(len(mag), dtype=np.int64)
+    left = macro_max > 0                               # live macros not yet decided
+    doubt = np.empty(0, dtype=np.intp)                 # ranked macros left in doubt
     if quant.scale_mantissa_bits == 0:
         ranked = np.flatnonzero(
-            (macro_max <= _CLOSED_FORM_RANGE[1])
+            left & (macro_max <= _CLOSED_FORM_RANGE[1])
             & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
         if len(ranked):
-            sel = slice(None) if len(ranked) == len(mag) else ranked
+            sel = _all_or(ranked, len(mag))
             approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
             best = approx.argmin(axis=1)
             top = approx[np.arange(len(best)), best][:, None] + 3.0 * bound
-            cand[ranked] = approx <= top
-            cand[ranked, best] = True                  # a candidate even if A is NaN
+            near = np.less_equal(approx, top, out=work.take("near", approx.shape, bool))
+            # one code at or below top is argmin A; none (a NaN) leaves argmin A.
+            # Where two or more are, argmin A is one of them.
+            alone = np.count_nonzero(near, axis=1) <= 1
+            one = ranked[alone]
+            codes[one] = best[alone]
+            left[one] = False
+            if len(one):
+                sel = _all_or(one, len(mag))
+                hat = out if len(one) == len(out) else work.take("hat", (len(one), mag.shape[1]))
+                _prescaled_qdq(mag[sel], sub_max[sel], _PRESCALES[codes[one]][:, None],
+                               quant, hat, work)
+                if hat is not out:
+                    out[one] = hat
+            doubt = ranked[~alone]
+    tried = np.flatnonzero(left)
+    if not len(tried):
+        return codes
+    cand = work.take("cand", (len(tried), MBS_LEVELS), bool)
+    cand.fill(True)
+    if len(doubt):
+        at = np.searchsorted(tried, doubt)
+        cand[at] = near[~alone]
+    sel = _all_or(tried, len(mag))
+    mag, sub_max = mag[sel], sub_max[sel]
     k_best = np.zeros(len(mag), dtype=np.int64)
     hat = out if len(mag) == len(out) else work.take("hat", mag.shape)
     carry, least = -1, np.inf         # the last chunk's last macro and its least error
@@ -550,10 +579,15 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
         if len(win):
             carry, least = m1 - 1, errors[win[-1]]
     if hat is not out:
-        out[live] = hat
-    codes = np.zeros(len(out), dtype=np.int64)
-    codes[live] = k_best
+        out[tried] = hat
+    codes[tried] = k_best
     return codes
+
+
+def _all_or(rows: np.ndarray, n: int) -> np.ndarray | slice:
+    """rows, ascending indices below n, as an index: all of them as a
+    slice, so that indexing by it views rather than copies."""
+    return slice(None) if len(rows) == n else rows
 
 
 def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
@@ -574,7 +608,7 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
     One pass over steps of whole macros, about _STEP_ELEMS elements each.
     A step is blocked once, at the macro size; it takes its sub-block
     maxima and picks its codes, and its x_hat is the |Q(p x) / p| row of
-    each macro's chosen trial (_step_codes), then signed: a zero keeps the
+    each macro at its code (_step_codes), then signed: a zero keeps the
     sign of its element, except in all-zero blocks, which are +0.0
     throughout.
 

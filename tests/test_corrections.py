@@ -447,8 +447,10 @@ class TestExhaustiveExactPath:
         assert (np.abs(approx - _sweep_errors(macros, quant)) <= bound).all()
 
     def test_trial_counts(self, monkeypatch):
-        # dense macros at M = 0 evaluate one or two codes, all-zero macros
-        # none, and M > 0 evaluates all 256 codes of every other macro
+        # at M = 0 a macro with one candidate evaluates no trial and one in
+        # doubt its candidates; on this input every live macro has one.
+        # All-zero macros evaluate none, and M > 0 evaluates all 256 codes
+        # of every other macro.
         seen = []
         real = corrections._trial_errors
 
@@ -462,12 +464,53 @@ class TestExhaustiveExactPath:
         monkeypatch.setattr(corrections, "_trial_errors", counting)
         x = np.random.default_rng(87).standard_normal((16, 512))
         x[3] = 0.0                                   # four all-zero macros
-        for bits, low, high in ((0, 1, 2), (3, MBS_LEVELS, MBS_LEVELS)):
-            seen.clear()
-            mbs_qdq(x, MbsConfig(), BlockQuantConfig(scale_mantissa_bits=bits))
-            per_macro = np.concatenate(seen)
-            assert len(per_macro) == 60
-            assert low <= per_macro.min() and per_macro.max() <= high
+        macros = np.abs(_macros(x, MbsConfig()))
+        macros = macros[macros.max(axis=1) > 0]
+        approx, bound = corrections._approx_errors(macros, _sub_max(macros, 32))
+        top = approx.min(axis=1, keepdims=True) + 3.0 * bound
+        assert len(macros) == 60 and ((approx <= top).sum(axis=1) == 1).all()
+        mbs_qdq(x, MbsConfig(), BlockQuantConfig())
+        assert seen == []
+        mbs_qdq(x, MbsConfig(), BlockQuantConfig(scale_mantissa_bits=3))
+        per_macro = np.concatenate(seen)
+        assert len(per_macro) == 60 and (per_macro == MBS_LEVELS).all()
+
+    def test_mixed_step(self, monkeypatch):
+        # D is widened past the gap to the runner-up on alternate ranked
+        # macros of one step, whose first macro is swept (an element below
+        # the closed form's range): only those reach the trials, and the
+        # step's codes and x_hat, direct rows and trial rows alike, are the
+        # sweep's
+        real_approx, real_trials = corrections._approx_errors, corrections._trial_errors
+        tried = []
+
+        def widened(mag, sub_max, work):
+            approx, bound = real_approx(mag, sub_max, work)
+            ranked = np.sort(approx, axis=1)
+            gap = (ranked[:, 1] - ranked[:, 0])[1::2, None]
+            np.maximum(bound[1::2], gap, out=bound[1::2])
+            return approx, bound
+
+        def trials(mag, sub_max, cand, quant, work):
+            tried.append((mag.copy(), cand.sum(axis=1)))
+            yield from real_trials(mag, sub_max, cand, quant, work)
+
+        monkeypatch.setattr(corrections, "_approx_errors", widened)
+        monkeypatch.setattr(corrections, "_trial_errors", trials)
+        x = np.random.default_rng(92).standard_normal((8, 512))   # 32 macros, one step
+        x[0, 5] = 1e-200
+        mbs, quant = MbsConfig(), BlockQuantConfig()
+        x_hat, codes = mbs_qdq(x, mbs, quant, "exhaustive")
+        macros = _macros(x, mbs)
+        assert len(tried) == 1
+        mag, n_cand = tried[0]
+        assert np.array_equal(mag, np.abs(macros[[0, *range(2, 32, 2)]]))
+        assert n_cand[0] == MBS_LEVELS and (n_cand[1:] >= 2).all()
+        assert np.array_equal(codes, _sweep_errors(macros, quant).argmin(axis=1))
+        pres = (1.0 + codes / MBS_LEVELS)[:, None]
+        want = block_view(x, BlockQuantConfig(block_size=mbs.macro_block_size)).restore(
+            qdq_tensor(macros * pres, quant) / pres)
+        assert np.array_equal(x_hat.view(np.uint64), want.view(np.uint64))
 
     def test_arbiter_recovers_from_perturbed_closed_form(self, monkeypatch):
         # The closed form is moved by up to the bound it reports: up at the
@@ -618,10 +661,12 @@ class TestMbsQdq:
     @pytest.mark.parametrize("bits", [0, 3])
     @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
     def test_x_hat_is_the_trial_rows(self, monkeypatch, bits, mode):
-        # every row _prescaled_qdq evaluates is a trial: no x_hat pass
-        # follows the selection; the closed form evaluates one row per
-        # macro, straight into x_hat, and lists no trials
-        trial_rows, qdq_rows = [], []
+        # no x_hat pass follows the selection. The closed form evaluates one
+        # row per macro, in one call straight into x_hat, and lists no
+        # trials. At M = 0 every live macro here has one candidate: one call
+        # evaluates each live macro's row once, no trial, all-zero macros
+        # none. At M = 3 every row evaluated is a trial, 256 per live macro.
+        trial_rows, qdq_calls = [], []
         real_trials, real_qdq = corrections._trial_errors, corrections._prescaled_qdq
 
         def trials(*args):
@@ -630,25 +675,32 @@ class TestMbsQdq:
                 yield chunk
 
         def qdq(mag, *args):
-            qdq_rows.append(len(mag))
+            qdq_calls.append([row.tobytes() for row in mag])
             return real_qdq(mag, *args)
 
         monkeypatch.setattr(corrections, "_trial_errors", trials)
         monkeypatch.setattr(corrections, "_prescaled_qdq", qdq)
-        x = _golden_input("zeros")                   # 10 live macros of 16
+        x = _golden_input("zeros")                   # 10 live macros of 16, one step
         mbs_qdq(x, MbsConfig(), BlockQuantConfig(scale_mantissa_bits=bits), mode)
+        live = [m.tobytes() for m in np.abs(_macros(x, MbsConfig())) if m.any()]
+        assert len(live) == 10
+        rows = sorted(row for call in qdq_calls for row in call)
         if mode == "closed_form":
-            assert qdq_rows == [16] and trial_rows == []
+            assert [len(call) for call in qdq_calls] == [16] and trial_rows == []
+        elif bits == 0:
+            assert len(qdq_calls) == 1 and rows == sorted(live) and trial_rows == []
         else:
-            assert sum(qdq_rows) == sum(trial_rows) > 0
+            assert rows == sorted(live * MBS_LEVELS) and sum(trial_rows) == len(rows)
 
-    @pytest.mark.parametrize("bits,bound_mib", [(0, 2.125), (3, 3.5)])
+    @pytest.mark.parametrize("bits,bound_mib", [(0, 2.0), (3, 3.5)])
     def test_exhaustive_peak_holds_no_error_matrix(self, bits, bound_mib):
         # Past its output, mbs_qdq on 512x512 peaks at one step's workspace
-        # (2^13 elements, 64 macros) and one chunk of trials: 2.03 MiB at
-        # M = 0 and 3.43 MiB at M = 3. Either bound is less than 128 KiB
-        # above its peak, so a step's (64, 256) float64 error matrix, or its
-        # 64 x 256 trial errors at M = 3, 128 KiB each, would cross it.
+        # (2^13 elements, 64 macros): 1.91 MiB at M = 0, where every macro
+        # is decided without a trial, and 3.43 MiB at M = 3 with one chunk
+        # of trials. Either bound is less than 128 KiB above its peak, so a
+        # step's (64, 256) float64 error matrix, or its 64 x 256 trial
+        # errors at M = 3, 128 KiB each, would cross it, and so would the
+        # two 64 KiB trial buffers of an M = 0 step that tried its macros.
         x = np.random.default_rng(91).standard_normal((512, 512))
         quant = BlockQuantConfig(scale_mantissa_bits=bits)
         result = []
