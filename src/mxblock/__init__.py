@@ -67,10 +67,13 @@ from .tensorstore import (
     ContainerWriter,
     StoredTensor,
     SynthSpec,
+    SynthTensor,
     TensorEntry,
     TensorSet,
+    TensorSource,
     TensorStoreError,
     load_container,
     save_container,
     synth,
+    synth_tensors,
 )

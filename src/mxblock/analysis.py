@@ -37,6 +37,7 @@ from .quantize import (
     _Workspace,
     block_view,
 )
+from .tensorstore import TensorSource
 
 __all__ = [
     "GammaStats",
@@ -88,7 +89,7 @@ class GammaStats:
 
 
 def _as_tensors(tensors) -> list:
-    if isinstance(tensors, np.ndarray):
+    if isinstance(tensors, (np.ndarray, TensorSource)):
         return [_as_tensor(tensors)]
     if isinstance(tensors, Mapping):
         return [_as_tensor(tensors[k]) for k in sorted(tensors)]
@@ -100,7 +101,7 @@ def gamma_stats(tensors, config: BlockQuantConfig | None = None,
     """Distribution of the ceiling-scale overshoot across blocks.
 
     Accepts one array, a sequence of arrays, or a name-to-array mapping
-    (mappings are walked in sorted-name order); tensorstore.StoredTensors
+    (mappings are walked in sorted-name order); tensorstore.TensorSources
     may stand in for arrays. Each tensor is read in the decomposition's
     pieces, which hold whole blocks, so the per-block deltas are those of
     the whole tensor, in its order; one workspace holds every piece's

@@ -49,7 +49,7 @@ from .tensorstore import (
     SynthSpec,
     TensorStoreError,
     atomic_write_bytes,
-    synth,
+    synth_tensors,
 )
 
 
@@ -136,11 +136,13 @@ def _parse_synth(text: str, seed: int, count: int) -> SynthSpec:
 
 @contextlib.contextmanager
 def _tensors(args):
-    """The one way a command gets its input: name -> tensor, either the
-    StoredTensors of the open --input container, each read only when the
-    command asks (piece by piece, or np.asarray for the whole tensor), or
-    the --synth arrays. decompose, sweep, mbs, of, gamma and aqn read their
-    tensors piece by piece; gemm holds one whole tensor at a time."""
+    """The one way a command gets its input: name -> tensorstore.TensorSource,
+    either the StoredTensors of the open --input container or the
+    SynthTensors of --synth, each read only when the command asks (piece by
+    piece, or np.asarray for the whole tensor). decompose, sweep, mbs, of,
+    gamma and aqn read their tensors piece by piece, so they hold one piece
+    of either source; a synthetic tensor is drawn as it is read. gemm holds
+    one whole tensor at a time."""
     if args.input and args.synth:
         raise ValueError("--input and --synth are mutually exclusive")
     if args.input:
@@ -148,7 +150,7 @@ def _tensors(args):
             yield reader.tensors
     elif args.synth:
         spec = _parse_synth(args.synth, args.seed, getattr(args, "count", 1))
-        yield synth(spec).arrays()
+        yield synth_tensors(spec)
     else:
         raise ValueError("need --input or --synth")
 
@@ -355,8 +357,9 @@ def cmd_aqn(args) -> dict:
         "multipliers": dict(schedule.multipliers),
     }
     if args.noised_out:
-        # each tensor is read twice, piece by piece (its rms, then its noise),
-        # and each noised piece is written as soon as it is made
+        # each tensor is read twice, piece by piece (its rms, then its noise;
+        # a synthetic one is drawn twice), and each noised piece is written
+        # as soon as it is made
         with _tensors(args) as tensors:
             entries = [(name, "F64", tensors[name].shape) for name in tensors]
             with ContainerWriter(args.noised_out, entries) as out:

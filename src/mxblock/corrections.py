@@ -720,7 +720,7 @@ def aqn_pieces(x, sigma: float, seed: int, multiplier: float = 1.0, name: str = 
     """x + N(0, (sigma * multiplier * rms(x))^2), elementwise, reproducible
     per (seed, name), as consecutive pieces of about quantize._STREAM_ELEMS
     elements: x's row-major elements, one piece after another, each in a
-    buffer valid until the next. x is an array or a StoredTensor, which is
+    buffer valid until the next. x is an array or a TensorSource, which is
     read piece by piece.
 
     Two passes over the pieces, so past x the memory is one piece. The first

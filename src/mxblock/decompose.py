@@ -31,14 +31,15 @@ Each piece is blocked, rounded to Q*(x) and its deadzone once, and e_dz and
 e_grid are formed once; only e_scale and e_total are formed per quantizer.
 Every error element is the one the whole-tensor computation gives; the sums
 differ from one-shot dot products only in summation order. The pieces are
-slices of an in-memory array, or, for a tensorstore.StoredTensor, read from
-its container file one at a time; the same pieces in the same order either
-way. Each piece's sum is a fixed-order sum of sub-dots too short for
-OpenBLAS to split between threads (_dot), so on one numpy/BLAS build the
-sums are the same bits at any BLAS thread count. Every piece-sized
-temporary lives in one workspace for the whole call. Without
-the error arrays, the working memory is the input plus one piece for an
-array, and one piece for a stored tensor.
+slices of an in-memory array, or read one at a time from a
+tensorstore.TensorSource: a StoredTensor reads them from its container
+file, a SynthTensor draws them from its seeded generator. The pieces are
+the same, in the same order, either way. Each piece's sum is a fixed-order
+sum of sub-dots too short for OpenBLAS to split between threads (_dot), so
+on one numpy/BLAS build the sums are the same bits at any BLAS thread
+count. Every piece-sized temporary lives in one workspace for the whole
+call. Without the error arrays, the working memory is the input plus one
+piece for an array, and one piece for a TensorSource.
 
 Each piece is rounded to Q* by quantize.qdq_views and to each plain Q by
 quantize._coded_qdq, both on |x|. With s the sign of x, each error is s
@@ -66,7 +67,7 @@ from .quantize import (
     block_view,
     qdq_views,
 )
-from .tensorstore import StoredTensor
+from .tensorstore import TensorSource
 
 __all__ = [
     "ErrorDecomposition",
@@ -163,23 +164,25 @@ def _pieces(n_rows: int, n: int, unit: int, elems: int | None = None):
             yield slice(r, r + step), slice(c, c + cols)
 
 
-def _as_tensor(x) -> np.ndarray | StoredTensor:
-    """x as a float64 array, or a StoredTensor as it is; never empty."""
-    if not isinstance(x, StoredTensor):
+def _as_tensor(x) -> np.ndarray | TensorSource:
+    """x as a float64 array, or a tensorstore.TensorSource as it is; never
+    empty."""
+    if not isinstance(x, TensorSource):
         x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty tensor")
     return x
 
 
-def _row_pieces(x: np.ndarray | StoredTensor, unit: int, elems: int | None = None):
+def _row_pieces(x: np.ndarray | TensorSource, unit: int, elems: int | None = None):
     """(rows, cols, piece) for each of _pieces' pieces of x's (n_rows, n)
-    row matrix: a slice of an array, or read from a stored tensor's file
-    into its reader's one reused buffer, valid until the next piece. A piece
-    is whole rows or part of one row, so it is one contiguous run of x."""
+    row matrix: a slice of an array, or read from a tensorstore.TensorSource
+    (a container file, or a seeded draw) into its one reused buffer, valid
+    until the next piece. A piece is whole rows or part of one row, so it is
+    one contiguous run of x, and the pieces come in x's order."""
     n = x.shape[-1] if x.ndim else 1
     n_rows = x.size // n
-    matrix = None if isinstance(x, StoredTensor) else x.reshape(n_rows, n)
+    matrix = None if isinstance(x, TensorSource) else x.reshape(n_rows, n)
     for r, c in _pieces(n_rows, n, unit, elems):
         if matrix is None:
             height = min(r.stop, n_rows) - r.start
@@ -301,7 +304,7 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     return sums, int(np.count_nonzero(dead)), zeros
 
 
-def _decompose(x: np.ndarray | StoredTensor, config: BlockQuantConfig,
+def _decompose(x: np.ndarray | TensorSource, config: BlockQuantConfig,
                quantizers: list[Quantizer], errors: list[np.ndarray] | None = None,
                align: int = 1) -> list[ErrorDecomposition]:
     """Each quantizer's ErrorDecomposition over the pieces of x, cut at
@@ -337,14 +340,14 @@ def _decompose(x: np.ndarray | StoredTensor, config: BlockQuantConfig,
     return result
 
 
-def decompose_tensor(x: np.ndarray | StoredTensor, config: BlockQuantConfig, *,
+def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig, *,
                      keep_errors: bool = True,
                      x_hat: np.ndarray | None = None) -> ErrorDecomposition:
     """The three-way split of x_hat - x, its norms, inner products and
     cosines, and the deadzone fractions.
 
-    x is an array or a tensorstore.StoredTensor, whose pieces are read from
-    its file. x_hat, with x's shape, is the quantizer output to measure
+    x is an array or a tensorstore.TensorSource, whose pieces are read one
+    at a time. x_hat, with x's shape, is the quantizer output to measure
     (default: the plain coded-scale Q(x)); it is only read. Q*(x) and the
     deadzone always come from x, so only e_scale and e_total depend on x_hat.
 
@@ -363,7 +366,7 @@ def decompose_tensor(x: np.ndarray | StoredTensor, config: BlockQuantConfig, *,
     return _decompose(x, config, quantizers, errors)[0]
 
 
-def decompose_quantizers(x: np.ndarray | StoredTensor, block_size: int,
+def decompose_quantizers(x: np.ndarray | TensorSource, block_size: int,
                          quantizers: Sequence[Quantizer], *,
                          align: int = 1) -> list[ErrorDecomposition]:
     """decompose_tensor's sums for each quantizer, in one pass over x: each
@@ -474,8 +477,8 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     histogram: its shares would be noise over a total near 0. The norms and
     inner products are accumulated over cache-sized pieces and no error
     array is kept, so the working memory is the input plus one piece, or one
-    piece when the tensors are tensorstore.StoredTensors streamed from their
-    file. A tensor whose squared norms overflow float64 is a ValueError.
+    piece when the tensors are tensorstore.TensorSources, read one piece at
+    a time. A tensor whose squared norms overflow float64 is a ValueError.
     """
     if not tensors:
         raise ValueError("empty tensor set")
@@ -523,10 +526,10 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     return DecompReport(records, aggregates, hist, cfg)
 
 
-def scale_precision_sweep(x: np.ndarray | StoredTensor, m_list: Iterable[int] = range(9),
+def scale_precision_sweep(x: np.ndarray | TensorSource, m_list: Iterable[int] = range(9),
                           block_size: int = 32, name: str = "tensor") -> list[dict]:
     """Decomposition series over scale mantissa widths, in one pass over x
-    (an array or a StoredTensor) that measures Q at every M against the one
+    (an array or a TensorSource) that measures Q at every M against the one
     Q*(x): e_grid and e_dz, which depend only on s_star, are the same at
     every M by construction. Each split must pass _check_identity; a
     violation raises, naming the tensor and M, because it can only be a

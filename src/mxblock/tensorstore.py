@@ -12,17 +12,27 @@ Supported dtypes: F64, F32, F16, BF16. Values are widened to float64
 (exactly); the source dtype is kept so save restores the original byte
 layout.
 
-ContainerReader opens a file and runs every header check (field types,
-dtype, shape, span bounds and sizes, overlaps) before any tensor data is
-read. Its StoredTensors are the one way data leaves a file. read() gives any
-run of elements, readinto one reused byte buffer and widened into one reused
-float64 buffer, so a caller that walks a tensor in pieces (decompose_tensor,
-gamma_stats) holds one piece, not the file. np.asarray(stored) is the same
-reads filling one preallocated float64 array, so a caller that needs whole
-tensors holds the one it asked for; load_container is that for every
-tensor. The non-finite check runs on every read, on the piece just widened:
-a non-finite value is a TensorStoreError naming the tensor, because every
-downstream identity assumes finite inputs.
+A TensorSource is a tensor read piece by piece: read(start, count) gives
+any run of its row-major elements as float64 in one reused buffer, so a
+caller that walks a tensor in pieces (decompose_tensor, gamma_stats) holds
+one piece, not the tensor. np.asarray(source) is the same reads filling one
+preallocated float64 array, so a caller that needs whole tensors holds the
+one it asked for; an array numpy cannot allocate is a TensorStoreError
+naming the tensor. There are two sources, and they are the one way data
+enters an analysis from outside the caller's arrays.
+
+StoredTensor reads a container. ContainerReader opens a file and runs every
+header check (field types, dtype, shape, span bounds and sizes, overlaps)
+before any tensor data is read. A read is readinto one reused byte buffer
+and widened into one reused float64 buffer; load_container is
+np.asarray of every tensor. The non-finite check runs on every read, on the
+piece just widened: a non-finite value is a TensorStoreError naming the
+tensor, because every downstream identity assumes finite inputs.
+
+SynthTensor draws a SynthSpec's tensor from its own seeded generator, in
+order, so each read has the bits of the whole tensor drawn at once (see
+its docstring); synth is np.asarray of every tensor of a spec. A spec whose
+shape no float64 array can have is refused by the header's own shape rule.
 
 ContainerWriter is the inverse: it writes the header from the declared
 (name, dtype, shape) entries first, then takes each tensor in header order
@@ -55,12 +65,15 @@ __all__ = [
     "TensorEntry",
     "TensorSet",
     "SynthSpec",
+    "TensorSource",
     "StoredTensor",
+    "SynthTensor",
     "ContainerReader",
     "ContainerWriter",
     "load_container",
     "save_container",
     "synth",
+    "synth_tensors",
     "atomic_write_bytes",
 ]
 
@@ -112,8 +125,59 @@ _MAX_DIMS = 64              # numpy's limit on ndim
 _MAX_BYTES = 2 ** 63 - 1    # numpy's limit on itemsize * the nonzero dimensions
 
 
+def _check_shape(shape: tuple[int, ...], what: str) -> None:
+    """A TensorStoreError unless numpy can hold a float64 array of shape:
+    at most _MAX_DIMS dimensions, and at most _MAX_BYTES over the nonzero
+    ones (e.g. [2**70, 0] has no data, but no such array exists)."""
+    if len(shape) > _MAX_DIMS or 8 * math.prod(d for d in shape if d) > _MAX_BYTES:
+        raise TensorStoreError(f"unsupported shape ({what}): numpy "
+                               f"cannot hold a float64 array of shape {list(shape)}")
+
+
+class TensorSource:
+    """A named tensor of a fixed shape that is read piece by piece:
+    read(start, count, out=None) gives elements [start, start + count) in
+    row-major order as float64, into out or into a reused buffer that the
+    next read overwrites. np.asarray(source) is the whole tensor, filled by
+    the same reads. StoredTensor reads a container file; SynthTensor draws."""
+
+    name: str
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def read(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        raise NotImplementedError
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The whole tensor as a new float64 array (np.asarray(source)),
+        filled piece by piece through read(), so the only other memory is one
+        piece's buffers. Nothing in memory can be viewed: copy=False raises.
+        An array numpy cannot allocate is a TensorStoreError naming the
+        tensor and its bytes."""
+        if copy is False:
+            raise ValueError(f"tensor {self.name} is read piece by piece: "
+                             "it cannot be an array without a copy")
+        try:
+            data = np.empty(self.shape)
+        except MemoryError:
+            raise TensorStoreError(f"cannot hold tensor {self.name} in memory: "
+                                   f"{8 * self.size} bytes as float64") from None
+        flat = data.reshape(-1)
+        for start in range(0, self.size, _STREAM_ELEMS):
+            count = min(_STREAM_ELEMS, self.size - start)
+            self.read(start, count, flat[start:start + count])
+        return data if dtype is None else data.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
-class StoredTensor:
+class StoredTensor(TensorSource):
     """One tensor of an open container, read piece by piece (read) or whole
     (np.asarray): the header's dtype and shape, and the file offset of its
     first byte."""
@@ -123,14 +187,6 @@ class StoredTensor:
     shape: tuple[int, ...]
     offset: int
     reader: ContainerReader = field(repr=False, compare=False)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
 
     def read(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Elements [start, start + count) in row-major order, widened
@@ -154,20 +210,6 @@ class StoredTensor:
         if not np.isfinite(values).all():
             raise TensorStoreError(f"non-finite values (tensor {self.name})")
         return values
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The whole tensor as a new float64 array (np.asarray(stored)),
-        filled piece by piece through read(), so the only other memory is one
-        piece's buffers. Nothing in memory can be viewed: copy=False raises."""
-        if copy is False:
-            raise ValueError(f"tensor {self.name} is read from its file: "
-                             "it cannot be an array without a copy")
-        data = np.empty(self.shape)
-        flat = data.reshape(-1)
-        for start in range(0, self.size, _STREAM_ELEMS):
-            count = min(_STREAM_ELEMS, self.size - start)
-            self.read(start, count, flat[start:start + count])
-        return data if dtype is None else data.astype(dtype, copy=False)
 
 
 def _parse_header(reader: ContainerReader) -> dict[str, StoredTensor]:
@@ -215,10 +257,7 @@ def _parse_header(reader: ContainerReader) -> dict[str, StoredTensor]:
             raise TensorStoreError(f"data_offsets out of bounds (tensor {name})")
         if end - begin != numel * _DTYPES[dtype]:
             raise TensorStoreError(f"data size mismatch (tensor {name})")
-        # e.g. [2**70, 0]: no data, but no float64 array of that shape exists
-        if len(shape) > _MAX_DIMS or 8 * math.prod(d for d in shape if d) > _MAX_BYTES:
-            raise TensorStoreError(f"unsupported shape (tensor {name}): numpy "
-                                   f"cannot hold a float64 array of shape {list(shape)}")
+        _check_shape(shape, f"tensor {name}")
         spans.append((begin, end, name))
         tensors[name] = StoredTensor(name, dtype, shape, 8 + n + begin, reader)
 
@@ -468,36 +507,112 @@ class SynthSpec:
             raise TensorStoreError("count must be >= 1")
         if not self.shape or any(d < 1 for d in self.shape):
             raise TensorStoreError("shape dims must be >= 1")
+        _check_shape(self.shape, f"synth {self.distribution}")
         if self.distribution == "student_t" and not self.dof > 4:
             raise TensorStoreError("student_t needs dof > 4")
         if self.distribution == "lognormal_max_blocks" and len(self.shape) != 2:
             raise TensorStoreError("lognormal_max_blocks needs a 2-D shape")
 
 
-def _lognormal_max_blocks(rng: np.random.Generator, shape: tuple[int, ...],
-                          sigma_log: float) -> np.ndarray:
-    n_blocks, b = shape
-    maxima = np.exp(rng.normal(0.0, sigma_log, size=n_blocks))
-    body = rng.uniform(-1.0, 1.0, size=(n_blocks, b))
-    peak = np.abs(body).argmax(axis=1)
-    rows = np.arange(n_blocks)
-    peak_vals = np.abs(body[rows, peak])
-    peak_vals[peak_vals == 0.0] = 1.0          # measure-zero guard
-    return body * (maxima / peak_vals)[:, None]
+class SynthTensor(TensorSource):
+    """One tensor of a SynthSpec, drawn from its own generator, which its
+    child SeedSequence seeds: read piece by piece (read) or whole
+    (np.asarray), like a StoredTensor. A read that starts where the last one
+    ended continues the draw; any other read restarts from the seed and
+    draws forward to its start. So every read has the bits of the whole
+    tensor drawn at once, in any order, and a pass in order draws each
+    element once. The tensors of one synth_tensors call share its reused
+    buffers.
+
+    lognormal_max_blocks draws every row maximum first, one float per row,
+    then whole body rows, each scaled to its maximum; a read that ends
+    inside a row keeps the rest of that row for the next. After a read that
+    ends the tensor, nothing of the draw is held."""
+
+    def __init__(self, name: str, spec: SynthSpec, child: np.random.SeedSequence,
+                 work: _Workspace) -> None:
+        self.name, self.shape, self.spec, self.child = name, spec.shape, spec, child
+        self.work = work
+        self._rng = None            # the draw: None until a read starts it
+
+    def read(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Elements [start, start + count) in row-major order, into out or
+        into the reused buffer, which the next read overwrites."""
+        values = self.work.take("values", (count,)) if out is None else out
+        if self._rng is None or start < self._at:
+            self._restart()
+        while self._at < start:     # a skip draws what it passes over
+            self._draw(self.work.take("skip", (min(_STREAM_ELEMS, start - self._at),)))
+        self._draw(values)
+        if self._at == self.size:
+            self._rng = self._maxima = self._rest = None
+        return values
+
+    def _restart(self) -> None:
+        self._rng = np.random.default_rng(self.child)
+        self._at = 0
+        self._rest = None           # the undelivered end of the last row drawn
+        if self.spec.distribution == "lognormal_max_blocks":
+            self._maxima = np.exp(self._rng.normal(0.0, self.spec.sigma_log,
+                                                   size=self.shape[0]))
+            self._row = 0
+
+    def _draw(self, out: np.ndarray) -> None:
+        """The next out.size elements of the draw, into out."""
+        rng, spec = self._rng, self.spec
+        if spec.distribution == "gaussian":
+            rng.standard_normal(out=out)
+        elif spec.distribution == "laplace":
+            out[...] = rng.laplace(0.0, 1.0, size=out.size)
+        elif spec.distribution == "student_t":
+            out[...] = rng.standard_t(spec.dof, size=out.size)
+        else:
+            self._draw_rows(out)
+        self._at += out.size
+
+    def _draw_rows(self, out: np.ndarray) -> None:
+        """lognormal_max_blocks: the rest of the last row, then whole rows,
+        then the head of one more row, whose rest is kept."""
+        b = self.shape[1]
+        done = 0
+        if self._rest is not None:
+            done = min(self._rest.size, out.size)
+            out[:done] = self._rest[:done]
+            self._rest = self._rest[done:] if done < self._rest.size else None
+        whole = (out.size - done) // b
+        self._body_rows(out[done:done + whole * b].reshape(whole, b))
+        done += whole * b
+        if done < out.size:
+            row = np.empty((1, b))
+            self._body_rows(row)
+            out[done:] = row[0, :out.size - done]
+            self._rest = row[0, out.size - done:]
+
+    def _body_rows(self, rows: np.ndarray) -> None:
+        """The next rows of the body, uniform on (-1, 1), each scaled by its
+        maximum over its largest magnitude."""
+        if not rows.size:
+            return
+        rows[...] = self._rng.uniform(-1.0, 1.0, size=rows.shape)
+        peak = np.abs(rows).max(axis=1)
+        peak[peak == 0.0] = 1.0                 # measure-zero guard
+        rows *= (self._maxima[self._row:self._row + rows.shape[0]] / peak)[:, None]
+        self._row += rows.shape[0]
+
+
+def synth_tensors(spec: SynthSpec) -> dict[str, SynthTensor]:
+    """The tensors of spec as SynthTensors, read only when asked, sharing
+    one set of reused buffers."""
+    work = _Workspace()
+    children = np.random.SeedSequence(spec.seed).spawn(spec.count)
+    names = [f"{spec.distribution}_{i:04d}" for i in range(spec.count)]
+    return {name: SynthTensor(name, spec, child, work)
+            for name, child in zip(names, children)}
 
 
 def synth(spec: SynthSpec) -> TensorSet:
+    """The tensors of spec, each drawn whole: np.asarray of synth_tensors."""
     out = TensorSet()
-    children = np.random.SeedSequence(spec.seed).spawn(spec.count)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        if spec.distribution == "gaussian":
-            data = rng.standard_normal(spec.shape)
-        elif spec.distribution == "laplace":
-            data = rng.laplace(0.0, 1.0, size=spec.shape)
-        elif spec.distribution == "student_t":
-            data = rng.standard_t(spec.dof, size=spec.shape)
-        else:
-            data = _lognormal_max_blocks(rng, spec.shape, spec.sigma_log)
-        out.add(f"{spec.distribution}_{i:04d}", data)
+    for name, t in synth_tensors(spec).items():
+        out.add(name, np.asarray(t))
     return out

@@ -21,7 +21,13 @@ from mxblock.cli import main
 from mxblock.corrections import AqnSchedule, aqn_apply
 from mxblock.decompose import decompose_tensor, verify_identity
 from mxblock.quantize import BlockQuantConfig, _deadzone, block_view
-from mxblock.tensorstore import StoredTensor, TensorSet, load_container, save_container
+from mxblock.tensorstore import (
+    StoredTensor,
+    SynthTensor,
+    TensorSet,
+    load_container,
+    save_container,
+)
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
 
@@ -621,6 +627,91 @@ def test_mbs_reads_each_tensor_once(capsys, tmp_path, monkeypatch, extra):
     code, out, err = _run(capsys, ["mbs", "--input", path, *extra])
     assert code == 0, err
     assert counts == {"rows": 48000, "long": 70000}
+
+
+@pytest.mark.parametrize("argv,large_extra", [
+    (["decompose"], []),
+    (["sweep", "--max-mantissa-bits", "1"], []),
+    (["mbs"], []),
+    (["of"], []),
+    # gamma keeps one delta per block, its result: at 4x the block size the
+    # large tensor has the small one's blocks, so the bound sees the tensor
+    (["gamma"], ["--block-size", "128"]),
+    (["aqn", "--noised-out", "{tmp}/noised.tensors"], []),
+], ids=["decompose", "sweep", "mbs", "of", "gamma", "aqn"])
+def test_synth_commands_hold_one_piece(capsys, tmp_path, argv, large_extra):
+    # a synthetic tensor is drawn piece by piece as the command reads it, so
+    # one 4x as large peaks no higher: one piece, not the tensor. The first
+    # run of a command in a process allocates more, so it is not measured.
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    small = [*argv, "--synth", "gaussian:256x1024"]
+    large = [*argv, *large_extra, "--synth", "gaussian:1024x1024"]
+    assert main(small) == 0
+    peaks = {}
+    for rows, run in ((256, small), (1024, large)):
+        peaks[rows] = _peak_bytes(lambda: main(run))
+        assert capsys.readouterr().out
+    assert peaks[1024] <= 1.1 * peaks[256], peaks
+
+
+def test_synth_tensors_hold_nothing_once_read(capsys):
+    # a tensor's draw, row maxima included, is dropped once its last piece
+    # is read: four lognormal tensors (256 KiB of maxima each) cost what
+    # one does
+    argv = ["decompose", "--synth", "lognormal_max_blocks:32768x32"]
+    assert main(argv) == 0              # the first run allocates more
+    peaks = {count: _peak_bytes(lambda: main([*argv, "--count", str(count)]))
+             for count in (1, 4)}
+    assert capsys.readouterr().out
+    assert peaks[4] <= 1.1 * peaks[1], peaks
+
+
+def _count_synth(monkeypatch) -> tuple[dict, dict]:
+    """Elements each SynthTensor was asked for (read) and drew (_draw)."""
+    reads, draws = {}, {}
+    real_read, real_draw = SynthTensor.read, SynthTensor._draw
+
+    def read(self, start, count, out=None):
+        reads[self.name] = reads.get(self.name, 0) + count
+        return real_read(self, start, count, out)
+
+    def draw(self, out):
+        draws[self.name] = draws.get(self.name, 0) + out.size
+        return real_draw(self, out)
+
+    monkeypatch.setattr(SynthTensor, "read", read)
+    monkeypatch.setattr(SynthTensor, "_draw", draw)
+    return reads, draws
+
+
+@pytest.mark.parametrize("extra", [[], ["--macro-block", "96"],
+                                   ["--mbs-mode", "closed_form"]])
+def test_mbs_draws_each_synth_element_once(capsys, monkeypatch, extra):
+    # the split reads a synthetic tensor in order, piece by piece, so each
+    # element is read and drawn once, as a stored one is read once
+    reads, draws = _count_synth(monkeypatch)
+    code, _, err = _run(capsys, ["mbs", "--synth", "student_t:48x1000", "--count", "2",
+                                 *extra])
+    assert code == 0, err
+    assert reads == draws == {"student_t_0000": 48000, "student_t_0001": 48000}
+
+
+def test_aqn_draws_each_synth_tensor_twice(capsys, tmp_path, monkeypatch):
+    # its rms, then its noise: the second pass restarts the draw
+    reads, draws = _count_synth(monkeypatch)
+    code, _, err = _run(capsys, ["aqn", "--synth", "laplace:300x700", "--count", "2",
+                                 "--noised-out", str(tmp_path / "noised.tensors")])
+    assert code == 0, err
+    assert reads == draws == {"laplace_0000": 420000, "laplace_0001": 420000}
+
+
+def test_synth_shape_numpy_cannot_hold(capsys):
+    # refused up front: drawn piece by piece, it would start an endless run
+    started = time.perf_counter()
+    code, out, err = _run(capsys, ["decompose", "--synth", "gaussian:4000000000x1000000000"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: unsupported shape (synth gaussian)"), err
 
 
 def test_aqn_writes_one_tensor_at_a_time(capsys, tmp_path):

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,12 +21,14 @@ from mxblock.tensorstore import (
     ContainerWriter,
     StoredTensor,
     SynthSpec,
+    SynthTensor,
     TensorSet,
     TensorStoreError,
     atomic_write_bytes,
     load_container,
     save_container,
     synth,
+    synth_tensors,
 )
 
 
@@ -606,8 +611,12 @@ def test_streamed_gamma_matches_loaded(tmp_path):
     loaded = gamma_stats(load_container(path).arrays(), min_blocks=1)
     with ContainerReader(path) as reader:
         streamed = gamma_stats(reader.tensors, min_blocks=1)
+        # one source on its own, as one array is taken
+        one = gamma_stats(reader.tensors["long_bf16"], min_blocks=1)
     assert np.array_equal(streamed.delta, loaded.delta)
     assert json.dumps(streamed.summary_dict()) == json.dumps(loaded.summary_dict())
+    want = gamma_stats(load_container(path).arrays()["long_bf16"], min_blocks=1)
+    assert np.array_equal(one.delta, want.delta)
 
 
 def test_stream_takes_the_column_split(tmp_path, monkeypatch):
@@ -718,6 +727,12 @@ class TestSynth:
             SynthSpec("student_t", (4, 4), dof=4.0)
         with pytest.raises(TensorStoreError, match="2-D"):
             SynthSpec("lognormal_max_blocks", (64,))
+        # the header's shape rule: drawn piece by piece, nothing would fail
+        # to allocate, and a draw of 4e18 elements would start
+        with pytest.raises(TensorStoreError, match="unsupported shape"):
+            SynthSpec("gaussian", (4_000_000_000, 1_000_000_000))
+        with pytest.raises(TensorStoreError, match="unsupported shape"):
+            SynthSpec("gaussian", (1,) * 65)
 
     def test_laplace_kurtosis(self):
         x = synth(SynthSpec("laplace", (1000, 1000), seed=3)).arrays()[
@@ -746,3 +761,105 @@ class TestSynth:
             "gaussian_0000"]
         assert x.mean() == pytest.approx(0.0, abs=0.01)
         assert x.std() == pytest.approx(1.0, rel=0.01)
+
+
+# sha256 of each tensor of synth(SynthSpec(family, (24, 40), seed=17,
+# count=2)), computed when synth drew every tensor whole, in one call per
+# tensor, on this numpy build: drawing piece by piece keeps those bits
+_SYNTH_DIGESTS = {
+    "gaussian_0000": "1888b8aa0dcfac1ba4623eeba4919535095ec32b4a96005bdad83c691b98d672",
+    "gaussian_0001": "0e3fe59607cd1fe40cc0f4a1365bfbe21acf99edba194c23e4bc4fa288acc6c9",
+    "laplace_0000": "2aec95da0b89eeee5ff98e9fcf632b11f19a4cc0f834f4ece83d84e35f3d89c5",
+    "laplace_0001": "18c92aae28ac3600073e468c7101f009817b7c1b77f5ee28a5f19f57e357def5",
+    "student_t_0000": "ebe6fc6bf390ed79b39761a3ad19f510072663b03170f6f988622616467c9a26",
+    "student_t_0001": "41166cf4a7d1637485abce4d0fa06b50d92b22377dec3afc0c0cf16ce835f5c1",
+    "lognormal_max_blocks_0000":
+        "bb9c02b108324d752e4193bc8e16e1f48cffe16cdd0f466e9cd72fb6640f92b8",
+    "lognormal_max_blocks_0001":
+        "9fb643194522b20b865d672eb014f8a605c54f211ccac50af34edb4eec128d01",
+}
+
+
+class TestSynthTensor:
+    @pytest.mark.parametrize("family", tensorstore._DISTRIBUTIONS)
+    def test_synth_keeps_the_whole_draw_digests(self, family):
+        arrays = synth(SynthSpec(family, (24, 40), seed=17, count=2)).arrays()
+        assert len(arrays) == 2
+        for name, x in arrays.items():
+            assert hashlib.sha256(x.tobytes()).hexdigest() == _SYNTH_DIGESTS[name], name
+
+    @pytest.mark.parametrize("family,shape", [
+        *((f, (37, 53)) for f in tensorstore._DISTRIBUTIONS),
+        # rows longer than a piece: every read starts or ends inside a row
+        ("lognormal_max_blocks", (3, quantize._STREAM_ELEMS + 1003)),
+    ])
+    def test_reads_are_slices_of_the_whole(self, family, shape):
+        # reads at unaligned cuts, taken in turn from three tensors that
+        # share one buffer, then a backward read (a restart), a forward skip,
+        # a read into out and a whole read: each is the slice of the whole
+        # tensor, bit for bit
+        sources = synth_tensors(SynthSpec(family, shape, seed=23, count=3))
+        assert all(isinstance(t, SynthTensor) for t in sources.values())
+        wholes = {name: np.asarray(t).ravel() for name, t in sources.items()}
+        n = math.prod(shape)
+        cuts = [0, 1, 7, 53, 54, 200, n // 2 + 3, n - 5, n]
+        for a, b in zip(cuts, cuts[1:]):
+            for name, t in sources.items():
+                got = t.read(a, b - a)
+                assert got.tobytes() == wholes[name][a:b].tobytes(), (name, a, b)
+        for a, b in [(n // 3, n // 3 + 61), (5, 9), (n - 40, n - 1), (0, n)]:
+            for name, t in sources.items():
+                got = t.read(a, b - a)
+                assert got.tobytes() == wholes[name][a:b].tobytes(), (name, a, b)
+        t = sources[min(sources)]
+        out = np.empty(30)
+        assert t.read(n - 70, 30, out) is out
+        assert out.tobytes() == wholes[t.name][n - 70:n - 40].tobytes()
+
+
+# Lowers this process's own address-space limit to what it maps now plus
+# 256 MiB, then asks each source, and gemm, for a whole 2 GiB tensor: numpy's
+# allocation fails before any memory is touched. argv[1] is a container
+# whose one tensor, "big", is a sparse 2 GiB run of the file.
+_WHOLE_READ_SCRIPT = """
+import resource, sys
+import numpy as np
+from mxblock.cli import main
+from mxblock.tensorstore import ContainerReader, SynthSpec, TensorStoreError, synth_tensors
+with open("/proc/self/status") as f:
+    mapped = next(int(line.split()[1]) for line in f if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+soft = (mapped << 10) + (256 << 20)
+if hard != resource.RLIM_INFINITY:
+    soft = min(soft, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+with ContainerReader(sys.argv[1]) as reader:
+    sources = [synth_tensors(SynthSpec("gaussian", (16384, 16384)))["gaussian_0000"],
+               reader.tensors["big"]]
+    for t in sources:
+        try:
+            np.asarray(t)
+            print("allocated")
+        except TensorStoreError as exc:
+            print(exc)
+sys.exit(main(["gemm", "--synth", "gaussian:16384x16384"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmSize")
+def test_whole_read_numpy_cannot_allocate(tmp_path):
+    nbytes = 8 * 16384 * 16384
+    meta = {"dtype": "F64", "shape": [16384, 16384], "data_offsets": [0, nbytes]}
+    head = _container_bytes({"big": meta}, b"")
+    path = _write(tmp_path, head)
+    os.truncate(path, len(head) + nbytes)
+    src = os.path.dirname(os.path.dirname(tensorstore.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _WHOLE_READ_SCRIPT, path],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    held = f"in memory: {nbytes} bytes as float64"
+    assert run.stdout.splitlines() == [f"cannot hold tensor gaussian_0000 {held}",
+                                       f"cannot hold tensor big {held}"]
+    assert run.stderr == f"error: cannot hold tensor gaussian_0000 {held}\n"
