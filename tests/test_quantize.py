@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mxblock.formats import ceil_scale_array, grid_round_array
+from mxblock.formats import GRID_MIDPOINTS, ceil_scale_array, grid_round_array
 from mxblock.quantize import (
     BlockQuantConfig,
     _Workspace,
@@ -339,3 +341,112 @@ class TestQuotientDeadzoneProperty:
         want = np.copysign(grid_round_array(view.blocks / s) * s, view.blocks)
         want[~view.nonzero] = 0.0
         assert np.array_equal(qstar.view(np.uint64), want.view(np.uint64))
+
+
+# --- pinned packed codes -----------------------------------------------------
+
+_ULP = 5e-324                          # 2^-1074, the least subnormal
+_PIN_B = 32
+_PIN_N = 4 * _PIN_B + 5                # four whole blocks and a tail of 5
+_MAX = float(np.finfo(np.float64).max)
+
+
+def _pinned_input() -> np.ndarray:
+    """Eight rows of four blocks of 32 and a tail of 5, built from raw PCG64
+    words rather than numpy's distribution code, so the input keeps its bits
+    across numpy versions. Each word gives 52 random mantissa bits (its top
+    52), a sign (bit 0) and a 6-bit exponent offset (bits 1-6).
+
+    Rows 0-3 spread their elements over 2, 4, 8 and 64 binades. Row 4 puts
+    every midpoint, signed, into blocks whose maximum is 6 * 2^e, so s_star
+    is 2^e, a scale at every M: exact ties for Q and Q*. Row 5 holds
+    subnormal blocks with maxima of 6j units, s_star = j * 2^-1074 for j = 1,
+    2, 3 and 5, and a tail whose maximum of 7 units saturates under Q and
+    Q* at the scale of 1 unit. Row 6 has an all-zero block of +-0.0, a
+    block of at most 2 units (s_star 0, the sentinel scale) and -0.0 inside
+    a live block. Row 7 sits at 2^900, near the
+    largest float (where g * s overflows), at 2^-1000 and at 2^-1030."""
+    words = np.random.PCG64(2025).random_raw((8, _PIN_N))
+    unit = ((words >> np.uint64(12)) | np.uint64(1023 << 52)).view(np.float64) - 1.0
+    sign = np.where(words & np.uint64(1), -1.0, 1.0)
+    offset = ((words >> np.uint64(1)) & np.uint64(63)).astype(np.int64)
+    x = np.empty((8, _PIN_N))
+    for r, spread in enumerate((2, 4, 8, 64)):
+        x[r] = sign[r] * np.ldexp(1.0 + unit[r], offset[r] % spread - spread // 2)
+    starts = range(0, _PIN_N, _PIN_B)
+    for b, lo in enumerate(starts):
+        e = int(offset[4, lo]) - 32
+        block = sign[4, lo:lo + _PIN_B] * 6.0 * unit[4, lo:lo + _PIN_B]
+        block[:15] = np.concatenate([[6.0], GRID_MIDPOINTS, -GRID_MIDPOINTS])[:block.size]
+        if block.size < _PIN_B:
+            block[:] = [-6.0, 0.25, 2.5, -5.0, 0.75]
+        x[4, lo:lo + _PIN_B] = np.ldexp(block, e)
+    for lo, top in zip(starts, (6, 12, 18, 30, 7)):
+        units = words[5, lo:lo + _PIN_B] % np.uint64(top + 1)
+        block = sign[5, lo:lo + _PIN_B] * units.astype(np.float64) * _ULP
+        block[0] = -top * _ULP if lo else top * _ULP
+        x[5, lo:lo + _PIN_B] = block
+    x[6] = sign[6] * (1.0 + unit[6])
+    x[6, 0:32] = np.where(sign[6, 0:32] > 0, 0.0, -0.0)
+    x[6, 32:64] = sign[6, 32:64] * (words[6, 32:64] % np.uint64(3)).astype(np.float64) * _ULP
+    x[6, 32] = 2 * _ULP
+    x[6, 64:96:3] = -0.0
+    for lo, scale in zip(starts, (2.0 ** 900, _MAX / 2.0, 2.0 ** -1000, 2.0 ** -1030, 1.0)):
+        x[7, lo:lo + _PIN_B] = sign[7, lo:lo + _PIN_B] * unit[7, lo:lo + _PIN_B] * scale
+    x[7, 32] = _MAX
+    x[7, 33] = -float(np.nextafter(_MAX, 0.0))
+    return x
+
+
+# sha256 of quantize_tensor's element codes, scale exponents and scale
+# mantissas, in that order, at each M on _pinned_input(); "ideal" is the
+# codes of quantize_block_ideal on each block, in order. Recorded while the
+# codes still came from dividing the blocks by the scale again.
+_PACKED_DIGESTS = {
+    0: "6c3c6831cf9ad0c3273f92c3c69dfdbf4c641c78a40eb4898228c7a55428a7e1",
+    1: "b49866e6625db53f1aacddcc2421c26493771596998c5d07b318379f36e88f3d",
+    2: "99a4af7d5020dcb07fe7fb8b971cb691a07c8b96959bc16b6ec4bc5232217ca3",
+    3: "4d6c2b5ca7854dfa55d4e865909194d2f4b963acc78b5981cd7f1b7b6359ae4f",
+    4: "ea52b60ecb090e75beb416445bf15b91d73bdaae032aa527e84cd6da4b965a75",
+    5: "714a3fa7735f58a0abbbca1ecf2fe4cdc1e732b7c4534a5297fb2120036dd69f",
+    6: "c6671c12e2c6c768504f6c6709a9db05a7cba681604589904bdcfc40346d74b9",
+    7: "1365fd65a5e34adafa526d591934146d123b9779dab7072466964b1a6c654467",
+    8: "07cbab59e6e5768d48a66a73871d8a31df2de752e5d04c1cba43dd2f4f7be08a",
+    "ideal": "ba6df6187e90539b76abe64eb88bb0659aa3a4d0f08dff8715201fb7b58a98cd",
+}
+
+
+class TestPackedCodeDigests:
+    def test_input_covers_the_edges(self):
+        x = _pinned_input()
+        assert _PIN_N % _PIN_B and np.isfinite(x).all()
+        view = block_view(x, BlockQuantConfig(_PIN_B))
+        s_dec, _, _ = ceil_scale_array(view.s_star, 0)
+        u = view.mag / s_dec[:, None]
+        assert set(GRID_MIDPOINTS.tolist()) <= set(u.ravel().tolist())       # ties
+        assert {j * _ULP for j in (1, 2, 3, 5)} <= set(view.s_star.tolist())
+        assert (u > 6.0).any()                                 # saturation under Q
+        assert (view.mag / np.where(view.s_star > 0, view.s_star, 1.0)[:, None] > 6.0).any()
+        assert (view.nonzero & (view.s_star == 0.0)).any()     # sentinel scale
+        assert (~view.nonzero).any()
+        assert (np.signbit(x) & (x == 0.0)).any()
+        g = np.abs(grid_round_array(u))
+        assert (g * (s_dec[:, None] / 2.0 ** 1000) >= 2.0 ** 24).any()   # g s overflows
+
+    @pytest.mark.parametrize("key", [*range(9), "ideal"])
+    def test_digest(self, key):
+        assert _packed_digest(_pinned_input(), key) == _PACKED_DIGESTS[key]
+
+
+def _packed_digest(x: np.ndarray, key) -> str:
+    h = hashlib.sha256()
+    if key == "ideal":
+        cfg = BlockQuantConfig(_PIN_B)
+        for row in x:
+            for lo in range(0, row.size, _PIN_B):
+                h.update(quantize_block_ideal(row[lo:lo + _PIN_B], cfg).element_codes.tobytes())
+    else:
+        qt = quantize_tensor(x, BlockQuantConfig(_PIN_B, key))
+        for a in (qt.element_codes, qt.scale_exponents, qt.scale_mantissas):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
