@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .formats import (
-    E2M1,
-    ElementGrid,
     GridCode,
     ScaleCode,
     decode_grid,

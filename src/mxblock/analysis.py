@@ -35,6 +35,7 @@ from .quantize import (
     BlockQuantConfig,
     _deadzone,
     _Workspace,
+    _blocks_per_row,
     block_view,
 )
 from .tensorstore import TensorSource
@@ -109,31 +110,44 @@ def gamma_stats(tensors, config: BlockQuantConfig | None = None,
     skipped; the count is reported. Requires at least min_blocks live blocks.
     """
     config = config or BlockQuantConfig()
-    deltas = []
-    skipped = 0
+    tensors = _as_tensors(tensors)
+    widths = [x.shape[-1] if x.ndim else 1 for x in tensors]
+    # room for a delta per block, filled piece by piece by the live blocks
+    delta = np.empty(sum(x.size // n * _blocks_per_row(n, config.block_size)
+                         for x, n in zip(tensors, widths)))
+    # zero counts, and the edges every call with this range returns
+    hist, edges = np.histogram(delta[:0], bins=_HIST_BINS, range=(0.0, 1.0))
+    live = skipped = 0
     work = _Workspace()
-    for x in _as_tensors(tensors):
+    for x in tensors:
         for _, _, piece in _row_pieces(x, config.block_size):
             view = block_view(piece, config, work)
             s_star = view.s_star[view.nonzero]
-            skipped += int((~view.nonzero).sum())
-            if s_star.size:
-                log2s = np.log2(s_star)
-                deltas.append(np.ceil(log2s) - log2s)
-    delta = np.concatenate(deltas) if deltas else np.empty(0)
-    if delta.size < min_blocks:
-        raise ValueError(f"need at least {min_blocks} live blocks, got {delta.size}")
-    gamma = np.exp2(delta)
-    hist, edges = np.histogram(delta, bins=_HIST_BINS, range=(0.0, 1.0))
+            skipped += view.nonzero.size - s_star.size
+            d = np.log2(s_star, out=delta[live:live + s_star.size])
+            np.subtract(np.ceil(d), d, out=d)
+            live += d.size
+            # counted piece by piece: np.histogram's temporaries grow with
+            # its input up to 2^16 elements
+            hist += np.histogram(d, bins=_HIST_BINS, range=(0.0, 1.0))[0]
+    delta = delta[:live]
+    if live < min_blocks:
+        raise ValueError(f"need at least {min_blocks} live blocks, got {live}")
+    # gamma, then (gamma - 1)^2, then delta^2, in one scratch array
+    scratch = np.exp2(delta)
+    mean_gamma = float(scratch.mean())
+    scratch -= 1.0
+    rmse_gamma_minus_1 = float(np.sqrt(np.square(scratch, out=scratch).mean()))
+    rms_delta = float(np.sqrt(np.square(delta, out=scratch).mean()))
     return GammaStats(
         delta=delta,
         mean_delta=float(delta.mean()),
-        mean_gamma=float(gamma.mean()),
-        rmse_gamma_minus_1=float(np.sqrt(np.mean((gamma - 1.0) ** 2))),
-        rms_delta=float(np.sqrt(np.mean(delta ** 2))),
+        mean_gamma=mean_gamma,
+        rmse_gamma_minus_1=rmse_gamma_minus_1,
+        rms_delta=rms_delta,
         histogram=hist,
         bin_edges=edges,
-        n_blocks=int(delta.size),
+        n_blocks=live,
         skipped_blocks=skipped,
     )
 

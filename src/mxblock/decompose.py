@@ -454,13 +454,6 @@ class DecompReport:
         return {"records": self.records, "aggregates": self.aggregates,
                 "cos_histogram": self.cos_histogram, "config": self.config}
 
-    def csv_rows(self) -> tuple[list[str], list[list]]:
-        cols = ["name", "shape", "mse_total", "share_scale", "share_dz",
-                "share_grid", "cross_share", "cos_scale_grid", "cos_scale_dz",
-                "cos_dz_grid", "dz_fraction", "zero_error"]
-        rows = [[r[c] for c in cols] for r in self.records]
-        return cols, rows
-
 
 _SHARE_KEYS = ("share_scale", "share_dz", "share_grid", "cross_share",
                "cos_scale_grid", "dz_fraction", "mse_total")

@@ -45,15 +45,12 @@ __all__ = [
     "GRID_MIDPOINTS",
     "Q_MAX",
     "Q_MIN",
-    "ElementGrid",
-    "E2M1",
     "GridCode",
     "ScaleCode",
     "nearest_grid_code",
     "decode_grid",
     "encode_scale_ceiling",
     "grid_round_array",
-    "grid_index_array",
     "ceil_scale_array",
 ]
 
@@ -74,31 +71,6 @@ _MIN_NORMAL = 2.0 ** -1022
 _MAX_FINITE = float(np.finfo(np.float64).max)
 # grid index by twice the magnitude: 0, 1, 2, 3, 4, 6, 8, 12 -> 0..7
 _INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7])
-
-
-@dataclass(frozen=True)
-class ElementGrid:
-    """The element value set, as the frozen constant E2M1 below. It is a
-    record of the grid the kernels implement, not a setting: no quantizer
-    reads it. The checks keep the record consistent with its own fields."""
-
-    values: tuple[float, ...] = tuple(GRID_MAGNITUDES.tolist())
-    q_max: float = Q_MAX
-    q_min: float = Q_MIN
-
-    def __post_init__(self) -> None:
-        vals = self.values
-        if len(vals) < 2 or vals[0] != 0.0:
-            raise ValueError("grid must start at 0")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("grid magnitudes must be strictly increasing")
-        if vals[-1] != self.q_max:
-            raise ValueError("q_max must equal the largest magnitude")
-        if vals[1] != self.q_min:
-            raise ValueError("q_min must equal the smallest nonzero magnitude")
-
-
-E2M1 = ElementGrid()
 
 
 @dataclass(frozen=True)
@@ -141,17 +113,6 @@ class ScaleCode:
 # --- vector kernels ----------------------------------------------------------
 
 
-def _grid_magnitude(u: np.ndarray, out: np.ndarray | None = None,
-                    field: np.ndarray | None = None) -> np.ndarray:
-    """Nearest grid magnitude to |u|, into out (u itself may be out) or a
-    new float64 array. field, if given, is an int64 scratch array of u's
-    shape."""
-    u = np.asarray(u, dtype=np.float64)
-    if out is None:
-        out = np.empty(u.shape)             # an array also for 0-d input
-    return _round_magnitude(np.abs(u, out=out), field)
-
-
 def _round_magnitude(a: np.ndarray, field: np.ndarray | None = None, *,
                      saturate: bool = True) -> np.ndarray:
     """Round the magnitudes a >= 0 to the grid in place and return a. field,
@@ -191,21 +152,11 @@ def _round_at(a: np.ndarray, field: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-def grid_index_array(mag: np.ndarray) -> np.ndarray:
-    """Magnitude -> grid index, vectorized. Saturates above q_max.
-
-    The index of the nearest grid magnitude from the rounding kernel, which
-    rounds half to even on a 1-bit mantissa; the integer it rounds to has
-    the parity of the index, so exact midpoints land on even indices, the
-    frozen tie table."""
-    return _INDEX_BY_HALVES[(2.0 * _grid_magnitude(mag)).astype(np.intp)]
-
-
 def grid_round_array(u: np.ndarray) -> np.ndarray:
     """Round scaled values to the signed grid, vectorized. A value that
     rounds to zero keeps its sign, as copysign gives it."""
     u = np.asarray(u, dtype=np.float64)
-    r = _grid_magnitude(u)
+    r = _round_magnitude(np.abs(u, out=np.empty(u.shape)))    # also for 0-d u
     return np.copysign(r, u, out=r)
 
 
@@ -256,7 +207,8 @@ def nearest_grid_code(u: float) -> GridCode:
     u = float(u)
     if not math.isfinite(u):
         raise ValueError("non-finite input")
-    idx = int(grid_index_array(np.array([abs(u)]))[0])
+    g = _round_magnitude(np.array([abs(u)]))[0]
+    idx = int(_INDEX_BY_HALVES[int(2.0 * g)])
     if idx == 0:
         return GridCode(0, 0)
     return GridCode(1 if u > 0 else -1, idx)

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import hashlib
 import math
 import os
 import subprocess
@@ -27,7 +29,7 @@ from mxblock.corrections import AqnSchedule, MbsConfig
 from mxblock.decompose import InvariantViolation, decompose_tensor
 from mxblock.formats import ceil_scale_array
 from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
-from mxblock.tensorstore import SynthSpec, synth
+from mxblock.tensorstore import SynthSpec, synth, synth_tensors
 
 
 class TestGammaStats:
@@ -96,6 +98,32 @@ class TestGammaStats:
         d = gamma_stats(rng.standard_normal((1100, 32))).summary_dict()
         assert {"mean_gamma", "rms_delta", "rmse_gamma_minus_1",
                 "n_blocks", "histogram"} <= set(d)
+
+    @staticmethod
+    def _traced(rows):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            st = gamma_stats(synth_tensors(SynthSpec("gaussian", (rows, 1024), seed=88)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return st, peak
+
+    def test_two_floats_per_block(self):
+        # the result keeps one delta per block and the statistics take one
+        # scratch array of the same size: 16 B per added block of 32, no
+        # more. The statistics are pinned to the last bit
+        self._traced(256)                           # the first run allocates more
+        st, small = self._traced(1024)
+        _, large = self._traced(4096)
+        assert large - small <= 16 * (4096 - 1024) * 1024 // 32, (small, large)
+        assert (st.mean_delta, st.mean_gamma, st.rmse_gamma_minus_1, st.rms_delta) == (
+            0.453081896283012, 1.390154051999436, 0.4622299755270151, 0.518035932625732)
+        assert hashlib.sha256(st.delta.tobytes() + st.histogram.tobytes()).hexdigest() == (
+            "887d578d76997e24aebe763600575f1c8eb0c7ccae45bdfad92fcca462584826")
 
 
 class TestCumulativeScaleBias:

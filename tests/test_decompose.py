@@ -175,15 +175,6 @@ class TestTensorStats:
         assert sum(hist["counts"]) == 7
         assert hist["bin_edges"][0] == -1.0 and hist["bin_edges"][-1] == 1.0
 
-    def test_csv_rows_align_with_records(self):
-        rng = np.random.default_rng(39)
-        rep = tensor_stats({"x": rng.standard_normal((4, 64))},
-                           BlockQuantConfig())
-        cols, rows = rep.csv_rows()
-        assert len(rows) == 1 and len(rows[0]) == len(cols)
-        for c, v in zip(cols, rows[0]):
-            assert rep.records[0][c] == v
-
     def test_to_json_dict_round_trip_keys(self):
         rng = np.random.default_rng(40)
         rep = tensor_stats({"x": rng.standard_normal((4, 64))},

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from mxblock import quantize
 from mxblock.formats import (
-    E2M1,
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
+    Q_MAX,
+    Q_MIN,
     GridCode,
     ScaleCode,
     _round_magnitude,
     ceil_scale_array,
     decode_grid,
     encode_scale_ceiling,
-    grid_index_array,
     grid_round_array,
     nearest_grid_code,
 )
@@ -123,7 +123,7 @@ class TestRoundingProperty:
     def test_matches_brute_force(self, values):
         u = np.array(values)
         got = grid_round_array(u)
-        idx = grid_index_array(np.abs(u))
+        idx = np.array([nearest_grid_code(v).index for v in values])
         for v, g, i in zip(values, got.tolist(), idx.tolist()):
             want = reference_index(v)
             assert i == want, f"index({v!r}) = {i}, want {want}"
@@ -137,7 +137,7 @@ class TestRoundingProperty:
         want = [math.copysign(GRID_MAGNITUDES[reference_index(v)], v) for v in u.tolist()]
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(u))
-        assert np.array_equal(grid_index_array(np.abs(u)),
+        assert np.array_equal([nearest_grid_code(v).index for v in u.tolist()],
                               [reference_index(v) for v in u.tolist()])
 
 
@@ -265,7 +265,8 @@ class TestCodes:
         assert ScaleCode(exponent=0, mantissa_code=128, mantissa_bits=8).decode() == 1.5
 
     def test_element_grid_frozen(self):
-        assert E2M1.q_max == 6.0 and E2M1.q_min == 0.5
+        assert Q_MAX == 6.0 and Q_MIN == 0.5
+        assert GRID_MAGNITUDES[-1] == Q_MAX and GRID_MAGNITUDES[1] == Q_MIN
 
 
 # --- rounding by addition -------------------------------------------------------
