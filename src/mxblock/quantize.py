@@ -371,28 +371,13 @@ def _ideal_round(view: BlockView, work: _Workspace | None = None
     return qstar, dead
 
 
-def _packed_codes(view: BlockView, q: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """int8 sign(x) * grid index of the roundings q = fl(g s) of view.mag at
-    one scale s per row, read as _INDEX_BY_HALVES[rint(2 q / s)]; a scale of
-    0 is the sentinel 1, as in _ideal_round. Padding and all-zero blocks get
-    code 0.
-
-    rint(2 q / s) is 2g. At a normal scale, fl(g s) is off from g s by at
-    most 2^-53 g s or 2^-1075, far below s / 4, and exact at a coded scale,
-    whose at most 9 significant bits leave room for g's 2. At a subnormal
-    scale s = j 2^-1074 it is exact for j <= 2, as u = |x| / s is then a
-    multiple of 1/2 and so is g, and off by at most 2^-1075 <= s / 3 for j
-    >= 3. Only where g s >= 2^1024 is q inf, on |x| near the largest float;
-    those elements are rounded again from |x| / s.
-    """
+def _packed_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
+    """int8 sign(x) * grid index of view.mag / scale, rounded by
+    _round_magnitude; padding and all-zero blocks get code 0. A scale of 0
+    (s_star of a block whose maximum is at most 3 subnormal units) is the
+    sentinel 1, as in _ideal_round."""
     s = np.where(scale > 0, scale, 1.0)[:, None]
-    halves = np.divide(q, s)
-    halves *= 2.0
-    np.rint(halves, out=halves)
-    over = np.isinf(halves)
-    if over.any():
-        rows, _ = np.nonzero(over)
-        halves[over] = 2.0 * _round_magnitude(view.mag[over] / s[rows, 0])
+    halves = 2.0 * _round_magnitude(view.mag / s)
     codes = _INDEX_BY_HALVES[halves.astype(np.intp)].astype(np.int8)
     return np.negative(codes, out=codes, where=np.signbit(view.blocks))
 
@@ -465,9 +450,7 @@ def quantize_block_ideal(block: np.ndarray, config: BlockQuantConfig) -> BlockQu
     """Q*: same rounding, scale = s_star exactly (left uncoded)."""
     view = block_view(_single_block(block, config), config)
     s_star = float(view.s_star[0])
-    with np.errstate(over="ignore"):            # g s may pass the largest float
-        qstar, _ = _ideal_round(view)
-    codes = _packed_codes(view, qstar, view.s_star)[0, :view.shape[0]]
+    codes = _packed_codes(view, view.s_star)[0, :view.shape[0]]
     return BlockQuant(codes, None, s_star or 1.0, s_star, float(view.m_b[0]))
 
 
@@ -481,9 +464,7 @@ def deadzone_mask(block: np.ndarray) -> np.ndarray:
 def quantize_tensor(x: np.ndarray, config: BlockQuantConfig) -> QuantizedTensor:
     view = block_view(x, config)
     s_dec, e, k = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
-    with np.errstate(over="ignore"):            # g s may pass the largest float
-        q = _coded_round(view.mag, s_dec, config.scale_mantissa_bits == 0)
-    codes = _packed_codes(view, q, s_dec)
+    codes = _packed_codes(view, s_dec)
     return QuantizedTensor(view.shape, config, codes, e, k, view.s_star, view.m_b)
 
 

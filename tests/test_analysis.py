@@ -114,12 +114,14 @@ class TestGammaStats:
 
     def test_two_floats_per_block(self):
         # the result keeps one delta per block and the statistics take one
-        # scratch array of the same size: 16 B per added block of 32, no
-        # more. The statistics are pinned to the last bit
+        # scratch array of the same size: 16 B per added block of 32, and a
+        # fixed 64 KiB for allocator and bookkeeping noise that does not grow
+        # with the tensor. The statistics are pinned to the last bit
         self._traced(256)                           # the first run allocates more
         st, small = self._traced(1024)
         _, large = self._traced(4096)
-        assert large - small <= 16 * (4096 - 1024) * 1024 // 32, (small, large)
+        assert large - small <= 16 * (4096 - 1024) * 1024 // 32 + 64 * 1024, (
+            small, large)
         assert (st.mean_delta, st.mean_gamma, st.rmse_gamma_minus_1, st.rms_delta) == (
             0.453081896283012, 1.390154051999436, 0.4622299755270151, 0.518035932625732)
         assert hashlib.sha256(st.delta.tobytes() + st.histogram.tobytes()).hexdigest() == (
