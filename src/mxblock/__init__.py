@@ -2,23 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .formats import (
-    GridCode,
-    ScaleCode,
-    decode_grid,
-    encode_scale_ceiling,
-    nearest_grid_code,
-)
 from .quantize import (
-    BlockQuant,
     BlockQuantConfig,
     QuantizedTensor,
     block_view,
-    deadzone_mask,
-    ideal_scale,
     qdq_tensor,
-    quantize_block,
-    quantize_block_ideal,
     quantize_tensor,
 )
 from .decompose import (

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -375,7 +376,11 @@ def cmd_aqn(args) -> dict:
 # --- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process: its objects form reference cycles that only the cyclic GC
+    frees, so a parser per call would leave garbage in in-process callers."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv"), default="json")

@@ -158,7 +158,6 @@ _PRESCALES = 1.0 + np.arange(MBS_LEVELS + 1) / MBS_LEVELS
 _CODE_STEP = 1.0 / MBS_LEVELS                        # p_{k+1} - p_k, exact
 _GRID_STEPS = np.diff(GRID_MAGNITUDES)               # 0.5 ... 2: powers of two
 _GRID_SQ_STEPS = np.diff(GRID_MAGNITUDES ** 2)
-_GRID_INDEX = _INDEX_BY_HALVES.astype(np.int8)      # grid index by 2 g
 # u rounds above midpoint j exactly when u > _PASSED[j]: the midpoint where
 # its tie stays at the even index j, the float just below it where the tie
 # rounds up to the even index j + 1.
@@ -350,7 +349,7 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
     def grid_index(name, value, regime):               # index of g from s g / s0
         halves = np.multiply(value, 2.0 ** (1 - regime), casting="unsafe",
                              out=work.take("halves", v.shape, np.int8))   # 2 g <= 12
-        return np.take(_GRID_INDEX, halves, out=work.take(name, v.shape, np.int8),
+        return np.take(_INDEX_BY_HALVES, halves, out=work.take(name, v.shape, np.int8),
                        mode="clip").ravel()
 
     # s g / s0 at the first and last code of each regime: k = 0, ksw - 1, ksw, 255

@@ -25,8 +25,9 @@ Conventions, fixed once here and relied on everywhere else:
   bits, 0 <= M <= 8. M = 0 is the plain power-of-two scale. Encoding uses
   ceiling semantics: the smallest representable value >= the ideal scale,
   so ``|x/s| <= q_max`` holds at every M.
-- The exponent is an unbounded Python int. Range clamping belongs to a
-  hardware backend, not to this emulation.
+- ``ceil_scale_array`` returns the exponent and mantissa codes as int64
+  arrays. The exponent is not range-clamped: it spans every float64
+  exponent, not E8M0's 2^-127 to 2^127.
 
 All kernels are exact in float64: the grid values and every representable
 scale are dyadic rationals, and the exponents are worked on the bit
@@ -35,9 +36,6 @@ patterns without rounding (by frexp/ldexp for subnormal scales).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -45,11 +43,6 @@ __all__ = [
     "GRID_MIDPOINTS",
     "Q_MAX",
     "Q_MIN",
-    "GridCode",
-    "ScaleCode",
-    "nearest_grid_code",
-    "decode_grid",
-    "encode_scale_ceiling",
     "grid_round_array",
     "ceil_scale_array",
 ]
@@ -70,44 +63,7 @@ _ROUNDER_BITS = (51 << _MANTISSA_BITS) + (1 << (_MANTISSA_BITS - 1))
 _MIN_NORMAL = 2.0 ** -1022
 _MAX_FINITE = float(np.finfo(np.float64).max)
 # grid index by twice the magnitude: 0, 1, 2, 3, 4, 6, 8, 12 -> 0..7
-_INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7])
-
-
-@dataclass(frozen=True)
-class GridCode:
-    """Signed element code: sign in {-1, 0, +1} and magnitude index."""
-
-    sign: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0, or +1")
-        if not 0 <= self.index < len(GRID_MAGNITUDES):
-            raise ValueError("magnitude index out of range")
-        if self.index == 0 and self.sign != 0:
-            raise ValueError("zero magnitude carries sign 0")
-        if self.index != 0 and self.sign == 0:
-            raise ValueError("nonzero magnitude needs a sign")
-
-
-@dataclass(frozen=True)
-class ScaleCode:
-    """Block scale 2^exponent * (1 + mantissa_code / 2^mantissa_bits)."""
-
-    exponent: int
-    mantissa_code: int = 0
-    mantissa_bits: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mantissa_bits <= 8:
-            raise ValueError("mantissa_bits must be in [0, 8]")
-        if not 0 <= self.mantissa_code < (1 << self.mantissa_bits):
-            raise ValueError("mantissa_code out of range for mantissa_bits")
-
-    def decode(self) -> float:
-        return math.ldexp(1.0 + self.mantissa_code / (1 << self.mantissa_bits),
-                          self.exponent)
+_INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7], np.int8)
 
 
 # --- vector kernels ----------------------------------------------------------
@@ -198,31 +154,3 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
     shape = s_star.shape
     return decoded.reshape(shape), e.reshape(shape), k.reshape(shape)
 
-
-# --- scalar operations -------------------------------------------------------
-
-
-def nearest_grid_code(u: float) -> GridCode:
-    """Nearest signed grid code for one value. |u| > q_max saturates."""
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError("non-finite input")
-    g = _round_magnitude(np.array([abs(u)]))[0]
-    idx = int(_INDEX_BY_HALVES[int(2.0 * g)])
-    if idx == 0:
-        return GridCode(0, 0)
-    return GridCode(1 if u > 0 else -1, idx)
-
-
-def decode_grid(code: GridCode) -> float:
-    """Exact grid value for a signed code."""
-    return float(code.sign) * float(GRID_MAGNITUDES[code.index])
-
-
-def encode_scale_ceiling(s_star: float, mantissa_bits: int) -> ScaleCode:
-    """Smallest representable E8Mk scale >= s_star, as a code."""
-    s_star = float(s_star)
-    if not math.isfinite(s_star) or s_star <= 0:
-        raise ValueError("scale must be positive and finite")
-    _, e, k = ceil_scale_array(np.array([s_star]), mantissa_bits)
-    return ScaleCode(int(e[0]), int(k[0]), mantissa_bits)

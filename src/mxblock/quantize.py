@@ -21,7 +21,6 @@ from .formats import (
     _INDEX_BY_HALVES,
     GRID_MAGNITUDES,
     Q_MAX,
-    ScaleCode,
     _round_at,
     _round_magnitude,
     ceil_scale_array,
@@ -29,14 +28,9 @@ from .formats import (
 
 __all__ = [
     "BlockQuantConfig",
-    "BlockQuant",
     "QuantizedTensor",
     "BlockView",
     "block_view",
-    "ideal_scale",
-    "quantize_block",
-    "quantize_block_ideal",
-    "deadzone_mask",
     "quantize_tensor",
     "qdq_tensor",
 ]
@@ -57,24 +51,6 @@ class BlockQuantConfig:
             raise ValueError("scale_mantissa_bits must be in [0, 8]")
 
 
-@dataclass(frozen=True)
-class BlockQuant:
-    """One quantized block. ``scale`` is None for the ideal-scale quantizer,
-    whose scale is the uncoded real s_star; ``scale_value`` is always the
-    factor used for dequantization."""
-
-    element_codes: np.ndarray          # int8, sign * magnitude index
-    scale: ScaleCode | None
-    scale_value: float
-    s_star: float
-    m_b: float
-
-    def dequantize(self) -> np.ndarray:
-        idx = np.abs(self.element_codes).astype(np.int64)
-        return self.scale_value * np.copysign(
-            GRID_MAGNITUDES[idx], self.element_codes.astype(np.float64))
-
-
 @dataclass
 class QuantizedTensor:
     """Packed per-block codes and scales for a whole tensor."""
@@ -90,13 +66,6 @@ class QuantizedTensor:
     @property
     def n_blocks(self) -> int:
         return self.element_codes.shape[0]
-
-    def block(self, i: int) -> BlockQuant:
-        code = ScaleCode(int(self.scale_exponents[i]), int(self.scale_mantissas[i]),
-                         self.config.scale_mantissa_bits)
-        length = _row_block_length(self.shape, self.config.block_size, i)
-        return BlockQuant(self.element_codes[i, :length], code, code.decode(),
-                          float(self.s_star[i]), float(self.m_b[i]))
 
     def dequantize(self) -> np.ndarray:
         scale = np.ldexp(1.0 + self.scale_mantissas /
@@ -160,13 +129,6 @@ def _take(work: _Workspace | None, name: str, shape: tuple[int, ...],
 
 def _blocks_per_row(n: int, B: int) -> int:
     return (n + B - 1) // B
-
-
-def _row_block_length(shape: tuple[int, ...], B: int, i: int) -> int:
-    n = shape[-1] if shape else 1
-    per_row = _blocks_per_row(n, B)
-    tail = n - (per_row - 1) * B
-    return tail if (i % per_row) == per_row - 1 else B
 
 
 def _pad_rows(rows: np.ndarray, B: int) -> np.ndarray:
@@ -378,7 +340,7 @@ def _packed_codes(view: BlockView, scale: np.ndarray) -> np.ndarray:
     sentinel 1, as in _ideal_round."""
     s = np.where(scale > 0, scale, 1.0)[:, None]
     halves = 2.0 * _round_magnitude(view.mag / s)
-    codes = _INDEX_BY_HALVES[halves.astype(np.intp)].astype(np.int8)
+    codes = _INDEX_BY_HALVES[halves.astype(np.intp)]
     return np.negative(codes, out=codes, where=np.signbit(view.blocks))
 
 
@@ -423,42 +385,6 @@ def qdq_views(view: BlockView, config: BlockQuantConfig | None,
 
 
 # --- public operations -------------------------------------------------------
-
-
-def ideal_scale(block: np.ndarray) -> float:
-    """max|x| / q_max; 0 for an all-zero block."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.size == 0:
-        raise ValueError("empty block")
-    if not np.isfinite(block).all():
-        raise ValueError("non-finite input")
-    return float(np.abs(block).max() / Q_MAX)
-
-
-def _single_block(block: np.ndarray, config: BlockQuantConfig) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 1 or not 1 <= block.size <= config.block_size:
-        raise ValueError("block must be 1-D with 1..block_size elements")
-    return block
-
-
-def quantize_block(block: np.ndarray, config: BlockQuantConfig) -> BlockQuant:
-    return quantize_tensor(_single_block(block, config), config).block(0)
-
-
-def quantize_block_ideal(block: np.ndarray, config: BlockQuantConfig) -> BlockQuant:
-    """Q*: same rounding, scale = s_star exactly (left uncoded)."""
-    view = block_view(_single_block(block, config), config)
-    s_star = float(view.s_star[0])
-    codes = _packed_codes(view, view.s_star)[0, :view.shape[0]]
-    return BlockQuant(codes, None, s_star or 1.0, s_star, float(view.m_b[0]))
-
-
-def deadzone_mask(block: np.ndarray) -> np.ndarray:
-    """|x_i| < m_b / 24, strict, the array taken as one block; all False if all zero."""
-    block = np.asarray(block, dtype=np.float64)
-    view = block_view(block.reshape(1, -1), BlockQuantConfig(max(1, block.size)))
-    return _deadzone(view).reshape(block.shape)
 
 
 def quantize_tensor(x: np.ndarray, config: BlockQuantConfig) -> QuantizedTensor:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -161,6 +163,26 @@ class TestEnvelope:
             reports.append(re.sub(r'"duration_seconds": [^\n]+', "D", run.stdout))
         assert '"results"' in reports[0]
         assert reports[0] == reports[1]
+
+    def test_parser_built_once_per_process(self, capsys):
+        # a parser's objects form reference cycles that only the cyclic GC
+        # frees; after the first call, main builds no parser
+        argv = ["cltsum", "--layers", "4", "--trials", "1000"]
+
+        def parsers():
+            return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+        code, first, _ = _run(capsys, argv)
+        assert code == 0
+        gc.disable()
+        try:
+            before = parsers()
+            code, second, _ = _run(capsys, argv)
+            after = parsers()
+        finally:
+            gc.enable()
+        assert code == 0 and after == before
+        assert json.loads(first)["results"] == json.loads(second)["results"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

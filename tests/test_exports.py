@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import pkgutil
+import sys
 
 import pytest
 
@@ -21,3 +23,12 @@ def test_every_export_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), exported
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_public_names():
+    # a name retired from its module's __all__ but left in mxblock's imports
+    # would linger on the package surface
+    stray = [f"{obj.__module__}.{name}" for name, obj in vars(mxblock).items()
+             if not name.startswith("_") and not inspect.ismodule(obj)
+             and name not in getattr(sys.modules[obj.__module__], "__all__", ())]
+    assert stray == []

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mxblock.formats import GRID_MIDPOINTS, ceil_scale_array, grid_round_array
+from mxblock.formats import (
+    GRID_MAGNITUDES,
+    GRID_MIDPOINTS,
+    ceil_scale_array,
+    grid_round_array,
+)
 from mxblock.quantize import (
     BlockQuantConfig,
+    _packed_codes,
     _Workspace,
     block_view,
-    deadzone_mask,
-    ideal_scale,
     qdq_tensor,
     qdq_views,
-    quantize_block,
-    quantize_block_ideal,
     quantize_tensor,
 )
 
@@ -24,6 +26,17 @@ WORKED_S_STAR = 4.0 / 6.0
 WORKED_QSTAR = np.array([0.0, 0.0, 1 / 3, 2 / 3, 1.0, 4 / 3, 2.0, 4.0])
 WORKED_QDQ = np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.5, 2.0, 4.0])
 WORKED_DEAD = np.array([True, True, False, False, False, False, False, False])
+
+
+def _code_values(codes: np.ndarray) -> np.ndarray:
+    """The signed grid values of packed int8 codes."""
+    return np.copysign(GRID_MAGNITUDES[np.abs(codes)], codes)
+
+
+def _decoded_scales(qt) -> np.ndarray:
+    """2^e (1 + k / 2^M): the block scales of a QuantizedTensor."""
+    levels = 1 << qt.config.scale_mantissa_bits
+    return np.ldexp(1.0 + qt.scale_mantissas / levels, qt.scale_exponents)
 
 
 def _dists(rng):
@@ -137,24 +150,25 @@ class TestBlockMaximaProperty:
 class TestWorkedBlock:
     def setup_method(self):
         self.cfg = BlockQuantConfig(block_size=8)
+        self.view = block_view(WORKED_X, self.cfg)
 
-    def test_ideal_scale(self):
-        assert ideal_scale(WORKED_X) == WORKED_S_STAR
+    def test_s_star(self):
+        assert self.view.s_star.tolist() == [WORKED_S_STAR]
 
     def test_qstar(self):
-        q = quantize_block_ideal(WORKED_X, self.cfg)
-        assert q.scale is None and q.scale_value == WORKED_S_STAR
-        np.testing.assert_allclose(q.dequantize(), WORKED_QSTAR, rtol=0, atol=1e-15)
+        _, qstar, _, _ = qdq_views(self.view, None)
+        codes = _packed_codes(self.view, self.view.s_star)
+        assert np.array_equal(_code_values(codes) * WORKED_S_STAR, qstar)
+        np.testing.assert_allclose(qstar[0], WORKED_QSTAR, rtol=0, atol=1e-15)
 
     def test_qdq(self):
-        q = quantize_block(WORKED_X, self.cfg)
-        assert q.scale_value == 1.0
-        assert q.scale.decode() == 1.0
-        np.testing.assert_array_equal(q.dequantize(), WORKED_QDQ)
+        qt = quantize_tensor(WORKED_X, self.cfg)
+        assert _decoded_scales(qt).tolist() == [1.0]
+        np.testing.assert_array_equal(qt.dequantize(), WORKED_QDQ)
 
     def test_deadzone(self):
-        dead = deadzone_mask(WORKED_X)
-        assert dead.tolist() == WORKED_DEAD.tolist()
+        _, _, dead, _ = qdq_views(self.view, None)
+        assert dead[0].tolist() == WORKED_DEAD.tolist()
 
     def test_gamma(self):
         np.testing.assert_allclose(1.0 / WORKED_S_STAR, 1.5)
@@ -162,30 +176,33 @@ class TestWorkedBlock:
 
 class TestQuantizeBlock:
     def test_matches_vector_kernel(self):
-        # scalar-ish block path against the batched view path
+        # the packed codes against the rounding kernel: Q codes times the
+        # decoded scale are qdq, Q* codes times s_star are qstar
         rng = np.random.default_rng(21)
-        cfg = BlockQuantConfig()
         for m in (0, 2, 8):
             cfg_m = BlockQuantConfig(scale_mantissa_bits=m)
             x = rng.standard_normal((8, 32))
             view = block_view(x, cfg_m)
-            qdq, qstar, dead, s_dec = qdq_views(view, cfg_m)
-            for i in range(8):
-                bq = quantize_block(x[i], cfg_m)
-                assert bq.scale_value == s_dec[i]
-                assert np.array_equal(bq.dequantize(), qdq[i])
-                bi = quantize_block_ideal(x[i], cfg_m)
-                assert np.array_equal(bi.dequantize(), qstar[i])
+            qdq, qstar, _, s_dec = qdq_views(view, cfg_m)
+            qt = quantize_tensor(x, cfg_m)
+            scale = _decoded_scales(qt)
+            assert np.array_equal(scale, s_dec)
+            assert np.array_equal(_code_values(qt.element_codes) * scale[:, None], qdq)
+            ideal = _code_values(_packed_codes(view, view.s_star))
+            assert np.array_equal(ideal * view.s_star[:, None], qstar)
 
     def test_all_zero_block(self):
         cfg = BlockQuantConfig(block_size=4)
-        q = quantize_block(np.zeros(4), cfg)
-        assert q.m_b == 0.0 and q.s_star == 0.0
-        assert (q.element_codes == 0).all()
-        assert np.array_equal(q.dequantize(), np.zeros(4))
-        qi = quantize_block_ideal(np.zeros(4), cfg)
-        assert qi.scale_value == 1.0  # sentinel, output still exact zeros
-        assert np.array_equal(qi.dequantize(), np.zeros(4))
+        qt = quantize_tensor(np.zeros(4), cfg)
+        assert qt.m_b.tolist() == [0.0] and qt.s_star.tolist() == [0.0]
+        assert (qt.element_codes == 0).all()
+        # the sentinel scale 1, code (0, 0); the output is still exact zeros
+        assert _decoded_scales(qt).tolist() == [1.0]
+        assert np.array_equal(qt.dequantize(), np.zeros(4))
+        view = block_view(np.zeros(4), cfg)
+        _, qstar, _, _ = qdq_views(view, None)
+        assert (_packed_codes(view, view.s_star) == 0).all()
+        assert np.array_equal(qstar, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("units", [1, 2, 3])
     def test_ideal_on_subnormal_blocks(self, units):
@@ -198,30 +215,28 @@ class TestQuantizeBlock:
             view = block_view(block, cfg)
             assert view.s_star[0] == 0.0 and view.nonzero[0]
             _, qstar, _, _ = qdq_views(view, None)
-            q = quantize_block_ideal(block, cfg)
-            assert q.s_star == 0.0 and q.scale_value == 1.0
-            assert np.array_equal(q.dequantize(), view.restore(qstar))
-            assert not q.dequantize().any()
+            codes = _packed_codes(view, view.s_star)
+            assert np.array_equal(_code_values(codes), qstar)     # times 1
+            assert not qstar.any()
 
     def test_deadzone_strict_boundary(self):
         # block max 6 puts the threshold at exactly 0.25
         cfg = BlockQuantConfig(block_size=4)
         x = np.array([6.0, 0.25, np.nextafter(0.25, 0.0), 0.0])
-        dead = deadzone_mask(x)
+        _, _, dead, _ = qdq_views(block_view(x, cfg), None)
         # |x| == m_b/24 is not dead by the strict inequality, though the
         # tie rule still rounds it to zero; exact zeros inside a live
         # block do count as dead
-        assert dead.tolist() == [False, False, True, True]
-        q = quantize_block(x, cfg)
-        assert q.dequantize()[1] == 0.0
+        assert dead[0].tolist() == [False, False, True, True]
+        assert quantize_tensor(x, cfg).dequantize()[1] == 0.0
 
     def test_saturation_at_block_max(self):
         cfg = BlockQuantConfig(block_size=4)
         x = np.array([6e4, -6e4, 1.0, 0.0])
-        q = quantize_block(x, cfg)
-        deq = q.dequantize()
+        qt = quantize_tensor(x, cfg)
+        deq = qt.dequantize()
         assert deq[0] == -deq[1]
-        assert abs(deq[0]) <= 6.0 * q.scale_value
+        assert abs(deq[0]) <= 6.0 * _decoded_scales(qt)[0]
 
 
 class TestQuantizeTensor:
@@ -399,9 +414,10 @@ def _pinned_input() -> np.ndarray:
 
 
 # sha256 of quantize_tensor's element codes, scale exponents and scale
-# mantissas, in that order, at each M on _pinned_input(); "ideal" is the
-# codes of quantize_block_ideal on each block, in order. Recorded while the
-# codes still came from dividing the blocks by the scale again.
+# mantissas, in that order, at each M on _pinned_input(); "ideal" is the Q*
+# codes (at s_star) of each block with its padding dropped, in order.
+# Recorded while the codes still came from dividing the blocks by the scale
+# again.
 _PACKED_DIGESTS = {
     0: "6c3c6831cf9ad0c3273f92c3c69dfdbf4c641c78a40eb4898228c7a55428a7e1",
     1: "b49866e6625db53f1aacddcc2421c26493771596998c5d07b318379f36e88f3d",
@@ -441,10 +457,8 @@ class TestPackedCodeDigests:
 def _packed_digest(x: np.ndarray, key) -> str:
     h = hashlib.sha256()
     if key == "ideal":
-        cfg = BlockQuantConfig(_PIN_B)
-        for row in x:
-            for lo in range(0, row.size, _PIN_B):
-                h.update(quantize_block_ideal(row[lo:lo + _PIN_B], cfg).element_codes.tobytes())
+        view = block_view(x, BlockQuantConfig(_PIN_B))
+        h.update(np.ascontiguousarray(view.restore(_packed_codes(view, view.s_star))).tobytes())
     else:
         qt = quantize_tensor(x, BlockQuantConfig(_PIN_B, key))
         for a in (qt.element_codes, qt.scale_exponents, qt.scale_mantissas):
