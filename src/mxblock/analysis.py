@@ -33,7 +33,7 @@ from .quantize import (
     _CHUNK_ELEMS,
     _STREAM_ELEMS,
     BlockQuantConfig,
-    _deadzone,
+    _below_threshold,
     _Workspace,
     _blocks_per_row,
     block_view,
@@ -637,8 +637,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     # and dz-grid cross traces. Isotropic traces take decompose_tensor's _dot,
     # so they are var times its sums bit for bit on a one-piece tensor; a
     # larger tensor's sums add piece by piece, which moves their last bits.
-    # In every mode a trace past 1.8e308 (|w| ~ 1e150) is inf or nan without
-    # a warning: cmd_gemm checks them (_check_norms)
+    # In every mode a trace past 1.8e308 (w's scales are E8M0's, but the
+    # covariance is any finite one) is inf or nan without a warning: cmd_gemm
+    # checks them (_check_norms)
     mats = (e_s, e_d, e_g, e_t)
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "isotropic":
@@ -716,7 +717,7 @@ def deadzone_truncate(x, config: BlockQuantConfig | None = None) -> np.ndarray:
     """Zero every entry the ideal quantizer would drop."""
     config = config or BlockQuantConfig()
     view = block_view(x, config)
-    return view.restore(np.where(_deadzone(view), 0.0, view.blocks))
+    return view.restore(np.where(_below_threshold(view.mag, view.m_b), 0.0, view.blocks))
 
 
 # --- cross term vs block size -----------------------------------------------------

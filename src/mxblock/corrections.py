@@ -92,13 +92,10 @@ _MBS_MODES = ("exhaustive", "closed_form")
 @dataclass(frozen=True)
 class MbsConfig:
     macro_block_size: int = 128
-    mantissa_levels: int = MBS_LEVELS
 
     def __post_init__(self) -> None:
         if self.macro_block_size < 1:
             raise ValueError("macro_block_size must be >= 1")
-        if self.mantissa_levels != MBS_LEVELS:
-            raise ValueError("mantissa_levels is fixed at 256 (one byte)")
 
     def validate_against(self, quant: BlockQuantConfig) -> None:
         if self.macro_block_size % quant.block_size:
@@ -145,7 +142,10 @@ class AqnSchedule:
 
 def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
     """k = floor((2^delta_M - 1) * 256) per macro max, 0 where s = m_m / 6 is
-    0: 2^delta_M is the power-of-two ceiling of s over s, rounded once."""
+    0: 2^delta_M is the power-of-two ceiling of s over s, rounded once. The
+    ceiling is E8M0's, so where it clamps (s <= 2^-128) the ratio is at least
+    2 and k is clipped to 255: with the scale held at 2^-127, the largest
+    prescale uses the most of the grid."""
     s = m_m / Q_MAX
     live = s > 0
     k = np.floor((ceil_scale_array(s, 0)[0] / np.where(live, s, 1.0) - 1.0) * MBS_LEVELS)
@@ -184,11 +184,22 @@ _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
 # against 38.2 ms at 2^14 (first quartile of 80 interleaved calls each). A
 # 2^15 step was no faster than 2^14 and raised that peak from 46 to 52 MB.
 _STEP_ELEMS = 1 << 13
-# Macros whose nonzero magnitudes lie in this range take the closed form:
-# every product, square and quotient that it and the sweep form is a normal
-# float, the premise of the rounding bound in _approx_errors. Other macros
-# are swept.
-_CLOSED_FORM_RANGE = (2.0 ** -500, 2.0 ** 500)
+# Macros take the closed form when every sub-block maximum m is 0 or above
+# this floor; the others are swept. At code k a sub-block's scale is the
+# ceiling of max(fl(fl(p_k m) / 6), 2^-127), and the clamp moves it only
+# where fl(fl(p_k m) / 6) <= 2^-128: a value in (2^-128, 2^-127] has the
+# ceiling 2^-127 either way. p_0 m = m is the least product, so no code is
+# clamped exactly when fl(m / 6) > 2^-128, that is m > 6 * 2^-128 = 3 *
+# 2^-127: 6 * 2^-128 divides to 2^-128 exactly, and the float above it to
+# the float above 2^-128. Below the floor s0 is the clamp, m / s0 is not in
+# (3, 6], and _grid_sums would look for a scale switch that never comes.
+# Above it, with mbs_qdq's domain keeping m below 2^130, the rounding bound
+# of _approx_errors holds: every scale, weight and crossing it forms is a
+# normal float, since an element with a nonzero grid value at some code is
+# at least s0 / 8 >= 2^-130. A smaller element is 0 at every code, in the
+# closed form and in the sweep, and only its square can underflow, which
+# the bound covers.
+_RANKED_FLOOR = 3.0 * 2.0 ** -127
 
 
 def _prescaled_qdq(mag: np.ndarray, sub_max: np.ndarray, pres: np.ndarray,
@@ -230,10 +241,8 @@ def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, cand: np.ndarray,
     The one evaluation of a trial, so its float64 error and row are those
     of every other caller. Each trial is one row of macro elements and is
     summed along that row, so its pairwise summation does not depend on
-    which other trials share the chunk. An error that overflows is +inf,
-    without a warning, as is that of a trial whose Q(p x) rounds past the
-    largest float (Q can round up by up to a factor of 6/5). Only a chunk's
-    trials are listed at a time: at M > 0 a step has 256 per macro."""
+    which other trials share the chunk. Only a chunk's trials are listed at
+    a time: at M > 0 a step has 256 per macro."""
     macro = mag.shape[1]
     step = max(1, _STREAM_ELEMS // macro)
     ends = np.cumsum(cand.sum(axis=1))                 # trials through each macro
@@ -248,12 +257,11 @@ def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, cand: np.ndarray,
         rows += first
         # mode="clip": with "raise", take buffers its out= through a copy
         x = np.take(mag, rows, axis=0, out=work.take("x", (len(rows), macro)), mode="clip")
-        with np.errstate(over="ignore"):
-            y = _prescaled_qdq(x, sub_max[rows], _PRESCALES[k][:, None], quant,
-                               work.take("y", x.shape), work)
-            np.subtract(y, x, out=x)
-            np.square(x, out=x)
-            errors = x.sum(axis=1)
+        y = _prescaled_qdq(x, sub_max[rows], _PRESCALES[k][:, None], quant,
+                           work.take("y", x.shape), work)
+        np.subtract(y, x, out=x)
+        np.square(x, out=x)
+        errors = x.sum(axis=1)
         yield rows, k, errors, y
 
 
@@ -427,7 +435,7 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
     """(A, D): A, (n, 256), every trial's macro error at M = 0 in closed
     form, and D, (n, 1), one bound per macro on |A(k) - E(k)|, the distance
     from the value E that _trial_errors computes, for macros of magnitudes
-    mag within _CLOSED_FORM_RANGE and their sub-block maxima sub_max.
+    mag and sub-block maxima sub_max above _RANKED_FLOOR (or 0).
 
     With S2 and SX from _grid_sums, a_i = s g_i / p and X2 = sum x^2, the
     real error is
@@ -444,8 +452,9 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
     - _trial_errors rounds q / p, the difference and the square, which
       moves each element's square by at most gamma_5 (q_i / p + |x_i|)^2,
       then sums n terms, in any order: |E - e| <= gamma_{n+4} 9(1 + u)^2
-      X2. Underflow in its squares adds at most n 2^-1075, which the range
-      puts below 2^-21 n u X2.
+      X2. Underflow in its squares adds at most n 2^-1075, as it does to
+      X2's, and the ranked floor puts each below 2^-21 n u X2: X2 >= m^2 >
+      2^-251.
     - S2(k) and SX(k) are float sums of at most 6 weights per element (the
       k = 0 value, a jump, up to four crossings), in whatever order the
       sub-block sums, the scatter-add and the cumsum take them: an error of
@@ -492,7 +501,8 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
     macro's _trial_errors value over all 256 prescales, ties to the
     smallest k, but not every trial is evaluated, and all-zero macros none,
     their rows of out untouched. At M = 0 (a power-of-two scale) and for
-    macros within _CLOSED_FORM_RANGE, _approx_errors gives every code's
+    macros whose sub-block maxima are above _RANKED_FLOOR (or 0), so that
+    no code's scale is clamped, _approx_errors gives every code's
     error A(k) in closed form, in O(macro + 256 sub-blocks) per macro, with
     a rigorous bound D on |A(k) - E(k)|, where E is the float value
     _trial_errors computes. E(k*) <= E(k') for the k' minimizing A, so the
@@ -501,11 +511,11 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
     are its candidates, argmin A among them; where a NaN in A or D leaves
     none, argmin A is the one candidate, so no macro is left without. A
     macro with one candidate, almost every macro, takes it without a trial:
-    it is the 256-trial argmin. The rows
-    of all such macros come from one _prescaled_qdq call, as in the closed
-    form, straight into out when they are the whole step. At M > 0 the
+    it is the 256-trial argmin. The rows of all such macros come from one
+    _prescaled_qdq call, as in the closed form, straight into out when they
+    are the whole step. At M > 0 the
     scale takes many values over k and s is no longer a power of two, so u
-    = fl(p x) / s is rounded. There, and for macros outside the range, the
+    = fl(p x) / s is rounded. There, and for the other macros, the
     candidates are all 256 codes: the sweep.
 
     Only the macros left in doubt, with two or more candidates, and the
@@ -528,8 +538,7 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
     doubt = np.empty(0, dtype=np.intp)                 # ranked macros left in doubt
     if quant.scale_mantissa_bits == 0:
         ranked = np.flatnonzero(
-            left & (macro_max <= _CLOSED_FORM_RANGE[1])
-            & ~((mag > 0) & (mag < _CLOSED_FORM_RANGE[0])).any(axis=1))
+            left & ~((sub_max > 0) & (sub_max <= _RANKED_FLOOR)).any(axis=1))
         if len(ranked):
             sel = _all_or(ranked, len(mag))
             approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
@@ -611,8 +620,9 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
     sign of its element, except in all-zero blocks, which are +0.0
     throughout.
 
-    The domain is one for both modes: every macro maximum times the
-    largest prescale 511/256 is finite. Past it a ValueError is raised.
+    The domain is one for both modes: the coded scale of every sub-block at
+    the largest prescale p_255 = 511/256 lies in E8M0's range. Past it
+    ceil_scale_array's ValueError is raised, before the step's codes.
 
     Besides the input, the output and the codes, the working memory is
     that of one step, in work, which a caller running many small tensors
@@ -636,10 +646,10 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
         view = block_view(step, macro_config, work)
         mag = view.mag
         sub_max = _block_maxima(mag, B).reshape(len(mag), -1)
-        with np.errstate(over="ignore"):             # overflow is rejected just below
-            if not np.isfinite(sub_max * _PRESCALES[MBS_LEVELS - 1]).all():
-                raise ValueError("MBS prescale overflows float64: a macro maximum "
-                                 "times 511/256 must be finite")
+        # the step's largest maximum has the largest coded scale at p_255;
+        # Python floats take its product past the largest float without a warning
+        top = float(view.m_b.max()) * float(_PRESCALES[MBS_LEVELS - 1])
+        ceil_scale_array(top / Q_MAX, quant.scale_mantissa_bits)
         y = work.take("x_hat", mag.shape)
         k = _step_codes(mag, sub_max, view.m_b, mode, quant, work, y)
         np.copysign(y, view.blocks, out=y)

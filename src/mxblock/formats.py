@@ -26,12 +26,13 @@ Conventions, fixed once here and relied on everywhere else:
   ceiling semantics: the smallest representable value >= the ideal scale,
   so ``|x/s| <= q_max`` holds at every M.
 - ``ceil_scale_array`` returns the exponent and mantissa codes as int64
-  arrays. The exponent is not range-clamped: it spans every float64
-  exponent, not E8M0's 2^-127 to 2^127.
+  arrays, within E8M0's range of the OCP MX v1.0 spec: exponents -127 to
+  127. A block scale below 2^-127 is coded as 2^-127, and one whose ceiling
+  needs an exponent above 127 is refused.
 
 All kernels are exact in float64: the grid values and every representable
 scale are dyadic rationals, and the exponents are worked on the bit
-patterns without rounding (by frexp/ldexp for subnormal scales).
+patterns without rounding.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ _ONE_FIELD = 1023 << _MANTISSA_BITS        # the exponent field of 1.0
 # The bits of the rounding constant C = 1.5 * 2^52 * step, added to the
 # exponent field of 2 step: 51 binades up, and the top mantissa bit for 1.5
 _ROUNDER_BITS = (51 << _MANTISSA_BITS) + (1 << (_MANTISSA_BITS - 1))
-_MIN_NORMAL = 2.0 ** -1022
-_MAX_FINITE = float(np.finfo(np.float64).max)
+# E8M0's largest exponent, and its least scale, a normal float
+_E8M0_EMAX = 127
+_E8M0_MIN = 2.0 ** -127
 # grid index by twice the magnitude: 0, 1, 2, 3, 4, 6, 8, 12 -> 0..7
 _INDEX_BY_HALVES = np.array([0, 1, 2, 3, 4, -1, 5, -1, 6, -1, -1, -1, 7], np.int8)
 
@@ -118,39 +120,29 @@ def grid_round_array(u: np.ndarray) -> np.ndarray:
 
 def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest representable E8Mk scale >= s_star, elementwise.
+    """Smallest representable E8Mk scale >= max(s_star, 2^-127), elementwise.
 
-    Returns (decoded, exponent, mantissa_code), the codes int64. Entries
-    with s_star <= 0, nan or +inf are passed through as decoded 1.0 with
-    code (0, 0); callers mask them.
+    Returns (decoded, exponent, mantissa_code), the codes int64 and the
+    exponents in [-127, 127]. Entries with s_star <= 0 or nan are passed
+    through as decoded 1.0 with code (0, 0); callers mask them. A ValueError
+    naming E8M0's limit refuses any entry whose ceiling needs an exponent
+    above 127 (+inf among them).
 
-    Exact, from the bits of a normal s*: adding 2^(52-M) - 1 carries into
-    the top M mantissa bits, or past them into the exponent, unless the
-    low 52 - M bits are all 0, and masking those off leaves the ceiling. A
-    subnormal s* = f 2^p (frexp) has the code k = ceil((2f - 1) 2^M), exact,
-    at exponent p - 1; k = 2^M carries into the next exponent.
-    """
+    Exact, from the bits of the normal max(s*, 2^-127): adding 2^(52-M) - 1
+    carries into the top M mantissa bits, or past them into the exponent,
+    unless the low 52 - M bits are all 0, and masking those off leaves the
+    ceiling."""
     if not 0 <= mantissa_bits <= 8:
         raise ValueError("mantissa_bits must be in [0, 8]")
     s_star = np.asarray(s_star, dtype=np.float64)
-    s = s_star.ravel()
+    s = np.where(s_star > 0, np.maximum(s_star, _E8M0_MIN), 1.0).ravel()
     dropped = _MANTISSA_BITS - mantissa_bits
     bits = np.add(s.view(np.int64), (1 << dropped) - 1)
     bits &= -1 << dropped
     e = (bits >> _MANTISSA_BITS) - 1023
-    levels = 1 << mantissa_bits
-    k = (bits >> dropped) & (levels - 1) if mantissa_bits else np.zeros(s.size, np.int64)
-    decoded = bits.view(np.float64)
-    odd = ~((s >= _MIN_NORMAL) & (s <= _MAX_FINITE))
-    if odd.any():
-        # 1.0, its own ceiling with code (0, 0), stands in for s* <= 0, nan, inf
-        t = s[odd]
-        f, p = np.frexp(np.where((t > 0) & (t <= _MAX_FINITE), t, 1.0))
-        k_odd = np.ceil((2.0 * f - 1.0) * levels).astype(np.int64)
-        e[odd] = p - 1 + (k_odd == levels)          # k = 2^M carries
-        k_odd %= levels
-        k[odd] = k_odd
-        decoded[odd] = np.ldexp(1.0 + k_odd / levels, e[odd])
+    if e.size and e.max() > _E8M0_EMAX:
+        raise ValueError(f"block scale past E8M0's range: its ceiling needs exponent "
+                         f"{int(e.max())}, above the largest, {_E8M0_EMAX}")
+    k = (bits >> dropped) & ((1 << mantissa_bits) - 1)
     shape = s_star.shape
-    return decoded.reshape(shape), e.reshape(shape), k.reshape(shape)
-
+    return bits.view(np.float64).reshape(shape), e.reshape(shape), k.reshape(shape)

@@ -58,7 +58,7 @@ class QuantizedTensor:
     shape: tuple[int, ...]
     config: BlockQuantConfig
     element_codes: np.ndarray          # int8, (n_blocks, B), padded with 0
-    scale_exponents: np.ndarray        # int64, (n_blocks,)
+    scale_exponents: np.ndarray        # int64 in [-127, 127], (n_blocks,)
     scale_mantissas: np.ndarray        # int64, (n_blocks,)
     s_star: np.ndarray                 # float64, (n_blocks,)
     m_b: np.ndarray                    # float64, (n_blocks,)
@@ -237,9 +237,8 @@ def block_view(x: np.ndarray, config: BlockQuantConfig,
 # e from the bits of the scale, which hold it for a normal scale: e >=
 # -1022. The constant C = 1.5 * 2^52 * step has the field max(F, 1023 + e)
 # + 51, at most 1076 + e (F <= 1025 + e): C is normal, and finite while
-# 1076 + e <= 2046, e <= 970.
+# 1076 + e <= 2046, e <= 970. Every E8M0 exponent, -127 to 127, lies within.
 _FOLD_EXPONENTS = (-1022, 970)
-_FOLD_SCALES = tuple(2.0 ** e for e in _FOLD_EXPONENTS)
 # s_star from which on s_star / 4, the deadzone threshold fl(m_b / 24), is
 # a normal float
 _QUARTER_NORMAL = 2.0 ** -1020
@@ -291,24 +290,18 @@ def _coded_round(mag: np.ndarray, scale: np.ndarray, pow2: bool,
                  out: np.ndarray | None = None,
                  work: _Workspace | None = None) -> np.ndarray:
     """_mag_round at coded scales. Power-of-two scales (pow2, M = 0) are
-    folded into the rounding constant (_mag_round_pow2) when every one lies
-    in _FOLD_EXPONENTS: the same bits."""
-    lo, hi = _FOLD_SCALES
-    if pow2 and ((scale >= lo) & (scale <= hi)).all():
+    folded into the rounding constant (_mag_round_pow2), the same bits:
+    every E8M0 power of two lies in _FOLD_EXPONENTS."""
+    if pow2:
         return _mag_round_pow2(mag, scale, out, work)
     return _mag_round(mag, scale, out, work)
 
 
-def _deadzone(view: BlockView, work: _Workspace | None = None) -> np.ndarray:
-    """The ideal-scale deadzone |x| < m_b/24, strict. False on all-zero
-    blocks, whose threshold is 0; True on the padding of the others."""
-    return _below_threshold(view.mag, view.m_b,
-                            _take(work, "dead", view.blocks.shape, bool))
-
-
 def _below_threshold(mag: np.ndarray, m_b: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """mag < m_b/24 per row: the deadzone by its definition."""
+    """mag < m_b/24 per row: the ideal-scale deadzone by its definition,
+    strict. False on all-zero blocks, whose threshold is 0; True on the
+    padding of the others."""
     return np.less(mag, (m_b / 24.0)[:, None], out=out)
 
 
@@ -359,18 +352,18 @@ def qdq_views(view: BlockView, config: BlockQuantConfig | None,
     """(qdq, qstar, dead, s_decoded) on the blocked view: the one rounding
     kernel of the decomposition.
 
-    dead is the ideal-scale deadzone (_deadzone). qstar uses s_star, and
-    qdq the ceiling-coded scale of config; config None skips Q, so qdq and
-    s_decoded are None (the decomposition of a given x_hat needs only Q*).
-    With signed=False, qdq and qstar are magnitudes, the roundings of
-    view.mag: the decomposition's sums need no signs. With a workspace the
-    three arrays are its "q", "qstar" and "dead".
+    dead is the ideal-scale deadzone, the bits of _below_threshold. qstar
+    uses s_star, and qdq the ceiling-coded scale of config; config None
+    skips Q, so qdq and s_decoded are None (the decomposition of a given
+    x_hat needs only Q*). With signed=False, qdq and qstar are magnitudes,
+    the roundings of view.mag: the decomposition's sums need no signs. With
+    a workspace the three arrays are its "q", "qstar" and "dead".
 
     Both roundings work on |x|. Q* divides it by s_star (1 on blocks whose
     s_star is 0: all-zero ones and those whose maximum is at most 3
     subnormal units) and takes the deadzone from that quotient
     (_ideal_round). At M = 0, Q folds its power-of-two scale into the
-    rounding constant (_mag_round_pow2) when every block's scale allows it.
+    rounding constant (_mag_round_pow2).
     """
     shape = view.blocks.shape
     qstar, dead = _ideal_round(view, work)

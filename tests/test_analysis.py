@@ -577,15 +577,20 @@ class TestGemmPropagation:
 
     @pytest.mark.parametrize("mode", ["diagonal", "samples"])
     def test_overflowing_traces_are_inf_without_warning(self, mode):
-        # squared errors of |w| ~ 1e160 pass 1.8e308: the traces and the Monte
-        # Carlo term are inf (or nan for a cross trace), as the isotropic
-        # ones, and no numpy warning is raised
+        # |w| ~ 1e160 needs block scales past E8M0's range: refused by name.
+        # The traces of a unit-scale w against variances of 1e308 or
+        # samples of 1e160 pass 1.8e308: they and the Monte Carlo term are
+        # inf (or nan for a cross trace), as the isotropic ones, and no numpy
+        # warning is raised
         rng = np.random.default_rng(103)
         w = 1e160 * rng.standard_normal((4, 256))
         cov = np.ones(256) if mode == "diagonal" else rng.standard_normal((8, 256))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prop = gemm_error_propagation(w, cov=cov, samples=50)
+            with pytest.raises(ValueError, match="E8M0's range"):
+                gemm_error_propagation(w, cov=cov, samples=50)
+            prop = gemm_error_propagation(w / 1e160, cov=cov * (1e308 if mode == "diagonal"
+                                                                else 1e160), samples=50)
         assert prop.cov_mode == mode
         assert prop.var_total == math.inf and prop.mc_estimate == math.inf
 

@@ -22,7 +22,7 @@ from mxblock.analysis import TempFit
 from mxblock.cli import main
 from mxblock.corrections import AqnSchedule, aqn_apply
 from mxblock.decompose import decompose_tensor, verify_identity
-from mxblock.quantize import BlockQuantConfig, _deadzone, block_view
+from mxblock.quantize import BlockQuantConfig, _below_threshold, block_view
 from mxblock.tensorstore import (
     StoredTensor,
     SynthTensor,
@@ -319,7 +319,7 @@ class TestExitCodes:
         def leaky(piece, *args, **kwargs):          # 8x128 is one piece
             x_hat, codes = real(piece, *args, **kwargs)
             view = block_view(piece, quant)
-            i = np.flatnonzero(view.restore(_deadzone(view)))[0]
+            i = np.flatnonzero(view.restore(_below_threshold(view.mag, view.m_b)))[0]
             x_hat.flat[i] = piece.flat[i]
             seen.update(x=piece.copy(), x_hat=x_hat.copy())
             return x_hat, codes
@@ -348,8 +348,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["decompose", "sweep", "mbs", "of", "gemm", "aqn"])
     def test_overflowing_norms_give_no_report(self, capsys, tmp_path, command):
-        # at |x| ~ 1e200 the squared norms overflow: an input error naming
-        # the tensor, not a violated identity, and no numpy warning on the way
+        # at |x| ~ 1e200 the block scales are past E8M0's range, and the
+        # squared norms overflow: an input error, not a violated identity,
+        # and no numpy warning on the way. aqn quantizes nothing, and names
+        # the tensor whose norms overflow
         ts = TensorSet()
         ts.add("huge", 1e200 * np.random.default_rng(9).standard_normal((4, 128)))
         path = str(tmp_path / "huge.tensors")
@@ -358,7 +360,20 @@ class TestExitCodes:
             warnings.simplefilter("error")
             code, out, err = _run(capsys, [*_source_argv(command, tmp_path), "--input", path])
         assert code == 2 and out == ""
-        assert re.search(r"squared norms overflow float64 on (GEMM traces of )?huge\b", err)
+        if command == "aqn":
+            assert re.search(r"squared norms overflow float64 on huge\b", err)
+        else:
+            assert "past E8M0's range" in err
+
+    def test_overflowing_gemm_traces_give_no_report(self, capsys):
+        # the traces scale with the input variance: at 1e308 they pass the
+        # largest float, an input error that names the weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["gemm", "--synth", "gaussian:8x128",
+                                           "--cov-var", "1e308", "--samples", "10"])
+        assert code == 2 and out == ""
+        assert re.search(r"squared norms overflow float64 on GEMM traces of \S+", err)
 
     def test_sweep_names_the_broken_tensor(self, capsys, monkeypatch):
         # n2_total inflated 1.5x from the second tensor's split on (one
@@ -875,8 +890,9 @@ _INTERPRETER_FLAGS = {"plain": [], "O": ["-O"], "W-error": ["-W", "error"]}
 def flag_runs(tmp_path_factory):
     """{flag: {command: (synth run, 1e160 run)}}, each run as _FLAG_SCRIPT
     reports it: every command on two 64x256 Gaussians and on a container of
-    one 4x256 Gaussian times 1e160, whose squared norms overflow float64.
-    One interpreter per flag runs them all."""
+    one 4x256 Gaussian times 1e160, whose block scales are past E8M0's range
+    (and whose squared norms would overflow float64). One interpreter per
+    flag runs them all."""
     path = str(tmp_path_factory.mktemp("flags") / "huge.tensors")
     ts = TensorSet()
     ts.add("w", 1e160 * np.random.default_rng(0).standard_normal((4, 256)))
@@ -900,8 +916,8 @@ def flag_runs(tmp_path_factory):
 def test_interpreter_flags_keep_results(flag_runs, command):
     # no interpreter flag changes a report: every result is the same bits
     # with -O (no assert can carry a check) and with -W error (no numpy
-    # warning is raised on the way); the overflowing container is an input
-    # error, exit 2, that names the tensor, under every flag
+    # warning is raised on the way); the container past E8M0's range is an
+    # input error, exit 2, that names the range, under every flag
     synth = [flag_runs[flag][command][0] for flag in _INTERPRETER_FLAGS]
     huge = [flag_runs[flag][command][1] for flag in _INTERPRETER_FLAGS]
     for code, _, err in synth:
@@ -910,4 +926,4 @@ def test_interpreter_flags_keep_results(flag_runs, command):
     for code, _, err in huge:
         assert code == 2, err
         if command != "gamma":          # 32 blocks: below gamma's minimum
-            assert re.search(r"squared norms overflow float64 on (GEMM traces of )?w\b", err)
+            assert "past E8M0's range" in err

@@ -43,11 +43,9 @@ def _plain_qdq(x, quant):
 class TestConfigs:
     def test_mbs_defaults_and_validation(self):
         mbs = MbsConfig()
-        assert mbs.macro_block_size == 128 and mbs.mantissa_levels == 256
+        assert mbs.macro_block_size == 128
         with pytest.raises(ValueError):
             MbsConfig(macro_block_size=0)
-        with pytest.raises(ValueError):
-            MbsConfig(mantissa_levels=128)
         with pytest.raises(ValueError, match="multiple"):
             MbsConfig(macro_block_size=48).validate_against(BlockQuantConfig())
 
@@ -217,24 +215,35 @@ class TestExhaustiveShortcut:
         assert len(set(want)) > 2                    # the selection is not trivial
 
     def test_prescale_overflow_raises(self):
-        # 1.7e308 * (1 + k/256) overflows from k = 15 on
+        # 1.7e308 * (1 + k/256) overflows float64 from k = 15 on, and its
+        # scale is past E8M0's range at every code
         quant = BlockQuantConfig(scale_mantissa_bits=3)
         x = np.full(128, 1.7e308)
-        with pytest.raises(ValueError, match="prescale overflows float64"):
+        with pytest.raises(ValueError, match="E8M0's range"):
             mbs_qdq(x, MbsConfig(), quant, "exhaustive")
 
     @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
     @pytest.mark.parametrize("bits", [0, 3])
     def test_one_prescale_domain_for_both_modes(self, mode, bits):
-        # the domain is a macro maximum times 511/256 finite (up to about
-        # 9.0e307), in either mode; past it the closed form used to warn on
-        # overflow and return inf
+        # the domain is every coded scale, that at the largest prescale p_255
+        # = 511/256 too, within E8M0's range, in either mode, refused without
+        # a warning past it: at 1.5e308 (whose prescales overflow float64)
+        # and 9.0e307 (whose prescales do not), and from the float after the
+        # largest maximum top whose fl(fl(top p_255) / 6) is at most E8M0's
+        # largest scale, 2^127 (2 - 2^-M)
         quant = BlockQuantConfig(scale_mantissa_bits=bits)
+        largest = 2.0 ** 127 * (2.0 - 2.0 ** -bits)
+        top = np.float64(largest * 6.0 / (511 / 256))
+        while top * (511 / 256) / 6.0 <= largest:
+            top = np.nextafter(top, np.inf)
+        while top * (511 / 256) / 6.0 > largest:
+            top = np.nextafter(top, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="prescale overflows float64"):
-                mbs_qdq(np.full(128, 1.5e308), MbsConfig(), quant, mode)
-            x_hat, _ = mbs_qdq(np.full(128, 9.0e307), MbsConfig(), quant, mode)
+            for past in (1.5e308, 9.0e307, np.nextafter(top, np.inf)):
+                with pytest.raises(ValueError, match="E8M0's range"):
+                    mbs_qdq(np.full(128, past), MbsConfig(), quant, mode)
+            x_hat, _ = mbs_qdq(np.full(128, top), MbsConfig(), quant, mode)
         assert np.isfinite(x_hat).all()
 
 
@@ -256,8 +265,9 @@ def _sub_max(macros, B):
     return np.abs(macros).reshape(len(macros), -1, B).max(axis=2)
 
 
-# Magnitudes in the MBS domain (times 511/256 finite): subnormals, the least
-# normal and the float below it, and the largest such floats
+# Magnitudes from subnormals, the least normal and the float below it, to
+# the largest floats whose prescales by 511/256 are finite, far past the MBS
+# domain (E8M0's range)
 _MBS_EDGE_MAGNITUDES = [0.0, 5e-324, 2.0 ** -1060, float(np.nextafter(2.0 ** -1022, 0.0)),
                         2.0 ** -1022, 1.0, 8e307, 2.0 ** 1023]
 
@@ -265,7 +275,9 @@ _MBS_EDGE_MAGNITUDES = [0.0, 5e-324, 2.0 ** -1060, float(np.nextafter(2.0 ** -10
 @st.composite
 def _sub_max_cases(draw):
     """(x, B, macro): (rows, n) inputs ragged against the macro, with -0.0,
-    subnormals and magnitudes up to 2^1023, picked from a drawn pool."""
+    subnormals and magnitudes up to 2^1023, picked from a drawn pool. Pools
+    with magnitudes past the MBS domain are refused at the first step that
+    holds one."""
     B = draw(st.integers(1, 64))
     macro = B * draw(st.integers(1, 4))
     shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 300)))
@@ -281,7 +293,8 @@ class TestSubBlockMaxima:
     @given(_sub_max_cases())
     def test_steps_take_reference_maxima(self, case):
         # every step's sub-block maxima, as _step_codes receives them, are
-        # _sub_max of that step's magnitudes, bit for bit
+        # _sub_max of that step's magnitudes, bit for bit; a step with a
+        # maximum past the domain is refused before it gets there
         x, B, macro = case
         seen = []
         real = corrections._step_codes
@@ -290,11 +303,19 @@ class TestSubBlockMaxima:
             seen.append((mag.copy(), sub_max.copy()))
             return real(mag, sub_max, *args)
 
+        with np.errstate(over="ignore"):
+            past = (np.abs(x) * (511 / 256) / 6.0 > 2.0 ** 127).any()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corrections, "_step_codes", spy)
-            mbs_qdq(x, MbsConfig(macro_block_size=macro), BlockQuantConfig(block_size=B),
-                    "closed_form")
-        assert sum(mag.size for mag, _ in seen) == len(x) * -(-x.shape[1] // macro) * macro
+            if past:
+                with pytest.raises(ValueError, match="E8M0's range"):
+                    mbs_qdq(x, MbsConfig(macro_block_size=macro),
+                            BlockQuantConfig(block_size=B), "closed_form")
+            else:
+                mbs_qdq(x, MbsConfig(macro_block_size=macro), BlockQuantConfig(block_size=B),
+                        "closed_form")
+        n = sum(mag.size for mag, _ in seen)
+        assert n < x.size if past else n == len(x) * -(-x.shape[1] // macro) * macro
         for mag, sub_max in seen:
             assert np.array_equal(sub_max.view(np.uint64), _sub_max(mag, B).view(np.uint64))
 
@@ -383,8 +404,8 @@ class TestExhaustiveExactPath:
         self._check(x[:16], 8, 8)
 
     def test_subnormal_edge(self):
-        # rows from subnormal through the closed form's lower range limit
-        # (2^-500); the last row is normal but holds one subnormal element
+        # rows from subnormal to 2^-480, below the ranked floor, and a normal
+        # row with one subnormal element, which is ranked
         rng = np.random.default_rng(82)
         x = rng.standard_normal((5, 96))
         x *= 2.0 ** np.array([-1070, -1060, -540, -480, 0])[:, None]
@@ -392,15 +413,67 @@ class TestExhaustiveExactPath:
         self._check(x, 16, 48)
 
     def test_near_overflow(self):
-        # every prescale of the largest row stays finite (p_255 max < 2^1024);
-        # its squared errors overflow, so every trial there ties at inf
+        # rows at 2^490 and 2^505 and one whose maximum is 8.5e307: every
+        # prescale stays finite (p_255 max < 2^1024), but the scales are far
+        # past E8M0's range, so the rows are refused, without a warning, one
+        # by one too
         rng = np.random.default_rng(83)
         x = rng.standard_normal((3, 64))
         x *= 2.0 ** np.array([490, 505, 0])[:, None]
         x[2] *= 1.7e308 / (2.0 * np.abs(x[2]).max())
-        with np.errstate(over="ignore"):
-            want = self._check(x, 32, 64)
-        assert want[2] == 0
+        quant = BlockQuantConfig(block_size=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (x, *x[:, None]):
+                with pytest.raises(ValueError, match="E8M0's range"):
+                    mbs_qdq(rows, MbsConfig(macro_block_size=64), quant, "exhaustive")
+
+    @pytest.mark.parametrize("bits", [0, 3])
+    def test_ranked_floor(self, bits, monkeypatch):
+        # Macros whose four sub-blocks have the maxima a, b, a, b, for every
+        # pair of 1e-40, 3 * 2^-127 (the last maximum whose scale E8M0 clamps
+        # at code 0), the floats around it and 1. At M = 0 a macro is ranked
+        # in closed form exactly when no maximum is at or below 3 * 2^-127,
+        # and at every M its code is the sweep's
+        floor = 3 * 2.0 ** -127
+        tops = [1e-40, np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0), 1.0]
+        top = np.array([[a, b, a, b] for a in tops for b in tops])
+        rng = np.random.default_rng(93)
+        u = rng.uniform(-1.0, 1.0, size=(len(top), 4, 32))
+        u[:, :, 0] = np.where(rng.random(top.shape) < 0.5, -1.0, 1.0)
+        x = (u * top[:, :, None]).reshape(len(top), 128)
+        ranked = []
+        real = corrections._approx_errors
+
+        def spy(mag, sub_max, work):
+            ranked.append(sub_max.copy())
+            return real(mag, sub_max, work)
+
+        monkeypatch.setattr(corrections, "_approx_errors", spy)
+        quant = BlockQuantConfig(scale_mantissa_bits=bits)
+        _, codes = mbs_qdq(x, MbsConfig(), quant, "exhaustive")
+        assert np.array_equal(codes, _sweep_errors(x, quant).argmin(axis=1))
+        if bits == 0:
+            assert np.array_equal(np.concatenate(ranked), top[(top > floor).all(axis=1)])
+        else:
+            assert not ranked
+
+    def test_closed_form_code_of_a_clamped_macro(self):
+        # Below E8M0's range the scale is held at 2^-127: at 2^-126 for the
+        # first codes, at every code for 1e-40. The ceiling over s = m / 6 is
+        # then above 2, so the closed form takes k = 255, the largest
+        # prescale 511/256, which uses the most of the grid under the held
+        # scale. Its x_hat is Q(p x) / p at that code
+        rng = np.random.default_rng(94)
+        x = rng.standard_normal((2, 128))
+        x[0] *= 2.0 ** -126 / np.abs(x[0]).max()
+        x[1] *= 1e-40
+        quant = BlockQuantConfig()
+        x_hat, codes = mbs_qdq(x, MbsConfig(), quant, "closed_form")
+        assert codes.tolist() == [255, 255]
+        p = 511 / 256
+        assert np.array_equal(x_hat, qdq_tensor(p * x, quant) / p)
+        assert x_hat[0].any() and not x_hat[1].any()
 
     @pytest.mark.parametrize("block_size", [1, 8, 32])
     def test_macro_is_one_block(self, block_size):
@@ -476,8 +549,8 @@ class TestExhaustiveExactPath:
 
     def test_mixed_step(self, monkeypatch):
         # D is widened past the gap to the runner-up on alternate ranked
-        # macros of one step, whose first macro is swept (an element below
-        # the closed form's range): only those reach the trials, and the
+        # macros of one step, whose first macro is swept (a sub-block maximum
+        # below the ranked floor): only those reach the trials, and the
         # step's codes and x_hat, direct rows and trial rows alike, are the
         # sweep's
         real_approx, real_trials = corrections._approx_errors, corrections._trial_errors
@@ -497,7 +570,7 @@ class TestExhaustiveExactPath:
         monkeypatch.setattr(corrections, "_approx_errors", widened)
         monkeypatch.setattr(corrections, "_trial_errors", trials)
         x = np.random.default_rng(92).standard_normal((8, 512))   # 32 macros, one step
-        x[0, 5] = 1e-200
+        x[0, :32] *= 1e-200
         mbs, quant = MbsConfig(), BlockQuantConfig()
         x_hat, codes = mbs_qdq(x, mbs, quant, "exhaustive")
         macros = _macros(x, mbs)

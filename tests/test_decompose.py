@@ -114,18 +114,27 @@ class TestIdentityAndOrthogonality:
         assert a.ip_scale_grid == b.ip_scale_grid
 
     def test_cosines_exact_under_power_of_two_scale(self):
-        # a power-of-two scale is exact through the whole decomposition, so
-        # the cosines must not move; the product of the two squared norms
-        # would overflow at 2^300 and underflow at 2^-300
+        # a power-of-two scale is exact through the whole decomposition of a
+        # given x_hat, so the cosines of x 2^e against Q(x) 2^e must not
+        # move; the product of the two squared norms would overflow at 2^300
+        # and underflow at 2^-300. Q's own scales are E8M0's: at 2^300 it is
+        # refused, and at 2^-300 every block is held at 2^-127, which rounds
+        # x 2^-300 to zero
         rng = np.random.default_rng(35)
         x = rng.standard_normal((16, 96))
-        ref = decompose_tensor(x, BlockQuantConfig())
+        cfg = BlockQuantConfig()
+        ref = decompose_tensor(x, cfg)
         assert all(ref.cos_defined.values())
         for e in (-300, 300):
-            d = decompose_tensor(x * 2.0 ** e, BlockQuantConfig())
+            d = decompose_tensor(x * 2.0 ** e, cfg, x_hat=qdq_tensor(x, cfg) * 2.0 ** e)
             assert (d.cos_scale_grid, d.cos_scale_dz, d.cos_dz_grid) == (
                 ref.cos_scale_grid, ref.cos_scale_dz, ref.cos_dz_grid)
             assert d.cos_defined == ref.cos_defined
+        with pytest.raises(ValueError, match="E8M0's range"):
+            decompose_tensor(x * 2.0 ** 300, cfg)
+        assert (quantize.quantize_tensor(x * 2.0 ** -300, cfg).scale_exponents == -127).all()
+        d = decompose_tensor(x * 2.0 ** -300, cfg)
+        assert np.array_equal(d.e_total, -x * 2.0 ** -300)
 
     def test_zero_tensor(self):
         d = decompose_tensor(np.zeros((4, 32)), BlockQuantConfig())
@@ -275,10 +284,16 @@ class TestQstarFromDecomposition:
     @given(_qstar_cases())
     def test_matches_qdq_views(self, case):
         x, cfg = case
+        view = block_view(x, cfg)
+        # 2^1000-scale blocks are past E8M0's range: Q is refused, and Q*,
+        # which codes no scale, is split against x_hat = x instead
+        coded = _brute_ceil_scale(view.s_star, cfg.scale_mantissa_bits) is not None
         with np.errstate(all="ignore"):   # subnormal maxima, overflowing norms
-            d = decompose_tensor(x, cfg)
-            view = block_view(x, cfg)
-            want = view.restore(qdq_views(view, cfg)[1])
+            if not coded:
+                with pytest.raises(ValueError, match="E8M0's range"):
+                    decompose_tensor(x, cfg)
+            d = decompose_tensor(x, cfg, x_hat=None if coded else x)
+            want = view.restore(qdq_views(view, None)[1])
         got = x + (d.e_dz + d.e_grid)
         # equal as floats: the same bits, up to the sign of a zero
         assert np.array_equal(got, want)
@@ -304,18 +319,24 @@ def _brute_round(b, scale):
 
 
 def _brute_ceil_scale(s_star, m):
-    """The coded scale: at M = 0 the power of two from math.frexp; else
-    formats' codec, which test_formats checks against a scan of all codes."""
+    """The coded scale, or None where a block's is past E8M0's largest, 2^127
+    (2 - 2^-M): at M = 0 the power of two at or above max(s_star, 2^-127),
+    from math.frexp; else formats' codec, which test_formats checks against
+    a scan of all codes."""
+    if (s_star > 2.0 ** 127 * (2.0 - 2.0 ** -m)).any():
+        return None
     if m:
         return ceil_scale_array(s_star, m)[0]
+    s_star = np.maximum(s_star, 2.0 ** -127)
     return np.array([s if math.frexp(s)[0] == 0.5 else math.ldexp(1.0, math.frexp(s)[1])
                      for s in s_star.tolist()])
 
 
 def _brute_split(x, cfg, x_hat=None):
     """(e_scale, e_dz, e_grid, e_total), the seven sums, the deadzone count
-    and its zero outputs, straight from the definitions on one padded copy.
-    A block whose s_star is 0 (all zero, or a maximum of at most 3 subnormal
+    and its zero outputs, straight from the definitions on one padded copy;
+    None without x_hat where a block's coded scale is past E8M0's range. A
+    block whose s_star is 0 (all zero, or a maximum of at most 3 subnormal
     units) is rounded at scale 1."""
     B = cfg.block_size
     n = x.shape[-1] if x.ndim else 1
@@ -326,8 +347,13 @@ def _brute_split(x, cfg, x_hat=None):
     m = np.abs(b).max(axis=1)
     s_star = np.where(m / 6.0 > 0, m / 6.0, 1.0)
     qstar = _brute_round(b, s_star)
-    hat = (_brute_round(b, _brute_ceil_scale(s_star, cfg.scale_mantissa_bits))
-           if x_hat is None else np.pad(x_hat.reshape(rows.shape), pad).reshape(-1, B))
+    if x_hat is None:
+        scale = _brute_ceil_scale(s_star, cfg.scale_mantissa_bits)
+        if scale is None:
+            return None
+        hat = _brute_round(b, scale)
+    else:
+        hat = np.pad(x_hat.reshape(rows.shape), pad).reshape(-1, B)
     dead = (np.abs(b) < (m / 24.0)[:, None]) & valid
     resid = qstar - b
     blocked = (hat - qstar, np.where(dead, resid, 0.0), np.where(dead, 0.0, resid),
@@ -345,8 +371,9 @@ _SPLIT_SUMS = ("n2_scale", "n2_dz", "n2_grid", "n2_total", "ip_scale_grid",
 @st.composite
 def _kernel_cases(draw):
     """One-piece tensors: ragged tails, exact midpoint ties under a block
-    maximum of 6, -0.0, all-zero blocks, subnormal and near-overflow scales;
-    every M the kernel treats apart; with and without an x_hat."""
+    maximum of 6, -0.0, all-zero blocks, subnormal scales and 1e300-scale
+    ones, below and above E8M0's range; every M the kernel treats apart;
+    with and without an x_hat."""
     n = draw(st.integers(1, 150))
     shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 4)), n), ()]))
     elements = st.one_of(
@@ -377,9 +404,17 @@ def _same_sum(a, b):
 
 
 def _check_against_brute_force(x, cfg, x_hat, keep_errors):
+    """The split of x, or its refusal where Q's scale is past E8M0's range.
+    A given x_hat needs no coded scale, so the split of a 1e300-scale x
+    against it goes on, and its sums overflow."""
     with np.errstate(over="ignore", invalid="ignore"):     # 1e300-scale norms
+        brute = _brute_split(x, cfg, x_hat)
+        if brute is None:
+            with pytest.raises(ValueError, match="E8M0's range"):
+                decompose_tensor(x, cfg, keep_errors=keep_errors)
+            return
         d = decompose_tensor(x, cfg, keep_errors=keep_errors, x_hat=x_hat)
-        errors, sums, dead, zeros = _brute_split(x, cfg, x_hat)
+    errors, sums, dead, zeros = brute
     if keep_errors:
         for field, want in zip(("e_scale", "e_dz", "e_grid", "e_total"), errors):
             got = getattr(d, field)
@@ -399,22 +434,38 @@ class TestKernelAgainstBruteForce:
     def test_split(self, case):
         _check_against_brute_force(*case)
 
-    # (block maximum, whether Q at M = 0 folds its scale 2^e into the
-    # rounding constant): 1 and 3 subnormal units (s_star 0, scale 1), 7 units
-    # (s_star one unit, e = -1074), a subnormal block, the two ends of
-    # _FOLD_EXPONENTS (e = -1022 at 1e-307, e = 970 at 5e292) and one past
-    # each, 6 * 2^-1020 (s_star / 4 = 2^-1022, the least normal) and the
-    # float below it, whose rows _ideal_round redoes by the definitions,
-    # 2e-307 inside the range and 1e300, 1.2e308 and 1.5e308 above it
+    # Block maxima: 1 and 3 subnormal units (s_star 0, scale 1), 7 units
+    # (s_star one unit), a subnormal block, 5e-308, 1e-307, 2e-307, and 6 *
+    # 2^-1020 (s_star / 4 = 2^-1022, the least normal) and the float below
+    # it, whose rows _ideal_round redoes by the definitions: below E8M0's
+    # range, Q's scale is its least, 2^-127 (the sentinel 1 at s_star 0).
+    # 5e292, 1e293, 1e300, 1.2e308 and 1.5e308 are above the range, where Q
+    # is refused. The bool in each id is whether Q at M = 0 folded the block's
+    # scale into the rounding constant when scales spanned every float64
+    # exponent: those within _FOLD_EXPONENTS did. Every E8M0 scale folds.
     _EXTREMES = [(5e-324, True), (1.5e-323, True), (3.5e-323, False), (1e-310, False),
                  (5e-308, False), (1e-307, True), (2e-307, True),
                  (np.nextafter(6 * 2.0 ** -1020, 0.0), True), (6 * 2.0 ** -1020, True),
                  (5e292, True), (1e293, False), (1e300, False), (1.2e308, False),
                  (1.5e308, False)]
 
-    @pytest.mark.parametrize("top,folded", _EXTREMES)
+    @pytest.mark.parametrize("top", [pytest.param(top, id=f"{top}-{folded}")
+                                     for top, folded in _EXTREMES])
     @pytest.mark.parametrize("m", [0, 1, 3, 8])
-    def test_extreme_blocks(self, top, folded, m, monkeypatch):
+    def test_extreme_blocks(self, top, m, monkeypatch):
+        self._check_block_maximum(top, m, monkeypatch)
+
+    # E8M0's edges: 6 * 2^-128, whose s_star 2^-128 is the last clamped,
+    # and the float above it; 6 * 2^127, the largest maximum coded at M = 0,
+    # and the float above it, coded only at M > 0
+    @pytest.mark.parametrize("top", [6 * 2.0 ** -128, np.nextafter(6 * 2.0 ** -128, 1.0),
+                                     6 * 2.0 ** 127, np.nextafter(6 * 2.0 ** 127, np.inf)])
+    @pytest.mark.parametrize("m", [0, 1, 3, 8])
+    def test_e8m0_edge_blocks(self, top, m, monkeypatch):
+        self._check_block_maximum(top, m, monkeypatch)
+
+    @staticmethod
+    def _check_block_maximum(top, m, monkeypatch):
         folds = []
         fold = quantize._mag_round_pow2
         monkeypatch.setattr(quantize, "_mag_round_pow2",
@@ -432,26 +483,32 @@ class TestKernelAgainstBruteForce:
         for x_hat in (None, np.round(x / top * 4.0) * (top / 4.0)):
             for keep_errors in (True, False):
                 _check_against_brute_force(x, cfg, x_hat, keep_errors)
-        # Q is rounded only without x_hat, once per keep_errors
-        assert len(folds) == (2 if folded and m == 0 else 0)
+        # Q is rounded only without x_hat, once per keep_errors, and at M = 0
+        # every coded scale folds
+        coded = _brute_ceil_scale(np.array([np.float64(top) / 6.0]), m) is not None
+        assert len(folds) == (2 if coded and m == 0 else 0)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_kernel_cases())
     def test_qdq_views(self, case):
         x, cfg, _, _ = case
         view = block_view(x, cfg)
-        with np.errstate(over="ignore"):
-            qdq, qstar, dead, _ = qdq_views(view, cfg)
-            q_mag, qstar_mag, _, _ = qdq_views(view, cfg, signed=False)
         m = view.m_b
         s_star = np.where(m / 6.0 > 0, m / 6.0, 1.0)
-        want_q = _brute_round(view.blocks,
-                              _brute_ceil_scale(s_star, cfg.scale_mantissa_bits))
+        scale = _brute_ceil_scale(s_star, cfg.scale_mantissa_bits)
+        if scale is None:               # past E8M0's range: Q* alone
+            with pytest.raises(ValueError, match="E8M0's range"):
+                qdq_views(view, cfg)
+            cfg = None
+        qdq, qstar, dead, _ = qdq_views(view, cfg)
+        q_mag, qstar_mag, _, _ = qdq_views(view, cfg, signed=False)
         want_qstar = _brute_round(view.blocks, s_star)
-        for got, want in ((qdq, want_q), (qstar, want_qstar)):
+        pairs = [(qstar, qstar_mag, want_qstar)]
+        if cfg is not None:
+            pairs.append((qdq, q_mag, _brute_round(view.blocks, scale)))
+        for got, got_mag, want in pairs:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        for got, want in ((q_mag, want_q), (qstar_mag, want_qstar)):
-            assert np.array_equal(got.view(np.uint64), np.abs(want).view(np.uint64))
+            assert np.array_equal(got_mag.view(np.uint64), np.abs(want).view(np.uint64))
         assert np.array_equal(dead, np.abs(view.blocks) < (m / 24.0)[:, None])
 
 

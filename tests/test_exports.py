@@ -32,3 +32,20 @@ def test_package_reexports_only_public_names():
              if not name.startswith("_") and not inspect.ismodule(obj)
              and name not in getattr(sys.modules[obj.__module__], "__all__", ())]
     assert stray == []
+
+
+# Parameters that perfbench's layer tracer reads by name, binding each
+# traced call's arguments to its signature, to count blocks, bytes and
+# macro trials. A rename would otherwise show only in a traced benchmark run
+_TRACED_PARAMETERS = [("formats", "ceil_scale_array", "s_star"),
+                      ("quantize", "qdq_views", "view"),
+                      ("quantize", "block_view", "x"),
+                      ("corrections", "mbs_qdq", "mode")]
+
+
+def test_traced_parameters_exist():
+    missing = [f"{module}.{function}({parameter})"
+               for module, function, parameter in _TRACED_PARAMETERS
+               if parameter not in inspect.signature(
+                   getattr(importlib.import_module(f"mxblock.{module}"), function)).parameters]
+    assert missing == []

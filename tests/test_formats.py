@@ -17,6 +17,7 @@ from mxblock.formats import (
     ceil_scale_array,
     grid_round_array,
 )
+from mxblock.decompose import _check_split, decompose_tensor
 from mxblock.quantize import BlockQuantConfig, quantize_tensor
 
 # Ties sit halfway between magnitudes; each resolves to the even index.
@@ -197,14 +198,18 @@ class TestScaleCeiling:
         assert np.array_equal(decoded, np.exp2(np.ceil(np.log2(s))))
 
     def test_codes_are_int64(self):
-        # frexp gives int32 exponents; shifted into a float64 exponent field
-        # (quantize._round_pow2) an int32 would wrap
+        # shifted into a float64 exponent field, an int32 exponent would wrap;
+        # 1e300 and 2^1000 are past E8M0's range, whose top exponent is 127
         for m in (0, 3, 8):
-            _, exps, mants = ceil_scale_array(np.array([0.0, 1e-300, 3.0, 1e300]), m)
+            _, exps, mants = ceil_scale_array(np.array([0.0, 1e-300, 3.0]), m)
             assert exps.dtype == np.int64 and mants.dtype == np.int64
             assert ((1023 + exps) << 52).dtype == np.int64
-        _, exps, _ = ceil_scale_array(np.array([2.0 ** 1000]), 0)
-        assert (1023 + exps[0]) << 52 == (1023 + 1000) << 52
+            with pytest.raises(ValueError, match="E8M0's range"):
+                ceil_scale_array(np.array([0.0, 1e-300, 3.0, 1e300]), m)
+        _, exps, _ = ceil_scale_array(np.array([2.0 ** 127]), 0)
+        assert (1023 + exps[0]) << 52 == (1023 + 127) << 52
+        with pytest.raises(ValueError, match="exponent 1000, above the largest, 127"):
+            ceil_scale_array(np.array([2.0 ** 1000]), 0)
 
     def test_carry_wraps_to_next_exponent(self):
         # just above a power of two with M=0 the ceiling doubles
@@ -214,21 +219,29 @@ class TestScaleCeiling:
 
 class TestCeilingMinimalityProperty:
     """The coded scale is the least E8Mk value >= s_star: the representable
-    value just below it is below s_star. Checked in exact rationals."""
+    value just below it is below s_star, unless the scale is E8M0's least,
+    2^-127. Past its largest, 2^127 (2 - 2^-M), s_star is refused. Checked
+    in exact rationals."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(st.floats(2.0 ** -1000, 2.0 ** 1000), st.integers(0, 8))
     def test_next_value_below_is_below_s_star(self, s_star, m):
-        decoded, e, k = ceil_scale_array(np.array([s_star]), m)
-        e, k, levels = int(e[0]), int(k[0]), 1 << m
-        assert 0 <= k < levels
+        levels = 1 << m
 
         def value(exp, code):
             return Fraction(2) ** exp * (1 + Fraction(code, levels))
 
-        below = value(e, k - 1) if k else value(e - 1, levels - 1)
+        if Fraction(s_star) > value(127, levels - 1):
+            with pytest.raises(ValueError, match="E8M0's range"):
+                ceil_scale_array(np.array([s_star]), m)
+            return
+        decoded, e, k = ceil_scale_array(np.array([s_star]), m)
+        e, k = int(e[0]), int(k[0])
+        assert 0 <= k < levels and -127 <= e <= 127
         assert Fraction(float(decoded[0])) == value(e, k)
-        assert below < Fraction(s_star) <= value(e, k)
+        assert Fraction(s_star) <= value(e, k)
+        if (e, k) != (-127, 0):
+            assert (value(e, k - 1) if k else value(e - 1, levels - 1)) < Fraction(s_star)
 
 
 class TestCodes:
@@ -309,45 +322,94 @@ _CEIL_INPUTS = st.one_of(
 
 
 def _frexp_ceiling(s, m):
-    """(decoded, e, k) of the least (1 + k / 2^m) 2^e >= s for s > 0 finite,
-    by frexp: s = f 2^p, t = 2f in [1, 2), k = ceil((t - 1) 2^m), which is
-    exact in floats, at exponent p - 1; k = 2^m carries to the next one."""
-    f, p = math.frexp(s)
+    """(decoded, e, k) of the least (1 + k / 2^m) 2^e >= max(s, 2^-127) for
+    s > 0 finite, by frexp: s = f 2^p, t = 2f in [1, 2), k = ceil((t - 1)
+    2^m), which is exact in floats, at exponent p - 1; k = 2^m carries to
+    the next one. None where e passes E8M0's 127: the scale is refused."""
+    f, p = math.frexp(max(s, 2.0 ** -127))
     levels = 1 << m
     k = math.ceil((2.0 * f - 1.0) * levels)
     e = p - 1
     if k == levels:
         k, e = 0, e + 1
-    # above the largest finite float the ceiling 2^1024 is inf
-    return (math.inf if e == 1024 else math.ldexp(1.0 + k / levels, e)), e, k
+    return None if e > 127 else (math.ldexp(1.0 + k / levels, e), e, k)
 
 
 class TestPowerOfTwoCeilingProperty:
-    """ceil_scale_array(s, m), from the bits of a normal s and by frexp for
-    the rest, against the frexp rule entry by entry at every m: normal and
-    subnormal scales, powers of two and mantissa carries. M = 0 is the power
-    of two at or above s."""
+    """ceil_scale_array(s, m), from the bits of max(s, 2^-127), against the
+    frexp rule entry by entry at every m: normal and subnormal scales,
+    powers of two and mantissa carries, below, within and above E8M0's
+    range. M = 0 is the power of two at or above s. A call with any entry
+    past the range is refused, and each such entry is refused alone."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(_CEIL_INPUTS, min_size=1, max_size=32), st.integers(0, 8))
     def test_matches_frexp_rule(self, values, m):
-        decoded, e, k = ceil_scale_array(np.array(values), m)
+        want = [_frexp_ceiling(s, m) if s > 0 else (1.0, 0, 0) for s in values]
+        coded = [s for s, w in zip(values, want) if w is not None]
+        decoded, e, k = ceil_scale_array(np.array(coded), m)
         assert e.dtype == np.int64 and k.dtype == np.int64
-        for s, got in zip(values, zip(decoded.tolist(), e.tolist(), k.tolist())):
-            assert got == (_frexp_ceiling(s, m) if s > 0 else (1.0, 0, 0)), s
+        got = list(zip(decoded.tolist(), e.tolist(), k.tolist()))
+        assert got == [w for w in want if w is not None], coded
+        for s in {s for s, w in zip(values, want) if w is None}:
+            with pytest.raises(ValueError, match="E8M0's range"):
+                ceil_scale_array(np.array([s]), m)
+        if len(coded) < len(values):
+            with pytest.raises(ValueError, match="E8M0's range"):
+                ceil_scale_array(np.array(values), m)
 
     @pytest.mark.parametrize("m", range(9))
     def test_unscalable_entries_pass_through(self, m):
-        # s* <= 0, nan and +inf are decoded 1.0 with code (0, 0), without a
-        # numpy warning, beside a normal and a subnormal entry
-        bad = [0.0, -0.0, -1.0, -math.inf, -5e-324, math.nan, math.inf]
+        # s* <= 0 and nan are decoded 1.0 with code (0, 0), without a numpy
+        # warning, beside a normal and a subnormal entry; +inf is past
+        # E8M0's range and is refused, without a warning too
+        bad = [0.0, -0.0, -1.0, -math.inf, -5e-324, math.nan]
         values = np.array(bad + [3.0, 1e-310])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             decoded, e, k = ceil_scale_array(values, m)
+            with pytest.raises(ValueError, match="exponent 1024, above the largest, 127"):
+                ceil_scale_array(np.array(bad + [math.inf]), m)
         n = len(bad)
         assert decoded[:n].tolist() == [1.0] * n
         assert e[:n].tolist() == [0] * n and k[:n].tolist() == [0] * n
         for s, got in zip(values[n:].tolist(), zip(decoded[n:].tolist(), e[n:].tolist(),
                                                   k[n:].tolist())):
             assert got == _frexp_ceiling(s, m)
+
+
+# --- E8M0's range over every BF16 block maximum -----------------------------------
+
+
+def _ceiling_exponent(s, m):
+    """(e, k) of the least (1 + k / 2^m) 2^e >= s for s > 0 finite, by
+    frexp, with no range: s = f 2^p, k = ceil((2f - 1) 2^m) at exponent p -
+    1, and k = 2^m carries to the next exponent."""
+    f, p = math.frexp(s)
+    k = math.ceil((2.0 * f - 1.0) * (1 << m))
+    return (p, 0) if k == 1 << m else (p - 1, k)
+
+
+class TestE8M0RangeOverBF16:
+    """Every positive finite BF16 value, 0x0001 to 0x7F7F, as a block
+    maximum: each coded exponent is in [-127, 127] and is the exponent of
+    max(ceiling, 2^-127), the ceiling's own codes above 2^-127 and (-127, 0)
+    below. The BF16-subnormal maxima, below 2^-126, all get -127. No BF16
+    value is past the range (the largest, 3.4e38, codes exponent 126 at M =
+    0), and the split of every block passes its check."""
+
+    @pytest.mark.parametrize("m", [0, 8])
+    def test_every_positive_bf16_maximum(self, m):
+        top = ((np.arange(1, 0x7F80, dtype=np.uint32) << 16).view(np.float32)
+               .astype(np.float64))
+        assert top.size == 32639 and np.isfinite(top).all() and (top > 0).all()
+        x = top[:, None] * np.array([1.0, -0.7, 0.3, -1.0 / 7.0])
+        cfg = BlockQuantConfig(4, m)
+        qt = quantize_tensor(x, cfg)
+        e, k = qt.scale_exponents, qt.scale_mantissas
+        assert -127 <= e.min() and e.max() <= 127
+        want = [_ceiling_exponent(t / 6.0, m) for t in top.tolist()]
+        assert e.tolist() == [max(we, -127) for we, _ in want]
+        assert k.tolist() == [wk if we >= -127 else 0 for we, wk in want]
+        assert (e[top < 2.0 ** -126] == -127).all()
+        _check_split("every BF16 maximum", decompose_tensor(x, cfg, keep_errors=False))

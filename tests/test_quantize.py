@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,16 @@ class TestQuantizeTensor:
         cfg = BlockQuantConfig()
         assert np.array_equal(qdq_tensor(4.0 * x, cfg), 4.0 * qdq_tensor(x, cfg))
 
+    def test_scale_past_e8m0_is_refused_without_a_warning(self):
+        # 1.7e308 needs scale exponent 1022: a float64 scale there would take
+        # g s past the largest float, with numpy's overflow warning
+        x = np.array([1.7e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for quantize in (qdq_tensor, quantize_tensor):
+                with pytest.raises(ValueError, match="E8M0's range.*exponent 1022"):
+                    quantize(x, BlockQuantConfig())
+
     def test_float32_input(self):
         rng = np.random.default_rng(27)
         x32 = rng.standard_normal((4, 32)).astype(np.float32)
@@ -379,8 +390,12 @@ def _pinned_input() -> np.ndarray:
     2, 3 and 5, and a tail whose maximum of 7 units saturates under Q and
     Q* at the scale of 1 unit. Row 6 has an all-zero block of +-0.0, a
     block of at most 2 units (s_star 0, the sentinel scale) and -0.0 inside
-    a live block. Row 7 sits at 2^900, near the
-    largest float (where g * s overflows), at 2^-1000 and at 2^-1030."""
+    a live block. Row 7 sits at 2^900, near the largest float, at 2^-1000
+    and at 2^-1030.
+
+    E8M0 codes the scales of rows 0-4 and 6 (_IN_RANGE). Row 5 and row 7's
+    blocks at 2^-1000 and 2^-1030 are below its range, and row 7's blocks at
+    2^900 and near the largest float above it."""
     words = np.random.PCG64(2025).random_raw((8, _PIN_N))
     unit = ((words >> np.uint64(12)) | np.uint64(1023 << 52)).view(np.float64) - 1.0
     sign = np.where(words & np.uint64(1), -1.0, 1.0)
@@ -413,21 +428,25 @@ def _pinned_input() -> np.ndarray:
     return x
 
 
+# The rows of _pinned_input() whose every block scale E8M0 can code
+_IN_RANGE = [0, 1, 2, 3, 4, 6]
 # sha256 of quantize_tensor's element codes, scale exponents and scale
-# mantissas, in that order, at each M on _pinned_input(); "ideal" is the Q*
-# codes (at s_star) of each block with its padding dropped, in order.
-# Recorded while the codes still came from dividing the blocks by the scale
-# again.
+# mantissas, in that order, at each M on _pinned_input()[_IN_RANGE]; "ideal"
+# is the Q* codes (at s_star, which is not coded) of each block of the
+# whole _pinned_input() with its padding dropped, in order. The digests at
+# M were recorded with the scale coder from before E8M0's range, which
+# gives these rows the same codes; "ideal" while the codes still came from
+# dividing the blocks by the scale again.
 _PACKED_DIGESTS = {
-    0: "6c3c6831cf9ad0c3273f92c3c69dfdbf4c641c78a40eb4898228c7a55428a7e1",
-    1: "b49866e6625db53f1aacddcc2421c26493771596998c5d07b318379f36e88f3d",
-    2: "99a4af7d5020dcb07fe7fb8b971cb691a07c8b96959bc16b6ec4bc5232217ca3",
-    3: "4d6c2b5ca7854dfa55d4e865909194d2f4b963acc78b5981cd7f1b7b6359ae4f",
-    4: "ea52b60ecb090e75beb416445bf15b91d73bdaae032aa527e84cd6da4b965a75",
-    5: "714a3fa7735f58a0abbbca1ecf2fe4cdc1e732b7c4534a5297fb2120036dd69f",
-    6: "c6671c12e2c6c768504f6c6709a9db05a7cba681604589904bdcfc40346d74b9",
-    7: "1365fd65a5e34adafa526d591934146d123b9779dab7072466964b1a6c654467",
-    8: "07cbab59e6e5768d48a66a73871d8a31df2de752e5d04c1cba43dd2f4f7be08a",
+    0: "083f28cdb531edbfbdfe8697a2276bd2fa6bd2f1c8bb8110682b2c1e77ae6433",
+    1: "545783121a9ec019390debc8950117c58a39670ed07a954d75c1174ee998a557",
+    2: "5235f26aa44ee943a7b9a06aa2af6a62ee0eb2de2bebe28a7eba315b7c56fd5d",
+    3: "b6f8004e0e656885e97ce5cab0e4d2fc53b1db3a1f13b1bc7648dcc77cfe9105",
+    4: "6462cc6c1993e7393405b5abd9542dcc50a2adb07d99bf68d6aa134c8d95be15",
+    5: "dedc1b1de1809f0050401ead4ca6dac1f456b04d535a7cda7b0d67435bb58382",
+    6: "a972d5be93a8d04d84c484690e3554d61fe4d537052b714565f4ee7907b9272a",
+    7: "7ef325f52d4cdde44751ad8b4ab4d3d2b37cc223a4983c73408aa52b8326d7b4",
+    8: "55c540b55059ed1d52db892e8e09340ef804ea95580b6fffad016b310e86b715",
     "ideal": "ba6df6187e90539b76abe64eb88bb0659aa3a4d0f08dff8715201fb7b58a98cd",
 }
 
@@ -436,22 +455,35 @@ class TestPackedCodeDigests:
     def test_input_covers_the_edges(self):
         x = _pinned_input()
         assert _PIN_N % _PIN_B and np.isfinite(x).all()
-        view = block_view(x, BlockQuantConfig(_PIN_B))
+        view = block_view(x[_IN_RANGE], BlockQuantConfig(_PIN_B))
         s_dec, _, _ = ceil_scale_array(view.s_star, 0)
         u = view.mag / s_dec[:, None]
         assert set(GRID_MIDPOINTS.tolist()) <= set(u.ravel().tolist())       # ties
-        assert {j * _ULP for j in (1, 2, 3, 5)} <= set(view.s_star.tolist())
-        assert (u > 6.0).any()                                 # saturation under Q
-        assert (view.mag / np.where(view.s_star > 0, view.s_star, 1.0)[:, None] > 6.0).any()
         assert (view.nonzero & (view.s_star == 0.0)).any()     # sentinel scale
         assert (~view.nonzero).any()
-        assert (np.signbit(x) & (x == 0.0)).any()
-        g = np.abs(grid_round_array(u))
-        assert (g * (s_dec[:, None] / 2.0 ** 1000) >= 2.0 ** 24).any()   # g s overflows
+        assert (np.signbit(x[_IN_RANGE]) & (x[_IN_RANGE] == 0.0)).any()
+        view = block_view(x, BlockQuantConfig(_PIN_B))
+        assert {j * _ULP for j in (1, 2, 3, 5)} <= set(view.s_star.tolist())
+        assert (view.mag / np.where(view.s_star > 0, view.s_star, 1.0)[:, None] > 6.0).any()
 
     @pytest.mark.parametrize("key", [*range(9), "ideal"])
     def test_digest(self, key):
-        assert _packed_digest(_pinned_input(), key) == _PACKED_DIGESTS[key]
+        x = _pinned_input()
+        assert _packed_digest(x if key == "ideal" else x[_IN_RANGE], key) == _PACKED_DIGESTS[key]
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_rows_outside_e8m0(self, m):
+        # row 5's subnormal blocks and row 7's at 2^-1000 and 2^-1030 get the
+        # clamped scale 2^-127, under which every element codes 0; row 7's
+        # blocks at 2^900 and near the largest float are refused by name
+        x = _pinned_input()
+        config = BlockQuantConfig(_PIN_B, m)
+        qt = quantize_tensor(np.concatenate([x[5], x[7, 2 * _PIN_B:4 * _PIN_B]]), config)
+        assert qt.scale_exponents.tolist() == [-127] * 7
+        assert not qt.scale_mantissas.any() and not qt.element_codes.any()
+        for lo in (0, _PIN_B):
+            with pytest.raises(ValueError, match="E8M0's range"):
+                quantize_tensor(x[7, lo:lo + _PIN_B], config)
 
 
 def _packed_digest(x: np.ndarray, key) -> str:
