@@ -26,9 +26,11 @@ from .decompose import (
     _as_tensor,
     _dot,
     _expansion_residual,
+    _naming,
     _row_pieces,
     decompose_tensor,
 )
+from .formats import ceil_scale_array
 from .quantize import (
     _CHUNK_ELEMS,
     _STREAM_ELEMS,
@@ -64,7 +66,10 @@ _HIST_BINS = 100
 
 @dataclass
 class GammaStats:
-    """Per-block scale overshoot: delta = ceil(log2 s*) - log2 s*, gamma = 2^delta."""
+    """Per-block scale overshoot: delta = log2 s - log2 s*, for s the block's
+    coded scale, and gamma = 2^delta. The histogram's last bin also counts
+    every delta above 1, which only a block whose scale E8M0 clamps to
+    2^-127 can have, so its counts add up to n_blocks."""
 
     delta: np.ndarray
     mean_delta: float
@@ -90,16 +95,18 @@ class GammaStats:
 
 
 def _as_tensors(tensors) -> list:
+    """(name, tensor) pairs: a mapping's in sorted-name order, with the
+    names None for an array or a sequence."""
     if isinstance(tensors, (np.ndarray, TensorSource)):
-        return [_as_tensor(tensors)]
+        return [(None, _as_tensor(tensors))]
     if isinstance(tensors, Mapping):
-        return [_as_tensor(tensors[k]) for k in sorted(tensors)]
-    return [_as_tensor(t) for t in tensors]
+        return [(k, _as_tensor(tensors[k])) for k in sorted(tensors)]
+    return [(None, _as_tensor(t)) for t in tensors]
 
 
 def gamma_stats(tensors, config: BlockQuantConfig | None = None,
                 min_blocks: int = 1000) -> GammaStats:
-    """Distribution of the ceiling-scale overshoot across blocks.
+    """Distribution of the coded-scale overshoot across blocks.
 
     Accepts one array, a sequence of arrays, or a name-to-array mapping
     (mappings are walked in sorted-name order); tensorstore.TensorSources
@@ -108,28 +115,38 @@ def gamma_stats(tensors, config: BlockQuantConfig | None = None,
     the whole tensor, in its order; one workspace holds every piece's
     |blocks|, as in decompose_tensor. All-zero blocks carry no scale and are
     skipped; the count is reported. Requires at least min_blocks live blocks.
+
+    The coded scale s is formats.ceil_scale_array's at the config's scale
+    mantissa width, as every quantizer codes it: at M > 0 the overshoot is
+    below log2(1 + 2^-M), a block scale below 2^-127 is coded as 2^-127,
+    and one past E8M0's range is a ValueError, which names the tensor of a
+    mapping. At M = 0 inside the range, log2 s is ceil(log2 s*).
     """
     config = config or BlockQuantConfig()
     tensors = _as_tensors(tensors)
-    widths = [x.shape[-1] if x.ndim else 1 for x in tensors]
+    widths = [x.shape[-1] if x.ndim else 1 for _, x in tensors]
     # room for a delta per block, filled piece by piece by the live blocks
     delta = np.empty(sum(x.size // n * _blocks_per_row(n, config.block_size)
-                         for x, n in zip(tensors, widths)))
+                         for (_, x), n in zip(tensors, widths)))
     # zero counts, and the edges every call with this range returns
     hist, edges = np.histogram(delta[:0], bins=_HIST_BINS, range=(0.0, 1.0))
     live = skipped = 0
     work = _Workspace()
-    for x in tensors:
-        for _, _, piece in _row_pieces(x, config.block_size):
-            view = block_view(piece, config, work)
-            s_star = view.s_star[view.nonzero]
-            skipped += view.nonzero.size - s_star.size
-            d = np.log2(s_star, out=delta[live:live + s_star.size])
-            np.subtract(np.ceil(d), d, out=d)
-            live += d.size
-            # counted piece by piece: np.histogram's temporaries grow with
-            # its input up to 2^16 elements
-            hist += np.histogram(d, bins=_HIST_BINS, range=(0.0, 1.0))[0]
+    for name, x in tensors:
+        with _naming(name):
+            for _, _, piece in _row_pieces(x, config.block_size):
+                view = block_view(piece, config, work)
+                s_star = view.s_star[view.nonzero]
+                skipped += view.nonzero.size - s_star.size
+                s_dec, _, _ = ceil_scale_array(s_star, config.scale_mantissa_bits)
+                d = np.log2(s_dec, out=delta[live:live + s_star.size])
+                d -= np.log2(s_star)
+                live += d.size
+                # counted piece by piece: np.histogram's temporaries grow with
+                # its input up to 2^16 elements. A delta above 1 goes to the
+                # last bin, which holds 1 itself
+                hist += np.histogram(np.minimum(d, 1.0), bins=_HIST_BINS,
+                                     range=(0.0, 1.0))[0]
     delta = delta[:live]
     if live < min_blocks:
         raise ValueError(f"need at least {min_blocks} live blocks, got {live}")

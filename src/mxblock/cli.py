@@ -39,6 +39,7 @@ from .decompose import (
     _check_identity,
     _check_norms,
     _check_split,
+    _naming,
     decompose_quantizers,
     scale_precision_sweep,
     tensor_stats,
@@ -167,8 +168,6 @@ def _quant_config(args) -> BlockQuantConfig:
 def cmd_decompose(args) -> dict:
     with _tensors(args) as tensors:
         report = tensor_stats(tensors, _quant_config(args))
-    for rec in report.records:
-        _check_identity(rec["name"], rec["identity_residual"], *rec["dz_inner_products"])
     return report.to_json_dict()
 
 
@@ -209,8 +208,10 @@ def cmd_mbs(args) -> dict:
         return mbs_qdq(piece, mbs, quant, args.mbs_mode, work)[0]
 
     def record(name, x) -> dict:
-        before, after = decompose_quantizers(
-            x, quant.block_size, [quant, mbs_x_hat], align=mbs.macro_block_size)
+        with _naming(name):
+            before, after = decompose_quantizers(
+                x, quant.block_size, [quant, mbs_x_hat], align=mbs.macro_block_size,
+                work=work)
         for d in (before, after):
             _check_split(name, d)
         floor = before.n2_dz + before.n2_grid
@@ -247,9 +248,10 @@ def cmd_of(args) -> dict:
         return of_qdq(piece, of, quant, mbs, args.mbs_mode, work).x_hat
 
     def record(name, x) -> dict:
-        before, after = decompose_quantizers(
-            x, quant.block_size, [quant, of_x_hat],
-            align=1 if mbs is None else mbs.macro_block_size)
+        with _naming(name):
+            before, after = decompose_quantizers(
+                x, quant.block_size, [quant, of_x_hat],
+                align=1 if mbs is None else mbs.macro_block_size, work=work)
         _check_split(name, before)
         _check_split(name, after, keeps_deadzone=False)
         return {
@@ -333,9 +335,10 @@ def cmd_gemm(args) -> dict:
         if name is None:
             raise ValueError("need a 2-D weight tensor")
         # only the picked weight is read
-        prop = gemm_error_propagation(tensors[name], _quant_config(args),
-                                      cov=args.cov_var, samples=args.samples,
-                                      seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
+        with _naming(name):
+            prop = gemm_error_propagation(tensors[name], _quant_config(args),
+                                          cov=args.cov_var, samples=args.samples,
+                                          seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
     _check_norms(f"GEMM traces of {name}", prop.var_scale, prop.var_dz, prop.var_grid,
                  prop.var_total)
     _check_identity(f"GEMM traces of {name}", prop.identity_residual)

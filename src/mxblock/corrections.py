@@ -174,15 +174,18 @@ _CROSS_SQ_STEPS = np.concatenate([_GRID_SQ_STEPS, 4.0 * _GRID_SQ_STEPS])
 _INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
 _TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
 # Elements per step of mbs_qdq: code selection and x_hat alike. The
-# workspace of an exhaustive step at M = 0 (macro 128, a Gaussian: 1.4
+# workspace phase of an exhaustive step at M = 0 (macro 128, a Gaussian: 1.4
 # crossings per element, every macro decided without a trial) is 25
 # arrays, its largest the complex sums and the crossings' weights: 1.60 MiB
-# at 2^13 elements, under a 2 MiB L2 per core, against 3.18 MiB at 2^14.
-# Each macro's code and x_hat do not depend on its step, so the step size
-# moves no output bit. On 512x512 (a 2-core Xeon) the smaller step lowered
-# the mbs command's peak RSS from 46.9 to 44.5 MB, and mbs_qdq took 38.9 ms
-# against 38.2 ms at 2^14 (first quartile of 80 interleaved calls each). A
-# 2^15 step was no faster than 2^14 and raised that peak from 46 to 52 MB.
+# at 2^13 elements, under a 2 MiB L2 per core, against 3.18 MiB at 2^14; at
+# M = 3, where every code is a trial, it is 3.14 MiB. Each macro's code and
+# x_hat do not depend on its step, so the step size moves no output bit. On
+# 512x512 (a 2-core Xeon) the smaller step lowered the mbs command's peak
+# RSS from 46.9 to 44.5 MB, and mbs_qdq took 38.9 ms against 38.2 ms at 2^14
+# (first quartile of 80 interleaved calls each). A 2^15 step was no faster
+# than 2^14 and raised that peak from 46 to 52 MB. In the mbs command the
+# steps and the split's pieces (1.56 MiB) take one workspace block in turn,
+# sized by the larger of the two.
 _STEP_ELEMS = 1 << 13
 # Macros take the closed form when every sub-block maximum m is 0 or above
 # this floor; the others are swept. At code k a sub-block's scale is the
@@ -627,7 +630,8 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
     Besides the input, the output and the codes, the working memory is
     that of one step, in work, which a caller running many small tensors
     or pieces can pass to every call: fresh step-sized buffers cost page
-    faults."""
+    faults. Each step is a phase of work (quantize._Workspace.reset), so no
+    array the caller took from work before the call is valid after it."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty tensor")
@@ -635,31 +639,41 @@ def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
         raise ValueError(f"unknown MBS mode: {mode}")
     mbs.validate_against(quant)
     work = _Workspace() if work is None else work
-    macro, B = mbs.macro_block_size, quant.block_size
+    macro = mbs.macro_block_size
     n = x.shape[-1] if x.ndim else 1
     rows = x.reshape(-1, n)
     codes = np.empty((len(rows), -(-n // macro)), dtype=np.uint8)
     x_hat = np.empty(x.shape)
     hat_rows = x_hat.reshape(-1, n)
-    macro_config = BlockQuantConfig(block_size=macro)
     for r, c, step in _row_pieces(rows, macro, _STEP_ELEMS):
-        view = block_view(step, macro_config, work)
-        mag = view.mag
-        sub_max = _block_maxima(mag, B).reshape(len(mag), -1)
-        # the step's largest maximum has the largest coded scale at p_255;
-        # Python floats take its product past the largest float without a warning
-        top = float(view.m_b.max()) * float(_PRESCALES[MBS_LEVELS - 1])
-        ceil_scale_array(top / Q_MAX, quant.scale_mantissa_bits)
-        y = work.take("x_hat", mag.shape)
-        k = _step_codes(mag, sub_max, view.m_b, mode, quant, work, y)
-        np.copysign(y, view.blocks, out=y)
-        zero = sub_max.ravel() == 0                  # all-zero blocks are +0.0
-        if zero.any():
-            y.reshape(-1, B)[zero] = 0.0
-        hat_rows[r, c] = view.restore(y)
-        k = k.reshape(len(step), -1)
+        work.reset()                    # a step is a phase of work
+        k = _mbs_step(step, macro, mode, quant, work, hat_rows[r, c])
         codes[r, c.start // macro:c.start // macro + k.shape[1]] = k
     return x_hat, codes.ravel()
+
+
+def _mbs_step(step: np.ndarray, macro: int, mode: str, quant: BlockQuantConfig,
+              work: _Workspace, out: np.ndarray) -> np.ndarray:
+    """One step of mbs_qdq: the rows step, of whole macros, MBS-quantized
+    into out, and their codes, (rows, macros per row). Its scratch is
+    work's, and no array of work is referenced once it returns, so that the
+    next step's reset can grow work's block without holding the old one."""
+    B = quant.block_size
+    view = block_view(step, BlockQuantConfig(block_size=macro), work)
+    mag = view.mag
+    sub_max = _block_maxima(mag, B).reshape(len(mag), -1)
+    # the step's largest maximum has the largest coded scale at p_255;
+    # Python floats take its product past the largest float without a warning
+    top = float(view.m_b.max()) * float(_PRESCALES[MBS_LEVELS - 1])
+    ceil_scale_array(top / Q_MAX, quant.scale_mantissa_bits)
+    y = work.take("x_hat", mag.shape)
+    k = _step_codes(mag, sub_max, view.m_b, mode, quant, work, y)
+    np.copysign(y, view.blocks, out=y)
+    zero = sub_max.ravel() == 0                  # all-zero blocks are +0.0
+    if zero.any():
+        y.reshape(-1, B)[zero] = 0.0
+    out[...] = view.restore(y)
+    return k.reshape(len(step), -1)
 
 
 # --- outlier fallback ----------------------------------------------------------

@@ -37,9 +37,14 @@ file, a SynthTensor draws them from its seeded generator. The pieces are
 the same, in the same order, either way. Each piece's sum is a fixed-order
 sum of sub-dots too short for OpenBLAS to split between threads (_dot), so
 on one numpy/BLAS build the sums are the same bits at any BLAS thread
-count. Every piece-sized temporary lives in one workspace for the whole
-call. Without the error arrays, the working memory is the input plus one
-piece for an array, and one piece for a TensorSource.
+count. Every piece-sized temporary lives in one workspace
+(quantize._Workspace), whose block of memory the phases of each piece
+take in turn: each piece function's, then the split's. A piece function
+that works in the same workspace, as MBS does in the mbs command, shares
+that memory with the split rather than holding its own. Without the error
+arrays, the working memory is the input plus one piece for an array, and
+one piece for a TensorSource, plus each piece function's x_hat of the
+piece.
 
 Each piece is rounded to Q* by quantize.qdq_views and to each plain Q by
 quantize._coded_qdq, both on |x|. With s the sign of x, each error is s
@@ -52,6 +57,7 @@ arrays.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -67,7 +73,7 @@ from .quantize import (
     block_view,
     qdq_views,
 )
-from .tensorstore import TensorSource
+from .tensorstore import TensorSource, TensorStoreError
 
 __all__ = [
     "ErrorDecomposition",
@@ -174,6 +180,23 @@ def _as_tensor(x) -> np.ndarray | TensorSource:
     return x
 
 
+@contextlib.contextmanager
+def _naming(name: str | None):
+    """Re-raise a ValueError from within with the name of the tensor it
+    concerns, such as formats.ceil_scale_array's refusal of a block scale
+    past E8M0's range, so that the bad tensor of a container is named. A
+    TensorStoreError names its tensor already, and a name of None adds
+    nothing."""
+    try:
+        yield
+    except TensorStoreError:
+        raise
+    except ValueError as exc:
+        if name is None:
+            raise
+        raise ValueError(f"{exc} (tensor {name})") from exc
+
+
 def _row_pieces(x: np.ndarray | TensorSource, unit: int, elems: int | None = None):
     """(rows, cols, piece) for each of _pieces' pieces of x's (n_rows, n)
     row matrix: a slice of an array, or read from a tensorstore.TensorSource
@@ -207,7 +230,11 @@ def _unpadded(view: BlockView, blocked: np.ndarray, work: _Workspace, name: str)
 # A quantizer measured by the decomposition: the plain Q of a config, or a
 # piece function fn(rows, cols, piece) -> x_hat of the piece, where piece is
 # x's row matrix at [rows, cols]; the result, of the piece's shape, is only
-# read, and only until the next call.
+# read, and only until the next call. The piece functions run before the
+# piece is blocked and rounded, each in a phase of the decomposition's
+# workspace of its own: one may use that workspace for its scratch (as
+# mbs_qdq and of_qdq do), but its result must not be one of its arrays,
+# since the piece's split reuses the memory.
 Quantizer = BlockQuantConfig | Callable[[slice, slice, np.ndarray], np.ndarray]
 
 
@@ -235,7 +262,11 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     count, and each quantizer's count of zero outputs on it, of the 2-D
     piece of x at [rows, cols]. With one quantizer, its (e_scale, e_dz,
     e_grid, e_total) are written into out, directly when the piece has no
-    padding. Every other piece-sized array is one of work's: e_total takes
+    padding.
+
+    Each piece function runs first, in a phase of work of its own, and its
+    x_hat is kept; then, in one more phase, the piece is blocked, rounded
+    and summed. Every other piece-sized array is one of work's: e_total takes
     the rounding's scratch buffer and e_scale overwrites the quantizer's
     output; e_dz and e_grid take the buffers of |x| and Q* when no later
     quantizer reads them.
@@ -247,6 +278,17 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     the first partial: a zero sum of a piece of two elements or more is
     +0.0 either way. A one-element piece keeps the signs, since its _dot is
     the product itself."""
+    hats = []                           # each piece function's x_hat, None for a config
+    for quantizer in quantizers:
+        hat = None
+        if not isinstance(quantizer, BlockQuantConfig):
+            work.reset()
+            hat = np.asarray(quantizer(rows, cols, piece), dtype=np.float64)
+            if hat.shape != piece.shape:
+                raise ValueError(f"piece x_hat shape {hat.shape} does not match "
+                                 f"piece shape {piece.shape}")
+        hats.append(hat)
+    work.reset()
     view = block_view(piece, config, work)
     shape = view.blocks.shape
     signs = out is not None or piece.size == 1
@@ -258,16 +300,12 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     sums = np.empty((len(quantizers), len(_SUM_PAIRS)))
     zeros = np.empty(len(quantizers), dtype=np.int64)
     shared = None
-    for i, quantizer in enumerate(quantizers):
-        if isinstance(quantizer, BlockQuantConfig):
+    for i, (quantizer, hat) in enumerate(zip(quantizers, hats)):
+        if hat is None:
             q, _ = _coded_qdq(view, quantizer, work.take("q", shape), work)
             if signs:
                 view.signed(q, q)
         else:
-            hat = np.asarray(quantizer(rows, cols, piece), dtype=np.float64)
-            if hat.shape != piece.shape:
-                raise ValueError(f"piece x_hat shape {hat.shape} does not match "
-                                 f"piece shape {piece.shape}")
             q = _measured(hat, view, signs, work)
         zero = np.equal(q, 0.0, out=work.take("zero", shape, bool))
         zero &= dead
@@ -303,12 +341,13 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
 
 def _decompose(x: np.ndarray | TensorSource, config: BlockQuantConfig,
                quantizers: list[Quantizer], errors: list[np.ndarray] | None = None,
-               align: int = 1) -> list[ErrorDecomposition]:
+               align: int = 1, work: _Workspace | None = None) -> list[ErrorDecomposition]:
     """Each quantizer's ErrorDecomposition over the pieces of x, cut at
     multiples of lcm(block size, align) columns. errors, for one quantizer,
-    are the four e_* arrays to fill."""
+    are the four e_* arrays to fill. work, a fresh workspace by default,
+    holds every piece-sized temporary (_piece_sums)."""
     n = x.shape[-1] if x.ndim else 1
-    work = _Workspace()
+    work = _Workspace() if work is None else work
     sums = None
     dead_count = 0
     zero_count = np.zeros(len(quantizers), dtype=np.int64)
@@ -337,8 +376,8 @@ def _decompose(x: np.ndarray | TensorSource, config: BlockQuantConfig,
 
 
 def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig, *,
-                     keep_errors: bool = True,
-                     x_hat: np.ndarray | None = None) -> ErrorDecomposition:
+                     keep_errors: bool = True, x_hat: np.ndarray | None = None,
+                     work: _Workspace | None = None) -> ErrorDecomposition:
     """The three-way split of x_hat - x, its norms, inner products and
     cosines, and the deadzone fractions.
 
@@ -349,7 +388,9 @@ def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig, *,
 
     The sums accumulate piece by piece (see the module docstring). With
     keep_errors=False the e_* fields are None and no full-size array is
-    allocated; tensor_stats needs only the sums."""
+    allocated; tensor_stats needs only the sums. work, if given, is the
+    workspace of the pieces' temporaries, which a caller splitting many
+    tensors can pass to every call."""
     x = _as_tensor(x)
     quantizers: list[Quantizer] = [config]
     if x_hat is not None:
@@ -359,12 +400,12 @@ def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig, *,
         hat_rows = x_hat.reshape(-1, x.shape[-1] if x.ndim else 1)
         quantizers = [lambda rows, cols, piece: hat_rows[rows, cols]]
     errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
-    return _decompose(x, config, quantizers, errors)[0]
+    return _decompose(x, config, quantizers, errors, work=work)[0]
 
 
 def decompose_quantizers(x: np.ndarray | TensorSource, block_size: int,
-                         quantizers: Sequence[Quantizer], *,
-                         align: int = 1) -> list[ErrorDecomposition]:
+                         quantizers: Sequence[Quantizer], *, align: int = 1,
+                         work: _Workspace | None = None) -> list[ErrorDecomposition]:
     """decompose_tensor's sums for each quantizer, in one pass over x: each
     x_hat is split against the one Q*(x) of blocks of block_size, which is
     rounded once per piece, and no error array is kept.
@@ -372,7 +413,10 @@ def decompose_quantizers(x: np.ndarray | TensorSource, block_size: int,
     A quantizer is a BlockQuantConfig of that block size, measuring its
     plain Q, or a piece function (Quantizer). The pieces are cut at
     multiples of align columns (and of block_size): a quantizer that is
-    local to a macro block needs the whole macro in one piece."""
+    local to a macro block needs the whole macro in one piece. work, if
+    given, is the pieces' workspace, which the piece functions may use too
+    (Quantizer): their scratch and the split's then take turns in one
+    block of memory."""
     x = _as_tensor(x)
     quantizers = list(quantizers)
     if not quantizers:
@@ -380,7 +424,8 @@ def decompose_quantizers(x: np.ndarray | TensorSource, block_size: int,
     for q in quantizers:
         if isinstance(q, BlockQuantConfig) and q.block_size != block_size:
             raise ValueError(f"quantizer block size {q.block_size} is not {block_size}")
-    return _decompose(x, BlockQuantConfig(block_size=block_size), quantizers, align=align)
+    return _decompose(x, BlockQuantConfig(block_size=block_size), quantizers,
+                      align=align, work=work)
 
 
 class InvariantViolation(AssertionError):
@@ -467,16 +512,21 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
     inner products are accumulated over cache-sized pieces and no error
     array is kept, so the working memory is the input plus one piece, or one
     piece when the tensors are tensorstore.TensorSources, read one piece at
-    a time. A tensor whose block scales E8M0 cannot code is a ValueError
+    a time; one workspace serves every tensor. Each split must pass
+    _check_split, or InvariantViolation names the tensor. A tensor whose
+    block scales E8M0 cannot code is a ValueError that names it
     (formats.ceil_scale_array), and below that range no squared norm can
     overflow: every block maximum is below 12 * 2^127.
     """
     if not tensors:
         raise ValueError("empty tensor set")
     records = []
+    work = _Workspace()                 # one for every tensor's pieces
     for name in sorted(tensors):
         x = _as_tensor(tensors[name])
-        d = decompose_tensor(x, config, keep_errors=False)
+        with _naming(name):
+            d = decompose_tensor(x, config, keep_errors=False, work=work)
+        _check_split(name, d)
         numel = x.size
         mse = d.n2_total / numel
         norms = d.n2_scale + d.n2_dz + d.n2_grid + d.n2_total
@@ -523,7 +573,8 @@ def scale_precision_sweep(x: np.ndarray | TensorSource, m_list: Iterable[int] = 
     Q*(x): e_grid and e_dz, which depend only on s_star, are the same at
     every M by construction. Each split must pass _check_identity; a
     violation raises, naming the tensor and M, because it can only be a
-    kernel bug. Total MSE is reported with a monotonicity flag rather than
+    kernel bug. A ValueError, such as a block scale past E8M0's range, names
+    the tensor too. Total MSE is reported with a monotonicity flag rather than
     asserted: it is non-increasing on every tensor family tested, but
     nothing forbids a small tensor from trading a lucky rounding away as the
     scale tightens.
@@ -535,8 +586,10 @@ def scale_precision_sweep(x: np.ndarray | TensorSource, m_list: Iterable[int] = 
     numel = x.size
     configs = [BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
                for m in m_list]
+    with _naming(name):
+        splits = decompose_quantizers(x, block_size, configs)
     out = []
-    for m, d in zip(m_list, decompose_quantizers(x, block_size, configs)):
+    for m, d in zip(m_list, splits):
         _check_split(f"{name}, M={m}", d)
         out.append({"M": m,
                     "mse_total": d.n2_total / numel,

@@ -82,8 +82,11 @@ class QuantizedTensor:
 # Elements per piece of the decomposition (decompose), whose sums are added
 # piece by piece. A piece goes through about 30 elementwise passes over half
 # a dozen live float64 arrays, so it is sized for the 2 MiB of L2 each core
-# has on a 2-core Xeon: at 2^15 one array is 256 KiB and the working set
-# about 1.5 MiB, while at 2^17 (6 MiB) every pass streams from L3. There,
+# has on a 2-core Xeon: at 2^15 one array is 256 KiB and the working set, a
+# piece's phase of its _Workspace, 1.06 MiB with one quantizer and 1.56 MiB
+# with more (e_dz and e_grid get arrays of their own), while at 2^17 (6 MiB)
+# every pass streams from L3. A piece function's phases, such as the MBS
+# steps of the mbs command, take the same memory before it. There,
 # tensor_stats on a BF16 container of a 4096x4096 Student-t tensor, a
 # 2048x2048 Gaussian one and 64 vectors of 4100 elements took a median
 # 0.53 s at 2^15, against 0.62 s at 2^16, 0.72 s at 2^17, 0.68 s at 2^14
@@ -100,25 +103,67 @@ _CHUNK_ELEMS = 1 << 15
 _STREAM_ELEMS = 1 << 17
 
 
+# Bytes each region of a workspace's block is aligned to: a cache line, so
+# no two arrays share one.
+_ALIGN = 64
+
+
 class _Workspace:
-    """Named scratch arrays that a loop over pieces reuses for its whole run.
+    """Scratch arrays for a loop over pieces, in one reused block of memory.
     A kernel given one writes into take(name, shape, dtype) rather than into
-    a new array. Each name keeps the largest byte buffer it has handed out,
-    in any dtype, so one name holds one live array at a time. Fresh
-    piece-sized temporaries on every piece cost page faults: the allocator
-    hands the freed pages back to the system and faults them in again on
-    the next piece."""
+    a new array: fresh piece-sized temporaries on every piece cost page
+    faults, as the allocator hands the freed pages back to the system and
+    faults them in again on the next piece.
+
+    The takes come in phases, which reset() separates: a phase is one split
+    piece, or one MBS step. Within a phase each name has one region of the
+    block, and a name taken again gets the same region, or a new one if it
+    must grow: one name holds one live array at a time, and two names never
+    overlap. reset() ends the phase, and every array taken in it with it;
+    the next phase hands the block out again from its start. So phases that
+    run one after the other, such as a piece's MBS steps and then its
+    split, hold one working set, the largest phase's, not one each.
+
+    A take the block has no room for gets a buffer of its own for the rest
+    of the phase. At the next reset those buffers are dropped first, and
+    then the block grows to all that the phase took; it never grows while
+    an array in it is live. A workspace that is never reset keeps an empty
+    block, so each name keeps the largest buffer it has handed out, in any
+    dtype, for the workspace's life: the container reader's and writer's
+    reused buffers and those of the synthetic draws are such names."""
 
     def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
+        self._block = np.empty(0, np.uint8)
+        self._top = 0                   # bytes of the block taken this phase
+        self._own = 0                   # bytes of this phase's own buffers
+        self._regions: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(name)
+        buf = self._regions.get(name)
         if buf is None or buf.size < nbytes:
-            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
+            size = -(-nbytes // _ALIGN) * _ALIGN
+            if self._top + size <= self._block.size:
+                buf = self._block[self._top:self._top + size]
+                self._top += size
+            else:
+                buf = np.empty(size, np.uint8)
+                self._own += size
+            self._regions[name] = buf
         return buf[:nbytes].view(dtype).reshape(shape)
+
+    def reset(self) -> None:
+        """End the phase: no array taken since the last reset is used
+        again."""
+        need = self._top + self._own
+        self._regions.clear()
+        if need > self._block.size:
+            self._block = None          # dropped before the larger one is made
+            raw = np.empty(need + _ALIGN, np.uint8)
+            start = -raw.ctypes.data % _ALIGN
+            self._block = raw[start:start + need]
+        self._top = self._own = 0
 
 
 def _take(work: _Workspace | None, name: str, shape: tuple[int, ...],

@@ -99,6 +99,56 @@ class TestGammaStats:
         assert {"mean_gamma", "rms_delta", "rmse_gamma_minus_1",
                 "n_blocks", "histogram"} <= set(d)
 
+    def test_bf16_at_m0_pinned(self):
+        # at M = 0 inside E8M0's range the coded scale's log2 is ceil(log2
+        # s*): the deltas are the bits they had when taken from s* alone
+        x = np.random.default_rng(87).standard_normal((1024, 256)).astype(np.float32)
+        bf16 = (x.view(np.uint32) & np.uint32(0xFFFF0000)).view(np.float32).astype(np.float64)
+        st = gamma_stats(bf16)
+        assert (st.mean_delta, st.mean_gamma, st.rmse_gamma_minus_1, st.rms_delta) == (
+            0.4557506342526618, 1.392612338327528, 0.46406643837121875, 0.520095244351389)
+        assert hashlib.sha256(st.delta.tobytes() + st.histogram.tobytes()).hexdigest() == (
+            "8d3003d34a0cd80f2fc0e335644ff6c15fa993f4032c904fc3430d2e4dc93dee")
+
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_overshoot_of_the_coded_scale(self, M):
+        # the overshoot is that of the scale the quantizer codes: at M > 0
+        # below one mantissa step, log2(1 + 2^-M)
+        x = np.random.default_rng(89).standard_normal((2000, 32))
+        cfg = BlockQuantConfig(scale_mantissa_bits=M)
+        st = gamma_stats(x, cfg)
+        step = math.log2(1.0 + 2.0 ** -M)
+        assert (st.delta >= 0.0).all() and (st.delta < step).all()
+        assert st.delta.max() > 0.9 * step
+        view = block_view(x, cfg)
+        s_dec, _, _ = ceil_scale_array(view.s_star, M)
+        np.testing.assert_allclose(np.exp2(st.delta), s_dec / view.s_star, rtol=1e-12)
+        assert st.histogram.sum() == st.n_blocks
+        assert st.mean_gamma < gamma_stats(x).mean_gamma
+
+    def test_clamped_scale_counted(self):
+        # a block scale below 2^-127 is coded as 2^-127, so its overshoot
+        # passes 1: it is kept in delta, and the histogram's last bin counts
+        # it rather than dropping it
+        x = np.random.default_rng(90).standard_normal((1200, 32))
+        x[:10] *= 1e-40
+        st = gamma_stats(x)
+        assert st.n_blocks == 1200 and st.histogram.sum() == 1200
+        assert (st.delta[:10] > 1.0).all() and (st.delta[10:] < 1.0).all()
+        s_star = np.abs(x[:10]).max(axis=1) / 6.0
+        np.testing.assert_allclose(st.delta[:10], -127.0 - np.log2(s_star), rtol=1e-12)
+        plain = np.histogram(st.delta[10:], bins=100, range=(0.0, 1.0))[0]
+        plain[-1] += 10
+        assert np.array_equal(st.histogram, plain)
+
+    def test_past_e8m0_range_refused_by_name(self):
+        x = 1e160 * np.random.default_rng(91).standard_normal((64, 1024))
+        with pytest.raises(ValueError, match="past E8M0's range"):
+            gamma_stats(x)
+        ok = np.random.default_rng(92).standard_normal((64, 1024))
+        with pytest.raises(ValueError, match=r"past E8M0's range.*\(tensor huge\)$"):
+            gamma_stats({"ok": ok, "huge": x})
+
     @staticmethod
     def _traced(rows):
         gc.collect()

@@ -279,16 +279,12 @@ class TestExitCodes:
         assert code == 2 and "2-D" in err
 
     def test_invariant_violation_is_3(self, capsys, monkeypatch):
-        class FakeReport:
-            records = [{"name": "t", "identity_residual": 1.0,
-                        "dz_inner_products": [0.0, 0.0]}]
-
-            def to_json_dict(self):
-                return {}
-
-        monkeypatch.setattr(cli, "tensor_stats", lambda *a, **k: FakeReport())
-        code, _, err = _run(capsys, ["decompose", "--synth", "gaussian:4x32"])
-        assert code == 3 and "invariant violation" in err
+        # tensor_stats checks each split itself: a residual planted past the
+        # tolerance is exit 3, with no report, and names the tensor
+        monkeypatch.setattr(decompose, "verify_identity", lambda d: 1.0)
+        code, out, err = _run(capsys, ["decompose", "--synth", "gaussian:4x32"])
+        assert code == 3 and out == ""
+        assert "invariant violation: identity residual 1.000e+00 on gaussian_0000" in err
 
     def test_broken_mbs_split_is_3(self, capsys, monkeypatch):
         # x_hat = x: e_total is 0 while e_scale = -(e_dz + e_grid) is not,
@@ -350,8 +346,8 @@ class TestExitCodes:
     def test_overflowing_norms_give_no_report(self, capsys, tmp_path, command):
         # at |x| ~ 1e200 the block scales are past E8M0's range, and the
         # squared norms overflow: an input error, not a violated identity,
-        # and no numpy warning on the way. aqn quantizes nothing, and names
-        # the tensor whose norms overflow
+        # and no numpy warning on the way, that names the tensor. aqn
+        # quantizes nothing, and names the tensor whose norms overflow
         ts = TensorSet()
         ts.add("huge", 1e200 * np.random.default_rng(9).standard_normal((4, 128)))
         path = str(tmp_path / "huge.tensors")
@@ -363,7 +359,23 @@ class TestExitCodes:
         if command == "aqn":
             assert re.search(r"squared norms overflow float64 on huge\b", err)
         else:
-            assert "past E8M0's range" in err
+            assert "past E8M0's range" in err and "(tensor huge)" in err, err
+
+    @pytest.mark.parametrize("command", ["decompose", "sweep", "mbs", "of", "gemm", "gamma"])
+    def test_scale_range_refusal_names_the_tensor(self, capsys, tmp_path, command):
+        # in a container of a normal tensor and one past E8M0's range, the
+        # refusal names the bad one. gemm reads the first 2-D tensor, the
+        # bad one, and gamma reads both (65 blocks beyond its minimum)
+        rng = np.random.default_rng(10)
+        ts = TensorSet()
+        ts.add("a_ok", rng.standard_normal(65 * 1024))
+        ts.add("w_huge", 1e160 * rng.standard_normal((64, 1024)))
+        path = str(tmp_path / "mixed.tensors")
+        save_container(ts, path)
+        code, out, err = _run(capsys, [command, "--input", path])
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: block scale past E8M0's range: .* \(tensor w_huge\)\n",
+                            err), err
 
     def test_overflowing_gemm_traces_give_no_report(self, capsys):
         # the traces scale with the input variance: at 1e308 they pass the
@@ -691,6 +703,42 @@ def test_synth_commands_hold_one_piece(capsys, tmp_path, argv, large_extra):
     assert peaks[1024] <= 1.1 * peaks[256], peaks
 
 
+def test_repeated_commands_keep_their_results(capsys, tmp_path):
+    # a command's workspace hands one block of memory to its phases in turn
+    # (each MBS step, each piece function, each split); a phase that read
+    # what an earlier one left there would change a report between runs.
+    # Ragged rows, tail macros, a one-row BF16 vector and a 5-element one
+    rng = np.random.default_rng(67)
+    ts = TensorSet()
+    ts.add("rows", rng.standard_t(5.0, size=(70, 700)), "F32")
+    ts.add("long", rng.standard_normal(70001), "BF16")
+    ts.add("tiny", rng.standard_normal(5))
+    path = str(tmp_path / "mixed.tensors")
+    save_container(ts, path)
+    commands = [["mbs"], ["mbs", "--scale-mantissa-bits", "3"],
+                ["mbs", "--mbs-mode", "closed_form"], ["of", "--with-mbs"],
+                ["sweep", "--max-mantissa-bits", "3"], ["decompose"]]
+    runs = {}
+    for _ in range(2):
+        for argv in commands:
+            code, out, err = _run(capsys, [*argv, "--input", path])
+            assert code == 0, err
+            results = out[out.index('"results"'):]      # the report after duration_seconds
+            runs.setdefault(" ".join(argv), []).append(results)
+    assert {name: len(set(texts)) for name, texts in runs.items()} == dict.fromkeys(runs, 1)
+
+
+def test_gamma_honours_the_scale_width(capsys):
+    code, out, _ = _run(capsys, ["gamma", "--synth", "gaussian:256x256"])
+    m0 = json.loads(out)["results"]
+    code3, out, _ = _run(capsys, ["gamma", "--synth", "gaussian:256x256",
+                                  "--scale-mantissa-bits", "3"])
+    m3 = json.loads(out)["results"]
+    assert code == code3 == 0
+    assert 1.0 < m3["mean_gamma"] < 1.125 < m0["mean_gamma"]
+    assert sum(m3["histogram"]) == m3["n_blocks"] == m0["n_blocks"]
+
+
 def test_synth_tensors_hold_nothing_once_read(capsys):
     # a tensor's draw, row maxima included, is dropped once its last piece
     # is read: four lognormal tensors (256 KiB of maxima each) cost what
@@ -917,7 +965,8 @@ def test_interpreter_flags_keep_results(flag_runs, command):
     # no interpreter flag changes a report: every result is the same bits
     # with -O (no assert can carry a check) and with -W error (no numpy
     # warning is raised on the way); the container past E8M0's range is an
-    # input error, exit 2, that names the range, under every flag
+    # input error, exit 2, that names the range and the tensor, under every
+    # flag (gamma too: it refuses the range before it counts its blocks)
     synth = [flag_runs[flag][command][0] for flag in _INTERPRETER_FLAGS]
     huge = [flag_runs[flag][command][1] for flag in _INTERPRETER_FLAGS]
     for code, _, err in synth:
@@ -925,5 +974,4 @@ def test_interpreter_flags_keep_results(flag_runs, command):
     assert len({digest for _, digest, _ in synth}) == 1
     for code, _, err in huge:
         assert code == 2, err
-        if command != "gamma":          # 32 blocks: below gamma's minimum
-            assert "past E8M0's range" in err
+        assert "past E8M0's range" in err and "(tensor w)" in err, err

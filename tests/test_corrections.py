@@ -20,12 +20,14 @@ from mxblock.corrections import (
     mbs_select_mantissa,
     of_qdq,
 )
+from mxblock.decompose import decompose_quantizers
 from mxblock.formats import (
     GRID_MIDPOINTS,
     ceil_scale_array,
     grid_round_array,
 )
 from mxblock.quantize import (
+    _CHUNK_ELEMS,
     BlockQuantConfig,
     _Workspace,
     block_view,
@@ -795,6 +797,37 @@ class TestMbsQdq:
             over.append(peak - x_hat.nbytes - codes.nbytes)
         assert over[1] <= over[0] + (256 << 10)
         assert over[1] < 16 << 20
+
+    @pytest.mark.parametrize("M", [0, 3])
+    def test_piece_loop_holds_one_working_set(self, M):
+        # the mbs command's loop: MBS on each piece, then the piece's split,
+        # in one workspace. The two take its block in turn, so the peak is
+        # the larger of the two working sets, each measured alone, plus the
+        # piece's x_hat, which the split reads: not the sum of the two
+        quant, mbs = BlockQuantConfig(scale_mantissa_bits=M), MbsConfig()
+        x = np.random.default_rng(91).standard_normal((128, 512))     # two pieces
+        hat_rows = mbs_qdq(x, mbs, quant)[0]
+        piece = x[:_CHUNK_ELEMS // 512]             # the split's pieces are whole rows
+
+        def split():                                # a piece function that costs nothing
+            decompose_quantizers(x, 32, [quant, lambda r, c, p: hat_rows[r, c]],
+                                 align=mbs.macro_block_size)
+
+        def step():
+            mbs_qdq(piece, mbs, quant)
+
+        def loop():
+            work = _Workspace()
+            decompose_quantizers(
+                x, 32, [quant, lambda r, c, p: mbs_qdq(p, mbs, quant, "exhaustive", work)[0]],
+                align=mbs.macro_block_size, work=work)
+
+        peaks = {}
+        for fn in (split, step, loop):
+            fn()                                    # the first run allocates more
+            peaks[fn.__name__] = _peak_bytes(fn)
+        assert peaks["loop"] <= max(peaks["split"], peaks["step"]) + piece.nbytes + (64 << 10), (
+            peaks)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_exhaustive_cases(), st.sampled_from(("exhaustive", "closed_form")),

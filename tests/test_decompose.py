@@ -14,6 +14,7 @@ from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
 from mxblock.formats import ceil_scale_array
 from mxblock.decompose import (
     DecompReport,
+    InvariantViolation,
     decompose_quantizers,
     decompose_tensor,
     orthogonality_check,
@@ -195,6 +196,34 @@ class TestTensorStats:
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
             tensor_stats({}, BlockQuantConfig())
+
+    def test_planted_residual_raises(self, monkeypatch):
+        # tensor_stats checks each split itself, so a library caller gets
+        # the check the CLI's exit 3 reports: a sum moved by a relative 1e-6
+        # in one tensor's pieces fails it, and the error names that tensor
+        piece_sums = decompose._piece_sums
+
+        def planted(rows, cols, piece, *args):
+            sums, dead, zeros = piece_sums(rows, cols, piece, *args)
+            if piece.size == 4 * 64 and piece[0, 0] == marked[0, 0]:
+                sums = sums.copy()
+                sums[:, 0] *= 1.0 + 1e-6        # n2_scale
+            return sums, dead, zeros
+
+        rng = np.random.default_rng(41)
+        marked = rng.standard_normal((4, 64))
+        tensors = {"a": rng.standard_normal((4, 64)), "b": marked}
+        monkeypatch.setattr(decompose, "_piece_sums", planted)
+        with pytest.raises(InvariantViolation, match=r"identity residual .* on b$"):
+            tensor_stats(tensors, BlockQuantConfig())
+        del tensors["b"]
+        assert tensor_stats(tensors, BlockQuantConfig()).records[0]["identity_residual"] <= 1e-9
+
+    def test_past_e8m0_range_names_the_tensor(self):
+        rng = np.random.default_rng(42)
+        tensors = {"a": rng.standard_normal((4, 64)), "b": 1e160 * rng.standard_normal((4, 64))}
+        with pytest.raises(ValueError, match=r"past E8M0's range.*\(tensor b\)$"):
+            tensor_stats(tensors, BlockQuantConfig())
 
 
 def _sweep_input(name):

@@ -93,6 +93,83 @@ class TestBlockView:
             block_view(np.array([1.0, np.nan]), BlockQuantConfig())
 
 
+def _phase(work):
+    """One phase's takes: names of several sizes and dtypes, one of them
+    taken again larger, as _first_past's buffers are."""
+    return {"a": work.take("a", (1000,)), "b": work.take("b", (37, 3), np.int8),
+            "c": work.take("c", (5,), np.int64), "a2": work.take("a", (3000,)),
+            "d": work.take("d", (2, 100), bool)}
+
+
+def _overlapping(arrays):
+    return [(i, j) for i in arrays for j in arrays
+            if i < j and np.shares_memory(arrays[i], arrays[j])]
+
+
+class TestWorkspace:
+    def test_names_in_one_phase_never_overlap(self):
+        work = _Workspace()
+        for _ in range(3):              # own buffers, then the block, then again
+            arrays = _phase(work)
+            # a name taken again holds one live array: "a" and "a2" may share
+            assert set(_overlapping(arrays)) <= {("a", "a2")}
+            for arr in arrays.values():
+                arr.fill(1)
+            work.reset()
+
+    def test_every_region_is_aligned(self):
+        work = _Workspace()
+        _phase(work)
+        work.reset()
+        for arr in _phase(work).values():
+            assert arr.ctypes.data % 64 == 0
+
+    def test_reset_hands_out_the_same_memory_again(self):
+        work = _Workspace()
+        _phase(work)
+        work.reset()                    # the block grows to all the phase took
+        first = _phase(work)
+        block = work._block
+        work.reset()
+        second = _phase(work)
+        assert work._block is block     # no growth: the same phase fits
+        for name in first:
+            assert np.shares_memory(first[name], second[name])
+        # a later phase of other names takes the same memory as well
+        work.reset()
+        other = work.take("other", (4000,))
+        assert np.shares_memory(other, first["a"]) and np.shares_memory(other, first["a2"])
+
+    def test_block_grows_only_at_reset(self):
+        work = _Workspace()
+        _phase(work)
+        work.reset()
+        arrays = _phase(work)
+        block = work._block
+        big = work.take("big", (1 << 16,))          # past the block: its own buffer
+        big.fill(7.0)
+        assert work._block is block
+        assert not any(np.shares_memory(big, a) for a in arrays.values())
+        work.reset()
+        assert work._block.size >= block.size + big.nbytes
+        assert (big == 7.0).all()      # a live array of the phase was never moved
+
+    def test_never_reset_keeps_each_name(self):
+        # the reader's, writer's and draws' buffers: each name keeps its
+        # largest buffer, and its contents, for the workspace's life
+        work = _Workspace()
+        a = work.take("values", (100,))
+        a[:] = np.arange(100)
+        b = work.take("raw", (800,), np.uint8)
+        again = work.take("values", (50,))
+        assert np.shares_memory(a, again) and not np.shares_memory(a, b)
+        assert np.array_equal(again, np.arange(50))
+        wider = work.take("values", (200,))
+        assert not np.shares_memory(wider, a)
+        assert np.shares_memory(work.take("values", (100,)), wider)
+        assert work._block.size == 0
+
+
 # Magnitudes at the ends of the float range: subnormals, the least normal and
 # the float below it, and the largest floats
 _EDGE_MAGNITUDES = [0.0, 5e-324, 2.0 ** -1060, float(np.nextafter(2.0 ** -1022, 0.0)),
