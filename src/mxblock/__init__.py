@@ -38,7 +38,6 @@ from .analysis import (
     GemmPropagation,
     TempFit,
     aqn_total_noise,
-    component_error_matrices,
     cross_term_vs_blocksize,
     cumulative_scale_bias,
     deadzone_truncate,

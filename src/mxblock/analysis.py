@@ -40,14 +40,13 @@ from .quantize import (
     _blocks_per_row,
     block_view,
 )
-from .tensorstore import TensorSource
+from .tensorstore import TensorSource, TensorStoreError, _empty
 
 __all__ = [
     "GammaStats",
     "TempFit",
     "GemmPropagation",
     "gamma_stats",
-    "component_error_matrices",
     "cumulative_scale_bias",
     "effective_temperature_predict",
     "effective_temperature_fit",
@@ -206,7 +205,7 @@ def cumulative_scale_bias(layers: int, delta_sampler="uniform",
 
     per_draw = layers if delta_mode == "per_layer" else layers * blocks_per_layer
     step = max(1, int(2e7) // per_draw)
-    sums = np.empty(trials)
+    sums = _empty((trials,), f"{trials} trials")
     for lo in range(0, trials, step):
         n = min(step, trials - lo)
         if delta_mode == "per_layer":
@@ -579,63 +578,56 @@ class GemmPropagation:
         }
 
 
-def component_error_matrices(weights: np.ndarray, quant: BlockQuantConfig,
-                             mbs: MbsConfig | None = None,
-                             mbs_mode: str = "closed_form"):
-    """(e_scale, e_dz, e_grid, e_total) for the plain or MBS quantizer; the
-    MBS output is measured against the plain Q*(x) (see decompose)."""
-    x_hat = None if mbs is None else mbs_qdq(weights, mbs, quant, mbs_mode)[0]
-    d = decompose_tensor(weights, quant, x_hat=x_hat)
-    return d.e_scale, d.e_dz, d.e_grid, d.e_total
-
-
 def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
                            cov=1.0, samples: int = 10_000, seed: int = 0,
                            mbs: MbsConfig | None = None,
                            mbs_mode: str = "closed_form") -> GemmPropagation:
     """Propagate decomposed quantization error through y = W x.
 
-    cov selects the input second-moment model:
+    weights is a 2-D array or a tensorstore.TensorSource. cov selects the
+    input second-moment model, and must be finite:
 
-    - scalar: isotropic, Sigma = cov * I (cov is the variance);
-    - 1-D array: diagonal Sigma;
+    - scalar: isotropic, Sigma = cov * I (cov is the variance, > 0);
+    - 1-D array: diagonal Sigma (positive);
     - 2-D array: a sample set, one input vector per row; Sigma is its
       uncentered second moment and Monte-Carlo draws resample rows.
 
-    With isotropic covariance the two deadzone cross traces reduce to
-    elementwise products that vanish identically (the scale component is
-    exactly zero on deadzone entries); a nonzero one raises
-    InvariantViolation.
-    Passing mbs replaces the quantizer with its macro-prescaled variant;
-    the scale component is then measured against the unchanged ideal
-    quantization. The Monte-Carlo inputs are drawn in chunks of about
-    quantize._STREAM_ELEMS elements, so past the four error matrices the
-    memory is one chunk and one value per sample. A sample set's traces are
-    taken over chunks of its rows the same way, never forming the
-    n_in x n_in Sigma, and keep their bits at any BLAS thread count.
+    The weight is read and split in pieces of whole rows (decompose_tensor;
+    with mbs, of each piece's MBS output, against the unchanged ideal
+    quantization). Every trace separates by rows, tr(A Sigma B^T) = sum_i
+    a_i Sigma b_i^T, so each piece adds its share and is dropped. The
+    isotropic traces are var times the split's own sums: those of
+    decompose_tensor(weights) bit for bit while a row fits in one of its
+    pieces (quantize._CHUNK_ELEMS elements); a wider row's column runs are
+    summed per row first, which can move the last bits. Its deadzone cross
+    traces are thus exactly 0.0; a nonzero one raises InvariantViolation.
+
+    Only e_total is kept whole, for the Monte-Carlo term, whose inputs are
+    drawn in chunks of about quantize._STREAM_ELEMS elements, as a sample
+    set's rows are for its traces: never forming the n_in x n_in Sigma,
+    with the same bits at any BLAS thread count. A weight or a sample count
+    numpy cannot allocate is a ValueError naming it and its bytes.
     """
     quant = quant or BlockQuantConfig()
-    w = np.asarray(weights, dtype=np.float64)
+    w = _as_tensor(weights)
     if w.ndim != 2:
         raise ValueError("weights must be 2-D")
-    if not np.isfinite(w).all():
-        raise ValueError("non-finite input")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n_in = w.shape[1]
 
     if np.isscalar(cov) or (isinstance(cov, np.ndarray) and cov.ndim == 0):
         var = float(cov)
-        if var <= 0:
-            raise ValueError("isotropic variance must be > 0")
+        if not 0 < var < math.inf:
+            raise ValueError("isotropic variance must be finite and > 0")
         mode = "isotropic"
     else:
         cov = np.asarray(cov, dtype=np.float64)
         if cov.ndim == 1:
             if cov.size != n_in:
                 raise ValueError("diagonal covariance length mismatch")
-            if (cov <= 0).any():
-                raise ValueError("diagonal covariance must be positive")
+            if not ((cov > 0) & (cov < math.inf)).all():
+                raise ValueError("diagonal covariance must be finite and positive")
             mode = "diagonal"
         elif cov.ndim == 2:
             if cov.shape[1] != n_in:
@@ -646,58 +638,63 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
         else:
             raise ValueError("cov must be scalar, 1-D, or 2-D")
 
-    e_s, e_d, e_g, e_t = component_error_matrices(w, quant, mbs, mbs_mode)
+    # a TensorSource's refusal names it, as np.asarray(source) does
+    e_t = _empty(w.shape, f"tensor {getattr(w, 'name', 'weights')}", TensorStoreError)
+    per_sample = _empty((samples,), f"{samples} samples")
     step = max(1, _STREAM_ELEMS // max(w.shape))     # samples per chunk
 
-    # the seven traces tr(E_a Sigma E_b^T) in decompose's _SUM_PAIRS order:
-    # var_scale, var_dz, var_grid, var_total, then the scale-grid, scale-dz
-    # and dz-grid cross traces. Isotropic traces take decompose_tensor's _dot,
-    # so they are var times its sums bit for bit on a one-piece tensor; a
-    # larger tensor's sums add piece by piece, which moves their last bits.
-    # In every mode a trace past 1.8e308 (w's scales are E8M0's, but the
-    # covariance is any finite one) is inf or nan without a warning: cmd_gemm
-    # checks them (_check_norms)
-    mats = (e_s, e_d, e_g, e_t)
+    # the seven traces tr(E_a Sigma E_b^T) in decompose's _SUM_PAIRS order
+    # (var_scale, var_dz, var_grid, var_total, then the scale-grid, scale-dz
+    # and dz-grid crosses), each the sum of the pieces' shares. Past 1.8e308
+    # (w's scales are E8M0's, but the covariance is any finite one) a trace
+    # or the Monte-Carlo term is inf or nan without a warning: cmd_gemm
+    # checks the traces (_check_norms)
+    traces = None
+    work = _Workspace()
     with np.errstate(over="ignore", invalid="ignore"):
+        for r, c, piece in _row_pieces(w, quant.block_size, max(n_in, _CHUNK_ELEMS)):
+            x_hat = None if mbs is None else mbs_qdq(piece, mbs, quant, mbs_mode, work)[0]
+            d = decompose_tensor(piece, quant, x_hat=x_hat, work=work)
+            e_t[r, c] = d.e_total
+            mats = (d.e_scale, d.e_dz, d.e_grid, d.e_total)
+            if mode == "isotropic":
+                share = np.array([d.n2_scale, d.n2_dz, d.n2_grid, d.n2_total,
+                                  d.ip_scale_grid, d.ip_scale_dz, d.ip_dz_grid])
+            elif mode == "diagonal":
+                share = np.array([((mats[a] * mats[b]).sum(axis=0) * cov).sum()
+                                  for a, b in _SUM_PAIRS])
+            else:
+                # tr(A Sigma B^T) with Sigma = X^T X / n is (1/n) sum_s <A x_s,
+                # B x_s>: per chunk of samples, one (rows, chunk) product per
+                # matrix. They are einsum's own loops, not a BLAS gemm, and
+                # their _dot sums keep their bits at any BLAS thread count
+                share = np.zeros(len(_SUM_PAIRS))
+                for lo in range(0, cov.shape[0], step):
+                    prods = [np.einsum("ij,kj->ik", m, cov[lo:lo + step]) for m in mats]
+                    share += [_dot(prods[a], prods[b]) for a, b in _SUM_PAIRS]
+            traces = share if traces is None else traces + share
         if mode == "isotropic":
-            traces = [var * _dot(mats[a], mats[b]) for a, b in _SUM_PAIRS]
-        elif mode == "diagonal":
-            traces = [float(((mats[a] * mats[b]).sum(axis=0) * cov).sum())
-                      for a, b in _SUM_PAIRS]
-        else:
-            # tr(A Sigma B^T) with Sigma = X^T X / n is (1/n) sum_s <A x_s,
-            # B x_s>: per chunk of samples, one (n_out, chunk) product per
-            # matrix, never the n_in x n_in Sigma. The products are einsum's
-            # own loops, not a BLAS gemm, whose bits change with its thread
-            # count at some shapes, and the inner products are _dot sums, so
-            # every trace keeps its bits at any BLAS thread count
-            traces = [0.0] * len(_SUM_PAIRS)
-            for lo in range(0, cov.shape[0], step):
-                xs = cov[lo:lo + step]
-                prods = [np.einsum("ij,kj->ik", m, xs) for m in mats]
-                for t, (a, b) in enumerate(_SUM_PAIRS):
-                    traces[t] += _dot(prods[a], prods[b])
-            traces = [t / cov.shape[0] for t in traces]
-    var_scale, var_dz, var_grid, var_total, cross_sg, cross_sd, cross_dg = traces
-    if mode == "isotropic" and (cross_sd != 0.0 or cross_dg != 0.0):
-        raise InvariantViolation(
-            "deadzone cross traces must vanish for isotropic covariance")
+            traces = var * traces
+        elif mode == "samples":
+            traces = traces / cov.shape[0]
+        var_scale, var_dz, var_grid, var_total, cross_sg, cross_sd, cross_dg = traces.tolist()
+        if mode == "isotropic" and (cross_sd != 0.0 or cross_dg != 0.0):
+            raise InvariantViolation(
+                "deadzone cross traces must vanish for isotropic covariance")
 
-    # drawn in chunks from one generator, the inputs are the whole matrix's
-    # draws; the mean is taken once, over every sample's squared error
-    rng = np.random.default_rng(seed)
-    per_sample = np.empty(samples)
-    for lo in range(0, samples, step):
-        m = min(step, samples - lo)
-        if mode == "isotropic":
-            x = math.sqrt(var) * rng.standard_normal((m, n_in))
-        elif mode == "diagonal":
-            x = np.sqrt(cov)[None, :] * rng.standard_normal((m, n_in))
-        else:
-            x = cov[rng.integers(0, cov.shape[0], size=m)]
-        with np.errstate(over="ignore", invalid="ignore"):      # as the traces
+        # drawn in chunks from one generator, the inputs are the whole
+        # matrix's draws; the mean is taken once, over every sample's
+        # squared error
+        rng = np.random.default_rng(seed)
+        for lo in range(0, samples, step):
+            m = min(step, samples - lo)
+            if mode == "isotropic":
+                x = math.sqrt(var) * rng.standard_normal((m, n_in))
+            elif mode == "diagonal":
+                x = np.sqrt(cov)[None, :] * rng.standard_normal((m, n_in))
+            else:
+                x = cov[rng.integers(0, cov.shape[0], size=m)]
             per_sample[lo:lo + m] = ((e_t @ x.T) ** 2).sum(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
         mc = float(per_sample.mean())
 
     return GemmPropagation(

@@ -140,11 +140,11 @@ def _parse_synth(text: str, seed: int, count: int) -> SynthSpec:
 def _tensors(args):
     """The one way a command gets its input: name -> tensorstore.TensorSource,
     either the StoredTensors of the open --input container or the
-    SynthTensors of --synth, each read only when the command asks (piece by
-    piece, or np.asarray for the whole tensor). decompose, sweep, mbs, of,
-    gamma and aqn read their tensors piece by piece, so they hold one piece
-    of either source; a synthetic tensor is drawn as it is read. gemm holds
-    one whole tensor at a time."""
+    SynthTensors of --synth, each read only when the command asks. Every
+    command reads its tensors piece by piece, so it holds one piece of
+    either source; a synthetic tensor is drawn as it is read. gemm also
+    holds one weight-sized array, its weight's total error
+    (analysis.gemm_error_propagation)."""
     if args.input and args.synth:
         raise ValueError("--input and --synth are mutually exclusive")
     if args.input:

@@ -14,12 +14,13 @@ layout.
 
 A TensorSource is a tensor read piece by piece: read(start, count) gives
 any run of its row-major elements as float64 in one reused buffer, so a
-caller that walks a tensor in pieces (decompose_tensor, gamma_stats) holds
-one piece, not the tensor. np.asarray(source) is the same reads filling one
-preallocated float64 array, so a caller that needs whole tensors holds the
-one it asked for; an array numpy cannot allocate is a TensorStoreError
-naming the tensor. There are two sources, and they are the one way data
-enters an analysis from outside the caller's arrays.
+caller that walks a tensor in pieces (decompose_tensor, gamma_stats,
+gemm_error_propagation, every command) holds one piece, not the tensor.
+np.asarray(source) is the same reads filling one preallocated float64
+array, for a library caller that needs the whole tensor (load_container,
+synth); an array numpy cannot allocate is a TensorStoreError naming the
+tensor. There are two sources, and they are the one way data enters an
+analysis from outside the caller's arrays.
 
 StoredTensor reads a container. ContainerReader opens a file and runs every
 header check (field types, dtype, shape, span bounds and sizes, overlaps)
@@ -134,6 +135,17 @@ def _check_shape(shape: tuple[int, ...], what: str) -> None:
                                f"cannot hold a float64 array of shape {list(shape)}")
 
 
+def _empty(shape: tuple[int, ...], what: str,
+           error: type[ValueError] = ValueError) -> np.ndarray:
+    """np.empty(shape), a new float64 array, or error naming what and its
+    bytes when numpy cannot allocate it."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise error(f"cannot hold {what} in memory: "
+                    f"{8 * math.prod(shape)} bytes as float64") from None
+
+
 class TensorSource:
     """A named tensor of a fixed shape that is read piece by piece:
     read(start, count, out=None) gives elements [start, start + count) in
@@ -164,11 +176,7 @@ class TensorSource:
         if copy is False:
             raise ValueError(f"tensor {self.name} is read piece by piece: "
                              "it cannot be an array without a copy")
-        try:
-            data = np.empty(self.shape)
-        except MemoryError:
-            raise TensorStoreError(f"cannot hold tensor {self.name} in memory: "
-                                   f"{8 * self.size} bytes as float64") from None
+        data = _empty(self.shape, f"tensor {self.name}", TensorStoreError)
         flat = data.reshape(-1)
         for start in range(0, self.size, _STREAM_ELEMS):
             count = min(_STREAM_ELEMS, self.size - start)

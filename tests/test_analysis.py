@@ -15,7 +15,6 @@ import mxblock
 import mxblock.analysis as analysis
 from mxblock.analysis import (
     aqn_total_noise,
-    component_error_matrices,
     cross_term_vs_blocksize,
     cumulative_scale_bias,
     deadzone_truncate,
@@ -29,7 +28,15 @@ from mxblock.corrections import AqnSchedule, MbsConfig
 from mxblock.decompose import InvariantViolation, decompose_tensor
 from mxblock.formats import ceil_scale_array
 from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
-from mxblock.tensorstore import SynthSpec, synth, synth_tensors
+from mxblock.tensorstore import (
+    ContainerReader,
+    SynthSpec,
+    TensorSet,
+    TensorSource,
+    save_container,
+    synth,
+    synth_tensors,
+)
 
 
 class TestGammaStats:
@@ -531,14 +538,25 @@ class TestAqnTotalNoise:
             aqn_total_noise(0.0, [-0.1], 0)
 
 
-# e_scale and e_dz overlap, which no quantizer can produce
+def _overlapping_split(x, quant, **kwargs):
+    """decompose_tensor's split of x with e_dz made e_scale, an overlap no
+    quantizer can produce: <e_scale, e_dz> is then n2_scale, not 0.0."""
+    d = decompose_tensor(x, quant, **kwargs)
+    return dataclasses.replace(d, e_dz=d.e_scale, n2_dz=d.n2_scale,
+                               ip_scale_dz=d.n2_scale)
+
+
+# _overlapping_split, planted in a python -O process
 _OVERLAP_SCRIPT = """
+import dataclasses
 import numpy as np
 import mxblock.analysis as analysis
-e, z = np.ones((4, 8)), np.zeros((4, 8))
-analysis.component_error_matrices = lambda *a, **k: (e, e, z, e)
+split = analysis.decompose_tensor
+analysis.decompose_tensor = lambda x, quant, **kwargs: dataclasses.replace(
+    d := split(x, quant, **kwargs), e_dz=d.e_scale, n2_dz=d.n2_scale,
+    ip_scale_dz=d.n2_scale)
 try:
-    analysis.gemm_error_propagation(np.ones((4, 8)), samples=1)
+    analysis.gemm_error_propagation(np.arange(32.0).reshape(4, 8), samples=1)
 except Exception as exc:
     print(type(exc).__name__)
 """
@@ -561,11 +579,9 @@ for field in ("var_scale", "var_dz", "var_grid", "var_total", "cross_scale_grid"
 
 class TestGemmPropagation:
     def test_overlapping_deadzone_raises(self, monkeypatch):
-        e, z = np.ones((4, 8)), np.zeros((4, 8))
-        monkeypatch.setattr(analysis, "component_error_matrices",
-                            lambda *a, **k: (e, e, z, e))
+        monkeypatch.setattr(analysis, "decompose_tensor", _overlapping_split)
         with pytest.raises(InvariantViolation):
-            gemm_error_propagation(np.ones((4, 8)), samples=1)
+            gemm_error_propagation(np.arange(32.0).reshape(4, 8), samples=1)
 
     def test_overlapping_deadzone_raises_under_python_O(self):
         src = os.path.dirname(os.path.dirname(mxblock.__file__))
@@ -588,6 +604,60 @@ class TestGemmPropagation:
         assert prop.cross_scale_dz == 0.0 and prop.cross_dz_grid == 0.0
         assert prop.identity_residual <= 1e-12
         assert prop.cov_mode == "isotropic"
+
+    def test_isotropic_traces_are_var_times_split_sums(self):
+        # 1024 rows of 1024 are 32 pieces of the split; each adds its sums,
+        # as decompose_tensor's own pass does, so the traces are var times
+        # those sums bit for bit, not a second dot over whole matrices
+        rng = np.random.default_rng(104)
+        w = rng.standard_normal((1024, 1024))
+        prop = gemm_error_propagation(w, cov=0.37, samples=1)
+        d = decompose_tensor(w, BlockQuantConfig(), keep_errors=False)
+        sums = {"var_scale": d.n2_scale, "var_dz": d.n2_dz, "var_grid": d.n2_grid,
+                "var_total": d.n2_total, "cross_scale_grid": d.ip_scale_grid,
+                "cross_scale_dz": d.ip_scale_dz, "cross_dz_grid": d.ip_dz_grid}
+        for field, v in sums.items():
+            assert getattr(prop, field).hex() == (0.37 * v).hex(), field
+        assert prop.cross_scale_dz == 0.0 and prop.cross_dz_grid == 0.0
+
+    @pytest.mark.parametrize("mbs", [None, MbsConfig(macro_block_size=128)])
+    def test_memory_grows_by_one_weight_at_most(self, mbs):
+        # only e_total is weight-sized; the other errors live one piece at a
+        # time, and a SynthTensor weight is drawn piece by piece
+        peaks = {}
+        for n in (1024, 2048):
+            w = synth_tensors(SynthSpec("gaussian", (n, n), seed=105))["gaussian_0000"]
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                gemm_error_propagation(w, samples=10, mbs=mbs)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] - peaks[1024] <= 8 * 2048 * 2048, peaks
+
+    @pytest.mark.parametrize("mbs", [None, MbsConfig(macro_block_size=64)])
+    def test_stored_weight_is_read_in_pieces(self, tmp_path, monkeypatch, mbs):
+        # a 256x512 weight is four pieces, read from the file one at a time;
+        # the whole-tensor read (np.asarray) is never taken
+        rng = np.random.default_rng(106)
+        w = rng.standard_t(5.0, (256, 512))
+        ts = TensorSet()
+        ts.add("w", w)
+        path = str(tmp_path / "w.tensors")
+        save_container(ts, path)
+        kwargs = {"cov": rng.uniform(0.5, 2.0, 512), "samples": 50, "mbs": mbs}
+        want = gemm_error_propagation(w, **kwargs)
+
+        def whole(self, dtype=None, copy=None):
+            raise AssertionError(f"tensor {self.name} read whole")
+
+        monkeypatch.setattr(TensorSource, "__array__", whole)
+        with ContainerReader(path) as reader:
+            got = gemm_error_propagation(reader.tensors["w"], **kwargs)
+        assert [repr(v) for v in dataclasses.astuple(got)] == \
+            [repr(v) for v in dataclasses.astuple(want)]
 
     def test_isotropic_variance_scales(self):
         rng = np.random.default_rng(95)
@@ -653,7 +723,8 @@ class TestGemmPropagation:
         xs = rng.standard_normal((70, 96)) * np.linspace(0.5, 2.0, 96)
         prop = gemm_error_propagation(w, cov=xs, samples=10)
         sigma = xs.T @ xs / xs.shape[0]
-        e_s, e_d, e_g, e_t = component_error_matrices(w, BlockQuantConfig())
+        d = decompose_tensor(w, BlockQuantConfig())
+        e_s, e_d, e_g, e_t = d.e_scale, d.e_dz, d.e_grid, d.e_total
         pairs = {"var_scale": (e_s, e_s), "var_dz": (e_d, e_d), "var_grid": (e_g, e_g),
                  "var_total": (e_t, e_t), "cross_scale_grid": (e_s, e_g),
                  "cross_scale_dz": (e_s, e_d), "cross_dz_grid": (e_d, e_g)}
@@ -712,6 +783,13 @@ class TestGemmPropagation:
             gemm_error_propagation(w, cov=np.ones(5))
         with pytest.raises(ValueError, match="positive"):
             gemm_error_propagation(w, cov=np.zeros(32))
+        for bad in (math.nan, math.inf):
+            # refused as input: its nan traces would fail the isotropic
+            # deadzone check, which reports a kernel fault (exit 3)
+            with pytest.raises(ValueError, match="isotropic variance must be finite"):
+                gemm_error_propagation(w, cov=bad)
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                gemm_error_propagation(w, cov=np.r_[np.ones(31), bad])
         with pytest.raises(ValueError, match="width mismatch"):
             gemm_error_propagation(w, cov=np.ones((10, 5)))
         with pytest.raises(ValueError):

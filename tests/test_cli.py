@@ -278,6 +278,31 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["gemm", "--synth", "gaussian:64"])
         assert code == 2 and "2-D" in err
 
+    # bad numbers on the command line: each is exit 2 with a message and no
+    # report, never a numpy error (exit 1) or an invariant violation (exit
+    # 3). The last two counts are past any memory, so np.empty fails at once
+    @pytest.mark.parametrize("argv, message", [
+        (["gemm", "--cov-var", "nan"], "isotropic variance must be finite and > 0"),
+        (["gemm", "--cov-var", "inf"], "isotropic variance must be finite and > 0"),
+        (["gemm", "--cov-var", "-1"], "isotropic variance must be finite and > 0"),
+        (["gemm", "--samples", "0"], "samples must be >= 1"),
+        (["cltsum", "--layers", "0"], "layers must be >= 1"),
+        (["temp", "--draws", "5"], "draws must be >= 10000"),
+        (["sweep", "--max-mantissa-bits", "9"], "scale_mantissa_bits must be in [0, 8]"),
+        (["of", "--of-alpha", "nan"], "alpha must be in [0, 1]"),
+        (["aqn", "--stages", "0"], "num_stages must be >= 1"),
+        (["gemm", "--samples", "1000000000000000"],
+         "cannot hold 1000000000000000 samples in memory: 8000000000000000 bytes"),
+        (["cltsum", "--trials", "1000000000000000"],
+         "cannot hold 1000000000000000 trials in memory: 8000000000000000 bytes"),
+    ])
+    def test_bad_numeric_input_is_2(self, capsys, argv, message):
+        if argv[0] in ("gemm", "sweep", "of"):
+            argv = [*argv, "--synth", "gaussian:8x64"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: ") and message in err, err
+
     def test_invariant_violation_is_3(self, capsys, monkeypatch):
         # tensor_stats checks each split itself: a residual planted past the
         # tolerance is exit 3, with no report, and names the tensor
