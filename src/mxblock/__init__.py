@@ -15,7 +15,6 @@ from .decompose import (
     InvariantViolation,
     decompose_quantizers,
     decompose_tensor,
-    orthogonality_check,
     scale_precision_sweep,
     tensor_stats,
     verify_identity,
@@ -25,12 +24,8 @@ from .corrections import (
     MbsConfig,
     OfConfig,
     OfResult,
-    aqn_apply,
     aqn_pieces,
-    aqn_schedule,
-    dz_recovery_rate,
     mbs_qdq,
-    mbs_select_mantissa,
     of_qdq,
 )
 from .analysis import (
@@ -57,8 +52,6 @@ from .tensorstore import (
     TensorSet,
     TensorSource,
     TensorStoreError,
-    load_container,
     save_container,
-    synth,
     synth_tensors,
 )

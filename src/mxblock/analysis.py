@@ -514,8 +514,8 @@ def effective_temperature_fit(logits, sigma_eta: float, draws: int = 100_000,
 
 def aqn_total_noise(sigma_grid: float, schedule, stage: int) -> float:
     """Quadrature sum of the grid noise floor and the stage noise."""
-    if sigma_grid < 0:
-        raise ValueError("sigma_grid must be >= 0")
+    if not 0 <= sigma_grid < math.inf:
+        raise ValueError(f"sigma_grid must be finite and >= 0, got {sigma_grid}")
     if isinstance(schedule, AqnSchedule):
         sigmas = schedule.stage_sigmas()
     else:
@@ -606,7 +606,9 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     drawn in chunks of about quantize._STREAM_ELEMS elements, as a sample
     set's rows are for its traces: never forming the n_in x n_in Sigma,
     with the same bits at any BLAS thread count. A weight or a sample count
-    numpy cannot allocate is a ValueError naming it and its bytes.
+    numpy cannot allocate is a ValueError naming it and its bytes. The
+    arguments are checked before the weight is read; past that, a ValueError
+    such as a block scale past E8M0's range names a TensorSource weight.
     """
     quant = quant or BlockQuantConfig()
     w = _as_tensor(weights)
@@ -614,6 +616,8 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
         raise ValueError("weights must be 2-D")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if mbs is not None:
+        mbs.validate_against(quant)
     n_in = w.shape[1]
 
     if np.isscalar(cov) or (isinstance(cov, np.ndarray) and cov.ndim == 0):
@@ -651,7 +655,7 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     # checks the traces (_check_norms)
     traces = None
     work = _Workspace()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _naming(getattr(w, "name", None)):
         for r, c, piece in _row_pieces(w, quant.block_size, max(n_in, _CHUNK_ELEMS)):
             x_hat = None if mbs is None else mbs_qdq(piece, mbs, quant, mbs_mode, work)[0]
             d = decompose_tensor(piece, quant, x_hat=x_hat, work=work)

@@ -201,6 +201,7 @@ def cmd_sweep(args) -> dict:
 def cmd_mbs(args) -> dict:
     quant = _quant_config(args)
     mbs = MbsConfig(macro_block_size=args.macro_block)
+    mbs.validate_against(quant)         # an option error names no tensor
     work = _Workspace()
 
     def mbs_x_hat(rows, cols, piece):
@@ -241,6 +242,8 @@ def cmd_of(args) -> dict:
     quant = _quant_config(args)
     of = OfConfig(alpha=args.of_alpha)
     mbs = MbsConfig(macro_block_size=args.macro_block) if args.with_mbs else None
+    if mbs is not None:
+        mbs.validate_against(quant)     # an option error names no tensor
     work = _Workspace()
 
     def of_x_hat(rows, cols, piece):
@@ -335,10 +338,9 @@ def cmd_gemm(args) -> dict:
         if name is None:
             raise ValueError("need a 2-D weight tensor")
         # only the picked weight is read
-        with _naming(name):
-            prop = gemm_error_propagation(tensors[name], _quant_config(args),
-                                          cov=args.cov_var, samples=args.samples,
-                                          seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
+        prop = gemm_error_propagation(tensors[name], _quant_config(args),
+                                      cov=args.cov_var, samples=args.samples,
+                                      seed=args.seed, mbs=mbs, mbs_mode=args.mbs_mode)
     _check_norms(f"GEMM traces of {name}", prop.var_scale, prop.var_dz, prop.var_grid,
                  prop.var_total)
     _check_identity(f"GEMM traces of {name}", prop.identity_residual)
@@ -476,6 +478,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.seed < 0:               # numpy's own refusal names no option
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         results = args.func(args)
         config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
         report = {

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import _as_tensor, _dot, _row_pieces, decompose_tensor
+from .decompose import _as_tensor, _dot, _row_pieces
 from .formats import (
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
@@ -76,13 +76,9 @@ __all__ = [
     "OfConfig",
     "AqnSchedule",
     "OfResult",
-    "mbs_select_mantissa",
     "mbs_qdq",
     "of_qdq",
-    "dz_recovery_rate",
-    "aqn_schedule",
     "aqn_pieces",
-    "aqn_apply",
 ]
 
 MBS_LEVELS = 256
@@ -113,7 +109,8 @@ class OfConfig:
 
 @dataclass(frozen=True)
 class AqnSchedule:
-    """Exponential decay sigma_start -> sigma_end over num_stages stages."""
+    """Exponential decay sigma_start -> sigma_end over num_stages stages;
+    sigma_start is finite."""
 
     sigma_start: float = 0.01
     sigma_end: float = 0.001
@@ -122,13 +119,20 @@ class AqnSchedule:
         default_factory=lambda: {"post_attention_layernorm": 1.414})
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.sigma_start):
+            raise ValueError(f"sigma_start must be finite, got {self.sigma_start}")
         if not (self.sigma_start >= self.sigma_end > 0):
             raise ValueError("need sigma_start >= sigma_end > 0")
         if self.num_stages < 1:
             raise ValueError("num_stages must be >= 1")
 
     def stage_sigmas(self) -> np.ndarray:
-        return aqn_schedule(self.sigma_start, self.sigma_end, self.num_stages)
+        """Stage magnitudes sigma_start * (sigma_end/sigma_start)^(k/(K-1))."""
+        if self.num_stages == 1:
+            return np.array([float(self.sigma_start)])
+        k = np.arange(self.num_stages)
+        return self.sigma_start * (self.sigma_end / self.sigma_start) ** (
+            k / (self.num_stages - 1))
 
     def multiplier_for(self, name: str) -> float:
         for pattern, mult in self.multipliers.items():
@@ -601,15 +605,6 @@ def _all_or(rows: np.ndarray, n: int) -> np.ndarray | slice:
     return slice(None) if len(rows) == n else rows
 
 
-def mbs_select_mantissa(macro_block: np.ndarray, mbs: MbsConfig,
-                        quant: BlockQuantConfig, mode: str = "exhaustive") -> int:
-    """Mantissa code for one macro block: the one mbs_qdq picks for it."""
-    macro_block = np.asarray(macro_block, dtype=np.float64)
-    if macro_block.ndim != 1 or not 1 <= macro_block.size <= mbs.macro_block_size:
-        raise ValueError("macro block must be 1-D with 1..macro_block_size elements")
-    return int(mbs_qdq(macro_block, mbs, quant, mode)[1][0])
-
-
 def mbs_qdq(x: np.ndarray, mbs: MbsConfig, quant: BlockQuantConfig,
             mode: str = "exhaustive",
             work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -704,27 +699,7 @@ def of_qdq(x: np.ndarray, of: OfConfig, quant: BlockQuantConfig,
     return OfResult(pass1 + of.alpha * pass2, pass1, pass2)
 
 
-def dz_recovery_rate(x: np.ndarray, of_result: OfResult,
-                     quant: BlockQuantConfig) -> dict[str, float]:
-    """Deadzone occupancy before and after OF, as fractions of all elements:
-    dz_fraction and dz_zero_fraction of the OF output's decomposition."""
-    d = decompose_tensor(x, quant, keep_errors=False, x_hat=of_result.x_hat)
-    return {"dz_rate_before": d.dz_fraction, "dz_rate_after": d.dz_zero_fraction}
-
-
 # --- adaptive quantization noise -------------------------------------------------
-
-
-def aqn_schedule(sigma_start: float, sigma_end: float, num_stages: int) -> np.ndarray:
-    """Stage magnitudes sigma_start * (sigma_end/sigma_start)^(k/(K-1))."""
-    if not (sigma_start >= sigma_end > 0):
-        raise ValueError("need sigma_start >= sigma_end > 0")
-    if num_stages < 1:
-        raise ValueError("num_stages must be >= 1")
-    if num_stages == 1:
-        return np.array([float(sigma_start)])
-    k = np.arange(num_stages)
-    return sigma_start * (sigma_end / sigma_start) ** (k / (num_stages - 1))
 
 
 def _noise_rng(seed: int, name: str) -> np.random.Generator:
@@ -774,17 +749,3 @@ def aqn_pieces(x, sigma: float, seed: int, multiplier: float = 1.0, name: str = 
         noise = rng.standard_normal(out=work.take("noise", piece.shape))
         noise *= scale                      # in place: the bits of x + scale * noise
         yield np.add(piece, noise, out=noise)
-
-
-def aqn_apply(x, sigma: float, seed: int, multiplier: float = 1.0,
-              name: str = "") -> np.ndarray:
-    """x + N(0, (sigma * multiplier * rms(x))^2) as one new array: the pieces
-    of aqn_pieces, the same bits as the aqn command writes."""
-    x = _as_tensor(x)
-    out = np.empty(x.shape)
-    flat = out.reshape(-1)
-    at = 0
-    for piece in aqn_pieces(x, sigma, seed, multiplier, name):
-        flat[at:at + piece.size] = piece.ravel()
-        at += piece.size
-    return out

@@ -82,7 +82,6 @@ __all__ = [
     "decompose_tensor",
     "decompose_quantizers",
     "verify_identity",
-    "orthogonality_check",
     "tensor_stats",
     "scale_precision_sweep",
 ]
@@ -453,11 +452,6 @@ def verify_identity(d: ErrorDecomposition) -> float:
                                d.ip_scale_grid, d.ip_scale_dz, d.ip_dz_grid)
 
 
-def orthogonality_check(d: ErrorDecomposition) -> tuple[float, float]:
-    """The two deadzone inner products (ip_scale_dz, ip_dz_grid)."""
-    return d.ip_scale_dz, d.ip_dz_grid
-
-
 def _check_norms(name: str, *norms: float) -> None:
     """A squared norm of +inf, such as a GEMM trace at a large input
     variance, is a ValueError; a nan norm, which no overflow makes, is left
@@ -468,7 +462,7 @@ def _check_norms(name: str, *norms: float) -> None:
 
 def _check_split(name: str, d: ErrorDecomposition, keeps_deadzone: bool = True) -> None:
     """_check_identity on the split d of a tensor."""
-    _check_identity(name, verify_identity(d), *orthogonality_check(d),
+    _check_identity(name, verify_identity(d), d.ip_scale_dz, d.ip_dz_grid,
                     keeps_deadzone=keeps_deadzone)
 
 
@@ -547,7 +541,7 @@ def tensor_stats(tensors: Mapping[str, np.ndarray], config: BlockQuantConfig
             "cos_defined": d.cos_defined, "dz_fraction": d.dz_fraction,
             "zero_error": zero_error,
             "identity_residual": verify_identity(d),
-            "dz_inner_products": list(orthogonality_check(d)),
+            "dz_inner_products": [d.ip_scale_dz, d.ip_dz_grid],
         })
 
     live = [r for r in records if not r["zero_error"]]

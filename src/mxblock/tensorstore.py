@@ -17,22 +17,22 @@ any run of its row-major elements as float64 in one reused buffer, so a
 caller that walks a tensor in pieces (decompose_tensor, gamma_stats,
 gemm_error_propagation, every command) holds one piece, not the tensor.
 np.asarray(source) is the same reads filling one preallocated float64
-array, for a library caller that needs the whole tensor (load_container,
-synth); an array numpy cannot allocate is a TensorStoreError naming the
-tensor. There are two sources, and they are the one way data enters an
-analysis from outside the caller's arrays.
+array, for a library caller that needs the whole tensor; an array numpy
+cannot allocate is a TensorStoreError naming the tensor. There are two
+sources, and they are the one way data enters an analysis from outside
+the caller's arrays.
 
 StoredTensor reads a container. ContainerReader opens a file and runs every
 header check (field types, dtype, shape, span bounds and sizes, overlaps)
 before any tensor data is read. A read is readinto one reused byte buffer
-and widened into one reused float64 buffer; load_container is
-np.asarray of every tensor. The non-finite check runs on every read, on the
-piece just widened: a non-finite value is a TensorStoreError naming the
-tensor, because every downstream identity assumes finite inputs.
+and widened into one reused float64 buffer. The non-finite check runs on
+every read, on the piece just widened: a non-finite value is a
+TensorStoreError naming the tensor, because every downstream identity
+assumes finite inputs.
 
 SynthTensor draws a SynthSpec's tensor from its own seeded generator, in
 order, so each read has the bits of the whole tensor drawn at once (see
-its docstring); synth is np.asarray of every tensor of a spec. A spec whose
+its docstring); synth_tensors gives every tensor of a spec. A spec whose
 shape no float64 array can have is refused by the header's own shape rule.
 
 ContainerWriter is the inverse: it writes the header from the declared
@@ -71,9 +71,7 @@ __all__ = [
     "SynthTensor",
     "ContainerReader",
     "ContainerWriter",
-    "load_container",
     "save_container",
-    "synth",
     "synth_tensors",
     "atomic_write_bytes",
 ]
@@ -303,16 +301,6 @@ class ContainerReader:
         self.close()
 
 
-def load_container(path: str) -> TensorSet:
-    """Read a container and widen every tensor to float64: np.asarray of
-    each StoredTensor, so the only other memory is one piece's buffers."""
-    out = TensorSet()
-    with ContainerReader(path) as reader:
-        for name, t in reader.tensors.items():
-            out.entries[name] = TensorEntry(t.dtype, t.shape, np.asarray(t))
-    return out
-
-
 class _AtomicFile:
     """A file written under a sibling temp name (``.tmp-*``) that is renamed
     over path when its with-block ends cleanly, so readers never see a
@@ -478,7 +466,8 @@ class ContainerWriter(_AtomicFile):
 
 
 def save_container(tset: TensorSet, path: str) -> None:
-    """Inverse of load: every tensor of tset through one ContainerWriter."""
+    """Inverse of ContainerReader: every tensor of tset through one
+    ContainerWriter."""
     entries = tset.entries
     with ContainerWriter(path, [(n, e.dtype, e.shape) for n, e in entries.items()]) as out:
         for name in out.names:
@@ -616,11 +605,3 @@ def synth_tensors(spec: SynthSpec) -> dict[str, SynthTensor]:
     names = [f"{spec.distribution}_{i:04d}" for i in range(spec.count)]
     return {name: SynthTensor(name, spec, child, work)
             for name, child in zip(names, children)}
-
-
-def synth(spec: SynthSpec) -> TensorSet:
-    """The tensors of spec, each drawn whole: np.asarray of synth_tensors."""
-    out = TensorSet()
-    for name, t in synth_tensors(spec).items():
-        out.add(name, np.asarray(t))
-    return out

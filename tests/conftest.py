@@ -3,16 +3,22 @@ import json
 import numpy as np
 import pytest
 
+from mxblock.tensorstore import ContainerReader
+
 _NARROW = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
 
 
 def _reference_narrow(data: np.ndarray, dtype: str) -> bytes:
     """The whole-array encoder: each tensor narrowed in one pass; BF16 keeps
-    the high half of the float32 bits, rounded to nearest even."""
+    the high half of the float32 bits, rounded to nearest even, and a NaN
+    stays a NaN: rounding its payload can carry into the exponent and the
+    sign (0x7FFFFFFF would become -0.0)."""
     if dtype in _NARROW:
         return data.astype(_NARROW[dtype]).tobytes()
-    u32 = data.astype(np.float32).view(np.uint32)
+    f32 = data.astype(np.float32)
+    u32 = f32.view(np.uint32)
     rounded = (u32 + 0x7FFF + ((u32 >> 16) & 1)) >> 16
+    rounded = np.where(np.isnan(f32), (u32 >> 16) | 0x40, rounded)
     return rounded.astype("<u2").tobytes()
 
 
@@ -39,3 +45,17 @@ def reference_container():
     """_reference_container_bytes: the reference for the streamed writer's
     bytes, and the way to hand the reader values that writer refuses."""
     return _reference_container_bytes
+
+
+def read_arrays(path: str) -> dict:
+    """Every tensor of the container at path as a float64 array, in header
+    order: np.asarray of each of ContainerReader's StoredTensors."""
+    with ContainerReader(path) as reader:
+        return {name: np.asarray(t) for name, t in reader.tensors.items()}
+
+
+def joined(pieces) -> np.ndarray:
+    """The elements of pieces, one piece after another, as one new 1-D array;
+    each piece is copied before the next is made, so it may be a reused
+    buffer."""
+    return np.concatenate([np.array(p, dtype=np.float64).ravel() for p in pieces])

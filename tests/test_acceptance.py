@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import read_arrays
 from mxblock.analysis import (
     cumulative_scale_bias,
     deadzone_truncate,
@@ -21,17 +22,16 @@ from mxblock.analysis import (
     gamma_stats,
     gemm_error_propagation,
 )
-from mxblock.corrections import MbsConfig, OfConfig, dz_recovery_rate, mbs_qdq, of_qdq
-from mxblock.decompose import decompose_tensor, orthogonality_check, tensor_stats, verify_identity
+from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
+from mxblock.decompose import decompose_tensor, tensor_stats, verify_identity
 from mxblock.formats import ceil_scale_array
 from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
 from mxblock.tensorstore import (
     SynthSpec,
     TensorSet,
     TensorStoreError,
-    load_container,
     save_container,
-    synth,
+    synth_tensors,
 )
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
@@ -55,7 +55,8 @@ def gauss512():
 
 @pytest.fixture(scope="module")
 def gaussian_suite_report():
-    tensors = synth(SynthSpec("gaussian", (64, 256), seed=7, count=256)).arrays()
+    tensors = {name: np.asarray(t) for name, t in
+               synth_tensors(SynthSpec("gaussian", (64, 256), seed=7, count=256)).items()}
     return tensor_stats(tensors, BlockQuantConfig())
 
 
@@ -124,7 +125,7 @@ def test_c03_deadzone_orthogonality_exact():
 
     for x in cases:
         d = decompose_tensor(x, BlockQuantConfig())
-        assert orthogonality_check(d) == (0.0, 0.0)
+        assert (d.ip_scale_dz, d.ip_dz_grid) == (0.0, 0.0)
         assert verify_identity(d) <= 1e-9
     t = budget.check("orthogonality")
     print(f"C03 PASS: deadzone inner products exactly 0.0 on {len(cases)} "
@@ -147,8 +148,8 @@ def test_c04_grid_and_dz_invariant_under_scale_precision(gauss512):
 
 def test_c05_scale_overshoot_statistics():
     budget = _Budget(30.0)
-    x = synth(SynthSpec("lognormal_max_blocks", (100_000, 32), seed=205)
-              ).arrays()["lognormal_max_blocks_0000"]
+    x = np.asarray(synth_tensors(SynthSpec("lognormal_max_blocks", (100_000, 32),
+                                           seed=205))["lognormal_max_blocks_0000"])
     st = gamma_stats(x)
     assert st.n_blocks == 100_000
     assert 1.42 <= st.mean_gamma <= 1.46
@@ -236,8 +237,8 @@ def test_c10_outlier_fallback(gauss512):
     budget = _Budget(30.0)
     quant = BlockQuantConfig()
     res = of_qdq(gauss512, OfConfig(alpha=0.5), quant)
-    rates = dz_recovery_rate(gauss512, res, quant)
-    ratio = rates["dz_rate_after"] / rates["dz_rate_before"]
+    d = decompose_tensor(gauss512, quant, keep_errors=False, x_hat=res.x_hat)
+    ratio = d.dz_zero_fraction / d.dz_fraction
     assert ratio <= 1.0 / 3.0
 
     plain_view = block_view(gauss512, quant)
@@ -338,9 +339,9 @@ def test_c14_container_round_trip_and_rejection(tmp_path):
     ts.add("b", rng.laplace(size=200))
     path = str(tmp_path / "rt.tensors")
     save_container(ts, path)
-    back = load_container(path)
+    back = read_arrays(path)
     for name in ("a", "b"):
-        assert np.array_equal(back.arrays()[name], ts.arrays()[name])
+        assert np.array_equal(back[name], ts.arrays()[name])
 
     bad = {
         "short": b"\x00",
@@ -359,7 +360,7 @@ def test_c14_container_round_trip_and_rejection(tmp_path):
         p = tmp_path / f"{label}.tensors"
         p.write_bytes(blob)
         with pytest.raises(TensorStoreError):
-            load_container(str(p))
+            read_arrays(str(p))
 
     t = budget.check("container")
     print(f"C14 PASS: bitwise round trip; {len(bad)} malformed containers "

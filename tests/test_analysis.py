@@ -34,7 +34,6 @@ from mxblock.tensorstore import (
     TensorSet,
     TensorSource,
     save_container,
-    synth,
     synth_tensors,
 )
 
@@ -53,8 +52,8 @@ class TestGammaStats:
         assert st.n_blocks == 1200 and st.skipped_blocks == 0
 
     def test_lognormal_maxima_match_uniform_delta_theory(self):
-        x = synth(SynthSpec("lognormal_max_blocks", (20_000, 32), seed=81)
-                  ).arrays()["lognormal_max_blocks_0000"]
+        x = np.asarray(synth_tensors(SynthSpec("lognormal_max_blocks", (20_000, 32),
+                                               seed=81))["lognormal_max_blocks_0000"])
         st = gamma_stats(x)
         assert 1.42 <= st.mean_gamma <= 1.46        # 1/ln 2 = 1.4427
         assert 0.55 <= st.rms_delta <= 0.59         # 1/sqrt(3) = 0.5774
@@ -528,6 +527,9 @@ class TestAqnTotalNoise:
     def test_validation(self):
         with pytest.raises(ValueError):
             aqn_total_noise(-1.0, [0.1], 0)
+        for grid in (np.nan, np.inf):       # hypot would carry either to the report
+            with pytest.raises(ValueError, match=f"finite and >= 0, got {grid}"):
+                aqn_total_noise(grid, [0.1], 0)
         with pytest.raises(ValueError, match="stage out of range"):
             aqn_total_noise(0.0, [0.1, 0.2], 2)
         with pytest.raises(ValueError, match="stage out of range"):

@@ -17,17 +17,17 @@ import pytest
 
 import mxblock
 import mxblock.cli as cli
+from conftest import joined, read_arrays
 from mxblock import __version__, decompose, quantize
 from mxblock.analysis import TempFit
 from mxblock.cli import main
-from mxblock.corrections import AqnSchedule, aqn_apply
+from mxblock.corrections import AqnSchedule, aqn_pieces
 from mxblock.decompose import decompose_tensor, verify_identity
 from mxblock.quantize import BlockQuantConfig, _below_threshold, block_view
 from mxblock.tensorstore import (
     StoredTensor,
     SynthTensor,
     TensorSet,
-    load_container,
     save_container,
 )
 
@@ -280,7 +280,8 @@ class TestExitCodes:
 
     # bad numbers on the command line: each is exit 2 with a message and no
     # report, never a numpy error (exit 1) or an invariant violation (exit
-    # 3). The last two counts are past any memory, so np.empty fails at once
+    # 3). The two huge counts are past any memory, so np.empty fails at once.
+    # The option is at fault, not a tensor, so no tensor is named
     @pytest.mark.parametrize("argv, message", [
         (["gemm", "--cov-var", "nan"], "isotropic variance must be finite and > 0"),
         (["gemm", "--cov-var", "inf"], "isotropic variance must be finite and > 0"),
@@ -295,13 +296,39 @@ class TestExitCodes:
          "cannot hold 1000000000000000 samples in memory: 8000000000000000 bytes"),
         (["cltsum", "--trials", "1000000000000000"],
          "cannot hold 1000000000000000 trials in memory: 8000000000000000 bytes"),
+        (["mbs", "--macro-block", "48"], "macro_block_size must be a multiple of block_size"),
+        (["of", "--with-mbs", "--macro-block", "48"],
+         "macro_block_size must be a multiple of block_size"),
+        (["gemm", "--with-mbs", "--macro-block", "48"],
+         "macro_block_size must be a multiple of block_size"),
+        (["aqn", "--sigma-start", "inf", "--sigma-end", "1"], "sigma_start must be finite, got inf"),
+        (["aqn", "--synth", "gaussian:4x4", "--sigma-start", "inf", "--sigma-end", "1",
+          "--noised-out", "noised.tensors"], "sigma_start must be finite, got inf"),
+        (["aqn", "--sigma-grid", "nan"], "sigma_grid must be finite and >= 0, got nan"),
+        (["aqn", "--sigma-grid", "inf"], "sigma_grid must be finite and >= 0, got inf"),
+        *(([command, "--seed", "-1"], "--seed must be >= 0, got -1")
+          for command in ("temp", "cltsum", "gemm", "aqn", "decompose")),
     ])
-    def test_bad_numeric_input_is_2(self, capsys, argv, message):
-        if argv[0] in ("gemm", "sweep", "of"):
+    def test_bad_numeric_input_is_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] in ("gemm", "sweep", "of", "mbs", "decompose"):
             argv = [*argv, "--synth", "gaussian:8x64"]
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, ""), err
         assert err.startswith("error: ") and message in err, err
+        assert "(tensor" not in err and os.listdir(tmp_path) == [], err
+
+    def test_infinite_sigma_start_is_2_under_w_error(self):
+        # the schedule's stages were nan, a RuntimeWarning that -W error
+        # turned into a traceback and exit 1
+        src = os.path.dirname(os.path.dirname(mxblock.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "mxblock.cli", "aqn",
+                              "--sigma-start", "inf", "--sigma-end", "1"],
+                             env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "error: sigma_start must be finite, got inf\n"
 
     def test_invariant_violation_is_3(self, capsys, monkeypatch):
         # tensor_stats checks each split itself: a residual planted past the
@@ -614,7 +641,7 @@ class TestCommands:
         assert len(res["total_noise"]) == 6
         assert res["total_noise"][0] == pytest.approx(
             np.hypot(0.003, 0.01), rel=1e-9)
-        back = load_container(noised_path).arrays()
+        back = read_arrays(noised_path)
         assert list(back) == ["gaussian_0000"]
         assert back["gaussian_0000"].shape == (8, 32)
 
@@ -876,9 +903,9 @@ def test_aqn_noised_out_is_the_whole_array_encoding(capsys, tmp_path, reference_
     assert code == 0, err
     schedule = AqnSchedule()
     sigma = float(schedule.stage_sigmas()[2])
-    loaded = load_container(path).arrays()
-    want = {name: (aqn_apply(x, sigma, 4, multiplier=schedule.multiplier_for(name),
-                             name=name), "F64")
+    loaded = read_arrays(path)
+    want = {name: (joined(aqn_pieces(x, sigma, 4, multiplier=schedule.multiplier_for(name),
+                                     name=name)).reshape(x.shape), "F64")
             for name, x in loaded.items()}
     assert out.read_bytes() == reference_container(want)
 

@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import joined
 from mxblock import corrections
 from mxblock.corrections import (
     MBS_LEVELS,
     AqnSchedule,
     MbsConfig,
     OfConfig,
-    aqn_apply,
-    aqn_schedule,
-    dz_recovery_rate,
+    aqn_pieces,
     mbs_qdq,
-    mbs_select_mantissa,
     of_qdq,
 )
-from mxblock.decompose import decompose_quantizers
+from mxblock.decompose import decompose_quantizers, decompose_tensor
 from mxblock.formats import (
     GRID_MIDPOINTS,
     ceil_scale_array,
@@ -100,7 +98,7 @@ class TestMbsSelection:
             for k in range(MBS_LEVELS):
                 if 1.0 + k / MBS_LEVELS <= gamma:
                     want = k
-            got = mbs_select_mantissa(macro, mbs, quant, mode="closed_form")
+            got = mbs_qdq(macro, mbs, quant, "closed_form")[1][0]
             assert got == want
 
     def test_closed_form_residual_gap(self):
@@ -141,8 +139,8 @@ class TestMbsSelection:
         mbs = MbsConfig(macro_block_size=64)
         for _ in range(20):
             macro = rng.standard_normal(64)
-            k_ex = mbs_select_mantissa(macro, mbs, quant, mode="exhaustive")
-            k_cf = mbs_select_mantissa(macro, mbs, quant, mode="closed_form")
+            k_ex = mbs_qdq(macro, mbs, quant, "exhaustive")[1][0]
+            k_cf = mbs_qdq(macro, mbs, quant, "closed_form")[1][0]
 
             def mse(k):
                 pre = 1.0 + k / MBS_LEVELS
@@ -156,27 +154,22 @@ class TestMbsSelection:
         # ties break toward the smallest code
         quant = BlockQuantConfig(block_size=4)
         mbs = MbsConfig(macro_block_size=4)
-        k = mbs_select_mantissa(np.array([4.0, 2.0, 1.0, 0.5]), mbs, quant,
-                                mode="exhaustive")
+        k = mbs_qdq(np.array([4.0, 2.0, 1.0, 0.5]), mbs, quant, "exhaustive")[1][0]
         assert k == 0  # exact-power max: every error is minimal at k=0
 
     def test_all_zero_macro(self):
         quant = BlockQuantConfig(block_size=4)
         mbs = MbsConfig(macro_block_size=4)
         for mode in ("exhaustive", "closed_form"):
-            assert mbs_select_mantissa(np.zeros(4), mbs, quant, mode) == 0
+            assert mbs_qdq(np.zeros(4), mbs, quant, mode)[1][0] == 0
 
     def test_validation(self):
         quant = BlockQuantConfig()
         mbs = MbsConfig(macro_block_size=32)
         with pytest.raises(ValueError, match="mode"):
-            mbs_select_mantissa(np.ones(32), mbs, quant, mode="greedy")
-        with pytest.raises(ValueError, match="1-D"):
-            mbs_select_mantissa(np.ones((4, 8)), mbs, quant)
-        with pytest.raises(ValueError, match="1-D"):
-            mbs_select_mantissa(np.ones(33), mbs, quant)
+            mbs_qdq(np.ones(32), mbs, quant, mode="greedy")
         with pytest.raises(ValueError, match="non-finite"):
-            mbs_select_mantissa(np.array([np.nan] * 32), mbs, quant)
+            mbs_qdq(np.array([np.nan] * 32), mbs, quant)
 
 
 def _brute_force_code(macro, quant):
@@ -696,8 +689,8 @@ class TestMbsQdq:
             assert x_hat.shape == x.shape
             assert codes.shape == (6,)  # ceil(70/64) = 2 macros per row
             row0 = x[0]
-            assert codes[0] == mbs_select_mantissa(row0[:64], mbs, quant, mode)
-            assert codes[1] == mbs_select_mantissa(row0[64:], mbs, quant, mode)
+            assert codes[0] == mbs_qdq(row0[:64], mbs, quant, mode)[1][0]
+            assert codes[1] == mbs_qdq(row0[64:], mbs, quant, mode)[1][0]
 
     def test_mse_never_worse_than_plain(self):
         rng = np.random.default_rng(66)
@@ -884,18 +877,18 @@ class TestOutlierFallback:
         x = rng.standard_normal((64, 512))
         quant = BlockQuantConfig()
         res = of_qdq(x, OfConfig(alpha=0.5), quant)
-        rates = dz_recovery_rate(x, res, quant)
-        assert 0.0 < rates["dz_rate_after"] < rates["dz_rate_before"] < 1.0
+        d = decompose_tensor(x, quant, keep_errors=False, x_hat=res.x_hat)
+        assert 0.0 < d.dz_zero_fraction < d.dz_fraction < 1.0
         # the residual pass recovers most of the deadzone; survivors are
         # roughly a fifth of the original occupancy on gaussian data
-        assert rates["dz_rate_after"] / rates["dz_rate_before"] < 1.0 / 3.0
+        assert d.dz_zero_fraction / d.dz_fraction < 1.0 / 3.0
 
     def test_dz_rate_zero_tensor(self):
         quant = BlockQuantConfig()
         x = np.zeros((2, 64))
         res = of_qdq(x, OfConfig(), quant)
-        rates = dz_recovery_rate(x, res, quant)
-        assert rates == {"dz_rate_before": 0.0, "dz_rate_after": 0.0}
+        d = decompose_tensor(x, quant, keep_errors=False, x_hat=res.x_hat)
+        assert (d.dz_fraction, d.dz_zero_fraction) == (0.0, 0.0)
 
     def test_with_mbs_paths(self):
         rng = np.random.default_rng(72)
@@ -928,17 +921,17 @@ class TestAqn:
     def test_deterministic_and_name_keyed(self):
         rng = np.random.default_rng(73)
         x = rng.standard_normal(1000)
-        a = aqn_apply(x, 0.01, seed=5, name="w.0")
-        b = aqn_apply(x, 0.01, seed=5, name="w.0")
-        c = aqn_apply(x, 0.01, seed=5, name="w.1")
-        d = aqn_apply(x, 0.01, seed=6, name="w.0")
+        a = joined(aqn_pieces(x, 0.01, seed=5, name="w.0"))
+        b = joined(aqn_pieces(x, 0.01, seed=5, name="w.0"))
+        c = joined(aqn_pieces(x, 0.01, seed=5, name="w.1"))
+        d = joined(aqn_pieces(x, 0.01, seed=6, name="w.0"))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
     def test_sigma_zero_copies(self):
         x = np.ones(8)
-        y = aqn_apply(x, 0.0, seed=1)
+        y = joined(aqn_pieces(x, 0.0, seed=1))
         assert np.array_equal(x, y) and y is not x
         y[0] = 9.0
         assert x[0] == 1.0
@@ -947,20 +940,20 @@ class TestAqn:
         rng = np.random.default_rng(74)
         x = 3.0 * rng.standard_normal(100_000)
         sigma = 0.05
-        noise = aqn_apply(x, sigma, seed=2, name="t") - x
+        noise = joined(aqn_pieces(x, sigma, seed=2, name="t")) - x
         target = sigma * float(np.sqrt((x ** 2).mean()))
         se = target / np.sqrt(2 * x.size)
         assert abs(noise.std() - target) < 3 * se
 
     def test_multiplier(self):
         x = np.ones(64)
-        a = aqn_apply(x, 0.1, seed=3, name="n") - x
-        b = aqn_apply(x, 0.1, seed=3, name="n", multiplier=2.0) - x
+        a = joined(aqn_pieces(x, 0.1, seed=3, name="n")) - x
+        b = joined(aqn_pieces(x, 0.1, seed=3, name="n", multiplier=2.0)) - x
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
     def test_negative_sigma_raises(self):
         with pytest.raises(ValueError):
-            aqn_apply(np.ones(4), -0.1, seed=0)
+            joined(aqn_pieces(np.ones(4), -0.1, seed=0))
 
     @pytest.mark.parametrize("size", [1, 7, 1022, 4099, 2 ** 17 + 5, 3 * 2 ** 17 + 2])
     def test_noise_drawn_in_pieces_is_the_whole_draw(self, size):
@@ -979,28 +972,31 @@ class TestAqn:
 
     def test_frozen_regression(self):
         # stream identity: any change to the keying or rng breaks this
-        got = aqn_apply(np.arange(1.0, 5.0), 0.1, seed=7, name="layer")
+        got = joined(aqn_pieces(np.arange(1.0, 5.0), 0.1, seed=7, name="layer"))
         want = np.array([1.015869082699022, 1.350460093829491,
                          3.3578149182715586, 4.026192732889312])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_schedule_endpoints_and_shape(self):
-        s = aqn_schedule(0.01, 0.001, 10)
+        s = AqnSchedule(0.01, 0.001, 10).stage_sigmas()
         assert s.shape == (10,)
         assert s[0] == 0.01 and s[-1] == pytest.approx(0.001, rel=1e-12)
         ratios = s[1:] / s[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
-        assert aqn_schedule(0.02, 0.001, 1).tolist() == [0.02]
+        assert AqnSchedule(0.02, 0.001, 1).stage_sigmas().tolist() == [0.02]
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            aqn_schedule(0.001, 0.01, 4)
+            AqnSchedule(0.001, 0.01, 4)
         with pytest.raises(ValueError):
-            aqn_schedule(0.01, 0.001, 0)
+            AqnSchedule(0.01, 0.001, 0)
+        # an infinite start passes start >= end > 0, and its stages are nan
+        with pytest.raises(ValueError, match="sigma_start must be finite, got inf"):
+            AqnSchedule(np.inf, 1.0, 4)
 
     def test_schedule_object(self):
         sched = AqnSchedule(sigma_start=0.02, sigma_end=0.002, num_stages=5)
         assert np.array_equal(sched.stage_sigmas(),
-                              aqn_schedule(0.02, 0.002, 5))
+                              0.02 * (0.002 / 0.02) ** (np.arange(5) / 4))
         assert sched.multiplier_for("model.post_attention_layernorm.w") == 1.414
         assert sched.multiplier_for("model.mlp.w") == 1.0

@@ -17,7 +17,6 @@ from mxblock.decompose import (
     InvariantViolation,
     decompose_quantizers,
     decompose_tensor,
-    orthogonality_check,
     scale_precision_sweep,
     tensor_stats,
     verify_identity,
@@ -87,7 +86,7 @@ class TestIdentityAndOrthogonality:
         rng = np.random.default_rng(31)
         for _, x in _families(rng):
             d = decompose_tensor(x, BlockQuantConfig())
-            assert orthogonality_check(d) == (0.0, 0.0)
+            assert (d.ip_scale_dz, d.ip_dz_grid) == (0.0, 0.0)
 
     def test_components_sum_to_total(self):
         rng = np.random.default_rng(32)
@@ -902,7 +901,7 @@ class TestMbsSplitProperty:
         x, quant, mbs, mode = case
         x_hat, _ = mbs_qdq(x, mbs, quant, mode)
         d = decompose_tensor(x, quant, keep_errors=False, x_hat=x_hat)
-        assert orthogonality_check(d) == (0.0, 0.0)
+        assert (d.ip_scale_dz, d.ip_dz_grid) == (0.0, 0.0)
         assert verify_identity(d) <= 1e-12
 
 

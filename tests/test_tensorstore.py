@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import read_arrays
 from mxblock import decompose, quantize, tensorstore
 from mxblock.analysis import gamma_stats
 from mxblock.cli import main
@@ -25,9 +26,7 @@ from mxblock.tensorstore import (
     TensorSet,
     TensorStoreError,
     atomic_write_bytes,
-    load_container,
     save_container,
-    synth,
     synth_tensors,
 )
 
@@ -51,11 +50,11 @@ class TestRoundTrip:
         ts.add("v", rng.laplace(size=40))
         path = str(tmp_path / "a.tensors")
         save_container(ts, path)
-        back = load_container(path)
+        back = read_arrays(path)
         assert len(back) == 2
         for name in ("w", "v"):
-            assert np.array_equal(back.arrays()[name], ts.arrays()[name])
-            assert back.entries[name].shape == ts.entries[name].shape
+            assert np.array_equal(back[name], ts.arrays()[name])
+            assert back[name].shape == ts.entries[name].shape
 
     def test_narrow_dtypes_representable_values(self, tmp_path):
         # values exactly representable in each narrow format survive the
@@ -70,14 +69,14 @@ class TestRoundTrip:
             ts.add("x", vals, dtype=dtype)
             path = str(tmp_path / f"{dtype}.tensors")
             save_container(ts, path)
-            back = load_container(path)
-            assert np.array_equal(back.arrays()["x"], vals), dtype
-            assert back.entries["x"].dtype == dtype
+            with ContainerReader(path) as reader:
+                assert np.array_equal(np.asarray(reader.tensors["x"]), vals), dtype
+                assert reader.tensors["x"].dtype == dtype
 
     @pytest.mark.parametrize("dtype", ["F64", "F32", "F16", "BF16"])
     def test_asarray_is_the_loaded_array(self, tmp_path, monkeypatch, dtype):
-        # np.asarray(stored) is the whole tensor, bit for bit what
-        # load_container gives; small pieces so a tensor takes several reads
+        # np.asarray(stored) is the whole tensor, bit for bit one read of all
+        # of it; small pieces so np.asarray takes several reads
         monkeypatch.setattr(tensorstore, "_STREAM_ELEMS", 16)
         rng = np.random.default_rng(63)
         ts = TensorSet()
@@ -85,12 +84,12 @@ class TestRoundTrip:
             ts.add(f"x{len(shape)}", rng.standard_normal(shape), dtype=dtype)
         path = str(tmp_path / "a.tensors")
         save_container(ts, path)
-        loaded = load_container(path).arrays()
         with ContainerReader(path) as reader:
             for name, t in reader.tensors.items():
+                whole = t.read(0, t.size).reshape(t.shape).copy()
                 arr = np.asarray(t)
                 assert arr.dtype == np.float64 and arr.shape == t.shape
-                assert arr.tobytes() == loaded[name].tobytes(), name
+                assert arr.tobytes() == whole.tobytes(), name
                 assert np.asarray(t, dtype=np.float32).dtype == np.float32
                 with pytest.raises(ValueError, match="without a copy"):
                     np.asarray(t, copy=False)
@@ -154,11 +153,11 @@ def test_load_bf16_memory_bounded(tmp_path):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        back = load_container(path)
+        back = read_arrays(path)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert back.arrays()["x"].nbytes == x.nbytes
+    assert back["x"].nbytes == x.nbytes
     assert peak < 2 * x.nbytes
 
 
@@ -180,73 +179,73 @@ class TestTensorSet:
 class TestMalformed:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TensorStoreError, match="cannot read"):
-            load_container(str(tmp_path / "nope.tensors"))
+            read_arrays(str(tmp_path / "nope.tensors"))
 
     def test_short_file(self, tmp_path):
         with pytest.raises(TensorStoreError, match="shorter than 8"):
-            load_container(_write(tmp_path, b"\x01\x02"))
+            read_arrays(_write(tmp_path, b"\x01\x02"))
 
     def test_header_length_overruns(self, tmp_path):
         blob = (100).to_bytes(8, "little") + b"{}"
         with pytest.raises(TensorStoreError, match="exceeds file size"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_header_not_utf8(self, tmp_path):
         blob = (4).to_bytes(8, "little") + b"\xff\xfe{}"
         with pytest.raises(TensorStoreError, match="malformed header"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_header_not_json(self, tmp_path):
         blob = (4).to_bytes(8, "little") + b"@@@@"
         with pytest.raises(TensorStoreError, match="malformed header"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_header_not_object(self, tmp_path):
         body = b"[1,2]"
         blob = len(body).to_bytes(8, "little") + body
         with pytest.raises(TensorStoreError, match="not a JSON object"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_entry_not_dict(self, tmp_path):
         blob = _container_bytes({"t": 7}, b"")
         with pytest.raises(TensorStoreError, match="malformed entry for t"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_entry_missing_keys(self, tmp_path):
         blob = _container_bytes({"t": {"dtype": "F64"}}, b"")
         with pytest.raises(TensorStoreError, match="malformed entry for t"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_unknown_dtype(self, tmp_path):
         meta = {"dtype": "F13", "shape": [1], "data_offsets": [0, 8]}
         blob = _container_bytes({"t": meta}, b"\x00" * 8)
         with pytest.raises(TensorStoreError, match="unknown dtype"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_negative_dimension(self, tmp_path):
         meta = {"dtype": "F64", "shape": [-1], "data_offsets": [0, 8]}
         blob = _container_bytes({"t": meta}, b"\x00" * 8)
         with pytest.raises(TensorStoreError, match="negative dimension"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_offsets_out_of_bounds(self, tmp_path):
         meta = {"dtype": "F64", "shape": [1], "data_offsets": [0, 16]}
         blob = _container_bytes({"t": meta}, b"\x00" * 8)
         with pytest.raises(TensorStoreError, match="out of bounds"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_size_mismatch(self, tmp_path):
         meta = {"dtype": "F64", "shape": [3], "data_offsets": [0, 8]}
         blob = _container_bytes({"t": meta}, b"\x00" * 8)
         with pytest.raises(TensorStoreError, match="size mismatch"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_shape_product_overflow(self, tmp_path):
         # 2^32 * 2^32 wraps to 0 in int64, which matched the empty span
         meta = {"dtype": "BF16", "shape": [2 ** 32, 2 ** 32], "data_offsets": [0, 0]}
         blob = _container_bytes({"t": meta}, b"")
         with pytest.raises(TensorStoreError, match="size mismatch"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_overlapping_offsets(self, tmp_path):
         data = np.array([1.0, 2.0]).astype("<f8").tobytes()
@@ -254,22 +253,22 @@ class TestMalformed:
                   "b": {"dtype": "F64", "shape": [1], "data_offsets": [4, 12]}}
         blob = _container_bytes(header, data)
         with pytest.raises(TensorStoreError, match="overlapping"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_non_finite_named(self, tmp_path):
         data = np.array([1.0, np.inf]).astype("<f8").tobytes()
         meta = {"dtype": "F64", "shape": [2], "data_offsets": [0, 16]}
         blob = _container_bytes({"bad": meta}, data)
         with pytest.raises(TensorStoreError, match=r"non-finite.*bad"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_metadata_key_ignored(self, tmp_path):
         data = np.array([4.0]).astype("<f8").tobytes()
         header = {"__metadata__": {"origin": "test"},
                   "t": {"dtype": "F64", "shape": [1], "data_offsets": [0, 8]}}
-        ts = load_container(_write(tmp_path, _container_bytes(header, data)))
-        assert list(ts.arrays()) == ["t"]
-        assert ts.arrays()["t"][0] == 4.0
+        ts = read_arrays(_write(tmp_path, _container_bytes(header, data)))
+        assert list(ts) == ["t"]
+        assert ts["t"][0] == 4.0
 
 
 class TestHostileHeaderTypes:
@@ -296,18 +295,18 @@ class TestHostileHeaderTypes:
         meta = {"dtype": "F64", "shape": [2], "data_offsets": [0, 16], **override}
         blob = _container_bytes({"t": meta}, np.array([1.0, 2.0]).astype("<f8").tobytes())
         with pytest.raises(TensorStoreError):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
     def test_zero_size_shape_numpy_cannot_hold(self, tmp_path):
         meta = {"dtype": "F64", "shape": [2 ** 70, 0], "data_offsets": [0, 0]}
         with pytest.raises(TensorStoreError, match="unsupported shape"):
-            load_container(_write(tmp_path, _container_bytes({"t": meta}, b"")))
+            read_arrays(_write(tmp_path, _container_bytes({"t": meta}, b"")))
 
     def test_deeply_nested_header(self, tmp_path):
         hjson = b"[" * 100_000 + b"]" * 100_000
         blob = len(hjson).to_bytes(8, "little") + hjson
         with pytest.raises(TensorStoreError, match="malformed header"):
-            load_container(_write(tmp_path, blob))
+            read_arrays(_write(tmp_path, blob))
 
 
 _VALID_HEADER = {
@@ -354,16 +353,17 @@ def _mutated_headers(draw):
 def test_mutated_header_loads_or_names_its_error(tmp_path, header):
     path = _write(tmp_path, _container_bytes(header, _VALID_DATA))
     try:
-        ts = load_container(path)
+        with ContainerReader(path) as reader:
+            ts = {name: (t, np.asarray(t)) for name, t in reader.tensors.items()}
     except TensorStoreError:
         return
     declared = {k: v for k, v in header.items() if k != "__metadata__"}
-    assert sorted(ts.entries) == sorted(declared)
+    assert sorted(ts) == sorted(declared)
     for name, meta in declared.items():
-        entry = ts.entries[name]
+        entry, data = ts[name]
         assert entry.dtype == meta["dtype"]
-        assert entry.shape == tuple(meta["shape"]) == entry.data.shape
-        assert entry.data.dtype == np.float64 and np.isfinite(entry.data).all()
+        assert entry.shape == tuple(meta["shape"]) == data.shape
+        assert data.dtype == np.float64 and np.isfinite(data).all()
 
 
 class TestReader:
@@ -449,7 +449,7 @@ class TestWriter:
             ts.add(dtype, np.array([value, -value]), dtype)
         path = str(tmp_path / "m.tensors")
         save_container(ts, path)
-        back = load_container(path).arrays()
+        back = read_arrays(path)
         for dtype, (_, want) in cases.items():
             assert back[dtype].tolist() == [want, -want], dtype
 
@@ -560,7 +560,7 @@ def test_streamed_writer_bytes_equal_whole_array_encoder(tmp_path, monkeypatch,
     for name, (data, dtype) in tensors.items():
         ts.add(name, data, dtype)
     try:
-        load_container(str(ref))
+        read_arrays(str(ref))
     except TensorStoreError:
         with pytest.raises(TensorStoreError, match="non-finite values as"):
             save_container(ts, str(out))
@@ -598,7 +598,7 @@ def test_streamed_stats_match_loaded_bitwise(tmp_path, block_size, m):
     # record is the same bits (json.dumps writes each float's shortest repr)
     path = _stream_cases(tmp_path)
     cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
-    loaded = tensor_stats(load_container(path).arrays(), cfg)
+    loaded = tensor_stats(read_arrays(path), cfg)
     with ContainerReader(path) as reader:
         assert "__metadata__" not in reader.tensors
         streamed = tensor_stats(reader.tensors, cfg)
@@ -608,14 +608,14 @@ def test_streamed_stats_match_loaded_bitwise(tmp_path, block_size, m):
 
 def test_streamed_gamma_matches_loaded(tmp_path):
     path = _stream_cases(tmp_path)
-    loaded = gamma_stats(load_container(path).arrays(), min_blocks=1)
+    loaded = gamma_stats(read_arrays(path), min_blocks=1)
     with ContainerReader(path) as reader:
         streamed = gamma_stats(reader.tensors, min_blocks=1)
         # one source on its own, as one array is taken
         one = gamma_stats(reader.tensors["long_bf16"], min_blocks=1)
     assert np.array_equal(streamed.delta, loaded.delta)
     assert json.dumps(streamed.summary_dict()) == json.dumps(loaded.summary_dict())
-    want = gamma_stats(load_container(path).arrays()["long_bf16"], min_blocks=1)
+    want = gamma_stats(read_arrays(path)["long_bf16"], min_blocks=1)
     assert np.array_equal(one.delta, want.delta)
 
 
@@ -709,8 +709,8 @@ def test_save_memory_independent_of_tensor_size(tmp_path):
 class TestSynth:
     def test_determinism_and_names(self):
         spec = SynthSpec("gaussian", (8, 32), seed=9, count=3)
-        a = synth(spec).arrays()
-        b = synth(spec).arrays()
+        a = {name: np.asarray(t) for name, t in synth_tensors(spec).items()}
+        b = {name: np.asarray(t) for name, t in synth_tensors(spec).items()}
         assert list(a) == ["gaussian_0000", "gaussian_0001", "gaussian_0002"]
         for name in a:
             assert np.array_equal(a[name], b[name])
@@ -735,21 +735,21 @@ class TestSynth:
             SynthSpec("gaussian", (1,) * 65)
 
     def test_laplace_kurtosis(self):
-        x = synth(SynthSpec("laplace", (1000, 1000), seed=3)).arrays()[
-            "laplace_0000"]
+        x = np.asarray(synth_tensors(SynthSpec("laplace", (1000, 1000), seed=3))[
+            "laplace_0000"])
         m2 = (x ** 2).mean()
         m4 = (x ** 4).mean()
         assert m4 / m2 ** 2 == pytest.approx(6.0, abs=0.2)
 
     def test_student_t_variance(self):
-        x = synth(SynthSpec("student_t", (1000, 1000), seed=4)).arrays()[
-            "student_t_0000"]
+        x = np.asarray(synth_tensors(SynthSpec("student_t", (1000, 1000), seed=4))[
+            "student_t_0000"])
         # dof=5 gives variance dof/(dof-2) = 5/3
         assert x.var() == pytest.approx(5.0 / 3.0, rel=0.02)
 
     def test_lognormal_max_structure(self):
-        x = synth(SynthSpec("lognormal_max_blocks", (5000, 32), seed=5)
-                  ).arrays()["lognormal_max_blocks_0000"]
+        x = np.asarray(synth_tensors(SynthSpec("lognormal_max_blocks", (5000, 32),
+                                               seed=5))["lognormal_max_blocks_0000"])
         maxima = np.abs(x).max(axis=1)
         assert (maxima > 0).all()
         logs = np.log(maxima)
@@ -757,15 +757,15 @@ class TestSynth:
         assert logs.std() == pytest.approx(1.0, abs=0.05)
 
     def test_gaussian_moments(self):
-        x = synth(SynthSpec("gaussian", (500, 500), seed=6)).arrays()[
-            "gaussian_0000"]
+        x = np.asarray(synth_tensors(SynthSpec("gaussian", (500, 500), seed=6))[
+            "gaussian_0000"])
         assert x.mean() == pytest.approx(0.0, abs=0.01)
         assert x.std() == pytest.approx(1.0, rel=0.01)
 
 
-# sha256 of each tensor of synth(SynthSpec(family, (24, 40), seed=17,
-# count=2)), computed when synth drew every tensor whole, in one call per
-# tensor, on this numpy build: drawing piece by piece keeps those bits
+# sha256 of each tensor of SynthSpec(family, (24, 40), seed=17, count=2),
+# computed when every tensor was drawn whole, in one call per tensor, on
+# this numpy build: drawing piece by piece keeps those bits
 _SYNTH_DIGESTS = {
     "gaussian_0000": "1888b8aa0dcfac1ba4623eeba4919535095ec32b4a96005bdad83c691b98d672",
     "gaussian_0001": "0e3fe59607cd1fe40cc0f4a1365bfbe21acf99edba194c23e4bc4fa288acc6c9",
@@ -783,7 +783,8 @@ _SYNTH_DIGESTS = {
 class TestSynthTensor:
     @pytest.mark.parametrize("family", tensorstore._DISTRIBUTIONS)
     def test_synth_keeps_the_whole_draw_digests(self, family):
-        arrays = synth(SynthSpec(family, (24, 40), seed=17, count=2)).arrays()
+        spec = SynthSpec(family, (24, 40), seed=17, count=2)
+        arrays = {name: np.asarray(t) for name, t in synth_tensors(spec).items()}
         assert len(arrays) == 2
         for name, x in arrays.items():
             assert hashlib.sha256(x.tobytes()).hexdigest() == _SYNTH_DIGESTS[name], name
