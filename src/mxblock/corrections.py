@@ -14,10 +14,12 @@ Two selection modes for k:
   drive the scale ratio to 1. At M = 0 a closed form ranks all 256 codes
   in O(macro + 256) per macro: each element's grid value changes only at
   its grid crossings (at most four) and at its sub-block's one scale
-  switch, and only those changes are placed at their codes. A macro for
-  which it leaves one code near the minimum, almost every macro, takes
-  that code untried; only the codes of a macro left in doubt are quantized
-  as trials. At M > 0 every code is a trial, O(256 macro) per macro.
+  switch, and only those changes are placed at their codes. On a 2048x2048
+  Gaussian that costs about 7.8 times the split of the same tensor
+  (decompose_tensor without errors; 2-core Xeon). A macro for which it
+  leaves one code near the minimum, almost every macro, takes that code
+  untried; only the codes of a macro left in doubt are quantized as
+  trials. At M > 0 every code is a trial, O(256 macro) per macro.
   Either way the code is the one that quantizing all 256 trials picks,
   bit for bit.
 - "closed_form": k = floor((2^delta_M - 1) * 256) from the macro max.
@@ -57,7 +59,6 @@ from .formats import (
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
     Q_MAX,
-    _INDEX_BY_HALVES,
     _round_magnitude,
     ceil_scale_array,
 )
@@ -127,12 +128,20 @@ class AqnSchedule:
             raise ValueError("num_stages must be >= 1")
 
     def stage_sigmas(self) -> np.ndarray:
-        """Stage magnitudes sigma_start * (sigma_end/sigma_start)^(k/(K-1))."""
+        """Stage magnitudes sigma_start * (sigma_end/sigma_start)^(k/(K-1)).
+
+        A ratio below the normal floats has lost bits, or underflowed to 0,
+        which would make every later stage 0. Such a schedule takes the same
+        geometric mean in the form sigma_start^(1 - t) sigma_end^t, t = k/(K-1),
+        whose factors lie between each sigma and 1: no stage is 0, and the
+        first and last are sigma_start and sigma_end exactly."""
         if self.num_stages == 1:
             return np.array([float(self.sigma_start)])
-        k = np.arange(self.num_stages)
-        return self.sigma_start * (self.sigma_end / self.sigma_start) ** (
-            k / (self.num_stages - 1))
+        t = np.arange(self.num_stages) / (self.num_stages - 1)
+        ratio = self.sigma_end / self.sigma_start
+        if ratio >= np.finfo(np.float64).tiny:
+            return self.sigma_start * ratio ** t
+        return np.float64(self.sigma_start) ** (1.0 - t) * np.float64(self.sigma_end) ** t
 
     def multiplier_for(self, name: str) -> float:
         for pattern, mult in self.multipliers.items():
@@ -159,7 +168,6 @@ def _closed_form_codes(m_m: np.ndarray) -> np.ndarray:
 # p_k = 1 + k/256 for k = 0..256. p_256 = 2 is never a code: it caps the
 # search for the scale switch in _grid_sums.
 _PRESCALES = 1.0 + np.arange(MBS_LEVELS + 1) / MBS_LEVELS
-_CODE_STEP = 1.0 / MBS_LEVELS                        # p_{k+1} - p_k, exact
 _GRID_STEPS = np.diff(GRID_MAGNITUDES)               # 0.5 ... 2: powers of two
 _GRID_SQ_STEPS = np.diff(GRID_MAGNITUDES ** 2)
 # u rounds above midpoint j exactly when u > _PASSED[j]: the midpoint where
@@ -167,29 +175,49 @@ _GRID_SQ_STEPS = np.diff(GRID_MAGNITUDES ** 2)
 # rounds up to the even index j + 1.
 _PASSED = np.where(np.arange(len(GRID_MIDPOINTS)) % 2 == 1,
                    np.nextafter(GRID_MIDPOINTS, 0.0), GRID_MIDPOINTS)
-# Crossings by jj = j + 7r, midpoint j in scale regime r (scale 2^r s0), in
-# units of the sub-block's s0: the threshold on fl(p |x|) / s0, and the
-# steps of s g / s0 and (s g / s0)^2. Doubling is exact.
-_N_MIDPOINTS = len(GRID_MIDPOINTS)
-_CROSS_THRESHOLDS = np.concatenate([_PASSED, 2.0 * _PASSED])
-_CROSS_STEPS = np.concatenate([_GRID_STEPS, 2.0 * _GRID_STEPS])
-_CROSS_SQ_STEPS = np.concatenate([_GRID_SQ_STEPS, 4.0 * _GRID_SQ_STEPS])
-# fl(1 / p^2) and fl(2 / p) of every code, for _approx_errors
-_INV_SQ_PRESCALES = 1.0 / _PRESCALES[:MBS_LEVELS] ** 2
-_TWO_INV_PRESCALES = 2.0 / _PRESCALES[:MBS_LEVELS]
+_N_HALVES = 13                       # 2g + 1 for the largest grid value g = 6
+
+
+def _crossing_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The crossings by key = h + 13 (r + 2t), for slot t (0 or 1) of an
+    element in scale regime r (scale 2^r s0) whose grid value at the
+    regime's first code has grid index i and is h / 2: it crosses midpoint
+    j = i + t. In units of the sub-block's s0: 256 times the threshold on
+    fl(p |x|) / s0, for _first_past, and the steps of (s g / s0)^2 + i s g /
+    s0 there. Doubling and the scaling by 256 are exact; a key with no
+    midpoint is never used."""
+    thresholds = np.full((2, 2, _N_HALVES), np.inf)
+    steps = np.zeros((2, 2, _N_HALVES), np.complex128)
+    for t in (0, 1):
+        i = np.arange(len(GRID_MIDPOINTS) - t)
+        h = (2.0 * GRID_MAGNITUDES[i]).astype(np.intp)
+        for r in (0, 1):
+            thresholds[t, r, h] = MBS_LEVELS * 2.0 ** r * _PASSED[i + t]
+            steps[t, r, h] = (4.0 ** r * _GRID_SQ_STEPS[i + t]
+                              + 2.0 ** r * _GRID_STEPS[i + t] * 1j)
+    return thresholds.ravel(), steps.ravel()
+
+
+_CROSS_THRESHOLDS, _CROSS_STEPS = _crossing_tables()
+# fl(1 / p^2) + i fl(2 / p) of every code, for _approx_errors
+_RANK_WEIGHTS = 1.0 / _PRESCALES ** 2 + 2.0 / _PRESCALES * 1j
 # Elements per step of mbs_qdq: code selection and x_hat alike. The
 # workspace phase of an exhaustive step at M = 0 (macro 128, a Gaussian: 1.4
-# crossings per element, every macro decided without a trial) is 25
-# arrays, its largest the complex sums and the crossings' weights: 1.60 MiB
-# at 2^13 elements, under a 2 MiB L2 per core, against 3.18 MiB at 2^14; at
-# M = 3, where every code is a trial, it is 3.14 MiB. Each macro's code and
-# x_hat do not depend on its step, so the step size moves no output bit. On
-# 512x512 (a 2-core Xeon) the smaller step lowered the mbs command's peak
-# RSS from 46.9 to 44.5 MB, and mbs_qdq took 38.9 ms against 38.2 ms at 2^14
-# (first quartile of 80 interleaved calls each). A 2^15 step was no faster
-# than 2^14 and raised that peak from 46 to 52 MB. In the mbs command the
-# steps and the split's pieces (1.56 MiB) take one workspace block in turn,
-# sized by the larger of the two.
+# crossings per element, every macro decided without a trial) is 12
+# arrays, 1.37 MiB at 2^13 elements: the complex sums (257 KiB), the four
+# regime ends and the rounding scratch (256 KiB each, whose regions then
+# hold the crossings' values, thresholds, scales and codes), the weights
+# (191 KiB), the codes' errors A (128 KiB) and the bins (96 KiB). That is
+# under a 2 MiB L2 per core. At M = 3, where every code is a trial, it is
+# 3.08 MiB, mostly _trial_errors' chunks. Each macro's code and x_hat do
+# not depend on its step, so the step size moves no output bit. On a 2-core
+# Xeon one exhaustive step of 64 macros took 0.66 ms, 0.17 ms of it fixed
+# (a step of one macro), against 0.063 ms in closed form. Steps of 2^14
+# elements amortize the fixed part: exhaustive mbs_qdq on 512x512 took 19.7
+# ms against 22.8 ms (medians of 40 alternating calls), but its phase is
+# 2.73 MiB and its peak past the output 3.13 MiB, against 1.58 MiB. In the
+# mbs command the steps and the split's pieces (1.56 MiB) take one
+# workspace block in turn, sized by the larger of the two.
 _STEP_ELEMS = 1 << 13
 # Macros take the closed form when every sub-block maximum m is 0 or above
 # this floor; the others are swept. At code k a sub-block's scale is the
@@ -249,7 +277,12 @@ def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, cand: np.ndarray,
     of every other caller. Each trial is one row of macro elements and is
     summed along that row, so its pairwise summation does not depend on
     which other trials share the chunk. Only a chunk's trials are listed at
-    a time: at M > 0 a step has 256 per macro."""
+    a time: at M > 0 a step has 256 per macro. Chunks of
+    quantize._CHUNK_ELEMS would cut an M = 3 step's workspace phase on
+    512x512 from 3.14 to 0.89 MiB, but were slower: mbs_qdq on a 2048x2048
+    Gaussian at M = 3 took 8.65 s against 8.48 s (median of 3 alternating
+    pairs, 2-core Xeon), and on 512x512 0.542 s against 0.549 s, faster in
+    4 of 10 pairs."""
     macro = mag.shape[1]
     step = max(1, _STREAM_ELEMS // macro)
     ends = np.cumsum(cand.sum(axis=1))                 # trials through each macro
@@ -274,30 +307,30 @@ def _trial_errors(mag: np.ndarray, sub_max: np.ndarray, cand: np.ndarray,
 
 def _first_past(a: np.ndarray, thr: np.ndarray | float, out: np.ndarray,
                 work: _Workspace) -> np.ndarray:
-    """First code k with fl(p_k a) > thr, elementwise, as float64 into out,
-    for a > 0 whose first such code lies in [1, 256].
+    """First code k with fl(p_k a) > T, elementwise, as float64 into out,
+    for a > 0 whose first such code lies in [1, 256]. thr is 256 T, so that
+    T / a is in [1, 2) and 256 T / a in [256, 512). a is overwritten.
 
-    The real crossing is r = (thr / a - 1) * 256, and the computed r is
-    within 2^-44 of it: thr / a rounds once and lies in [1, 2], so taking 1
-    away and scaling by 256 are exact. fl(p_k a) differs from p_k a by less
-    than a relative 2^-52, which moves the crossing by less than 2^-42. So
-    the first code is the estimate floor(r) + 1 or a neighbour, and the
-    sweep's own product fl(p_k a) at the estimate and at the code below it
-    settles which. Each p_k is formed exactly, as (f + 257) / 256 for the
-    integer f = floor(r), so no code is looked up or clipped."""
-    f = np.divide(thr, a, out=out)
-    f *= MBS_LEVELS
-    f -= MBS_LEVELS
-    np.floor(f, out=f)
-    p = np.multiply(f, _CODE_STEP, out=work.take("p", a.shape))
-    p += 1.0 + _CODE_STEP                              # p at the estimate f + 1
-    pa = work.take("pa", a.shape)
-    past = work.take("past", a.shape, bool)
-    f += 2.0
-    f -= np.greater(np.multiply(p, a, out=pa), thr, out=past)
-    p -= _CODE_STEP
-    f -= np.greater(np.multiply(p, a, out=pa), thr, out=past)
-    return f
+    fl(y) > T exactly when y passes T's rounding boundary above it, within
+    ulp(T) / 2 <= 2^-53 T of T, so the predicate first holds at the least
+    integer at or past x', a real crossing within 2^-44 of x = (T / a - 1)
+    256. q = fl(256 T / a) is within 2^-44 of 256 T / a, and taking 256 +
+    2^-42 away from it is exact (Sterbenz: both lie in [256, 512]). So r' =
+    q - 256 - 2^-42 lies in (x' - 1, x'), and the first code is f =
+    floor(r') + 1 or f + 1. One evaluation of the sweep's own product
+    settles which: it is f exactly when fl(p_f a) > T. 256 p_f = floor(r') +
+    257 is an integer, and fl(256 p_f a) = 256 fl(p_f a) is compared with
+    256 T, so nothing rounds but the product the sweep rounds too, and no
+    code is looked up or clipped."""
+    q = np.divide(thr, a, out=out)
+    q -= MBS_LEVELS + 2.0 ** -42
+    np.floor(q, out=q)
+    q += MBS_LEVELS + 1                                # 256 p_f
+    past = np.greater(np.multiply(q, a, out=a), thr,
+                      out=work.take("past", a.shape, bool))
+    q -= MBS_LEVELS - 1                                # f + 1
+    q -= past
+    return q
 
 
 def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
@@ -319,120 +352,125 @@ def _grid_sums(mag: np.ndarray, sub_max: np.ndarray,
     ksw.
 
     Breakpoints. In regime r (scale 2^r s0) g_i(k) rounds u = fl(p_k v_i) /
-    2^r, which is exact and monotone in k. formats._round_magnitude rounds
-    it at the regime's first and last codes, without saturating: u <= 6. u
-    grows by less than a factor of 2 in a regime, and midpoints two apart
-    differ by a factor of at least 2, so an element crosses at most two
-    midpoints per regime, the ones between its grid indices at the two
-    ends. It crosses midpoint c_j at the first k with fl(p_k v_i) > 2^r
-    _PASSED[j], which applies the tie table; _first_past finds it. Every
-    g_i(k) is therefore the sweep's.
+    2^r, which is exact and monotone in k. One formats._round_magnitude
+    call rounds u at both ends of both regimes (k = 0, ksw - 1, ksw, 255),
+    without saturating: u <= 6. Twice each rounded value is a small integer
+    h, exactly. u grows by less than a factor of 2 in a regime, and
+    midpoints two apart differ by a factor of at least 2, so an element
+    crosses at most two midpoints per regime: one where h grows from the
+    regime's first code to its last, two where it passes h + max(h / 2, 1),
+    which lies from the next grid value up to below the one after. Crossing
+    t (0 or 1) of regime r passes midpoint j = i + t, for i the grid index
+    at the regime's first code, at the first k with fl(p_k v_i) > 2^r
+    _PASSED[j], which applies the tie table; _first_past finds it, and the
+    key h + 13 (r + 2t) picks its threshold and steps. Every g_i(k) is
+    therefore the sweep's.
 
     Sums. Each element's s g_i(k) is its k = 0 value s0 g_i, plus s (g_{j+1}
     - g_j) at each crossing, plus, at ksw, the jump from its last regime-0
     value to its first regime-1 value. The k = 0 values and the jumps are
-    summed once per sub-block. Those sums and the crossings are placed at
-    their codes by one scatter-add for both sums, from workspace buffers
-    that hold S2's weights in even slots and SX's in odd ones: the result
-    is the complex array S2 + i SX, and one cumsum over k gives all 256
-    codes. Every weight of one sub-block is a multiple of s^2/4 in S2, so
-    S2 is exact for a macro of one sub-block.
+    summed once per sub-block. The crossings are listed by slot, regime and
+    element, from one flatnonzero. They and the sub-block sums are placed
+    at their codes by one complex scatter-add, S2's weight in the real part
+    and SX's in the imaginary: the result is the complex array S2 + i SX,
+    and one cumsum over k gives all 256 codes. A crossing's weights, s0^2
+    times its steps and, for SX, times v, are exact: s0^2 and the steps of
+    s g / s0 are powers of two. Every weight of one sub-block is a multiple
+    of s^2/4 in S2, so S2 is exact for a macro of one sub-block.
 
     Every array is taken from work (a fresh workspace without one), so that
     the steps of one mbs_qdq call make them once, rather than faulting them
-    in afresh on every step; S2 and SX view its "sums"."""
+    in afresh on every step; S2 and SX view its "sums". Regions are reused
+    once their arrays are spent: the four ends' region holds the crossings'
+    values and thresholds, and the rounding scratch their scales and
+    codes."""
     work = _Workspace() if work is None else work
     n, S = sub_max.shape
     n_sub = n * S
     B = mag.shape[1] // S
+    N = n_sub * B
     m = sub_max.ravel()
     s0, _, _ = ceil_scale_array(m / Q_MAX, 0)          # 1.0 on all-zero sub-blocks
     # |x| / s0, exact: s0 is a power of two
     v = np.multiply(mag.reshape(n_sub, B), (1.0 / s0)[:, None], out=work.take("v", (n_sub, B)))
-    m = m / s0
-    live = m > 0
-    ksw = _first_past(np.where(live, m, Q_MAX), Q_MAX, np.empty(n_sub), work)
-    ksw = np.where(live, ksw, MBS_LEVELS).astype(np.intp)   # nothing to switch
-    scratch = work.take("scratch", v.shape, np.int64)
+    s0sq = s0 * s0
+    # m / s0 lies in (3, 6]. An all-zero sub-block is 0 at every code, so its
+    # switch (here code 1) moves nothing.
+    m = np.where(m > 0, m / s0, Q_MAX)
+    ksw = _first_past(m, MBS_LEVELS * Q_MAX, np.empty(n_sub), work).astype(np.intp)
 
-    def grid_value(name, p, regime):                   # s g / s0 at prescales p
-        u = np.multiply(v, p * 0.5 ** regime, out=work.take(name, v.shape))
-        _round_magnitude(u, scratch, saturate=False)
-        u *= 2.0 ** regime
-        return u
+    # s g / s0 at the first and last code of each regime, regime 1 in units of
+    # 2 s0: [first or last, regime], at k = 0, ksw and ksw - 1, 255
+    g = work.take("ends", (2, 2, n_sub, B))
+    np.copyto(g[0, 0], v)
+    np.multiply(v, (_PRESCALES[ksw] * 0.5)[:, None], out=g[0, 1])
+    np.multiply(v, _PRESCALES[ksw - 1][:, None], out=g[1, 0])
+    np.multiply(v, _PRESCALES[MBS_LEVELS - 1] * 0.5, out=g[1, 1])
+    scratch = work.take("scratch", g.shape, np.int64)
+    _round_magnitude(g, scratch, saturate=False)
+    # h, twice each grid value: 0, 1, 2, 3, 4, 6, 8 or 12
+    h = np.multiply(g, 2.0, out=work.take("halves", g.shape, np.int8), casting="unsafe")
+    first, d = h                                       # d: last - first, below
+    np.subtract(d, first, out=d)
+    # slot t of regime r holds a crossing where the element crosses t + 1
+    # midpoints or more in that regime: d > 0, and 2d > max(first, 2)
+    cross = work.take("cross", g.shape, bool)        # [slot, regime, sub-block, i]
+    np.greater(d, 0, out=cross[0])
+    d += d
+    np.greater(d, np.maximum(first, 2, out=cross[1].view(np.int8)), out=cross[1])
+    first[1] += _N_HALVES                              # the keys of slot 0
 
-    def grid_index(name, value, regime):               # index of g from s g / s0
-        halves = np.multiply(value, 2.0 ** (1 - regime), casting="unsafe",
-                             out=work.take("halves", v.shape, np.int8))   # 2 g <= 12
-        return np.take(_INDEX_BY_HALVES, halves, out=work.take(name, v.shape, np.int8),
-                       mode="clip").ravel()
-
-    # s g / s0 at the first and last code of each regime: k = 0, ksw - 1, ksw, 255
-    start0 = grid_value("start0", 1.0, 0)
-    end0 = grid_value("end0", _PRESCALES[ksw - 1][:, None], 0)
-    start1 = grid_value("start1", _PRESCALES[ksw][:, None], 1)
-    end1 = grid_value("end1", _PRESCALES[MBS_LEVELS - 1], 1)
-    first0 = grid_index("first0", start0, 0)
-    crossed0 = grid_index("crossed0", end0, 0)
-    crossed0 -= first0
-    first1 = grid_index("first1", start1, 1)
-    crossed1 = grid_index("crossed1", end1, 1)
-    crossed1 -= first1                                 # < 0 where ksw = 256
-
-    # crossing c: element pos[c] crosses midpoint jj[c] = j + 7r of regime r
-    lists = [(np.flatnonzero(crossed > t), first, regime * _N_MIDPOINTS + t)
-             for regime, (crossed, first) in enumerate(((crossed0, first0),
-                                                        (crossed1, first1)))
-             for t in (0, 1)]
-    n_cross = sum(len(p) for p, _, _ in lists)
-    # int32: a step of mbs_qdq holds at most 2^13 macros, its positions and
-    # its bins (below 2 * 257 * 2^13) stay far below 2^31
-    pos = work.take("pos", (n_cross,), np.int32)
-    jj = work.take("jj", (n_cross,), np.int8)
-    at = 0
-    for p, first, offset in lists:
-        pos[at:at + len(p)] = p
-        np.add(np.take(first, p), offset, out=jj[at:at + len(p)])
-        at += len(p)
-    v_c = np.take(v, pos, out=work.take("v_c", (n_cross,)), mode="clip")
-    thr = np.take(_CROSS_THRESHOLDS, jj, out=work.take("thr", (n_cross,)), mode="clip")
-    k = _first_past(v_c, thr, work.take("k", (n_cross,)), work)
-
-    # The weights, and their bins 2 (macro * 257 + code) for S2 and the next
-    # one for SX: first the crossings, then each sub-block's k = 0 sums and
-    # its jumps at ksw. Bin 256 takes the jumps at ksw = 256 and is not read.
-    # A crossing's weights are s0^2 times its steps and, for SX, v_c: s0^2
-    # and the steps of s g / s0 are powers of two, so the order of the
-    # products does not change their bits.
+    # The weights S2 + i SX and their bins macro * 257 + code: first the
+    # crossings, then each sub-block's k = 0 sums and its jumps at ksw, from
+    # the last value of regime 0 to the first of regime 1. Bin 256 takes
+    # the jumps at ksw = 256 and is not read.
+    at = np.flatnonzero(cross)                         # by slot, regime, element
+    nc = len(at)
     nbins = MBS_LEVELS + 1
-    bins = work.take("bins", (2, n_cross + 2 * n_sub), np.int32)
-    w = work.take("w", (2, n_cross + 2 * n_sub))
-    sub = np.floor_divide(pos, B, out=bins[0, :n_cross])
-    w2 = np.take(s0 * s0, sub, out=w[0, :n_cross], mode="clip")
-    wx = np.multiply(w2, v_c, out=w[1, :n_cross])
-    steps = thr                                        # free since k is found
-    wx *= np.take(_CROSS_STEPS, jj, out=steps, mode="clip")
-    w2 *= np.take(_CROSS_SQ_STEPS, jj, out=steps, mode="clip")
-    code_bin = bins[0]
-    code_bin[:n_cross] //= S                           # sub-block -> macro
-    code_bin[:n_cross] *= nbins
-    np.add(code_bin[:n_cross], k, out=code_bin[:n_cross], casting="unsafe")
-    sub_bin = code_bin[n_cross:].reshape(2, n_sub)     # [k = 0 or jump, sub-block]
-    sub_bin[:] = np.arange(n_sub) // S * nbins
-    sub_bin[1] += ksw
-    code_bin *= 2
-    np.add(code_bin, 1, out=bins[1])
-    jump = np.subtract(start1, end0, out=end1)         # exact: multiples of 1/2
-    np.add(start1, end0, out=start1)
-    sub_w = w[:, n_cross:].reshape(2, 2, n_sub)        # [S2 or SX, k = 0 or jump, sub-block]
-    np.einsum("ij,ij->i", start0, start0, out=sub_w[0, 0])
-    np.einsum("ij,ij->i", start0, v, out=sub_w[1, 0])
-    np.einsum("ij,ij->i", jump, start1, out=sub_w[0, 1])     # start1^2 - end0^2
-    np.einsum("ij,ij->i", jump, v, out=sub_w[1, 1])
-    sub_w *= s0 * s0
+    ne = nc + 2 * n_sub
+    w = work.take("w", (ne,), np.complex128)
+    bins = work.take("bins", (ne,), np.intp)
+    g[0, 1] *= 2.0
+    np.subtract(g[0, 1], g[1, 0], out=g[1, 1])         # jump, exact: multiples of 1/2
+    np.add(g[0, 1], g[1, 0], out=g[0, 1])
+    sub_w = w[nc:].reshape(2, n_sub)                   # [k = 0 or jump, sub-block]
+    lhs = g.reshape(4, n_sub, B)[::3]                 # start0, jump
+    np.einsum("rij,rij->ri", lhs, g[0], out=sub_w.real)  # start0^2, start1^2 - end0^2
+    np.einsum("rij,ij->ri", lhs, v, out=sub_w.imag)
+    sub_w.real *= s0sq
+    sub_w.imag *= s0sq
+    sub_bin = bins[nc:].reshape(2, n_sub)
+    sub_bin[0] = np.arange(n_sub) // S * nbins
+    np.add(sub_bin[0], ksw, out=sub_bin[1])
+
+    # crossing c is slot t, regime r of the element at[c]
+    r1, t1, r1t1 = np.searchsorted(at, (N, 2 * N, 3 * N))
+    at[t1:] -= 2 * N                                   # index into (regime, element)
+    key = np.take(first.reshape(-1), at, out=work.take("key", (nc,), np.int8), mode="clip")
+    key[t1:] += 2 * _N_HALVES
+    at[r1:t1] -= N                                     # index of the element
+    at[r1t1:] -= N
+    c = work.take("ends", (2, nc))                    # the ends are spent
+    # mode="clip": with "raise", take buffers its out= through a copy
+    v_c = np.take(v.reshape(-1), at, out=c[0], mode="clip")
+    thr = np.take(_CROSS_THRESHOLDS, key, out=c[1], mode="clip")
+
+    sub = np.floor_divide(at, B, out=bins[:nc])
+    kc = work.take("scratch", (2, nc))                 # the rounding is done
+    scale = np.take(s0sq, sub, out=kc[0], mode="clip")
+    np.take(_CROSS_STEPS, key, out=w[:nc], mode="clip")
+    w[:nc].real *= scale
+    scale *= v_c
+    w[:nc].imag *= scale
+    sub //= S
+    sub *= nbins
+    k = _first_past(v_c, thr, kc[0], work)
+    code = kc[1].view(np.intp)
+    code[...] = k
+    bins[:nc] += code
     sums = work.take("sums", (n, nbins), np.complex128)
     sums.fill(0.0)
-    np.add.at(sums.reshape(-1).view(np.float64), bins.ravel(), w.ravel())
+    np.add.at(sums.reshape(-1), bins, w)
     np.cumsum(sums, axis=1, out=sums)
     return sums.real[:, :MBS_LEVELS], sums.imag[:, :MBS_LEVELS]
 
@@ -450,7 +488,9 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
         e = sum (a_i - |x_i|)^2 = S2 / p^2 - 2 SX / p + X2,
 
     which costs O(macro + 256 sub-blocks) per macro instead of 256 trials.
-    A = fl(fl(S2 fl(1/p^2)) - fl(SX fl(2/p))) + X2.
+    A = fl(Re((S2 + i SX)(fl(1/p^2) + i fl(2/p))) + X2): one complex product
+    in place over the sums, whose real part is fl(fl(S2 fl(1/p^2)) - fl(SX
+    fl(2/p))), or the same with one product fused, and one sum with X2.
 
     Bound, with u = 2^-53, gamma_j = j u / (1 - j u), n = macro elements,
     and q_i = s g_i: g <= 2 fl(p |x|) / s for every grid value, so q_i / p
@@ -463,32 +503,38 @@ def _approx_errors(mag: np.ndarray, sub_max: np.ndarray,
       X2's, and the ranked floor puts each below 2^-21 n u X2: X2 >= m^2 >
       2^-251.
     - S2(k) and SX(k) are float sums of at most 6 weights per element (the
-      k = 0 value, a jump, up to four crossings), in whatever order the
-      sub-block sums, the scatter-add and the cumsum take them: an error of
-      at most gamma_{6n} times the sum of the weights' magnitudes. The S2
-      weights are exact, and an SX weight rounds at most once (fused
-      products round less). The weights of an element telescope: their
-      magnitudes add up to at most q_i(k)^2 + 2 q_i(ksw - 1)^2 <= 12 p^2
-      (1 + u)^2 x_i^2 in S2 and 6 p (1 + u) x_i^2 in SX. Through 1/p^2 and
-      2/p both errors are below gamma_{6n} 12 (1 + u)^4 X2.
+      k = 0 value, a jump, up to four crossings). _grid_sums adds them along
+      one tree per code: each sub-block's k = 0 values and jumps in its
+      einsum, then every weight at codes up to k, in the scatter-add's list
+      order (crossings by slot, regime and element, then the sub-block
+      sums) within a code and by the cumsum across codes. A float sum of
+      at most 6n terms errs by at most gamma_{6n} times the sum of their
+      magnitudes along any tree. The S2 weights are exact, and an SX weight
+      rounds at most once, in its sub-block's product with v (a crossing's
+      is exact). The weights of an element telescope: their magnitudes add
+      up to at most q_i(k)^2 + 2 q_i(ksw - 1)^2 <= 12 p^2 (1 + u)^2 x_i^2
+      in S2 and 6 p (1 + u) x_i^2 in SX. Through 1/p^2 and 2/p both errors
+      are below gamma_{6n} 12 (1 + u)^4 X2.
     - fl(1/p^2), fl(2/p) and the two products add two roundings to each of
-      S2 / p^2 and 2 SX / p, each at most 4(1 + u)^2 X2; the difference and
-      the sum with X2 round once each, on at most 4(1 + u)^2 X2 and (1 +
-      2u)^2 X2; X2 itself rounds n squares and n - 1 sums.
+      S2 / p^2 and 2 SX / p, each at most 4(1 + u)^2 X2 (a fused product
+      drops one); the difference and the sum with X2 round once each, on
+      at most 4(1 + u)^2 X2 and (1 + 2u)^2 X2; X2 itself rounds n squares
+      and n - 1 sums.
 
     To first order |A - E| <= (154 n + 57) u X2. D = c u X2 with c = 160 n +
     64: the slack covers the higher-order terms, the underflow and the
     rounding of D itself. The constant is derived, not tuned: a larger D
-    would only widen the candidate set. A is formed in place of S2, in a
-    view of work's "sums" (a fresh workspace without one): with the
-    workspace of an mbs_qdq call, it is valid until that call's next step."""
+    would only widen the candidate set. A is one of work's arrays (a fresh
+    workspace without one): with the workspace of an mbs_qdq call, it is
+    valid until that call's next step."""
     work = _Workspace() if work is None else work
-    macro = mag.shape[1]
-    s2, sx = _grid_sums(mag, sub_max, work)          # views of work's arrays
-    s2 *= _INV_SQ_PRESCALES
-    sx *= _TWO_INV_PRESCALES
-    approx = np.subtract(s2, sx, out=s2)
+    n, macro = mag.shape
+    _grid_sums(mag, sub_max, work)                     # S2 + i SX, in work's "sums"
+    sums = work.take("sums", (n, MBS_LEVELS + 1), np.complex128)
+    np.multiply(sums, _RANK_WEIGHTS, out=sums)
     x2 = np.einsum("ij,ij->i", mag, mag)[:, None]
+    approx = work.take("approx", (n, MBS_LEVELS))
+    np.copyto(approx, sums.real[:, :MBS_LEVELS])       # contiguous before the sum
     approx += x2
     c = 160 * macro + 64
     return approx, (c * 2.0 ** -53) * x2
@@ -517,13 +563,15 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
     round below that, as D exceeds its rounding. The codes at or below it
     are its candidates, argmin A among them; where a NaN in A or D leaves
     none, argmin A is the one candidate, so no macro is left without. A
-    macro with one candidate, almost every macro, takes it without a trial:
-    it is the 256-trial argmin. The rows of all such macros come from one
-    _prescaled_qdq call, as in the closed form, straight into out when they
-    are the whole step. At M > 0 the
-    scale takes many values over k and s is no longer a power of two, so u
-    = fl(p x) / s is rounded. There, and for the other macros, the
-    candidates are all 256 codes: the sweep.
+    macro has one candidate, almost every macro, when no other code is at
+    or below min A + 3D: A at argmin A is set to inf, and the least of the
+    rest, by fmin, which skips a NaN, is compared once. Such a macro takes
+    argmin A without a trial: it is the 256-trial argmin. The rows of all
+    such macros come from one _prescaled_qdq call, as in the closed form,
+    straight into out when they are the whole step. At M > 0 the scale
+    takes many values over k and s is no longer a power of two, so u =
+    fl(p x) / s is rounded. There, and for the other macros, the candidates
+    are all 256 codes: the sweep.
 
     Only the macros left in doubt, with two or more candidates, and the
     swept ones form a (macros, 256) bool mask, which _trial_errors
@@ -550,11 +598,12 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
             sel = _all_or(ranked, len(mag))
             approx, bound = _approx_errors(mag[sel], sub_max[sel], work)
             best = approx.argmin(axis=1)
-            top = approx[np.arange(len(best)), best][:, None] + 3.0 * bound
-            near = np.less_equal(approx, top, out=work.take("near", approx.shape, bool))
-            # one code at or below top is argmin A; none (a NaN) leaves argmin A.
-            # Where two or more are, argmin A is one of them.
-            alone = np.count_nonzero(near, axis=1) <= 1
+            rows = np.arange(len(best))
+            least = approx[rows, best]
+            top = least + 3.0 * bound.ravel()
+            approx[rows, best] = np.inf
+            alone = ~(np.fmin.reduce(approx, axis=1) <= top)
+            unsure = ~alone
             one = ranked[alone]
             codes[one] = best[alone]
             left[one] = False
@@ -565,7 +614,7 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
                                quant, hat, work)
                 if hat is not out:
                     out[one] = hat
-            doubt = ranked[~alone]
+            doubt = ranked[unsure]
     tried = np.flatnonzero(left)
     if not len(tried):
         return codes
@@ -573,7 +622,9 @@ def _step_codes(mag: np.ndarray, sub_max: np.ndarray, macro_max: np.ndarray,
     cand.fill(True)
     if len(doubt):
         at = np.searchsorted(tried, doubt)
-        cand[at] = near[~alone]
+        near = np.less_equal(approx[unsure], top[unsure, None])
+        near[np.arange(len(near)), best[unsure]] = least[unsure] <= top[unsure]
+        cand[at] = near
     sel = _all_or(tried, len(mag))
     mag, sub_max = mag[sel], sub_max[sel]
     k_best = np.zeros(len(mag), dtype=np.int64)
@@ -661,13 +712,16 @@ def _mbs_step(step: np.ndarray, macro: int, mode: str, quant: BlockQuantConfig,
     # Python floats take its product past the largest float without a warning
     top = float(view.m_b.max()) * float(_PRESCALES[MBS_LEVELS - 1])
     ceil_scale_array(top / Q_MAX, quant.scale_mantissa_bits)
-    y = work.take("x_hat", mag.shape)
+    # the rows go straight into out, unless the step's last macro is padded
+    direct = out.flags.c_contiguous and not view.padded
+    y = out.reshape(mag.shape) if direct else work.take("x_hat", mag.shape)
     k = _step_codes(mag, sub_max, view.m_b, mode, quant, work, y)
     np.copysign(y, view.blocks, out=y)
     zero = sub_max.ravel() == 0                  # all-zero blocks are +0.0
     if zero.any():
         y.reshape(-1, B)[zero] = 0.0
-    out[...] = view.restore(y)
+    if not direct:
+        out[...] = view.restore(y)
     return k.reshape(len(step), -1)
 
 

@@ -151,7 +151,7 @@ class _Workspace:
                 buf = np.empty(size, np.uint8)
                 self._own += size
             self._regions[name] = buf
-        return buf[:nbytes].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, buf)
 
     def reset(self) -> None:
         """End the phase: no array taken since the last reset is used

@@ -441,7 +441,8 @@ class ContainerWriter(_AtomicFile):
         else:
             values = self.work.take("out", (count,), _NARROW[dtype])
             limit = math.inf
-        with np.errstate(over="ignore"):      # an overflow is the error below
+        # an overflow, or a signaling nan made quiet, is the error below
+        with np.errstate(over="ignore", invalid="ignore"):
             np.copyto(values, piece, casting="same_kind")
         # a nan fails both comparisons
         if not (values.max() < limit and values.min() > -limit):

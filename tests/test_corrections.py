@@ -340,6 +340,75 @@ def _exhaustive_cases(draw, mantissa_bits=(0, 3, 8)):
     return x, quant, MbsConfig(macro_block_size=block_size * draw(st.integers(1, 8)))
 
 
+def _bf16_ties():
+    """Multiples of 1/16 with at most 7 significant bits: BF16 values whose
+    prescaled quotients land exactly on grid midpoints at many codes."""
+    rng = np.random.default_rng(81)
+    x = rng.integers(-96, 97, size=(4, 128)) / 16.0
+    x *= 2.0 ** rng.integers(-2, 3, size=(4, 1))
+    return x
+
+
+def _crossings_at_codes():
+    """Each sub-block max is 3.015625: its scale is 1 up to code 254. The
+    other elements are c_j / p_k and their neighbours, so u = p_k x meets
+    midpoint c_j at code k exactly or within one rounding."""
+    rng = np.random.default_rng(89)
+    k = rng.integers(1, 250, size=(64, 7))
+    x = np.nextafter(GRID_MIDPOINTS / (1.0 + k / MBS_LEVELS),
+                     np.where(rng.random(k.shape) < 0.5, 0.0, 7.0))
+    x = np.where(rng.random(k.shape) < 0.4, GRID_MIDPOINTS / (1.0 + k / MBS_LEVELS), x)
+    x = np.where(x < 3.015625, x, 0.1)
+    return np.concatenate([np.full((64, 1), 3.015625), x], axis=1)
+
+
+def _one_block_macros(block_size):
+    rng = np.random.default_rng(84 + block_size)
+    return rng.standard_t(3, size=(6, 4 * block_size))
+
+
+def _sparse_zero_sub_blocks():
+    rng = np.random.default_rng(85)
+    x = np.where(rng.random((6, 128)) < 0.05, rng.standard_normal((6, 128)), 0.0)
+    x[0, :32] = 0.0                              # all-zero sub-blocks
+    x[1, 64:] = 0.0                              # an all-zero macro
+    x[2, 7] = 1.0                                # one-hot macros
+    x[2, 64:] = 0.0
+    x[2, 100] = -0.375
+    return x
+
+
+def _ragged_tails():
+    rng = np.random.default_rng(86)
+    return rng.laplace(size=(3, 200))            # tails of 8 elements at macro 64
+
+
+def _just_above_ranked_floor():
+    """Macros of four sub-blocks whose maxima are the float above
+    _RANKED_FLOOR, or 1, in every pattern: the least maxima ranked."""
+    top = np.array([[a, b, c, d] for a in (0, 1) for b in (0, 1) for c in (0, 1)
+                    for d in (0, 1)], dtype=float)
+    top = np.where(top == 0, np.nextafter(corrections._RANKED_FLOOR, 1.0), 1.0)
+    rng = np.random.default_rng(95)
+    u = rng.uniform(-1.0, 1.0, size=(len(top), 4, 32))
+    u[:, :, 0] = np.where(rng.random(top.shape) < 0.5, -1.0, 1.0)
+    return (u * top[:, :, None]).reshape(len(top), 128)
+
+
+# The fixed inputs on which the closed form is hardest to get right, as
+# (x, block size, macro size)
+_HARD_INPUTS = {
+    "bf16_midpoint_ties": lambda: (_bf16_ties(), 32, 64),
+    "crossings_at_codes": lambda: (_crossings_at_codes(), 8, 8),
+    "ragged_tails": lambda: (_ragged_tails(), 8, 64),
+    "sparse_zero_sub_blocks": lambda: (_sparse_zero_sub_blocks(), 16, 64),
+    "one_block_macros_1": lambda: (_one_block_macros(1), 1, 1),
+    "one_block_macros_8": lambda: (_one_block_macros(8), 8, 8),
+    "one_block_macros_32": lambda: (_one_block_macros(32), 32, 32),
+    "just_above_ranked_floor": lambda: (_just_above_ranked_floor(), 32, 128),
+}
+
+
 class TestExhaustiveExactPath:
     """At M = 0 the exhaustive codes come from a closed form over all 256
     codes, settled by evaluating only the few codes near its minimum. They
@@ -357,11 +426,7 @@ class TestExhaustiveExactPath:
         return want
 
     def test_bf16_midpoint_ties(self):
-        # multiples of 1/16 with at most 7 significant bits: BF16 values whose
-        # prescaled quotients land exactly on grid midpoints at many codes
-        rng = np.random.default_rng(81)
-        x = rng.integers(-96, 97, size=(4, 128)) / 16.0
-        x *= 2.0 ** rng.integers(-2, 3, size=(4, 1))
+        x = _bf16_ties()
         bf16 = (x.astype(np.float32).view(np.uint32) & np.uint32(0xFFFF0000)
                 ).view(np.float32).astype(np.float64)
         assert np.array_equal(bf16, x)
@@ -374,18 +439,10 @@ class TestExhaustiveExactPath:
         assert len(set(self._check(x, quant.block_size, 64))) > 2
 
     def test_crossings_at_codes(self):
-        # Each sub-block max is 3.015625: its scale is 1 up to code 254. The
-        # other elements are c_j / p_k and their neighbours, so u = p_k x
-        # meets midpoint c_j at code k exactly or within one rounding. There
-        # the real-arithmetic crossing is off by one unless checked with the
-        # float expression, and the tie table decides the crossing code.
-        rng = np.random.default_rng(89)
-        k = rng.integers(1, 250, size=(64, 7))
-        x = np.nextafter(GRID_MIDPOINTS / (1.0 + k / MBS_LEVELS),
-                         np.where(rng.random(k.shape) < 0.5, 0.0, 7.0))
-        x = np.where(rng.random(k.shape) < 0.4, GRID_MIDPOINTS / (1.0 + k / MBS_LEVELS), x)
-        x = np.where(x < 3.015625, x, 0.1)
-        x = np.concatenate([np.full((64, 1), 3.015625), x], axis=1)
+        # At such codes the real-arithmetic crossing is off by one unless
+        # checked with the float expression, and the tie table decides the
+        # crossing code.
+        x = _crossings_at_codes()
         # one sub-block per macro: S2 = sum (s g)^2 is exact, so it must equal
         # the sum over the sweep's own grid magnitudes at every code
         pres = 1.0 + np.arange(MBS_LEVELS) / MBS_LEVELS
@@ -472,25 +529,14 @@ class TestExhaustiveExactPath:
 
     @pytest.mark.parametrize("block_size", [1, 8, 32])
     def test_macro_is_one_block(self, block_size):
-        rng = np.random.default_rng(84 + block_size)
-        x = rng.standard_t(3, size=(6, 4 * block_size))
-        self._check(x, block_size, block_size)
+        self._check(_one_block_macros(block_size), block_size, block_size)
 
     def test_sparse_with_zero_sub_blocks_and_macros(self):
-        rng = np.random.default_rng(85)
-        x = np.where(rng.random((6, 128)) < 0.05, rng.standard_normal((6, 128)), 0.0)
-        x[0, :32] = 0.0                              # all-zero sub-blocks
-        x[1, 64:] = 0.0                              # an all-zero macro
-        x[2, 7] = 1.0                                # one-hot macros
-        x[2, 64:] = 0.0
-        x[2, 100] = -0.375
-        want = self._check(x, 16, 64)
+        want = self._check(_sparse_zero_sub_blocks(), 16, 64)
         assert want[3] == 0                          # the all-zero macro
 
     def test_ragged_tail_macros(self):
-        rng = np.random.default_rng(86)
-        x = rng.laplace(size=(3, 200))               # tails of 8 elements at macro 64
-        self._check(x, 8, 64)
+        self._check(_ragged_tails(), 8, 64)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_exhaustive_cases())
@@ -511,6 +557,22 @@ class TestExhaustiveExactPath:
             return
         approx, bound = corrections._approx_errors(np.abs(macros),
                                                    _sub_max(macros, quant.block_size))
+        assert (np.abs(approx - _sweep_errors(macros, quant)) <= bound).all()
+
+    @pytest.mark.parametrize("case", sorted(_HARD_INPUTS))
+    def test_closed_form_within_its_bound_on_hard_inputs(self, case):
+        # |A - E| <= D at every code of every ranked macro (live, no
+        # sub-block maximum in (0, _RANKED_FLOOR]), where ties and exact
+        # crossings happen
+        x, block_size, macro = _HARD_INPUTS[case]()
+        quant = BlockQuantConfig(block_size=block_size)
+        macros = _macros(x, MbsConfig(macro_block_size=macro))
+        sub_max = _sub_max(macros, block_size)
+        ranked = (sub_max.max(axis=1) > 0) & ~(
+            (sub_max > 0) & (sub_max <= corrections._RANKED_FLOOR)).any(axis=1)
+        assert ranked.sum() >= 4
+        macros, sub_max = macros[ranked], sub_max[ranked]
+        approx, bound = corrections._approx_errors(np.abs(macros), sub_max)
         assert (np.abs(approx - _sweep_errors(macros, quant)) <= bound).all()
 
     def test_trial_counts(self, monkeypatch):
@@ -993,6 +1055,17 @@ class TestAqn:
         # an infinite start passes start >= end > 0, and its stages are nan
         with pytest.raises(ValueError, match="sigma_start must be finite, got inf"):
             AqnSchedule(np.inf, 1.0, 4)
+
+    def test_schedule_past_the_normal_ratios(self):
+        # sigma_end / sigma_start underflows to 0 here: the stages are still
+        # the geometric interpolation, from sigma_start to sigma_end exactly
+        s = AqnSchedule(1e308, 1e-308, 3).stage_sigmas()
+        assert s[0] == 1e308 and s[-1] == 1e-308 and (s > 0).all()
+        assert s[1] == pytest.approx(1.0, rel=1e-12)
+        s = AqnSchedule(1e10, 1e-310, 4).stage_sigmas()      # a subnormal ratio and end
+        assert s[0] == 1e10 and s[-1] == 1e-310
+        np.testing.assert_allclose(np.log(s[1:-1]), np.log(1e10) + np.arange(1, 3) / 3
+                                   * (np.log(1e-310) - np.log(1e10)), rtol=1e-12)
 
     def test_schedule_object(self):
         sched = AqnSchedule(sigma_start=0.02, sigma_end=0.002, num_stages=5)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,19 @@ class TestWriter:
         ts.add("bad", bad, dtype)
         with pytest.raises(TensorStoreError, match=rf"non-finite values as {dtype} \(tensor bad\)"):
             save_container(ts, str(tmp_path / "o.tensors"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("dtype", ["F16", "F32", "BF16"])
+    def test_refuses_a_signaling_nan(self, tmp_path, dtype):
+        # float64 bits 0x7FF0000000000001: narrowing it to float32 raises
+        # numpy's invalid-cast warning, which must not escape as the error
+        snan = np.array([0x7FF0000000000001], np.uint64).view(np.float64)
+        ts = TensorSet()
+        ts.add("a", snan, dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TensorStoreError, match=rf"non-finite values as {dtype} \(tensor a\)"):
+                save_container(ts, str(tmp_path / "o.tensors"))
         assert os.listdir(tmp_path) == []
 
     def test_largest_finite_values_are_written(self, tmp_path):
