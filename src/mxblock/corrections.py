@@ -212,7 +212,7 @@ _RANK_WEIGHTS = 1.0 / _PRESCALES ** 2 + 2.0 / _PRESCALES * 1j
 # 3.08 MiB, mostly _trial_errors' chunks. Each macro's code and x_hat do
 # not depend on its step, so the step size moves no output bit. On a 2-core
 # Xeon one exhaustive step of 64 macros took 0.66 ms, 0.17 ms of it fixed
-# (a step of one macro), against 0.063 ms in closed form. Steps of 2^14
+# (a step of one macro), against 0.065 ms in closed form. Steps of 2^14
 # elements amortize the fixed part: exhaustive mbs_qdq on 512x512 took 19.7
 # ms against 22.8 ms (medians of 40 alternating calls), but its phase is
 # 2.73 MiB and its peak past the output 3.13 MiB, against 1.58 MiB. In the
