@@ -59,6 +59,7 @@ from .formats import (
     GRID_MAGNITUDES,
     GRID_MIDPOINTS,
     Q_MAX,
+    _largest_scale,
     _round_magnitude,
     ceil_scale_array,
 )
@@ -709,9 +710,11 @@ def _mbs_step(step: np.ndarray, macro: int, mode: str, quant: BlockQuantConfig,
     mag = view.mag
     sub_max = _block_maxima(mag, B).reshape(len(mag), -1)
     # the step's largest maximum has the largest coded scale at p_255;
-    # Python floats take its product past the largest float without a warning
-    top = float(view.m_b.max()) * float(_PRESCALES[MBS_LEVELS - 1])
-    ceil_scale_array(top / Q_MAX, quant.scale_mantissa_bits)
+    # Python floats take its product past the largest float without a
+    # warning. The coder is called only to refuse it, with its own message
+    top = float(view.m_b.max()) * float(_PRESCALES[MBS_LEVELS - 1]) / Q_MAX
+    if top > _largest_scale(quant.scale_mantissa_bits):
+        ceil_scale_array(top, quant.scale_mantissa_bits)
     # the rows go straight into out, unless the step's last macro is padded
     direct = out.flags.c_contiguous and not view.padded
     y = out.reshape(mag.shape) if direct else work.take("x_hat", mag.shape)

@@ -35,9 +35,13 @@ slices of an in-memory array, or read one at a time from a
 tensorstore.TensorSource: a StoredTensor reads them from its container
 file, a SynthTensor draws them from its seeded generator. The pieces are
 the same, in the same order, either way. Each piece's sum is a fixed-order
-sum of sub-dots too short for OpenBLAS to split between threads (_dot), so
-on one numpy/BLAS build the sums are the same bits at any BLAS thread
-count. Every piece-sized temporary lives in one workspace
+sum of sub-dots too short for OpenBLAS to split between threads, added
+left to right (_dots), and the pieces' sums are added in the pieces'
+order, so on one numpy/BLAS build the sums are the same bits at any BLAS
+thread count. A piece's four error arrays are the rows of one stacked
+array, so its seven sums take two stacked np.matmul calls, a ddot per
+sub-dot, the same ddots as _dot of one pair at a time. Every piece-sized
+temporary lives in one workspace
 (quantize._Workspace), whose block of memory the phases of each piece
 take in turn: each piece function's, then the split's. A piece function
 that works in the same workspace, as MBS does in the mbs command, shares
@@ -51,8 +55,7 @@ quantize._coded_qdq, both on |x|. With s the sign of x, each error is s
 times the same expression on the magnitudes, so the sums are taken on
 magnitudes and no sign is applied: a piece function's x_hat is multiplied
 by s instead. Only the error arrays need the signs, which are applied once
-per rounding; a piece without padding writes its errors straight into the
-arrays.
+per rounding, and each piece's errors are copied into them.
 """
 
 from __future__ import annotations
@@ -122,23 +125,33 @@ class ErrorDecomposition:
 _SUB_DOT = 1 << 13
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> as a fixed-order sum of sub-dots of at most _SUB_DOT elements:
-    one batched matmul over the whole rows of _SUB_DOT, one np.dot of the
-    rest, added left to right from the first partial. Its bits are the same at
-    any BLAS thread count, and a one-element dot is the product itself,
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> for each pair of rows of a and b, stacks (..., n) whose
+    leading dimensions broadcast as np.matmul's do, each a fixed-order sum
+    of sub-dots of at most _SUB_DOT elements: one stacked matmul over every
+    row's whole sub-dots and one over the rests, a ddot each, and each row's
+    partials added left to right from the first. Their bits are the same at
+    any BLAS thread count; a rest of one element is the product itself,
     signed zero included."""
-    a, b = a.ravel(), b.ravel()
-    full = a.size - a.size % _SUB_DOT
-    rows = full // _SUB_DOT
-    parts = np.matmul(a[:full].reshape(rows, 1, _SUB_DOT),
-                      b[:full].reshape(rows, _SUB_DOT, 1)).ravel().tolist()
-    if full < a.size:
-        parts.append(float(np.dot(a[full:], b[full:])))
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
+    n = a.shape[-1]
+    full = n - n % _SUB_DOT
+    total = None
+    if full:
+        parts = np.matmul(a[..., :full].reshape(*a.shape[:-1], -1, 1, _SUB_DOT),
+                          b[..., :full].reshape(*b.shape[:-1], -1, _SUB_DOT, 1))
+        total = np.add.accumulate(parts[..., 0, 0], axis=-1)[..., -1]
+    if full < n:
+        if n - full == 1:
+            rest = a[..., full] * b[..., full]
+        else:
+            rest = np.matmul(a[..., None, full:], b[..., full:, None])[..., 0, 0]
+        total = rest if total is None else total + rest
     return total
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> as _dots adds it, over the flattened arrays."""
+    return float(_dots(a.reshape(1, -1), b.reshape(1, -1))[0])
 
 
 def _cos(ip: float, n2a: float, n2b: float) -> tuple[float, bool]:
@@ -215,17 +228,6 @@ def _row_pieces(x: np.ndarray | TensorSource, unit: int, elems: int | None = Non
             yield r, c, matrix[r, c]
 
 
-def _unpadded(view: BlockView, blocked: np.ndarray, work: _Workspace, name: str) -> np.ndarray:
-    """blocked without its padding, as a contiguous array for the dot
-    products: a view when the piece has no padding, else a copy into work."""
-    e = view.restore(blocked)
-    if e.flags.c_contiguous:
-        return e
-    dst = work.take(name, e.shape)
-    dst[...] = e
-    return dst
-
-
 # A quantizer measured by the decomposition: the plain Q of a config, or a
 # piece function fn(rows, cols, piece) -> x_hat of the piece, where piece is
 # x's row matrix at [rows, cols]; the result, of the piece's shape, is only
@@ -260,23 +262,37 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     """The _SUM_PAIRS sums of each quantizer (one row each), the deadzone
     count, and each quantizer's count of zero outputs on it, of the 2-D
     piece of x at [rows, cols]. With one quantizer, its (e_scale, e_dz,
-    e_grid, e_total) are written into out, directly when the piece has no
-    padding.
+    e_grid, e_total) are copied into out.
 
     Each piece function runs first, in a phase of work of its own, and its
     x_hat is kept; then, in one more phase, the piece is blocked, rounded
-    and summed. Every other piece-sized array is one of work's: e_total takes
-    the rounding's scratch buffer and e_scale overwrites the quantizer's
-    output; e_dz and e_grid take the buffers of |x| and Q* when no later
-    quantizer reads them.
+    and summed. The piece's Q, Q*, rounding scratch and |x| are the rows of
+    one stacked array of work's (_Workspace.take_rows), which become
+    e_scale, e_grid, e_total and e_dz in place: e_scale overwrites Q, which
+    held Q*'s spread scales before it, and e_total takes the scratch. With
+    more than one quantizer, |x| and Q* are read by each of them, so e_grid
+    and e_dz get rows of their own. A padded piece's errors are copied
+    without their padding into one more stacked array, since the sums run
+    over the piece's own elements; a piece of one row is summed in place,
+    since its padding is the rows' tail. The seven sums are then two stacked
+    _dots: the squared norms of e_scale, e_grid and e_total, and e_scale
+    and e_dz each against e_dz and e_grid. A later quantizer takes only its
+    own, and shares the sums of e_dz and e_grid alone.
+
+    Q's zero count is the deadzone count: its ceiling scale is at least
+    s_star, so it rounds every dead element to zero. Should a bug leave one
+    nonzero, <e_scale, e_dz> has a product of at most -2^-128 * 2^-129 on
+    it (Q at least half E8M0's least scale, |x| at least a quarter of the
+    scale) and none above 0, so every command's ip_scale_dz == 0.0 check
+    fails. A piece function's zeros are counted.
 
     Without out, the errors stay magnitudes: with s the sign of x, each e_*
     is s times the same expression on |x|, so every product in the sums is
-    the same. Only the sign of a zero product can differ. _dot's sub-dots of
-    two elements or more start from +0.0, and its running sum starts from
-    the first partial: a zero sum of a piece of two elements or more is
-    +0.0 either way. A one-element piece keeps the signs, since its _dot is
-    the product itself."""
+    the same. Only the sign of a zero product can differ. _dots' sub-dots
+    of two elements or more start from +0.0, and its running sum starts
+    from the first partial: a zero sum of a piece of two elements or more
+    is +0.0 either way. A one-element piece keeps the signs, since its sum
+    is the product itself."""
     hats = []                           # each piece function's x_hat, None for a config
     for quantizer in quantizers:
         hat = None
@@ -288,54 +304,72 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
                                  f"piece shape {piece.shape}")
         hats.append(hat)
     work.reset()
+    height, width = piece.shape
+    B = config.block_size
+    per_row = -(-width // B)
+    shape = (height * per_row, B)                   # the piece's blocks
+    names = (("q", "qstar", "scratch", "mag") if len(quantizers) == 1
+             else ("mag", "qstar", "q", "e_grid", "scratch", "e_dz"))
+    errors = work.take_rows(names, shape)[-4:]
+    e_scale, e_grid, e_total, e_dz = errors
     view = block_view(piece, config, work)
-    shape = view.blocks.shape
     signs = out is not None or piece.size == 1
     _, qstar, dead, _ = qdq_views(view, None, work, signed=signs)
     x = view.blocks if signs else view.mag
     if view.padded:
         dead &= view.valid              # padding is not counted
-    direct = out is not None and not view.padded
+    # the errors without their padding: in place on one row, whose padding
+    # is its tail; copied into one more stacked array from more rows
+    compact = view.padded and height > 1
+    if compact:
+        dense = work.take("dense", (4, height, width))
+        flat = dense.reshape(4, -1)
+    else:
+        flat = errors.reshape(4, -1)[:, :width * height]
+    dead_count = int(np.count_nonzero(dead))
     sums = np.empty((len(quantizers), len(_SUM_PAIRS)))
     zeros = np.empty(len(quantizers), dtype=np.int64)
-    shared = None
     for i, (quantizer, hat) in enumerate(zip(quantizers, hats)):
         if hat is None:
-            q, _ = _coded_qdq(view, quantizer, work.take("q", shape), work)
+            q = _coded_qdq(view, quantizer, e_scale, work)[0]
             if signs:
                 view.signed(q, q)
+            zeros[i] = dead_count
         else:
             q = _measured(hat, view, signs, work)
-        zero = np.equal(q, 0.0, out=work.take("zero", shape, bool))
-        zero &= dead
-        zeros[i] = np.count_nonzero(zero)
-        e_total = np.subtract(q, x, out=out[3].reshape(shape) if direct
-                              else work.take("scratch", shape))
-        e_scale = np.subtract(q, qstar, out=out[0].reshape(shape) if direct else q)
-        if shared is None:
-            if direct:
-                e_dz, e_grid = out[1].reshape(shape), out[2].reshape(shape)
-            elif len(quantizers) == 1:
-                e_dz, e_grid = view.mag, qstar
-            else:
-                e_dz, e_grid = work.take("e_dz", shape), work.take("e_grid", shape)
+            zero = np.equal(q, 0.0, out=work.take("zero", shape, bool))
+            zero &= dead
+            zeros[i] = np.count_nonzero(zero)
+        np.subtract(q, x, out=e_total)
+        np.subtract(q, qstar, out=e_scale)
+        if i == 0:
             resid = np.subtract(qstar, x, out=e_grid)   # Q*(x) - x
-            np.multiply(resid, dead, out=e_dz)  # -0.0 off the deadzone where resid < 0,
+            # the deadzone as 1.0 and 0.0, then times resid: a float64
+            # multiply, twice as fast as one by the bool array, which numpy
+            # casts in buffered chunks. -0.0 off the deadzone where resid < 0,
+            np.copyto(e_dz, dead)
+            e_dz *= resid
             if signs:
                 e_dz += 0.0                     # which is +0.0 with signs
             np.subtract(resid, e_dz, out=e_grid)    # +0.0 on the deadzone, resid off it
-            shared = [_unpadded(view, e, work, f"unpadded_{j}")
-                      for j, e in ((1, e_dz), (2, e_grid))]
-        errors = [_unpadded(view, e_scale, work, "unpadded_0"), *shared,
-                  _unpadded(view, e_total, work, "unpadded_3")]
-        if out is not None and not direct:
-            for dst, e in zip(out, errors):
-                dst[...] = e
-        for p, (a, b) in enumerate(_SUM_PAIRS):
-            # the sums of e_dz and e_grid alone are the first quantizer's
-            shared_sum = i and {a, b} <= {1, 2}
-            sums[i, p] = sums[0, p] if shared_sum else _dot(errors[a], errors[b])
-    return sums, int(np.count_nonzero(dead)), zeros
+        # the rows this quantizer wrote: all four, or e_scale and e_total
+        own = slice(0, 4) if i == 0 else slice(0, 3, 2)
+        if compact:
+            dense[own] = errors[own].reshape(-1, height, per_row * B)[:, :, :width]
+        if i == 0:
+            # n2_scale, n2_grid, n2_total; e_scale and e_dz against e_dz and
+            # e_grid: ip_scale_dz, ip_scale_grid, n2_dz, ip_dz_grid
+            sums[i, [0, 2, 3]] = _dots(flat[:3], flat[:3])
+            sums[i, [5, 4, 1, 6]] = _dots(flat[0::3, None], flat[None, 3:0:-2]).ravel()
+        else:
+            sums[i, [0, 3]] = _dots(flat[0:3:2], flat[0:3:2])
+            sums[i, [5, 4]] = _dots(flat[:1], flat[3:0:-2])
+    if len(quantizers) > 1:             # the sums of e_dz and e_grid alone
+        sums[1:, [1, 2, 6]] = sums[0, [1, 2, 6]]
+    if out is not None:
+        for dst, row in zip(out, (0, 3, 1, 2)):    # e_scale, e_dz, e_grid, e_total
+            dst[...] = flat[row].reshape(height, width)
+    return sums, dead_count, zeros
 
 
 def _decompose(x: np.ndarray | TensorSource, config: BlockQuantConfig,

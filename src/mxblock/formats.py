@@ -37,6 +37,8 @@ patterns without rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -126,23 +128,49 @@ def ceil_scale_array(s_star: np.ndarray, mantissa_bits: int
     exponents in [-127, 127]. Entries with s_star <= 0 or nan are passed
     through as decoded 1.0 with code (0, 0); callers mask them. A ValueError
     naming E8M0's limit refuses any entry whose ceiling needs an exponent
-    above 127 (+inf among them).
+    above 127 (+inf among them). The codes are read from the bits of the
+    decoded scales, _ceil_scales', which is all that a rounding needs."""
+    decoded = _ceil_scales(s_star, mantissa_bits)
+    bits = decoded.reshape(-1).view(np.int64)
+    e = (bits >> _MANTISSA_BITS) - 1023
+    k = (bits >> (_MANTISSA_BITS - mantissa_bits)) & ((1 << mantissa_bits) - 1)
+    return decoded, e.reshape(decoded.shape), k.reshape(decoded.shape)
+
+
+def _largest_scale(mantissa_bits: int) -> float:
+    """E8Mk's largest scale, 2^127 (2 - 2^-M): a ceiling needs an exponent
+    above 127 exactly when what it rounds up is larger."""
+    return math.ldexp(2.0 - math.ldexp(1.0, -mantissa_bits), _E8M0_EMAX)
+
+
+def _ceil_scales(s_star: np.ndarray, mantissa_bits: int) -> np.ndarray:
+    """ceil_scale_array's decoded scales, of s_star's shape, and its
+    refusal, without the codes.
 
     Exact, from the bits of the normal max(s*, 2^-127): adding 2^(52-M) - 1
     carries into the top M mantissa bits, or past them into the exponent,
     unless the low 52 - M bits are all 0, and masking those off leaves the
-    ceiling."""
+    ceiling. The range check compares the largest entry with
+    _largest_scale; only a refusal works out the exponent its ceiling
+    needs."""
     if not 0 <= mantissa_bits <= 8:
         raise ValueError("mantissa_bits must be in [0, 8]")
     s_star = np.asarray(s_star, dtype=np.float64)
-    s = np.where(s_star > 0, np.maximum(s_star, _E8M0_MIN), 1.0).ravel()
-    dropped = _MANTISSA_BITS - mantissa_bits
-    bits = np.add(s.view(np.int64), (1 << dropped) - 1)
-    bits &= -1 << dropped
-    e = (bits >> _MANTISSA_BITS) - 1023
-    if e.size and e.max() > _E8M0_EMAX:
-        raise ValueError(f"block scale past E8M0's range: its ceiling needs exponent "
-                         f"{int(e.max())}, above the largest, {_E8M0_EMAX}")
-    k = (bits >> dropped) & ((1 << mantissa_bits) - 1)
     shape = s_star.shape
-    return bits.view(np.float64).reshape(shape), e.reshape(shape), k.reshape(shape)
+    s_star = s_star.reshape(-1)
+    s = np.maximum(s_star, _E8M0_MIN)
+    if not s.size:
+        return s.reshape(shape)
+    if not s_star.min() > 0:            # a zero or a nan: the sentinel 1.0
+        s = np.where(s_star > 0, s, 1.0)
+    dropped = _MANTISSA_BITS - mantissa_bits
+    top = s.max()
+    if top > _largest_scale(mantissa_bits):
+        ceiling = (int(top.view(np.int64)) + (1 << dropped) - 1) & (-1 << dropped)
+        raise ValueError(f"block scale past E8M0's range: its ceiling needs exponent "
+                         f"{(ceiling >> _MANTISSA_BITS) - 1023}, above the largest, "
+                         f"{_E8M0_EMAX}")
+    bits = s.view(np.int64)
+    bits += (1 << dropped) - 1
+    bits &= -1 << dropped
+    return s.reshape(shape)

@@ -21,6 +21,7 @@ from .formats import (
     _INDEX_BY_HALVES,
     GRID_MAGNITUDES,
     Q_MAX,
+    _ceil_scales,
     _round_at,
     _round_magnitude,
     ceil_scale_array,
@@ -80,17 +81,18 @@ class QuantizedTensor:
 # --- block layout ------------------------------------------------------------
 
 # Elements per piece of the decomposition (decompose), whose sums are added
-# piece by piece. A piece goes through about 30 elementwise passes over half
-# a dozen live float64 arrays, so it is sized for the 2 MiB of L2 each core
-# has on a 2-core Xeon: at 2^15 one array is 256 KiB and the working set, a
-# piece's phase of its _Workspace, 1.06 MiB with one quantizer and 1.56 MiB
-# with more (e_dz and e_grid get arrays of their own), while at 2^17 (6 MiB)
-# every pass streams from L3. A piece function's phases, such as the MBS
-# steps of the mbs command, take the same memory before it. There,
-# tensor_stats on a BF16 container of a 4096x4096 Student-t tensor, a
-# 2048x2048 Gaussian one and 64 vectors of 4100 elements took a median
-# 0.53 s at 2^15, against 0.62 s at 2^16, 0.72 s at 2^17, 0.68 s at 2^14
-# and 1.0 s at 2^13, where numpy's per-call cost over the pieces dominates.
+# piece by piece. A piece goes through about 30 elementwise passes over a
+# few live float64 arrays, so it is sized for the 2 MiB of L2 each core has
+# on a 2-core Xeon: at 2^15 one array is 256 KiB and the working set, a
+# piece's phase of its _Workspace, 1.03 MiB with one quantizer (four rows
+# and the deadzone) and 1.53 MiB with more (e_dz and e_grid get rows of
+# their own), 1.56 MiB with a piece function's zero mask. A piece
+# function's phases, such as the MBS steps of the mbs command, take the
+# same memory before it. There, tensor_stats on a BF16 container of a
+# 4096x4096 Student-t tensor, a 2048x2048 Gaussian one and 64 vectors of
+# 4100 elements took a median 0.280 s at 2^15 (quartiles 0.268-0.286 s),
+# against 0.293 s at 2^16 and 0.325 s at 2^14, 15 alternating runs each.
+# Each size moves the sums' last bits, since it moves where pieces start.
 # The temperature fit (analysis) runs its quadrature, Monte Carlo and search
 # objective in tiles of the same size.
 _CHUNK_ELEMS = 1 << 15
@@ -127,10 +129,14 @@ class _Workspace:
     A take the block has no room for gets a buffer of its own for the rest
     of the phase. At the next reset those buffers are dropped first, and
     then the block grows to all that the phase took; it never grows while
-    an array in it is live. A workspace that is never reset keeps an empty
-    block, so each name keeps the largest buffer it has handed out, in any
-    dtype, for the workspace's life: the container reader's and writer's
-    reused buffers and those of the synthetic draws are such names."""
+    an array in it is live. A phase's first take, when nothing in the block
+    is live, instead grows the block to its size when it is larger, so a
+    phase that begins with most of its memory in one take, as a split piece
+    does, does not hold that take beside the old block. A workspace that is
+    never reset keeps an empty block, so each name keeps the largest buffer
+    it has handed out, in any dtype, for the workspace's life: the container
+    reader's and writer's reused buffers and those of the synthetic draws
+    are such names."""
 
     def __init__(self) -> None:
         self._block = np.empty(0, np.uint8)
@@ -140,10 +146,32 @@ class _Workspace:
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
+        return np.ndarray(shape, dtype, self._region(name, math.prod(shape) * dtype.itemsize))
+
+    def take_rows(self, names: tuple[str, ...], shape: tuple[int, ...],
+                  dtype=np.float64) -> np.ndarray:
+        """One region for an array of shape per name, as the rows of the
+        (len(names), *shape) array returned, each row on its own cache
+        lines. For the rest of the phase a take of one of the names gets its
+        row, so kernels that write into their named arrays fill the rows of
+        one stacked array."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        row = -(-size * dtype.itemsize // _ALIGN) * _ALIGN
+        buf = self._region(" ".join(names), len(names) * row)
+        for i, name in enumerate(names):
+            self._regions[name] = buf[i * row:(i + 1) * row]
+        rows = np.ndarray((len(names), size), dtype, buf, strides=(row, dtype.itemsize))
+        return rows.reshape(len(names), *shape)
+
+    def _region(self, name: str, nbytes: int) -> np.ndarray:
+        """name's bytes of the phase: its region if it holds nbytes, else a
+        new one from the block, or a buffer of its own."""
         buf = self._regions.get(name)
         if buf is None or buf.size < nbytes:
             size = -(-nbytes // _ALIGN) * _ALIGN
+            if self._top == 0 and 0 < self._block.size < size:
+                self._grow(size)
             if self._top + size <= self._block.size:
                 buf = self._block[self._top:self._top + size]
                 self._top += size
@@ -151,7 +179,7 @@ class _Workspace:
                 buf = np.empty(size, np.uint8)
                 self._own += size
             self._regions[name] = buf
-        return np.ndarray(shape, dtype, buf)
+        return buf
 
     def reset(self) -> None:
         """End the phase: no array taken since the last reset is used
@@ -159,11 +187,16 @@ class _Workspace:
         need = self._top + self._own
         self._regions.clear()
         if need > self._block.size:
-            self._block = None          # dropped before the larger one is made
-            raw = np.empty(need + _ALIGN, np.uint8)
-            start = -raw.ctypes.data % _ALIGN
-            self._block = raw[start:start + need]
+            self._grow(need)
         self._top = self._own = 0
+
+    def _grow(self, nbytes: int) -> None:
+        """A block of nbytes in place of the old one, which no live array
+        is in."""
+        self._block = None              # dropped before the larger one is made
+        raw = np.empty(nbytes + _ALIGN, np.uint8)
+        start = -raw.ctypes.data % _ALIGN
+        self._block = raw[start:start + nbytes]
 
 
 def _take(work: _Workspace | None, name: str, shape: tuple[int, ...],
@@ -293,7 +326,9 @@ def _mag_round(mag: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None
                work: _Workspace | None = None,
                dead: np.ndarray | None = None) -> np.ndarray:
     """scale * grid_magnitude(mag / scale) for magnitudes mag >= 0, one scale
-    > 0 per row, into out or a new array.
+    > 0 per row, into out or a new array. scale is an (n, 1) column, or the
+    column spread over mag's shape, which spares the divide and the
+    multiply numpy's slower broadcast loops.
 
     With dead, a bool array of mag's shape, this is Q* (scale s_star): dead
     receives the deadzone as fl(mag / scale) < 1/4, before the quotient is
@@ -302,13 +337,12 @@ def _mag_round(mag: np.ndarray, scale: np.ndarray, out: np.ndarray | None = None
     exactly when mag < (s_star / 4)(1 - 2^-54), which on floats is mag <
     s_star / 4 = fl(m_b / 24); and the quotient is at most 6 (1 + 2^-52),
     which rounds to 6."""
-    s = scale[:, None]
-    q = np.divide(mag, s, out=out)
+    q = np.divide(mag, scale, out=out)
     if dead is not None:
         np.less(q, 0.25, out=dead)
     _round_magnitude(q, _take(work, "scratch", q.shape, np.int64),
                      saturate=dead is None)
-    q *= s
+    q *= scale
     return q
 
 
@@ -319,15 +353,20 @@ def _mag_round_pow2(mag: np.ndarray, scale: np.ndarray,
     _FOLD_EXPONENTS, with the scale folded into the rounding constant.
 
     The field of 2 step (the step of |x| / 2^e, times 2^e) is max(field(|x|),
-    field(2^e)), and the scale's bits are its field: one mask and one max on
-    the bit patterns, then formats._round_at adds C = 1.5 * 2^52 * step and
-    takes it away. No division or multiply by the scale, and the same bits
-    as _mag_round: the fold rounds |x| / 2^e exactly, and in the range
-    _mag_round's quotient and product are exact unless the quotient is below
-    2^-1022, where both round to 0."""
-    field = np.bitwise_and(mag.view(np.int64), _EXPONENT_MASK,
-                           out=_take(work, "scratch", mag.shape, np.int64))
-    np.maximum(field, scale.view(np.int64)[:, None], out=field)
+    field(2^e)), and the scale's bits are its field. On magnitudes the int64
+    order of the bit patterns is the float order, and 2^e has no mantissa
+    bits, so that is the mask of max(bits(|x|), bits(2^e)): the scales'
+    bits are copied to each element of their row, then one max and one mask
+    on the bit patterns, and formats._round_at adds C = 1.5 * 2^52 * step
+    and takes it away. The copy, unlike a max against the broadcast scales,
+    needs no numpy iterator buffer (64 KiB). No division or multiply by the
+    scale, and the same bits as _mag_round: the fold rounds |x| / 2^e
+    exactly, and in the range _mag_round's quotient and product are exact
+    unless the quotient is below 2^-1022, where both round to 0."""
+    field = _take(work, "scratch", mag.shape, np.int64)
+    np.copyto(field, scale.view(np.int64)[:, None])
+    np.maximum(field, mag.view(np.int64), out=field)
+    field &= _EXPONENT_MASK
     return _round_at(mag, field, out)
 
 
@@ -339,7 +378,7 @@ def _coded_round(mag: np.ndarray, scale: np.ndarray, pow2: bool,
     every E8M0 power of two lies in _FOLD_EXPONENTS."""
     if pow2:
         return _mag_round_pow2(mag, scale, out, work)
-    return _mag_round(mag, scale, out, work)
+    return _mag_round(mag, scale[:, None], out, work)
 
 
 def _below_threshold(mag: np.ndarray, m_b: np.ndarray,
@@ -354,19 +393,24 @@ def _ideal_round(view: BlockView, work: _Workspace | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(Q* magnitudes, deadzone) of the view: _mag_round at s_star, which
     takes the deadzone from its quotient, into work's "qstar" and "dead".
+    The scales are spread over work's "q", the array that Q, rounded after
+    Q* in qdq_views, overwrites.
 
     Rows whose s_star / 4 is not a normal float (subnormal scales, and the
     blocks rounded at the sentinel scale 1 because s_star is 0: all-zero
     ones and those whose maximum is at most 3 subnormal units) are redone
     by the definitions: the saturating _mag_round and |x| < m_b/24."""
     shape = view.blocks.shape
-    s = np.where(view.s_star > 0, view.s_star, 1.0)
+    some_odd = view.s_star.min() < _QUARTER_NORMAL
+    s = np.where(view.s_star > 0, view.s_star, 1.0) if some_odd else view.s_star
+    spread = _take(work, "q", shape)
+    np.copyto(spread, s[:, None])
     dead = _take(work, "dead", shape, bool)
-    qstar = _mag_round(view.mag, s, _take(work, "qstar", shape), work, dead)
-    odd = np.flatnonzero(view.s_star < _QUARTER_NORMAL)
-    if odd.size:
+    qstar = _mag_round(view.mag, spread, _take(work, "qstar", shape), work, dead)
+    if some_odd:
+        odd = np.flatnonzero(view.s_star < _QUARTER_NORMAL)
         mag = view.mag[odd]
-        qstar[odd] = _mag_round(mag, s[odd])
+        qstar[odd] = _mag_round(mag, s[odd, None])
         dead[odd] = _below_threshold(mag, view.m_b[odd])
     return qstar, dead
 
@@ -386,7 +430,7 @@ def _coded_qdq(view: BlockView, config: BlockQuantConfig, out: np.ndarray,
                work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(Q magnitudes, decoded scales): view.mag rounded at config's
     ceiling-coded scales into out, the qdq of qdq_views before its signs."""
-    s_dec, _, _ = ceil_scale_array(view.s_star, config.scale_mantissa_bits)
+    s_dec = _ceil_scales(view.s_star, config.scale_mantissa_bits)
     q = _coded_round(view.mag, s_dec, config.scale_mantissa_bits == 0, out, work)
     return q, s_dec
 

@@ -26,9 +26,9 @@ StoredTensor reads a container. ContainerReader opens a file and runs every
 header check (field types, dtype, shape, span bounds and sizes, overlaps)
 before any tensor data is read. A read is readinto one reused byte buffer
 and widened into one reused float64 buffer. The non-finite check runs on
-every read, on the piece just widened: a non-finite value is a
-TensorStoreError naming the tensor, because every downstream identity
-assumes finite inputs.
+every read, on the exponent bits of the piece's stored words before they
+are widened: a non-finite value is a TensorStoreError naming the tensor,
+because every downstream identity assumes finite inputs.
 
 SynthTensor draws a SynthSpec's tensor from its own seeded generator, in
 order, so each read has the bits of the whole tensor drawn at once (see
@@ -116,6 +116,9 @@ class TensorSet:
 # --- dtype packing ------------------------------------------------------------
 
 _NARROW = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
+# each dtype's +inf, whose bits are its exponent field: a value is not
+# finite exactly when its word has all of them set
+_INF_BITS = {"F64": 0x7FF0_0000_0000_0000, "F32": 0x7F80_0000, "F16": 0x7C00, "BF16": 0x7F80}
 
 
 # --- container I/O ------------------------------------------------------------
@@ -198,23 +201,27 @@ class StoredTensor(TensorSource):
         """Elements [start, start + count) in row-major order, widened
         exactly to float64 into out or into the reader's reused buffer, which
         the next read overwrites. A non-finite value is a TensorStoreError
-        naming the tensor: every downstream identity assumes finite input."""
+        naming the tensor: every downstream identity assumes finite input.
+        It is found on the stored words, before they are widened: one mask
+        and one max over the exponent fields (_INF_BITS)."""
         work, f, width = self.reader.work, self.reader.file, _DTYPES[self.dtype]
         raw = work.take("raw", (count * width,), np.uint8)
         f.seek(self.offset + start * width)
         if f.readinto(raw) != raw.size:
             raise TensorStoreError(f"short read (tensor {self.name}): the file "
                                    "is shorter than its header says")
+        words, inf = raw.view(f"<u{width}"), _INF_BITS[self.dtype]
+        fields = np.bitwise_and(words, inf, out=work.take("fields", (count,), words.dtype))
+        if count and fields.max() == inf:
+            raise TensorStoreError(f"non-finite values (tensor {self.name})")
         if self.dtype == "BF16":          # the high 16 bits of an F32
             wide = work.take("bf16", (count,), np.uint32)
-            np.left_shift(raw.view("<u2"), 16, out=wide, dtype=np.uint32)
+            np.left_shift(words, 16, out=wide, dtype=np.uint32)
             src = wide.view(np.float32)
         else:
             src = raw.view(_NARROW[self.dtype])
         values = work.take("values", (count,)) if out is None else out
         np.copyto(values, src)
-        if not np.isfinite(values).all():
-            raise TensorStoreError(f"non-finite values (tensor {self.name})")
         return values
 
 

@@ -21,7 +21,7 @@ from conftest import joined, read_arrays
 from mxblock import __version__, decompose, quantize
 from mxblock.analysis import TempFit
 from mxblock.cli import main
-from mxblock.corrections import AqnSchedule, aqn_pieces
+from mxblock.corrections import AqnSchedule, MbsConfig, OfConfig, aqn_pieces, of_qdq
 from mxblock.decompose import decompose_tensor, verify_identity
 from mxblock.quantize import BlockQuantConfig, _below_threshold, block_view
 from mxblock.tensorstore import (
@@ -29,6 +29,7 @@ from mxblock.tensorstore import (
     SynthTensor,
     TensorSet,
     save_container,
+    synth_tensors,
 )
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
@@ -378,6 +379,52 @@ class TestExitCodes:
         assert "deadzone inner product nonzero" in err
         d = decompose_tensor(seen["x"], quant, keep_errors=False, x_hat=seen["x_hat"])
         assert verify_identity(d) <= 1e-12 and d.ip_scale_dz < 0.0
+
+    @pytest.mark.parametrize("command", ["decompose", "sweep", "mbs"])
+    def test_q_with_one_live_deadzone_entry_is_3(self, capsys, monkeypatch, command):
+        # plain Q that leaves one ideal-deadzone element at half its coded
+        # scale. The split takes Q's zero count to be its deadzone count, so
+        # only <e_scale, e_dz>, which that element makes negative, catches it
+        real = decompose._coded_qdq
+        leaked = []
+
+        def leaky(view, config, out, work=None):
+            q, s_dec = real(view, config, out, work)
+            dead = _below_threshold(view.mag, view.m_b) & (view.m_b > 0)[:, None]
+            i = np.flatnonzero(dead)[0]
+            q.flat[i] = 0.5 * s_dec[i // view.block_size]
+            leaked.append(i)
+            return q, s_dec
+
+        monkeypatch.setattr(decompose, "_coded_qdq", leaky)
+        code, out, err = _run(capsys, [command, "--synth", "gaussian:8x128"])
+        assert leaked and code == 3 and out == ""
+        assert "deadzone inner product nonzero on gaussian_0000" in err
+
+    @pytest.mark.parametrize("argv", [["of"], ["of", "--with-mbs"]])
+    def test_of_deadzone_rates_are_its_counts(self, argv):
+        # on the inputs of the interpreter-flag runs, dz_rate_before is the
+        # ideal deadzone's count, dz_rate_after the count of the elements
+        # of it that OF leaves at 0.0, and dz_recovery_ratio their quotient,
+        # bit for bit: both are counted per piece, and OF's passes are local
+        # to a block (a macro under MBS), so the counts are the whole tensor's
+        argv = [*argv, "--synth", "gaussian:64x256", "--count", "2", "--seed", "5"]
+        args = cli._build_parser().parse_args(argv)
+        records = args.func(args)["records"]
+        quant = BlockQuantConfig()
+        mbs = MbsConfig() if args.with_mbs else None
+        tensors = synth_tensors(cli._parse_synth(args.synth, args.seed, args.count))
+        assert [r["name"] for r in records] == sorted(tensors)
+        for record in records:
+            x = np.asarray(tensors[record["name"]])
+            x_hat = of_qdq(x, OfConfig(alpha=args.of_alpha), quant, mbs).x_hat
+            view = block_view(x, quant)
+            dead = view.restore(_below_threshold(view.mag, view.m_b))
+            before = np.count_nonzero(dead) / x.size
+            after = np.count_nonzero(dead & (x_hat == 0.0)) / x.size
+            assert 0.0 < after < before
+            assert (record["dz_rate_before"], record["dz_rate_after"],
+                    record["dz_recovery_ratio"]) == (before, after, after / before)
 
     @pytest.mark.parametrize("command", ["decompose", "mbs", "of", "sweep"])
     def test_inflated_total_norm_is_3(self, capsys, monkeypatch, command):

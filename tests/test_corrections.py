@@ -241,6 +241,35 @@ class TestExhaustiveShortcut:
             x_hat, _ = mbs_qdq(np.full(128, top), MbsConfig(), quant, mode)
         assert np.isfinite(x_hat).all()
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "closed_form"])
+    @pytest.mark.parametrize("bits", [0, 3])
+    def test_step_range_check_at_the_largest_scale(self, mode, bits):
+        # the step's check compares top = fl(fl(m_b p_255) / 6) with the
+        # largest scale in Python floats and calls the coder only to refuse:
+        # a top exactly at 2^127 (2 - 2^-M) is taken, the float above it is
+        # refused with the coder's own message, as coding top itself gives
+        quant = BlockQuantConfig(scale_mantissa_bits=bits)
+        largest = 2.0 ** 127 * (2.0 - 2.0 ** -bits)
+        p = float(corrections._PRESCALES[MBS_LEVELS - 1])
+        for want in (largest, np.nextafter(largest, np.inf)):
+            m = want * 6.0 / p
+            while m * p / 6.0 != want:
+                m = np.nextafter(m, np.inf if m * p / 6.0 < want else 0.0)
+            x = np.ones((1, 128))
+            x[0, 5] = m
+            if want == largest:
+                ceil_scale_array(np.array([want]), bits)
+                x_hat, _ = mbs_qdq(x, MbsConfig(), quant, mode)
+                assert np.isfinite(x_hat).all()
+                continue
+            message = ("block scale past E8M0's range: its ceiling needs exponent 128, "
+                       "above the largest, 127")
+            with pytest.raises(ValueError) as coded:
+                ceil_scale_array(np.array([want]), bits)
+            with pytest.raises(ValueError) as stepped:
+                mbs_qdq(x, MbsConfig(), quant, mode)
+            assert str(coded.value) == str(stepped.value) == message
+
 
 def _sweep_errors(macros, quant):
     """(n, 256) errors of every trial of every macro, each from the direct

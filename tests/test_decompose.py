@@ -21,7 +21,8 @@ from mxblock.decompose import (
     tensor_stats,
     verify_identity,
 )
-from mxblock.quantize import BlockQuantConfig, block_view, qdq_tensor, qdq_views
+from mxblock.quantize import _CHUNK_ELEMS, BlockQuantConfig, block_view, qdq_tensor, qdq_views
+from mxblock.tensorstore import ContainerReader, TensorSet, save_container
 
 WORKED_X = np.array([0.03, 0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 4.0])
 WORKED_E_SCALE = np.array([0.0, 0.0, 1 / 6, -1 / 6, 0.0, 1 / 6, 0.0, 0.0])
@@ -604,6 +605,24 @@ class TestChunkedDecomposition:
         assert d.ip_scale_dz == 0.0 and d.ip_dz_grid == 0.0
         assert d.dz_fraction == dead / x.size
 
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
+    def test_sums_are_the_pieces_dots_in_order(self, name, x, block_size, m):
+        # every sum, bit for bit: _dot of each piece of the kept error
+        # arrays, the pieces of _pieces added in their order
+        cfg = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=m)
+        d = decompose_tensor(x, cfg)
+        n = x.shape[-1]
+        rows = [e.reshape(-1, n) for e in (d.e_scale, d.e_dz, d.e_grid, d.e_total)]
+        want = None
+        for r, c in decompose._pieces(x.size // n, n, block_size):
+            sums = np.array([decompose._dot(rows[a][r, c], rows[b][r, c])
+                             for a, b in decompose._SUM_PAIRS])
+            want = sums if want is None else want + sums
+        got = [getattr(d, f) for f in ("n2_scale", "n2_dz", "n2_grid", "n2_total",
+                                       "ip_scale_grid", "ip_scale_dz", "ip_dz_grid")]
+        assert np.array(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("name,x,block_size", _chunk_cases())
     def test_sums_only_path(self, name, x, block_size):
         cfg = BlockQuantConfig(block_size=block_size)
@@ -619,12 +638,36 @@ class TestChunkedDecomposition:
 # (above 10,000 elements), and three whole sub-dots with a remainder
 _DOT_SIZES = (1, 2, 8191, 8192, 8193, 10001, 3 * 2 ** 13 + 5)
 
+# Per size, prints _dot's sum, then the seven sums of four rows of one
+# workspace array, as the split lays them out (e_scale, e_grid, e_total,
+# e_dz): from its two stacked _dots calls, from _dot per pair, and from the
+# definition (np.dot of each sub-dot, added left to right), all as hex.
 _DOT_SCRIPT = f"""
 import numpy as np
-from mxblock.decompose import _dot
+from mxblock.decompose import _SUB_DOT, _SUM_PAIRS, _dot, _dots
+from mxblock.quantize import _Workspace
+
+def defined(a, b):
+    parts = [float(np.dot(a[i:i + _SUB_DOT], b[i:i + _SUB_DOT]))
+             for i in range(0, a.size, _SUB_DOT)]
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
 for n in {_DOT_SIZES}:
     a, b = np.random.default_rng(n).standard_normal((2, n))
     print(_dot(a, b).hex())
+    rows = _Workspace().take_rows(("e_scale", "e_grid", "e_total", "e_dz"), (n,))
+    rows[...] = np.random.default_rng(n + 1).standard_normal((4, n))
+    sums = np.empty(7)
+    sums[[0, 2, 3]] = _dots(rows[:3], rows[:3])
+    sums[[5, 4, 1, 6]] = _dots(rows[0::3, None], rows[None, 3:0:-2]).ravel()
+    batched = sums.tolist()
+    rows = [rows[j].copy() for j in (0, 3, 1, 2)]   # e_scale, e_dz, e_grid, e_total
+    print(" ".join(float(v).hex() for v in batched))
+    print(" ".join(_dot(rows[i], rows[j]).hex() for i, j in _SUM_PAIRS))
+    print(" ".join(defined(rows[i], rows[j]).hex() for i, j in _SUM_PAIRS))
 """
 
 
@@ -633,6 +676,9 @@ class TestDot:
     of at most 2^13 elements."""
 
     def test_same_bits_at_one_and_two_threads(self):
+        # _dot, and the split's batched sums, which equal _dot per pair and
+        # the fixed-order sum of np.dot sub-dots, bit for bit, at one and at
+        # two BLAS threads
         src = os.path.dirname(os.path.dirname(decompose.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
@@ -642,8 +688,12 @@ class TestDot:
                 env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
                 capture_output=True, text=True)
             assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout.split())
-        assert len(outputs[0]) == len(_DOT_SIZES)
+            lines = run.stdout.splitlines()
+            assert len(lines) == 4 * len(_DOT_SIZES)
+            for batched, per_pair, defined in zip(lines[1::4], lines[2::4], lines[3::4]):
+                assert len(batched.split()) == 7
+                assert batched == per_pair == defined
+            outputs.append(lines)
         assert outputs[0] == outputs[1]
 
     def test_signed_zero(self):
@@ -1010,3 +1060,23 @@ def test_tensor_stats_memory_bounded():
     x = np.random.default_rng(45).standard_normal((1024, 1000))
     peak = _peak_bytes(lambda: tensor_stats({"x": x}, BlockQuantConfig()))
     assert peak < 2 * x.nbytes
+
+
+def test_tensor_stats_on_a_stored_tensor_holds_one_split_phase(tmp_path):
+    # four pieces of a BF16 container. Past the reader's buffers, made by a
+    # first read, the split holds one phase of its workspace: four
+    # piece-sized float64 rows and the piece's deadzone, 1.03 MiB. With the
+    # piece's per-block maxima and scales, and at times numpy's 64 KiB
+    # iterator buffer for a broadcast or cast operand, the peak stays within
+    # 1.06 MiB + 64 KiB
+    ts = TensorSet()
+    ts.add("x", np.random.default_rng(46).standard_t(5.0, (4 * _CHUNK_ELEMS // 512, 512)),
+           "BF16")
+    path = str(tmp_path / "x.tensors")
+    save_container(ts, path)
+    with ContainerReader(path) as reader:
+        x = reader.tensors["x"]
+        x.read(0, _CHUNK_ELEMS)
+        tensor_stats({"x": x}, BlockQuantConfig())       # the first run allocates more
+        peak = _peak_bytes(lambda: tensor_stats({"x": x}, BlockQuantConfig()))
+    assert peak <= 1.06 * 2 ** 20 + (64 << 10), peak

@@ -211,6 +211,17 @@ class TestScaleCeiling:
         with pytest.raises(ValueError, match="exponent 1000, above the largest, 127"):
             ceil_scale_array(np.array([2.0 ** 1000]), 0)
 
+    @pytest.mark.parametrize("m", range(9))
+    def test_range_edge_is_the_largest_scale(self, m):
+        # the range check compares the largest entry with 2^127 (2 - 2^-M),
+        # the largest E8Mk value: it is coded as itself, and the float above
+        # it, anywhere in the array, is refused naming exponent 128
+        largest = 2.0 ** 127 * (2.0 - 2.0 ** -m)
+        decoded, e, k = ceil_scale_array(np.array([1.0, largest, 0.0]), m)
+        assert (decoded[1], e[1], k[1]) == (largest, 127, (1 << m) - 1)
+        with pytest.raises(ValueError, match="exponent 128, above the largest, 127"):
+            ceil_scale_array(np.array([1.0, np.nextafter(largest, np.inf), 0.0]), m)
+
     def test_carry_wraps_to_next_exponent(self):
         # just above a power of two with M=0 the ceiling doubles
         decoded, exps, mants = ceil_scale_array(np.array([1.0 + 1e-12]), 0)

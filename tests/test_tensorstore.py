@@ -413,6 +413,57 @@ class TestReader:
                 reader.tensors["bad"].read(80, 20)
 
 
+# the stored words of non-finite values: +inf, -inf, a quiet NaN, a NaN
+# with a payload (negative) and a signaling NaN, in each dtype's own bits
+_NON_FINITE_WORDS = {
+    "BF16": ("<u2", [0x7F80, 0xFF80, 0x7FC0, 0xFFD5, 0x7F81]),
+    "F16": ("<u2", [0x7C00, 0xFC00, 0x7E00, 0xFE2A, 0x7C01]),
+    "F32": ("<u4", [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC0ABCD, 0x7F800001]),
+}
+
+
+class TestReaderFiniteness:
+    """The reader tests finiteness on the stored words' exponent bits,
+    before it widens them."""
+
+    @pytest.mark.parametrize("dtype", list(_NON_FINITE_WORDS))
+    def test_every_non_finite_word_is_2(self, capsys, tmp_path, dtype):
+        # each word at the first, middle and last element of the second of
+        # two pieces: the first piece is read and split before it
+        words, bad = _NON_FINITE_WORDS[dtype]
+        rows, n = 2 * decompose._CHUNK_ELEMS // 512, 512
+        one = {"<u2": {"BF16": 0x3F80, "F16": 0x3C00}, "<u4": {"F32": 0x3F800000}}[words][dtype]
+        meta = {"dtype": dtype, "shape": [rows, n], "data_offsets": [0, rows * n * int(words[-1])]}
+        half = rows * n // 2
+        for word in bad:
+            for at in (half, half + half // 2, rows * n - 1):
+                data = np.full(rows * n, one, dtype=words)
+                data[at] = word
+                path = _write(tmp_path, _container_bytes({"t": meta}, data.tobytes()))
+                code = main(["decompose", "--input", path])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == "", (hex(word), at)
+                assert "non-finite values (tensor t)" in captured.err, (hex(word), at)
+
+    @pytest.mark.parametrize("dtype", list(_NON_FINITE_WORDS))
+    def test_extremes_read_back_exactly(self, tmp_path, dtype):
+        # each dtype's largest finite value and smallest subnormal, both signs
+        words, _ = _NON_FINITE_WORDS[dtype]
+        stored, want = {
+            "BF16": ([0x7F7F, 0x0001], [float.fromhex("0x1.fep+127"), 2.0 ** -133]),
+            "F16": ([0x7BFF, 0x0001], [65504.0, 2.0 ** -24]),
+            "F32": ([0x7F7FFFFF, 0x00000001], [float.fromhex("0x1.fffffep+127"), 2.0 ** -149]),
+        }[dtype]
+        sign = 1 << (8 * int(words[-1]) - 1)
+        data = np.array(stored + [w | sign for w in stored], dtype=words)
+        meta = {"dtype": dtype, "shape": [4], "data_offsets": [0, data.nbytes]}
+        path = _write(tmp_path, _container_bytes({"t": meta}, data.tobytes()))
+        with ContainerReader(path) as reader:
+            got = reader.tensors["t"].read(0, 4)
+            assert got.tolist() == want + [-v for v in want]
+            assert np.signbit(got).tolist() == [False, False, True, True]
+
+
 class TestWriter:
     @pytest.mark.parametrize("dtype, value", [
         ("F16", 1e6),
