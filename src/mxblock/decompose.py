@@ -39,11 +39,11 @@ sum of sub-dots too short for OpenBLAS to split between threads, added
 left to right (_dots), and the pieces' sums are added in the pieces'
 order, so on one numpy/BLAS build the sums are the same bits at any BLAS
 thread count. A piece's four error arrays are the rows of one stacked
-array, so its seven sums take two stacked np.matmul calls, a ddot per
-sub-dot, the same ddots as _dot of one pair at a time. Every piece-sized
-temporary lives in one workspace
-(quantize._Workspace), whose block of memory the phases of each piece
-take in turn: each piece function's, then the split's. A piece function
+array, so its seven sums take two stacked np.matmul calls (two more for
+the rests past the whole sub-dots), a ddot per sub-dot, the same ddots as
+_dot of one pair at a time. Every piece-sized temporary lives in one
+workspace (quantize._Workspace), whose block of memory the phases of each
+piece take in turn: each piece function's, then the split's. A piece function
 that works in the same workspace, as MBS does in the mbs command, shares
 that memory with the split rather than holding its own. Without the error
 arrays, the working memory is the input plus one piece for an array, and
