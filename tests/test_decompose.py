@@ -1065,10 +1065,11 @@ def test_tensor_stats_memory_bounded():
 def test_tensor_stats_on_a_stored_tensor_holds_one_split_phase(tmp_path):
     # four pieces of a BF16 container. Past the reader's buffers, made by a
     # first read, the split holds one phase of its workspace: four
-    # piece-sized float64 rows and the piece's deadzone, 1.03 MiB. With the
-    # piece's per-block maxima and scales, and at times numpy's 64 KiB
-    # iterator buffer for a broadcast or cast operand, the peak stays within
-    # 1.06 MiB + 64 KiB
+    # piece-sized float64 rows and the piece's deadzone, 1.03 MiB, and the
+    # piece's per-block maxima and scales, 1.07 MiB in all. The bound,
+    # 1.06 MiB + 64 KiB, leaves no room for a second working set, nor for
+    # more than one of numpy's 64 KiB iterator buffers, which a broadcast or
+    # cast operand takes
     ts = TensorSet()
     ts.add("x", np.random.default_rng(46).standard_t(5.0, (4 * _CHUNK_ELEMS // 512, 512)),
            "BF16")
