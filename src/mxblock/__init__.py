@@ -21,6 +21,7 @@ from .decompose import (
 )
 from .corrections import (
     AqnSchedule,
+    Correction,
     MbsConfig,
     OfConfig,
     OfResult,

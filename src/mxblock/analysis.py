@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrections import AqnSchedule, MbsConfig, mbs_qdq
+from .corrections import AqnSchedule, Correction, MbsConfig
 from .decompose import (
     _SUM_PAIRS,
     InvariantViolation,
@@ -593,7 +593,8 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
       uncentered second moment and Monte-Carlo draws resample rows.
 
     The weight is read and split in pieces of whole rows (decompose_tensor;
-    with mbs, of each piece's MBS output, against the unchanged ideal
+    with mbs, of a corrections.Correction of quant, mbs and mbs_mode, which
+    runs MBS on the split's pieces, against the unchanged ideal
     quantization). Every trace separates by rows, tr(A Sigma B^T) = sum_i
     a_i Sigma b_i^T, so each piece adds its share and is dropped. The
     isotropic traces are var times the split's own sums: those of
@@ -616,8 +617,7 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
         raise ValueError("weights must be 2-D")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if mbs is not None:
-        mbs.validate_against(quant)
+    measured = quant if mbs is None else Correction(quant, mbs=mbs, mbs_mode=mbs_mode)
     n_in = w.shape[1]
 
     if np.isscalar(cov) or (isinstance(cov, np.ndarray) and cov.ndim == 0):
@@ -657,8 +657,7 @@ def gemm_error_propagation(weights, quant: BlockQuantConfig | None = None,
     work = _Workspace()
     with np.errstate(over="ignore", invalid="ignore"), _naming(getattr(w, "name", None)):
         for r, c, piece in _row_pieces(w, quant.block_size, max(n_in, _CHUNK_ELEMS)):
-            x_hat = None if mbs is None else mbs_qdq(piece, mbs, quant, mbs_mode, work)[0]
-            d = decompose_tensor(piece, quant, x_hat=x_hat, work=work)
+            d = decompose_tensor(piece, measured, work=work)
             e_t[r, c] = d.e_total
             mats = (d.e_scale, d.e_dz, d.e_grid, d.e_total)
             if mode == "isotropic":

@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from collections.abc import Mapping, Sequence
@@ -33,7 +34,7 @@ from .analysis import (
     gamma_stats,
     gemm_error_propagation,
 )
-from .corrections import AqnSchedule, MbsConfig, OfConfig, aqn_pieces, mbs_qdq, of_qdq
+from .corrections import AqnSchedule, Correction, MbsConfig, OfConfig, aqn_pieces
 from .decompose import (
     InvariantViolation,
     _check_identity,
@@ -62,21 +63,30 @@ class ReportError(ValueError):
     """A result that a JSON or CSV report cannot carry (nan, inf)."""
 
 
+# the report's scalar types; a bool is an int, and a numpy float64 a float
+_SCALARS = (float, np.floating, int, np.integer, np.bool_, type(None))
+
+
 def _scalar_text(v) -> str:
+    # floats first, the most of any report; math.isfinite, not np.isfinite,
+    # which costs a ufunc call on a Python float
+    if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ReportError(f"non-finite report value: {float(v)!r}")
+        return "%.12g" % float(v)
     if v is None:
         return "null"
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        if not np.isfinite(v):
-            raise ReportError(f"non-finite report value: {float(v)!r}")
-        return "%.12g" % float(v)
     raise TypeError(f"not a scalar: {type(v)!r}")
 
 
 def _json_text(obj, indent: int = 0) -> str:
+    # scalars before the Mapping and Sequence ABC checks, which are slow
+    if isinstance(obj, _SCALARS):
+        return _scalar_text(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, str):
@@ -198,70 +208,63 @@ def cmd_sweep(args) -> dict:
     return {"per_tensor": per_tensor, "pooled": pooled}
 
 
-def cmd_mbs(args) -> dict:
-    quant = _quant_config(args)
-    mbs = MbsConfig(macro_block_size=args.macro_block)
-    mbs.validate_against(quant)         # an option error names no tensor
+def _corrected_splits(args, fix: Correction) -> list[tuple]:
+    """(name, size, plain Q's split, fix's split) of each input tensor, in
+    name order: both against the tensor's one Q*(x), in one pass over it,
+    and checked as they are made (_check_split; OF writes into the
+    deadzone, so its <e_scale, e_dz> need not be 0.0). fix's phases and the
+    split's take one workspace in turn."""
     work = _Workspace()
+    splits = []
+    with _tensors(args) as tensors:
+        for name in sorted(tensors):
+            x = tensors[name]
+            with _naming(name):
+                before, after = decompose_quantizers(
+                    x, fix.quant.block_size, [fix.quant, fix], work=work)
+            _check_split(name, before)
+            _check_split(name, after, keeps_deadzone=fix.of is None)
+            splits.append((name, x.size, before, after))
+    return splits
 
-    def mbs_x_hat(rows, cols, piece):
-        # MBS is local to a macro, and the pieces hold whole macros
-        return mbs_qdq(piece, mbs, quant, args.mbs_mode, work)[0]
 
-    def record(name, x) -> dict:
-        with _naming(name):
-            before, after = decompose_quantizers(
-                x, quant.block_size, [quant, mbs_x_hat], align=mbs.macro_block_size,
-                work=work)
-        for d in (before, after):
-            _check_split(name, d)
+def cmd_mbs(args) -> dict:
+    # an option error names no tensor: the correction checks itself
+    fix = Correction(_quant_config(args), mbs=MbsConfig(macro_block_size=args.macro_block),
+                     mbs_mode=args.mbs_mode)
+    records = []
+    for name, size, before, after in _corrected_splits(args, fix):
         floor = before.n2_dz + before.n2_grid
-        return {
+        records.append({
             "name": name,
-            "mse_before": before.n2_total / x.size,
-            "mse_after": after.n2_total / x.size,
+            "mse_before": before.n2_total / size,
+            "mse_after": after.n2_total / size,
             "n2_scale_before": before.n2_scale,
             "n2_scale_after": after.n2_scale,
             "scale_reduction": before.n2_scale / after.n2_scale
                                if after.n2_scale > 0 else 1.0,
-            "floor_mse": floor / x.size,
+            "floor_mse": floor / size,
             "total_over_floor": after.n2_total / floor if floor > 0 else 1.0,
             "cross_share_before": 2.0 * before.ip_scale_grid / before.n2_total
                                   if before.n2_total > 0 else 0.0,
             "cross_share_after": 2.0 * after.ip_scale_grid / after.n2_total
                                  if after.n2_total > 0 else 0.0,
-        }
-
-    with _tensors(args) as tensors:
-        records = [record(name, tensors[name]) for name in sorted(tensors)]
+        })
     return {"mbs_mode": args.mbs_mode, "macro_block": args.macro_block,
             "records": records}
 
 
 def cmd_of(args) -> dict:
-    quant = _quant_config(args)
-    of = OfConfig(alpha=args.of_alpha)
+    quant, of = _quant_config(args), OfConfig(alpha=args.of_alpha)
     mbs = MbsConfig(macro_block_size=args.macro_block) if args.with_mbs else None
-    if mbs is not None:
-        mbs.validate_against(quant)     # an option error names no tensor
-    work = _Workspace()
-
-    def of_x_hat(rows, cols, piece):
-        # both passes are local to a block, or to a macro under MBS
-        return of_qdq(piece, of, quant, mbs, args.mbs_mode, work).x_hat
-
-    def record(name, x) -> dict:
-        with _naming(name):
-            before, after = decompose_quantizers(
-                x, quant.block_size, [quant, of_x_hat],
-                align=1 if mbs is None else mbs.macro_block_size, work=work)
-        _check_split(name, before)
-        _check_split(name, after, keeps_deadzone=False)
-        return {
+    fix = Correction(quant, mbs=mbs, of=of, mbs_mode=args.mbs_mode)
+    records = []
+    for name, size, before, after in _corrected_splits(args, fix):
+        records.append({
             "name": name,
             "alpha": of.alpha,
-            "mse_before": before.n2_total / x.size,
-            "mse_after": after.n2_total / x.size,
+            "mse_before": before.n2_total / size,
+            "mse_after": after.n2_total / size,
             "n2_scale_before": before.n2_scale,
             "n2_scale_after": after.n2_scale,
             "scale_dz_share_after": 2.0 * after.ip_scale_dz / after.n2_total
@@ -270,10 +273,7 @@ def cmd_of(args) -> dict:
             "dz_rate_after": after.dz_zero_fraction,
             "dz_recovery_ratio": after.dz_zero_fraction / after.dz_fraction
                                  if after.dz_fraction > 0 else 0.0,
-        }
-
-    with _tensors(args) as tensors:
-        records = [record(name, tensors[name]) for name in sorted(tensors)]
+        })
     return {"with_mbs": args.with_mbs, "records": records}
 
 

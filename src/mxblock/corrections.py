@@ -33,13 +33,17 @@ picked, and its x_hat written from that same view. A macro decided
 without a trial, in either mode, has its x_hat row evaluated once at its
 code, with the step's other such macros; a tried macro's x_hat is the row
 of its winning trial, kept as the trials are evaluated. No macro is
-quantized again for the output. A macro's code and x_hat depend on that
-macro alone, so the decomposition can measure mbs_qdq piece by piece, on
-pieces cut at whole macros, as it measures of_qdq.
+quantized again for the output.
 
 Outlier fallback (OF) runs the quantizer twice and blends the residual
 pass: x_hat = Q(x) + alpha * Q(x - Q(x)). Deadzone values killed by pass 1
 are usually representable in pass 2's finer scale.
+
+A Correction is what the decomposition measures of either: MBS, OF, or OF
+over MBS, with its settings checked when it is built. A macro's code and
+x_hat depend on that macro alone, and OF's passes on one block (one macro
+under MBS), so the decomposition runs a Correction piece by piece, on pieces
+cut at whole units of its align, and never makes a full-size x_hat.
 
 AQN adds seeded Gaussian weight noise at sigma * multiplier * rms(tensor),
 decaying sigma exponentially over stages. It runs in two passes over pieces
@@ -76,6 +80,7 @@ from .quantize import (
 __all__ = [
     "MbsConfig",
     "OfConfig",
+    "Correction",
     "AqnSchedule",
     "OfResult",
     "mbs_qdq",
@@ -107,6 +112,43 @@ class OfConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class Correction:
+    """A correction of plain Q, measured by the decomposition against the
+    same Q*(x) (decompose.decompose_quantizers, decompose_tensor):
+    macro-block scaling (mbs), outlier fallback (of), or OF whose two passes
+    run MBS (both). It checks itself when it is built, so an option error
+    names no tensor: one of mbs and of at least, a known mbs_mode, and a
+    macro size that divides by quant's block size."""
+
+    quant: BlockQuantConfig
+    mbs: MbsConfig | None = None
+    of: OfConfig | None = None
+    mbs_mode: str = "exhaustive"
+
+    def __post_init__(self) -> None:
+        if self.mbs is None and self.of is None:
+            raise ValueError("a correction needs mbs or of")
+        if self.mbs_mode not in _MBS_MODES:
+            raise ValueError(f"unknown MBS mode: {self.mbs_mode}")
+        if self.mbs is not None:
+            self.mbs.validate_against(self.quant)
+
+    @property
+    def align(self) -> int:
+        """Columns at whose multiples x may be cut into pieces: a macro
+        block under MBS, else a block. x_hat is local to one of them, so
+        qdq of the pieces is qdq of x, bit for bit."""
+        return self.quant.block_size if self.mbs is None else self.mbs.macro_block_size
+
+    def qdq(self, x: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
+        """x_hat of x, a new array of x's shape: of_qdq's when of is set,
+        else mbs_qdq's. Its scratch is work's, in phases of its own."""
+        if self.of is not None:
+            return of_qdq(x, self.of, self.quant, self.mbs, self.mbs_mode, work).x_hat
+        return mbs_qdq(x, self.mbs, self.quant, self.mbs_mode, work)[0]
 
 
 @dataclass(frozen=True)

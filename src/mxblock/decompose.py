@@ -21,17 +21,18 @@ relative to the norms the expansion adds up.
 One pass measures any number of quantizers against the one Q*(x)
 (decompose_quantizers): the sweep over scale precisions, MBS and outlier
 fallback against plain Q. A quantizer is a BlockQuantConfig, the plain Q at
-its scale precision, or a piece function, which takes a piece's rows and
-returns that piece's x_hat rows. decompose_tensor is the one-quantizer case.
+its scale precision; a corrections.Correction, run on each piece; or a
+caller's x_hat of x's shape, read at each piece's rows and columns.
+decompose_tensor is the one-quantizer case.
 
 The decomposition streams the tensor in cache-sized pieces of whole blocks
-(quantize._CHUNK_ELEMS elements), or of whole macro blocks for a piece
-function that needs them, and adds up each piece's norms and inner products.
-Each piece is blocked, rounded to Q*(x) and its deadzone once, and e_dz and
-e_grid are formed once; only e_scale and e_total are formed per quantizer.
-Every error element is the one the whole-tensor computation gives; the sums
-differ from one-shot dot products only in summation order. The pieces are
-slices of an in-memory array, or read one at a time from a
+(quantize._CHUNK_ELEMS elements), or of whole units of each correction's
+align (a macro block under MBS), and adds up each piece's norms and inner
+products. Each piece is blocked, rounded to Q*(x) and its deadzone once, and
+e_dz and e_grid are formed once; only e_scale and e_total are formed per
+quantizer. Every error element is the one the whole-tensor computation
+gives; the sums differ from one-shot dot products only in summation order.
+The pieces are slices of an in-memory array, or read one at a time from a
 tensorstore.TensorSource: a StoredTensor reads them from its container
 file, a SynthTensor draws them from its seeded generator. The pieces are
 the same, in the same order, either way. Each piece's sum is a fixed-order
@@ -43,27 +44,27 @@ array, so its seven sums take two stacked np.matmul calls (two more for
 the rests past the whole sub-dots), a ddot per sub-dot, the same ddots as
 _dot of one pair at a time. Every piece-sized temporary lives in one
 workspace (quantize._Workspace), whose block of memory the phases of each
-piece take in turn: each piece function's, then the split's. A piece function
-that works in the same workspace, as MBS does in the mbs command, shares
-that memory with the split rather than holding its own. Without the error
-arrays, the working memory is the input plus one piece for an array, and
-one piece for a TensorSource, plus each piece function's x_hat of the
-piece.
+piece take in turn: each correction's, then the split's. So a correction's
+scratch, such as the MBS steps of the mbs command, shares that memory with
+the split rather than holding its own. Without the error arrays, the
+working memory is the input plus one piece for an array, and one piece for
+a TensorSource, plus each correction's x_hat of the piece.
 
 Each piece is rounded to Q* by quantize.qdq_views and to each plain Q by
 quantize._coded_qdq, both on |x|. With s the sign of x, each error is s
 times the same expression on the magnitudes, so the sums are taken on
-magnitudes and no sign is applied: a piece function's x_hat is multiplied
-by s instead. Only the error arrays need the signs, which are applied once
-per rounding, and each piece's errors are copied into them.
+magnitudes and no sign is applied: a correction's or a caller's x_hat is
+multiplied by s instead. Only the error arrays need the signs, which are
+applied once per rounding, and each piece's errors are copied into them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -77,6 +78,9 @@ from .quantize import (
     qdq_views,
 )
 from .tensorstore import TensorSource, TensorStoreError
+
+if TYPE_CHECKING:
+    from .corrections import Correction
 
 __all__ = [
     "ErrorDecomposition",
@@ -228,20 +232,43 @@ def _row_pieces(x: np.ndarray | TensorSource, unit: int, elems: int | None = Non
             yield r, c, matrix[r, c]
 
 
-# A quantizer measured by the decomposition: the plain Q of a config, or a
-# piece function fn(rows, cols, piece) -> x_hat of the piece, where piece is
-# x's row matrix at [rows, cols]; the result, of the piece's shape, is only
-# read, and only until the next call. The piece functions run before the
-# piece is blocked and rounded, each in a phase of the decomposition's
-# workspace of its own: one may use that workspace for its scratch (as
-# mbs_qdq and of_qdq do), but its result must not be one of its arrays,
-# since the piece's split reuses the memory.
-Quantizer = BlockQuantConfig | Callable[[slice, slice, np.ndarray], np.ndarray]
+# A quantizer measured by the decomposition, as _piece_sums takes it: a
+# BlockQuantConfig, measuring its plain Q; a corrections.Correction, whose
+# qdq runs on each piece, before the piece is blocked and rounded, in a
+# phase of the decomposition's workspace of its own, and returns a new
+# array, since the piece's split reuses the memory; or a caller's x_hat as
+# x's row matrix, read at each piece's [rows, cols] (_quantizers).
+if TYPE_CHECKING:
+    Quantizer = BlockQuantConfig | Correction | np.ndarray
+
+
+def _quantizers(x: np.ndarray | TensorSource, block_size: int,
+                quantizers: Iterable) -> list[Quantizer]:
+    """quantizers as _piece_sums takes them, checked: a BlockQuantConfig or
+    a Correction of block_size as it is, an x_hat of x's shape as x's row
+    matrix."""
+    from .corrections import Correction     # corrections imports this module
+
+    out = []
+    for q in quantizers:
+        if isinstance(q, (BlockQuantConfig, Correction)):
+            size = (q if isinstance(q, BlockQuantConfig) else q.quant).block_size
+            if size != block_size:
+                raise ValueError(f"quantizer block size {size} is not {block_size}")
+            out.append(q)
+        else:
+            hat = np.asarray(q, dtype=np.float64)
+            if hat.shape != x.shape:
+                raise ValueError(f"x_hat shape {hat.shape} does not match x shape {x.shape}")
+            out.append(hat.reshape(-1, x.shape[-1] if x.ndim else 1))
+    if not out:
+        raise ValueError("no quantizer to measure")
+    return out
 
 
 def _measured(hat: np.ndarray, view: BlockView, signs: bool, work: _Workspace) -> np.ndarray:
-    """A piece function's x_hat rows, blocked as view.blocks with zero
-    padding, in work's "q". Without signs, each element is multiplied by
+    """A correction's or a caller's x_hat rows, blocked as view.blocks with
+    zero padding, in work's "q". Without signs, each element is multiplied by
     the sign of x (its sign bit flipped where x's is set), so that x_hat -
     Q*(x) and x_hat - x are s times the same expressions on |x|."""
     shape = view.blocks.shape
@@ -264,14 +291,15 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     piece of x at [rows, cols]. With one quantizer, its (e_scale, e_dz,
     e_grid, e_total) are copied into out.
 
-    Each piece function runs first, in a phase of work of its own, and its
-    x_hat is kept; then, in one more phase, the piece is blocked, rounded
-    and summed. The piece's Q, Q*, rounding scratch and |x| are the rows of
-    one stacked array of work's (_Workspace.take_rows), which become
-    e_scale, e_grid, e_total and e_dz in place: e_scale overwrites Q, which
-    held Q*'s spread scales before it, and e_total takes the scratch. With
-    more than one quantizer, |x| and Q* are read by each of them, so e_grid
-    and e_dz get rows of their own. A padded piece's errors are copied
+    Each correction runs first, in a phase of work of its own, and its
+    x_hat is kept, as is the piece's view of a caller's x_hat; then, in one
+    more phase, the piece is blocked, rounded and summed. The piece's Q, Q*,
+    rounding scratch and |x| are the rows of one stacked array of work's
+    (_Workspace.take_rows), which become e_scale, e_grid, e_total and e_dz
+    in place: e_scale overwrites Q, which held Q*'s spread scales before
+    it, and e_total takes the scratch. With more than one quantizer, |x|
+    and Q* are read by each of them, so e_grid and e_dz get rows of their
+    own. A padded piece's errors are copied
     without their padding into one more stacked array, since the sums run
     over the piece's own elements; a piece of one row is summed in place,
     since its padding is the rows' tail. The seven sums are then two stacked
@@ -284,7 +312,7 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     nonzero, <e_scale, e_dz> has a product of at most -2^-128 * 2^-129 on
     it (Q at least half E8M0's least scale, |x| at least a quarter of the
     scale) and none above 0, so every command's ip_scale_dz == 0.0 check
-    fails. A piece function's zeros are counted.
+    fails. A correction's or a caller's x_hat's zeros are counted.
 
     Without out, the errors stay magnitudes: with s the sign of x, each e_*
     is s times the same expression on |x|, so every product in the sums is
@@ -293,15 +321,14 @@ def _piece_sums(rows: slice, cols: slice, piece: np.ndarray, config: BlockQuantC
     from the first partial: a zero sum of a piece of two elements or more
     is +0.0 either way. A one-element piece keeps the signs, since its sum
     is the product itself."""
-    hats = []                           # each piece function's x_hat, None for a config
+    hats = []                           # each quantizer's x_hat, None for a config
     for quantizer in quantizers:
         hat = None
-        if not isinstance(quantizer, BlockQuantConfig):
+        if isinstance(quantizer, np.ndarray):
+            hat = quantizer[rows, cols]
+        elif not isinstance(quantizer, BlockQuantConfig):
             work.reset()
-            hat = np.asarray(quantizer(rows, cols, piece), dtype=np.float64)
-            if hat.shape != piece.shape:
-                raise ValueError(f"piece x_hat shape {hat.shape} does not match "
-                                 f"piece shape {piece.shape}")
+            hat = quantizer.qdq(piece, work)
         hats.append(hat)
     work.reset()
     height, width = piece.shape
@@ -376,15 +403,18 @@ def _decompose(x: np.ndarray | TensorSource, config: BlockQuantConfig,
                quantizers: list[Quantizer], errors: list[np.ndarray] | None = None,
                align: int = 1, work: _Workspace | None = None) -> list[ErrorDecomposition]:
     """Each quantizer's ErrorDecomposition over the pieces of x, cut at
-    multiples of lcm(block size, align) columns. errors, for one quantizer,
-    are the four e_* arrays to fill. work, a fresh workspace by default,
-    holds every piece-sized temporary (_piece_sums)."""
+    multiples of the block size, of each correction's align and of align
+    columns. errors, for one quantizer, are the four e_* arrays to fill.
+    work, a fresh workspace by default, holds every piece-sized temporary
+    (_piece_sums)."""
     n = x.shape[-1] if x.ndim else 1
     work = _Workspace() if work is None else work
+    aligns = [q.align for q in quantizers
+              if not isinstance(q, (BlockQuantConfig, np.ndarray))]    # the corrections'
     sums = None
     dead_count = 0
     zero_count = np.zeros(len(quantizers), dtype=np.int64)
-    for r, c, piece in _row_pieces(x, math.lcm(config.block_size, align)):
+    for r, c, piece in _row_pieces(x, math.lcm(config.block_size, align, *aligns)):
         out = None if errors is None else [e.reshape(-1, n)[r, c] for e in errors]
         piece_sums, dead, zeros = _piece_sums(r, c, piece, config, quantizers, out, work)
         sums = piece_sums if sums is None else sums + piece_sums
@@ -408,16 +438,18 @@ def _decompose(x: np.ndarray | TensorSource, config: BlockQuantConfig,
     return result
 
 
-def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig, *,
-                     keep_errors: bool = True, x_hat: np.ndarray | None = None,
+def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig | Correction,
+                     *, keep_errors: bool = True, x_hat: np.ndarray | None = None,
                      work: _Workspace | None = None) -> ErrorDecomposition:
     """The three-way split of x_hat - x, its norms, inner products and
     cosines, and the deadzone fractions.
 
     x is an array or a tensorstore.TensorSource, whose pieces are read one
-    at a time. x_hat, with x's shape, is the quantizer output to measure
-    (default: the plain coded-scale Q(x)); it is only read. Q*(x) and the
-    deadzone always come from x, so only e_scale and e_total depend on x_hat.
+    at a time. The quantizer measured is config's: the plain coded-scale
+    Q(x) of a BlockQuantConfig, or a corrections.Correction, run on each
+    piece; or x_hat, with x's shape, which is only read, when it is given.
+    Q*(x) and the deadzone always come from x, at config's block size, so
+    only e_scale and e_total depend on x_hat.
 
     The sums accumulate piece by piece (see the module docstring). With
     keep_errors=False the e_* fields are None and no full-size array is
@@ -425,40 +457,29 @@ def decompose_tensor(x: np.ndarray | TensorSource, config: BlockQuantConfig, *,
     workspace of the pieces' temporaries, which a caller splitting many
     tensors can pass to every call."""
     x = _as_tensor(x)
-    quantizers: list[Quantizer] = [config]
-    if x_hat is not None:
-        x_hat = np.asarray(x_hat, dtype=np.float64)
-        if x_hat.shape != x.shape:
-            raise ValueError(f"x_hat shape {x_hat.shape} does not match x shape {x.shape}")
-        hat_rows = x_hat.reshape(-1, x.shape[-1] if x.ndim else 1)
-        quantizers = [lambda rows, cols, piece: hat_rows[rows, cols]]
+    quant = config if isinstance(config, BlockQuantConfig) else config.quant
+    quantizers = _quantizers(x, quant.block_size, [config if x_hat is None else x_hat])
     errors = [np.empty(x.shape) for _ in range(4)] if keep_errors else None
-    return _decompose(x, config, quantizers, errors, work=work)[0]
+    return _decompose(x, quant, quantizers, errors, work=work)[0]
 
 
 def decompose_quantizers(x: np.ndarray | TensorSource, block_size: int,
-                         quantizers: Sequence[Quantizer], *, align: int = 1,
-                         work: _Workspace | None = None) -> list[ErrorDecomposition]:
+                         quantizers: Sequence[BlockQuantConfig | Correction | np.ndarray],
+                         *, work: _Workspace | None = None) -> list[ErrorDecomposition]:
     """decompose_tensor's sums for each quantizer, in one pass over x: each
     x_hat is split against the one Q*(x) of blocks of block_size, which is
     rounded once per piece, and no error array is kept.
 
     A quantizer is a BlockQuantConfig of that block size, measuring its
-    plain Q, or a piece function (Quantizer). The pieces are cut at
-    multiples of align columns (and of block_size): a quantizer that is
-    local to a macro block needs the whole macro in one piece. work, if
-    given, is the pieces' workspace, which the piece functions may use too
-    (Quantizer): their scratch and the split's then take turns in one
-    block of memory."""
+    plain Q; a corrections.Correction of that block size, run on each
+    piece; or an x_hat of x's shape. The pieces are cut at multiples of
+    each correction's align, so a correction local to a macro block has
+    the whole macro in one piece. work, if given, is the pieces' workspace,
+    which the corrections use too: their scratch and the split's then take
+    turns in one block of memory."""
     x = _as_tensor(x)
-    quantizers = list(quantizers)
-    if not quantizers:
-        raise ValueError("no quantizer to measure")
-    for q in quantizers:
-        if isinstance(q, BlockQuantConfig) and q.block_size != block_size:
-            raise ValueError(f"quantizer block size {q.block_size} is not {block_size}")
-    return _decompose(x, BlockQuantConfig(block_size=block_size), quantizers,
-                      align=align, work=work)
+    return _decompose(x, BlockQuantConfig(block_size=block_size),
+                      _quantizers(x, block_size, quantizers), work=work)
 
 
 class InvariantViolation(AssertionError):

@@ -86,8 +86,8 @@ class QuantizedTensor:
 # on a 2-core Xeon: at 2^15 one array is 256 KiB and the working set, a
 # piece's phase of its _Workspace, 1.03 MiB with one quantizer (four rows
 # and the deadzone) and 1.53 MiB with more (e_dz and e_grid get rows of
-# their own), 1.56 MiB with a piece function's zero mask. A piece
-# function's phases, such as the MBS steps of the mbs command, take the
+# their own), 1.56 MiB with the zero mask of a correction's x_hat. A
+# correction's phases, such as the MBS steps of the mbs command, take the
 # same memory before it. There, tensor_stats on a BF16 container of a
 # 4096x4096 Student-t tensor, a 2048x2048 Gaussian one and 64 vectors of
 # 4100 elements took a median 0.280 s at 2^15 (quartiles 0.268-0.286 s),
@@ -211,7 +211,7 @@ def _blocks_per_row(n: int, B: int) -> int:
 
 def _pad_rows(rows: np.ndarray, B: int) -> np.ndarray:
     """(n_rows, n) rows zero-padded to whole blocks of B; rows itself when
-    n is a multiple of B. block_view and decompose's x_hat pieces use it."""
+    n is a multiple of B. block_view and BlockView.valid use it."""
     pad = -rows.shape[1] % B
     return np.pad(rows, ((0, 0), (0, pad))) if pad else rows
 

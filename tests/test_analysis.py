@@ -31,6 +31,7 @@ from mxblock.quantize import BlockQuantConfig, block_view, qdq_views
 from mxblock.tensorstore import (
     ContainerReader,
     SynthSpec,
+    SynthTensor,
     TensorSet,
     TensorSource,
     save_container,
@@ -796,6 +797,23 @@ class TestGemmPropagation:
             gemm_error_propagation(w, cov=np.ones((10, 5)))
         with pytest.raises(ValueError):
             gemm_error_propagation(w, samples=0)
+
+    @pytest.mark.parametrize("macro, mode, message", [
+        (128, "greedy", "unknown MBS mode: greedy"),
+        (48, "closed_form", "macro_block_size must be a multiple of block_size")])
+    def test_mbs_options_are_refused_before_the_weight_is_read(self, monkeypatch, macro,
+                                                               mode, message):
+        # the correction checks itself when it is built, so the refusal
+        # names no tensor, and no piece of the weight is read
+        w = synth_tensors(SynthSpec("gaussian", (8, 256), seed=1))["gaussian_0000"]
+
+        def read(self, start, count, out=None):
+            raise AssertionError(f"tensor {self.name} read")
+
+        monkeypatch.setattr(SynthTensor, "read", read)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gemm_error_propagation(w, samples=10, mbs=MbsConfig(macro_block_size=macro),
+                                   mbs_mode=mode)
 
 
 class TestEffectiveRankAndTruncate:

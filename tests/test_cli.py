@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 import mxblock
 import mxblock.cli as cli
 from conftest import joined, read_arrays
-from mxblock import __version__, decompose, quantize
+from mxblock import __version__, corrections, decompose, quantize
 from mxblock.analysis import TempFit
 from mxblock.cli import main
 from mxblock.corrections import AqnSchedule, MbsConfig, OfConfig, aqn_pieces, of_qdq
@@ -50,12 +51,13 @@ _BROKEN_OF_SCRIPT = """
 import sys
 import numpy as np
 import mxblock.cli as cli
-real = cli.of_qdq
+import mxblock.corrections as corrections
+real = corrections.of_qdq
 def broken(*args, **kwargs):
     res = real(*args, **kwargs)
     res.x_hat.flat[0] = np.nan
     return res
-cli.of_qdq = broken
+corrections.of_qdq = broken
 sys.exit(cli.main(["of", "--synth", "gaussian:8x128"]))
 """
 
@@ -210,6 +212,28 @@ class TestFormats:
                 continue  # differ between the two runs by construction
             assert v_csv == v_json, k
 
+    def test_text_of_every_scalar_kind(self):
+        # numpy floats, ints and bools print as Python's, -0.0 keeps its
+        # sign, floats take 12 significant digits, tuples and arrays are
+        # lists and keys are sorted; nan and inf are refused, numpy's too
+        report = {"array": np.array([[1.0, -0.0], [2.5e-7, 1e300]]), "bool": True,
+                  "empty": [], "float": 0.1, "int": 7, "neg_zero": -0.0, "none": None,
+                  "np_bool": np.bool_(False), "np_float": np.float64(2.0 / 3.0),
+                  "np_float32": np.float32(0.1), "np_int": np.int64(-3), "tiny": 1e-300,
+                  "tuple": (1, 2.5, "x", {}), "nested": {"b": [np.uint8(255)], "a": "y"}}
+        assert cli._json_text(report) == (
+            '{\n  "array": [\n    [\n      1,\n      -0\n    ],\n    [\n      2.5e-07,\n'
+            '      1e+300\n    ]\n  ],\n  "bool": true,\n  "empty": [],\n  "float": 0.1,\n'
+            '  "int": 7,\n  "neg_zero": -0,\n  "nested": {\n    "a": "y",\n    "b": [\n'
+            '      255\n    ]\n  },\n  "none": null,\n  "np_bool": false,\n'
+            '  "np_float": 0.666666666667,\n  "np_float32": 0.10000000149,\n  "np_int": -3,\n'
+            '  "tiny": 1e-300,\n  "tuple": [\n    1,\n    2.5,\n    "x",\n    {}\n  ]\n}')
+        assert cli._csv_text(report).splitlines()[1:5] == [
+            "array[0][0],1", "array[0][1],-0", "array[1][0],2.5e-07", "array[1][1],1e+300"]
+        for bad in (math.nan, -math.inf, np.float32(np.inf), np.float64(np.nan)):
+            with pytest.raises(cli.ReportError, match="non-finite report value"):
+                cli._json_text({"r": [bad]})
+
     def test_json_keys_sorted(self, capsys, worked_container):
         _, out, _ = _run(capsys, ["decompose", "--input", worked_container,
                                   "--block-size", "8"])
@@ -342,7 +366,7 @@ class TestExitCodes:
     def test_broken_mbs_split_is_3(self, capsys, monkeypatch):
         # x_hat = x: e_total is 0 while e_scale = -(e_dz + e_grid) is not,
         # and <e_scale, e_dz> is -||e_dz||^2, not the structural 0.0
-        monkeypatch.setattr(cli, "mbs_qdq", lambda x, *a, **k: (x, None))
+        monkeypatch.setattr(corrections, "mbs_qdq", lambda x, *a, **k: (x, None))
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "invariant violation" in err
@@ -361,7 +385,7 @@ class TestExitCodes:
         # MBS output that keeps one ideal-deadzone element at its input value:
         # the full expansion still closes, so only the rule that Q and MBS
         # keep <e_scale, e_dz> at exactly 0.0 can catch it
-        real = cli.mbs_qdq
+        real = corrections.mbs_qdq
         quant = BlockQuantConfig()
         seen = {}
 
@@ -373,7 +397,7 @@ class TestExitCodes:
             seen.update(x=piece.copy(), x_hat=x_hat.copy())
             return x_hat, codes
 
-        monkeypatch.setattr(cli, "mbs_qdq", leaky)
+        monkeypatch.setattr(corrections, "mbs_qdq", leaky)
         code, out, err = _run(capsys, ["mbs", "--synth", "gaussian:8x128"])
         assert code == 3 and out == ""
         assert "deadzone inner product nonzero" in err
@@ -1006,6 +1030,7 @@ def test_decompose_and_mbs_do_not_load_openssl(tmp_path):
 _FLAG_SCRIPT = """
 import contextlib, hashlib, io, json, sys
 import mxblock.cli as cli
+dropped = json.loads(sys.argv[2]) if len(sys.argv) > 2 else []
 runs = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -1016,6 +1041,8 @@ for argv in json.loads(sys.argv[1]):
             code = 1
             print(repr(exc), file=err)
     results = json.loads(out.getvalue())["results"] if code == 0 else None
+    for key in dropped if code == 0 else ():
+        results.pop(key, None)
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     runs.append([code, digest, err.getvalue()])
 print(json.dumps(runs))
@@ -1026,6 +1053,8 @@ _FLAG_COMMANDS = {
     "sweep": ["sweep"],
     "mbs-M0": ["mbs"],
     "mbs-M3": ["mbs", "--scale-mantissa-bits", "3"],
+    "mbs-closed-form": ["mbs", "--mbs-mode", "closed_form"],
+    "of": ["of"],
     "of-with-mbs": ["of", "--with-mbs"],
     "gamma": ["gamma"],
     "gemm": ["gemm", "--samples", "1000"],
@@ -1074,3 +1103,41 @@ def test_interpreter_flags_keep_results(flag_runs, command):
     for code, _, err in huge:
         assert code == 2, err
         assert "past E8M0's range" in err and "(tensor w)" in err, err
+
+
+# sha256 of the results of each command form that measures a correction,
+# hashed as _FLAG_SCRIPT hashes them, on --synth student_t:96x300 --count 2
+# --seed 11. gemm's identity_residual is dropped first: it is summation
+# noise, the one field that moved between OpenBLAS kernels on this input
+_CORRECTION_DIGESTS = {
+    "mbs": "4e024706a5116241076277285077d480e8f06323b4b4dc8235339bc1848dc982",
+    "mbs --mbs-mode closed_form":
+        "34cd17d3622b34e975ed7703705ef37abab6731d860ca39a3d6638c92f25906e",
+    "mbs --scale-mantissa-bits 3":
+        "bea9dc1aa0aa80d5839f437670a67e0857d640c71e8a2fe70335ec5662f2c8d1",
+    "of": "8d6783766f806a4ef02ea7c8f89019c57ef5ee371a05ba4e65be03c47cfefcd6",
+    "of --with-mbs": "8beb0781becc4037dedf79996e20a5f3cf21fd4a0de2f5b8b5cb517f306dc93e",
+    "of --with-mbs --scale-mantissa-bits 3":
+        "66616f2f0403560df05e0e6fc34d5d9a26c0e3d004912797268fa8a6438bf140",
+    "gemm --samples 500 --with-mbs":
+        "0d9a86863178f9c0d7056d8cb0704d055e9b115c6e60d06880053b87092cf5fb",
+}
+
+
+def test_correction_routes_keep_their_digests():
+    # every route by which a correction is measured keeps its report's bits
+    source = ["--synth", "student_t:96x300", "--count", "2", "--seed", "11"]
+    argvs = [[*form.split(), *source] for form in _CORRECTION_DIGESTS]
+    src = os.path.dirname(os.path.dirname(mxblock.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _FLAG_SCRIPT, json.dumps(argvs),
+                          json.dumps(["identity_residual"])],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    runs = dict(zip(_CORRECTION_DIGESTS, json.loads(run.stdout)))
+    for form, (code, _, err) in runs.items():
+        assert code == 0, (form, err)
+    moved = [form for form, (_, digest, _) in runs.items()
+             if digest != _CORRECTION_DIGESTS[form]]
+    assert moved == []

@@ -12,6 +12,7 @@ from mxblock import corrections
 from mxblock.corrections import (
     MBS_LEVELS,
     AqnSchedule,
+    Correction,
     MbsConfig,
     OfConfig,
     aqn_pieces,
@@ -38,6 +39,42 @@ def _plain_qdq(x, quant):
     view = block_view(x, quant)
     qdq, _, _, _ = qdq_views(view, quant)
     return view.restore(qdq)
+
+
+class TestCorrection:
+    """A correction checks itself when it is built, naming no tensor, and
+    gives mbs_qdq's x_hat, or of_qdq's when of is set, bit for bit."""
+
+    def test_needs_mbs_or_of(self):
+        with pytest.raises(ValueError, match="^a correction needs mbs or of$"):
+            Correction(BlockQuantConfig())
+
+    @pytest.mark.parametrize("kwargs", [{"mbs": MbsConfig()}, {"of": OfConfig()},
+                                        {"mbs": MbsConfig(), "of": OfConfig()}])
+    def test_unknown_mode(self, kwargs):
+        with pytest.raises(ValueError, match="^unknown MBS mode: greedy$"):
+            Correction(BlockQuantConfig(), mbs_mode="greedy", **kwargs)
+
+    @pytest.mark.parametrize("of", [None, OfConfig()])
+    def test_macro_must_divide_by_the_block(self, of):
+        with pytest.raises(ValueError,
+                           match="^macro_block_size must be a multiple of block_size$"):
+            Correction(BlockQuantConfig(), mbs=MbsConfig(macro_block_size=48), of=of)
+
+    @pytest.mark.parametrize("M", [0, 3])
+    def test_align_and_x_hat(self, M):
+        x = np.random.default_rng(89).standard_t(4.0, (5, 400))     # ragged tail macros
+        quant, mbs, of = BlockQuantConfig(block_size=16, scale_mantissa_bits=M), \
+            MbsConfig(macro_block_size=96), OfConfig(alpha=0.25)
+        cases = [(Correction(quant, mbs=mbs, mbs_mode="closed_form"), 96,
+                  mbs_qdq(x, mbs, quant, "closed_form")[0]),
+                 (Correction(quant, mbs=mbs), 96, mbs_qdq(x, mbs, quant)[0]),
+                 (Correction(quant, of=of), 16, of_qdq(x, of, quant).x_hat),
+                 (Correction(quant, mbs=mbs, of=of), 96, of_qdq(x, of, quant, mbs).x_hat)]
+        for fix, align, want in cases:
+            assert fix.align == align
+            assert fix.qdq(x, _Workspace()).tobytes() == want.tobytes()
+            assert fix.qdq(x).tobytes() == want.tobytes()
 
 
 class TestConfigs:
@@ -890,21 +927,17 @@ class TestMbsQdq:
         # piece's x_hat, which the split reads: not the sum of the two
         quant, mbs = BlockQuantConfig(scale_mantissa_bits=M), MbsConfig()
         x = np.random.default_rng(91).standard_normal((128, 512))     # two pieces
-        hat_rows = mbs_qdq(x, mbs, quant)[0]
+        x_hat = mbs_qdq(x, mbs, quant)[0]
         piece = x[:_CHUNK_ELEMS // 512]             # the split's pieces are whole rows
 
-        def split():                                # a piece function that costs nothing
-            decompose_quantizers(x, 32, [quant, lambda r, c, p: hat_rows[r, c]],
-                                 align=mbs.macro_block_size)
+        def split():                                # a given x_hat costs nothing
+            decompose_quantizers(x, 32, [quant, x_hat])
 
         def step():
             mbs_qdq(piece, mbs, quant)
 
         def loop():
-            work = _Workspace()
-            decompose_quantizers(
-                x, 32, [quant, lambda r, c, p: mbs_qdq(p, mbs, quant, "exhaustive", work)[0]],
-                align=mbs.macro_block_size, work=work)
+            decompose_quantizers(x, 32, [quant, Correction(quant, mbs=mbs)], work=_Workspace())
 
         peaks = {}
         for fn in (split, step, loop):

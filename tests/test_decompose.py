@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mxblock import decompose, quantize
-from mxblock.corrections import MbsConfig, OfConfig, mbs_qdq, of_qdq
+from mxblock.corrections import Correction, MbsConfig, OfConfig, mbs_qdq, of_qdq
 from mxblock.formats import ceil_scale_array
 from mxblock.decompose import (
     DecompReport,
@@ -824,8 +824,7 @@ def _signed_split(x, cfg, x_hat, align):
     """decompose_tensor(x, cfg, x_hat=x_hat) on pieces cut at multiples of
     align columns: the signed path, summed in the order of a split whose
     pieces are cut there too. x_hat None measures cfg's plain Q."""
-    quantizer = cfg if x_hat is None else (
-        lambda rows, cols, piece: x_hat.reshape(-1, x.shape[-1])[rows, cols])
+    quantizer = cfg if x_hat is None else x_hat.reshape(-1, x.shape[-1])
     errors = [np.empty(x.shape) for _ in range(4)]
     return decompose._decompose(x, cfg, [quantizer], errors, align=align)[0]
 
@@ -852,18 +851,14 @@ class TestDecomposeQuantizers:
         m3 = BlockQuantConfig(block_size=block_size, scale_mantissa_bits=3)
         mbs = MbsConfig(macro_block_size=3 * block_size)
         x_of = of_qdq(x, OfConfig(alpha=0.5), cfg).x_hat
-        of_rows = x_of.reshape(-1, x.shape[-1])
-        got = decompose_quantizers(x, block_size, [
-            cfg, m3, lambda rows, cols, piece: of_rows[rows, cols]])
+        got = decompose_quantizers(x, block_size, [cfg, m3, x_of])
         assert len(self.pieces) > 1
         # with the error arrays, the reference takes the signed path
         want = [decompose_tensor(x, cfg), decompose_tensor(x, m3),
                 decompose_tensor(x, cfg, x_hat=x_of)]
         # the mbs command's split: pieces of whole macros (3 blocks), each
         # measured by mbs_qdq, against references cut at the same columns
-        got += decompose_quantizers(
-            x, block_size, [cfg, lambda rows, cols, piece: mbs_qdq(piece, mbs, cfg)[0]],
-            align=mbs.macro_block_size)
+        got += decompose_quantizers(x, block_size, [cfg, Correction(cfg, mbs=mbs)])
         want += [_signed_split(x, cfg, None, mbs.macro_block_size),
                  _signed_split(x, cfg, mbs_qdq(x, mbs, cfg)[0], mbs.macro_block_size)]
         for g, w in zip(got, want):
@@ -873,7 +868,7 @@ class TestDecomposeQuantizers:
 
     def test_qstar_rounded_once_per_piece(self, monkeypatch):
         # per piece: Q* and the first Q in qdq_views, then each further Q;
-        # a piece function's x_hat is not rounded here
+        # a caller's x_hat is not rounded here
         calls = []
 
         def counting(name):
@@ -891,19 +886,26 @@ class TestDecomposeQuantizers:
         x_hat = qdq_tensor(x, cfg)
         calls.clear()
         decompose_quantizers(x, 8, [cfg, BlockQuantConfig(block_size=8, scale_mantissa_bits=3),
-                                    lambda rows, cols, piece: x_hat[rows, cols]])
+                                    x_hat])
         assert len(self.pieces) > 1
         assert calls == ["_mag_round", "_mag_round_pow2", "_mag_round"] * len(self.pieces)
 
-    def test_align_cuts_whole_macros(self):
+    def test_align_cuts_whole_macros(self, monkeypatch):
+        # an MBS correction's align, its macro size, cuts the pieces it is
+        # run on: each starts at a whole macro, and ends at one or the row's end
+        x = np.random.default_rng(52).standard_normal((2, 500))
+        fix = Correction(BlockQuantConfig(block_size=8), mbs=MbsConfig(macro_block_size=24))
+        qdq = Correction.qdq
         seen = []
 
-        def identity(rows, cols, piece):
-            seen.append((cols.start, piece.shape[1]))
-            return piece
+        def spy(self, piece, work=None):
+            start = (piece.ctypes.data - x.ctypes.data) // x.itemsize % x.shape[1]
+            seen.append((start, piece.shape[1]))
+            return qdq(self, piece, work)
 
-        x = np.random.default_rng(52).standard_normal((2, 500))
-        decompose_quantizers(x, 8, [identity], align=24)
+        monkeypatch.setattr(Correction, "qdq", spy)
+        assert fix.align == 24
+        decompose_quantizers(x, 8, [fix])
         assert len(seen) > 2
         assert all(start % 24 == 0 for start, _ in seen)
         assert all(width % 24 == 0 or start + width == 500 for start, width in seen)
@@ -914,8 +916,13 @@ class TestDecomposeQuantizers:
             decompose_quantizers(x, 8, [])
         with pytest.raises(ValueError, match="block size 16"):
             decompose_quantizers(x, 8, [BlockQuantConfig(block_size=16)])
-        with pytest.raises(ValueError, match="piece x_hat shape"):
-            decompose_quantizers(x, 8, [lambda rows, cols, piece: piece[:, :-1]])
+        with pytest.raises(ValueError, match="block size 16"):
+            decompose_quantizers(x, 8, [Correction(BlockQuantConfig(block_size=16),
+                                                   of=OfConfig())])
+        with pytest.raises(ValueError, match="x_hat shape"):
+            decompose_quantizers(x, 8, [x[:, :-1]])
+        with pytest.raises(TypeError):             # a function is no quantizer
+            decompose_quantizers(x, 8, [lambda rows, cols, piece: piece])
 
 
 @st.composite
@@ -956,8 +963,8 @@ class TestMbsSplitProperty:
 
 
 class TestMbsPiecesProperty:
-    """The mbs command's split, mbs_qdq as a piece function on pieces of
-    whole macros, equals the signed split of mbs_qdq's whole output on
+    """The mbs command's split, an MBS Correction run on pieces of whole
+    macros, equals the signed split of mbs_qdq's whole output on
     pieces cut at the same columns, sum for sum: a macro's code and x_hat
     depend on that macro alone, and the sign is folded into the
     magnitudes."""
@@ -970,9 +977,7 @@ class TestMbsPiecesProperty:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose, "_CHUNK_ELEMS", 64)
             before, after = decompose_quantizers(
-                x, quant.block_size,
-                [quant, lambda rows, cols, piece: mbs_qdq(piece, mbs, quant, mode)[0]],
-                align=macro)
+                x, quant.block_size, [quant, Correction(quant, mbs=mbs, mbs_mode=mode)])
             want = [_signed_split(x, quant, None, macro),
                     _signed_split(x, quant, mbs_qdq(x, mbs, quant, mode)[0], macro)]
         for g, w in zip((before, after), want):
